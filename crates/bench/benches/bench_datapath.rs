@@ -2,15 +2,17 @@
 //! transform-once shared-view path, at 1 / 4 / 16 deployed gestures.
 //!
 //! The per-route path instantiates one private `kinect_t` chain per
-//! deployed plan (`PlanInstance::push`, the seed semantics); the shared
-//! path evaluates the view once per frame and fans the output to every
-//! plan (`Engine::push_batch`). The gap between the two at N gestures is
-//! exactly the redundancy this PR removed.
+//! deployed plan (`fixtures::PerRouteReference`, the seed semantics kept
+//! as the equivalence suite's oracle); the shared path evaluates the view
+//! once per frame and fans the output to every plan
+//! (`Engine::push_batch`). The gap between the two at N gestures is
+//! exactly the redundancy the shared path removes.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gesto_bench::learn_gesture;
+use gesto_cep::fixtures::PerRouteReference;
 use gesto_cep::{Engine, QueryPlan};
 use gesto_kinect::{frames_to_tuples, gestures, kinect_schema, Performer, Persona, KINECT_STREAM};
 use gesto_learn::query_gen::{generate_query, QueryStyle};
@@ -64,7 +66,7 @@ fn bench_datapath(c: &mut Criterion) {
 
         // Seed semantics: every plan runs its own private view chain.
         group.bench_function(BenchmarkId::new("per_route", n), |b| {
-            let mut instances: Vec<_> = plans.iter().map(|p| p.instantiate()).collect();
+            let mut instances: Vec<_> = plans.iter().map(PerRouteReference::new).collect();
             let mut out = Vec::new();
             b.iter(|| {
                 for t in &tuples {

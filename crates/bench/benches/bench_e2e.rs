@@ -58,7 +58,7 @@ fn bench_detection_stream(c: &mut Criterion) {
     group.throughput(Throughput::Elements(tuples.len() as u64));
     group.bench_function("detect_5_gestures_stream", |b| {
         b.iter(|| {
-            let n = engine.run_batch(KINECT_STREAM, &tuples).unwrap().len();
+            let n = engine.push_batch(KINECT_STREAM, &tuples).unwrap().len();
             engine.reset_runs();
             n
         })

@@ -1,7 +1,8 @@
-//! NFA stepping A/B/C: per-tuple [`Nfa::advance`] vs batched
-//! [`Nfa::advance_batch_into`] vs columnar
-//! [`Nfa::advance_block_into`] (batched + vectorized predicate
-//! pre-pass) at 1/4/16 deployed gestures, plus allocation-count
+//! NFA stepping A/B/C over the one entry point,
+//! [`Nfa::advance_block_into`]: 1-tuple batches vs one N-tuple batch
+//! (both scalar, `block = None`) vs one N-tuple batch with its
+//! [`ColumnBlock`] (the vectorized predicate pre-pass), at 1/4/16
+//! deployed gestures, plus allocation-count
 //! assertions (via a counting global allocator) proving the batched hot
 //! loop performs **zero** heap allocations at steady state — when
 //! nothing matches, under seed/expire churn, with the columnar
@@ -177,44 +178,46 @@ fn measure(mut f: impl FnMut()) -> f64 {
 
 struct AbResult {
     gestures: usize,
-    per_tuple_fps: f64,
-    batched_fps: f64,
+    batch1_fps: f64,
+    batchn_fps: f64,
     block_fps: f64,
     speedup: f64,
     block_speedup: f64,
     matches: u64,
 }
 
-/// Per-tuple vs batched vs columnar stepping of `n` gestures over the
-/// same stream.
+/// 1-tuple batches vs one N-tuple batch vs N-tuple batch + block, for
+/// `n` gestures over the same stream.
 fn ab_advance(n: usize, tuples: &[Tuple]) -> AbResult {
     let frames = tuples.len() as f64;
 
-    // Per-tuple path: every tuple steps every NFA, interleaved — the
-    // shape of the seed engine loop.
+    // 1-tuple batches: every tuple steps every NFA, interleaved — the
+    // shape of a 30 Hz sensor pushing frame by frame.
     let mut nfas = compile_gestures(n);
+    let mut scratch = MatchScratch::new();
     let mut matches = 0u64;
-    let per_tuple_ns = measure(|| {
-        matches = 0;
+    let batch1_ns = measure(|| {
         for t in tuples {
             for nfa in nfas.iter_mut() {
-                matches += nfa.advance(SOURCE, t).unwrap().len() as u64;
+                nfa.advance_block_into(SOURCE, std::slice::from_ref(t), None, &mut scratch)
+                    .unwrap();
             }
         }
+        matches = scratch.len() as u64;
+        scratch.clear();
         for nfa in nfas.iter_mut() {
             nfa.reset();
         }
     });
 
-    // Batched path: every NFA steps the whole batch in one call — the
-    // shape of `PlanInstance::push_batch_shared` without blocks.
+    // One N-tuple batch: every NFA steps the whole batch in one call —
+    // the shape of `PlanInstance::push_batch_shared` without blocks.
     let mut nfas = compile_gestures(n);
-    let mut scratch = MatchScratch::new();
     let mut batched_matches = 0u64;
-    let batched_ns = measure(|| {
+    let batchn_ns = measure(|| {
         batched_matches = 0;
         for nfa in nfas.iter_mut() {
-            nfa.advance_batch_into(SOURCE, tuples, &mut scratch)
+            nfa.advance_block_into(SOURCE, tuples, None, &mut scratch)
                 .unwrap();
             batched_matches += scratch.len() as u64;
             scratch.clear();
@@ -243,11 +246,11 @@ fn ab_advance(n: usize, tuples: &[Tuple]) -> AbResult {
     assert_eq!(matches, block_matches, "block path must agree too");
     AbResult {
         gestures: n,
-        per_tuple_fps: frames / (per_tuple_ns / 1e9),
-        batched_fps: frames / (batched_ns / 1e9),
+        batch1_fps: frames / (batch1_ns / 1e9),
+        batchn_fps: frames / (batchn_ns / 1e9),
         block_fps: frames / (block_ns / 1e9),
-        speedup: per_tuple_ns / batched_ns,
-        block_speedup: per_tuple_ns / block_ns,
+        speedup: batch1_ns / batchn_ns,
+        block_speedup: batch1_ns / block_ns,
         matches,
     }
 }
@@ -259,13 +262,13 @@ fn assert_zero_allocations() {
     let mut nfas = compile_gestures(4);
     let mut scratch = MatchScratch::new();
     for nfa in nfas.iter_mut() {
-        nfa.advance_batch_into(SOURCE, &tuples, &mut scratch)
+        nfa.advance_block_into(SOURCE, &tuples, None, &mut scratch)
             .unwrap();
     }
     let before = allocations();
     for _ in 0..16 {
         for nfa in nfas.iter_mut() {
-            nfa.advance_batch_into(SOURCE, &tuples, &mut scratch)
+            nfa.advance_block_into(SOURCE, &tuples, None, &mut scratch)
                 .unwrap();
         }
     }
@@ -286,7 +289,7 @@ fn assert_zero_allocations() {
     for _ in 0..2 {
         matches = 0;
         for nfa in nfas.iter_mut() {
-            nfa.advance_batch_into(SOURCE, &tuples, &mut scratch)
+            nfa.advance_block_into(SOURCE, &tuples, None, &mut scratch)
                 .unwrap();
             matches += scratch.len() as u64;
             scratch.clear();
@@ -296,7 +299,7 @@ fn assert_zero_allocations() {
     let before = allocations();
     for _ in 0..16 {
         for nfa in nfas.iter_mut() {
-            nfa.advance_batch_into(SOURCE, &tuples, &mut scratch)
+            nfa.advance_block_into(SOURCE, &tuples, None, &mut scratch)
                 .unwrap();
             scratch.clear();
             nfa.reset();
@@ -456,8 +459,8 @@ fn main() {
         }
     }
 
-    println!("NFA stepping — per-tuple vs batched advance");
-    println!("===========================================\n");
+    println!("NFA stepping — 1-tuple batches vs N-tuple batches vs block");
+    println!("==========================================================\n");
     assert_zero_allocations();
     println!();
 
@@ -465,15 +468,15 @@ fn main() {
     let mut results = Vec::new();
     println!(
         "{:>9} {:>16} {:>16} {:>16} {:>9} {:>9} {:>9}",
-        "gestures", "per-tuple f/s", "batched f/s", "block f/s", "speedup", "blk-spdup", "matches"
+        "gestures", "batch-1 f/s", "batch-N f/s", "block f/s", "speedup", "blk-spdup", "matches"
     );
     for n in [1usize, 4, 16] {
         let r = ab_advance(n, &tuples);
         println!(
             "{:>9} {:>16.0} {:>16.0} {:>16.0} {:>8.2}x {:>8.2}x {:>9}",
             r.gestures,
-            r.per_tuple_fps,
-            r.batched_fps,
+            r.batch1_fps,
+            r.batchn_fps,
             r.block_fps,
             r.speedup,
             r.block_speedup,
@@ -496,8 +499,8 @@ fn main() {
                 rows.push_str(",\n");
             }
             rows.push_str(&format!(
-                "    {{\"gestures\": {}, \"per_tuple_frames_per_sec\": {:.0}, \"batched_frames_per_sec\": {:.0}, \"block_frames_per_sec\": {:.0}, \"speedup\": {:.2}, \"block_speedup\": {:.2}, \"matches_per_pass\": {}}}",
-                r.gestures, r.per_tuple_fps, r.batched_fps, r.block_fps, r.speedup, r.block_speedup, r.matches
+                "    {{\"gestures\": {}, \"batch1_frames_per_sec\": {:.0}, \"batchn_frames_per_sec\": {:.0}, \"block_frames_per_sec\": {:.0}, \"speedup\": {:.2}, \"block_speedup\": {:.2}, \"matches_per_pass\": {}}}",
+                r.gestures, r.batch1_fps, r.batchn_fps, r.block_fps, r.speedup, r.block_speedup, r.matches
             ));
         }
         let json_text = format!(

@@ -69,7 +69,7 @@ fn main() {
             frames_processed += frames.len();
             let tuples = frames_to_tuples(&frames, &kinect_schema());
             if engine
-                .run_batch(KINECT_STREAM, &tuples)
+                .push_batch(KINECT_STREAM, &tuples)
                 .unwrap()
                 .iter()
                 .any(|d| d.gesture == "swipe_right")
@@ -88,7 +88,7 @@ fn main() {
             frames_processed += frames.len();
             let tuples = frames_to_tuples(&frames, &kinect_schema());
             if engine
-                .run_batch(KINECT_STREAM, &tuples)
+                .push_batch(KINECT_STREAM, &tuples)
                 .unwrap()
                 .iter()
                 .any(|d| d.gesture == "swipe_right")

@@ -18,7 +18,7 @@ use gesto_transform::standard_catalog;
 fn throughput(engine: &Engine, tuples: &[Tuple], repeats: usize) -> f64 {
     let start = Instant::now();
     for _ in 0..repeats {
-        engine.run_batch(KINECT_STREAM, tuples).expect("stream ok");
+        engine.push_batch(KINECT_STREAM, tuples).expect("stream ok");
     }
     (tuples.len() * repeats) as f64 / start.elapsed().as_secs_f64()
 }
@@ -139,7 +139,7 @@ fn main() {
         engine.reset_runs();
         let check = frames_to_tuples(&perform(&gestures::circle(), &persona, 777), &schema);
         let ok = engine
-            .run_batch(KINECT_STREAM, &check)
+            .push_batch(KINECT_STREAM, &check)
             .unwrap()
             .iter()
             .any(|x| x.gesture == d.name);

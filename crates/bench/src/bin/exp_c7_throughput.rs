@@ -5,16 +5,16 @@
 //! ```sh
 //! cargo run --release -p gesto-bench --bin exp_c7_throughput -- \
 //!     --sessions 1,8,64,512 --frames 600 [--shards 1,2,4] [--strict] \
-//!     [--no-warmup] [--block | --no-block] [--stage-sample N] \
-//!     [--journal] [--json BENCH_serve.json]
+//!     [--no-warmup] [--stage-sample N] [--journal] [--json out.json]
 //! ```
 //!
-//! By default every sweep point is measured twice — once on the
-//! columnar data path (frame→block conversion + vectorized predicate
-//! pre-pass) and once on the scalar path — and both numbers land in the
-//! output. `--block` / `--no-block` restrict the sweep to one mode.
+//! The server runs its default data path: batches of at least
+//! `ServerConfig::columnar_min_batch` frames (the default `--batch 60`
+//! is) take the columnar path, shorter ones the scalar path. The
+//! committed end-to-end numbers for both sides of that threshold come
+//! from `perfbench/` (`BENCHMARK.json`), not from this sweep.
 //!
-//! `--journal` adds a third leg per sweep point: the same run on a
+//! `--journal` adds a second leg per sweep point: the same run on a
 //! **durable** server (write-ahead journal + checkpoints at the default
 //! `FsyncPolicy::Always`). Only control-plane ops are journaled, so the
 //! steady-state data path should be unaffected; the leg exists to pin
@@ -36,10 +36,6 @@ struct Args {
     gestures: usize,
     strict: bool,
     warmup: bool,
-    /// Measure the columnar data path.
-    block: bool,
-    /// Measure the scalar data path.
-    scalar: bool,
     /// Stage-timer sampling period handed to the server (0 = timers
     /// off). Lets the telemetry overhead be A/B'd on one machine.
     stage_sample: u32,
@@ -60,8 +56,6 @@ fn parse_args() -> Args {
         gestures: 1,
         strict: false,
         warmup: true,
-        block: true,
-        scalar: true,
         stage_sample: 64,
         journal: false,
         repeat: 1,
@@ -80,8 +74,6 @@ fn parse_args() -> Args {
             }
             "--strict" => args.strict = true,
             "--no-warmup" => args.warmup = false,
-            "--block" => args.scalar = false,
-            "--no-block" => args.block = false,
             "--stage-sample" => {
                 args.stage_sample = it
                     .next()
@@ -95,10 +87,6 @@ fn parse_args() -> Args {
             other => panic!("unknown argument '{other}'"),
         }
     }
-    assert!(
-        args.block || args.scalar,
-        "--block and --no-block are mutually exclusive"
-    );
     if args.shards.is_empty() {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -127,9 +115,6 @@ struct RunResult {
     detections: u64,
     elapsed_ms: f64,
     fps: f64,
-    /// Scalar-path frames/sec of the same sweep point (`None` when only
-    /// one mode was measured).
-    fps_no_block: Option<f64>,
     /// Durable-server frames/sec of the same sweep point (`--journal`).
     fps_journal: Option<f64>,
 }
@@ -141,7 +126,6 @@ fn run(
     sessions: usize,
     shards: usize,
     batch: usize,
-    columnar: bool,
     stage_sample: u32,
     expected_per_session: Option<u64>,
     journal: bool,
@@ -150,7 +134,6 @@ fn run(
         .with_shards(shards)
         .with_queue_capacity(256)
         .with_backpressure(BackpressurePolicy::Block)
-        .with_columnar(columnar)
         .with_stage_sample_every(stage_sample);
     // The durable leg journals into a scratch dir at the default fsync
     // policy (Always) — the full cost, not a relaxed setting.
@@ -243,7 +226,6 @@ fn run(
         detections,
         elapsed_ms,
         fps: frames_total as f64 / elapsed.as_secs_f64(),
-        fps_no_block: None,
         fps_journal: None,
     }
 }
@@ -277,20 +259,13 @@ fn main() {
         .collect();
     let frames = workload(args.frames);
 
-    // The primary mode (reported as `frames/sec`): columnar unless
-    // `--no-block` restricted the sweep to the scalar path.
-    let primary_columnar = args.block;
-
     // Deterministic reference: how often one session's workload detects.
-    // The columnar and scalar paths are bit-identical (enforced by
-    // `datapath_equivalence`), so one reference covers both modes.
     let reference = run(
         &queries,
         &frames,
         1,
         1,
         args.batch,
-        primary_columnar,
         args.stage_sample,
         None,
         false,
@@ -309,7 +284,6 @@ fn main() {
         "detections",
         "elapsed_ms",
         "frames/sec",
-        "no-block f/s",
         "journal f/s",
     ]);
     let mut results = Vec::new();
@@ -326,7 +300,6 @@ fn main() {
                     sessions,
                     shards,
                     args.batch,
-                    primary_columnar,
                     args.stage_sample,
                     None,
                     false,
@@ -335,7 +308,7 @@ fn main() {
             // Each measured leg runs --repeat times; the best run is
             // kept (best-of-N discards scheduler noise, the dominant
             // error source on small/shared hosts).
-            let best = |columnar: bool, journal: bool| {
+            let best = |journal: bool| {
                 (0..args.repeat.max(1))
                     .map(|_| {
                         run(
@@ -344,7 +317,6 @@ fn main() {
                             sessions,
                             shards,
                             args.batch,
-                            columnar,
                             args.stage_sample,
                             Some(per_session),
                             journal,
@@ -353,18 +325,13 @@ fn main() {
                     .max_by(|a, b| a.fps.total_cmp(&b.fps))
                     .expect("repeat >= 1")
             };
-            let mut r = best(primary_columnar, false);
-            // A/B: the same point on the scalar path (detections are
-            // asserted identical), recorded alongside.
-            if args.block && args.scalar {
-                r.fps_no_block = Some(best(false, false).fps);
-            }
+            let mut r = best(false);
             // A/B: the same point on a durable server (write-ahead
             // journal + checkpoints, default fsync policy). Detections
             // are asserted identical — durability must not change what
             // the engine computes, and should barely change how fast.
             if args.journal {
-                r.fps_journal = Some(best(primary_columnar, true).fps);
+                r.fps_journal = Some(best(true).fps);
             }
             table.row(&[
                 r.sessions.to_string(),
@@ -373,8 +340,6 @@ fn main() {
                 r.detections.to_string(),
                 format!("{:.1}", r.elapsed_ms),
                 format!("{:.0}", r.fps),
-                r.fps_no_block
-                    .map_or_else(|| "-".into(), |f| format!("{f:.0}")),
                 r.fps_journal
                     .map_or_else(|| "-".into(), |f| format!("{f:.0}")),
             ]);
@@ -434,9 +399,6 @@ fn main() {
             if i > 0 {
                 rows.push_str(",\n");
             }
-            let no_block = r.fps_no_block.map_or(String::new(), |f| {
-                format!(", \"frames_per_sec_no_block\": {f:.0}")
-            });
             let journal = r.fps_journal.map_or(String::new(), |f| {
                 format!(
                     ", \"frames_per_sec_journal\": {f:.0}, \"journal_overhead_pct\": {:.1}",
@@ -444,17 +406,16 @@ fn main() {
                 )
             });
             rows.push_str(&format!(
-                "    {{\"sessions\": {}, \"shards\": {}, \"frames\": {}, \"detections\": {}, \"elapsed_ms\": {:.1}, \"frames_per_sec\": {:.0}{no_block}{journal}}}",
+                "    {{\"sessions\": {}, \"shards\": {}, \"frames\": {}, \"detections\": {}, \"elapsed_ms\": {:.1}, \"frames_per_sec\": {:.0}{journal}}}",
                 r.sessions, r.shards, r.frames_total, r.detections, r.elapsed_ms, r.fps
             ));
         }
         let json = format!(
-            "{{\n  \"experiment\": \"exp_c7_throughput\",\n  \"host_cores\": {cores},\n  \"frames_per_session\": {},\n  \"batch\": {},\n  \"gestures\": {},\n  \"warmup_runs\": {},\n  \"columnar\": {},\n  \"stage_sample_every\": {},\n  \"journal_leg\": {},\n  \"repeat\": {},\n  \"detections_per_session\": {per_session},\n  \"results\": [\n{rows}\n  ]\n}}\n",
+            "{{\n  \"experiment\": \"exp_c7_throughput\",\n  \"host_cores\": {cores},\n  \"frames_per_session\": {},\n  \"batch\": {},\n  \"gestures\": {},\n  \"warmup_runs\": {},\n  \"stage_sample_every\": {},\n  \"journal_leg\": {},\n  \"repeat\": {},\n  \"detections_per_session\": {per_session},\n  \"results\": [\n{rows}\n  ]\n}}\n",
             args.frames,
             args.batch,
             args.gestures,
             u32::from(args.warmup),
-            primary_columnar,
             args.stage_sample,
             args.journal,
             args.repeat.max(1)

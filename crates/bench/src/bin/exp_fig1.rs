@@ -85,7 +85,7 @@ fn main() {
         .deploy(generate_query(&def, QueryStyle::RawTorsoRelative))
         .unwrap();
     let detections = engine
-        .run_batch(KINECT_STREAM, &fig1::tuples(0, &kinect_schema()))
+        .push_batch(KINECT_STREAM, &fig1::tuples(0, &kinect_schema()))
         .unwrap();
     println!(
         "replaying the trace through the engine: {} detection(s) of \"swipe_right\"",
@@ -106,7 +106,7 @@ fn main() {
         .map(|f| gesto_kinect::frame_to_tuple(f, &kinect_schema()))
         .collect();
     engine.reset_runs();
-    let reversed = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+    let reversed = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
     println!(
         "replaying the trace REVERSED (a swipe left): {} detection(s)",
         reversed.len()

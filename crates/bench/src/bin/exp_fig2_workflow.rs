@@ -107,7 +107,7 @@ fn main() {
             0,
         );
         let tuples = frames_to_tuples(&p.render(&gestures::circle()), &kinect_schema());
-        let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+        let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
         let hit = ds.iter().any(|d| d.gesture == "circle");
         table.row(&[format!("{}", i + 1), "circle".into(), format!("{hit}")]);
     }
@@ -120,7 +120,7 @@ fn main() {
             0,
         );
         let tuples = frames_to_tuples(&p.render(&gestures::swipe_right()), &kinect_schema());
-        let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+        let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
         let fired = ds.iter().any(|d| d.gesture == "circle");
         table.row(&[
             format!("{}", i + 6),

@@ -54,7 +54,7 @@ fn rate(engine: &Engine, persona: &Persona, seed_base: u64) -> String {
     for i in 0..TRIALS as u64 {
         let frames = perform(&gestures::swipe_right(), persona, seed_base + i);
         let tuples = frames_to_tuples(&frames, &kinect_schema());
-        let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+        let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
         if ds.iter().any(|d| d.gesture == "swipe_right") {
             hits += 1;
         }

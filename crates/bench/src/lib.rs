@@ -64,7 +64,7 @@ pub fn engine_with(defs: &[GestureDefinition]) -> Engine {
 pub fn detect(engine: &Engine, frames: &[SkeletonFrame]) -> Vec<String> {
     let tuples = frames_to_tuples(frames, &kinect_schema());
     let out = engine
-        .run_batch(KINECT_STREAM, &tuples)
+        .push_batch(KINECT_STREAM, &tuples)
         .expect("stream ok")
         .into_iter()
         .map(|d| d.gesture)

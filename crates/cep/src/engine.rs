@@ -1,11 +1,12 @@
 //! The CEP engine: runtime deployment and execution of gesture queries.
 //!
 //! The engine owns a [`Catalog`] of streams/views and a set of deployed
-//! queries. Tuples are pushed per base stream; for every deployed query
-//! the engine runs the required view chain (e.g. `kinect` → `kinect_t`)
-//! and advances the query's NFA. Queries can be deployed, undeployed and
-//! replaced while the stream is live — the paper's "exchanging the
-//! applications' pre-defined navigation operations during runtime" (§4).
+//! queries. Tuples are pushed per base stream; the engine evaluates each
+//! needed view (e.g. `kinect` → `kinect_t`) once per batch and advances
+//! every deployed query's NFA over the shared outputs. Queries can be
+//! deployed, undeployed and replaced while the stream is live — the
+//! paper's "exchanging the applications' pre-defined navigation
+//! operations during runtime" (§4).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,9 +14,9 @@ use std::sync::Arc;
 use gesto_stream::{Catalog, SharedViews, Tuple};
 use parking_lot::{Mutex, RwLock};
 
+use crate::detection::Detection;
 use crate::error::CepError;
 use crate::expr::FunctionRegistry;
-use crate::match_op::Detection;
 use crate::parser::parse_query;
 use crate::pattern::Query;
 use crate::plan::{PlanInstance, QueryPlan};
@@ -74,29 +75,33 @@ impl Engine {
         }
     }
 
-    /// Re-syncs the shared view runtime with the catalog and the set of
-    /// deployed queries: instantiates views registered since the last
-    /// deploy, marks exactly the views referenced by some route (plus
-    /// their inputs) as needed, and declares the float columns the
-    /// deployed predicates read so the per-batch columnar blocks only
-    /// materialise those lanes. Called under the deploy locks.
-    fn sync_views(views: &mut SharedViews, catalog: &Catalog, queries: &QueryMap) {
-        views.refresh(catalog);
-        let mut needed: Vec<String> = Vec::new();
-        let mut plans = Vec::with_capacity(queries.len());
-        for entry in queries.values() {
-            let inst = entry.lock();
-            for route in inst.plan().routes() {
-                for v in &route.views {
-                    if !needed.contains(v) {
-                        needed.push(v.clone());
-                    }
-                }
-            }
-            plans.push(inst.plan().clone());
-        }
-        views.set_needed(needed.iter().map(String::as_str));
-        crate::plan::sync_block_columns(views, plans.iter());
+    /// Re-syncs the shared view runtime with the set of deployed queries
+    /// ([`crate::plan::sync_shared_views`]). Called under the deploy locks.
+    fn sync_views(views: &mut SharedViews, queries: &QueryMap) {
+        let plans: Vec<_> = queries
+            .values()
+            .map(|entry| entry.lock().plan().clone())
+            .collect();
+        crate::plan::sync_shared_views(views, &plans);
+    }
+
+    /// Instantiates `plan` over the engine's views — picking up views
+    /// registered since the last deploy — and installs it under its
+    /// name. Rejects a plan whose source view this engine's catalog does
+    /// not have (a plan compiled against another catalog), leaving the
+    /// deployed set untouched.
+    fn install(
+        &self,
+        views: &mut SharedViews,
+        queries: &mut QueryMap,
+        plan: Arc<QueryPlan>,
+    ) -> Result<(), CepError> {
+        views.refresh(&self.catalog);
+        let mut instance = plan.instantiate();
+        instance.bind(views)?;
+        queries.insert(plan.name().to_owned(), Mutex::new(instance));
+        Self::sync_views(views, queries);
+        Ok(())
     }
 
     /// The engine's catalog.
@@ -129,16 +134,15 @@ impl Engine {
 
     /// Deploys an already-compiled plan (no recompilation — the cheap
     /// path when the same plan is shared across many engines). Fails if a
-    /// query with the same name is already deployed.
+    /// query with the same name is already deployed, or if the plan reads
+    /// a view this engine's catalog does not have.
     pub fn deploy_plan(&self, plan: Arc<QueryPlan>) -> Result<(), CepError> {
         let mut views = self.views.lock();
         let mut queries = self.queries.write();
         if queries.contains_key(plan.name()) {
             return Err(CepError::DuplicateQuery(plan.name().to_owned()));
         }
-        queries.insert(plan.name().to_owned(), Mutex::new(plan.instantiate()));
-        Self::sync_views(&mut views, &self.catalog, &queries);
-        Ok(())
+        self.install(&mut views, &mut queries, plan)
     }
 
     /// Parses and deploys query text.
@@ -154,23 +158,23 @@ impl Engine {
             .remove(name)
             .map(|d| d.into_inner().plan().query().clone())
             .ok_or_else(|| CepError::UnknownQuery(name.to_owned()))?;
-        Self::sync_views(&mut views, &self.catalog, &queries);
+        Self::sync_views(&mut views, &queries);
         Ok(removed)
     }
 
     /// Atomically replaces a deployed query of the same name (deploys if
     /// absent). Partial matches of the old query are discarded.
     pub fn replace(&self, query: Query) -> Result<(), CepError> {
-        self.replace_plan(self.compile(query)?);
-        Ok(())
+        self.replace_plan(self.compile(query)?)
     }
 
-    /// [`Self::replace`] for an already-compiled plan.
-    pub fn replace_plan(&self, plan: Arc<QueryPlan>) {
+    /// [`Self::replace`] for an already-compiled plan. Fails — keeping the
+    /// deployed query — if the plan reads a view this engine's catalog
+    /// does not have.
+    pub fn replace_plan(&self, plan: Arc<QueryPlan>) -> Result<(), CepError> {
         let mut views = self.views.lock();
         let mut queries = self.queries.write();
-        queries.insert(plan.name().to_owned(), Mutex::new(plan.instantiate()));
-        Self::sync_views(&mut views, &self.catalog, &queries);
+        self.install(&mut views, &mut queries, plan)
     }
 
     /// Names of deployed queries (sorted).
@@ -283,12 +287,6 @@ impl Engine {
             }
         }
         result
-    }
-
-    /// Pushes a batch of tuples of one stream; returns all detections.
-    /// Alias of [`Self::push_batch`], kept for the seed API.
-    pub fn run_batch(&self, stream: &str, tuples: &[Tuple]) -> Result<Vec<Detection>, CepError> {
-        self.push_batch(stream, tuples)
     }
 
     /// Resets all partial matches of all queries (e.g. between test
@@ -443,7 +441,7 @@ mod tests {
         e.deploy_text(r#"SELECT "lo" MATCHING kinect(x < 1);"#)
             .unwrap();
         let ds = e
-            .run_batch("kinect", &[tup(0, 10.0), tup(10, 0.0)])
+            .push_batch("kinect", &[tup(0, 10.0), tup(10, 0.0)])
             .unwrap();
         let mut names: Vec<_> = ds.iter().map(|d| d.gesture.as_str()).collect();
         names.sort();
@@ -536,6 +534,40 @@ mod tests {
             .deploy_text(r#"SELECT "g" MATCHING nosuch(x > 1);"#)
             .unwrap_err();
         assert!(matches!(err, CepError::Stream(_)), "{err}");
+    }
+
+    #[test]
+    fn plan_over_a_view_this_catalog_lacks_is_rejected_at_deploy() {
+        // Compiled against a catalog with `kinect_t`, deployed to an
+        // engine whose catalog only has the base stream.
+        let plan = engine_with_view()
+            .compile(parse_query(r#"SELECT "v" MATCHING kinect_t(x > 18);"#).unwrap())
+            .unwrap();
+        let cat = Arc::new(Catalog::new());
+        cat.register_stream(schema()).unwrap();
+        let e = Engine::new(cat);
+        let unknown_view = |r: Result<(), CepError>| {
+            matches!(
+                r,
+                Err(CepError::Stream(gesto_stream::StreamError::UnknownStream(v))) if v == "kinect_t"
+            )
+        };
+        assert!(unknown_view(e.deploy_plan(plan.clone())));
+        assert!(unknown_view(e.replace_plan(plan.clone())));
+        assert!(e.is_empty(), "a rejected plan is not deployed");
+
+        // The same check guards a session that pushes without deploying
+        // through an engine (the shard worker's position).
+        let mut views = SharedViews::new(e.catalog());
+        let t = tup(0, 10.0);
+        views.begin_batch("kinect", std::slice::from_ref(&t));
+        let r = plan.instantiate().push_batch_shared(
+            "kinect",
+            std::slice::from_ref(&t),
+            &views,
+            &mut Vec::new(),
+        );
+        assert!(unknown_view(r));
     }
 
     #[test]

@@ -92,7 +92,7 @@ mod tests {
         assert!(CepError::UnknownFunction("rpy".into())
             .to_string()
             .contains("rpy"));
-        let e: CepError = StreamError::Closed.into();
+        let e: CepError = StreamError::UnknownStream("k".into()).into();
         assert!(matches!(e, CepError::Stream(_)));
     }
 }

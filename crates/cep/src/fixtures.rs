@@ -1,4 +1,15 @@
-//! Paper fixtures: the Fig. 1 query text, verbatim (modulo whitespace).
+//! Dev-facing fixtures: the paper's Fig. 1 query text, verbatim (modulo
+//! whitespace), and [`PerRouteReference`], the per-route data path the
+//! equivalence suite compares the engine against.
+
+use std::sync::Arc;
+
+use gesto_stream::{BoxedOperator, Tuple};
+
+use crate::detection::Detection;
+use crate::error::CepError;
+use crate::nfa::{MatchScratch, NfaRuntime};
+use crate::plan::QueryPlan;
 
 /// The `swipe_right` detection query from Fig. 1 of the paper.
 ///
@@ -26,6 +37,78 @@ kinect(
 )
 within 1 seconds select first consume all;
 "#;
+
+/// The seed's per-route data path, kept as a **test oracle**: every
+/// route of the plan runs its own private view-operator chain (one
+/// `kinect_t` transformer per route, nothing shared between plans) and
+/// the NFA is stepped one tuple at a time on the scalar path. The engine
+/// and the shard worker must detect exactly what this does
+/// (`tests/datapath_equivalence.rs`); `bench_datapath` times the gap.
+/// Built from public pieces only — the data path does not know it exists.
+pub struct PerRouteReference {
+    plan: Arc<QueryPlan>,
+    /// One private operator chain per route, base→source order.
+    chains: Vec<Vec<BoxedOperator>>,
+    nfa: NfaRuntime,
+    scratch: MatchScratch,
+}
+
+impl PerRouteReference {
+    /// Fresh per-route state over `plan`: one operator per view per route.
+    pub fn new(plan: &Arc<QueryPlan>) -> Self {
+        Self {
+            plan: Arc::clone(plan),
+            chains: plan
+                .routes()
+                .iter()
+                .map(|r| r.factories.iter().map(|f| f()).collect())
+                .collect(),
+            nfa: NfaRuntime::instantiate(Arc::clone(plan.program())),
+            scratch: MatchScratch::new(),
+        }
+    }
+
+    /// Pushes one tuple of base stream `stream`, appending any detections
+    /// to `out`. Matches completed before a stepping error are delivered.
+    pub fn push(
+        &mut self,
+        stream: &str,
+        tuple: &Tuple,
+        out: &mut Vec<Detection>,
+    ) -> Result<(), CepError> {
+        for (route, chain) in self.plan.routes().iter().zip(&mut self.chains) {
+            if route.base != stream {
+                continue;
+            }
+            // Each stage may emit 0..n tuples per input.
+            let mut staged = vec![tuple.clone()];
+            for op in chain.iter_mut() {
+                let mut next = Vec::new();
+                for t in &staged {
+                    op.process(t, &mut |o| next.push(o));
+                }
+                staged = next;
+            }
+            for t in &staged {
+                let stepped = self.nfa.advance_block_into(
+                    &route.source,
+                    std::slice::from_ref(t),
+                    None,
+                    &mut self.scratch,
+                );
+                out.extend(self.scratch.matches().map(|m| Detection {
+                    gesture: self.plan.name().to_owned(),
+                    ts: m.ts,
+                    started_at: m.started_at,
+                    events: m.events.iter().cloned().collect(),
+                }));
+                self.scratch.clear();
+                stepped?;
+            }
+        }
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {

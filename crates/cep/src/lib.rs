@@ -3,9 +3,19 @@
 //! The CEP engine of the reproduction of *Beier et al., "Learning Event
 //! Patterns for Gesture Detection"* (EDBT 2014): a query language in the
 //! paper's dialect (Fig. 1), an expression evaluator with user-defined
-//! scalar functions, an NFA-based `match` operator with `within` time
-//! constraints and `select`/`consume` policies, and a runtime engine that
-//! deploys, replaces and undeploys queries on live streams.
+//! scalar functions, an NFA-based matcher with `within` time constraints
+//! and `select`/`consume` policies, and a runtime engine that deploys,
+//! replaces and undeploys queries on live streams.
+//!
+//! There is one tuple→detection path: a batch of base-stream tuples goes
+//! through the session's `gesto_stream::SharedViews` (each needed view
+//! evaluated once), every deployed [`PlanInstance`] steps its NFA over the
+//! shared outputs ([`PlanInstance::push_batch_shared`]), and the NFA has
+//! one stepping entry point ([`NfaRuntime::advance_block_into`]; a single
+//! tuple is a one-tuple batch, the scalar path is `block = None`).
+//! [`Engine`] is that path behind locks for one session; `gesto-serve`'s
+//! shard worker is the same path per session. The seed's per-route path
+//! survives only as the test oracle [`fixtures::PerRouteReference`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -30,26 +40,28 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod detection;
 mod engine;
 mod error;
 pub mod expr;
 pub mod fixtures;
 mod lexer;
-mod match_op;
 pub mod metrics;
 mod nfa;
 mod parser;
 mod pattern;
 mod plan;
 
+pub use detection::Detection;
 pub use engine::{DetectionListener, Engine, QueryStats};
 pub use error::CepError;
 pub use expr::{BinOp, Expr, FunctionRegistry, UnaryOp};
-pub use match_op::{detection_schema, Detection, MatchOp};
 pub use nfa::{
-    MatchScratch, MatchView, Nfa, NfaMatch, NfaProgram, NfaRuntime, SchemaResolver, SingleSchema,
+    MatchScratch, MatchView, Nfa, NfaProgram, NfaRuntime, SchemaResolver, SingleSchema,
     TimeConstraint, DEFAULT_MAX_RUNS,
 };
 pub use parser::{parse_expr, parse_pattern, parse_query};
 pub use pattern::{ConsumePolicy, EventPattern, Pattern, Query, SelectPolicy, SequencePattern};
-pub use plan::{compiled_plan_count, sync_block_columns, PlanInstance, QueryPlan, RouteSpec};
+pub use plan::{
+    compiled_plan_count, sync_block_columns, sync_shared_views, PlanInstance, QueryPlan, RouteSpec,
+};

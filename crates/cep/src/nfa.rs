@@ -1,4 +1,4 @@
-//! NFA-based pattern matching runtime (the `match` operator's core).
+//! NFA-based pattern matching runtime (the core of the `MATCHING` clause).
 //!
 //! A [`crate::Pattern`] compiles into a linear list of *leaf steps* (the
 //! primitive events, in sequence order) plus a set of *time constraints*
@@ -14,7 +14,7 @@
 //!
 //! # Hot-loop layout
 //!
-//! The stepping core is [`NfaRuntime::advance_batch_into`], engineered
+//! The stepping core is [`NfaRuntime::advance_block_into`], engineered
 //! for zero heap allocations on the no-match steady state:
 //!
 //! * **Event arena** — a tuple that matches any step is interned once
@@ -45,12 +45,12 @@
 //!   shapes) fall back to the lazy scalar memo, so semantics — including
 //!   error behaviour — are bit-identical to the scalar path.
 //! * **Caller-owned matches** — completed matches are written into a
-//!   reusable [`MatchScratch`] instead of a fresh `Vec<NfaMatch>`; the
+//!   reusable [`MatchScratch`] instead of a fresh vector per call; the
 //!   scratch also owns the memo table and pre-pass masks, cleared
 //!   capacity-preservingly per batch rather than reallocated.
 //!
-//! The legacy single-tuple [`NfaRuntime::advance`] delegates to the
-//! batched core, so there is exactly one stepping implementation.
+//! [`NfaRuntime::advance_block_into`] is the only stepping entry point:
+//! a single tuple is a one-tuple batch, the scalar path is `block = None`.
 
 use std::sync::Arc;
 
@@ -109,26 +109,6 @@ struct CompletedRun {
     ev_start: u32,
 }
 
-/// A completed match.
-#[derive(Debug, Clone)]
-pub struct NfaMatch {
-    /// Stream time of the final event.
-    pub ts: StreamTime,
-    /// Stream time of the first event.
-    pub started_at: StreamTime,
-    /// One tuple per leaf step, in order. Shared, not deep-copied:
-    /// cloning an `NfaMatch` (or a detection built from it) bumps one
-    /// refcount instead of cloning every event tuple.
-    pub events: Arc<[Tuple]>,
-}
-
-impl NfaMatch {
-    /// Total duration of the match in stream milliseconds.
-    pub fn duration_ms(&self) -> StreamTime {
-        self.ts - self.started_at
-    }
-}
-
 /// A completed match viewed inside a [`MatchScratch`] (events borrowed
 /// from the scratch, nothing owned).
 #[derive(Debug, Clone, Copy)]
@@ -153,13 +133,13 @@ struct MatchSpan {
 /// Caller-owned storage for completed matches, plus the reusable
 /// predicate-evaluation scratch of the batched hot loop.
 ///
-/// [`NfaRuntime::advance_batch_into`] appends matches here instead of
+/// [`NfaRuntime::advance_block_into`] appends matches here instead of
 /// allocating a fresh vector per call; reusing one scratch across
 /// batches makes the steady-state hot loop allocation-free. Matched
 /// event tuples are stored in one flat vector, spanned per match.
 ///
 /// The scratch also owns the per-tuple predicate memo and the pre-pass
-/// bitmasks of [`NfaRuntime::advance_block_into`]. They are sized per
+/// bitmasks of the block path. They are sized per
 /// batch with capacity-preserving clears (never reallocated once warm),
 /// and one scratch may serve any number of runtimes — the buffers grow
 /// to the largest pattern seen and stay there.
@@ -327,8 +307,6 @@ pub struct NfaRuntime {
     /// advance to completion (the draining half of a versioned plan
     /// rollout).
     seeding: bool,
-    /// Scratch backing the legacy [`Self::advance`] wrapper.
-    legacy_scratch: MatchScratch,
 }
 
 /// Per-leaf schema resolution used at compile time: maps a source name to
@@ -387,7 +365,6 @@ impl NfaRuntime {
             completed_events: Vec::new(),
             remap: Vec::new(),
             seeding: true,
-            legacy_scratch: MatchScratch::new(),
         }
     }
 
@@ -471,42 +448,6 @@ impl NfaRuntime {
         self.min_deadline = NO_DEADLINE;
     }
 
-    /// Feeds one tuple from `source`; returns completed matches according
-    /// to the select policy.
-    ///
-    /// Legacy single-tuple entry point: delegates to
-    /// [`Self::advance_batch_into`] (the only stepping implementation)
-    /// and materialises the scratch into owned [`NfaMatch`]es.
-    pub fn advance(&mut self, source: &str, tuple: &Tuple) -> Result<Vec<NfaMatch>, CepError> {
-        let mut scratch = std::mem::take(&mut self.legacy_scratch);
-        scratch.clear();
-        let result = self.advance_batch_into(source, std::slice::from_ref(tuple), &mut scratch);
-        let out = result.map(|()| {
-            scratch
-                .matches()
-                .map(|m| NfaMatch {
-                    ts: m.ts,
-                    started_at: m.started_at,
-                    events: m.events.iter().cloned().collect(),
-                })
-                .collect()
-        });
-        self.legacy_scratch = scratch;
-        out
-    }
-
-    /// Feeds a batch of tuples from one `source`, appending completed
-    /// matches to `out` in stream order. Scalar-only entry point:
-    /// equivalent to [`Self::advance_block_into`] with no block.
-    pub fn advance_batch_into(
-        &mut self,
-        source: &str,
-        tuples: &[Tuple],
-        out: &mut MatchScratch,
-    ) -> Result<(), CepError> {
-        self.advance_block_into(source, tuples, None, out)
-    }
-
     /// Feeds a batch of tuples from one `source`, appending completed
     /// matches to `out` in stream order; `block`, when given, must be
     /// the columnar view of exactly `tuples` (same rows, same order —
@@ -521,12 +462,12 @@ impl NfaRuntime {
     /// matches performs **zero** heap allocations (after the runtime's
     /// and scratch's buffers have warmed up).
     ///
-    /// Semantics are identical to calling [`Self::advance`] once per
-    /// tuple — bit-identical matches, stats and shed counts, with or
-    /// without the block: rows the kernels cannot decide exactly fall
-    /// back to the scalar evaluator, which also preserves the exact
-    /// error behaviour (a predicate that would error scalar-side is
-    /// never short-circuited by the pre-pass).
+    /// Semantics are identical to stepping one-tuple batches — bit-
+    /// identical matches, stats and shed counts, with or without the
+    /// block (`None` is the scalar path): rows the kernels cannot decide
+    /// exactly fall back to the scalar evaluator, which also preserves
+    /// the exact error behaviour (a predicate that would error
+    /// scalar-side is never short-circuited by the pre-pass).
     pub fn advance_block_into(
         &mut self,
         source: &str,
@@ -1063,55 +1004,77 @@ mod tests {
         .unwrap()
     }
 
+    /// One completed match, copied out of the scratch.
+    struct Hit {
+        ts: StreamTime,
+        started_at: StreamTime,
+        events: usize,
+    }
+
+    /// Steps a one-tuple batch on the scalar path (`block = None`) and
+    /// returns the matches it completed.
+    fn step(n: &mut Nfa, source: &str, tuple: &Tuple) -> Result<Vec<Hit>, CepError> {
+        let mut scratch = MatchScratch::new();
+        n.advance_block_into(source, std::slice::from_ref(tuple), None, &mut scratch)?;
+        Ok(scratch
+            .matches()
+            .map(|m| Hit {
+                ts: m.ts,
+                started_at: m.started_at,
+                events: m.events.len(),
+            })
+            .collect())
+    }
+
     #[test]
     fn simple_sequence_matches_in_order() {
         let mut n = nfa("k(x < 1) -> k(x > 9)");
-        assert!(n.advance("k", &tup(0, 0.5)).unwrap().is_empty());
-        let m = n.advance("k", &tup(100, 10.0)).unwrap();
+        assert!(step(&mut n, "k", &tup(0, 0.5)).unwrap().is_empty());
+        let m = step(&mut n, "k", &tup(100, 10.0)).unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].started_at, 0);
         assert_eq!(m[0].ts, 100);
-        assert_eq!(m[0].duration_ms(), 100);
-        assert_eq!(m[0].events.len(), 2);
+        assert_eq!(m[0].ts - m[0].started_at, 100);
+        assert_eq!(m[0].events, 2);
     }
 
     #[test]
     fn out_of_order_does_not_match() {
         let mut n = nfa("k(x < 1) -> k(x > 9)");
-        assert!(n.advance("k", &tup(0, 10.0)).unwrap().is_empty());
-        assert!(n.advance("k", &tup(50, 0.5)).unwrap().is_empty());
+        assert!(step(&mut n, "k", &tup(0, 10.0)).unwrap().is_empty());
+        assert!(step(&mut n, "k", &tup(50, 0.5)).unwrap().is_empty());
         // now completes with a later high value
-        assert_eq!(n.advance("k", &tup(90, 12.0)).unwrap().len(), 1);
+        assert_eq!(step(&mut n, "k", &tup(90, 12.0)).unwrap().len(), 1);
     }
 
     #[test]
     fn skip_till_next_match_ignores_noise() {
         let mut n = nfa("k(x < 1) -> k(x > 9)");
-        n.advance("k", &tup(0, 0.5)).unwrap();
+        step(&mut n, "k", &tup(0, 0.5)).unwrap();
         for i in 1..10 {
-            assert!(n.advance("k", &tup(i * 10, 5.0)).unwrap().is_empty());
+            assert!(step(&mut n, "k", &tup(i * 10, 5.0)).unwrap().is_empty());
         }
-        assert_eq!(n.advance("k", &tup(200, 10.0)).unwrap().len(), 1);
+        assert_eq!(step(&mut n, "k", &tup(200, 10.0)).unwrap().len(), 1);
     }
 
     #[test]
     fn within_constraint_expires_runs() {
         let mut n = nfa("k(x < 1) -> k(x > 9) within 1 seconds");
-        n.advance("k", &tup(0, 0.5)).unwrap();
+        step(&mut n, "k", &tup(0, 0.5)).unwrap();
         // 1500 ms later: run must be dead.
-        assert!(n.advance("k", &tup(1500, 10.0)).unwrap().is_empty());
+        assert!(step(&mut n, "k", &tup(1500, 10.0)).unwrap().is_empty());
         assert_eq!(n.active_runs(), 0);
         // A fresh attempt inside the budget works.
-        n.advance("k", &tup(2000, 0.5)).unwrap();
-        assert_eq!(n.advance("k", &tup(2900, 10.0)).unwrap().len(), 1);
+        step(&mut n, "k", &tup(2000, 0.5)).unwrap();
+        assert_eq!(step(&mut n, "k", &tup(2900, 10.0)).unwrap().len(), 1);
     }
 
     #[test]
     fn within_boundary_inclusive() {
         let mut n = nfa("k(x < 1) -> k(x > 9) within 1 seconds");
-        n.advance("k", &tup(0, 0.5)).unwrap();
+        step(&mut n, "k", &tup(0, 0.5)).unwrap();
         assert_eq!(
-            n.advance("k", &tup(1000, 10.0)).unwrap().len(),
+            step(&mut n, "k", &tup(1000, 10.0)).unwrap().len(),
             1,
             "exactly at deadline"
         );
@@ -1122,31 +1085,31 @@ mod tests {
         // (A -> B within 1s) -> C within 1s : B-A <= 1s and C-B <= 1s.
         let mut n = nfa("(k(x < 1) -> k(x > 9) within 1 seconds) -> k(x < 1) within 1 seconds");
         assert_eq!(n.constraints().len(), 2);
-        n.advance("k", &tup(0, 0.0)).unwrap();
-        n.advance("k", &tup(900, 10.0)).unwrap();
+        step(&mut n, "k", &tup(0, 0.0)).unwrap();
+        step(&mut n, "k", &tup(900, 10.0)).unwrap();
         // C arrives 1.9 s after A but only 1.0 s after B: must match.
-        let m = n.advance("k", &tup(1900, 0.0)).unwrap();
+        let m = step(&mut n, "k", &tup(1900, 0.0)).unwrap();
         assert_eq!(m.len(), 1);
-        assert_eq!(m[0].duration_ms(), 1900);
+        assert_eq!(m[0].ts - m[0].started_at, 1900);
     }
 
     #[test]
     fn nested_within_kills_slow_tail() {
         let mut n = nfa("(k(x < 1) -> k(x > 9) within 1 seconds) -> k(x = 5) within 1 seconds");
-        n.advance("k", &tup(0, 0.0)).unwrap();
-        n.advance("k", &tup(500, 10.0)).unwrap();
+        step(&mut n, "k", &tup(0, 0.0)).unwrap();
+        step(&mut n, "k", &tup(500, 10.0)).unwrap();
         // Tail 1.2 s after B: outer constraint violated.
-        assert!(n.advance("k", &tup(1700, 5.0)).unwrap().is_empty());
+        assert!(step(&mut n, "k", &tup(1700, 5.0)).unwrap().is_empty());
         assert_eq!(n.active_runs(), 0);
     }
 
     #[test]
     fn consume_all_clears_partial_state() {
         let mut n = nfa("k(x < 1) -> k(x > 9)");
-        n.advance("k", &tup(0, 0.5)).unwrap();
-        n.advance("k", &tup(10, 0.6)).unwrap(); // second seed
+        step(&mut n, "k", &tup(0, 0.5)).unwrap();
+        step(&mut n, "k", &tup(10, 0.6)).unwrap(); // second seed
         assert_eq!(n.active_runs(), 2);
-        let m = n.advance("k", &tup(20, 10.0)).unwrap();
+        let m = step(&mut n, "k", &tup(20, 10.0)).unwrap();
         assert_eq!(m.len(), 1, "select first");
         assert_eq!(n.active_runs(), 0, "consume all cleared runs");
     }
@@ -1154,18 +1117,18 @@ mod tests {
     #[test]
     fn consume_none_keeps_other_runs() {
         let mut n = nfa("k(x < 1) -> k(x > 9) select all consume none");
-        n.advance("k", &tup(0, 0.5)).unwrap();
-        n.advance("k", &tup(10, 0.6)).unwrap();
-        let m = n.advance("k", &tup(20, 10.0)).unwrap();
+        step(&mut n, "k", &tup(0, 0.5)).unwrap();
+        step(&mut n, "k", &tup(10, 0.6)).unwrap();
+        let m = step(&mut n, "k", &tup(20, 10.0)).unwrap();
         assert_eq!(m.len(), 2, "select all reports both");
     }
 
     #[test]
     fn select_last_reports_most_recent_seed() {
         let mut n = nfa("k(x < 1) -> k(x > 9) select last consume all");
-        n.advance("k", &tup(0, 0.5)).unwrap();
-        n.advance("k", &tup(10, 0.6)).unwrap();
-        let m = n.advance("k", &tup(20, 10.0)).unwrap();
+        step(&mut n, "k", &tup(0, 0.5)).unwrap();
+        step(&mut n, "k", &tup(10, 0.6)).unwrap();
+        let m = step(&mut n, "k", &tup(20, 10.0)).unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].started_at, 10);
     }
@@ -1173,41 +1136,41 @@ mod tests {
     #[test]
     fn single_event_pattern_fires_immediately() {
         let mut n = nfa("k(x > 9)");
-        assert!(n.advance("k", &tup(0, 1.0)).unwrap().is_empty());
-        let m = n.advance("k", &tup(10, 10.0)).unwrap();
+        assert!(step(&mut n, "k", &tup(0, 1.0)).unwrap().is_empty());
+        let m = step(&mut n, "k", &tup(10, 10.0)).unwrap();
         assert_eq!(m.len(), 1);
-        assert_eq!(m[0].duration_ms(), 0);
+        assert_eq!(m[0].ts, m[0].started_at);
     }
 
     #[test]
     fn one_tuple_advances_a_run_by_at_most_one_step() {
         // Predicate true for both steps: one tuple must not complete both.
         let mut n = nfa("k(x > 0) -> k(x > 0)");
-        assert!(n.advance("k", &tup(0, 1.0)).unwrap().is_empty());
-        assert_eq!(n.advance("k", &tup(1, 1.0)).unwrap().len(), 1);
+        assert!(step(&mut n, "k", &tup(0, 1.0)).unwrap().is_empty());
+        assert_eq!(step(&mut n, "k", &tup(1, 1.0)).unwrap().len(), 1);
     }
 
     #[test]
     fn source_mismatch_is_ignored() {
         let mut n = nfa("a(x < 1) -> b(x > 9)");
         assert!(
-            n.advance("b", &tup(0, 0.5)).unwrap().is_empty(),
+            step(&mut n, "b", &tup(0, 0.5)).unwrap().is_empty(),
             "b tuple can't seed a-step"
         );
-        n.advance("a", &tup(10, 0.5)).unwrap();
+        step(&mut n, "a", &tup(10, 0.5)).unwrap();
         assert!(
-            n.advance("a", &tup(20, 10.0)).unwrap().is_empty(),
+            step(&mut n, "a", &tup(20, 10.0)).unwrap().is_empty(),
             "a tuple can't fill b-step"
         );
-        assert_eq!(n.advance("b", &tup(30, 10.0)).unwrap().len(), 1);
+        assert_eq!(step(&mut n, "b", &tup(30, 10.0)).unwrap().len(), 1);
     }
 
     #[test]
     fn max_runs_sheds_oldest() {
         let mut n = nfa("k(x < 1) -> k(x > 9)").with_max_runs(2);
-        n.advance("k", &tup(0, 0.0)).unwrap();
-        n.advance("k", &tup(1, 0.0)).unwrap();
-        n.advance("k", &tup(2, 0.0)).unwrap();
+        step(&mut n, "k", &tup(0, 0.0)).unwrap();
+        step(&mut n, "k", &tup(1, 0.0)).unwrap();
+        step(&mut n, "k", &tup(2, 0.0)).unwrap();
         assert_eq!(n.active_runs(), 2);
         assert_eq!(n.shed_runs(), 1);
     }
@@ -1252,7 +1215,7 @@ mod tests {
     #[test]
     fn reset_clears_runs() {
         let mut n = nfa("k(x < 1) -> k(x > 9)");
-        n.advance("k", &tup(0, 0.0)).unwrap();
+        step(&mut n, "k", &tup(0, 0.0)).unwrap();
         assert_eq!(n.active_runs(), 1);
         n.reset();
         assert_eq!(n.active_runs(), 0);
@@ -1268,20 +1231,20 @@ mod tests {
         let mut single = nfa(src).with_max_runs(3);
         let mut per_tuple = Vec::new();
         for t in &stream {
-            per_tuple.extend(single.advance("k", t).unwrap());
+            per_tuple.extend(step(&mut single, "k", t).unwrap());
         }
 
         let mut batched = nfa(src).with_max_runs(3);
         let mut scratch = MatchScratch::new();
         for chunk in stream.chunks(17) {
             batched
-                .advance_batch_into("k", chunk, &mut scratch)
+                .advance_block_into("k", chunk, None, &mut scratch)
                 .unwrap();
         }
 
         let a: Vec<_> = per_tuple
             .iter()
-            .map(|m| (m.ts, m.started_at, m.events.len()))
+            .map(|m| (m.ts, m.started_at, m.events))
             .collect();
         let b: Vec<_> = scratch
             .matches()
@@ -1319,7 +1282,7 @@ mod tests {
         let mut block = ColumnBlock::new();
         for chunk in stream.chunks(17) {
             scalar
-                .advance_batch_into("k", chunk, &mut scalar_out)
+                .advance_block_into("k", chunk, None, &mut scalar_out)
                 .unwrap();
             block.fill_from_tuples(chunk);
             blocked
@@ -1360,8 +1323,8 @@ mod tests {
         let mut n = nfa("k(x < 1) -> k(x > 9)");
         for round in 0..50 {
             let base = round * 100;
-            n.advance("k", &tup(base, 0.5)).unwrap();
-            assert_eq!(n.advance("k", &tup(base + 10, 10.0)).unwrap().len(), 1);
+            step(&mut n, "k", &tup(base, 0.5)).unwrap();
+            assert_eq!(step(&mut n, "k", &tup(base + 10, 10.0)).unwrap().len(), 1);
             assert_eq!(n.arena_len(), 0, "arena recycled after the wave");
         }
     }
@@ -1375,7 +1338,7 @@ mod tests {
         let mut scratch = MatchScratch::new();
         for i in 0..20_000i64 {
             let t = tup(i * 10, 0.5); // seeds every tuple; expires after 1 s
-            n.advance_batch_into("k", std::slice::from_ref(&t), &mut scratch)
+            n.advance_block_into("k", std::slice::from_ref(&t), None, &mut scratch)
                 .unwrap();
         }
         assert!(

@@ -6,17 +6,18 @@
 //! compile-once artefact — the parsed [`Query`], its [`NfaProgram`] and
 //! the resolved view-chain routes — shared via `Arc` across any number of
 //! engines or server shards. [`QueryPlan::instantiate`] stamps out the
-//! cheap per-session state (fresh view operators + an empty run set).
+//! cheap per-session state (an empty run set); view operators belong to
+//! the session's [`SharedViews`], not to the plan instance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gesto_stream::{BoxedOperator, Catalog, ColumnBlock, SharedViews, Tuple, ViewFactory};
+use gesto_stream::{Catalog, ColumnBlock, SharedViews, StreamError, Tuple, ViewFactory};
 
+use crate::detection::Detection;
 use crate::engine::QueryStats;
 use crate::error::CepError;
 use crate::expr::FunctionRegistry;
-use crate::match_op::Detection;
 use crate::nfa::{MatchScratch, Nfa, NfaProgram};
 use crate::pattern::Query;
 
@@ -31,17 +32,18 @@ pub fn compiled_plan_count() -> u64 {
 }
 
 /// One source of a query and how to reach it from its base stream: the
-/// view factories to instantiate, outermost last.
+/// view chain between them, outermost last.
 pub struct RouteSpec {
     /// Source name as written in the query (stream or view).
     pub source: String,
     /// Base stream the source resolves to.
     pub base: String,
-    /// View operator factories, base→source order.
+    /// View operator factories, base→source order. The data path never
+    /// calls these (views run once per session in [`SharedViews`]); the
+    /// per-route test reference in [`crate::fixtures`] does.
     pub factories: Vec<ViewFactory>,
-    /// Names of the views in `factories`, base→source order. The shared
-    /// data path resolves these to [`SharedViews`] slots instead of
-    /// instantiating the factories per route.
+    /// Names of the views in `factories`, base→source order; the
+    /// outermost one resolves to the [`SharedViews`] slot the route reads.
     pub views: Vec<String>,
 }
 
@@ -101,54 +103,40 @@ impl QueryPlan {
     }
 
     /// Stamps out fresh per-session runtime state over this shared plan:
-    /// an empty NFA run set (private view chains are built lazily, only
-    /// if the instance is pushed through the legacy per-route path).
-    /// Cheap — no parsing, compilation or catalog lookups.
+    /// an empty NFA run set. Cheap — no parsing, compilation or catalog
+    /// lookups.
     pub fn instantiate(self: &Arc<Self>) -> PlanInstance {
         PlanInstance {
             plan: Arc::clone(self),
-            chains: None,
             bindings: None,
             nfa: Nfa::instantiate(Arc::clone(&self.program)),
             scratch: MatchScratch::new(),
-            staged: Vec::new(),
             detections: 0,
         }
     }
 }
 
-/// How one route of a [`PlanInstance`] reads its tuples on the shared
-/// (transform-once) data path.
+/// How one route of a [`PlanInstance`] reads its tuples from the
+/// session's [`SharedViews`].
 enum RouteBinding {
     /// The route's source is the base stream itself.
     Direct,
     /// The route reads the output of a [`SharedViews`] slot.
     Shared(usize),
-    /// The source view is unknown to the session's `SharedViews` (e.g. a
-    /// plan compiled against a different catalog); this route falls back
-    /// to a private operator chain.
-    Private,
 }
 
 /// Per-session runtime state of one deployed [`QueryPlan`]: NFA run
-/// state, a detection counter, and (only on the legacy per-route path)
-/// private view chains.
+/// state and a detection counter.
 pub struct PlanInstance {
     plan: Arc<QueryPlan>,
-    /// Private view operators, parallel to `plan.routes()`. Built lazily
-    /// by the legacy [`Self::push`] path; instances driven through
-    /// [`Self::push_shared`] never pay for them.
-    chains: Option<Vec<Vec<BoxedOperator>>>,
-    /// Route → shared-view binding, resolved once on the first
-    /// [`Self::push_shared`] call (slots are stable: [`SharedViews`]
-    /// only ever appends).
+    /// Route → shared-view binding, resolved by [`Self::bind`] at deploy
+    /// or on the first push (slots are stable: [`SharedViews`] only ever
+    /// appends).
     bindings: Option<Vec<RouteBinding>>,
     nfa: Nfa,
     /// Reusable match output of the batched NFA core: the steady-state
     /// no-match path allocates nothing.
     scratch: MatchScratch,
-    /// Reusable private-chain output buffer.
-    staged: Vec<Tuple>,
     detections: u64,
 }
 
@@ -193,11 +181,10 @@ impl PlanInstance {
     }
 
     /// Approximate heap footprint of this instance's run state (see
-    /// [`crate::NfaRuntime::state_bytes`]): the NFA slab/arena plus the
-    /// staged private-chain buffer. Serving admission control charges
-    /// this against the per-shard memory budget.
+    /// [`crate::NfaRuntime::state_bytes`]). Serving admission control
+    /// charges this against the per-shard memory budget.
     pub fn state_bytes(&self) -> usize {
-        self.nfa.state_bytes() + self.staged.capacity() * std::mem::size_of::<Tuple>()
+        self.nfa.state_bytes()
     }
 
     /// Runtime statistics in the engine's [`QueryStats`] shape.
@@ -211,85 +198,34 @@ impl PlanInstance {
         }
     }
 
-    /// Pushes one tuple of base stream `stream`, appending any detections
-    /// to `out` — the **legacy per-route path**: every route runs its own
-    /// private view chain. Kept as the reference semantics (the
-    /// equivalence tests pin [`Self::push_shared`] against it) and as the
-    /// fallback when no [`SharedViews`] is available.
-    ///
-    /// Hot path: the input tuple is only borrowed — view operators emit
-    /// owned tuples when they rewrite, and a route without views feeds the
-    /// NFA directly, so a non-matching frame costs no allocation.
-    pub fn push(
-        &mut self,
-        stream: &str,
-        tuple: &Tuple,
-        out: &mut Vec<Detection>,
-    ) -> Result<(), CepError> {
-        let Self {
-            plan,
-            chains,
-            nfa,
-            scratch,
-            staged,
-            detections,
-            ..
-        } = self;
-        let chains = chains.get_or_insert_with(|| Self::instantiate_chains(plan));
-        for (route, chain) in plan.routes.iter().zip(chains.iter_mut()) {
-            if route.base != stream {
-                continue;
-            }
-            let name = &plan.query.name;
-            if chain.is_empty() {
-                advance_batch(
-                    nfa,
-                    scratch,
-                    detections,
-                    name,
-                    &route.source,
-                    std::slice::from_ref(tuple),
-                    None,
-                    out,
-                )?;
-                continue;
-            }
-            staged.clear();
-            Self::run_chain(chain, tuple, staged);
-            advance_batch(
-                nfa,
-                scratch,
-                detections,
-                name,
-                &route.source,
-                staged,
-                None,
-                out,
-            )?;
-        }
+    /// Resolves every route's source against the session's `views`: the
+    /// base stream itself, or the slot of the route's outermost view.
+    /// Fails with [`StreamError::UnknownStream`] when `views` does not
+    /// know that view — the plan was compiled against another catalog.
+    pub(crate) fn bind(&mut self, views: &SharedViews) -> Result<(), CepError> {
+        let bindings = self
+            .plan
+            .routes
+            .iter()
+            .map(|r| match r.views.last() {
+                None => Ok(RouteBinding::Direct),
+                Some(outermost) => views
+                    .slot_of(outermost)
+                    .map(RouteBinding::Shared)
+                    .ok_or_else(|| StreamError::UnknownStream(outermost.clone()).into()),
+            })
+            .collect::<Result<_, CepError>>()?;
+        self.bindings = Some(bindings);
         Ok(())
     }
 
-    /// Pushes one tuple of base stream `stream` on the **shared data
-    /// path**: view outputs come from `views` (already evaluated once for
-    /// this frame via [`SharedViews::begin_frame`]) instead of private
-    /// per-route chains, so N deployed plans share one transformation.
-    ///
-    /// Bindings are resolved on the first call and assume the same
-    /// `views` instance (per-session state) on every subsequent call.
-    pub fn push_shared(
-        &mut self,
-        stream: &str,
-        tuple: &Tuple,
-        views: &SharedViews,
-        out: &mut Vec<Detection>,
-    ) -> Result<(), CepError> {
-        self.push_frame_shared(stream, std::slice::from_ref(tuple), views, None, out)
-    }
-
-    /// Pushes a whole batch of base-stream tuples on the shared data
-    /// path, stepping the NFA **batch-at-a-time**: `views` must have been
-    /// prepared with [`SharedViews::begin_batch`] over the same `tuples`.
+    /// Pushes a whole batch of base-stream tuples, stepping the NFA
+    /// **batch-at-a-time** over the session's shared view outputs:
+    /// `views` must have been prepared with [`SharedViews::begin_batch`]
+    /// over the same `tuples`, and must be the same instance (per-session
+    /// state) on every call — route bindings are resolved on the first.
+    /// A plan whose source view `views` does not know is rejected with
+    /// [`StreamError::UnknownStream`].
     ///
     /// Single-source plans (every learned gesture) advance their run set
     /// over the entire batch in one call — the run-set scan, source
@@ -327,136 +263,52 @@ impl PlanInstance {
         frame: Option<usize>,
         out: &mut Vec<Detection>,
     ) -> Result<(), CepError> {
+        if self.bindings.is_none() {
+            self.bind(views)?;
+        }
         let Self {
             plan,
-            chains,
             bindings,
             nfa,
             scratch,
-            staged,
             detections,
         } = self;
-        let bindings = bindings.get_or_insert_with(|| {
-            plan.routes
-                .iter()
-                .map(|r| match r.views.last() {
-                    None => RouteBinding::Direct,
-                    Some(outermost) => match views.slot_of(outermost) {
-                        Some(slot) => RouteBinding::Shared(slot),
-                        None => RouteBinding::Private,
-                    },
-                })
-                .collect()
-        });
-        for (i, (route, binding)) in plan.routes.iter().zip(bindings.iter()).enumerate() {
+        let bindings = bindings.as_deref().expect("bound above");
+        for (route, binding) in plan.routes.iter().zip(bindings) {
             if route.base != stream {
                 continue;
             }
-            let name = &plan.query.name;
-            match binding {
-                RouteBinding::Direct => {
-                    // Whole-batch stepping reads the columnar view of
-                    // the base stream built by `begin_batch` (the NFA's
-                    // predicate pre-pass runs over its float lanes);
-                    // per-frame stepping stays scalar.
-                    let (batch, block) = match frame {
-                        None => (tuples, views.base_block()),
-                        Some(f) => (&tuples[f..f + 1], None),
-                    };
-                    advance_batch(
-                        nfa,
-                        scratch,
-                        detections,
-                        name,
-                        &route.source,
-                        batch,
-                        block,
-                        out,
-                    )?;
+            // Whole-batch stepping reads the columnar view built by
+            // `begin_batch` (the NFA's predicate pre-pass runs over its
+            // float lanes); per-frame stepping stays scalar.
+            let (batch, block) = match (binding, frame) {
+                (RouteBinding::Direct, None) => (tuples, views.base_block()),
+                (RouteBinding::Direct, Some(f)) => (&tuples[f..f + 1], None),
+                (RouteBinding::Shared(slot), None) => {
+                    (views.outputs(*slot), views.view_block(*slot))
                 }
-                RouteBinding::Shared(slot) => {
-                    let (batch, block) = match frame {
-                        None => (views.outputs(*slot), views.view_block(*slot)),
-                        Some(f) => (views.frame_outputs(*slot, f), None),
-                    };
-                    advance_batch(
-                        nfa,
-                        scratch,
-                        detections,
-                        name,
-                        &route.source,
-                        batch,
-                        block,
-                        out,
-                    )?;
-                }
-                RouteBinding::Private => {
-                    // Cold fallback (plan compiled against a foreign
-                    // catalog): chains run tuple-at-a-time, since a
-                    // multi-stage chain rewrites its staging buffer.
-                    let chains = chains.get_or_insert_with(|| Self::instantiate_chains(plan));
-                    let inputs = match frame {
-                        None => tuples,
-                        Some(f) => &tuples[f..f + 1],
-                    };
-                    for tuple in inputs {
-                        staged.clear();
-                        Self::run_chain(&mut chains[i], tuple, staged);
-                        advance_batch(
-                            nfa,
-                            scratch,
-                            detections,
-                            name,
-                            &route.source,
-                            staged,
-                            None,
-                            out,
-                        )?;
-                    }
-                }
-            }
+                (RouteBinding::Shared(slot), Some(f)) => (views.frame_outputs(*slot, f), None),
+            };
+            advance_batch(
+                nfa,
+                scratch,
+                detections,
+                &plan.query.name,
+                &route.source,
+                batch,
+                block,
+                out,
+            )?;
         }
         Ok(())
-    }
-
-    /// Instantiates one private operator chain per route.
-    fn instantiate_chains(plan: &QueryPlan) -> Vec<Vec<BoxedOperator>> {
-        plan.routes
-            .iter()
-            .map(|r| r.factories.iter().map(|f| f()).collect())
-            .collect()
-    }
-
-    /// Runs a non-empty view chain over one input tuple; each stage may
-    /// emit 0..n tuples. The first stage reads the borrowed input
-    /// directly.
-    fn run_chain(chain: &mut [BoxedOperator], tuple: &Tuple, staged: &mut Vec<Tuple>) {
-        let (first, rest) = chain.split_first_mut().expect("non-empty chain");
-        {
-            let mut emit = |t: Tuple| staged.push(t);
-            first.process(tuple, &mut emit);
-        }
-        for op in rest {
-            if staged.is_empty() {
-                break;
-            }
-            let mut next = Vec::new();
-            {
-                let mut emit = |t: Tuple| next.push(t);
-                for t in staged.iter() {
-                    op.process(t, &mut emit);
-                }
-            }
-            *staged = next;
-        }
     }
 }
 
 /// Declares, per deployed plan, which float columns the NFA block
 /// kernels read from each shared view's block (and from the base-stream
 /// block), so [`SharedViews`] materialises exactly those lanes per
-/// batch instead of the full joint block. Called by the engine/server
-/// deploy syncs, after `set_needed`; purely an optimisation — a lane
+/// batch instead of the full joint block. The second half of
+/// [`sync_shared_views`]; purely an optimisation — a lane
 /// outside the declared set reads back as absent and the kernels fall
 /// back to the scalar path, so a stale declaration can cost speed but
 /// never correctness.
@@ -474,6 +326,21 @@ pub fn sync_block_columns<'a>(
             }
         }
     }
+}
+
+/// The deploy-time sync of a session's [`SharedViews`] with its deployed
+/// `plans` (retiring versions included): marks exactly the views some
+/// route references — plus their inputs — as needed, so views nobody
+/// reads stop being evaluated after an undeploy, then declares the block
+/// columns the plans' predicates read ([`sync_block_columns`]).
+pub fn sync_shared_views(views: &mut SharedViews, plans: &[Arc<QueryPlan>]) {
+    views.set_needed(
+        plans
+            .iter()
+            .flat_map(|p| p.routes())
+            .flat_map(|r| r.views.iter().map(String::as_str)),
+    );
+    sync_block_columns(views, plans);
 }
 
 /// Steps the NFA over a batch and converts any completed matches into
@@ -498,8 +365,8 @@ fn advance_batch(
     }
     // Drain the scratch even when stepping errors mid-batch: matches
     // completed by earlier tuples of the batch are still delivered
-    // (exactly like the per-tuple reference path), and a stale scratch
-    // can never leak duplicates into a later call.
+    // (exactly as if they had been pushed one by one), and a stale
+    // scratch can never leak duplicates into a later call.
     let result = nfa.advance_block_into(source, tuples, block, scratch);
     if !scratch.is_empty() {
         for m in scratch.matches() {
@@ -535,6 +402,13 @@ mod tests {
         cat
     }
 
+    /// Pushes one tuple through `inst` as a one-tuple batch.
+    fn push(inst: &mut PlanInstance, views: &mut SharedViews, t: Tuple, out: &mut Vec<Detection>) {
+        views.begin_batch("kinect", std::slice::from_ref(&t));
+        inst.push_batch_shared("kinect", std::slice::from_ref(&t), views, out)
+            .unwrap();
+    }
+
     fn tup(ts: i64, x: f64) -> Tuple {
         Tuple::new(
             SchemaBuilder::new("kinect")
@@ -567,17 +441,18 @@ mod tests {
         );
 
         // Session a is half-way through the pattern; session b saw nothing.
+        let mut views = SharedViews::new(&cat);
         let mut out = Vec::new();
-        a.push("kinect", &tup(0, 0.5), &mut out).unwrap();
+        push(&mut a, &mut views, tup(0, 0.5), &mut out);
         assert_eq!(a.stats().active_runs, 1);
         assert_eq!(b.stats().active_runs, 0, "run state is per instance");
 
         // Completing in a does not fire in b.
-        a.push("kinect", &tup(10, 10.0), &mut out).unwrap();
+        push(&mut a, &mut views, tup(10, 10.0), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].gesture, "g");
         assert_eq!(a.detections(), 1);
-        b.push("kinect", &tup(10, 10.0), &mut out).unwrap();
+        push(&mut b, &mut views, tup(10, 10.0), &mut out);
         assert_eq!(b.detections(), 0, "b never saw the first step");
     }
 
@@ -588,8 +463,9 @@ mod tests {
         let q = parse_query(r#"SELECT "g" MATCHING kinect(x < 1) -> kinect(x > 9);"#).unwrap();
         let plan = QueryPlan::compile(q, &cat, &funcs).unwrap();
         let mut i = plan.instantiate();
+        let mut views = SharedViews::new(&cat);
         let mut out = Vec::new();
-        i.push("kinect", &tup(0, 0.5), &mut out).unwrap();
+        push(&mut i, &mut views, tup(0, 0.5), &mut out);
         assert_eq!(i.stats().active_runs, 1);
         i.reset();
         assert_eq!(i.stats().active_runs, 0);
@@ -602,31 +478,32 @@ mod tests {
         let q = parse_query(r#"SELECT "g" MATCHING kinect(x < 1) -> kinect(x > 9);"#).unwrap();
         let plan = QueryPlan::compile(q, &cat, &funcs).unwrap();
         let mut i = plan.instantiate();
+        let mut views = SharedViews::new(&cat);
         let mut out = Vec::new();
 
         // One in-flight run, then switch to draining.
-        i.push("kinect", &tup(0, 0.5), &mut out).unwrap();
+        push(&mut i, &mut views, tup(0, 0.5), &mut out);
         assert_eq!(i.active_runs(), 1);
         i.set_draining(true);
         assert!(i.is_draining());
 
         // A seed-step tuple no longer starts a run…
-        i.push("kinect", &tup(5, 0.5), &mut out).unwrap();
+        push(&mut i, &mut views, tup(5, 0.5), &mut out);
         assert_eq!(i.active_runs(), 1, "draining must not seed new runs");
 
         // …but the in-flight run still completes.
-        i.push("kinect", &tup(10, 10.0), &mut out).unwrap();
+        push(&mut i, &mut views, tup(10, 10.0), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(i.active_runs(), 0, "drained");
 
         // Fully inert now.
-        i.push("kinect", &tup(20, 0.5), &mut out).unwrap();
-        i.push("kinect", &tup(30, 10.0), &mut out).unwrap();
+        push(&mut i, &mut views, tup(20, 0.5), &mut out);
+        push(&mut i, &mut views, tup(30, 10.0), &mut out);
         assert_eq!(out.len(), 1);
 
         // Re-enabling seeding restores normal behaviour.
         i.set_draining(false);
-        i.push("kinect", &tup(40, 0.5), &mut out).unwrap();
+        push(&mut i, &mut views, tup(40, 0.5), &mut out);
         assert_eq!(i.active_runs(), 1);
     }
 }

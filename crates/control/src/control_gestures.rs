@@ -109,7 +109,7 @@ mod tests {
             0,
         );
         let tuples = frames_to_tuples(&perf.render(&gestures::wave()), &schema);
-        let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+        let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
         assert!(
             ds.iter().any(|d| d.gesture == WAVE_CONTROL),
             "wave must be detected: {ds:?}"
@@ -128,7 +128,7 @@ mod tests {
             0,
         );
         let tuples = frames_to_tuples(&perf.render(&gestures::two_hand_swipe()), &schema);
-        let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+        let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
         assert!(
             ds.iter().any(|d| d.gesture == FINISH_CONTROL),
             "finish must be detected: {ds:?}"

@@ -316,7 +316,7 @@ mod tests {
                 &perf.render(&gestures::swipe_right()),
                 &kinect_schema(),
             );
-            let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+            let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
             if ds.iter().any(|d| d.gesture == "swipe_right") {
                 hits += 1;
             }

@@ -3,7 +3,7 @@
 //!
 //! The vendored dependency set has no `libc`/`core_affinity`, so on
 //! Linux (x86_64/aarch64) thread pinning issues the raw
-//! `sched_setaffinity` syscall with `core::arch::asm!`; everywhere else
+//! `sched_setaffinity` syscall through `crate::sys`; everywhere else
 //! it is a no-op that reports failure, and callers degrade to unpinned
 //! workers.
 //!
@@ -56,38 +56,7 @@ mod imp {
         pub const SCHED_SETAFFINITY: usize = 122;
     }
 
-    /// Issues a raw syscall; returns the kernel's result (negative =
-    /// `-errno`).
-    unsafe fn syscall6(n: usize, args: [usize; 6]) -> isize {
-        let ret: isize;
-        #[cfg(target_arch = "x86_64")]
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") n as isize => ret,
-            in("rdi") args[0],
-            in("rsi") args[1],
-            in("rdx") args[2],
-            in("r10") args[3],
-            in("r8") args[4],
-            in("r9") args[5],
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        #[cfg(target_arch = "aarch64")]
-        core::arch::asm!(
-            "svc 0",
-            in("x8") n,
-            inlateout("x0") args[0] => ret,
-            in("x1") args[1],
-            in("x2") args[2],
-            in("x3") args[3],
-            in("x4") args[4],
-            in("x5") args[5],
-            options(nostack),
-        );
-        ret
-    }
+    use crate::sys::syscall6;
 
     pub fn pin_current_thread(cpu: usize) -> bool {
         // 1024-bit cpu mask, the kernel's default CONFIG_NR_CPUS ceiling.
@@ -98,6 +67,8 @@ mod imp {
         }
         mask[word] = 1u64 << bit;
         // pid 0 = calling thread.
+        // SAFETY: sched_setaffinity only reads `size_of_val(&mask)` bytes
+        // from `mask`, a live local array of exactly that size.
         let ret = unsafe {
             syscall6(
                 nr::SCHED_SETAFFINITY,

@@ -102,21 +102,19 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Full-queue behaviour.
     pub backpressure: BackpressurePolicy,
-    /// Columnar data path: build one structure-of-arrays block per
-    /// batch (straight from the skeleton frames) and run the NFA's
-    /// vectorized predicate pre-pass over its float lanes. Disable to
-    /// A/B against the scalar tuple-at-a-time evaluation; detections
-    /// are bit-identical either way.
-    pub columnar: bool,
-    /// Minimum batch size (frames per push) for the columnar path.
+    /// Minimum batch size (frames per push) for the columnar path:
+    /// one structure-of-arrays block per batch (straight from the
+    /// skeleton frames) and the NFA's vectorized predicate pre-pass
+    /// over its float lanes.
     ///
     /// The block kernels pay a fixed mask-setup cost per batch, so tiny
     /// batches lose to scalar evaluation (`BENCH_predicate.json`:
     /// ~0.2–0.5× at batch 1, ~2.7–5.6× at batch 16). The shard worker
     /// therefore picks scalar vs columnar **per pushed batch**: a batch
-    /// shorter than this threshold steps the NFA tuple-at-a-time, a
-    /// batch at or above it builds the block and runs the vectorized
-    /// pre-pass. Detections are bit-identical either way. See
+    /// shorter than this threshold evaluates predicates tuple-at-a-time,
+    /// a batch at or above it builds the block and runs the vectorized
+    /// pre-pass. Detections are bit-identical either way. This is the
+    /// only dial: `0` makes every batch columnar, `usize::MAX` none. See
     /// `docs/ARCHITECTURE.md` ("Adaptive scalar-vs-columnar choice")
     /// for how the default was picked.
     pub columnar_min_batch: usize,
@@ -186,7 +184,6 @@ impl Default for ServerConfig {
             shards: 0,
             queue_capacity: 1024,
             backpressure: BackpressurePolicy::default(),
-            columnar: true,
             columnar_min_batch: 8,
             pin_shards: false,
             stage_sample_every: 64,
@@ -225,18 +222,8 @@ impl ServerConfig {
         self
     }
 
-    /// Enables or disables the columnar batch path (enabled by default).
-    ///
-    /// Even when enabled, batches shorter than
-    /// [`Self::with_columnar_min_batch`] stay on the scalar path — the
-    /// choice is made per pushed batch, not per server.
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
-        self
-    }
-
     /// Sets the minimum batch size for the columnar path (`0` makes
-    /// every batch columnar, matching the pre-adaptive behaviour).
+    /// every batch columnar, `usize::MAX` keeps every batch scalar).
     pub fn with_columnar_min_batch(mut self, frames: usize) -> Self {
         self.columnar_min_batch = frames;
         self

@@ -68,6 +68,11 @@ pub mod net;
 mod server;
 mod session;
 mod shard;
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod sys;
 mod telemetry;
 
 pub use config::{BackpressurePolicy, DurabilityConfig, ServerConfig};

@@ -57,8 +57,8 @@ pub struct ShardMetrics {
     /// Batches that took the columnar path (block built + kernel
     /// pre-pass).
     pub(crate) columnar_batches: AtomicU64,
-    /// Batches that skipped block building (columnar enabled but the
-    /// batch was under `columnar_min_batch`).
+    /// Batches that skipped block building (the batch was under
+    /// `columnar_min_batch`).
     pub(crate) block_skips: AtomicU64,
     pub(crate) sessions: AtomicUsize,
     /// Retiring plan instances (replaced versions still draining their

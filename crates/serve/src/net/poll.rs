@@ -3,8 +3,8 @@
 //! The vendored dependency set has no `tokio`/`mio`/`libc`, so this
 //! module brings its own event loop substrate: on Linux
 //! (x86_64/aarch64) a minimal **epoll** wrapper over raw syscalls —
-//! `epoll_create1`/`epoll_ctl`/`epoll_pwait` issued with
-//! `core::arch::asm!` — giving O(ready) wakeups across tens of
+//! `epoll_create1`/`epoll_ctl`/`epoll_pwait` issued through
+//! `crate::sys` — giving O(ready) wakeups across tens of
 //! thousands of connections; everywhere else a portable fallback that
 //! reports every registered fd as maybe-ready after a short sleep
 //! (correct with non-blocking sockets, just less efficient). The
@@ -112,6 +112,7 @@ mod epoll {
     use std::os::fd::RawFd;
 
     use super::{Event, Interest};
+    use crate::sys::syscall6;
 
     // Syscall numbers (same order: x86_64, aarch64).
     #[cfg(target_arch = "x86_64")]
@@ -166,39 +167,6 @@ mod epoll {
         max: u64,
     }
 
-    /// Issues a raw syscall; returns the kernel's result (negative =
-    /// `-errno`).
-    unsafe fn syscall6(n: usize, args: [usize; 6]) -> isize {
-        let ret: isize;
-        #[cfg(target_arch = "x86_64")]
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") n as isize => ret,
-            in("rdi") args[0],
-            in("rsi") args[1],
-            in("rdx") args[2],
-            in("r10") args[3],
-            in("r8") args[4],
-            in("r9") args[5],
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        #[cfg(target_arch = "aarch64")]
-        core::arch::asm!(
-            "svc 0",
-            in("x8") n,
-            inlateout("x0") args[0] => ret,
-            in("x1") args[1],
-            in("x2") args[2],
-            in("x3") args[3],
-            in("x4") args[4],
-            in("x5") args[5],
-            options(nostack),
-        );
-        ret
-    }
-
     fn check(ret: isize) -> io::Result<usize> {
         if ret < 0 {
             Err(io::Error::from_raw_os_error(-ret as i32))
@@ -211,6 +179,8 @@ mod epoll {
     pub(crate) fn raise_nofile_limit() -> Option<u64> {
         let mut old = Rlimit64 { cur: 0, max: 0 };
         // prlimit64(pid = 0 (self), resource, new = NULL, old).
+        // SAFETY: the kernel writes one `struct rlimit64` through `old`,
+        // a live local of exactly that `repr(C)` layout; `new` is NULL.
         let ret = unsafe {
             syscall6(
                 nr::PRLIMIT64,
@@ -234,6 +204,8 @@ mod epoll {
             cur: old.max,
             max: old.max,
         };
+        // SAFETY: the kernel reads one `struct rlimit64` from `new`, a
+        // live local of exactly that `repr(C)` layout; `old` is NULL.
         let ret = unsafe {
             syscall6(
                 nr::PRLIMIT64,
@@ -280,6 +252,7 @@ mod epoll {
         use std::os::fd::FromRawFd;
 
         let domain = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+        // SAFETY: socket(2) takes no pointer arguments.
         let fd = check(unsafe {
             syscall6(
                 nr::SOCKET,
@@ -287,12 +260,16 @@ mod epoll {
             )
         })? as RawFd;
         let close_on_err = |e: io::Error| {
+            // SAFETY: no pointer arguments; `fd` is the socket opened
+            // above, owned by this function until `from_raw_fd` below.
             unsafe { syscall6(nr::CLOSE, [fd as usize, 0, 0, 0, 0, 0]) };
             e
         };
 
         let one: u32 = 1;
         for opt in [SO_REUSEADDR, SO_REUSEPORT] {
+            // SAFETY: the kernel reads `size_of::<u32>()` bytes of option
+            // value from `one`, a live local `u32`.
             check(unsafe {
                 syscall6(
                     nr::SETSOCKOPT,
@@ -340,8 +317,12 @@ mod epoll {
                 )
             }
         };
+        // SAFETY: the kernel reads `sa_len` bytes from `sa_ptr`, which
+        // points at `sa4`/`sa6` above — a live local `repr(C)` sockaddr
+        // of exactly `sa_len` bytes.
         check(unsafe { syscall6(nr::BIND, [fd as usize, sa_ptr, sa_len, 0, 0, 0]) })
             .map_err(close_on_err)?;
+        // SAFETY: listen(2) takes no pointer arguments.
         check(unsafe { syscall6(nr::LISTEN, [fd as usize, LISTEN_BACKLOG, 0, 0, 0, 0]) })
             .map_err(close_on_err)?;
         // SAFETY: fd is a fresh, owned, listening socket.
@@ -355,11 +336,13 @@ mod epoll {
         events: Vec<EpollEvent>,
     }
 
-    // The epoll fd is plain kernel state; ctl/wait are thread-safe.
+    // SAFETY: `epfd` is plain kernel state (epoll ctl/wait are
+    // thread-safe) and `events` is an owned `Vec` of `Copy` data.
     unsafe impl Send for Poller {}
 
     impl Poller {
         pub fn new() -> io::Result<Self> {
+            // SAFETY: epoll_create1(2) takes no pointer arguments.
             let epfd =
                 check(unsafe { syscall6(nr::EPOLL_CREATE1, [EPOLL_CLOEXEC, 0, 0, 0, 0, 0]) })?;
             Ok(Poller {
@@ -380,6 +363,9 @@ mod epoll {
                 events: mask,
                 data: token,
             };
+            // SAFETY: the kernel reads one `struct epoll_event` from
+            // `ev`, a live local laid out as the kernel's (see
+            // `EpollEvent`).
             check(unsafe {
                 syscall6(
                     nr::EPOLL_CTL,
@@ -412,6 +398,11 @@ mod epoll {
         /// Waits up to `timeout_ms` for readiness, appending to `out`.
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
             let n = loop {
+                // SAFETY: the kernel writes at most `self.events.len()`
+                // `struct epoll_event`s to `self.events.as_mut_ptr()`, an
+                // owned, initialised buffer of exactly that many
+                // `EpollEvent`s, exclusively borrowed for the call; the
+                // sigmask pointer is NULL.
                 let ret = unsafe {
                     syscall6(
                         nr::EPOLL_PWAIT,
@@ -451,6 +442,8 @@ mod epoll {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: no pointer arguments; `epfd` is owned by this
+            // `Poller` and closed exactly once, here.
             unsafe {
                 syscall6(nr::CLOSE, [self.epfd as usize, 0, 0, 0, 0, 0]);
             }

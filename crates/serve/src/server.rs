@@ -275,7 +275,6 @@ impl Server {
                 metrics.clone(),
                 gate.clone(),
                 listeners.clone(),
-                config.columnar,
                 config.columnar_min_batch,
                 telemetry.clone(),
                 pin_core,

@@ -7,7 +7,8 @@
 //! leaves the worker thread — per-tuple matching takes no locks.
 //!
 //! Data path per batch: one frame→tuple conversion per frame into a
-//! reused scratch plus (on the default columnar path) one frame→block
+//! reused scratch plus (for batches of at least
+//! `ServerConfig::columnar_min_batch` frames) one frame→block
 //! conversion of the whole batch straight from the skeleton frames
 //! ([`KinectSlots::write_block`] — no per-frame `Vec<Value>` round-trip
 //! for the float lanes), one shared view evaluation for the whole batch
@@ -218,9 +219,8 @@ pub(crate) struct SessionRuntime {
 }
 
 impl SessionRuntime {
-    fn new(catalog: &Catalog, plans: &[Arc<QueryPlan>], columnar: bool) -> Self {
+    fn new(catalog: &Catalog, plans: &[Arc<QueryPlan>]) -> Self {
         let mut views = SharedViews::new(catalog);
-        views.set_columnar(columnar);
         Self::sync_needed(&mut views, plans, &[]);
         Self {
             views,
@@ -232,29 +232,14 @@ impl SessionRuntime {
         }
     }
 
-    /// Marks exactly the views referenced by the deployed plans' routes
-    /// as needed (stale views stop being evaluated after an undeploy)
-    /// and declares the float columns the deployed predicates read, so
-    /// the per-batch columnar blocks only materialise those lanes.
-    /// Retiring instances keep their views alive until they finish
-    /// draining — a replaced plan's in-flight runs still need them.
+    /// The deploy-time view sync ([`gesto_cep::sync_shared_views`]) over
+    /// the deployed plans plus the retiring instances' plans: retiring
+    /// instances keep their views alive until they finish draining — a
+    /// replaced plan's in-flight runs still need them.
     fn sync_needed(views: &mut SharedViews, plans: &[Arc<QueryPlan>], retiring: &[PlanInstance]) {
         let mut all: Vec<Arc<QueryPlan>> = plans.to_vec();
-        for inst in retiring {
-            all.push(inst.plan().clone());
-        }
-        let mut needed: Vec<&str> = Vec::new();
-        for plan in &all {
-            for route in plan.routes() {
-                for v in &route.views {
-                    if !needed.contains(&v.as_str()) {
-                        needed.push(v);
-                    }
-                }
-            }
-        }
-        views.set_needed(needed);
-        gesto_cep::sync_block_columns(views, &all);
+        all.extend(retiring.iter().map(|inst| inst.plan().clone()));
+        gesto_cep::sync_shared_views(views, &all);
     }
 }
 
@@ -268,8 +253,6 @@ pub(crate) struct ShardWorker {
     pub listeners: Arc<RwLock<Vec<DetectionSink>>>,
     pub plans: Vec<Arc<QueryPlan>>,
     pub sessions: HashMap<SessionId, SessionRuntime>,
-    /// Columnar data path enabled (from the server config).
-    columnar: bool,
     /// Minimum frames per batch for the columnar path; shorter batches
     /// step scalar (the per-push adaptive choice — see
     /// `ServerConfig::columnar_min_batch`).
@@ -312,7 +295,6 @@ impl ShardWorker {
         metrics: Arc<ShardMetrics>,
         gate: Arc<QueueGate>,
         listeners: Arc<RwLock<Vec<DetectionSink>>>,
-        columnar: bool,
         columnar_min_batch: usize,
         telemetry: Arc<ServerTelemetry>,
         pin_core: Option<usize>,
@@ -332,7 +314,6 @@ impl ShardWorker {
             listeners,
             plans: Vec::new(),
             sessions: HashMap::new(),
-            columnar,
             columnar_min_batch,
             slots,
             detections: Vec::new(),
@@ -461,7 +442,7 @@ impl ShardWorker {
             self.metrics
                 .state_bytes
                 .fetch_sub(rt.last_state_bytes as i64, Ordering::Relaxed);
-            *rt = SessionRuntime::new(&self.catalog, &self.plans, self.columnar);
+            *rt = SessionRuntime::new(&self.catalog, &self.plans);
             self.metrics.sessions_reset.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -486,7 +467,6 @@ impl ShardWorker {
             stream,
             metrics,
             plans,
-            columnar,
             columnar_min_batch,
             slots,
             detections,
@@ -500,7 +480,7 @@ impl ShardWorker {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 metrics.sessions.fetch_add(1, Ordering::Relaxed);
-                e.insert(SessionRuntime::new(catalog, plans, *columnar))
+                e.insert(SessionRuntime::new(catalog, plans))
             }
         };
         // Data-path failpoint (disarmed: one relaxed load). Placed after
@@ -559,15 +539,13 @@ impl ShardWorker {
         // Adaptive scalar-vs-columnar choice, made per pushed batch: the
         // block kernels' fixed setup cost loses on tiny batches (batch 1
         // runs ~0.2–0.5× scalar, batch 16 ~2.7–5.6×,
-        // `BENCH_predicate.json`), so short batches step scalar even on a
-        // columnar server. Detections are bit-identical either way.
-        let take_columnar = *columnar && batch.frames.len() >= *columnar_min_batch;
-        if *columnar {
-            if take_columnar {
-                metrics.columnar_batches.fetch_add(1, Ordering::Relaxed);
-            } else {
-                metrics.block_skips.fetch_add(1, Ordering::Relaxed);
-            }
+        // `BENCH_predicate.json`), so short batches step scalar.
+        // Detections are bit-identical either way.
+        let take_columnar = batch.frames.len() >= *columnar_min_batch;
+        if take_columnar {
+            metrics.columnar_batches.fetch_add(1, Ordering::Relaxed);
+        } else {
+            metrics.block_skips.fetch_add(1, Ordering::Relaxed);
         }
         views.set_columnar(take_columnar);
         let prefill = views.columnar() && views.base_wanted();
@@ -753,11 +731,7 @@ impl ShardWorker {
             Control::Open(session) => {
                 if let std::collections::hash_map::Entry::Vacant(e) = self.sessions.entry(session) {
                     self.metrics.sessions.fetch_add(1, Ordering::Relaxed);
-                    e.insert(SessionRuntime::new(
-                        &self.catalog,
-                        &self.plans,
-                        self.columnar,
-                    ));
+                    e.insert(SessionRuntime::new(&self.catalog, &self.plans));
                 }
             }
             Control::Close(session, ack) => {

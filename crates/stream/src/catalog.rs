@@ -3,8 +3,8 @@
 //! The paper declares the transformed sensor stream as a view
 //! (`kinect_t`, §3.2) so detection queries can reference it by name. The
 //! catalog maps stream names to schemas and view names to operator
-//! factories; the CEP engine instantiates a fresh view operator per
-//! deployed query chain.
+//! factories; each session's [`crate::SharedViews`] instantiates one
+//! operator per view and shares its output across every deployed query.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, Ordering};

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// Errors raised by schema validation, tuple construction and pipeline
-/// wiring.
+/// Errors raised by schema validation, tuple construction and view
+/// resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
     /// Invalid schema definition.
@@ -37,10 +37,8 @@ pub enum StreamError {
     UnknownStream(String),
     /// A stream or view name was registered twice.
     DuplicateStream(String),
-    /// Pipeline wiring problem (cycles, missing sink, ...).
+    /// View wiring problem (a cyclic view chain).
     Pipeline(String),
-    /// The pipeline/channel was already closed.
-    Closed,
 }
 
 impl fmt::Display for StreamError {
@@ -71,7 +69,6 @@ impl fmt::Display for StreamError {
                 write!(f, "stream or view '{name}' is already registered")
             }
             StreamError::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
-            StreamError::Closed => f.write_str("stream closed"),
         }
     }
 }
@@ -95,6 +92,8 @@ mod tests {
         }
         .to_string()
         .contains("expected 2"));
-        assert!(StreamError::Closed.to_string().contains("closed"));
+        assert!(StreamError::Pipeline("cycle".into())
+            .to_string()
+            .contains("cycle"));
     }
 }

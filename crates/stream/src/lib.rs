@@ -1,24 +1,49 @@
-//! # gesto-stream — a push-based data-stream substrate
+//! # gesto-stream — the data-stream substrate
 //!
 //! Minimal data-stream management core in the spirit of the AnduIN engine
 //! used by *Beier et al., "Learning Event Patterns for Gesture Detection"*
-//! (EDBT 2014): dynamically typed tuples with shared schemas, push-based
-//! operators, linear operator chains, a catalog of named streams and
-//! declarative views, and an optional threaded runner.
+//! (EDBT 2014): dynamically typed tuples with shared schemas, a catalog of
+//! named streams and declarative views, and [`SharedViews`] — the
+//! per-session runtime that evaluates every needed view once per batch
+//! and hands the outputs (row tuples plus their [`ColumnBlock`]) to any
+//! number of consumers.
 //!
-//! The CEP engine (`gesto-cep`) builds its `match` operator on top of this
-//! crate; the coordinate transformation of the paper's §3.2 is a [`ops::MapOp`]
-//! registered as a catalog view named `kinect_t`.
+//! A view is one push-based [`Operator`] per catalog entry; the coordinate
+//! transformation of the paper's §3.2 is such an operator, registered as
+//! the view `kinect_t`. There is no operator-pipeline runtime here: the
+//! CEP engine (`gesto-cep`) steps its NFAs directly over `SharedViews`'
+//! batch outputs, which is the only tuple→detection path.
 //!
 //! ```
-//! use gesto_stream::{SchemaBuilder, Tuple, Value, Chain};
-//! use gesto_stream::ops::FilterOp;
+//! use std::sync::Arc;
+//! use gesto_stream::ops::MapOp;
+//! use gesto_stream::{Catalog, SchemaBuilder, SharedViews, Tuple, Value, ViewDef};
 //!
 //! let schema = SchemaBuilder::new("s").timestamp("ts").float("x").build().unwrap();
-//! let mut chain = Chain::new("demo")
-//!     .then(FilterOp::new("pos", schema.clone(), |t| t.f64("x").unwrap_or(-1.0) > 0.0));
+//! let catalog = Catalog::new();
+//! catalog.register_stream(schema.clone()).unwrap();
+//! let out = schema.clone();
+//! catalog
+//!     .register_view(ViewDef {
+//!         name: "doubled".into(),
+//!         input: "s".into(),
+//!         schema: schema.clone(),
+//!         factory: Arc::new(move || {
+//!             let out = out.clone();
+//!             Box::new(MapOp::new("double", out.clone(), move |t: &Tuple| {
+//!                 let ts = t.get(0)?.clone();
+//!                 Some(Tuple::new_unchecked(out.clone(), vec![ts, Value::Float(t.f64("x")? * 2.0)]))
+//!             }))
+//!         }),
+//!     })
+//!     .unwrap();
+//!
+//! let mut views = SharedViews::new(&catalog);
+//! views.set_needed(["doubled"]);
 //! let t = Tuple::new(schema, vec![Value::Timestamp(0), Value::Float(4.2)]).unwrap();
-//! assert_eq!(chain.push(&t).len(), 1);
+//! views.begin_batch("s", std::slice::from_ref(&t));
+//! let slot = views.slot_of("doubled").unwrap();
+//! assert_eq!(views.outputs(slot)[0].f64("x"), Some(8.4));
 //! ```
 
 #![warn(missing_docs)]
@@ -30,11 +55,8 @@ mod error;
 pub mod metrics;
 mod operator;
 pub mod ops;
-mod pipeline;
-mod runner;
 mod schema;
 mod shared;
-mod stats;
 pub mod time;
 mod tuple;
 mod value;
@@ -44,11 +66,8 @@ pub use block::{BitMask, ColumnBlock, FloatLane};
 pub use catalog::{Catalog, ViewDef, ViewFactory};
 pub use error::StreamError;
 pub use operator::{run_operator, BoxedOperator, Emit, Operator};
-pub use pipeline::Chain;
-pub use runner::ThreadedRunner;
 pub use schema::{Field, Schema, SchemaBuilder, SchemaRef};
 pub use shared::SharedViews;
-pub use stats::{Metered, OpStats};
 pub use time::{FrameClock, StreamTime, KINECT_FRAME_MS, KINECT_HZ};
 pub use tuple::{tuple_from_pairs, Tuple};
 pub use value::{Value, ValueType};

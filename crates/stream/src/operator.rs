@@ -54,7 +54,7 @@ pub trait Operator: Send {
     }
 }
 
-/// A boxed operator, the unit the pipeline wires together.
+/// A boxed operator: what a catalog view factory returns.
 pub type BoxedOperator = Box<dyn Operator>;
 
 /// Collects emitted tuples into a vector; convenient in tests and for

@@ -1,17 +1,5 @@
 //! Built-in stream operators.
 
-mod aggregate;
-mod filter;
 mod map;
-mod project;
-mod sample;
-mod sink;
-mod window;
 
-pub use aggregate::{AggFn, SlidingAggregate, WindowMode};
-pub use filter::FilterOp;
 pub use map::MapOp;
-pub use project::ProjectOp;
-pub use sample::EveryN;
-pub use sink::{CallbackSink, CollectSink};
-pub use window::CountWindow;

@@ -1,12 +1,12 @@
 //! Transform-once shared view evaluation.
 //!
-//! The classic engine instantiates one view-operator chain per deployed
-//! query route, so a stream with N queries over the `kinect_t` view runs
-//! the coordinate transformation N times per frame. [`SharedViews`] is
-//! the per-session antidote: it instantiates every registered view
-//! exactly once, evaluates each *needed* view exactly once per frame in
-//! dependency order, and hands the output tuples out by reference so any
-//! number of query routes share them.
+//! One view-operator chain per deployed query route would run the
+//! `kinect_t` coordinate transformation N times per frame for N queries.
+//! [`SharedViews`] is the per-session runtime that avoids it: it
+//! instantiates every registered view exactly once, evaluates each
+//! *needed* view exactly once per frame in dependency order, and hands
+//! the output tuples out by reference so any number of query routes
+//! share them.
 //!
 //! A `SharedViews` is per-session state (view operators may be stateful,
 //! e.g. the transformer's smoothed scale estimate); the slot numbering is
@@ -17,7 +17,7 @@
 //! View state is **stream-scoped**: an operator lives as long as the
 //! session, persisting across query deploy/undeploy (a query deployed
 //! mid-stream reads the already-warmed view). This deliberately differs
-//! from the per-route model, where every deployed route restarted its
+//! from a per-route model, where every deployed route would start its
 //! own operator copy cold. A view nobody needs is not fed at all; if a
 //! later deploy needs it again, it resumes from its last evaluated
 //! frame's state.
@@ -78,7 +78,7 @@ pub struct SharedViews {
     /// filters).
     base_cols: Option<Vec<usize>>,
     /// When false, no blocks are built and the block accessors return
-    /// `None` — consumers then run the scalar path (the A/B toggle).
+    /// `None` — consumers then run the scalar path.
     columnar: bool,
 }
 
@@ -157,9 +157,9 @@ impl SharedViews {
     }
 
     /// Marks exactly the given views — plus their transitive view inputs
-    /// — as needed; every other view is skipped by [`Self::begin_frame`].
-    /// Unknown names are ignored (the caller's plan then falls back to
-    /// its own chains).
+    /// — as needed; every other view is skipped by [`Self::begin_batch`].
+    /// Unknown names are ignored here; a plan that reads such a view is
+    /// rejected when it is deployed or first pushed.
     pub fn set_needed<'a>(&mut self, names: impl IntoIterator<Item = &'a str>) {
         for s in &mut self.states {
             s.needed = false;
@@ -186,12 +186,6 @@ impl SharedViews {
         self.states[slot].needed
     }
 
-    /// Evaluates every needed view for one frame; equivalent to
-    /// [`Self::begin_batch`] with a one-tuple batch.
-    pub fn begin_frame(&mut self, stream: &str, tuple: &Tuple) {
-        self.begin_batch(stream, std::slice::from_ref(tuple));
-    }
-
     /// Evaluates every needed view whose chain is rooted at `stream`
     /// over a whole batch of frames, exactly once per view, in
     /// dependency order. Until the next `begin_batch`, a view's
@@ -199,10 +193,9 @@ impl SharedViews {
     /// frame's slice of it with [`Self::frame_outputs`].
     ///
     /// Each view operator still sees the tuples in frame order, so the
-    /// outputs are identical to `tuples.len()` successive
-    /// [`Self::begin_frame`] calls — but downstream consumers (the NFA
-    /// hot loop) get one contiguous slice per batch instead of one
-    /// callback per frame.
+    /// outputs are identical to `tuples.len()` successive one-tuple
+    /// batches — but downstream consumers (the NFA hot loop) get one
+    /// contiguous slice per batch instead of one call per frame.
     ///
     /// When the columnar path is enabled (the default, see
     /// [`Self::set_columnar`]), this also builds a [`ColumnBlock`] per
@@ -315,8 +308,7 @@ impl SharedViews {
 
     /// Declares that some consumer reads the given float columns of the
     /// view `name`'s block (union with previous declarations; unknown
-    /// names are ignored — those consumers fall back to private chains
-    /// anyway).
+    /// names are ignored — a plan reading such a view never deploys).
     pub fn add_view_block_columns(&mut self, name: &str, cols: &[usize]) {
         if let Some(&slot) = self.slots.get(name) {
             union_cols(&mut self.states[slot].block_cols, cols);
@@ -332,7 +324,8 @@ impl SharedViews {
     /// Enables or disables the columnar batch path (enabled by default).
     /// With it off, [`Self::begin_batch`] builds no blocks and the block
     /// accessors return `None`, so consumers take the scalar path — the
-    /// A/B switch used by the throughput experiments.
+    /// shard worker flips this per batch on the measured small-batch
+    /// crossover.
     pub fn set_columnar(&mut self, on: bool) {
         self.columnar = on;
     }
@@ -467,13 +460,13 @@ mod tests {
         let mut sv = SharedViews::new(&cat);
         let slot = sv.slot_of("v2").unwrap();
         sv.set_needed(["v2"]);
-        sv.begin_frame("kinect", &tup(0, 3.0));
+        sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 3.0)));
         assert_eq!(sv.outputs(slot)[0].f64("x"), Some(6.0));
         assert_eq!(calls.load(Ordering::Relaxed), 1, "one eval per frame");
 
         // Reading twice costs nothing; next frame re-evaluates once.
         assert_eq!(sv.outputs(slot).len(), 1);
-        sv.begin_frame("kinect", &tup(1, 5.0));
+        sv.begin_batch("kinect", std::slice::from_ref(&tup(1, 5.0)));
         assert_eq!(sv.outputs(slot)[0].f64("x"), Some(10.0));
         assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
@@ -493,7 +486,7 @@ mod tests {
         // Needing only the outer view pulls in its input transitively.
         sv.set_needed(["v4"]);
         assert!(sv.is_needed(sv.slot_of("v2").unwrap()));
-        sv.begin_frame("kinect", &tup(0, 1.0));
+        sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 1.0)));
         assert_eq!(sv.outputs(sv.slot_of("v4").unwrap())[0].f64("x"), Some(4.0));
         assert_eq!(c1.load(Ordering::Relaxed), 1);
         assert_eq!(c2.load(Ordering::Relaxed), 1);
@@ -507,7 +500,7 @@ mod tests {
         cat.register_view(counted_view("v2", "kinect", 2.0, calls.clone()))
             .unwrap();
         let mut sv = SharedViews::new(&cat);
-        sv.begin_frame("kinect", &tup(0, 1.0));
+        sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 1.0)));
         assert_eq!(calls.load(Ordering::Relaxed), 0, "not needed, not run");
         assert!(sv.outputs(sv.slot_of("v2").unwrap()).is_empty());
     }
@@ -529,7 +522,7 @@ mod tests {
             .unwrap();
         let mut sv = SharedViews::new(&cat);
         sv.set_needed(["v2"]);
-        sv.begin_frame("other", &tup(0, 1.0));
+        sv.begin_batch("other", std::slice::from_ref(&tup(0, 1.0)));
         assert_eq!(calls.load(Ordering::Relaxed), 0);
         assert!(sv.outputs(sv.slot_of("v2").unwrap()).is_empty());
     }
@@ -686,7 +679,7 @@ mod tests {
         assert_eq!(sv.slot_of("v2"), Some(v2), "existing slot unchanged");
         assert_eq!(sv.len(), 2);
         sv.set_needed(["v4"]);
-        sv.begin_frame("kinect", &tup(0, 1.0));
+        sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 1.0)));
         assert_eq!(sv.outputs(sv.slot_of("v4").unwrap())[0].f64("x"), Some(4.0));
     }
 }

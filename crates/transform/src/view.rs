@@ -180,7 +180,7 @@ mod tests {
         {
             let mut perf = Performer::new(persona, 0);
             let tuples = frames_to_tuples(&perf.render(&gestures::swipe_right()), &schema);
-            let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+            let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
             assert_eq!(ds.len(), 1, "persona #{i} must be detected once");
             engine.reset_runs();
         }

@@ -110,7 +110,9 @@ fn main() {
         0,
     );
     let tuples = frames_to_tuples(&tester.render(&gestures::circle()), &kinect_schema());
-    let detections = engine.run_batch(KINECT_STREAM, &tuples).expect("stream ok");
+    let detections = engine
+        .push_batch(KINECT_STREAM, &tuples)
+        .expect("stream ok");
     println!(
         "  fresh circle performance: {}",
         if detections.iter().any(|d| d.gesture == "circle") {

@@ -11,7 +11,7 @@
 //!
 //! - [`stream`] — push-based data-stream substrate (tuples, operators,
 //!   views);
-//! - [`cep`] — query language, NFA match operator, runtime engine;
+//! - [`cep`] — query language, NFA pattern matching, runtime engine;
 //! - [`kinect`] — deterministic Kinect skeleton simulator (the hardware
 //!   substitution);
 //! - [`transform`] — the `kinect_t` position/orientation/scale

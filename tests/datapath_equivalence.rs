@@ -5,8 +5,8 @@
 //! `kinect_t` + `Engine::push_batch` + shared-path shard workers) must
 //! produce **bit-identical detections** to the seed semantics, where
 //! every deployed query route ran its own private `Transformer` chain.
-//! The legacy semantics are still reachable through
-//! [`PlanInstance::push`], which this test uses as the reference.
+//! Those semantics live on as [`PerRouteReference`] (a dev fixture the
+//! data path does not know about), which this test uses as the reference.
 //!
 //! The check sweeps randomised scenarios: different gesture sets (learned
 //! transformed-view queries, raw-stream queries, hand-written sequences),
@@ -16,7 +16,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gesto::cep::{parse_query, Detection, Engine, PlanInstance, QueryPlan};
+use gesto::cep::fixtures::PerRouteReference;
+use gesto::cep::{parse_query, Detection, Engine, QueryPlan};
 use gesto::kinect::{
     frames_to_tuples, gestures, kinect_schema, GestureSpec, NoiseModel, Performer, Persona,
     SkeletonFrame, KINECT_STREAM,
@@ -100,14 +101,16 @@ fn workload(seed: u64) -> Vec<SkeletonFrame> {
     frames
 }
 
-/// Reference semantics: the seed's per-route path. Every plan instance
-/// runs its own private view chains (one `Transformer` per route).
+/// Reference semantics: the seed's per-route path. Every plan runs its
+/// own private view chains (one `Transformer` per route) and steps its
+/// NFA one tuple at a time.
 fn reference_detections(plans: &[Arc<QueryPlan>], tuples: &[Tuple]) -> Vec<Detection> {
-    let mut instances: Vec<PlanInstance> = plans.iter().map(|p| p.instantiate()).collect();
+    let mut instances: Vec<_> = plans.iter().map(PerRouteReference::new).collect();
     let mut out = Vec::new();
     for t in tuples {
         for inst in &mut instances {
-            inst.push(KINECT_STREAM, t, &mut out).expect("legacy push");
+            inst.push(KINECT_STREAM, t, &mut out)
+                .expect("per-route push");
         }
     }
     out
@@ -193,6 +196,26 @@ fn random_pattern(rng: &mut Rng) -> String {
     format!("{body} select {select} consume {consume}")
 }
 
+/// One match's full-fidelity comparison key: (ts, started_at, event
+/// value strings).
+type CanonicalMatch = (i64, i64, Vec<String>);
+
+fn canonical_match(m: gesto::cep::MatchView<'_>) -> CanonicalMatch {
+    let ev = m.events.iter().map(|t| format!("{:?}", t.values()));
+    (m.ts, m.started_at, ev.collect())
+}
+
+/// The NFA-level reference: N × batch-of-1 on the scalar path (`block =
+/// None`). Returns the matches this one tuple completed.
+fn step_one(
+    nfa: &mut gesto::cep::Nfa,
+    tuple: &Tuple,
+) -> Result<Vec<CanonicalMatch>, gesto::cep::CepError> {
+    let mut scratch = gesto::cep::MatchScratch::new();
+    nfa.advance_block_into("k", std::slice::from_ref(tuple), None, &mut scratch)?;
+    Ok(scratch.matches().map(canonical_match).collect())
+}
+
 #[test]
 fn batched_nfa_advance_matches_single_tuple_advance() {
     use gesto::cep::{parse_pattern, FunctionRegistry, MatchScratch, Nfa, SingleSchema};
@@ -206,11 +229,6 @@ fn batched_nfa_advance_matches_single_tuple_advance() {
     let tup = |ts: i64, x: f64| {
         Tuple::new(schema.clone(), vec![Value::Timestamp(ts), Value::Float(x)]).unwrap()
     };
-    let canonical_match = |ts: i64, started_at: i64, events: &[Tuple]| {
-        let ev: Vec<String> = events.iter().map(|t| format!("{:?}", t.values())).collect();
-        (ts, started_at, ev)
-    };
-
     let mut produced = 0usize;
     let mut shed_hit = false;
     let mut expiry_hit = false;
@@ -239,29 +257,24 @@ fn batched_nfa_advance_matches_single_tuple_advance() {
                 })
                 .collect();
 
-            // Reference: the legacy single-tuple entry point.
+            // Reference: one-tuple batches.
             let mut expect = Vec::new();
             for t in &tuples {
-                for m in single.advance("k", t).unwrap() {
-                    expect.push(canonical_match(m.ts, m.started_at, &m.events));
-                }
+                expect.extend(step_one(&mut single, t).unwrap());
             }
 
             // Batched: random batch splits over the same stream.
-            let mut got = Vec::new();
             let mut scratch = MatchScratch::new();
             let mut rest = tuples.as_slice();
             while !rest.is_empty() {
                 let n = (1 + rng.below(64) as usize).min(rest.len());
                 let (chunk, tail) = rest.split_at(n);
                 batched
-                    .advance_batch_into("k", chunk, &mut scratch)
+                    .advance_block_into("k", chunk, None, &mut scratch)
                     .unwrap();
                 rest = tail;
             }
-            for m in scratch.matches() {
-                got.push(canonical_match(m.ts, m.started_at, m.events));
-            }
+            let got: Vec<_> = scratch.matches().map(canonical_match).collect();
 
             assert_eq!(got, expect, "seed {seed} pattern `{text}` diverged");
             assert_eq!(
@@ -399,11 +412,6 @@ fn block_nfa_advance_matches_single_tuple_advance_on_null_heavy_frames() {
         .float("x")
         .build()
         .unwrap();
-    let canonical_match = |ts: i64, started_at: i64, events: &[Tuple]| {
-        let ev: Vec<String> = events.iter().map(|t| format!("{:?}", t.values())).collect();
-        (ts, started_at, ev)
-    };
-
     let mut produced = 0usize;
     for seed in 0..25u64 {
         let mut rng = Rng::new(seed + 0xF00D);
@@ -435,12 +443,9 @@ fn block_nfa_advance_matches_single_tuple_advance_on_null_heavy_frames() {
 
         let mut expect = Vec::new();
         for t in &tuples {
-            for m in single.advance("k", t).unwrap() {
-                expect.push(canonical_match(m.ts, m.started_at, &m.events));
-            }
+            expect.extend(step_one(&mut single, t).unwrap());
         }
 
-        let mut got = Vec::new();
         let mut scratch = MatchScratch::new();
         let mut block = ColumnBlock::new();
         let mut rest = tuples.as_slice();
@@ -453,9 +458,7 @@ fn block_nfa_advance_matches_single_tuple_advance_on_null_heavy_frames() {
                 .unwrap();
             rest = tail;
         }
-        for m in scratch.matches() {
-            got.push(canonical_match(m.ts, m.started_at, m.events));
-        }
+        let got: Vec<_> = scratch.matches().map(canonical_match).collect();
 
         assert_eq!(got, expect, "seed {seed} pattern `{text}` diverged");
         assert_eq!(single.active_runs(), blocked.active_runs(), "seed {seed}");
@@ -502,11 +505,11 @@ fn block_nfa_preserves_scalar_error_behaviour_on_nan_frames() {
             })
             .collect();
 
-        // Reference: per-tuple advance until the first error.
+        // Reference: one-tuple batches until the first error.
         let mut expect_matches = 0usize;
         let mut expect_err: Option<(usize, String)> = None;
         for (i, t) in tuples.iter().enumerate() {
-            match single.advance("k", t) {
+            match step_one(&mut single, t) {
                 Ok(ms) => expect_matches += ms.len(),
                 Err(e) => {
                     expect_err = Some((i, e.to_string()));
@@ -589,14 +592,14 @@ fn engine_shared_path_matches_seed_per_route_path() {
     assert!(non_empty >= 4, "sweep must actually detect gestures");
 }
 
-/// Runs a fresh sharded server over the per-session workloads and
-/// returns every session's canonical detections (index = session id).
-fn sharded_server_detections(
+/// Runs a fresh server with `config` over the per-session workloads and
+/// returns every session's canonical detections (index = session id)
+/// plus the server's final metrics.
+fn server_detections(
     set: &[gesto::cep::Query],
     sessions: &[Vec<SkeletonFrame>],
-    shards: usize,
-    pin: bool,
-) -> Vec<Vec<CanonicalDetection>> {
+    config: ServerConfig,
+) -> (Vec<Vec<CanonicalDetection>>, gesto::serve::ServerMetrics) {
     let catalog = standard_catalog();
     let funcs = {
         let e = Engine::new(catalog.clone());
@@ -608,10 +611,7 @@ fn sharded_server_detections(
         .map(|q| QueryPlan::compile(q.clone(), catalog.as_ref(), &funcs).expect("compiles"))
         .collect();
     let server = Server::with_parts(
-        ServerConfig::new()
-            .with_shards(shards)
-            .with_pin_shards(pin)
-            .with_backpressure(BackpressurePolicy::Block),
+        config.with_backpressure(BackpressurePolicy::Block),
         catalog,
         funcs,
         Arc::new(gesto::db::GestureStore::new()),
@@ -638,8 +638,9 @@ fn sharded_server_detections(
     let out = (0..sessions.len())
         .map(|s| canonical(hits.remove(&SessionId(s as u64)).unwrap_or_default()))
         .collect();
+    let metrics = server.metrics();
     server.shutdown();
-    out
+    (out, metrics)
 }
 
 /// The scale-out property: sharding is a pure partitioning of work.
@@ -667,7 +668,11 @@ fn shard_count_and_pinning_do_not_change_detections() {
             .map(|_| workload(rng.below(8)))
             .collect();
 
-        let baseline = sharded_server_detections(&set, &sessions, 1, false);
+        let sharded = |shards, pin| {
+            let config = ServerConfig::new().with_shards(shards).with_pin_shards(pin);
+            server_detections(&set, &sessions, config).0
+        };
+        let baseline = sharded(1, false);
         let total: usize = baseline.iter().map(Vec::len).sum();
         detected += total;
 
@@ -679,7 +684,7 @@ fn shard_count_and_pinning_do_not_change_detections() {
             (4, true),
             (8, true),
         ] {
-            let got = sharded_server_detections(&set, &sessions, shards, pin);
+            let got = sharded(shards, pin);
             let conserved: usize = got.iter().map(Vec::len).sum();
             assert_eq!(
                 conserved, total,
@@ -694,60 +699,63 @@ fn shard_count_and_pinning_do_not_change_detections() {
     assert!(detected > 0, "sweep must actually detect gestures");
 }
 
+/// Server sessions against the per-route reference, across the one dial
+/// of the scalar-vs-columnar choice: the default threshold (every full
+/// chunk lands on the columnar side, a short trailing chunk may not),
+/// `0` (every batch columnar) and `usize::MAX` (every batch scalar).
+/// Detections must be identical to the reference — hence to each other —
+/// and the per-batch counters must land on the expected side.
 #[test]
 fn server_sessions_match_seed_per_route_path() {
     let pool = query_pool();
     let schema = kinect_schema();
     let set = &pool[..4];
 
+    // The reference compiles its own plans (the server compiles the same
+    // queries against its own catalog).
     let catalog = standard_catalog();
-    let funcs = {
-        let e = Engine::new(catalog.clone());
-        register_rpy(e.functions());
-        e.functions().clone()
-    };
+    let engine = Engine::new(catalog);
+    register_rpy(engine.functions());
     let plans: Vec<_> = set
         .iter()
-        .map(|q| QueryPlan::compile(q.clone(), catalog.as_ref(), &funcs).expect("compiles"))
+        .map(|q| engine.compile(q.clone()).expect("compiles"))
         .collect();
 
-    let server = Server::with_parts(
-        ServerConfig::new()
-            .with_shards(2)
-            .with_backpressure(BackpressurePolicy::Block),
-        catalog,
-        funcs,
-        Arc::new(gesto::db::GestureStore::new()),
+    // Two sessions share each workload seed → identical expectations on
+    // different shards.
+    let sessions: Vec<Vec<SkeletonFrame>> = (0..6).map(|s| workload(s / 2)).collect();
+    let expect: Vec<_> = sessions
+        .iter()
+        .map(|frames| {
+            canonical(reference_detections(
+                &plans,
+                &frames_to_tuples(frames, &schema),
+            ))
+        })
+        .collect();
+    assert!(
+        expect.iter().all(|e| !e.is_empty()),
+        "every session detects"
     );
-    for p in &plans {
-        server.deploy_plan(p.clone()).expect("deploys");
-    }
-    let hits: Arc<Mutex<HashMap<SessionId, Vec<Detection>>>> = Arc::new(Mutex::new(HashMap::new()));
-    let sink_hits = hits.clone();
-    server.on_detection(Arc::new(move |session, d: &Detection| {
-        sink_hits.lock().entry(session).or_default().push(d.clone());
-    }));
 
-    const SESSIONS: u64 = 6;
-    for s in 0..SESSIONS {
-        // Two sessions share each workload seed → identical expectations
-        // on different shards.
-        let frames = workload(s / 2);
-        for chunk in frames.chunks(32) {
-            server
-                .push_batch(SessionId(s), chunk.to_vec())
-                .expect("push");
+    let default_threshold = ServerConfig::new().columnar_min_batch;
+    for threshold in [default_threshold, 0, usize::MAX] {
+        let mut config = ServerConfig::new().with_shards(2);
+        config.columnar_min_batch = threshold;
+        let (got, metrics) = server_detections(set, &sessions, config);
+        assert_eq!(
+            got, expect,
+            "diverged from per-route path at columnar_min_batch = {threshold}"
+        );
+
+        let columnar: u64 = metrics.shards.iter().map(|m| m.columnar_batches).sum();
+        let scalar: u64 = metrics.shards.iter().map(|m| m.block_skips).sum();
+        let batches: u64 = metrics.shards.iter().map(|m| m.batches_in).sum();
+        assert_eq!(columnar + scalar, batches, "every batch takes one side");
+        match threshold {
+            0 => assert_eq!(scalar, 0, "threshold 0: every batch columnar"),
+            usize::MAX => assert_eq!(columnar, 0, "threshold MAX: every batch scalar"),
+            _ => assert!(columnar > 0, "default: full chunks are columnar"),
         }
     }
-    server.drain().expect("drain");
-
-    let mut hits = hits.lock();
-    for s in 0..SESSIONS {
-        let tuples = frames_to_tuples(&workload(s / 2), &schema);
-        let expect = canonical(reference_detections(&plans, &tuples));
-        let got = canonical(hits.remove(&SessionId(s)).unwrap_or_default());
-        assert_eq!(got, expect, "session {s} diverged from per-route path");
-        assert!(!expect.is_empty(), "session {s} must detect something");
-    }
-    server.shutdown();
 }

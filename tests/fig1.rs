@@ -98,7 +98,7 @@ fn generated_query_detects_the_original_trace() {
         .unwrap();
 
     let tuples = fig1::tuples(0, &kinect_schema());
-    let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+    let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
     assert_eq!(
         ds.iter().filter(|d| d.gesture == "swipe_right").count(),
         1,
@@ -126,7 +126,7 @@ fn reversed_trace_is_not_detected() {
         .iter()
         .map(|f| gesto::kinect::frame_to_tuple(f, &kinect_schema()))
         .collect();
-    let ds = engine.run_batch(KINECT_STREAM, &tuples).unwrap();
+    let ds = engine.push_batch(KINECT_STREAM, &tuples).unwrap();
     assert!(ds.is_empty(), "reversed movement detected: {ds:?}");
 }
 
