@@ -1,8 +1,9 @@
 //! NFA stepping A/B/C over the one entry point,
 //! [`Nfa::advance_block_into`]: 1-tuple batches vs one N-tuple batch
 //! (both scalar, `block = None`) vs one N-tuple batch with its
-//! [`ColumnBlock`] (the vectorized predicate pre-pass), at 1/4/16
-//! deployed gestures, plus allocation-count
+//! [`ColumnBlock`] (block masks + candidate-row stepping), at
+//! 1/4/16/64/256 distinct deployed gestures with the block path's
+//! marginal ns per added gesture per frame, plus allocation-count
 //! assertions (via a counting global allocator) proving the batched hot
 //! loop performs **zero** heap allocations at steady state — when
 //! nothing matches, under seed/expire churn, with the columnar
@@ -71,11 +72,14 @@ fn centre(g: usize, k: usize) -> f64 {
 
 /// A learned-shape 3-step gesture: each step a conjunction of three
 /// window bands, consecutive steps within 1 second. Gesture `g` gets its
-/// own pose centres so deployed gestures do not fire in lockstep.
+/// own pose centres so deployed gestures do not fire in lockstep; the
+/// centres repeat every 90 gestures, so the band width grows there to
+/// keep every deployed gesture distinct.
 fn gesture_pattern(g: usize) -> String {
+    let width = 12 + g / 90;
     let step = |k: usize| {
         format!(
-            "{SOURCE}(abs(x - {}) < 12 and abs(y - {}) < 12 and abs(z - {}) < 12)",
+            "{SOURCE}(abs(x - {}) < {width} and abs(y - {}) < {width} and abs(z - {}) < {width})",
             centre(g, k),
             centre(g, k + 1),
             centre(g, k + 2)
@@ -181,6 +185,8 @@ struct AbResult {
     batch1_fps: f64,
     batchn_fps: f64,
     block_fps: f64,
+    /// Block path, ns per frame across all `gestures`.
+    block_ns_per_frame: f64,
     speedup: f64,
     block_speedup: f64,
     matches: u64,
@@ -249,6 +255,7 @@ fn ab_advance(n: usize, tuples: &[Tuple]) -> AbResult {
         batch1_fps: frames / (batch1_ns / 1e9),
         batchn_fps: frames / (batchn_ns / 1e9),
         block_fps: frames / (block_ns / 1e9),
+        block_ns_per_frame: block_ns / frames,
         speedup: batch1_ns / batchn_ns,
         block_speedup: batch1_ns / block_ns,
         matches,
@@ -465,24 +472,38 @@ fn main() {
     println!();
 
     let tuples = workload(512);
-    let mut results = Vec::new();
+    let mut results: Vec<(AbResult, f64)> = Vec::new();
     println!(
-        "{:>9} {:>16} {:>16} {:>16} {:>9} {:>9} {:>9}",
-        "gestures", "batch-1 f/s", "batch-N f/s", "block f/s", "speedup", "blk-spdup", "matches"
+        "{:>9} {:>14} {:>14} {:>14} {:>9} {:>9} {:>9} {:>15}",
+        "gestures",
+        "batch-1 f/s",
+        "batch-N f/s",
+        "block f/s",
+        "speedup",
+        "blk-spdup",
+        "matches",
+        "ns/gesture/frame"
     );
-    for n in [1usize, 4, 16] {
+    for n in [1usize, 4, 16, 64, 256] {
         let r = ab_advance(n, &tuples);
+        // Marginal cost of the gestures added since the previous row of
+        // the sweep, block path: the curve ROADMAP item 3 wants bent.
+        let (prev_n, prev_ns) = results
+            .last()
+            .map_or((0, 0.0), |(p, _)| (p.gestures, p.block_ns_per_frame));
+        let marginal = (r.block_ns_per_frame - prev_ns) / (n - prev_n) as f64;
         println!(
-            "{:>9} {:>16.0} {:>16.0} {:>16.0} {:>8.2}x {:>8.2}x {:>9}",
+            "{:>9} {:>14.0} {:>14.0} {:>14.0} {:>8.2}x {:>8.2}x {:>9} {:>15.1}",
             r.gestures,
             r.batch1_fps,
             r.batchn_fps,
             r.block_fps,
             r.speedup,
             r.block_speedup,
-            r.matches
+            r.matches,
+            marginal
         );
-        results.push(r);
+        results.push((r, marginal));
     }
 
     let (timer_off_fps, timer_on_fps) = ab_stage_timer(&tuples);
@@ -494,12 +515,12 @@ fn main() {
 
     if let Some(path) = json {
         let mut rows = String::new();
-        for (i, r) in results.iter().enumerate() {
+        for (i, (r, marginal)) in results.iter().enumerate() {
             if i > 0 {
                 rows.push_str(",\n");
             }
             rows.push_str(&format!(
-                "    {{\"gestures\": {}, \"batch1_frames_per_sec\": {:.0}, \"batchn_frames_per_sec\": {:.0}, \"block_frames_per_sec\": {:.0}, \"speedup\": {:.2}, \"block_speedup\": {:.2}, \"matches_per_pass\": {}}}",
+                "    {{\"gestures\": {}, \"batch1_frames_per_sec\": {:.0}, \"batchn_frames_per_sec\": {:.0}, \"block_frames_per_sec\": {:.0}, \"block_marginal_ns_per_gesture_per_frame\": {marginal:.1}, \"speedup\": {:.2}, \"block_speedup\": {:.2}, \"matches_per_pass\": {}}}",
                 r.gestures, r.batch1_fps, r.batchn_fps, r.block_fps, r.speedup, r.block_speedup, r.matches
             ));
         }

@@ -37,6 +37,12 @@ pub static NFA_RUNS_SHED_TOTAL: ShardedCounter = ShardedCounter::new();
 /// Completed pattern matches (detections) emitted.
 pub static NFA_MATCHES_TOTAL: ShardedCounter = ShardedCounter::new();
 
+/// Rows the NFA stepping loops actually visited (candidate rows; every
+/// row on the scalar path). Against [`KERNEL_BLOCK_ROWS_TOTAL`] — rows
+/// presented to the kernels — this is the match side's useful work per
+/// attempt.
+pub static NFA_ROWS_STEPPED_TOTAL: ShardedCounter = ShardedCounter::new();
+
 /// Event-arena compactions performed by the NFA runtimes.
 pub static NFA_ARENA_COMPACTIONS_TOTAL: ShardedCounter = ShardedCounter::new();
 

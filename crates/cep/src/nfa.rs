@@ -28,33 +28,48 @@
 //!   indices of run *i*'s matched events live at
 //!   `run_events[i*stride ..]` with `stride = step_count`. Removing a
 //!   run swap-removes both, so steady-state stepping never allocates.
-//! * **Hoisted checks** — source routing is resolved once per batch
-//!   (`step_live`), each step predicate is evaluated at most once per
-//!   tuple (the per-tuple memo in [`MatchScratch`]), and time-constraint
-//!   expiry is a single `ts > min_deadline` comparison per tuple (each
-//!   run caches its earliest pending deadline; the full prune scan only
-//!   runs when the cheap check fires).
-//! * **Vectorized predicate pre-pass** — when the caller supplies a
-//!   [`ColumnBlock`] covering the batch
-//!   ([`NfaRuntime::advance_block_into`]), each *hot* step predicate
-//!   (the seed step, plus every step some run currently waits at) is
-//!   evaluated once over the whole block by the branch-free batch
-//!   kernels into per-(step, tuple) bitmasks; the stepping loop then
-//!   tests bits instead of walking `Value` slices. Rows the kernels
-//!   cannot decide exactly (non-float cells, `NaN` comparisons, unfused
-//!   shapes) fall back to the lazy scalar memo, so semantics — including
-//!   error behaviour — are bit-identical to the scalar path.
+//! * **Hoisted checks** — source routing is resolved once per call (one
+//!   name lookup among the program's distinct sources, then an integer
+//!   compare per step), each step predicate is evaluated at most once
+//!   per tuple, and time-constraint expiry is a single
+//!   `ts > min_deadline` comparison per tuple (each run caches its
+//!   earliest pending deadline; the full prune scan only runs when the
+//!   cheap check fires).
+//! * **Candidate-row stepping** — the stepping loop walks a *candidate-
+//!   row mask* kept in [`MatchScratch`] and never visits a row outside
+//!   it. Without a [`ColumnBlock`] (`block = None`, the scalar path)
+//!   every row is a candidate. With one, each *hot* step predicate (the
+//!   seed step, plus every step some run waits at) is evaluated once
+//!   over the whole block by the branch-free batch kernels, and a row is
+//!   a candidate when some hot step's mask says `truth | !known` there:
+//!   the predicate holds, or the kernels could not decide the row
+//!   (non-float cells, `NaN` comparisons, unfused shapes) and the lazy
+//!   scalar memo must — which also preserves the exact error behaviour.
+//!   A step a run first reaches mid-batch gets its mask on demand and
+//!   ORs its bits in ahead of the loop's position. A plan whose masks
+//!   come back empty costs the seed pre-pass and a word-wise OR.
+//! * **Skipped-span expiry** — the only effect a non-candidate row has
+//!   in one-tuple stepping is expiring runs whose deadline it passed.
+//!   No run changes inside a skipped span, so pruning once with the
+//!   span's *maximum* timestamp (read only while some run has a finite
+//!   deadline), before the next visited row and at batch end, removes
+//!   exactly the runs row-by-row pruning would — for non-monotone
+//!   timestamps too. The prune is order-preserving, so the run slab is
+//!   in the same order either way and even a mid-row predicate error
+//!   leaves identical state behind.
 //! * **Caller-owned matches** — completed matches are written into a
 //!   reusable [`MatchScratch`] instead of a fresh vector per call; the
-//!   scratch also owns the memo table and pre-pass masks, cleared
+//!   scratch also owns the memo table and the masks, cleared
 //!   capacity-preservingly per batch rather than reallocated.
 //!
 //! [`NfaRuntime::advance_block_into`] is the only stepping entry point:
-//! a single tuple is a one-tuple batch, the scalar path is `block = None`.
+//! a single tuple is a one-tuple batch, the scalar path is `block = None`
+//! — the same loop over a full mask.
 
 use std::sync::Arc;
 
-use gesto_stream::{ColumnBlock, SchemaRef, StreamTime, Tuple};
+use gesto_stream::{BitMask, ColumnBlock, SchemaRef, StreamTime, Tuple};
+use gesto_telemetry::ShardedCounter;
 
 use crate::error::CepError;
 use crate::expr::{compile, BlockMasks, CompiledExpr, EvalScratch, FunctionRegistry};
@@ -65,7 +80,9 @@ pub const DEFAULT_MAX_RUNS: usize = 4096;
 
 /// A compiled leaf step.
 struct CompiledStep {
-    source: String,
+    /// Index into [`NfaProgram::sources`] of the stream or view the step
+    /// listens to.
+    source: u32,
     predicate: CompiledExpr,
 }
 
@@ -138,25 +155,16 @@ struct MatchSpan {
 /// batches makes the steady-state hot loop allocation-free. Matched
 /// event tuples are stored in one flat vector, spanned per match.
 ///
-/// The scratch also owns the per-tuple predicate memo and the pre-pass
-/// bitmasks of the block path. They are sized per
-/// batch with capacity-preserving clears (never reallocated once warm),
-/// and one scratch may serve any number of runtimes — the buffers grow
-/// to the largest pattern seen and stay there.
+/// The scratch also owns the per-tuple predicate memo, the per-step
+/// block masks and the candidate-row mask. They are sized per batch with
+/// capacity-preserving clears (never reallocated once warm), and one
+/// scratch may serve any number of runtimes — the buffers grow to the
+/// largest pattern seen and stay there.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     events: Vec<Tuple>,
     spans: Vec<MatchSpan>,
-    /// Per-tuple predicate memo: 0 unevaluated, 1 false, 2 true
-    /// (step-indexed; refilled per tuple).
-    memo: Vec<u8>,
-    /// Pre-pass masks per step (only the first `step_count` entries are
-    /// used by a given runtime; entries only ever grow).
-    pre: Vec<BlockMasks>,
-    /// Whether `pre[s]` is valid for the current batch.
-    pre_hot: Vec<bool>,
-    /// Pooled buffers for the batch kernels.
-    eval: EvalScratch,
+    masks: StepMasks,
 }
 
 impl MatchScratch {
@@ -189,21 +197,105 @@ impl MatchScratch {
             events: &self.events[s.start as usize..(s.start + s.len) as usize],
         })
     }
+}
 
-    /// Opens a new span; events are then appended via `push_event`.
-    fn begin_match(&mut self, ts: StreamTime, started_at: StreamTime) {
-        self.spans.push(MatchSpan {
-            ts,
-            started_at,
-            start: self.events.len() as u32,
-            len: 0,
-        });
+/// What one batch knows about its step predicates: which rows the
+/// stepping loop must visit, and the answer for every (step, row) the
+/// kernels or the scalar evaluator have already decided.
+#[derive(Debug, Default)]
+struct StepMasks {
+    /// Scalar memo per step: `serial << 1 | result` of the last tuple the
+    /// step's predicate was evaluated on, so one tuple evaluates it at
+    /// most once however many runs wait there. Zeroed per batch (serials
+    /// start at 1), because one scratch may serve several runtimes.
+    memo: Vec<u64>,
+    /// Block masks per step (only the first `step_count` entries are
+    /// used by a given runtime; entries only ever grow).
+    pre: Vec<BlockMasks>,
+    /// Whether `pre[s]` is valid for the current batch.
+    hot: Vec<bool>,
+    /// Rows the stepping loop visits: every row on the scalar path, the
+    /// OR of `truth | !known` over the hot steps on the block path.
+    cand: BitMask,
+    /// Pooled buffers for the batch kernels.
+    eval: EvalScratch,
+}
+
+impl StepMasks {
+    /// Sizes the tables for a `stride`-step pattern over `rows` rows:
+    /// nothing hot, no candidates.
+    fn begin(&mut self, stride: usize, rows: usize) {
+        self.memo.clear();
+        self.memo.resize(stride, 0);
+        if self.pre.len() < stride {
+            self.pre.resize_with(stride, BlockMasks::default);
+            self.hot.resize(stride, false);
+        }
+        self.hot[..stride].fill(false);
+        self.cand.reset(rows);
     }
 
-    fn push_event(&mut self, t: &Tuple) {
-        self.events.push(t.clone());
-        self.spans.last_mut().expect("open span").len += 1;
+    /// Makes `step` hot: evaluates its predicate over the whole block
+    /// (once per batch) and adds the rows it may hit on to the
+    /// candidates. Bits landing behind the loop's position are inert.
+    fn heat(
+        &mut self,
+        step: usize,
+        predicate: &CompiledExpr,
+        block: &ColumnBlock,
+        deltas: &mut CallDeltas,
+    ) {
+        if self.hot[step] {
+            return;
+        }
+        self.hot[step] = true;
+        let m = &mut self.pre[step];
+        predicate.eval_block(block, m, &mut self.eval);
+        let rows = block.rows() as u64;
+        deltas.block_evals += 1;
+        deltas.block_rows += rows;
+        // Rows the kernels left undecided take the scalar path in `hit`.
+        deltas.fallback_rows += rows.saturating_sub(m.known.count() as u64);
+        let decided = m.truth.words().iter().zip(m.known.words());
+        for (c, (t, k)) in self.cand.words_mut().iter_mut().zip(decided) {
+            *c |= t | !k;
+        }
+        self.cand.mask_tail_words();
     }
+
+    /// Answers "does `step`'s predicate match tuple `row`?" — from the
+    /// block mask when the kernels decided that (step, row), and from
+    /// the memoised scalar evaluation otherwise (preserving the exact
+    /// scalar semantics, including errors, for undecided rows).
+    #[inline]
+    fn hit(
+        &mut self,
+        step: usize,
+        predicate: &CompiledExpr,
+        tuple: &Tuple,
+        row: usize,
+        serial: u64,
+    ) -> Result<bool, CepError> {
+        if self.hot[step] && self.pre[step].known.get(row) {
+            return Ok(self.pre[step].truth.get(row));
+        }
+        let memo = &mut self.memo[step];
+        if *memo >> 1 != serial {
+            *memo = serial << 1 | u64::from(predicate.eval_bool(tuple)?);
+        }
+        Ok(*memo & 1 == 1)
+    }
+}
+
+/// Telemetry deltas of one [`NfaRuntime::advance_block_into`] call,
+/// accumulated locally and added to the process-wide counters once.
+#[derive(Default)]
+struct CallDeltas {
+    expired: u64,
+    rows_stepped: u64,
+    block_evals: u64,
+    block_rows: u64,
+    fallback_rows: u64,
 }
 
 /// The immutable, compiled half of a pattern: leaf steps, time
@@ -216,6 +308,8 @@ impl MatchScratch {
 /// runtime.
 pub struct NfaProgram {
     steps: Vec<CompiledStep>,
+    /// Distinct source names of the steps, in first-appearance order.
+    sources: Vec<String>,
     constraints: Vec<TimeConstraint>,
     select: SelectPolicy,
     consume: ConsumePolicy,
@@ -230,8 +324,16 @@ impl NfaProgram {
         funcs: &FunctionRegistry,
     ) -> Result<Self, CepError> {
         let mut steps = Vec::new();
+        let mut sources = Vec::new();
         let mut constraints = Vec::new();
-        collect(pattern, resolver, funcs, &mut steps, &mut constraints)?;
+        collect(
+            pattern,
+            resolver,
+            funcs,
+            &mut steps,
+            &mut sources,
+            &mut constraints,
+        )?;
         if steps.is_empty() {
             return Err(CepError::Compile("pattern has no event steps".into()));
         }
@@ -241,6 +343,7 @@ impl NfaProgram {
         };
         Ok(Self {
             steps,
+            sources,
             constraints,
             select,
             consume,
@@ -262,13 +365,23 @@ impl NfaProgram {
     /// [`ColumnBlock`] must materialise for the predicate pre-pass to
     /// fire; anything else would fall back to the scalar path anyway.
     pub fn columns_read(&self, source: &str) -> Vec<usize> {
+        let src = self.source_index(source);
         let mut cols = Vec::new();
-        for step in self.steps.iter().filter(|s| s.source == source) {
+        for step in self.steps.iter().filter(|s| Some(s.source) == src) {
             step.predicate.collect_block_columns(&mut cols);
         }
         cols.sort_unstable();
         cols.dedup();
         cols
+    }
+
+    /// Position of `source` among the steps' distinct sources; `None`
+    /// when no step listens to it.
+    fn source_index(&self, source: &str) -> Option<u32> {
+        self.sources
+            .iter()
+            .position(|s| s == source)
+            .map(|i| i as u32)
     }
 }
 
@@ -296,8 +409,6 @@ pub struct NfaRuntime {
     max_runs: usize,
     /// Total runs discarded due to the `max_runs` cap.
     shed: u64,
-    /// Per-batch: does `steps[i].source` match the batch's source?
-    step_live: Vec<bool>,
     /// Per-tuple completed-run drain (reused across tuples).
     completed: Vec<CompletedRun>,
     completed_events: Vec<u32>,
@@ -348,7 +459,6 @@ impl NfaRuntime {
     /// Creates a fresh runtime (no partial matches) over a shared,
     /// already-compiled program.
     pub fn instantiate(program: Arc<NfaProgram>) -> Self {
-        let steps = program.steps.len();
         Self {
             program,
             runs: Vec::new(),
@@ -360,7 +470,6 @@ impl NfaRuntime {
             tuple_serial: 0,
             max_runs: DEFAULT_MAX_RUNS,
             shed: 0,
-            step_live: vec![false; steps],
             completed: Vec::new(),
             completed_events: Vec::new(),
             remap: Vec::new(),
@@ -453,21 +562,17 @@ impl NfaRuntime {
     /// the columnar view of exactly `tuples` (same rows, same order —
     /// a row-count mismatch disables it).
     ///
-    /// This is the hot loop: source routing is resolved once per batch,
-    /// hot step predicates are pre-evaluated over the whole block by the
-    /// vectorized batch kernels (per-(step, tuple) bitmasks, bit-tested
-    /// in the stepping loop), every other predicate evaluation is
-    /// memoised per tuple, and the time-constraint expiry check is one
-    /// comparison per tuple in the common case. A batch in which nothing
-    /// matches performs **zero** heap allocations (after the runtime's
-    /// and scratch's buffers have warmed up).
+    /// This is the hot loop (layout and candidate-row stepping: see the
+    /// module docs). A batch in which nothing matches performs **zero**
+    /// heap allocations once the runtime's and scratch's buffers have
+    /// warmed up.
     ///
     /// Semantics are identical to stepping one-tuple batches — bit-
-    /// identical matches, stats and shed counts, with or without the
-    /// block (`None` is the scalar path): rows the kernels cannot decide
-    /// exactly fall back to the scalar evaluator, which also preserves
-    /// the exact error behaviour (a predicate that would error
-    /// scalar-side is never short-circuited by the pre-pass).
+    /// identical matches, stats, expiry and shed counts, with or without
+    /// the block (`None` is the scalar path) — including the exact error
+    /// behaviour: a row whose predicate would error scalar-side is one
+    /// the kernels leave undecided, hence a candidate, hence evaluated
+    /// by the scalar evaluator exactly when one-tuple stepping would.
     pub fn advance_block_into(
         &mut self,
         source: &str,
@@ -475,19 +580,34 @@ impl NfaRuntime {
         block: Option<&ColumnBlock>,
         out: &mut MatchScratch,
     ) -> Result<(), CepError> {
-        // Telemetry rides on deltas of state the stepping loop already
-        // maintains, so the loop itself stays untouched: net run-count
-        // change feeds the active gauge, and the monotonic id/shed/match
-        // counters feed their totals. All relaxed atomics, no allocation.
+        use crate::metrics as m;
+        // Telemetry rides on deltas: of state the stepping loop already
+        // maintains (run count, id/shed/match totals) and of the counts
+        // it keeps locally for this call. One add per family that moved,
+        // all relaxed atomics, no allocation.
         let runs_before = self.runs.len();
         let seeded_before = self.next_run_id;
         let shed_before = self.shed;
         let matches_before = out.len();
-        let result = self.advance_block_core(source, tuples, block, out);
-        crate::metrics::NFA_RUNS_ACTIVE.add(self.runs.len() as i64 - runs_before as i64);
-        crate::metrics::NFA_RUNS_SEEDED_TOTAL.add(self.next_run_id - seeded_before);
-        crate::metrics::NFA_RUNS_SHED_TOTAL.add(self.shed - shed_before);
-        crate::metrics::NFA_MATCHES_TOTAL.add((out.len() - matches_before) as u64);
+        let mut deltas = CallDeltas::default();
+        let result = self.advance_block_core(source, tuples, block, out, &mut deltas);
+        let runs_delta = self.runs.len() as i64 - runs_before as i64;
+        if runs_delta != 0 {
+            m::NFA_RUNS_ACTIVE.add(runs_delta);
+        }
+        let bump = |counter: &ShardedCounter, n: u64| {
+            if n != 0 {
+                counter.add(n);
+            }
+        };
+        bump(&m::NFA_RUNS_SEEDED_TOTAL, self.next_run_id - seeded_before);
+        bump(&m::NFA_RUNS_SHED_TOTAL, self.shed - shed_before);
+        bump(&m::NFA_MATCHES_TOTAL, (out.len() - matches_before) as u64);
+        bump(&m::NFA_RUNS_EXPIRED_TOTAL, deltas.expired);
+        bump(&m::NFA_ROWS_STEPPED_TOTAL, deltas.rows_stepped);
+        bump(&m::KERNEL_BLOCK_EVALS_TOTAL, deltas.block_evals);
+        bump(&m::KERNEL_BLOCK_ROWS_TOTAL, deltas.block_rows);
+        bump(&m::KERNEL_SCALAR_FALLBACK_TOTAL, deltas.fallback_rows);
         result
     }
 
@@ -497,6 +617,7 @@ impl NfaRuntime {
         tuples: &[Tuple],
         block: Option<&ColumnBlock>,
         out: &mut MatchScratch,
+        deltas: &mut CallDeltas,
     ) -> Result<(), CepError> {
         self.maybe_compact();
         let Self {
@@ -510,7 +631,6 @@ impl NfaRuntime {
             tuple_serial,
             max_runs,
             shed,
-            step_live,
             completed,
             completed_events,
             seeding,
@@ -518,54 +638,41 @@ impl NfaRuntime {
         } = self;
         let seeding = *seeding;
         let program: &NfaProgram = program;
-        let stride = program.steps.len();
+        let steps = program.steps.as_slice();
+        let stride = steps.len();
+        let MatchScratch {
+            events,
+            spans,
+            masks,
+        } = out;
 
         // Hoisted across the batch: which steps listen to this source.
-        for (live, step) in step_live.iter_mut().zip(&program.steps) {
-            *live = step.source == source;
-        }
-        let any_live = step_live.iter().any(|&b| b);
+        let src = program.source_index(source);
+        let live = |step: usize| Some(steps[step].source) == src;
 
-        // Size the scratch's memo/mask tables for this pattern
-        // (capacity-preserving: no allocation once warm).
-        out.memo.clear();
-        out.memo.resize(stride, 0);
-        if out.pre.len() < stride {
-            out.pre.resize_with(stride, BlockMasks::default);
-        }
-        if out.pre_hot.len() < stride {
-            out.pre_hot.resize(stride, false);
-        }
-        out.pre_hot[..stride].fill(false);
-
-        // Predicate pre-pass: evaluate each *hot* step's predicate once
-        // over the whole block. Hot steps are the seed step plus every
-        // step some run currently waits at — a step first reached in
-        // the middle of this batch falls back to the lazy per-tuple
-        // memo below (still at most one evaluation per tuple).
-        if let Some(b) = block.filter(|b| b.rows() == tuples.len() && !tuples.is_empty()) {
-            if any_live {
-                out.pre_hot[0] = step_live[0] && seeding;
-                for run in runs.iter() {
-                    let s = run.next as usize;
-                    out.pre_hot[s] = step_live[s];
-                }
+        // Candidate rows. Scalar path: all of them. Block path: the rows
+        // a hot step — the seed step, plus every step some run waits at
+        // now or comes to wait at during the batch — may hit.
+        masks.begin(stride, tuples.len());
+        let block = block.filter(|b| b.rows() == tuples.len() && !tuples.is_empty());
+        // Heats `step` if this call has a block and the step listens.
+        let heat = |masks: &mut StepMasks, deltas: &mut CallDeltas, step: usize| {
+            if let Some(b) = block.filter(|_| live(step)) {
+                masks.heat(step, &steps[step].predicate, b, deltas);
+            }
+        };
+        if src.is_some() {
+            if block.is_none() {
+                masks.cand.set_all();
+            } else {
                 let kernel_t0 = crate::metrics::KERNEL_SAMPLER
                     .sample()
                     .then(std::time::Instant::now);
-                let rows = tuples.len() as u64;
-                for s in 0..stride {
-                    if out.pre_hot[s] {
-                        program.steps[s]
-                            .predicate
-                            .eval_block(b, &mut out.pre[s], &mut out.eval);
-                        crate::metrics::KERNEL_BLOCK_EVALS_TOTAL.inc();
-                        crate::metrics::KERNEL_BLOCK_ROWS_TOTAL.add(rows);
-                        // Rows the kernels left undecided take the
-                        // scalar path in `step_hit`.
-                        crate::metrics::KERNEL_SCALAR_FALLBACK_TOTAL
-                            .add(rows.saturating_sub(out.pre[s].known.count() as u64));
-                    }
+                if seeding {
+                    heat(masks, deltas, 0);
+                }
+                for run in runs.iter() {
+                    heat(masks, deltas, run.next as usize);
                 }
                 if let Some(t0) = kernel_t0 {
                     crate::metrics::KERNEL_STAGE_NS.record(t0.elapsed().as_nanos() as u64);
@@ -573,21 +680,32 @@ impl NfaRuntime {
             }
         }
 
-        for (row, tuple) in tuples.iter().enumerate() {
-            let ts = tuple.timestamp().unwrap_or(0);
+        let ts_of = |t: &Tuple| t.timestamp().unwrap_or(0);
+        // First row the loop has neither visited nor skipped yet.
+        let mut pending = 0;
+        loop {
+            let row = masks.cand.next_set(pending).unwrap_or(tuples.len());
+            let visited = tuples.get(row).map(|t| (t, ts_of(t)));
 
             // Expiry: one comparison unless some run can actually be
-            // dead at `ts` (then a full scan prunes and recomputes).
-            if ts > *min_deadline {
-                prune_expired(runs, run_events, stride, ts, min_deadline);
+            // dead (then a full scan prunes and recomputes). The skipped
+            // rows `pending..row` expire what their latest timestamp
+            // expires (module docs: skipped-span expiry).
+            let mut now = visited.map(|(_, ts)| ts);
+            if *min_deadline != NO_DEADLINE {
+                now = now.max(tuples[pending..row].iter().map(ts_of).max());
             }
-            if !any_live {
-                continue;
+            if let Some(now) = now.filter(|now| now > min_deadline) {
+                deltas.expired += prune_expired(runs, run_events, stride, now, min_deadline);
             }
+            let Some((tuple, ts)) = visited else {
+                break;
+            };
+            pending = row + 1;
+            deltas.rows_stepped += 1;
 
             *tuple_serial += 1;
             let serial = *tuple_serial;
-            out.memo.fill(0);
             // Interned lazily, once per tuple, however many runs it
             // seeds or advances.
             let mut arena_idx = u32::MAX;
@@ -604,65 +722,45 @@ impl NfaRuntime {
                     continue;
                 }
                 let step = run.next as usize;
-                if !step_live[step]
-                    || !step_hit(
-                        &out.pre,
-                        &out.pre_hot,
-                        &program.steps[step].predicate,
-                        tuple,
-                        &mut out.memo,
-                        step,
-                        row,
-                    )?
-                {
+                if !live(step) || !masks.hit(step, &steps[step].predicate, tuple, row, serial)? {
                     i += 1;
                     continue;
                 }
                 if arena_idx == u32::MAX {
                     arena_idx = intern(arena, arena_ts, tuple, ts);
                 }
-                let block = i * stride;
-                run_events[block + step] = arena_idx;
+                let slab = i * stride;
+                run_events[slab + step] = arena_idx;
                 let run = &mut runs[i];
                 run.next += 1;
                 run.touched = serial;
-                if violates_constraints(program, arena_ts, &run_events[block..block + stride], run)
-                {
+                if violates_constraints(program, arena_ts, &run_events[slab..slab + stride], run) {
                     // Too slow: the run dies. swap_remove moves an
                     // unprocessed (or already-touched) run into slot i,
                     // so don't increment.
                     remove_run(runs, run_events, stride, i);
-                    crate::metrics::NFA_RUNS_EXPIRED_TOTAL.inc();
+                    deltas.expired += 1;
                     continue;
                 }
-                if run.next as usize == stride {
+                let waits_at = run.next as usize;
+                if waits_at == stride {
                     completed.push(CompletedRun {
                         id: run.id,
                         ev_start: completed_events.len() as u32,
                     });
-                    completed_events.extend_from_slice(&run_events[block..block + stride]);
+                    completed_events.extend_from_slice(&run_events[slab..slab + stride]);
                     remove_run(runs, run_events, stride, i);
                     continue;
                 }
-                let dl = deadline_of(program, arena_ts, &run_events[block..block + stride], run);
+                heat(masks, deltas, waits_at);
+                let dl = deadline_of(program, arena_ts, &run_events[slab..slab + stride], run);
                 runs[i].deadline = dl;
                 *min_deadline = (*min_deadline).min(dl);
                 i += 1;
             }
 
             // Seed a new run: this tuple as leaf 0.
-            if seeding
-                && step_live[0]
-                && step_hit(
-                    &out.pre,
-                    &out.pre_hot,
-                    &program.steps[0].predicate,
-                    tuple,
-                    &mut out.memo,
-                    0,
-                    row,
-                )?
-            {
+            if seeding && live(0) && masks.hit(0, &steps[0].predicate, tuple, row, serial)? {
                 if arena_idx == u32::MAX {
                     arena_idx = intern(arena, arena_ts, tuple, ts);
                 }
@@ -688,16 +786,16 @@ impl NfaRuntime {
                         deadline: NO_DEADLINE,
                         id,
                     };
-                    let block = run_events.len();
-                    run_events.resize(block + stride, 0);
-                    run_events[block] = arena_idx;
-                    let dl =
-                        deadline_of(program, arena_ts, &run_events[block..block + stride], &run);
+                    let slab = run_events.len();
+                    run_events.resize(slab + stride, 0);
+                    run_events[slab] = arena_idx;
+                    let dl = deadline_of(program, arena_ts, &run_events[slab..slab + stride], &run);
                     runs.push(Run {
                         deadline: dl,
                         ..run
                     });
                     *min_deadline = (*min_deadline).min(dl);
+                    heat(masks, deltas, 1);
                 }
             }
 
@@ -715,12 +813,13 @@ impl NfaRuntime {
             };
             for c in selected {
                 let ev = &completed_events[c.ev_start as usize..c.ev_start as usize + stride];
-                let started_at = arena_ts[ev[0] as usize];
-                let ts = arena_ts[ev[stride - 1] as usize];
-                out.begin_match(ts, started_at);
-                for &e in ev {
-                    out.push_event(&arena[e as usize]);
-                }
+                spans.push(MatchSpan {
+                    ts: arena_ts[ev[stride - 1] as usize],
+                    started_at: arena_ts[ev[0] as usize],
+                    start: events.len() as u32,
+                    len: stride as u32,
+                });
+                events.extend(ev.iter().map(|&e| arena[e as usize].clone()));
             }
 
             // Consumption policy.
@@ -793,46 +892,6 @@ impl Drop for NfaRuntime {
     }
 }
 
-/// Answers "does step `step`'s predicate match tuple `row`?" — from the
-/// pre-pass bitmask when the batch kernels decided that (step, row), and
-/// from the lazily memoised scalar evaluation otherwise (preserving the
-/// exact scalar semantics, including errors, for undecided rows).
-#[inline]
-fn step_hit(
-    pre: &[BlockMasks],
-    pre_hot: &[bool],
-    predicate: &CompiledExpr,
-    tuple: &Tuple,
-    memo: &mut [u8],
-    step: usize,
-    row: usize,
-) -> Result<bool, CepError> {
-    if pre_hot[step] && pre[step].known.get(row) {
-        return Ok(pre[step].truth.get(row));
-    }
-    eval_memo(predicate, tuple, memo, step)
-}
-
-/// Evaluates step `i`'s predicate against `tuple` at most once per tuple
-/// (`memo` is reset by the caller when the tuple changes).
-#[inline]
-fn eval_memo(
-    predicate: &CompiledExpr,
-    tuple: &Tuple,
-    memo: &mut [u8],
-    i: usize,
-) -> Result<bool, CepError> {
-    match memo[i] {
-        1 => Ok(false),
-        2 => Ok(true),
-        _ => {
-            let r = predicate.eval_bool(tuple)?;
-            memo[i] = if r { 2 } else { 1 };
-            Ok(r)
-        }
-    }
-}
-
 /// Interns a matched tuple into the shared arena, returning its index.
 #[inline]
 fn intern(
@@ -857,31 +916,36 @@ fn remove_run(runs: &mut Vec<Run>, run_events: &mut Vec<u32>, stride: usize, i: 
 }
 
 /// Kills runs whose pending time constraints can no longer be met at
-/// stream time `now`, and recomputes the exact earliest deadline.
+/// stream time `now`, recomputes the exact earliest deadline and returns
+/// how many runs died. Order-preserving: pruning a skipped span once at
+/// its latest timestamp must leave the slab exactly as pruning it row by
+/// row would.
 fn prune_expired(
     runs: &mut Vec<Run>,
     run_events: &mut Vec<u32>,
     stride: usize,
     now: StreamTime,
     min_deadline: &mut StreamTime,
-) {
+) -> u64 {
     let mut min = NO_DEADLINE;
-    let mut expired = 0u64;
-    let mut i = 0;
-    while i < runs.len() {
+    let mut kept = 0;
+    for i in 0..runs.len() {
         let dl = runs[i].deadline;
         if now > dl {
-            remove_run(runs, run_events, stride, i);
-            expired += 1;
             continue;
         }
         min = min.min(dl);
-        i += 1;
+        if kept != i {
+            runs[kept] = runs[i];
+            run_events.copy_within(i * stride..(i + 1) * stride, kept * stride);
+        }
+        kept += 1;
     }
-    if expired > 0 {
-        crate::metrics::NFA_RUNS_EXPIRED_TOTAL.add(expired);
-    }
+    let expired = runs.len() - kept;
+    runs.truncate(kept);
+    run_events.truncate(kept * stride);
     *min_deadline = min;
+    expired as u64
 }
 
 /// Earliest `completion(from) + within` over the constraints whose
@@ -932,22 +996,28 @@ fn violates_constraints(
     false
 }
 
-/// Recursively collects leaf steps and time constraints.
+/// Recursively collects leaf steps (interning their source names into
+/// `sources`) and time constraints.
 fn collect(
     pattern: &Pattern,
     resolver: &dyn SchemaResolver,
     funcs: &FunctionRegistry,
     steps: &mut Vec<CompiledStep>,
+    sources: &mut Vec<String>,
     constraints: &mut Vec<TimeConstraint>,
 ) -> Result<(), CepError> {
     match pattern {
         Pattern::Event(e) => {
             let schema = resolver.schema_of(&e.source)?;
             let predicate = compile(&e.predicate, &schema, funcs)?;
-            steps.push(CompiledStep {
-                source: e.source.clone(),
-                predicate,
-            });
+            let source = sources
+                .iter()
+                .position(|s| *s == e.source)
+                .unwrap_or_else(|| {
+                    sources.push(e.source.clone());
+                    sources.len() - 1
+                }) as u32;
+            steps.push(CompiledStep { source, predicate });
             Ok(())
         }
         Pattern::Sequence(s) => {
@@ -956,7 +1026,7 @@ fn collect(
             }
             let mut first_child_last_leaf = None;
             for (i, child) in s.steps.iter().enumerate() {
-                collect(child, resolver, funcs, steps, constraints)?;
+                collect(child, resolver, funcs, steps, sources, constraints)?;
                 if i == 0 {
                     first_child_last_leaf = Some(steps.len() - 1);
                 }

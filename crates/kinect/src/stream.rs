@@ -67,17 +67,9 @@ impl KinectSlots {
                 joints[k] = Some([x, y, z]);
             }
         }
-        // Same timestamp resolution as `Tuple::timestamp`: the field
-        // named `ts`, else the first `Timestamp`-typed field.
-        let ts = schema.index_of("ts").or_else(|| {
-            schema
-                .fields()
-                .iter()
-                .position(|f| f.ty == ValueType::Timestamp)
-        });
         Self {
             player: schema.index_of("player"),
-            ts,
+            ts: schema.timestamp_slot(),
             joints,
         }
     }

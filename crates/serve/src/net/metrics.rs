@@ -151,9 +151,11 @@ impl NetMetrics {
     }
 
     /// Connections closed by the idle timeout
-    /// ([`crate::net::NetConfig::idle_timeout_ms`]).
+    /// ([`crate::net::NetConfig::idle_timeout_ms`]). Published after the
+    /// teardown (Release/Acquire): a close seen here is already gone
+    /// from [`Self::connections_active`].
     pub fn idle_closed(&self) -> u64 {
-        self.inner.idle_closed.load(Ordering::Relaxed)
+        self.inner.idle_closed.load(Ordering::Acquire)
     }
 
     /// Times a connection's reads were paused because it ran out of

@@ -701,7 +701,6 @@ impl IoLoop {
             let Some(conn) = self.conns.remove(&id) else {
                 continue;
             };
-            self.metrics.idle_closed.fetch_add(1, Ordering::Relaxed);
             let close = if conn.http {
                 // Mid-request HTTP peer: no GSW1 error frame.
                 Close::Quiet
@@ -709,6 +708,10 @@ impl IoLoop {
                 Close::Fault(ErrorCode::Shutdown, "connection idle timeout")
             };
             self.finish_conn(conn, Some(close));
+            // Counted after the teardown it describes: whoever reads
+            // the close (Acquire in `NetMetrics::idle_closed`) also
+            // reads `connections_active` already decremented.
+            self.metrics.idle_closed.fetch_add(1, Ordering::Release);
         }
     }
 

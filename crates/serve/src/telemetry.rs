@@ -144,6 +144,13 @@ impl ServerTelemetry {
             &gesto_cep::metrics::NFA_MATCHES_TOTAL,
         );
         registry.register_sharded_counter_ref(
+            "gesto_nfa_rows_stepped_total",
+            "Rows the NFA stepping loops visited (candidate rows; compare \
+             gesto_kernel_block_rows_total, the rows presented to the kernels)",
+            &[],
+            &gesto_cep::metrics::NFA_ROWS_STEPPED_TOTAL,
+        );
+        registry.register_sharded_counter_ref(
             "gesto_nfa_arena_compactions_total",
             "Event-arena compactions performed by NFA runtimes",
             &[],

@@ -234,3 +234,62 @@ fn idle_connections_are_reaped_and_counted() {
     net.shutdown();
     server.shutdown();
 }
+
+/// Metric family names of `docs/OBSERVABILITY.md`'s catalog: every
+/// backticked `gesto_*` token between the "## Metric catalog" heading
+/// and the next second-level heading, label selectors stripped
+/// (`gesto_net_*`-style prefixes in section titles are not names).
+fn documented_families(doc: &str) -> std::collections::BTreeSet<String> {
+    let catalog = doc
+        .split_once("\n## Metric catalog")
+        .expect("the doc has a metric catalog")
+        .1;
+    let catalog = catalog.split("\n## ").next().unwrap();
+    catalog
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|code| code.starts_with("gesto_") && !code.ends_with('*'))
+        .map(|code| code.split('{').next().unwrap().to_owned())
+        .collect()
+}
+
+/// The catalog and the live registry name the same families, both
+/// directions: a metric cannot ship undocumented and the docs cannot
+/// keep one that is gone. The server is durable, has a plan deployed
+/// and has detected once, so every conditional family is present.
+#[test]
+fn observability_catalog_matches_the_live_registry() {
+    let dir = std::env::temp_dir().join(format!("gesto-catalog-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(ServerConfig::new().with_shards(1).with_durability(&dir));
+    teach_swipe(&server);
+    let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
+    let mut client = NetClient::connect(net.local_addr()).unwrap();
+    client.send_batch(1, &swipe_frames(41)).unwrap();
+    assert!(
+        !client.bye().unwrap().is_empty(),
+        "one batch, one detection"
+    );
+
+    let live: std::collections::BTreeSet<String> = server
+        .handle()
+        .registry()
+        .gather()
+        .into_iter()
+        .map(|sample| sample.name)
+        .collect();
+    net.shutdown();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let documented = documented_families(include_str!("../../../docs/OBSERVABILITY.md"));
+    let undocumented: Vec<_> = live.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&live).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "docs/OBSERVABILITY.md drifted from the registry:\n  \
+         exported but not in the catalog: {undocumented:?}\n  \
+         in the catalog but not exported: {stale:?}"
+    );
+}

@@ -120,6 +120,20 @@ impl BitMask {
         self.words.iter().any(|&w| w != 0)
     }
 
+    /// Index of the first set bit at or after `from`. Reads the words
+    /// as they are now, so a caller walking the mask with this may set
+    /// further bits ahead of its position between calls.
+    #[inline]
+    pub fn next_set(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.words.get(w)? & (!0u64 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -381,6 +395,10 @@ mod tests {
         m.set(69);
         assert!(m.get(0) && m.get(69) && !m.get(1));
         assert_eq!(m.count(), 2);
+        assert_eq!(m.next_set(0), Some(0));
+        assert_eq!(m.next_set(1), Some(69), "crosses the word boundary");
+        assert_eq!(m.next_set(69), Some(69));
+        assert_eq!(m.next_set(70), None, "`from` may equal the length");
         m.unset(0);
         assert_eq!(m.count(), 1);
         m.set_all();

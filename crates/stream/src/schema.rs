@@ -35,13 +35,24 @@ impl Field {
 ///
 /// The name index is an invariant of the type: every constructor —
 /// including deserialisation — builds it, so [`Schema::index_of`] is
-/// always a single hash lookup.
+/// always a single hash lookup. The timestamp slot is resolved with it,
+/// so the per-tuple [`crate::Tuple::timestamp`] hashes nothing.
 #[derive(Debug, Clone)]
 pub struct Schema {
     /// Stream/view name this schema belongs to (informational).
     pub name: String,
     fields: Vec<Field>,
     index: HashMap<String, usize>,
+    ts_slot: Option<usize>,
+}
+
+/// The timestamp rule, in its one place: the field named `ts`, else the
+/// first `Timestamp`-typed field.
+fn resolve_ts_slot(fields: &[Field], index: &HashMap<String, usize>) -> Option<usize> {
+    index
+        .get("ts")
+        .copied()
+        .or_else(|| fields.iter().position(|f| f.ty == ValueType::Timestamp))
 }
 
 /// Serialised shape of a [`Schema`]: the index is derived state and
@@ -97,10 +108,12 @@ impl Schema {
                 )));
             }
         }
+        let ts_slot = resolve_ts_slot(&fields, &index);
         Ok(Self {
             name,
             fields,
             index,
+            ts_slot,
         })
     }
 
@@ -109,8 +122,9 @@ impl Schema {
         Ok(Arc::new(Self::new(name, fields)?))
     }
 
-    /// Rebuilds the name index. Deserialisation already does this, so the
-    /// method is only useful after manual field surgery in tests.
+    /// Rebuilds the name index and the timestamp slot. Deserialisation
+    /// already does this, so the method is only useful after manual field
+    /// surgery in tests.
     pub fn reindex(&mut self) {
         self.index = self
             .fields
@@ -118,6 +132,7 @@ impl Schema {
             .enumerate()
             .map(|(i, f)| (f.name.clone(), i))
             .collect();
+        self.ts_slot = resolve_ts_slot(&self.fields, &self.index);
     }
 
     /// Number of fields.
@@ -143,6 +158,13 @@ impl Schema {
     /// Position of a field by name — always a single hash lookup.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.index.get(name).copied()
+    }
+
+    /// Position of the field holding a tuple's timestamp: the field named
+    /// `ts`, else the first `Timestamp`-typed field. Resolved when the
+    /// schema is built.
+    pub fn timestamp_slot(&self) -> Option<usize> {
+        self.ts_slot
     }
 
     /// Position of a field by name, as a hard error.
@@ -275,6 +297,25 @@ mod tests {
         assert_eq!(s.index_of("nope"), None);
         assert_eq!(s.type_of("tag"), Some(ValueType::Str));
         assert_eq!(s.field(0).unwrap().name, "ts");
+        assert_eq!(s.timestamp_slot(), Some(0));
+    }
+
+    #[test]
+    fn timestamp_slot_prefers_the_field_named_ts() {
+        let s = SchemaBuilder::new("s")
+            .timestamp("stamp")
+            .int("ts")
+            .build()
+            .unwrap();
+        assert_eq!(s.timestamp_slot(), Some(1), "named `ts` wins");
+        let s = SchemaBuilder::new("s")
+            .float("a")
+            .timestamp("stamp")
+            .build()
+            .unwrap();
+        assert_eq!(s.timestamp_slot(), Some(1), "first Timestamp-typed");
+        let s = SchemaBuilder::new("s").float("a").build().unwrap();
+        assert_eq!(s.timestamp_slot(), None);
     }
 
     #[test]
@@ -345,6 +386,7 @@ mod tests {
         // caller remembering to reindex().
         assert_eq!(back.index_of("y"), Some(2));
         assert_eq!(back.index_of("nope"), None);
+        assert_eq!(back.timestamp_slot(), Some(0));
     }
 
     #[test]

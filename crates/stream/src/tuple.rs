@@ -93,16 +93,13 @@ impl Tuple {
         self.get_by_name(name).and_then(Value::as_str)
     }
 
-    /// The tuple timestamp: the value of the schema's `ts` field (or the
-    /// first `Timestamp`-typed field), in stream milliseconds.
+    /// The tuple timestamp in stream milliseconds: the value at the
+    /// schema's [`crate::Schema::timestamp_slot`] — a slice index, no
+    /// name lookup.
+    #[inline]
     pub fn timestamp(&self) -> Option<i64> {
-        if let Some(i) = self.schema.index_of("ts") {
-            return self.values[i].as_i64();
-        }
         self.schema
-            .fields()
-            .iter()
-            .position(|f| f.ty == crate::value::ValueType::Timestamp)
+            .timestamp_slot()
             .and_then(|i| self.values[i].as_i64())
     }
 

@@ -205,30 +205,105 @@ fn canonical_match(m: gesto::cep::MatchView<'_>) -> CanonicalMatch {
     (m.ts, m.started_at, ev.collect())
 }
 
-/// The NFA-level reference: N × batch-of-1 on the scalar path (`block =
-/// None`). Returns the matches this one tuple completed.
-fn step_one(
-    nfa: &mut gesto::cep::Nfa,
-    tuple: &Tuple,
-) -> Result<Vec<CanonicalMatch>, gesto::cep::CepError> {
-    let mut scratch = gesto::cep::MatchScratch::new();
-    nfa.advance_block_into("k", std::slice::from_ref(tuple), None, &mut scratch)?;
-    Ok(scratch.matches().map(canonical_match).collect())
+/// What one [`lockstep`] run saw.
+struct Lockstep {
+    /// Matches delivered (up to the first error).
+    matches: usize,
+    /// The error that ended the run, if any.
+    error: Option<String>,
+    /// The oracle's final shed count.
+    shed: u64,
+    /// Whether the pattern carries time constraints.
+    constrained: bool,
 }
 
-#[test]
-fn batched_nfa_advance_matches_single_tuple_advance() {
+/// The NFA-level equivalence check. Steps `tuples` through two runtimes
+/// of pattern `text` in lockstep: the oracle in one-tuple batches on the
+/// scalar path (`block = None`), the other in batches of `split()` rows
+/// — each with its `ColumnBlock` when `blocks`. After **every** batch
+/// both must have delivered the same matches and hold the same
+/// `active_runs` / `shed_runs`; a batch the oracle errors in must fail
+/// with the same error after the same matches, which ends the run.
+fn lockstep(
+    text: &str,
+    max_runs: usize,
+    tuples: &[Tuple],
+    mut split: impl FnMut() -> usize,
+    blocks: bool,
+) -> Lockstep {
     use gesto::cep::{parse_pattern, FunctionRegistry, MatchScratch, Nfa, SingleSchema};
-    use gesto::stream::{SchemaBuilder, Value};
 
+    let pattern = parse_pattern(text).expect("pattern parses");
+    let funcs = FunctionRegistry::with_builtins();
+    let resolver = SingleSchema(tuples[0].schema().clone());
+    let compile = || {
+        Nfa::compile(&pattern, &resolver, &funcs)
+            .unwrap()
+            .with_max_runs(max_runs)
+    };
+    let (mut oracle, mut batched) = (compile(), compile());
+    let (mut expect, mut got) = (MatchScratch::new(), MatchScratch::new());
+    let mut block = gesto::stream::ColumnBlock::new();
+    let mut seen = Lockstep {
+        matches: 0,
+        error: None,
+        shed: 0,
+        constrained: !oracle.constraints().is_empty(),
+    };
+    let mut rest = tuples;
+    while !rest.is_empty() && seen.error.is_none() {
+        let (chunk, tail) = rest.split_at(split().clamp(1, rest.len()));
+        rest = tail;
+        let at = format!(
+            "`{text}`, batch ending at row {}",
+            tuples.len() - rest.len()
+        );
+
+        let expect_result = chunk.iter().try_for_each(|t| {
+            oracle.advance_block_into("k", std::slice::from_ref(t), None, &mut expect)
+        });
+        if blocks {
+            block.fill_from_tuples(chunk);
+        }
+        let got_result = batched.advance_block_into("k", chunk, blocks.then_some(&block), &mut got);
+
+        let message = |r: Result<(), gesto::cep::CepError>| r.err().map(|e| e.to_string());
+        seen.error = message(expect_result);
+        assert_eq!(message(got_result), seen.error, "{at}: error diverged");
+        let delivered: Vec<_> = got.matches().map(canonical_match).collect();
+        let expected: Vec<_> = expect.matches().map(canonical_match).collect();
+        assert_eq!(delivered, expected, "{at}: matches diverged");
+        assert_eq!(
+            (batched.active_runs(), batched.shed_runs()),
+            (oracle.active_runs(), oracle.shed_runs()),
+            "{at}: (active_runs, shed_runs) diverged"
+        );
+        seen.matches += expected.len();
+        expect.clear();
+        got.clear();
+    }
+    seen.shed = oracle.shed_runs();
+    seen
+}
+
+/// Tuples of the one-column stream `k(ts, x)` the NFA-level checks run
+/// over, from `(ts, x)` pairs.
+fn k_tuples(rows: impl IntoIterator<Item = (i64, gesto::stream::Value)>) -> Vec<Tuple> {
+    use gesto::stream::{SchemaBuilder, Value};
     let schema = SchemaBuilder::new("k")
         .timestamp("ts")
         .float("x")
         .build()
         .unwrap();
-    let tup = |ts: i64, x: f64| {
-        Tuple::new(schema.clone(), vec![Value::Timestamp(ts), Value::Float(x)]).unwrap()
-    };
+    rows.into_iter()
+        .map(|(ts, x)| Tuple::new(schema.clone(), vec![Value::Timestamp(ts), x]).unwrap())
+        .collect()
+}
+
+#[test]
+fn batched_nfa_advance_matches_single_tuple_advance() {
+    use gesto::stream::Value;
+
     let mut produced = 0usize;
     let mut shed_hit = false;
     let mut expiry_hit = false;
@@ -237,59 +312,20 @@ fn batched_nfa_advance_matches_single_tuple_advance() {
         // A random gesture set: every pattern steps the same stream.
         for _ in 0..(1 + rng.below(3)) {
             let text = random_pattern(&mut rng);
-            let pattern = parse_pattern(&text).expect("generated pattern parses");
-            let funcs = FunctionRegistry::with_builtins();
             let max_runs = [1usize, 2, 4, 1024][rng.below(4) as usize];
-            let mut single = Nfa::compile(&pattern, &SingleSchema(schema.clone()), &funcs)
-                .unwrap()
-                .with_max_runs(max_runs);
-            let mut batched = Nfa::compile(&pattern, &SingleSchema(schema.clone()), &funcs)
-                .unwrap()
-                .with_max_runs(max_runs);
-
             // Random workload: mostly increasing timestamps with gaps
             // long enough to expire `within` budgets.
             let mut ts = 0i64;
-            let tuples: Vec<Tuple> = (0..300)
-                .map(|_| {
-                    ts += rng.below(400) as i64;
-                    tup(ts, rng.f64() * 110.0)
-                })
-                .collect();
-
-            // Reference: one-tuple batches.
-            let mut expect = Vec::new();
-            for t in &tuples {
-                expect.extend(step_one(&mut single, t).unwrap());
-            }
-
-            // Batched: random batch splits over the same stream.
-            let mut scratch = MatchScratch::new();
-            let mut rest = tuples.as_slice();
-            while !rest.is_empty() {
-                let n = (1 + rng.below(64) as usize).min(rest.len());
-                let (chunk, tail) = rest.split_at(n);
-                batched
-                    .advance_block_into("k", chunk, None, &mut scratch)
-                    .unwrap();
-                rest = tail;
-            }
-            let got: Vec<_> = scratch.matches().map(canonical_match).collect();
-
-            assert_eq!(got, expect, "seed {seed} pattern `{text}` diverged");
-            assert_eq!(
-                single.active_runs(),
-                batched.active_runs(),
-                "seed {seed} pattern `{text}`: run state diverged"
-            );
-            assert_eq!(
-                single.shed_runs(),
-                batched.shed_runs(),
-                "seed {seed} pattern `{text}`: shed count diverged"
-            );
-            produced += expect.len();
-            shed_hit |= single.shed_runs() > 0;
-            expiry_hit |= !single.constraints().is_empty();
+            let tuples = k_tuples((0..300).map(|_| {
+                ts += rng.below(400) as i64;
+                (ts, Value::Float(rng.f64() * 110.0))
+            }));
+            // Random batch splits over the same stream, scalar path.
+            let split = || 1 + rng.below(64) as usize;
+            let seen = lockstep(&text, max_runs, &tuples, split, false);
+            produced += seen.matches;
+            shed_hit |= seen.shed > 0;
+            expiry_hit |= seen.constrained;
         }
     }
     assert!(produced > 100, "sweep must actually match ({produced})");
@@ -399,147 +435,153 @@ fn block_kernels_match_scalar_oracle_on_nan_null_heavy_rows() {
     assert!(error_rows > 100, "sweep must hit scalar error paths");
 }
 
-/// The NFA stepping with block + pre-pass must be bit-identical to the
+/// The NFA stepping over blocks must be bit-identical to the
 /// single-tuple reference on Null/Int-heavy frames (the fallback lanes),
 /// across random patterns, batch splits, shedding and expiry.
 #[test]
 fn block_nfa_advance_matches_single_tuple_advance_on_null_heavy_frames() {
-    use gesto::cep::{parse_pattern, FunctionRegistry, MatchScratch, Nfa, SingleSchema};
-    use gesto::stream::{ColumnBlock, SchemaBuilder, Value};
+    use gesto::stream::Value;
 
-    let schema = SchemaBuilder::new("k")
-        .timestamp("ts")
-        .float("x")
-        .build()
-        .unwrap();
     let mut produced = 0usize;
     for seed in 0..25u64 {
         let mut rng = Rng::new(seed + 0xF00D);
         let text = random_pattern(&mut rng);
-        let pattern = parse_pattern(&text).expect("generated pattern parses");
-        let funcs = FunctionRegistry::with_builtins();
         let max_runs = [2usize, 4, 1024][rng.below(3) as usize];
-        let mut single = Nfa::compile(&pattern, &SingleSchema(schema.clone()), &funcs)
-            .unwrap()
-            .with_max_runs(max_runs);
-        let mut blocked = Nfa::compile(&pattern, &SingleSchema(schema.clone()), &funcs)
-            .unwrap()
-            .with_max_runs(max_runs);
-
         // Null/Int-heavy workload — no NaN/±inf here, so the scalar
         // reference never errors and full streams compare.
         let mut ts = 0i64;
-        let tuples: Vec<Tuple> = (0..300)
-            .map(|_| {
-                ts += rng.below(400) as i64;
-                let x = match rng.below(5) {
-                    0 => Value::Null,
-                    1 => Value::Int(rng.below(110) as i64),
-                    _ => Value::Float(rng.f64() * 110.0),
-                };
-                Tuple::new(schema.clone(), vec![Value::Timestamp(ts), x]).unwrap()
-            })
-            .collect();
-
-        let mut expect = Vec::new();
-        for t in &tuples {
-            expect.extend(step_one(&mut single, t).unwrap());
-        }
-
-        let mut scratch = MatchScratch::new();
-        let mut block = ColumnBlock::new();
-        let mut rest = tuples.as_slice();
-        while !rest.is_empty() {
-            let n = (1 + rng.below(64) as usize).min(rest.len());
-            let (chunk, tail) = rest.split_at(n);
-            block.fill_from_tuples(chunk);
-            blocked
-                .advance_block_into("k", chunk, Some(&block), &mut scratch)
-                .unwrap();
-            rest = tail;
-        }
-        let got: Vec<_> = scratch.matches().map(canonical_match).collect();
-
-        assert_eq!(got, expect, "seed {seed} pattern `{text}` diverged");
-        assert_eq!(single.active_runs(), blocked.active_runs(), "seed {seed}");
-        assert_eq!(single.shed_runs(), blocked.shed_runs(), "seed {seed}");
-        produced += expect.len();
+        let tuples = k_tuples((0..300).map(|_| {
+            ts += rng.below(400) as i64;
+            let x = match rng.below(5) {
+                0 => Value::Null,
+                1 => Value::Int(rng.below(110) as i64),
+                _ => Value::Float(rng.f64() * 110.0),
+            };
+            (ts, x)
+        }));
+        let split = || 1 + rng.below(64) as usize;
+        let seen = lockstep(&text, max_runs, &tuples, split, true);
+        assert_eq!(seen.error, None, "seed {seed}");
+        produced += seen.matches;
     }
     assert!(produced > 50, "sweep must actually match ({produced})");
 }
 
 /// NaN frames make ordering predicates *error* on the scalar path; the
-/// pre-pass must neither swallow nor reorder those errors: the block
-/// path errors on exactly the same stream prefix, with the same message
-/// and the same matches delivered before the failure.
+/// masks must neither swallow nor reorder those errors: the block path
+/// errors on exactly the same stream prefix, with the same message, the
+/// same matches delivered before the failure and the same run state
+/// left behind.
 #[test]
 fn block_nfa_preserves_scalar_error_behaviour_on_nan_frames() {
-    use gesto::cep::{parse_pattern, FunctionRegistry, MatchScratch, Nfa, SingleSchema};
-    use gesto::stream::{ColumnBlock, SchemaBuilder, Value};
-
-    let schema = SchemaBuilder::new("k")
-        .timestamp("ts")
-        .float("x")
-        .build()
-        .unwrap();
+    use gesto::stream::Value;
 
     let mut errors_hit = 0usize;
     for seed in 0..12u64 {
         let mut rng = Rng::new(seed + 0xA11);
         let text = random_pattern(&mut rng);
-        let pattern = parse_pattern(&text).expect("generated pattern parses");
-        let funcs = FunctionRegistry::with_builtins();
-        let mut single = Nfa::compile(&pattern, &SingleSchema(schema.clone()), &funcs).unwrap();
-        let mut blocked = Nfa::compile(&pattern, &SingleSchema(schema.clone()), &funcs).unwrap();
-
         let mut ts = 0i64;
-        let tuples: Vec<Tuple> = (0..120)
-            .map(|_| {
-                ts += rng.below(300) as i64;
-                let x = if rng.below(12) == 0 {
-                    Value::Float(f64::NAN)
-                } else {
-                    Value::Float(rng.f64() * 110.0)
-                };
-                Tuple::new(schema.clone(), vec![Value::Timestamp(ts), x]).unwrap()
-            })
-            .collect();
-
-        // Reference: one-tuple batches until the first error.
-        let mut expect_matches = 0usize;
-        let mut expect_err: Option<(usize, String)> = None;
-        for (i, t) in tuples.iter().enumerate() {
-            match step_one(&mut single, t) {
-                Ok(ms) => expect_matches += ms.len(),
-                Err(e) => {
-                    expect_err = Some((i, e.to_string()));
-                    break;
-                }
-            }
-        }
-
-        // Block path: one batch over the whole stream. The batched core
-        // steps tuple-by-tuple, so it must fail at the same tuple with
-        // the earlier matches already in the scratch.
-        let mut scratch = MatchScratch::new();
-        let mut block = ColumnBlock::new();
-        block.fill_from_tuples(&tuples);
-        let got = blocked.advance_block_into("k", &tuples, Some(&block), &mut scratch);
-        match (&expect_err, got) {
-            (Some((_, msg)), Err(e)) => {
-                assert_eq!(&e.to_string(), msg, "seed {seed}: different error");
-                errors_hit += 1;
-            }
-            (None, Ok(())) => {}
-            (a, b) => panic!("seed {seed}: error behaviour diverged: {a:?} vs {b:?}"),
-        }
-        assert_eq!(
-            scratch.len(),
-            expect_matches,
-            "seed {seed}: matches before the failure diverged"
-        );
+        let tuples = k_tuples((0..120).map(|_| {
+            ts += rng.below(300) as i64;
+            let x = if rng.below(12) == 0 {
+                f64::NAN
+            } else {
+                rng.f64() * 110.0
+            };
+            (ts, Value::Float(x))
+        }));
+        // One batch over the whole stream: it must fail at the tuple
+        // the one-tuple reference fails at.
+        let seen = lockstep(&text, 1024, &tuples, || tuples.len(), true);
+        errors_hit += usize::from(seen.error.is_some());
     }
     assert!(errors_hit >= 3, "sweep must hit NaN errors ({errors_hit})");
+}
+
+/// 30 rows of `k(ts, x)` at 33 ms spacing, `x = 50` except where
+/// `overrides` says otherwise — `50` hits no step of the patterns below,
+/// so every other row is one the block path skips.
+fn mostly_idle_block(overrides: &[(usize, f64)]) -> Vec<Tuple> {
+    k_tuples((0..30).map(|row| {
+        let x = overrides
+            .iter()
+            .find(|(r, _)| *r == row)
+            .map_or(50.0, |o| o.1);
+        (row as i64 * 33, gesto::stream::Value::Float(x))
+    }))
+}
+
+/// Steps first reached in the middle of a block get their masks on
+/// demand: seed at row 3, step 1 at row 7, step 2 at row 20 of one
+/// block, then a row whose predicate errors scalar-side.
+#[test]
+fn steps_first_reached_mid_block_match_single_tuple_stepping() {
+    let text = "k(x < 1) -> k(abs(x - 70) < 5) -> k(x > 90) within 10 seconds";
+    let hits = [(3, 0.5), (7, 70.0), (20, 95.0)];
+    let seen = lockstep(text, 1024, &mostly_idle_block(&hits), || 30, true);
+    assert_eq!((seen.matches, seen.error), (1, None));
+
+    let mut with_nan = hits.to_vec();
+    with_nan.push((25, f64::NAN));
+    let seen = lockstep(text, 1024, &mostly_idle_block(&with_nan), || 30, true);
+    assert_eq!(seen.matches, 1, "the match precedes the failing row");
+    assert!(seen.error.is_some(), "NaN errors the seed predicate");
+
+    // The failing row reached while a run waits at an on-demand step.
+    let seen = lockstep(
+        text,
+        1024,
+        &mostly_idle_block(&[(3, 0.5), (7, 70.0), (12, f64::NAN), (20, 95.0)]),
+        || 30,
+        true,
+    );
+    assert_eq!(seen.matches, 0);
+    assert!(seen.error.is_some());
+}
+
+/// A `within` budget blown by a timestamp *inside a skipped span* —
+/// neither the span's first nor its last row, timestamps non-monotone —
+/// must expire the run exactly as one-tuple stepping does.
+#[test]
+fn skipped_span_expiry_matches_single_tuple_stepping() {
+    use gesto::stream::Value;
+    let text = "k(x < 1) -> k(x > 90) within 1 seconds";
+    let trace = |spike: i64| {
+        let rows = [
+            (0, 0.5),
+            (100, 50.0),
+            (spike, 50.0),
+            (200, 50.0),
+            (300, 50.0),
+            (400, 95.0),
+        ];
+        k_tuples(rows.map(|(ts, x)| (ts, Value::Float(x))))
+    };
+    let seen = lockstep(text, 1024, &trace(1500), || 6, true);
+    assert_eq!(seen.matches, 0, "the run died at ts 1500, mid-span");
+    let seen = lockstep(text, 1024, &trace(150), || 6, true);
+    assert_eq!(seen.matches, 1, "control: without the spike it completes");
+}
+
+/// `max_runs` shedding must not count runs that expired inside a skipped
+/// span: they are pruned before the next visited row seeds.
+#[test]
+fn shedding_ignores_runs_expired_in_a_skipped_span() {
+    use gesto::stream::Value;
+    let text = "k(x < 1) -> k(x > 90) within 1 seconds select all consume none";
+    let trace = |spike: i64| {
+        // The last seed row steps back in time, so only the skipped
+        // row's timestamp can have expired the first two runs.
+        let rows = [(0, 0.5), (10, 0.5), (spike, 50.0), (20, 0.5)];
+        k_tuples(rows.map(|(ts, x)| (ts, Value::Float(x))))
+    };
+    let seen = lockstep(text, 2, &trace(2000), || 4, true);
+    assert_eq!(
+        seen.shed, 0,
+        "both old runs expired at ts 2000: nothing to shed"
+    );
+    let seen = lockstep(text, 2, &trace(15), || 4, true);
+    assert_eq!(seen.shed, 1, "control: without the spike the cap sheds");
 }
 
 #[test]

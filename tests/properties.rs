@@ -245,3 +245,110 @@ proptest! {
         }
     }
 }
+
+// ---------- candidate-row stepping vs the per-route oracle ----------
+
+/// Detections as comparable `(gesture, ts, started_at)` keys, sorted.
+fn detection_keys(ds: &[gesto::cep::Detection]) -> Vec<(String, i64, i64)> {
+    let mut keys: Vec<_> = ds
+        .iter()
+        .map(|d| (d.gesture.clone(), d.ts, d.started_at))
+        .collect();
+    keys.sort();
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random traces × random batch splits × the scalar/columnar dial:
+    /// a server session detects exactly what the per-route oracle
+    /// (private view chains, one-tuple scalar stepping) detects. The
+    /// right hand mostly rests between the patterns' bands, so most rows
+    /// are ones the block path skips, and timestamps jump far enough —
+    /// backwards too — to blow `within` budgets inside those skipped
+    /// spans only.
+    #[test]
+    fn server_detects_what_the_per_route_oracle_does(
+        trace in proptest::collection::vec(
+            (-300i64..400, -1.0..1.0f64, -1.0..1.0f64),
+            30..150,
+        ),
+        splits in proptest::collection::vec(1usize..48, 1..12),
+    ) {
+        use gesto::cep::fixtures::PerRouteReference;
+        use gesto::serve::{BackpressurePolicy, Server, ServerConfig, SessionId};
+        use std::sync::{Arc, Mutex};
+
+        const QUERIES: [&str; 3] = [
+            r#"SELECT "sweep" MATCHING kinect(rHand_x - torso_x < -250)
+               -> kinect(abs(rHand_x - torso_x) < 40) -> kinect(rHand_x - torso_x > 250)
+               within 2 seconds select first consume all;"#,
+            r#"SELECT "lift_t" MATCHING kinect_t(rHand_y > 150) -> kinect_t(rHand_y < -150)
+               within 1 seconds select all consume none;"#,
+            r#"SELECT "reach_t" MATCHING kinect_t(rHand_x > 200) -> kinect_t(rHand_x < -200)
+               within 1 seconds select last consume all;"#,
+        ];
+
+        // An idle skeleton with the right hand moved about the torso:
+        // `u^5` keeps it near rest most of the time.
+        let rest = Performer::new(Persona::reference(), 0).render_idle(40).remove(0);
+        let torso = rest.joint(Joint::Torso).unwrap();
+        let mut ts = 0;
+        let frames: Vec<SkeletonFrame> = trace
+            .iter()
+            .map(|&(dt, ux, uy)| {
+                ts += dt;
+                let mut f = rest.clone();
+                f.ts = ts;
+                let offset = gesto::kinect::Vec3::new(600.0 * ux.powi(5), 600.0 * uy.powi(5), -150.0);
+                f.set_joint(Joint::RightHand, torso + offset);
+                f
+            })
+            .collect();
+
+        let expect = {
+            let engine = gesto::cep::Engine::new(gesto::transform::standard_catalog());
+            let mut oracles: Vec<_> = QUERIES
+                .iter()
+                .map(|q| PerRouteReference::new(&engine.compile(parse_query(q).unwrap()).unwrap()))
+                .collect();
+            let mut out = Vec::new();
+            for t in gesto::kinect::frames_to_tuples(&frames, &gesto::kinect::kinect_schema()) {
+                for oracle in &mut oracles {
+                    oracle.push(gesto::kinect::KINECT_STREAM, &t, &mut out).unwrap();
+                }
+            }
+            detection_keys(&out)
+        };
+
+        for threshold in [0, ServerConfig::new().columnar_min_batch, usize::MAX] {
+            let mut config = ServerConfig::new()
+                .with_shards(1)
+                .with_backpressure(BackpressurePolicy::Block);
+            config.columnar_min_batch = threshold;
+            let server = Server::start(config);
+            for q in QUERIES {
+                server.deploy_text(q).unwrap();
+            }
+            let hits = Arc::new(Mutex::new(Vec::new()));
+            let sink = hits.clone();
+            server.on_detection(Arc::new(move |_, d: &gesto::cep::Detection| {
+                sink.lock().unwrap().push(d.clone());
+            }));
+            let mut rest = frames.as_slice();
+            for n in splits.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at((*n).min(rest.len()));
+                server.push_batch(SessionId(7), chunk.to_vec()).unwrap();
+                rest = tail;
+            }
+            server.drain().unwrap();
+            let got = detection_keys(&hits.lock().unwrap());
+            server.shutdown();
+            prop_assert_eq!(&got, &expect, "columnar_min_batch = {}", threshold);
+        }
+    }
+}
