@@ -7,30 +7,45 @@
 //! once per frame and fans the output to every plan
 //! (`Engine::push_batch`). The gap between the two at N gestures is
 //! exactly the redundancy the shared path removes.
+//!
+//! After the criterion groups it prints a `front_path` table, timed by
+//! hand because its unit is ns per tuple / per frame: what building a
+//! kinect tuple costs fresh, overwritten in place and replaced because
+//! somebody shares it, and what `SharedViews::begin_batch` costs with
+//! and without spent `kinect_t` outputs to recycle.
 
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gesto_bench::learn_gesture;
 use gesto_cep::fixtures::PerRouteReference;
 use gesto_cep::{Engine, QueryPlan};
-use gesto_kinect::{frames_to_tuples, gestures, kinect_schema, Performer, Persona, KINECT_STREAM};
+use gesto_kinect::{
+    frames_to_tuples, gestures, kinect_schema, KinectSlots, Performer, Persona, SkeletonFrame,
+    KINECT_STREAM,
+};
 use gesto_learn::query_gen::{generate_query, QueryStyle};
 use gesto_learn::LearnerConfig;
-use gesto_stream::Tuple;
-use gesto_transform::standard_catalog;
+use gesto_stream::{SharedViews, Tuple};
+use gesto_transform::{standard_catalog, KINECT_T};
 
 const FRAMES: usize = 240;
 const GESTURE_COUNTS: [usize; 3] = [1, 4, 16];
 
-fn workload() -> Vec<Tuple> {
+fn frames() -> Vec<SkeletonFrame> {
     let mut p = Performer::new(Persona::reference(), 0);
     let mut frames = Vec::with_capacity(FRAMES + 64);
     while frames.len() < FRAMES {
         frames.extend(p.render_padded(&gestures::swipe_right(), 200, 400));
     }
     frames.truncate(FRAMES);
-    frames_to_tuples(&frames, &kinect_schema())
+    frames
+}
+
+fn workload() -> Vec<Tuple> {
+    frames_to_tuples(&frames(), &kinect_schema())
 }
 
 /// N distinct-named variants of the learned transformed-view query (the
@@ -96,5 +111,75 @@ fn bench_datapath(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_datapath);
+/// Best-of-five mean ns per element of `pass`, which handles
+/// `elements` of them per call.
+fn ns_per_element(elements: usize, mut pass: impl FnMut()) -> f64 {
+    const PASSES: usize = 400;
+    pass();
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..PASSES {
+                pass();
+            }
+            t0.elapsed().as_nanos() as f64 / (PASSES * elements) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The `front_path` table (see the module doc).
+fn front_path(_: &mut Criterion) {
+    let frames = frames();
+    let schema = kinect_schema();
+    let slots = KinectSlots::resolve(&schema, "");
+    let n = frames.len();
+
+    let fresh = ns_per_element(n, || {
+        for f in &frames {
+            black_box(slots.tuple(black_box(f), &schema));
+        }
+    });
+    let mut kept: Vec<Tuple> = frames_to_tuples(&frames, &schema);
+    let unique = ns_per_element(n, || {
+        for (slot, f) in kept.iter_mut().zip(&frames) {
+            black_box(slots.tuple_into(black_box(f), &schema, slot));
+        }
+    });
+    // Every slot's previous tuple is still held by `shared`, so each
+    // write builds a fresh one; the holder then takes over the new one
+    // (the swap is two pointer moves, the drop of the old one is part
+    // of what a shared slot costs).
+    let mut shared = kept.clone();
+    let replaced = ns_per_element(n, || {
+        for ((slot, held), f) in kept.iter_mut().zip(&mut shared).zip(&frames) {
+            black_box(slots.tuple_into(black_box(f), &schema, slot));
+            *held = slot.clone();
+        }
+    });
+
+    let begin_batch = |hold_outputs: bool| {
+        let mut views = SharedViews::new(&standard_catalog());
+        views.set_needed([KINECT_T]);
+        let slot = views.slot_of(KINECT_T).expect("standard catalog");
+        let mut held: Vec<Tuple> = Vec::new();
+        ns_per_element(n, || {
+            views.begin_batch(KINECT_STREAM, &kept);
+            if hold_outputs {
+                held.clear();
+                held.extend_from_slice(views.outputs(slot));
+            }
+        })
+    };
+    let (recycling, not_recycling) = (begin_batch(false), begin_batch(true));
+
+    println!("front_path                                     ns/tuple");
+    println!("  KinectSlots::tuple (fresh)                  {fresh:>9.1}");
+    println!("  KinectSlots::tuple_into (unique, in place)  {unique:>9.1}");
+    println!("  KinectSlots::tuple_into (shared -> fresh)   {replaced:>9.1}");
+    println!("front_path                                     ns/frame");
+    println!("  begin_batch, spent outputs recycled         {recycling:>9.1}");
+    println!("  begin_batch, spent outputs all still shared {not_recycling:>9.1}");
+}
+
+criterion_group!(benches, bench_datapath, front_path);
 criterion_main!(benches);

@@ -98,7 +98,9 @@ pub struct ServerConfig {
     /// CPU core.
     pub shards: usize,
     /// Maximum queued frame batches per shard before the backpressure
-    /// policy kicks in (a soft bound under concurrent producers).
+    /// policy kicks in (a soft bound under concurrent producers). The
+    /// server reads it through [`Self::effective_queue_capacity`], so
+    /// `0` behaves as `1`.
     pub queue_capacity: usize,
     /// Full-queue behaviour.
     pub backpressure: BackpressurePolicy,
@@ -210,9 +212,10 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-shard queue capacity (minimum 1).
+    /// Sets the per-shard queue capacity (`0` behaves as `1`, see
+    /// [`Self::effective_queue_capacity`]).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
+        self.queue_capacity = capacity;
         self
     }
 
@@ -302,5 +305,13 @@ impl ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
         }
+    }
+
+    /// Resolved per-shard queue capacity: the configured value, at least
+    /// 1 (a capacity of 0 would park a blocking producer forever). The
+    /// field is public, so the clamp lives where the value is read —
+    /// queue gates, overload thresholds — and not in the setter.
+    pub fn effective_queue_capacity(&self) -> usize {
+        self.queue_capacity.max(1)
     }
 }

@@ -97,6 +97,14 @@ pub struct ShardMetrics {
     /// Estimated resident bytes of this shard's session state (NFA run
     /// slabs + event arenas), maintained incrementally by the worker.
     pub(crate) state_bytes: AtomicI64,
+    /// Times the worker woke parked `push_batch` producers (at most one
+    /// per `queue_capacity / 4` batches while a producer outruns it).
+    pub(crate) producer_wakeups: AtomicU64,
+    /// Parked producers released by the 50 ms timed wait, not by a
+    /// wake-up, with room in the queue. 0 unless a wake-up went missing
+    /// or a non-parking producer kept the queue above the low-water
+    /// mark.
+    pub(crate) gate_backstops: AtomicU64,
     pub(crate) per_gesture: Mutex<HashMap<String, u64>>,
     pub(crate) latency: Histogram,
 }
@@ -127,6 +135,8 @@ impl Default for ShardMetrics {
             quota_frames: AtomicU64::new(0),
             mem_rejected_batches: AtomicU64::new(0),
             state_bytes: AtomicI64::new(0),
+            producer_wakeups: AtomicU64::new(0),
+            gate_backstops: AtomicU64::new(0),
             per_gesture: Mutex::new(HashMap::new()),
             latency: Histogram::new(),
         }
@@ -180,6 +190,8 @@ impl ShardMetrics {
             quota_frames: self.quota_frames.load(Ordering::Relaxed),
             mem_rejected_batches: self.mem_rejected_batches.load(Ordering::Relaxed),
             state_bytes: self.state_bytes.load(Ordering::Relaxed).max(0) as u64,
+            producer_wakeups: self.producer_wakeups.load(Ordering::Relaxed),
+            gate_backstops: self.gate_backstops.load(Ordering::Relaxed),
             latency: LatencySummary::from_histogram(&self.latency),
         }
     }
@@ -241,6 +253,11 @@ pub struct ShardSnapshot {
     pub mem_rejected_batches: u64,
     /// Estimated resident bytes of the shard's session NFA state.
     pub state_bytes: u64,
+    /// Times the worker woke parked `push_batch` producers.
+    pub producer_wakeups: u64,
+    /// Parked producers released by the timed backstop instead of a
+    /// wake-up (0 on a healthy server).
+    pub gate_backstops: u64,
     /// Push-latency percentiles.
     pub latency: LatencySummary,
 }
@@ -310,7 +327,7 @@ pub(crate) struct OverloadPolicy {
 impl OverloadPolicy {
     pub(crate) fn from_config(config: &crate::ServerConfig) -> Self {
         OverloadPolicy {
-            queue_capacity: config.queue_capacity.max(1),
+            queue_capacity: config.effective_queue_capacity(),
             memory_budget: config.shard_memory_budget,
             shed_ratio: config.overload_shed_ratio.max(0.01),
             reject_ratio: config.overload_reject_ratio.max(0.01),

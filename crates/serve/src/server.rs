@@ -261,7 +261,7 @@ impl Server {
         let mut workers = Vec::with_capacity(shard_count);
         for shard_id in 0..shard_count {
             let (tx, rx) = unbounded::<Job>();
-            let gate = Arc::new(QueueGate::default());
+            let gate = Arc::new(QueueGate::new(config.effective_queue_capacity()));
             let metrics = Arc::new(ShardMetrics::default());
             let pin_core = config
                 .pin_shards
@@ -407,9 +407,29 @@ impl ServerHandle {
     /// Enqueues a batch of raw camera frames for `session`, applying the
     /// configured backpressure policy if the session's shard is behind.
     ///
-    /// Frames of one session are processed in push order on a single
-    /// shard; the call returns once the batch is queued (detections are
-    /// delivered through [`Self::on_detection`] sinks and metrics).
+    /// **Threads.** Callable from any number of threads at once, on any
+    /// clone of the handle; under [`BackpressurePolicy::Block`] it may
+    /// park the *calling* thread, so event loops use
+    /// [`Self::offer_batch`] instead. Never call it from a
+    /// [`DetectionSink`]: sinks run on the shard worker, and a worker
+    /// parked behind its own queue never drains it.
+    ///
+    /// **Ordering.** Batches of one session pushed from one thread are
+    /// processed in push order, on a single shard; the call returns once
+    /// the batch is queued (detections are delivered through
+    /// [`Self::on_detection`] sinks and metrics). Two threads pushing
+    /// the same session are ordered only by who enqueues first. A
+    /// control call (`deploy`, `close_session`, `drain`) takes effect at
+    /// its position in the same per-shard FIFO, after every batch
+    /// queued before it.
+    ///
+    /// **Bound.** `queue_capacity` is soft: each producer that saw room
+    /// adds one batch, so a shard's queue can reach `capacity +
+    /// concurrent producers − 1` batches. A producer that found the
+    /// queue full under `Block` sleeps until the worker has drained it
+    /// to the low-water mark, `capacity − max(1, capacity / 4)`, and
+    /// then refills it in a burst (one wake-up per `capacity / 4`
+    /// batches, not one per batch).
     pub fn push_batch(
         &self,
         session: SessionId,
@@ -420,10 +440,10 @@ impl ServerHandle {
         }
         let shard = session.shard(self.core.shards.len());
         let link = &self.core.shards[shard];
-        let cap = self.core.config.queue_capacity;
+        let cap = link.gate.capacity();
         self.check_memory_budget(shard, link, frames.len())?;
         match self.core.config.backpressure {
-            BackpressurePolicy::Block => link.gate.wait_below(cap),
+            BackpressurePolicy::Block => link.gate.wait_for_room(&link.metrics),
             BackpressurePolicy::Reject => {
                 if link.gate.depth.load(Ordering::Acquire) >= cap {
                     return Err(ServeError::QueueFull { shard });
@@ -489,6 +509,13 @@ impl ServerHandle {
     /// [`ServeError::QueueFull`]). This is the entry point event-loop
     /// callers (the TCP edge in [`crate::net`]) use, since they must
     /// not stall every other connection while one shard is behind.
+    ///
+    /// Threads, ordering and the soft bound are those of `push_batch`;
+    /// the caller keeps a handed-back batch ahead of the session's
+    /// later ones itself. It takes no lock and is never woken: `Full`
+    /// is re-tried on the caller's own schedule, any depth below
+    /// `queue_capacity` admits it, and a shard fed only through here
+    /// never touches its gate's mutex.
     pub fn offer_batch(
         &self,
         session: SessionId,
@@ -499,7 +526,7 @@ impl ServerHandle {
         }
         let shard = session.shard(self.core.shards.len());
         let link = &self.core.shards[shard];
-        let cap = self.core.config.queue_capacity;
+        let cap = link.gate.capacity();
         self.check_memory_budget(shard, link, frames.len())?;
         match self.core.config.backpressure {
             BackpressurePolicy::Block => {

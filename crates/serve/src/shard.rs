@@ -6,9 +6,11 @@
 //! applies exactly at its position in the stream. Session state never
 //! leaves the worker thread — per-tuple matching takes no locks.
 //!
-//! Data path per batch: one frame→tuple conversion per frame into a
-//! reused scratch plus (for batches of at least
-//! `ServerConfig::columnar_min_batch` frames) one frame→block
+//! Data path per batch: one frame→tuple conversion per frame, written
+//! over the tuples the scratch still holds from the previous batch
+//! ([`KinectSlots::tuple_into`]: a tuple nobody kept a clone of is
+//! overwritten in place, a shared one is replaced), plus (for batches
+//! of at least `ServerConfig::columnar_min_batch` frames) one frame→block
 //! conversion of the whole batch straight from the skeleton frames
 //! ([`KinectSlots::write_block`] — no per-frame `Vec<Value>` round-trip
 //! for the float lanes), one shared view evaluation for the whole batch
@@ -16,8 +18,8 @@
 //! instance steps its NFA batch-at-a-time over the shared view outputs
 //! and their columnar blocks ([`PlanInstance::push_batch_shared`]) —
 //! deploying more gestures does not re-run the coordinate
-//! transformation, and matching a batch that detects nothing allocates
-//! nothing.
+//! transformation, and a steady-state batch that seeds no run calls
+//! the allocator not once (`tests/front_path_alloc.rs`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -76,6 +78,46 @@ pub(crate) enum Control {
 /// Producer-side view of a shard's queue: depth gate for backpressure
 /// plus the shed handshake of the drop-oldest policy.
 ///
+/// **Who calls what.** Any number of producer threads
+/// (`ServerHandle::push_batch` / `offer_batch`) read `depth`, add to it
+/// before their `send`, and — `push_batch` under `Block` only — park in
+/// [`Self::wait_for_room`]. Exactly one thread at a time, the shard's
+/// worker, calls [`Self::dequeued`]; [`Self::close`] runs once, when
+/// the worker is gone for good.
+///
+/// **Ordering.** A parked producer is woken when the worker has drained
+/// the queue down to the *low-water mark* (`cap − max(1, cap / 4)`),
+/// not on every dequeue: a producer that outruns the shard costs one
+/// futex wake per `cap / 4` batches instead of one per batch, and a
+/// worker nobody waits for takes no lock at all. No wake-up is lost
+/// because park and wake meet in a store-then-load handshake over two
+/// atomics, all four operations `SeqCst`:
+///
+/// * producer — takes `lock`, **raises `parked`**, then **re-reads
+///   `depth`** and waits on `cv` (releasing `lock`) only if the queue
+///   is still full; woken to a queue the others have refilled, it
+///   raises the flag again before it waits again;
+/// * worker — **decrements `depth`**, then **reads `parked`**, and, if
+///   it is raised and depth is at or under the mark, lowers it, takes
+///   `lock` and notifies everyone.
+///
+/// In the one total order of those operations either the worker's read
+/// of `parked` follows the producer's store — the worker then blocks on
+/// `lock` until the producer is inside `wait`, so the notify lands — or
+/// the producer's re-read of `depth` follows the worker's decrement and
+/// sees the room it made. The flag is lowered by the waker, not by the
+/// woken, so the dequeues between a wake-up and the producers actually
+/// running do not notify again; a producer that raised it and found
+/// room after all leaves it raised, which costs one idle notify. The
+/// 50 ms timed wait stays as a backstop for what this argument does not
+/// cover (a second producer interface that never parks keeping depth
+/// above the mark); every time it, not a wake-up, ends a wait with room
+/// in the queue is counted in `gesto_shard_gate_backstop_total`, which
+/// stays 0 otherwise.
+///
+/// **Bound.** Soft, as before: every producer that saw `depth < cap`
+/// adds one batch, so depth can reach `cap + producers − 1`.
+///
 /// 128-byte aligned so two shards' gates never share a cache line:
 /// `depth` is hit by producers and the worker on every batch, and with
 /// core-pinned shards false sharing between neighbouring gates would
@@ -92,6 +134,13 @@ pub(crate) struct QueueGate {
     /// shard's footprint charged against the memory budget
     /// (`ServerConfig::shard_memory_budget`).
     pub queued_bytes: AtomicU64,
+    /// `ServerConfig::effective_queue_capacity` (≥ 1).
+    cap: usize,
+    /// Depth at or under which the worker wakes parked producers.
+    low_water: usize,
+    /// Raised by a producer about to park in [`Self::wait_for_room`],
+    /// lowered by the worker when it wakes them.
+    parked: AtomicBool,
     /// Cleared when the worker exits — by shutdown *or* by panic (a
     /// drop guard in [`ShardWorker::run`] guarantees it), so blocked
     /// producers can never be stranded by a dead worker.
@@ -100,44 +149,79 @@ pub(crate) struct QueueGate {
     cv: Condvar,
 }
 
-impl Default for QueueGate {
-    fn default() -> Self {
+impl QueueGate {
+    pub fn new(cap: usize) -> Self {
+        debug_assert!(cap >= 1, "use ServerConfig::effective_queue_capacity");
         Self {
             depth: AtomicUsize::new(0),
             shed_requests: AtomicUsize::new(0),
             queued_bytes: AtomicU64::new(0),
+            cap,
+            low_water: cap - (cap / 4).max(1),
+            parked: AtomicBool::new(false),
             open: AtomicBool::new(true),
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
-}
 
-impl QueueGate {
-    /// Blocks until the queue depth falls below `cap` or the worker is
-    /// gone. Returns immediately once the gate is closed — the caller's
-    /// subsequent `send` then reports the disconnection as an error.
-    pub fn wait_below(&self, cap: usize) {
-        while self.open.load(Ordering::Acquire) && self.depth.load(Ordering::Acquire) >= cap {
-            let guard = self.lock.lock().expect("gate mutex");
-            // Re-check under the lock to avoid missing a notify.
-            if !self.open.load(Ordering::Acquire) || self.depth.load(Ordering::Acquire) < cap {
-                break;
+    /// Queue depth at which the backpressure policy kicks in.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    fn has_room(&self) -> bool {
+        !self.open.load(Ordering::SeqCst) || self.depth.load(Ordering::SeqCst) < self.cap
+    }
+
+    /// Blocks until the queue depth is below the capacity or the worker
+    /// is gone (the caller's subsequent `send` then reports the
+    /// disconnection as an error). A caller that finds the queue full
+    /// sleeps until the worker has drained it to the low-water mark.
+    pub fn wait_for_room(&self, metrics: &ShardMetrics) {
+        if self.has_room() {
+            return;
+        }
+        let mut guard = self.lock.lock().expect("gate mutex");
+        loop {
+            self.parked.store(true, Ordering::SeqCst);
+            if self.has_room() {
+                return;
             }
-            let (_guard, _timeout) = self
+            let (g, timeout) = self
                 .cv
                 .wait_timeout(guard, Duration::from_millis(50))
                 .expect("gate mutex");
+            guard = g;
+            if self.has_room() {
+                if timeout.timed_out() {
+                    metrics.gate_backstops.fetch_add(1, Ordering::Relaxed);
+                }
+                return;
+            }
         }
     }
 
-    pub fn notify(&self) {
+    /// Worker side: one batch has left the queue. Returns the depth
+    /// after it, having woken the parked producers if there are any and
+    /// that depth is at or under the low-water mark.
+    pub fn dequeued(&self, metrics: &ShardMetrics) -> usize {
+        let remaining = self.depth.fetch_sub(1, Ordering::SeqCst) - 1;
+        if remaining <= self.low_water && self.parked.load(Ordering::SeqCst) {
+            self.parked.store(false, Ordering::SeqCst);
+            metrics.producer_wakeups.fetch_add(1, Ordering::Relaxed);
+            self.notify();
+        }
+        remaining
+    }
+
+    fn notify(&self) {
         let _guard = self.lock.lock().expect("gate mutex");
         self.cv.notify_all();
     }
 
     fn close(&self) {
-        self.open.store(false, Ordering::Release);
+        self.open.store(false, Ordering::SeqCst);
         self.notify();
     }
 }
@@ -262,7 +346,8 @@ pub(crate) struct ShardWorker {
     slots: KinectSlots,
     /// Detections scratch, reused across batches.
     detections: Vec<Detection>,
-    /// Frame→tuple conversion scratch, reused across batches.
+    /// Frame→tuple conversion scratch: the previous batch's base tuples,
+    /// overwritten in place by the next batch (whatever its session).
     tuples: Vec<Tuple>,
     /// Stage-duration histograms (`gesto_stage_duration_ns{stage=…}`).
     telemetry: Arc<ServerTelemetry>,
@@ -347,11 +432,10 @@ impl ShardWorker {
         while let Ok(job) = self.rx.recv() {
             match job {
                 Job::Batch(batch) => {
-                    let remaining = self.gate.depth.fetch_sub(1, Ordering::AcqRel) - 1;
                     self.gate
                         .queued_bytes
                         .fetch_sub(batch_cost(batch.frames.len()), Ordering::AcqRel);
-                    self.gate.notify();
+                    let remaining = self.gate.dequeued(&self.metrics);
                     // Drop-oldest handshake: a producer that found the
                     // queue full asked for one queued batch to be shed;
                     // the batch at the head of the FIFO is the oldest.
@@ -534,8 +618,15 @@ impl ShardWorker {
         // view evaluation per batch, then every deployed plan steps its
         // NFA over the whole batch in one call.
         let mark = timed.then(Instant::now);
-        tuples.clear();
-        tuples.extend(batch.frames.iter().map(|f| slots.tuple(f, schema)));
+        tuples.truncate(batch.frames.len());
+        let (kept, new) = batch.frames.split_at(tuples.len());
+        let mut recycled = 0u64;
+        for (slot, frame) in tuples.iter_mut().zip(kept) {
+            recycled += u64::from(slots.tuple_into(frame, schema, slot));
+        }
+        tuples.extend(new.iter().map(|f| slots.tuple(f, schema)));
+        gesto_stream::metrics::TUPLES_RECYCLED_TOTAL.add(recycled);
+        gesto_stream::metrics::TUPLES_BUILT_TOTAL.add(batch.frames.len() as u64 - recycled);
         // Adaptive scalar-vs-columnar choice, made per pushed batch: the
         // block kernels' fixed setup cost loses on tiny batches (batch 1
         // runs ~0.2–0.5× scalar, batch 16 ~2.7–5.6×,
@@ -772,4 +863,104 @@ fn take_one(counter: &AtomicUsize) -> bool {
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::thread;
+
+    use super::*;
+
+    const CAP: usize = 64;
+    const LOW_WATER: usize = 48;
+
+    /// A full gate with one producer parked in `wait_for_room`; the
+    /// receiver yields when the producer returns.
+    fn gate_with_parked_producer() -> (Arc<QueueGate>, Arc<ShardMetrics>, mpsc::Receiver<()>) {
+        let gate = Arc::new(QueueGate::new(CAP));
+        let metrics = Arc::new(ShardMetrics::default());
+        gate.depth.store(CAP, Ordering::SeqCst);
+        let (tx, returned) = mpsc::channel();
+        let (g, m) = (gate.clone(), metrics.clone());
+        thread::spawn(move || {
+            g.wait_for_room(&m);
+            let _ = tx.send(());
+        });
+        while !gate.parked.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
+        (gate, metrics, returned)
+    }
+
+    #[test]
+    fn parked_producer_is_woken_at_the_low_water_mark_and_not_before() {
+        let (gate, metrics, returned) = gate_with_parked_producer();
+        assert_eq!(gate.low_water, LOW_WATER);
+        for depth in (LOW_WATER + 1..CAP).rev() {
+            assert_eq!(gate.dequeued(&metrics), depth);
+            assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 0);
+        }
+        // Room since the first dequeue, yet nothing but the counted
+        // backstop (this thread stalled for 50 ms) may have let it go.
+        if returned.try_recv().is_ok() {
+            assert!(metrics.gate_backstops.load(Ordering::Relaxed) > 0);
+            return;
+        }
+        assert!(gate.parked.load(Ordering::SeqCst));
+
+        assert_eq!(gate.dequeued(&metrics), LOW_WATER);
+        assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 1);
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("woken at the low-water mark");
+        // Lowered by the waker: draining on does not notify again.
+        assert!(!gate.parked.load(Ordering::SeqCst));
+        gate.dequeued(&metrics);
+        assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn close_releases_a_parked_producer() {
+        let (gate, metrics, returned) = gate_with_parked_producer();
+        gate.close();
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("released by close");
+        assert_eq!(gate.depth.load(Ordering::SeqCst), CAP, "still full");
+        assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn worker_takes_no_lock_while_nobody_is_parked() {
+        let gate = Arc::new(QueueGate::new(CAP));
+        let metrics = Arc::new(ShardMetrics::default());
+        gate.depth.store(CAP, Ordering::SeqCst);
+        // The mutex is held for the whole drain: a worker that locked
+        // it would never finish.
+        let held = gate.lock.lock().unwrap();
+        let (tx, drained) = mpsc::channel();
+        let (g, m) = (gate.clone(), metrics.clone());
+        thread::spawn(move || {
+            for _ in 0..CAP {
+                g.dequeued(&m);
+            }
+            let _ = tx.send(());
+        });
+        drained
+            .recv_timeout(Duration::from_secs(10))
+            .expect("drained without the gate mutex");
+        drop(held);
+        assert_eq!(gate.depth.load(Ordering::SeqCst), 0);
+        assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn small_capacities_wake_on_every_dequeue() {
+        for cap in 1..8 {
+            assert_eq!(QueueGate::new(cap).low_water, cap - 1, "cap {cap}");
+        }
+        assert_eq!(QueueGate::new(8).low_water, 6);
+        assert_eq!(QueueGate::new(256).low_water, 192);
+    }
 }

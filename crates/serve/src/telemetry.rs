@@ -191,6 +191,20 @@ impl ServerTelemetry {
             &gesto_stream::metrics::BLOCK_ROWS_BUILT_TOTAL,
         );
 
+        registry.register_sharded_counter_ref(
+            "gesto_tuples_recycled_total",
+            "Kinect-layout tuples overwritten in place (uniquely owned: no allocation)",
+            &[],
+            &gesto_stream::metrics::TUPLES_RECYCLED_TOTAL,
+        );
+        registry.register_sharded_counter_ref(
+            "gesto_tuples_built_total",
+            "Tuples built fresh where one could have been recycled (empty slot, or \
+             the previous tuple is still shared by a partial match or a detection)",
+            &[],
+            &gesto_stream::metrics::TUPLES_BUILT_TOTAL,
+        );
+
         // Durable control plane instruments (all stay 0 on a
         // non-durable server).
         let checkpoints_total = registry.counter(
@@ -399,6 +413,20 @@ impl ServerTelemetry {
                     "Times the shard worker had to wait on a shared structure \
                      (0 on the steady state)",
                     m.contention.load(Ordering::Relaxed),
+                );
+                c(
+                    set,
+                    "gesto_shard_producer_wakeups_total",
+                    "Times the worker woke parked push_batch producers (queue \
+                     drained to the low-water mark)",
+                    m.producer_wakeups.load(Ordering::Relaxed),
+                );
+                c(
+                    set,
+                    "gesto_shard_gate_backstop_total",
+                    "Parked producers released by the 50 ms timed wait instead of a \
+                     wake-up, with room in the queue (0 on a healthy server)",
+                    m.gate_backstops.load(Ordering::Relaxed),
                 );
                 c(
                     set,

@@ -18,3 +18,13 @@ pub static BLOCKS_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();
 
 /// Rows materialised across all built blocks.
 pub static BLOCK_ROWS_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();
+
+/// Kinect-layout tuples overwritten in place by
+/// `gesto_kinect::KinectSlots::tuple_into` (the slot was uniquely owned:
+/// no allocation). Callers count per batch and add once.
+pub static TUPLES_RECYCLED_TOTAL: ShardedCounter = ShardedCounter::new();
+
+/// Tuples `tuple_into` callers had to build fresh — an empty slot, or
+/// one whose previous tuple something still shares. `recycled ÷
+/// (recycled + built)` is the recycling mechanism's useful ÷ attempts.
+pub static TUPLES_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();

@@ -27,6 +27,20 @@ pub trait Operator: Send {
     /// The default implementation emits nothing.
     fn finish(&mut self, _emit: &mut Emit<'_>) {}
 
+    /// Hands back the tuples this operator emitted for the previous
+    /// batch, once the caller is done reading them (called by
+    /// [`crate::SharedViews`] before each batch). An operator may keep
+    /// them and overwrite their buffers instead of allocating new ones;
+    /// the default drops them. Must leave `spent` empty.
+    ///
+    /// Ownership rule: a spent tuple may still be shared — a partial
+    /// match interned it, a detection carries it — so the only way to
+    /// write one is [`Tuple::values_mut`], which refuses while any clone
+    /// is alive; the operator then emits a fresh tuple instead.
+    fn recycle(&mut self, spent: &mut Vec<Tuple>) {
+        spent.clear();
+    }
+
     /// Batch-boundary hint from block-building callers (see
     /// [`Self::fill_block`]): when `on`, the operator may record
     /// per-emission state during the following `process` calls so the

@@ -237,7 +237,8 @@ impl SharedViews {
         for i in 0..self.states.len() {
             let (done, rest) = self.states.split_at_mut(i);
             let st = &mut rest[0];
-            st.out.clear();
+            st.op.recycle(&mut st.out);
+            debug_assert!(st.out.is_empty(), "Operator::recycle leaves `spent` empty");
             st.offsets.clear();
             st.live = false;
             if !st.needed {

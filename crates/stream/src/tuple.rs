@@ -58,6 +58,20 @@ impl Tuple {
         }
     }
 
+    /// Creates a tuple without validation straight from an iterator of
+    /// its values, in field order.
+    ///
+    /// An iterator whose length the standard library trusts (ranges,
+    /// slices, `repeat_n`, and `map`s of those) is collected into the
+    /// shared buffer with **one** allocation and no copy; going through
+    /// a `Vec` ([`Self::new_unchecked`]) costs a second allocation and
+    /// a copy of every value.
+    pub fn from_iter_unchecked(schema: SchemaRef, values: impl IntoIterator<Item = Value>) -> Self {
+        let values: Arc<[Value]> = values.into_iter().collect();
+        debug_assert_eq!(values.len(), schema.len());
+        Self { schema, values }
+    }
+
     /// The tuple's schema.
     pub fn schema(&self) -> &SchemaRef {
         &self.schema
@@ -66,6 +80,21 @@ impl Tuple {
     /// All values in field order.
     pub fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The values for overwriting in place — `Some` only while this
+    /// handle is the **sole owner** of the value buffer.
+    ///
+    /// Ownership rule: every clone of a tuple (a partial match that
+    /// interned it, a [`Tuple`] inside a retained detection, a caller's
+    /// copy) shares the buffer, and while any clone is alive this
+    /// returns `None` — a shared tuple is never written, the caller
+    /// builds a fresh one instead. The gate is [`Arc::get_mut`]; there
+    /// is no other way to write a tuple's values. As with
+    /// [`Self::new_unchecked`], the caller keeps the values conforming
+    /// to the schema.
+    pub fn values_mut(&mut self) -> Option<&mut [Value]> {
+        Arc::get_mut(&mut self.values)
     }
 
     /// Value by position.
@@ -251,6 +280,20 @@ mod tests {
             "float into str slot"
         );
         assert!(t.with_value(99, Value::Null).is_err(), "index out of range");
+    }
+
+    #[test]
+    fn values_mut_only_while_unique() {
+        let s = schema();
+        let mut t = Tuple::from_iter_unchecked(s.clone(), std::iter::repeat_n(Value::Null, 4));
+        assert_eq!(t, Tuple::new(s, vec![Value::Null; 4]).unwrap());
+        t.values_mut().expect("sole owner")[1] = Value::Float(2.5);
+        assert_eq!(t.f64("x"), Some(2.5));
+
+        let held = t.clone();
+        assert!(t.values_mut().is_none(), "a shared tuple is never written");
+        drop(held);
+        assert!(t.values_mut().is_some(), "unique again once the clone died");
     }
 
     #[test]

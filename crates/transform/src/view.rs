@@ -4,8 +4,10 @@
 //! on-the-fly" (§3.2). The view is a [`KinectTOp`]: a slot-compiled
 //! operator holding a stateful [`Transformer`]. Field positions are
 //! resolved once (via [`KinectSlots`]), so the per-frame work is pure
-//! slice indexing — no name lookups, no intermediate tuple, and the only
-//! allocation is the output tuple's value vector.
+//! slice indexing — no name lookups, no intermediate tuple, and on the
+//! steady state no allocation either: under [`gesto_stream::SharedViews`]
+//! the operator gets last batch's output tuples back
+//! ([`Operator::recycle`]) and overwrites the ones nobody kept a clone of.
 
 use std::sync::Arc;
 
@@ -41,6 +43,15 @@ pub struct KinectTOp {
     /// skipping the tuple→lane rebuild.
     capture: Vec<SkeletonFrame>,
     capturing: bool,
+    /// Output tuples of the previous batch, handed back by
+    /// [`Operator::recycle`]; each emission overwrites one in place
+    /// ([`KinectSlots::tuple_into`]) unless a clone of it is still alive.
+    spent: Vec<Tuple>,
+    /// Emissions since the last `recycle`, and how many of them reused
+    /// a spent tuple's buffer; flushed there into
+    /// `gesto_stream::metrics::TUPLES_{RECYCLED,BUILT}_TOTAL`.
+    emitted: u64,
+    recycled: u64,
 }
 
 impl KinectTOp {
@@ -56,6 +67,9 @@ impl KinectTOp {
             scratch: SkeletonFrame::empty(0, 0),
             capture: Vec::new(),
             capturing: false,
+            spent: Vec::new(),
+            emitted: 0,
+            recycled: 0,
         }
     }
 }
@@ -78,6 +92,9 @@ impl Operator for KinectTOp {
             scratch,
             capture,
             capturing,
+            spent,
+            emitted,
+            recycled,
         } = self;
         let cached = matches!(&*in_slots, Some((schema, _)) if Arc::ptr_eq(schema, tuple.schema()));
         if !cached {
@@ -89,10 +106,34 @@ impl Operator for KinectTOp {
         let (_, slots) = in_slots.as_ref().expect("resolved");
         slots.read_frame(tuple, scratch);
         if let Some(transformed) = transformer.transform_frame(scratch) {
-            emit(out_slots.tuple(&transformed, out_schema));
+            let out = match spent.pop() {
+                Some(mut slot) => {
+                    *recycled +=
+                        u64::from(out_slots.tuple_into(&transformed, out_schema, &mut slot));
+                    slot
+                }
+                None => out_slots.tuple(&transformed, out_schema),
+            };
+            *emitted += 1;
+            emit(out);
             if *capturing {
                 capture.push(transformed);
             }
+        }
+    }
+
+    fn recycle(&mut self, spent: &mut Vec<Tuple>) {
+        // Keep the batch just read; what is left of the one before it
+        // (a shorter batch popped fewer than it was given) is dropped.
+        std::mem::swap(&mut self.spent, spent);
+        spent.clear();
+        let (emitted, recycled) = (
+            std::mem::take(&mut self.emitted),
+            std::mem::take(&mut self.recycled),
+        );
+        if emitted > 0 {
+            gesto_stream::metrics::TUPLES_RECYCLED_TOTAL.add(recycled);
+            gesto_stream::metrics::TUPLES_BUILT_TOTAL.add(emitted - recycled);
         }
     }
 
@@ -262,6 +303,78 @@ mod tests {
                     (a, b) => panic!("col {c}: lane presence diverged ({a:?} vs {b:?})"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn recycling_views_match_the_never_recycling_operator() {
+        // `SharedViews` hands spent outputs back to the operator, which
+        // overwrites them in place; `run_operator` never does. Same
+        // frames in, same tuples out — with torso dropouts (no
+        // emission, so batches come out shorter than they went in) and
+        // joint dropouts (a recycled slot must not keep the stale
+        // joint), while every third output is cloned and held across
+        // batches, so those buffers are shared when their turn comes.
+        use gesto_kinect::{Joint, NoiseModel};
+        use gesto_stream::SharedViews;
+
+        let schema = kinect_schema();
+        let mut perf = Performer::new(
+            Persona::reference()
+                .with_noise(NoiseModel::realistic())
+                .with_seed(5),
+            0,
+        );
+        let mut frames = perf.render(&gestures::swipe_right());
+        frames.extend(perf.render(&gestures::swipe_right()));
+        for (i, f) in frames.iter_mut().enumerate() {
+            if i % 7 == 3 {
+                f.drop_joint(Joint::Torso);
+            }
+            if i % 5 == 1 {
+                f.drop_joint(Joint::RightHand);
+            }
+            if i % 11 == 4 {
+                f.drop_joint(Joint::LeftFoot);
+            }
+        }
+        let tuples = frames_to_tuples(&frames, &schema);
+
+        let cat = standard_catalog();
+        let mut sv = SharedViews::new(&cat);
+        sv.set_needed([KINECT_T]);
+        let slot = sv.slot_of(KINECT_T).unwrap();
+        let mut oracle = KinectTOp::new(TransformConfig::default(), kinect_t_schema());
+
+        let mut held: Vec<(Tuple, Vec<gesto_stream::Value>)> = Vec::new();
+        let (mut emitted, mut dropped) = (0usize, 0usize);
+        // Uneven batches: a short batch leaves spent tuples over, a
+        // longer one after it runs out of them.
+        let batches = tuples.chunks(9).flat_map(|c| {
+            let (short, long) = c.split_at(c.len() / 3);
+            [short, long]
+        });
+        for batch in batches {
+            sv.begin_batch(KINECT_STREAM, batch);
+            let expect = gesto_stream::run_operator(&mut oracle, batch);
+            let got = sv.outputs(slot);
+            assert_eq!(got.len(), expect.len());
+            dropped += batch.len() - got.len();
+            for (g, e) in got.iter().zip(&expect) {
+                assert_eq!(g.values(), e.values(), "bit-identical values");
+                if emitted % 3 == 0 {
+                    held.push((g.clone(), e.values().to_vec()));
+                }
+                emitted += 1;
+            }
+        }
+        assert!(dropped > 0 && emitted > 30, "trace exercised both cases");
+        for (kept, expect) in &held {
+            assert_eq!(
+                kept.values(),
+                &expect[..],
+                "a shared tuple is never overwritten"
+            );
         }
     }
 

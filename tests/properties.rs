@@ -248,11 +248,18 @@ proptest! {
 
 // ---------- candidate-row stepping vs the per-route oracle ----------
 
-/// Detections as comparable `(gesture, ts, started_at)` keys, sorted.
-fn detection_keys(ds: &[gesto::cep::Detection]) -> Vec<(String, i64, i64)> {
+/// Detections as comparable `(gesture, ts, started_at, events)` keys,
+/// sorted. The matched events are rendered value by value (`{:?}` of an
+/// `f64` round-trips, so equal strings mean bit-equal values): a
+/// detection whose event tuples were overwritten after it fired — the
+/// server recycles tuple buffers — no longer equals the oracle's.
+fn detection_keys(ds: &[gesto::cep::Detection]) -> Vec<(String, i64, i64, Vec<String>)> {
     let mut keys: Vec<_> = ds
         .iter()
-        .map(|d| (d.gesture.clone(), d.ts, d.started_at))
+        .map(|d| {
+            let events = d.events.iter().map(|t| format!("{:?}", t.values()));
+            (d.gesture.clone(), d.ts, d.started_at, events.collect())
+        })
         .collect();
     keys.sort();
     keys
@@ -331,6 +338,9 @@ proptest! {
             for q in QUERIES {
                 server.deploy_text(q).unwrap();
             }
+            // The sink keeps every detection — and with it the matched
+            // event tuples — until the run is over; the keys are taken
+            // only then.
             let hits = Arc::new(Mutex::new(Vec::new()));
             let sink = hits.clone();
             server.on_detection(Arc::new(move |_, d: &gesto::cep::Detection| {
