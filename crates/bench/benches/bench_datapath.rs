@@ -11,8 +11,13 @@
 //! After the criterion groups it prints a `front_path` table, timed by
 //! hand because its unit is ns per tuple / per frame: what building a
 //! kinect tuple costs fresh, overwritten in place and replaced because
-//! somebody shares it, and what `SharedViews::begin_batch` costs with
-//! and without spent `kinect_t` outputs to recycle.
+//! somebody shares it, what `SharedViews::begin_batch` costs with and
+//! without spent `kinect_t` outputs to recycle, and what it costs
+//! round-robin over 512 sessions (30-frame batches, the shard's shape on
+//! `inproc_512x4`) when every session keeps its own batch buffers — the
+//! shard cycles through 512 cold sets — against one set lent to each
+//! session in turn (`SharedViews::lend` / `reclaim`), which stays in
+//! cache.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -28,7 +33,7 @@ use gesto_kinect::{
 };
 use gesto_learn::query_gen::{generate_query, QueryStyle};
 use gesto_learn::LearnerConfig;
-use gesto_stream::{SharedViews, Tuple};
+use gesto_stream::{BatchBuffers, SharedViews, Tuple};
 use gesto_transform::{standard_catalog, KINECT_T};
 
 const FRAMES: usize = 240;
@@ -111,19 +116,21 @@ fn bench_datapath(c: &mut Criterion) {
     group.finish();
 }
 
-/// Best-of-five mean ns per element of `pass`, which handles
-/// `elements` of them per call.
-fn ns_per_element(elements: usize, mut pass: impl FnMut()) -> f64 {
-    const PASSES: usize = 400;
+/// Mean ns per element of `pass`, which handles `elements` of them per
+/// call, over `passes` calls after one untimed.
+fn ns_per_element(elements: usize, passes: usize, mut pass: impl FnMut()) -> f64 {
     pass();
+    let t0 = Instant::now();
+    for _ in 0..passes {
+        pass();
+    }
+    t0.elapsed().as_nanos() as f64 / (passes * elements) as f64
+}
+
+/// Best of five [`ns_per_element`] tries of 400 passes.
+fn best_ns_per_element(elements: usize, mut pass: impl FnMut()) -> f64 {
     (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..PASSES {
-                pass();
-            }
-            t0.elapsed().as_nanos() as f64 / (PASSES * elements) as f64
-        })
+        .map(|_| ns_per_element(elements, 400, &mut pass))
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -134,13 +141,13 @@ fn front_path(_: &mut Criterion) {
     let slots = KinectSlots::resolve(&schema, "");
     let n = frames.len();
 
-    let fresh = ns_per_element(n, || {
+    let fresh = best_ns_per_element(n, || {
         for f in &frames {
             black_box(slots.tuple(black_box(f), &schema));
         }
     });
     let mut kept: Vec<Tuple> = frames_to_tuples(&frames, &schema);
-    let unique = ns_per_element(n, || {
+    let unique = best_ns_per_element(n, || {
         for (slot, f) in kept.iter_mut().zip(&frames) {
             black_box(slots.tuple_into(black_box(f), &schema, slot));
         }
@@ -150,7 +157,7 @@ fn front_path(_: &mut Criterion) {
     // (the swap is two pointer moves, the drop of the old one is part
     // of what a shared slot costs).
     let mut shared = kept.clone();
-    let replaced = ns_per_element(n, || {
+    let replaced = best_ns_per_element(n, || {
         for ((slot, held), f) in kept.iter_mut().zip(&mut shared).zip(&frames) {
             black_box(slots.tuple_into(black_box(f), &schema, slot));
             *held = slot.clone();
@@ -162,7 +169,7 @@ fn front_path(_: &mut Criterion) {
         views.set_needed([KINECT_T]);
         let slot = views.slot_of(KINECT_T).expect("standard catalog");
         let mut held: Vec<Tuple> = Vec::new();
-        ns_per_element(n, || {
+        best_ns_per_element(n, || {
             views.begin_batch(KINECT_STREAM, &kept);
             if hold_outputs {
                 held.clear();
@@ -172,6 +179,47 @@ fn front_path(_: &mut Criterion) {
     };
     let (recycling, not_recycling) = (begin_batch(false), begin_batch(true));
 
+    // The shard's shape: many sessions, one 30-frame batch each in
+    // turn, the view block restricted to the lanes a deployed gesture
+    // reads (here the right hand's). The two set-ups are timed try by
+    // try in alternation, so a slow spell of the host hits both.
+    const SESSIONS: usize = 512;
+    const BATCH: usize = 30;
+    let catalog = standard_catalog();
+    let out_schema = gesto_transform::kinect_t_schema();
+    let rhand: Vec<usize> = ["rHand_x", "rHand_y", "rHand_z"]
+        .iter()
+        .map(|c| out_schema.index_of(c).expect("kinect layout"))
+        .collect();
+    let sessions = || -> Vec<SharedViews> {
+        (0..SESSIONS)
+            .map(|_| {
+                let mut views = SharedViews::new(&catalog);
+                views.set_needed([KINECT_T]);
+                views.clear_block_columns();
+                views.add_view_block_columns(KINECT_T, &rhand);
+                views
+            })
+            .collect()
+    };
+    let (mut own, mut borrowers) = (sessions(), sessions());
+    let mut bufs = BatchBuffers::default();
+    let (mut per_session, mut lent) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        per_session = per_session.min(ns_per_element(SESSIONS * BATCH, 20, || {
+            for views in &mut own {
+                views.begin_batch(KINECT_STREAM, &kept[..BATCH]);
+            }
+        }));
+        lent = lent.min(ns_per_element(SESSIONS * BATCH, 20, || {
+            for views in &mut borrowers {
+                views.lend(std::mem::take(&mut bufs));
+                views.begin_batch(KINECT_STREAM, &kept[..BATCH]);
+                bufs = views.reclaim();
+            }
+        }));
+    }
+
     println!("front_path                                     ns/tuple");
     println!("  KinectSlots::tuple (fresh)                  {fresh:>9.1}");
     println!("  KinectSlots::tuple_into (unique, in place)  {unique:>9.1}");
@@ -179,6 +227,8 @@ fn front_path(_: &mut Criterion) {
     println!("front_path                                     ns/frame");
     println!("  begin_batch, spent outputs recycled         {recycling:>9.1}");
     println!("  begin_batch, spent outputs all still shared {not_recycling:>9.1}");
+    println!("  begin_batch, 512 sessions x 30, own buffers {per_session:>9.1}");
+    println!("  begin_batch, 512 sessions x 30, one lent set{lent:>9.1}");
 }
 
 criterion_group!(benches, bench_datapath, front_path);

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use gesto_stream::{BoxedOperator, Tuple};
+use gesto_stream::{BoxedOperator, Emit, Tuple};
 
 use crate::detection::Detection;
 use crate::error::CepError;
@@ -84,8 +84,9 @@ impl PerRouteReference {
             let mut staged = vec![tuple.clone()];
             for op in chain.iter_mut() {
                 let mut next = Vec::new();
+                let mut emit = Emit::collect(&mut next);
                 for t in &staged {
-                    op.process(t, &mut |o| next.push(o));
+                    op.process(t, &mut emit);
                 }
                 staged = next;
             }

@@ -215,12 +215,19 @@ impl KinectSlots {
     ) {
         block.begin_filtered(schema, frames.len(), cols);
         for (r, frame) in frames.iter().enumerate() {
-            for (k, slot) in self.joints.iter().enumerate() {
-                if let (Some([x, y, z]), Some(p)) = (slot, frame.joints[k]) {
-                    block.write_float(*x, r, p.x);
-                    block.write_float(*y, r, p.y);
-                    block.write_float(*z, r, p.z);
-                }
+            self.write_block_row(frame, r, block);
+        }
+    }
+
+    /// One row of [`Self::write_block`]: writes `frame`'s tracked joints
+    /// into row `row` of a block begun for this table's schema, whose
+    /// cells of that row are still `Null`.
+    pub fn write_block_row(&self, frame: &SkeletonFrame, row: usize, block: &mut ColumnBlock) {
+        for (slot, joint) in self.joints.iter().zip(&frame.joints) {
+            if let (Some([x, y, z]), Some(p)) = (slot, joint) {
+                block.write_float(*x, row, p.x);
+                block.write_float(*y, row, p.y);
+                block.write_float(*z, row, p.z);
             }
         }
     }

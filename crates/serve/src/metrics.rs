@@ -97,6 +97,10 @@ pub struct ShardMetrics {
     /// Estimated resident bytes of this shard's session state (NFA run
     /// slabs + event arenas), maintained incrementally by the worker.
     pub(crate) state_bytes: AtomicI64,
+    /// Heap bytes of the one set of batch buffers — view outputs, frame
+    /// offsets, blocks — the worker lends to each session's batch
+    /// (capacity-based; a fixed per-shard cost).
+    pub(crate) batch_buffer_bytes: AtomicU64,
     /// Times the worker woke parked `push_batch` producers (at most one
     /// per `queue_capacity / 4` batches while a producer outruns it).
     pub(crate) producer_wakeups: AtomicU64,
@@ -135,6 +139,7 @@ impl Default for ShardMetrics {
             quota_frames: AtomicU64::new(0),
             mem_rejected_batches: AtomicU64::new(0),
             state_bytes: AtomicI64::new(0),
+            batch_buffer_bytes: AtomicU64::new(0),
             producer_wakeups: AtomicU64::new(0),
             gate_backstops: AtomicU64::new(0),
             per_gesture: Mutex::new(HashMap::new()),
@@ -190,6 +195,7 @@ impl ShardMetrics {
             quota_frames: self.quota_frames.load(Ordering::Relaxed),
             mem_rejected_batches: self.mem_rejected_batches.load(Ordering::Relaxed),
             state_bytes: self.state_bytes.load(Ordering::Relaxed).max(0) as u64,
+            batch_buffer_bytes: self.batch_buffer_bytes.load(Ordering::Relaxed),
             producer_wakeups: self.producer_wakeups.load(Ordering::Relaxed),
             gate_backstops: self.gate_backstops.load(Ordering::Relaxed),
             latency: LatencySummary::from_histogram(&self.latency),
@@ -253,6 +259,9 @@ pub struct ShardSnapshot {
     pub mem_rejected_batches: u64,
     /// Estimated resident bytes of the shard's session NFA state.
     pub state_bytes: u64,
+    /// Heap bytes of the batch buffers the worker lends to each
+    /// session's batch; per shard, not per session.
+    pub batch_buffer_bytes: u64,
     /// Times the worker woke parked `push_batch` producers.
     pub producer_wakeups: u64,
     /// Parked producers released by the timed backstop instead of a

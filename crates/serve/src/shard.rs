@@ -14,7 +14,9 @@
 //! conversion of the whole batch straight from the skeleton frames
 //! ([`KinectSlots::write_block`] — no per-frame `Vec<Value>` round-trip
 //! for the float lanes), one shared view evaluation for the whole batch
-//! ([`SharedViews::begin_batch_prefilled`]), then every deployed plan
+//! ([`SharedViews::begin_batch_prefilled`]) into the worker's one set of
+//! batch buffers, lent to the session for the batch
+//! ([`SharedViews::lend`] / [`SharedViews::reclaim`]), then every deployed plan
 //! instance steps its NFA batch-at-a-time over the shared view outputs
 //! and their columnar blocks ([`PlanInstance::push_batch_shared`]) —
 //! deploying more gestures does not re-run the coordinate
@@ -29,7 +31,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, Sender};
 use gesto_cep::{Detection, PlanInstance, QueryPlan};
 use gesto_kinect::{KinectSlots, SkeletonFrame};
-use gesto_stream::{Catalog, SchemaRef, SharedViews, Tuple};
+use gesto_stream::{BatchBuffers, Catalog, SchemaRef, SharedViews, Tuple};
 use parking_lot::RwLock;
 
 use gesto_telemetry::Sampler;
@@ -279,10 +281,12 @@ pub(crate) enum WorkerExit {
     Panicked(Box<ShardWorker>),
 }
 
-/// State owned by one session on this shard: a shared view runtime (each
-/// view evaluated once per frame), one runtime instance per deployed
-/// plan in deployment order, plus the retiring instances of replaced
-/// plan versions, still draining their in-flight partial matches.
+/// State owned by one session on this shard — what must survive between
+/// its batches: a shared view runtime (each view evaluated once per
+/// frame; operator state, no batch buffers — those are the worker's,
+/// see [`ShardWorker::bufs`]), one runtime instance per deployed plan
+/// in deployment order, plus the retiring instances of replaced plan
+/// versions, still draining their in-flight partial matches.
 pub(crate) struct SessionRuntime {
     views: SharedViews,
     instances: Vec<PlanInstance>,
@@ -349,6 +353,12 @@ pub(crate) struct ShardWorker {
     /// Frame→tuple conversion scratch: the previous batch's base tuples,
     /// overwritten in place by the next batch (whatever its session).
     tuples: Vec<Tuple>,
+    /// The one set of view-output tuples, frame offsets and blocks every
+    /// session's batch runs in: lent to the session's `SharedViews` for
+    /// the duration of `process`, back here before the next job. A
+    /// fixed per-shard cost (`gesto_shard_batch_buffer_bytes`), not
+    /// charged to the memory budget.
+    bufs: BatchBuffers,
     /// Stage-duration histograms (`gesto_stage_duration_ns{stage=…}`).
     telemetry: Arc<ServerTelemetry>,
     /// 1-in-N decision for timing this batch's stages (single-owner:
@@ -403,6 +413,7 @@ impl ShardWorker {
             slots,
             detections: Vec::new(),
             tuples: Vec::new(),
+            bufs: BatchBuffers::default(),
             telemetry,
             stage_sampler,
             pin_core,
@@ -476,9 +487,10 @@ impl ShardWorker {
                         let frames = batch.frames.len() as u64;
                         // AssertUnwindSafe: on panic the only state that
                         // can be torn mid-update is the poisoned
-                        // session's runtime and the shared scratch
-                        // buffers — quarantine replaces the former and
-                        // clears the latter before the worker is reused.
+                        // session's runtime (holding the lent batch
+                        // buffers) and the shared scratch — quarantine
+                        // replaces the former and clears the latter
+                        // before the worker is reused.
                         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             self.process(batch)
                         }))
@@ -505,7 +517,10 @@ impl ShardWorker {
     /// Post-panic cleanup, run on the worker thread that caught the
     /// unwind: count the panic, write off the poison batch's frames,
     /// clear the shared scratch buffers (they may hold torn mid-batch
-    /// output), and reset the poisoned session's runtime **in place** —
+    /// output; the batch buffers went down with the session they were
+    /// lent to, so the worker starts a fresh set, sized again by the
+    /// next batches), and reset the poisoned session's runtime **in
+    /// place** —
     /// views and every plan instance rebuilt fresh, in-flight partial
     /// matches of that session (only) discarded and counted via
     /// `gesto_sessions_reset_total`. Every other session's state is
@@ -519,6 +534,7 @@ impl ShardWorker {
             .fetch_add(frames, Ordering::Relaxed);
         self.detections.clear();
         self.tuples.clear();
+        self.bufs = BatchBuffers::default();
         if let Some(rt) = self.sessions.get_mut(&session) {
             self.metrics
                 .retiring
@@ -555,6 +571,7 @@ impl ShardWorker {
             slots,
             detections,
             tuples,
+            bufs,
             telemetry,
             stage_sampler,
             session_frame_quota,
@@ -567,10 +584,6 @@ impl ShardWorker {
                 e.insert(SessionRuntime::new(catalog, plans))
             }
         };
-        // Data-path failpoint (disarmed: one relaxed load). Placed after
-        // session creation so an injected panic always exercises the
-        // full quarantine path, session reset included.
-        crate::failpoint::maybe_poison(&batch.frames);
         // Per-session frame-rate quota: token bucket refilled from the
         // batches' enqueue timeline (deterministic — no worker clock
         // reads), burst capped at one second of quota. Admission is
@@ -618,6 +631,7 @@ impl ShardWorker {
         // view evaluation per batch, then every deployed plan steps its
         // NFA over the whole batch in one call.
         let mark = timed.then(Instant::now);
+        views.lend(std::mem::take(bufs));
         tuples.truncate(batch.frames.len());
         let (kept, new) = batch.frames.split_at(tuples.len());
         let mut recycled = 0u64;
@@ -661,6 +675,12 @@ impl ShardWorker {
         if let Some(t0) = mark {
             stages.views.record(t0.elapsed().as_nanos() as u64);
         }
+        // Data-path failpoint (disarmed: one relaxed load). Placed
+        // mid-batch — session created, buffers lent, base tuples and
+        // view outputs written, NFA not yet stepped — so an injected
+        // panic exercises the full quarantine path, session reset and
+        // torn scratch included.
+        crate::failpoint::maybe_poison(&batch.frames);
         let mark = timed.then(Instant::now);
         for inst in instances.iter_mut() {
             if inst
@@ -692,9 +712,15 @@ impl ShardWorker {
                 SessionRuntime::sync_needed(views, plans, retiring);
             }
         }
+        // Every consumer has read the batch: the buffers are the
+        // worker's again, the session keeps none.
+        *bufs = views.reclaim();
         if let Some(t0) = mark {
             stages.nfa.record(t0.elapsed().as_nanos() as u64);
         }
+        metrics
+            .batch_buffer_bytes
+            .store(bufs.bytes() as u64, Ordering::Relaxed);
 
         // Run-slab accounting for the memory budget: fold this session's
         // state-size change into the shard gauge. Capacity-based (see
@@ -953,6 +979,148 @@ mod tests {
         drop(held);
         assert_eq!(gate.depth.load(Ordering::SeqCst), 0);
         assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 0);
+    }
+
+    /// Detections a test worker's listener saw, by session.
+    type Seen = Arc<Mutex<Vec<(u64, Detection)>>>;
+
+    /// A worker over the standard catalog with one query deployed, the
+    /// way `Server::start` + a deploy leave it, and what it detects.
+    fn worker_with_swipe_query() -> (ShardWorker, Seen) {
+        let catalog = gesto_transform::standard_catalog();
+        let plan = gesto_cep::Engine::new(catalog.clone())
+            .compile(
+                gesto_cep::parse_query(
+                    r#"SELECT "swipe"
+                       MATCHING kinect_t(rHand_x < 100 and abs(rHand_y - 150) < 120)
+                             -> kinect_t(rHand_x > 700)
+                       within 2 seconds select first consume all;"#,
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        let listener: DetectionSink = Arc::new(move |sid: SessionId, d: &Detection| {
+            sink.lock().unwrap().push((sid.0, d.clone()))
+        });
+        let config = crate::ServerConfig::new();
+        let (_tx, rx) = crossbeam::channel::unbounded();
+        let mut worker = ShardWorker::new(
+            rx,
+            catalog,
+            gesto_kinect::kinect_schema(),
+            gesto_kinect::KINECT_STREAM.to_owned(),
+            Arc::new(ShardMetrics::default()),
+            Arc::new(QueueGate::new(CAP)),
+            Arc::new(RwLock::new(vec![listener])),
+            config.columnar_min_batch,
+            Arc::new(ServerTelemetry::new(&config)),
+            None,
+            true,
+            0,
+            None,
+        );
+        worker.apply_deploy(plan);
+        (worker, seen)
+    }
+
+    fn batch(session: u64, frames: &[SkeletonFrame]) -> Batch {
+        Batch {
+            session: SessionId(session),
+            frames: frames.to_vec(),
+            enqueued: Instant::now(),
+        }
+    }
+
+    fn swipe(seed: u64) -> Vec<SkeletonFrame> {
+        use gesto_kinect::{gestures, Performer, Persona};
+        Performer::new(Persona::reference().with_seed(seed), 0).render(&gestures::swipe_right())
+    }
+
+    fn keys(
+        seen: &Mutex<Vec<(u64, Detection)>>,
+    ) -> Vec<(u64, i64, i64, Vec<Vec<gesto_stream::Value>>)> {
+        seen.lock()
+            .unwrap()
+            .iter()
+            .map(|(sid, d)| {
+                let events = d.events.iter().map(|t| t.values().to_vec()).collect();
+                (*sid, d.ts, d.started_at, events)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_buffers_stay_with_the_worker_not_the_sessions() {
+        let (mut worker, seen) = worker_with_swipe_query();
+        let traces = [swipe(1), swipe(2)];
+        // Interleaved, uneven batches (15 frames step columnar, 3 scalar).
+        for (a, b) in traces[0].chunks(15).zip(traces[1].chunks(3)) {
+            for (sid, frames) in [(1, a), (2, b)] {
+                worker.process(batch(sid, frames));
+                for rt in worker.sessions.values() {
+                    assert_eq!(
+                        rt.views.buffer_bytes(),
+                        0,
+                        "a session retains no batch buffer"
+                    );
+                }
+                assert!(worker.bufs.bytes() > 0);
+                assert_eq!(
+                    worker.metrics.snapshot(0, 0).batch_buffer_bytes as usize,
+                    worker.bufs.bytes()
+                );
+            }
+        }
+        for rest in traces[1].chunks(3).skip(traces[0].chunks(15).len()) {
+            worker.process(batch(2, rest));
+        }
+        let shared = keys(&seen);
+        assert_eq!(shared.iter().filter(|k| k.0 == 1).count(), 1);
+        assert_eq!(shared.iter().filter(|k| k.0 == 2).count(), 1);
+
+        // The same traces, each on a worker of its own: nothing of one
+        // session's frames reached the other's detection.
+        for (sid, trace, chunk) in [(1, &traces[0], 15), (2, &traces[1], 3)] {
+            let (mut alone, seen) = worker_with_swipe_query();
+            for frames in trace.chunks(chunk) {
+                alone.process(batch(sid, frames));
+            }
+            let own: Vec<_> = shared.iter().filter(|k| k.0 == sid).cloned().collect();
+            assert_eq!(keys(&seen), own, "session {sid}");
+        }
+    }
+
+    #[test]
+    fn quarantine_rebuilds_buffers_torn_while_lent() {
+        let (mut worker, seen) = worker_with_swipe_query();
+        let (victim, bystander) = (swipe(3), swipe(4));
+        let mid = bystander.len() / 2;
+        worker.process(batch(2, &bystander[..mid]));
+        worker.process(batch(1, &victim[..10]));
+        // A panic mid-`process`: the buffers are with the victim, its
+        // half-written outputs in them, and never came back.
+        let rt = worker.sessions.get_mut(&SessionId(1)).unwrap();
+        rt.views.lend(std::mem::take(&mut worker.bufs));
+        rt.views.begin_batch(&worker.stream, &worker.tuples);
+        worker.quarantine(SessionId(1), 10);
+        assert_eq!(worker.bufs.bytes(), 0, "a fresh set, not the torn one");
+        assert!(worker.tuples.is_empty());
+        assert_eq!(worker.sessions[&SessionId(1)].views.buffer_bytes(), 0);
+
+        // The bystander's straddling gesture and the reset victim's next
+        // one detect exactly what an un-panicked worker detects.
+        worker.process(batch(2, &bystander[mid..]));
+        worker.process(batch(1, &victim));
+        assert!(worker.bufs.bytes() > 0, "sized again by the next batches");
+
+        let (mut clean, expect) = worker_with_swipe_query();
+        clean.process(batch(2, &bystander[..mid]));
+        clean.process(batch(2, &bystander[mid..]));
+        clean.process(batch(1, &victim));
+        assert_eq!(keys(&seen), keys(&expect));
+        assert_eq!(keys(&seen).len(), 2);
     }
 
     #[test]

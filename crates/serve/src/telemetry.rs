@@ -193,7 +193,8 @@ impl ServerTelemetry {
 
         registry.register_sharded_counter_ref(
             "gesto_tuples_recycled_total",
-            "Kinect-layout tuples overwritten in place (uniquely owned: no allocation)",
+            "Base and view-output tuples overwritten in place (uniquely owned: no \
+             allocation); the slot's previous tuple may be another session's",
             &[],
             &gesto_stream::metrics::TUPLES_RECYCLED_TOTAL,
         );
@@ -490,6 +491,14 @@ impl ServerTelemetry {
                      sessions (capacity-based lower bound)",
                     &labels,
                     m.state_bytes.load(Ordering::Relaxed).max(0) as f64,
+                );
+                set.gauge(
+                    "gesto_shard_batch_buffer_bytes",
+                    "Heap bytes of the one set of batch buffers (view outputs, frame \
+                     offsets, blocks) the shard worker lends to each session's batch \
+                     (capacity-based; per shard, not per session)",
+                    &labels,
+                    m.batch_buffer_bytes.load(Ordering::Relaxed) as f64,
                 );
                 set.histogram(
                     "gesto_shard_push_latency_us",

@@ -8,7 +8,12 @@
 //! 3. reset **only** the poisoned session's state (counted once), and
 //! 4. deliver the bystander sessions' detections **byte-for-byte
 //!    identical** to an uninjected in-process run — including a gesture
-//!    that straddles the panic, proving NFA state survives the respawn.
+//!    that straddles the panic, proving NFA state survives the respawn —
+//!    and the reset victim's next gesture identical to a fresh
+//!    session's. The panic hits mid-`process`, while the worker's one
+//!    set of batch buffers is lent to the victim and holds its
+//!    half-processed batch: nothing of it may surface in any later
+//!    detection, and the worker must be running on a full set again.
 
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
@@ -23,6 +28,8 @@ use gesto_serve::{failpoint, Server, ServerConfig, SessionId};
 const BYSTANDERS: [(u64, u64); 2] = [(2, 200), (3, 201)];
 const VICTIM: u64 = 1;
 const CHUNK: usize = 33;
+/// Performer seed of the gesture the victim performs after its reset.
+const VICTIM_SEED: u64 = 555;
 /// Sentinel frame timestamp arming the panic-injection failpoint —
 /// far outside anything a rendered performance produces.
 const POISON_TS: i64 = 777_777_777_777;
@@ -136,6 +143,10 @@ fn injected_panic_respawns_worker_and_spares_other_sessions() {
             client.send_batch(*sid, chunk).unwrap();
         }
     }
+    // The reset victim performs a whole gesture of its own.
+    for chunk in swipe_frames(VICTIM_SEED).chunks(CHUNK) {
+        client.send_batch(VICTIM, chunk).unwrap();
+    }
     client.ping().unwrap();
     let detections = client.bye().unwrap();
 
@@ -146,13 +157,20 @@ fn injected_panic_respawns_worker_and_spares_other_sessions() {
     assert_eq!(s.restarts, 1, "one worker respawn");
     assert_eq!(s.sessions_reset, 1, "only the poisoned session reset");
     assert_eq!(s.quarantined_frames, poison.len() as u64);
+    assert!(
+        s.batch_buffer_bytes > 0,
+        "the respawned worker runs on a full set of batch buffers"
+    );
 
-    let mut got: Vec<Vec<u8>> = detections
-        .into_iter()
-        .filter(|d| d.session != VICTIM)
-        .map(detection_bytes)
-        .collect();
-    assert!(!got.is_empty(), "bystanders saw no detections");
+    assert!(
+        detections.iter().any(|d| d.session == VICTIM),
+        "the reset victim detects again"
+    );
+    assert!(
+        detections.iter().any(|d| d.session != VICTIM),
+        "bystanders saw no detections"
+    );
+    let mut got: Vec<Vec<u8>> = detections.into_iter().map(detection_bytes).collect();
 
     // Reference: identical teach, identical frames and chunking, no
     // injection, plain in-process push_batch.
@@ -178,6 +196,12 @@ fn injected_panic_respawns_worker_and_spares_other_sessions() {
                 .unwrap();
         }
     }
+    // The victim as a session that never saw the poison batch.
+    for chunk in swipe_frames(VICTIM_SEED).chunks(CHUNK) {
+        reference
+            .push_batch(SessionId(VICTIM), chunk.to_vec())
+            .unwrap();
+    }
     reference.drain().unwrap();
     let mut expected = seen.lock().unwrap().clone();
 
@@ -185,7 +209,7 @@ fn injected_panic_respawns_worker_and_spares_other_sessions() {
     expected.sort();
     assert_eq!(
         got, expected,
-        "bystander detections must be bit-identical to an uninjected run"
+        "bystanders' and the reset victim's detections must be bit-identical to an uninjected run"
     );
 
     net.shutdown();

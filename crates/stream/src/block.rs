@@ -139,6 +139,17 @@ impl BitMask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Appends one bit.
+    pub fn push(&mut self, bit: bool) {
+        if self.bits == self.words.len() * 64 {
+            self.words.push(0);
+        }
+        self.bits += 1;
+        if bit {
+            self.set(self.bits - 1);
+        }
+    }
+
     /// Copies another mask of the same length into this one.
     pub fn copy_from(&mut self, other: &BitMask) {
         self.bits = other.bits;
@@ -237,12 +248,29 @@ impl ColumnBlock {
         self.built[idx as usize].then(|| &self.lanes[idx as usize])
     }
 
-    /// Drops the current batch (keeps the layout and all capacity).
+    /// Drops the current batch (keeps the layout and all capacity):
+    /// no rows, and no lane readable until the next fill builds it.
     pub fn clear(&mut self) {
         self.rows = 0;
-        for lane in &mut self.lanes {
-            lane.reset(0);
-        }
+        self.built.fill(false);
+    }
+
+    /// Heap bytes held, by capacity (what the block keeps between
+    /// batches, whatever the current batch uses of it).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let lanes: usize = self
+            .lanes
+            .iter()
+            .map(|l| {
+                (l.data.capacity() + l.null.words.capacity() + l.other.words.capacity())
+                    * size_of::<u64>()
+            })
+            .sum();
+        lanes
+            + self.lanes.capacity() * size_of::<FloatLane>()
+            + self.lane_of.capacity() * size_of::<Option<u32>>()
+            + self.built.capacity()
     }
 
     /// Resolves the lane layout for `schema` (no-op when the layout is
@@ -300,6 +328,22 @@ impl ColumnBlock {
                 lane.null.set_all();
             }
         }
+    }
+
+    /// Appends one row to a batch started with [`Self::begin_filtered`],
+    /// every built lane cell `Null`, and returns its index — for
+    /// writers that learn the row count only as they go (a view
+    /// operator emitting through [`crate::Emit::block_row`]). The block
+    /// ends up exactly as if `begin_filtered` had been given the final
+    /// row count.
+    pub fn push_row(&mut self) -> usize {
+        for (lane, _) in self.lanes.iter_mut().zip(&self.built).filter(|(_, b)| **b) {
+            lane.data.push(0.0);
+            lane.null.push(true);
+            lane.other.push(false);
+        }
+        self.rows += 1;
+        self.rows - 1
     }
 
     /// Writes one float cell (clearing its `Null` mark). `col` must be a
@@ -548,5 +592,37 @@ mod tests {
                 other => panic!("lane presence diverged on col {c}: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn pushed_rows_match_a_block_begun_at_full_size() {
+        // 70 rows cross a bitmap word; a dirty block (other schema
+        // shape, more rows, every lane built) must not show through.
+        let s = schema();
+        let cols: &[usize] = &[2];
+        let mut sized = ColumnBlock::new();
+        sized.begin_filtered(&s, 70, Some(cols));
+        let mut grown = ColumnBlock::new();
+        grown.begin(&s, 90);
+        grown.write_float(2, 80, 1.0);
+        grown.clear();
+        assert!(grown.lane(2).is_none() && grown.rows() == 0);
+        grown.begin_filtered(&s, 0, Some(cols));
+        for r in 0..70 {
+            assert_eq!(grown.push_row(), r);
+            if r % 3 != 0 {
+                sized.write_float(2, r, r as f64);
+                grown.write_float(2, r, r as f64);
+                grown.write_float(1, r, 7.0); // filtered out: ignored
+            }
+        }
+        assert_eq!(grown.rows(), 70);
+        assert!(grown.lane(1).is_none());
+        let (a, b) = (sized.lane(2).unwrap(), grown.lane(2).unwrap());
+        assert_eq!(a.values(), b.values());
+        assert_eq!(a.null(), b.null());
+        assert_eq!(a.other(), b.other());
+        assert!(grown.bytes() >= 70 * 8);
+        assert_eq!(ColumnBlock::new().bytes(), 0);
     }
 }

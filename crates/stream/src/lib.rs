@@ -67,7 +67,7 @@ pub use catalog::{Catalog, ViewDef, ViewFactory};
 pub use error::StreamError;
 pub use operator::{run_operator, BoxedOperator, Emit, Operator};
 pub use schema::{Field, Schema, SchemaBuilder, SchemaRef};
-pub use shared::SharedViews;
+pub use shared::{BatchBuffers, SharedViews};
 pub use time::{FrameClock, StreamTime, KINECT_FRAME_MS, KINECT_HZ};
 pub use tuple::{tuple_from_pairs, Tuple};
 pub use value::{Value, ValueType};

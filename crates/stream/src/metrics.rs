@@ -19,12 +19,15 @@ pub static BLOCKS_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();
 /// Rows materialised across all built blocks.
 pub static BLOCK_ROWS_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();
 
-/// Kinect-layout tuples overwritten in place by
-/// `gesto_kinect::KinectSlots::tuple_into` (the slot was uniquely owned:
-/// no allocation). Callers count per batch and add once.
+/// Tuples overwritten in place — the slot's previous tuple was uniquely
+/// owned, so no allocation: base tuples by
+/// `gesto_kinect::KinectSlots::tuple_into` in the shard worker's scratch,
+/// view outputs through [`crate::Emit::overwrite`]. The previous tuple is
+/// whatever the last batch left there, another session's included.
+/// Counted per batch and added once.
 pub static TUPLES_RECYCLED_TOTAL: ShardedCounter = ShardedCounter::new();
 
-/// Tuples `tuple_into` callers had to build fresh — an empty slot, or
-/// one whose previous tuple something still shares. `recycled ÷
+/// Tuples built fresh on the same paths — an empty slot, or one whose
+/// previous tuple something still shares. `recycled ÷
 /// (recycled + built)` is the recycling mechanism's useful ÷ attempts.
 pub static TUPLES_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();

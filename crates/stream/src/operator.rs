@@ -4,14 +4,116 @@ use crate::block::ColumnBlock;
 use crate::schema::SchemaRef;
 use crate::tuple::Tuple;
 
-/// Downstream continuation: operators emit output tuples by calling this.
-pub type Emit<'a> = dyn FnMut(Tuple) + 'a;
+/// Downstream sink of one batch: operators emit output tuples into it.
+///
+/// The buffers behind it belong to the caller, not to the operator, and
+/// outlive the batch: the output vector still holds the *spent* tuples
+/// of an earlier batch (under [`crate::SharedViews`] possibly another
+/// session's), which an operator may overwrite instead of allocating
+/// ([`Self::overwrite`]), and when the caller wants a columnar block of
+/// the outputs an operator may write its rows straight from source data
+/// ([`Self::block_row`]). So an operator keeps no batch-sized buffer of
+/// its own — only state that must survive between batches.
+///
+/// Ownership rule: a spent tuple may still be shared — a partial match
+/// interned it, a detection carries it — so the only way to write one
+/// is [`Tuple::values_mut`], which refuses while any clone is alive;
+/// the operator then leaves a fresh tuple in the slot instead.
+pub struct Emit<'a> {
+    out: &'a mut Vec<Tuple>,
+    /// Tuples emitted so far: `out[..len]`; `out[len..]` are spent, for
+    /// the caller to truncate once the batch is through.
+    pub(crate) len: usize,
+    /// Emissions that reused a spent tuple's buffer.
+    pub(crate) recycled: usize,
+    /// The block the caller wants built for the outputs, and its
+    /// column filter.
+    block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>)>,
+    /// Block rows written through [`Self::block_row`]: equals `len`
+    /// when the operator wrote the block itself.
+    pub(crate) rows: usize,
+}
+
+impl<'a> Emit<'a> {
+    /// A sink replacing the contents of `out` (what it holds on entry
+    /// is spent), with the block to build for the outputs, if any.
+    pub(crate) fn new(
+        out: &'a mut Vec<Tuple>,
+        block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>)>,
+    ) -> Self {
+        Self {
+            out,
+            len: 0,
+            recycled: 0,
+            block,
+            rows: 0,
+        }
+    }
+
+    /// A plain sink appending to `out`: no spent tuples to overwrite,
+    /// no block. For driving an operator outside [`crate::SharedViews`]
+    /// ([`run_operator`], reference implementations).
+    pub fn collect(out: &'a mut Vec<Tuple>) -> Self {
+        let len = out.len();
+        Self {
+            len,
+            ..Self::new(out, None)
+        }
+    }
+
+    /// Emits `tuple`.
+    pub fn push(&mut self, tuple: Tuple) {
+        match self.out.get_mut(self.len) {
+            Some(slot) => *slot = tuple,
+            None => self.out.push(tuple),
+        }
+        self.len += 1;
+    }
+
+    /// Emits by overwriting: if a spent tuple is left, `write` gets it,
+    /// must leave the tuple to emit in its place, and returns whether
+    /// it reused the buffer (`KinectSlots::tuple_into` has this shape).
+    /// Returns `false`, having emitted nothing, when none is left — the
+    /// operator then [`Self::push`]es a fresh tuple.
+    pub fn overwrite(&mut self, write: impl FnOnce(&mut Tuple) -> bool) -> bool {
+        let Some(slot) = self.out.get_mut(self.len) else {
+            return false;
+        };
+        self.recycled += usize::from(write(slot));
+        self.len += 1;
+        true
+    }
+
+    /// For an operator that can write float lanes straight from source
+    /// data: the block and the row of the tuple emitted last, all
+    /// cells `Null` until written with [`ColumnBlock::write_float`];
+    /// `schema` is the emitted tuples' schema. `None` when the caller
+    /// builds no block this batch.
+    ///
+    /// An operator that takes a row takes one for **every** tuple it
+    /// emits, right after emitting it, and asserts the block ends up
+    /// bit-identical to [`ColumnBlock::fill_from_tuples_filtered`] over
+    /// its outputs; otherwise the caller rebuilds the block from them.
+    pub fn block_row(&mut self, schema: &SchemaRef) -> Option<(&mut ColumnBlock, usize)> {
+        let (block, cols) = self.block.as_mut()?;
+        if self.rows + 1 != self.len {
+            return None;
+        }
+        if self.rows == 0 {
+            block.begin_filtered(schema, 0, *cols);
+        }
+        self.rows += 1;
+        let row = block.push_row();
+        Some((block, row))
+    }
+}
 
 /// A push-based stream operator.
 ///
 /// Operators receive one input tuple at a time and may emit zero or more
-/// output tuples via the `emit` continuation, which keeps per-tuple
-/// processing allocation-free for pass-through operators.
+/// output tuples into the [`Emit`] sink, which keeps per-tuple
+/// processing allocation-free for operators that overwrite spent
+/// tuples.
 pub trait Operator: Send {
     /// Human-readable operator name (for stats and debugging).
     fn name(&self) -> &str;
@@ -19,53 +121,14 @@ pub trait Operator: Send {
     /// Output schema produced by this operator.
     fn output_schema(&self) -> SchemaRef;
 
-    /// Processes one tuple.
+    /// Processes one tuple. `emit` is valid for this call only; nothing
+    /// it hands out may be kept.
     fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>);
 
     /// Flushes any buffered state at end-of-stream (windows, aggregates).
     ///
     /// The default implementation emits nothing.
     fn finish(&mut self, _emit: &mut Emit<'_>) {}
-
-    /// Hands back the tuples this operator emitted for the previous
-    /// batch, once the caller is done reading them (called by
-    /// [`crate::SharedViews`] before each batch). An operator may keep
-    /// them and overwrite their buffers instead of allocating new ones;
-    /// the default drops them. Must leave `spent` empty.
-    ///
-    /// Ownership rule: a spent tuple may still be shared — a partial
-    /// match interned it, a detection carries it — so the only way to
-    /// write one is [`Tuple::values_mut`], which refuses while any clone
-    /// is alive; the operator then emits a fresh tuple instead.
-    fn recycle(&mut self, spent: &mut Vec<Tuple>) {
-        spent.clear();
-    }
-
-    /// Batch-boundary hint from block-building callers (see
-    /// [`Self::fill_block`]): when `on`, the operator may record
-    /// per-emission state during the following `process` calls so the
-    /// batch's float lanes can be written straight from source data.
-    /// Called once before each batch. The default ignores it.
-    fn begin_block_capture(&mut self, _on: bool) {}
-
-    /// Writes the float lanes of `block` for exactly the tuples in
-    /// `out` — this operator's emissions since the last
-    /// `begin_block_capture(true)` — restricted to the `cols` column
-    /// filter (same contract as
-    /// [`ColumnBlock::fill_from_tuples_filtered`]).
-    ///
-    /// Returning `true` asserts the written block is **bit-identical**
-    /// to rebuilding the lanes from `out`; operators that cannot write
-    /// lanes directly return `false` (the default) and the caller
-    /// performs that rebuild itself.
-    fn fill_block(
-        &mut self,
-        _out: &[Tuple],
-        _cols: Option<&[usize]>,
-        _block: &mut ColumnBlock,
-    ) -> bool {
-        false
-    }
 }
 
 /// A boxed operator: what a catalog view factory returns.
@@ -75,13 +138,11 @@ pub type BoxedOperator = Box<dyn Operator>;
 /// one-shot batch runs.
 pub fn run_operator(op: &mut dyn Operator, input: &[Tuple]) -> Vec<Tuple> {
     let mut out = Vec::new();
-    {
-        let mut emit = |t: Tuple| out.push(t);
-        for t in input {
-            op.process(t, &mut emit);
-        }
-        op.finish(&mut emit);
+    let mut emit = Emit::collect(&mut out);
+    for t in input {
+        op.process(t, &mut emit);
     }
+    op.finish(&mut emit);
     out
 }
 
@@ -103,8 +164,8 @@ mod tests {
             self.schema.clone()
         }
         fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>) {
-            emit(tuple.clone());
-            emit(tuple.clone());
+            emit.push(tuple.clone());
+            emit.push(tuple.clone());
         }
     }
 

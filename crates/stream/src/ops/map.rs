@@ -45,7 +45,7 @@ impl Operator for MapOp {
     fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>) {
         if let Some(out) = (self.f)(tuple) {
             debug_assert_eq!(out.schema().len(), self.schema.len());
-            emit(out);
+            emit.push(out);
         }
     }
 }

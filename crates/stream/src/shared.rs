@@ -21,12 +21,22 @@
 //! own operator copy cold. A view nobody needs is not fed at all; if a
 //! later deploy needs it again, it resumes from its last evaluated
 //! frame's state.
+//!
+//! **Ownership.** What must survive between a session's batches — the
+//! operators and their state, the needed marks, the column filters —
+//! lives in the `SharedViews`. What is dead once the batch's consumers
+//! have read it — each view's output tuples, frame offsets and block,
+//! and the base block — lives in a [`BatchBuffers`], which a caller
+//! running many sessions on one thread lends to whichever session's
+//! batch runs next ([`SharedViews::lend`] / [`SharedViews::reclaim`]),
+//! so all of them work in one cache-resident set. A `SharedViews`
+//! nobody lends to simply keeps its own.
 
 use std::collections::HashMap;
 
 use crate::block::ColumnBlock;
 use crate::catalog::Catalog;
-use crate::operator::BoxedOperator;
+use crate::operator::{BoxedOperator, Emit};
 use crate::tuple::Tuple;
 
 /// Where a view reads its input tuples from.
@@ -37,32 +47,77 @@ enum Input {
     View(usize),
 }
 
-/// One instantiated view and its per-batch output buffer.
+/// One instantiated view: what survives between batches.
 struct ViewState {
     name: String,
     input: Input,
     op: BoxedOperator,
-    /// Output tuples of the current batch, all frames concatenated in
-    /// order (buffer reused across batches).
-    out: Vec<Tuple>,
-    /// Frame boundaries into `out`: frame `f`'s outputs are
-    /// `out[offsets[f] .. offsets[f+1]]`. Empty when the view did not
-    /// run this batch.
-    offsets: Vec<u32>,
-    /// True when the view ran this batch (its input chain was rooted at
-    /// the pushed stream), even if it emitted nothing.
-    live: bool,
     /// True when some consumer references this view (directly or as the
     /// input of a needed view); others are skipped entirely.
     needed: bool,
+    /// Column filter for the view's block: `None` builds every float
+    /// lane, `Some(cols)` (sorted, deduplicated; possibly empty) builds
+    /// only the lanes some consumer declared it reads.
+    block_cols: Option<Vec<usize>>,
+}
+
+/// One view's share of a [`BatchBuffers`].
+#[derive(Default)]
+struct ViewBuffers {
+    /// Output tuples of the current batch, all frames concatenated in
+    /// order. Between batches: spent tuples, overwritten in place by
+    /// the next batch's emissions ([`Emit::overwrite`]).
+    out: Vec<Tuple>,
+    /// Frame boundaries into `out`: frame `f`'s outputs are
+    /// `out[offsets[f] .. offsets[f+1]]`.
+    offsets: Vec<u32>,
+    /// True when the view ran this batch (its input chain was rooted at
+    /// the pushed stream), even if it emitted nothing; `out`, `offsets`
+    /// and `block` are this batch's only then.
+    live: bool,
     /// Columnar view of `out`, rebuilt per batch when the columnar data
     /// path is enabled (the NFA's batch kernels read float lanes from
     /// here instead of matching on `Value` slices per tuple).
     block: ColumnBlock,
-    /// Column filter for `block`: `None` builds every float lane,
-    /// `Some(cols)` (sorted, deduplicated; possibly empty) builds only
-    /// the lanes some consumer declared it reads.
-    block_cols: Option<Vec<usize>>,
+}
+
+/// The batch-scoped half of a [`SharedViews`]: the base-stream block
+/// and, per view slot, output tuples, frame offsets and block. Nothing
+/// in it carries information from one batch to the next — only warm
+/// capacity and spent tuples to overwrite — so one set can serve every
+/// `SharedViews` built from the same catalog, one batch at a time
+/// ([`SharedViews::lend`]). Starts empty (`default()`); the first
+/// batches size it.
+#[derive(Default)]
+pub struct BatchBuffers {
+    /// Columnar view of the base-stream batch itself (for query routes
+    /// that read the raw stream directly).
+    base: ColumnBlock,
+    /// The caller filled `base` for the batch about to begin (set by
+    /// [`SharedViews::fill_base_with`] / [`SharedViews::base_block_mut`],
+    /// consumed by every `begin_batch*`).
+    base_prefilled: bool,
+    /// By view slot; grown to the borrower's slot count on demand.
+    views: Vec<ViewBuffers>,
+}
+
+impl BatchBuffers {
+    /// Heap bytes held: vectors and blocks by capacity, plus the value
+    /// buffers of the tuples kept for overwriting.
+    pub fn bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let views: usize = self
+            .views
+            .iter()
+            .map(|v| {
+                v.out.capacity() * size_of::<Tuple>()
+                    + v.out.iter().map(|t| size_of_val(t.values())).sum::<usize>()
+                    + v.offsets.capacity() * size_of::<u32>()
+                    + v.block.bytes()
+            })
+            .sum();
+        self.base.bytes() + self.views.capacity() * size_of::<ViewBuffers>() + views
+    }
 }
 
 /// Per-session, evaluate-once runtime over a catalog's views.
@@ -71,15 +126,14 @@ pub struct SharedViews {
     /// than its own.
     states: Vec<ViewState>,
     slots: HashMap<String, usize>,
-    /// Columnar view of the base-stream batch itself (for query routes
-    /// that read the raw stream directly).
-    base: ColumnBlock,
     /// Column filter for the base block (same contract as the per-view
     /// filters).
     base_cols: Option<Vec<usize>>,
     /// When false, no blocks are built and the block accessors return
     /// `None` — consumers then run the scalar path.
     columnar: bool,
+    /// This batch's buffers: lent, or its own.
+    bufs: BatchBuffers,
 }
 
 impl SharedViews {
@@ -89,9 +143,9 @@ impl SharedViews {
         let mut sv = Self {
             states: Vec::new(),
             slots: HashMap::new(),
-            base: ColumnBlock::new(),
             base_cols: None,
             columnar: true,
+            bufs: BatchBuffers::default(),
         };
         sv.refresh(catalog);
         sv
@@ -125,11 +179,7 @@ impl SharedViews {
                     name: def.name.clone(),
                     input,
                     op: (def.factory)(),
-                    out: Vec::new(),
-                    offsets: Vec::new(),
-                    live: false,
                     needed: false,
-                    block: ColumnBlock::new(),
                     block_cols: None,
                 });
                 false
@@ -186,11 +236,42 @@ impl SharedViews {
         self.states[slot].needed
     }
 
+    /// Lends `bufs` to this session for its next batches, in place of
+    /// the set it held (its own, normally empty when the caller always
+    /// lends). Whatever another session left in them is spent: no
+    /// accessor shows it, and [`Self::begin_batch`] overwrites it.
+    ///
+    /// One thread, one borrower at a time: lend, fill the base block if
+    /// wanted, `begin_batch*`, let the consumers read, [`Self::reclaim`].
+    pub fn lend(&mut self, mut bufs: BatchBuffers) {
+        bufs.base.clear();
+        bufs.base_prefilled = false;
+        for v in &mut bufs.views {
+            v.live = false;
+        }
+        self.bufs = bufs;
+    }
+
+    /// Takes the batch buffers back — [`Self::outputs`],
+    /// [`Self::frame_outputs`], [`Self::view_block`] and
+    /// [`Self::base_block`] are readable from `begin_batch*` until this
+    /// call — leaving the session holding no batch-sized storage
+    /// ([`Self::buffer_bytes`] is 0).
+    pub fn reclaim(&mut self) -> BatchBuffers {
+        std::mem::take(&mut self.bufs)
+    }
+
+    /// [`BatchBuffers::bytes`] of the set this session holds right now.
+    pub fn buffer_bytes(&self) -> usize {
+        self.bufs.bytes()
+    }
+
     /// Evaluates every needed view whose chain is rooted at `stream`
     /// over a whole batch of frames, exactly once per view, in
-    /// dependency order. Until the next `begin_batch`, a view's
-    /// concatenated batch output is read with [`Self::outputs`] and one
-    /// frame's slice of it with [`Self::frame_outputs`].
+    /// dependency order. Until the next `begin_batch` (or
+    /// [`Self::reclaim`]), a view's concatenated batch output is read
+    /// with [`Self::outputs`] and one frame's slice of it with
+    /// [`Self::frame_outputs`].
     ///
     /// Each view operator still sees the tuples in frame order, so the
     /// outputs are identical to `tuples.len()` successive one-tuple
@@ -202,23 +283,23 @@ impl SharedViews {
     /// batch: one for the base-stream tuples and one per live view's
     /// outputs, read back via [`Self::base_block`] / [`Self::view_block`].
     pub fn begin_batch(&mut self, stream: &str, tuples: &[Tuple]) {
-        if self.columnar && self.base_wanted() {
-            self.base
-                .fill_from_tuples_filtered(tuples, self.base_cols.as_deref());
-        }
-        self.run_views(stream, tuples);
+        self.bufs.base_prefilled = false;
+        self.begin_batch_prefilled(stream, tuples);
     }
 
     /// [`Self::begin_batch`] for callers that already built the
     /// base-stream block by a cheaper route (e.g.
     /// `gesto_kinect::KinectSlots::write_block` straight from skeleton
-    /// frames, skipping the per-frame `Vec<Value>` round-trip): fill
-    /// [`Self::base_block_mut`] for exactly these `tuples` first, then
-    /// call this. Falls back to rebuilding the base from the tuples if
-    /// the prepared block's row count does not match.
+    /// frames, skipping the per-frame `Vec<Value>` round-trip): fill it
+    /// through [`Self::fill_base_with`] / [`Self::base_block_mut`] for
+    /// exactly these `tuples` first, then call this. A base block not
+    /// filled since the previous `begin_batch*` — or whose row count
+    /// does not match — is rebuilt from the tuples.
     pub fn begin_batch_prefilled(&mut self, stream: &str, tuples: &[Tuple]) {
-        if self.columnar && self.base_wanted() && self.base.rows() != tuples.len() {
-            self.base
+        let prefilled = std::mem::take(&mut self.bufs.base_prefilled);
+        if self.base_wanted() && !(prefilled && self.bufs.base.rows() == tuples.len()) {
+            self.bufs
+                .base
                 .fill_from_tuples_filtered(tuples, self.base_cols.as_deref());
         }
         self.run_views(stream, tuples);
@@ -234,62 +315,58 @@ impl SharedViews {
     /// Evaluates every needed view over the batch (see
     /// [`Self::begin_batch`]) and rebuilds each live view's block.
     fn run_views(&mut self, stream: &str, tuples: &[Tuple]) {
-        for i in 0..self.states.len() {
-            let (done, rest) = self.states.split_at_mut(i);
-            let st = &mut rest[0];
-            st.op.recycle(&mut st.out);
-            debug_assert!(st.out.is_empty(), "Operator::recycle leaves `spent` empty");
-            st.offsets.clear();
-            st.live = false;
+        if self.bufs.views.len() < self.states.len() {
+            self.bufs
+                .views
+                .resize_with(self.states.len(), ViewBuffers::default);
+        }
+        for (i, st) in self.states.iter_mut().enumerate() {
+            let (done, rest) = self.bufs.views.split_at_mut(i);
+            let buf = &mut rest[0];
+            buf.live = false;
             if !st.needed {
                 continue;
             }
-            let build_block = self.columnar && st.block_cols.as_ref().is_none_or(|c| !c.is_empty());
-            st.op.begin_block_capture(build_block);
-            let out = &mut st.out;
-            let offsets = &mut st.offsets;
-            let op = &mut st.op;
-            match &st.input {
-                Input::Stream(s) => {
-                    if s.as_str() != stream {
-                        continue;
-                    }
-                    offsets.push(0);
-                    for tuple in tuples {
-                        op.process(tuple, &mut |t| out.push(t));
-                        offsets.push(out.len() as u32);
-                    }
+            // The upstream outputs, frame by frame.
+            let up = match &st.input {
+                Input::Stream(s) if s.as_str() == stream => None,
+                Input::View(j) if done[*j].live => Some(&done[*j]),
+                _ => continue,
+            };
+            buf.block.clear();
+            let cols = st.block_cols.as_deref();
+            let build_block = self.columnar && cols.is_none_or(|c| !c.is_empty());
+            let mut emit = Emit::new(&mut buf.out, build_block.then_some((&mut buf.block, cols)));
+            buf.offsets.clear();
+            buf.offsets.push(0);
+            for f in 0..tuples.len() {
+                let inputs = match up {
+                    None => &tuples[f..f + 1],
+                    Some(up) => &up.out[up.offsets[f] as usize..up.offsets[f + 1] as usize],
+                };
+                for t in inputs {
+                    st.op.process(t, &mut emit);
                 }
-                Input::View(j) => {
-                    let up = &done[*j];
-                    if !up.live {
-                        continue;
-                    }
-                    offsets.push(0);
-                    for f in 0..tuples.len() {
-                        let (a, b) = (up.offsets[f] as usize, up.offsets[f + 1] as usize);
-                        for t in &up.out[a..b] {
-                            op.process(t, &mut |t| out.push(t));
-                        }
-                        offsets.push(out.len() as u32);
-                    }
-                }
+                buf.offsets.push(emit.len as u32);
             }
-            st.live = true;
-            if build_block {
-                // Operators that can write their lanes straight from
-                // source data (e.g. `KinectTOp` from transformed
-                // skeleton frames) skip the tuple round-trip; everyone
-                // else gets the generic rebuild.
-                if !st
-                    .op
-                    .fill_block(&st.out, st.block_cols.as_deref(), &mut st.block)
-                {
-                    st.block
-                        .fill_from_tuples_filtered(&st.out, st.block_cols.as_deref());
-                }
+            let (len, recycled, rows) = (emit.len, emit.recycled, emit.rows);
+            buf.out.truncate(len);
+            buf.live = true;
+            if len > 0 {
+                crate::metrics::TUPLES_RECYCLED_TOTAL.add(recycled as u64);
+                crate::metrics::TUPLES_BUILT_TOTAL.add((len - recycled) as u64);
+            }
+            if !build_block {
+                continue;
+            }
+            // An operator that wrote a row per emission straight from
+            // its source data (`Emit::block_row`, e.g. `KinectTOp` from
+            // transformed skeleton frames) skipped the tuple
+            // round-trip; everyone else gets the generic rebuild.
+            if rows == len {
+                crate::metrics::BLOCK_ROWS_BUILT_TOTAL.add(rows as u64);
             } else {
-                st.block.clear();
+                buf.block.fill_from_tuples_filtered(&buf.out, cols);
             }
         }
     }
@@ -339,13 +416,14 @@ impl SharedViews {
     /// Columnar view of the current batch's base-stream tuples (`None`
     /// when the columnar path is disabled).
     pub fn base_block(&self) -> Option<&ColumnBlock> {
-        self.columnar.then_some(&self.base)
+        self.columnar.then_some(&self.bufs.base)
     }
 
     /// Mutable base block, for callers that can fill it straight from
     /// sensor frames before [`Self::begin_batch_prefilled`].
     pub fn base_block_mut(&mut self) -> &mut ColumnBlock {
-        &mut self.base
+        self.bufs.base_prefilled = true;
+        &mut self.bufs.base
     }
 
     /// Hands a caller-provided filler the base block *and* the declared
@@ -354,32 +432,35 @@ impl SharedViews {
     /// the filtered lanes — e.g. `KinectSlots::write_block` — before
     /// [`Self::begin_batch_prefilled`].
     pub fn fill_base_with(&mut self, fill: impl FnOnce(Option<&[usize]>, &mut ColumnBlock)) {
-        fill(self.base_cols.as_deref(), &mut self.base);
+        self.bufs.base_prefilled = true;
+        fill(self.base_cols.as_deref(), &mut self.bufs.base);
+    }
+
+    /// This batch's buffers of the view in `slot`, if it ran.
+    fn live(&self, slot: usize) -> Option<&ViewBuffers> {
+        self.bufs.views.get(slot).filter(|b| b.live)
     }
 
     /// Columnar view of the current batch outputs of the view in `slot`
     /// (`None` when the columnar path is disabled or the view did not
     /// run this batch).
     pub fn view_block(&self, slot: usize) -> Option<&ColumnBlock> {
-        let st = &self.states[slot];
-        (self.columnar && st.live).then_some(&st.block)
+        self.live(slot).filter(|_| self.columnar).map(|b| &b.block)
     }
 
     /// Output tuples of the view in `slot` for the current batch, all
     /// frames concatenated (empty when the view did not run or emitted
     /// nothing).
     pub fn outputs(&self, slot: usize) -> &[Tuple] {
-        &self.states[slot].out
+        self.live(slot).map_or(&[], |b| &b.out)
     }
 
     /// Output tuples of the view in `slot` for frame `frame` of the
     /// current batch (empty when the view did not run).
     pub fn frame_outputs(&self, slot: usize, frame: usize) -> &[Tuple] {
-        let st = &self.states[slot];
-        if !st.live {
-            return &[];
-        }
-        &st.out[st.offsets[frame] as usize..st.offsets[frame + 1] as usize]
+        self.live(slot).map_or(&[], |b| {
+            &b.out[b.offsets[frame] as usize..b.offsets[frame + 1] as usize]
+        })
     }
 
     /// Names of the instantiated views, in slot order.
@@ -581,18 +662,38 @@ mod tests {
             sv.base_block().unwrap().lane(1).unwrap().values(),
             &[1.0, 2.0]
         );
+
+        // Same row count, not refilled: the block left by the previous
+        // batch (with lent buffers: by the previous *session*) is not
+        // mistaken for this batch's.
+        let other = [tup(3, 8.0), tup(4, 9.0)];
+        sv.begin_batch_prefilled("kinect", &other);
+        assert_eq!(
+            sv.base_block().unwrap().lane(1).unwrap().values(),
+            &[8.0, 9.0]
+        );
+        // A plain `begin_batch` consumes the mark too.
+        sv.base_block_mut().fill_from_tuples(&more);
+        sv.begin_batch("kinect", &other);
+        sv.begin_batch_prefilled("kinect", &other);
+        assert_eq!(
+            sv.base_block().unwrap().lane(1).unwrap().values(),
+            &[8.0, 9.0]
+        );
     }
 
     #[test]
-    fn operator_fill_block_overrides_tuple_rebuild() {
+    fn operator_written_block_rows_override_tuple_rebuild() {
         use crate::operator::{Emit, Operator};
 
-        /// Pass-through operator whose `fill_block` writes a sentinel
-        /// value into every lane cell — so the test can tell whether
-        /// the direct path or the tuple rebuild produced the block.
+        /// Pass-through operator that writes a sentinel value into the
+        /// block row of every emission but the `skip`-th — so the test
+        /// can tell whether the direct path or the tuple rebuild
+        /// produced the block.
         struct SentinelOp {
             schema: SchemaRef,
-            capturing: bool,
+            skip: Option<usize>,
+            seen: usize,
         }
         impl Operator for SentinelOp {
             fn name(&self) -> &str {
@@ -602,66 +703,117 @@ mod tests {
                 self.schema.clone()
             }
             fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>) {
-                emit(tuple.clone());
-            }
-            fn begin_block_capture(&mut self, on: bool) {
-                self.capturing = on;
-            }
-            fn fill_block(
-                &mut self,
-                out: &[Tuple],
-                cols: Option<&[usize]>,
-                block: &mut ColumnBlock,
-            ) -> bool {
-                if !self.capturing {
-                    return false;
+                emit.push(tuple.clone());
+                self.seen += 1;
+                if self.skip == Some(self.seen) {
+                    return;
                 }
-                block.begin_filtered(&self.schema, out.len(), cols);
-                for r in 0..out.len() {
-                    block.write_float(1, r, 99.0);
+                if let Some((block, row)) = emit.block_row(&self.schema) {
+                    block.write_float(1, row, 99.0);
                 }
-                true
             }
         }
 
-        let cat = Catalog::new();
-        cat.register_stream(base()).unwrap();
         let schema = base();
-        let op_schema = SchemaBuilder::new("v")
-            .timestamp("ts")
-            .float("x")
-            .build()
+        let run = |skip: Option<usize>| {
+            let cat = Catalog::new();
+            cat.register_stream(schema.clone()).unwrap();
+            let op_schema = schema.clone();
+            cat.register_view(ViewDef {
+                name: "v".into(),
+                input: "kinect".into(),
+                schema: schema.clone(),
+                factory: Arc::new(move || {
+                    Box::new(SentinelOp {
+                        schema: op_schema.clone(),
+                        skip,
+                        seen: 0,
+                    })
+                }),
+            })
             .unwrap();
-        cat.register_view(ViewDef {
-            name: "v".into(),
-            input: "kinect".into(),
-            schema: op_schema.clone(),
-            factory: Arc::new(move || {
-                Box::new(SentinelOp {
-                    schema: op_schema.clone(),
-                    capturing: false,
-                })
-            }),
-        })
-        .unwrap();
+            let mut sv = SharedViews::new(&cat);
+            sv.set_needed(["v"]);
+            sv
+        };
+        let tuples: Vec<Tuple> = [3.0, 4.0, 5.0]
+            .iter()
+            .map(|x| {
+                Tuple::new(schema.clone(), vec![Value::Timestamp(0), Value::Float(*x)]).unwrap()
+            })
+            .collect();
 
-        let mut sv = SharedViews::new(&cat);
+        let mut sv = run(None);
         let slot = sv.slot_of("v").unwrap();
-        sv.set_needed(["v"]);
-        let t = Tuple::new(schema, vec![Value::Timestamp(0), Value::Float(3.0)]).unwrap();
-        sv.begin_batch("kinect", std::slice::from_ref(&t));
-        // The sentinel — not the tuple's 3.0 — proves fill_block won.
+        sv.begin_batch("kinect", &tuples);
+        // The sentinel — not the tuples' values — proves the rows the
+        // operator wrote won.
         assert_eq!(
             sv.view_block(slot).unwrap().lane(1).unwrap().values(),
-            &[99.0]
+            &[99.0, 99.0, 99.0]
         );
         // Scalar outputs are untouched by the block path.
         assert_eq!(sv.outputs(slot)[0].f64("x"), Some(3.0));
 
-        // Columnar off: no capture hint, no blocks.
+        // Columnar off: no row offered, no blocks.
         sv.set_columnar(false);
-        sv.begin_batch("kinect", std::slice::from_ref(&t));
+        sv.begin_batch("kinect", &tuples);
         assert!(sv.view_block(slot).is_none());
+
+        // A row short: the block is rebuilt from the tuples.
+        let mut sv = run(Some(2));
+        sv.begin_batch("kinect", &tuples);
+        assert_eq!(
+            sv.view_block(slot).unwrap().lane(1).unwrap().values(),
+            &[3.0, 4.0, 5.0]
+        );
+    }
+
+    #[test]
+    fn lent_buffers_serve_two_sessions_and_stay_with_neither() {
+        let cat = Catalog::new();
+        cat.register_stream(base()).unwrap();
+        let calls = Arc::new(AtomicU64::new(0));
+        cat.register_view(counted_view("v2", "kinect", 2.0, calls.clone()))
+            .unwrap();
+        cat.register_view(counted_view("v4", "v2", 2.0, calls))
+            .unwrap();
+        let mut sessions = [SharedViews::new(&cat), SharedViews::new(&cat)];
+        let (v2, v4) = (
+            sessions[0].slot_of("v2").unwrap(),
+            sessions[0].slot_of("v4").unwrap(),
+        );
+        sessions[0].set_needed(["v4"]);
+        sessions[1].set_needed(["v2"]);
+
+        let mut bufs = BatchBuffers::default();
+        for round in 0..3 {
+            for (s, sv) in sessions.iter_mut().enumerate() {
+                sv.lend(std::mem::take(&mut bufs));
+                // Nothing of the previous borrower shows before the
+                // batch begins.
+                assert!(sv.outputs(v2).is_empty() && sv.outputs(v4).is_empty());
+                assert!(sv.view_block(v2).is_none());
+                assert_eq!(sv.base_block().unwrap().rows(), 0);
+                let x = (10 * round + s) as f64;
+                let batch: Vec<Tuple> = (0..=s as i64 + 1).map(|ts| tup(ts, x)).collect();
+                sv.begin_batch("kinect", &batch);
+                assert_eq!(sv.outputs(v2).len(), batch.len());
+                assert_eq!(sv.outputs(v2)[0].f64("x"), Some(2.0 * x));
+                assert_eq!(sv.base_block().unwrap().rows(), batch.len());
+                if s == 0 {
+                    assert_eq!(sv.frame_outputs(v4, 1)[0].f64("x"), Some(4.0 * x));
+                } else {
+                    // Session 1 does not need v4: session 0's outputs
+                    // in that slot are not its own.
+                    assert!(sv.outputs(v4).is_empty() && sv.view_block(v4).is_none());
+                }
+                bufs = sv.reclaim();
+                assert_eq!(sv.buffer_bytes(), 0, "a session retains no batch buffer");
+                assert!(sv.outputs(v2).is_empty() && sv.base_block().unwrap().is_empty());
+                assert!(bufs.bytes() > 0);
+            }
+        }
     }
 
     #[test]

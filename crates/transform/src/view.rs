@@ -6,13 +6,16 @@
 //! resolved once (via [`KinectSlots`]), so the per-frame work is pure
 //! slice indexing — no name lookups, no intermediate tuple, and on the
 //! steady state no allocation either: under [`gesto_stream::SharedViews`]
-//! the operator gets last batch's output tuples back
-//! ([`Operator::recycle`]) and overwrites the ones nobody kept a clone of.
+//! the sink offers the spent output tuples of an earlier batch
+//! ([`Emit::overwrite`]) and the operator overwrites the ones nobody kept
+//! a clone of. The operator itself holds no batch-sized buffer: output
+//! tuples and block rows go straight into the caller's
+//! [`gesto_stream::BatchBuffers`].
 
 use std::sync::Arc;
 
 use gesto_kinect::{schema_named, KinectSlots, SkeletonFrame, KINECT_STREAM};
-use gesto_stream::{Catalog, ColumnBlock, Emit, Operator, SchemaRef, StreamError, Tuple, ViewDef};
+use gesto_stream::{Catalog, Emit, Operator, SchemaRef, StreamError, Tuple, ViewDef};
 
 use crate::transform::{TransformConfig, Transformer};
 
@@ -37,21 +40,6 @@ pub struct KinectTOp {
     /// Reusable frame scratch (read target + transform output live on the
     /// stack; this avoids re-zeroing the read target every frame).
     scratch: SkeletonFrame,
-    /// Transformed frames of the current batch while block capture is on
-    /// (see [`Operator::fill_block`]): the columnar lanes are then
-    /// written straight from these via [`KinectSlots::write_block`],
-    /// skipping the tuple→lane rebuild.
-    capture: Vec<SkeletonFrame>,
-    capturing: bool,
-    /// Output tuples of the previous batch, handed back by
-    /// [`Operator::recycle`]; each emission overwrites one in place
-    /// ([`KinectSlots::tuple_into`]) unless a clone of it is still alive.
-    spent: Vec<Tuple>,
-    /// Emissions since the last `recycle`, and how many of them reused
-    /// a spent tuple's buffer; flushed there into
-    /// `gesto_stream::metrics::TUPLES_{RECYCLED,BUILT}_TOTAL`.
-    emitted: u64,
-    recycled: u64,
 }
 
 impl KinectTOp {
@@ -65,11 +53,6 @@ impl KinectTOp {
             in_slots: None,
             transformer: Transformer::new(config),
             scratch: SkeletonFrame::empty(0, 0),
-            capture: Vec::new(),
-            capturing: false,
-            spent: Vec::new(),
-            emitted: 0,
-            recycled: 0,
         }
     }
 }
@@ -90,11 +73,6 @@ impl Operator for KinectTOp {
             in_slots,
             transformer,
             scratch,
-            capture,
-            capturing,
-            spent,
-            emitted,
-            recycled,
         } = self;
         let cached = matches!(&*in_slots, Some((schema, _)) if Arc::ptr_eq(schema, tuple.schema()));
         if !cached {
@@ -106,57 +84,16 @@ impl Operator for KinectTOp {
         let (_, slots) = in_slots.as_ref().expect("resolved");
         slots.read_frame(tuple, scratch);
         if let Some(transformed) = transformer.transform_frame(scratch) {
-            let out = match spent.pop() {
-                Some(mut slot) => {
-                    *recycled +=
-                        u64::from(out_slots.tuple_into(&transformed, out_schema, &mut slot));
-                    slot
-                }
-                None => out_slots.tuple(&transformed, out_schema),
-            };
-            *emitted += 1;
-            emit(out);
-            if *capturing {
-                capture.push(transformed);
+            // Overwrite a spent tuple in place unless a clone of it is
+            // still alive; write the block row straight from the frame,
+            // skipping the tuple→lane rebuild.
+            if !emit.overwrite(|slot| out_slots.tuple_into(&transformed, out_schema, slot)) {
+                emit.push(out_slots.tuple(&transformed, out_schema));
+            }
+            if let Some((block, row)) = emit.block_row(out_schema) {
+                out_slots.write_block_row(&transformed, row, block);
             }
         }
-    }
-
-    fn recycle(&mut self, spent: &mut Vec<Tuple>) {
-        // Keep the batch just read; what is left of the one before it
-        // (a shorter batch popped fewer than it was given) is dropped.
-        std::mem::swap(&mut self.spent, spent);
-        spent.clear();
-        let (emitted, recycled) = (
-            std::mem::take(&mut self.emitted),
-            std::mem::take(&mut self.recycled),
-        );
-        if emitted > 0 {
-            gesto_stream::metrics::TUPLES_RECYCLED_TOTAL.add(recycled);
-            gesto_stream::metrics::TUPLES_BUILT_TOTAL.add(emitted - recycled);
-        }
-    }
-
-    fn begin_block_capture(&mut self, on: bool) {
-        self.capturing = on;
-        self.capture.clear();
-    }
-
-    fn fill_block(
-        &mut self,
-        out: &[Tuple],
-        cols: Option<&[usize]>,
-        block: &mut ColumnBlock,
-    ) -> bool {
-        // One captured frame per emitted tuple, in order, or the capture
-        // is unusable (defensive — cannot happen when the capture hint
-        // bracketed the batch) and the caller rebuilds from tuples.
-        if !self.capturing || self.capture.len() != out.len() {
-            return false;
-        }
-        self.out_slots
-            .write_block(&self.capture, &self.out_schema, cols, block);
-        true
     }
 }
 
@@ -188,6 +125,32 @@ mod tests {
     use super::*;
     use gesto_cep::Engine;
     use gesto_kinect::{frames_to_tuples, gestures, kinect_schema, Performer, Persona};
+    use gesto_stream::ColumnBlock;
+
+    /// Lane presence, validity bitmaps and every valid cell's bits.
+    fn assert_blocks_identical(a: &ColumnBlock, b: &ColumnBlock, cols: usize) {
+        assert_eq!(a.rows(), b.rows());
+        for c in 0..cols {
+            match (a.lane(c), b.lane(c)) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    assert_eq!(x.null(), y.null(), "col {c} null mask");
+                    assert_eq!(x.other(), y.other(), "col {c} other mask");
+                    for r in 0..a.rows() {
+                        if !x.null().get(r) {
+                            assert!(
+                                x.values()[r].to_bits() == y.values()[r].to_bits(),
+                                "col {c} row {r}: {} != {}",
+                                x.values()[r],
+                                y.values()[r]
+                            );
+                        }
+                    }
+                }
+                (x, y) => panic!("col {c}: lane presence diverged ({x:?} vs {y:?})"),
+            }
+        }
+    }
 
     #[test]
     fn catalog_resolves_view_chain() {
@@ -242,7 +205,7 @@ mod tests {
     #[test]
     fn view_block_written_directly_matches_tuple_rebuild() {
         // SharedViews lets KinectTOp write the view block straight from
-        // its transformed frames (`fill_block`); the result must be
+        // its transformed frames (`Emit::block_row`); the result must be
         // bit-identical to rebuilding the lanes from the output tuples
         // — including dropout Nulls — both unfiltered and under a
         // column filter (the same pattern that pins
@@ -278,97 +241,119 @@ mod tests {
             let slot = sv.slot_of(KINECT_T).unwrap();
             let direct = sv.view_block(slot).expect("view ran");
 
-            let mut rebuilt = gesto_stream::ColumnBlock::new();
+            let mut rebuilt = ColumnBlock::new();
             rebuilt.fill_from_tuples_filtered(sv.outputs(slot), cols);
 
-            assert_eq!(direct.rows(), rebuilt.rows());
             assert!(direct.rows() > 0, "transform emitted nothing");
-            for c in 0..out_schema.len() {
-                match (direct.lane(c), rebuilt.lane(c)) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.null(), b.null(), "col {c} null mask");
-                        assert_eq!(a.other(), b.other(), "col {c} other mask");
-                        for r in 0..direct.rows() {
-                            if !a.null().get(r) {
-                                assert!(
-                                    a.values()[r].to_bits() == b.values()[r].to_bits(),
-                                    "col {c} row {r}: {} != {}",
-                                    a.values()[r],
-                                    b.values()[r]
-                                );
-                            }
-                        }
-                    }
-                    (a, b) => panic!("col {c}: lane presence diverged ({a:?} vs {b:?})"),
-                }
-            }
+            assert_blocks_identical(direct, &rebuilt, out_schema.len());
         }
     }
 
     #[test]
     fn recycling_views_match_the_never_recycling_operator() {
-        // `SharedViews` hands spent outputs back to the operator, which
-        // overwrites them in place; `run_operator` never does. Same
-        // frames in, same tuples out — with torso dropouts (no
-        // emission, so batches come out shorter than they went in) and
-        // joint dropouts (a recycled slot must not keep the stale
-        // joint), while every third output is cloned and held across
-        // batches, so those buffers are shared when their turn comes.
+        // Three sessions take turns in ONE lent set of batch buffers:
+        // each `SharedViews` overwrites the spent outputs the previous
+        // session left there, while `run_operator` over a per-session
+        // oracle operator never recycles anything. Same frames in, same
+        // tuples and blocks out, per session — with different personas,
+        // torso dropouts (no emission, so batches come out shorter than
+        // they went in), joint dropouts (a recycled slot must not keep
+        // the stale joint, least of all another session's), uneven
+        // batch lengths, and every third output cloned and held to the
+        // end, so those buffers are shared when their turn comes.
         use gesto_kinect::{Joint, NoiseModel};
-        use gesto_stream::SharedViews;
+        use gesto_stream::{BatchBuffers, SharedViews};
 
         let schema = kinect_schema();
-        let mut perf = Performer::new(
-            Persona::reference()
-                .with_noise(NoiseModel::realistic())
-                .with_seed(5),
-            0,
-        );
-        let mut frames = perf.render(&gestures::swipe_right());
-        frames.extend(perf.render(&gestures::swipe_right()));
-        for (i, f) in frames.iter_mut().enumerate() {
-            if i % 7 == 3 {
-                f.drop_joint(Joint::Torso);
-            }
-            if i % 5 == 1 {
-                f.drop_joint(Joint::RightHand);
-            }
-            if i % 11 == 4 {
-                f.drop_joint(Joint::LeftFoot);
-            }
-        }
-        let tuples = frames_to_tuples(&frames, &schema);
-
+        let out_schema = kinect_t_schema();
+        let personas = [
+            Persona::reference(),
+            Persona::reference().with_height(1200.0).at(700.0, 2800.0),
+            Persona::reference().rotated(0.8),
+        ];
         let cat = standard_catalog();
-        let mut sv = SharedViews::new(&cat);
-        sv.set_needed([KINECT_T]);
-        let slot = sv.slot_of(KINECT_T).unwrap();
-        let mut oracle = KinectTOp::new(TransformConfig::default(), kinect_t_schema());
-
-        let mut held: Vec<(Tuple, Vec<gesto_stream::Value>)> = Vec::new();
-        let (mut emitted, mut dropped) = (0usize, 0usize);
-        // Uneven batches: a short batch leaves spent tuples over, a
-        // longer one after it runs out of them.
-        let batches = tuples.chunks(9).flat_map(|c| {
-            let (short, long) = c.split_at(c.len() / 3);
-            [short, long]
-        });
-        for batch in batches {
-            sv.begin_batch(KINECT_STREAM, batch);
-            let expect = gesto_stream::run_operator(&mut oracle, batch);
-            let got = sv.outputs(slot);
-            assert_eq!(got.len(), expect.len());
-            dropped += batch.len() - got.len();
-            for (g, e) in got.iter().zip(&expect) {
-                assert_eq!(g.values(), e.values(), "bit-identical values");
-                if emitted % 3 == 0 {
-                    held.push((g.clone(), e.values().to_vec()));
+        struct Session {
+            views: SharedViews,
+            oracle: KinectTOp,
+            tuples: Vec<Tuple>,
+            chunk: usize,
+            fed: usize,
+        }
+        let mut sessions: Vec<Session> = personas
+            .into_iter()
+            .enumerate()
+            .map(|(s, persona)| {
+                let mut perf = Performer::new(
+                    persona
+                        .with_noise(NoiseModel::realistic())
+                        .with_seed(5 + s as u64),
+                    0,
+                );
+                let mut frames = perf.render(&gestures::swipe_right());
+                frames.extend(perf.render(&gestures::swipe_right()));
+                for (i, f) in frames.iter_mut().enumerate() {
+                    if i % 7 == 3 + s {
+                        f.drop_joint(Joint::Torso);
+                    }
+                    if i % 5 == (1 + s) % 5 {
+                        f.drop_joint(Joint::RightHand);
+                    }
+                    if i % 11 == 4 + s {
+                        f.drop_joint(Joint::LeftFoot);
+                    }
                 }
-                emitted += 1;
+                let mut views = SharedViews::new(&cat);
+                views.set_needed([KINECT_T]);
+                Session {
+                    views,
+                    oracle: KinectTOp::new(TransformConfig::default(), out_schema.clone()),
+                    tuples: frames_to_tuples(&frames, &schema),
+                    chunk: [9, 4, 13][s],
+                    fed: 0,
+                }
+            })
+            .collect();
+        let slot = sessions[0].views.slot_of(KINECT_T).unwrap();
+
+        let mut bufs = BatchBuffers::default();
+        let mut held: Vec<(Tuple, Vec<gesto_stream::Value>)> = Vec::new();
+        let (mut emitted, mut dropped, mut turns) = (0usize, 0usize, 0usize);
+        while sessions.iter().any(|s| s.fed < s.tuples.len()) {
+            for s in &mut sessions {
+                // Uneven batches: a short batch leaves spent tuples
+                // over, a longer one after it runs out of them.
+                turns += 1;
+                let len = if turns % 2 == 0 { s.chunk / 3 } else { s.chunk };
+                let batch = &s.tuples[s.fed..(s.fed + len).min(s.tuples.len())];
+                s.fed += batch.len();
+                s.views.lend(std::mem::take(&mut bufs));
+                s.views.begin_batch(KINECT_STREAM, batch);
+                let expect = gesto_stream::run_operator(&mut s.oracle, batch);
+                let got = s.views.outputs(slot);
+                assert_eq!(got.len(), expect.len());
+                dropped += batch.len() - got.len();
+                for (g, e) in got.iter().zip(&expect) {
+                    assert_eq!(g.values(), e.values(), "bit-identical values");
+                    if emitted % 3 == 0 {
+                        held.push((g.clone(), e.values().to_vec()));
+                    }
+                    emitted += 1;
+                }
+                if !expect.is_empty() {
+                    let mut rebuilt = ColumnBlock::new();
+                    rebuilt.fill_from_tuples(&expect);
+                    let direct = s.views.view_block(slot).expect("view ran");
+                    assert_blocks_identical(direct, &rebuilt, out_schema.len());
+                }
+                bufs = s.views.reclaim();
+                assert_eq!(
+                    s.views.buffer_bytes(),
+                    0,
+                    "a session retains no batch buffer"
+                );
             }
         }
-        assert!(dropped > 0 && emitted > 30, "trace exercised both cases");
+        assert!(dropped > 0 && emitted > 90, "trace exercised both cases");
         for (kept, expect) in &held {
             assert_eq!(
                 kept.values(),
@@ -376,6 +361,21 @@ mod tests {
                 "a shared tuple is never overwritten"
             );
         }
+    }
+
+    #[test]
+    fn operator_holds_no_batch_sized_buffer() {
+        // Output tuples, spent tuples and block rows live in the
+        // caller's `BatchBuffers` (`Emit`). Exhaustive on purpose: a
+        // new field has to be justified here as state that must survive
+        // between batches.
+        let KinectTOp {
+            out_schema: _,
+            out_slots: _,
+            in_slots: _,
+            transformer: _,
+            scratch: _,
+        } = KinectTOp::new(TransformConfig::default(), kinect_t_schema());
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! One test in a process of its own (a counting `#[global_allocator]`,
 //! as in `bench_nfa`): the shard worker's per-batch sequence — frame →
 //! base tuple ([`KinectSlots::tuple_into`]), frame → base block, shared
-//! views (`kinect_t` through [`Operator::recycle`]), NFA stepping — over
-//! a trace that seeds no run calls the allocator **zero** times once the
-//! buffers are sized, and exactly once per tuple somebody still holds a
-//! clone of.
+//! views (`kinect_t` emitting through [`Emit::overwrite`]) in the one
+//! set of [`BatchBuffers`] lent to the session, NFA stepping —
+//! round-robin over three sessions whose traces seed no run calls the
+//! allocator **zero** times once the buffers are sized, each session's
+//! tuples landing in the very buffers the previous session's had, and
+//! exactly once per tuple somebody still holds a clone of.
 //!
-//! [`Operator::recycle`]: gesto::stream::Operator::recycle
+//! [`Emit::overwrite`]: gesto::stream::Emit::overwrite
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +18,7 @@ use std::sync::Arc;
 
 use gesto::cep::{sync_shared_views, Detection, Engine, PlanInstance, QueryPlan};
 use gesto::kinect::{kinect_schema, KinectSlots, Performer, Persona, SkeletonFrame, KINECT_STREAM};
-use gesto::stream::{SchemaRef, SharedViews, Tuple};
+use gesto::stream::{BatchBuffers, SchemaRef, SharedViews, Tuple, Value};
 use gesto::transform::{standard_catalog, KINECT_T};
 
 /// Counts the calling thread's heap allocations (alloc / realloc /
@@ -67,27 +69,46 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// The shard worker's session state and scratch, and its per-batch
-/// sequence (`ShardWorker::process`, columnar branch).
+/// What one session keeps between its batches.
+struct Session {
+    views: SharedViews,
+    instances: Vec<PlanInstance>,
+}
+
+/// The shard worker's sessions and scratch, and its per-batch sequence
+/// (`ShardWorker::process`, columnar branch).
 struct Shard {
     schema: SchemaRef,
     slots: KinectSlots,
-    views: SharedViews,
-    instances: Vec<PlanInstance>,
+    sessions: Vec<Session>,
     tuples: Vec<Tuple>,
     detections: Vec<Detection>,
+    bufs: BatchBuffers,
+    /// Allocations made by the data path itself (not by `read`).
+    allocs: u64,
 }
 
 impl Shard {
-    fn push(&mut self, frames: &[SkeletonFrame]) {
+    /// One batch of session `s`; `read` sees the base tuples and the
+    /// session's views while the buffers are still lent.
+    fn push<R>(
+        &mut self,
+        s: usize,
+        frames: &[SkeletonFrame],
+        read: impl FnOnce(&[Tuple], &SharedViews) -> R,
+    ) -> R {
         let Shard {
             schema,
             slots,
-            views,
-            instances,
+            sessions,
             tuples,
             detections,
+            bufs,
+            allocs,
         } = self;
+        let Session { views, instances } = &mut sessions[s];
+        let before = allocations();
+        views.lend(std::mem::take(bufs));
         tuples.truncate(frames.len());
         let (kept, new) = frames.split_at(tuples.len());
         for (slot, frame) in tuples.iter_mut().zip(kept) {
@@ -102,7 +123,17 @@ impl Shard {
             inst.push_batch_shared(KINECT_STREAM, tuples, views, detections)
                 .unwrap();
         }
+        *allocs += allocations() - before;
+        let result = read(tuples, views);
+        *bufs = views.reclaim();
+        assert_eq!(views.buffer_bytes(), 0, "a session retains no batch buffer");
+        result
     }
+}
+
+/// Where each tuple's value buffer lives.
+fn buffers(tuples: &[Tuple]) -> Vec<*const Value> {
+    tuples.iter().map(|t| t.values().as_ptr()).collect()
 }
 
 #[test]
@@ -122,46 +153,86 @@ fn steady_state_batch_allocates_nothing() {
     .map(|q| engine.compile(gesto::cep::parse_query(q).unwrap()).unwrap())
     .collect();
 
-    let mut views = SharedViews::new(&catalog);
-    sync_shared_views(&mut views, &plans);
-    let view_slot = views.slot_of(KINECT_T).unwrap();
+    const SESSIONS: usize = 3;
     let schema = kinect_schema();
     let mut shard = Shard {
         slots: KinectSlots::resolve(&schema, ""),
         schema,
-        views,
-        instances: plans.iter().map(|p| p.instantiate()).collect(),
+        sessions: (0..SESSIONS)
+            .map(|_| {
+                let mut views = SharedViews::new(&catalog);
+                sync_shared_views(&mut views, &plans);
+                Session {
+                    views,
+                    instances: plans.iter().map(|p| p.instantiate()).collect(),
+                }
+            })
+            .collect(),
         tuples: Vec::new(),
         detections: Vec::new(),
+        bufs: BatchBuffers::default(),
+        allocs: 0,
+    };
+    let view_slot = shard.sessions[0].views.slot_of(KINECT_T).unwrap();
+
+    // Three users, one idle trace each, consumed a batch per turn.
+    let traces: Vec<Vec<SkeletonFrame>> = [
+        Persona::reference(),
+        Persona::reference().with_height(1200.0).at(700.0, 2800.0),
+        Persona::reference().rotated(0.8),
+    ]
+    .into_iter()
+    .map(|p| Performer::new(p, 0).render_idle(8 * 30 * 33 + 33))
+    .collect();
+    let mut turn = 0;
+    let mut next = || {
+        let (s, round) = (turn % SESSIONS, turn / SESSIONS);
+        turn += 1;
+        (s, &traces[s][30 * round..30 * (round + 1)])
+    };
+    let where_the_values_live = |tuples: &[Tuple], views: &SharedViews| {
+        (buffers(tuples), buffers(views.outputs(view_slot)))
     };
 
-    let trace = Performer::new(Persona::reference(), 0).render_idle(8 * 30 * 33 + 33);
-    let mut batches = trace.chunks_exact(30);
-    let mut next = || batches.next().expect("trace long enough");
+    // Two rounds size everything: the first grows the shared tuple
+    // vectors and blocks and each session's own NFA scratch and slot
+    // tables, the second is the first to overwrite instead of build.
+    for _ in 0..2 * SESSIONS {
+        let (s, frames) = next();
+        shard.push(s, frames, |_, _| ());
+    }
 
-    // Two batches size every buffer: the first grows the tuple vectors
-    // and the blocks, the second is the first to hand the view operator
-    // spent tuples, whose vector it then keeps.
-    shard.push(next());
-    shard.push(next());
+    // Steady state, two rounds: no allocation, and every batch's tuples
+    // sit in the buffers the previous batch — another session's — had.
+    let (s, frames) = next();
+    let mut last = shard.push(s, frames, where_the_values_live);
+    let before = shard.allocs;
+    for _ in 0..2 * SESSIONS {
+        let (s, frames) = next();
+        let now = shard.push(s, frames, where_the_values_live);
+        assert_eq!(now, last, "session {s} reuses its predecessor's buffers");
+        last = now;
+    }
+    assert_eq!(last.0.len(), 30);
+    assert_eq!(last.1.len(), 30);
+    assert_eq!(shard.allocs - before, 0, "steady state: no allocation");
+    assert!(shard.detections.is_empty(), "the traces seed nothing");
 
-    let before = allocations();
-    shard.push(next());
-    shard.push(next());
-    assert_eq!(allocations() - before, 0, "steady state: no allocation");
-    assert!(shard.detections.is_empty(), "the trace seeds nothing");
-    assert_eq!(shard.views.outputs(view_slot).len(), 30);
-
-    // Somebody keeps 3 base tuples and 5 view outputs (a partial match,
-    // a retained detection): exactly those are built anew — one
-    // allocation each — and the kept ones stay as they were.
-    let mut held: Vec<Tuple> = shard.tuples[4..7].to_vec();
-    held.extend_from_slice(&shard.views.outputs(view_slot)[10..15]);
-    let snapshot: Vec<Vec<gesto::stream::Value>> =
-        held.iter().map(|t| t.values().to_vec()).collect();
-    let before = allocations();
-    shard.push(next());
-    assert_eq!(allocations() - before, held.len() as u64);
+    // Somebody keeps 3 base tuples and 5 view outputs of one session's
+    // batch (a partial match, a retained detection): the next batch —
+    // another session's — builds exactly those anew, one allocation
+    // each, and the kept ones stay as they were.
+    let (s, frames) = next();
+    let held: Vec<Tuple> = shard.push(s, frames, |tuples, views| {
+        let mut held = tuples[4..7].to_vec();
+        held.extend_from_slice(&views.outputs(view_slot)[10..15]);
+        held
+    });
+    let snapshot: Vec<Vec<Value>> = held.iter().map(|t| t.values().to_vec()).collect();
+    let (s, frames) = next();
+    let before = shard.allocs;
+    shard.push(s, frames, |_, _| ());
+    assert_eq!(shard.allocs - before, held.len() as u64);
     for (kept, expect) in held.iter().zip(&snapshot) {
         assert_eq!(
             kept.values(),
@@ -172,8 +243,9 @@ fn steady_state_batch_allocates_nothing() {
 
     // The replacements are uniquely owned again: back to zero, clones
     // still held.
-    let before = allocations();
-    shard.push(next());
-    assert_eq!(allocations() - before, 0);
+    let (s, frames) = next();
+    let before = shard.allocs;
+    shard.push(s, frames, |_, _| ());
+    assert_eq!(shard.allocs - before, 0);
     drop(held);
 }
