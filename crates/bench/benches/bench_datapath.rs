@@ -17,7 +17,9 @@
 //! `inproc_512x4`) when every session keeps its own batch buffers — the
 //! shard cycles through 512 cold sets — against one set lent to each
 //! session in turn (`SharedViews::lend` / `reclaim`), which stays in
-//! cache.
+//! cache — fed the batch's tuples (built beforehand: add a `tuple_into`
+//! per frame for what the shard used to pay) or its skeleton frames
+//! (`begin_batch_rows`, what the shard does now).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -33,7 +35,7 @@ use gesto_kinect::{
 };
 use gesto_learn::query_gen::{generate_query, QueryStyle};
 use gesto_learn::LearnerConfig;
-use gesto_stream::{BatchBuffers, SharedViews, Tuple};
+use gesto_stream::{BatchBuffers, RowBatch, SharedViews, Tuple};
 use gesto_transform::{standard_catalog, KINECT_T};
 
 const FRAMES: usize = 240;
@@ -204,7 +206,9 @@ fn front_path(_: &mut Criterion) {
     };
     let (mut own, mut borrowers) = (sessions(), sessions());
     let mut bufs = BatchBuffers::default();
-    let (mut per_session, mut lent) = (f64::INFINITY, f64::INFINITY);
+    let batch: Vec<SkeletonFrame> = frames[..BATCH].to_vec();
+    let rows = RowBatch::of(&batch, &schema);
+    let (mut per_session, mut lent, mut frame_fed) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
         per_session = per_session.min(ns_per_element(SESSIONS * BATCH, 20, || {
             for views in &mut own {
@@ -215,6 +219,13 @@ fn front_path(_: &mut Criterion) {
             for views in &mut borrowers {
                 views.lend(std::mem::take(&mut bufs));
                 views.begin_batch(KINECT_STREAM, &kept[..BATCH]);
+                bufs = views.reclaim();
+            }
+        }));
+        frame_fed = frame_fed.min(ns_per_element(SESSIONS * BATCH, 20, || {
+            for views in &mut borrowers {
+                views.lend(std::mem::take(&mut bufs));
+                views.begin_batch_rows(KINECT_STREAM, &rows, &[]);
                 bufs = views.reclaim();
             }
         }));
@@ -229,6 +240,7 @@ fn front_path(_: &mut Criterion) {
     println!("  begin_batch, spent outputs all still shared {not_recycling:>9.1}");
     println!("  begin_batch, 512 sessions x 30, own buffers {per_session:>9.1}");
     println!("  begin_batch, 512 sessions x 30, one lent set{lent:>9.1}");
+    println!("  begin_batch_rows (frames), same lent set    {frame_fed:>9.1}");
 }
 
 criterion_group!(benches, bench_datapath, front_path);

@@ -222,7 +222,10 @@ impl PlanInstance {
     /// Pushes a whole batch of base-stream tuples, stepping the NFA
     /// **batch-at-a-time** over the session's shared view outputs:
     /// `views` must have been prepared with [`SharedViews::begin_batch`]
-    /// over the same `tuples`, and must be the same instance (per-session
+    /// over the same `tuples` — which only a route on the base stream
+    /// itself reads, so a caller that began the batch from native rows
+    /// ([`SharedViews::begin_batch_rows`]) passes none when the plan has
+    /// no such route — and must be the same instance (per-session
     /// state) on every call — route bindings are resolved on the first.
     /// A plan whose source view `views` does not know is rejected with
     /// [`StreamError::UnknownStream`].
@@ -245,7 +248,7 @@ impl PlanInstance {
             // the same source, so batch order == interleaved order.
             return self.push_frame_shared(stream, tuples, views, None, out);
         }
-        for f in 0..tuples.len() {
+        for f in 0..views.frames() {
             self.push_frame_shared(stream, tuples, views, Some(f), out)?;
         }
         Ok(())

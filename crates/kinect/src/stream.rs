@@ -100,6 +100,14 @@ impl KinectSlots {
         }
     }
 
+    /// True when the table resolves `player`, `ts` and every joint, each
+    /// to a slot of its own: a tuple of its schema then holds everything
+    /// a frame does, so [`Self::tuple`] followed by [`Self::read_frame`]
+    /// is the identity.
+    pub fn covers_frame(&self) -> bool {
+        self.covered == 2 + 3 * JOINT_COUNT
+    }
+
     /// Reads one joint position; `None` when untracked or unresolved.
     pub fn joint(&self, tuple: &Tuple, joint: Joint) -> Option<Vec3> {
         let [x, y, z] = self.joints[joint.index()]?;
@@ -301,6 +309,7 @@ mod tests {
             KinectSlots::canonical(),
             KinectSlots::resolve(&kinect_schema(), "")
         );
+        assert!(KinectSlots::canonical().covers_frame());
     }
 
     #[test]
@@ -535,6 +544,7 @@ mod tests {
             .unwrap(),
         );
         let slots = KinectSlots::resolve(&schema, "");
+        assert!(!slots.covers_frame(), "a tuple of it loses joints");
         let mut f = SkeletonFrame::empty(7, 2);
         f.set_joint(Joint::RightHand, Vec3::new(1.0, 2.0, 3.0));
         f.set_joint(Joint::Torso, Vec3::new(9.0, 9.0, 9.0));

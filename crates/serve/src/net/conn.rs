@@ -235,6 +235,9 @@ pub(crate) enum ReadOutcome {
 pub(crate) struct SessionBinding {
     /// Engine-side session id (globally unique across connections).
     pub global: u64,
+    /// The route registered under `global`, kept here so the per-batch
+    /// receive stamp takes neither the registry lock nor a lookup.
+    pub route: Arc<super::SessionRoute>,
 }
 
 /// Read-side state of one client connection (owned by one I/O thread).

@@ -233,7 +233,7 @@ impl NetConfig {
 }
 
 /// Route from an engine session back to the connection that owns it.
-struct SessionRoute {
+pub(crate) struct SessionRoute {
     /// The client-chosen id detections are attributed to (§5).
     client_session: u64,
     outbox: Arc<Outbox>,
@@ -1024,17 +1024,17 @@ impl IoLoop {
         }
         conn.credits -= n;
         conn.credit_debt += n as u32;
-        let Some(global) = self.bind_session(conn, session) else {
+        let Some(binding) = self.bind_session(conn, session) else {
             // Admission refused the bind: the batch is dropped (the
             // refusal frame is already queued) and the frames' credit
             // returns to the client through the accrued debt.
             return None;
         };
-        if let Some(route) = self.registry.lock().get(&global) {
-            route
-                .last_rx_us
-                .store(self.epoch.elapsed().as_micros() as u64, Ordering::Release);
-        }
+        let global = binding.global;
+        binding
+            .route
+            .last_rx_us
+            .store(self.epoch.elapsed().as_micros() as u64, Ordering::Release);
         self.metrics
             .frames_received
             .fetch_add(n as u64, Ordering::Relaxed);
@@ -1120,9 +1120,13 @@ impl IoLoop {
     /// is in the `Rejecting` overload state. Refusals queue a non-fatal
     /// `Overloaded` error frame (§7.1 of `docs/PROTOCOL.md`); already
     /// bound sessions always resolve.
-    fn bind_session(&mut self, conn: &mut Conn, client_sid: u64) -> Option<u64> {
-        if let Some(b) = conn.sessions.get(&client_sid) {
-            return Some(b.global);
+    fn bind_session<'c>(
+        &mut self,
+        conn: &'c mut Conn,
+        client_sid: u64,
+    ) -> Option<&'c SessionBinding> {
+        if conn.sessions.contains_key(&client_sid) {
+            return conn.sessions.get(&client_sid);
         }
         let refusal = if conn.sessions.len() >= self.config.max_sessions_per_conn {
             Some("connection session cap reached")
@@ -1152,10 +1156,10 @@ impl IoLoop {
             want_events: conn.flags & wire::FLAG_WANT_EVENTS != 0,
             last_rx_us: AtomicU64::new(self.epoch.elapsed().as_micros() as u64),
         });
-        self.registry.lock().insert(global, route);
-        conn.sessions.insert(client_sid, SessionBinding { global });
+        self.registry.lock().insert(global, route.clone());
         self.metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-        Some(global)
+        let binding = SessionBinding { global, route };
+        Some(conn.sessions.entry(client_sid).or_insert(binding))
     }
 
     /// Starts an asynchronous session close; the ack is collected by

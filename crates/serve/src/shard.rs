@@ -6,15 +6,19 @@
 //! applies exactly at its position in the stream. Session state never
 //! leaves the worker thread — per-tuple matching takes no locks.
 //!
-//! Data path per batch: one frame→tuple conversion per frame, written
-//! over the tuples the scratch still holds from the previous batch
-//! ([`KinectSlots::tuple_into`]: a tuple nobody kept a clone of is
-//! overwritten in place, a shared one is replaced), plus (for batches
-//! of at least `ServerConfig::columnar_min_batch` frames) one frame→block
-//! conversion of the whole batch straight from the skeleton frames
-//! ([`KinectSlots::write_block`] — no per-frame `Vec<Value>` round-trip
-//! for the float lanes), one shared view evaluation for the whole batch
-//! ([`SharedViews::begin_batch_prefilled`]) into the worker's one set of
+//! Data path per batch: the skeleton frames go to the views as they
+//! arrived ([`SharedViews::begin_batch_rows`]; `kinect_t` transforms
+//! them without a tuple in between). Only while somebody reads the raw
+//! stream itself — a deployed or retiring plan with a route on it, or a
+//! view that declines frames (`SessionRuntime::raw_tuples`, settled at
+//! the deploy-time sync) — is there also one frame→tuple conversion per
+//! frame, written over the tuples the scratch still holds from the
+//! previous batch ([`KinectSlots::tuple_into`]: a tuple nobody kept a
+//! clone of is overwritten in place, a shared one is replaced), plus
+//! (for batches of at least `ServerConfig::columnar_min_batch` frames)
+//! one frame→block conversion of the whole batch straight from the
+//! frames ([`KinectSlots::write_block`]). The one shared view
+//! evaluation for the whole batch runs in the worker's one set of
 //! batch buffers, lent to the session for the batch
 //! ([`SharedViews::lend`] / [`SharedViews::reclaim`]), then every deployed plan
 //! instance steps its NFA batch-at-a-time over the shared view outputs
@@ -31,7 +35,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, Sender};
 use gesto_cep::{Detection, PlanInstance, QueryPlan};
 use gesto_kinect::{KinectSlots, SkeletonFrame};
-use gesto_stream::{BatchBuffers, Catalog, SchemaRef, SharedViews, Tuple};
+use gesto_stream::{BatchBuffers, Catalog, RowBatch, SchemaRef, SharedViews, Tuple};
 use parking_lot::RwLock;
 
 use gesto_telemetry::Sampler;
@@ -294,6 +298,10 @@ pub(crate) struct SessionRuntime {
     /// (completing or expiring their in-flight runs, never seeding new
     /// ones) and are dropped once [`PlanInstance::active_runs`] hits 0.
     retiring: Vec<PlanInstance>,
+    /// Whether anyone reads the raw stream's tuples (what
+    /// [`Self::sync_needed`] returned last); the worker builds them
+    /// only then.
+    raw_tuples: bool,
     /// Frame-rate quota token bucket (tokens = frames). Refilled from
     /// batch *enqueue* timestamps — not wall-clock reads on the worker —
     /// so admission is deterministic per producer timeline. Burst
@@ -307,27 +315,45 @@ pub(crate) struct SessionRuntime {
 }
 
 impl SessionRuntime {
-    fn new(catalog: &Catalog, plans: &[Arc<QueryPlan>]) -> Self {
+    fn new(catalog: &Catalog, plans: &[Arc<QueryPlan>], raw: (&str, &SchemaRef)) -> Self {
         let mut views = SharedViews::new(catalog);
-        Self::sync_needed(&mut views, plans, &[]);
+        let raw_tuples = Self::sync_needed(&mut views, plans, &[], raw);
         Self {
             views,
             instances: plans.iter().map(|p| p.instantiate()).collect(),
             retiring: Vec::new(),
+            raw_tuples,
             quota_tokens: 0.0,
             quota_stamp: None,
             last_state_bytes: 0,
         }
     }
 
+    /// [`Self::sync_needed`] after the plan set or `self.retiring` changed.
+    fn resync(&mut self, plans: &[Arc<QueryPlan>], raw: (&str, &SchemaRef)) {
+        self.raw_tuples = Self::sync_needed(&mut self.views, plans, &self.retiring, raw);
+    }
+
     /// The deploy-time view sync ([`gesto_cep::sync_shared_views`]) over
     /// the deployed plans plus the retiring instances' plans: retiring
     /// instances keep their views alive until they finish draining — a
-    /// replaced plan's in-flight runs still need them.
-    fn sync_needed(views: &mut SharedViews, plans: &[Arc<QueryPlan>], retiring: &[PlanInstance]) {
+    /// replaced plan's in-flight runs still need them. Returns whether
+    /// any of them reads the tuples of the raw stream `raw` (name and
+    /// schema): a route on the stream itself, or a needed view over it
+    /// that cannot read skeleton frames.
+    fn sync_needed(
+        views: &mut SharedViews,
+        plans: &[Arc<QueryPlan>],
+        retiring: &[PlanInstance],
+        (stream, schema): (&str, &SchemaRef),
+    ) -> bool {
         let mut all: Vec<Arc<QueryPlan>> = plans.to_vec();
         all.extend(retiring.iter().map(|inst| inst.plan().clone()));
         gesto_cep::sync_shared_views(views, &all);
+        all.iter()
+            .flat_map(|p| p.routes())
+            .any(|r| r.views.is_empty() && r.base == stream)
+            || views.tuples_wanted(stream, &RowBatch::of(&Vec::<SkeletonFrame>::new(), schema))
     }
 }
 
@@ -351,7 +377,8 @@ pub(crate) struct ShardWorker {
     /// Detections scratch, reused across batches.
     detections: Vec<Detection>,
     /// Frame→tuple conversion scratch: the previous batch's base tuples,
-    /// overwritten in place by the next batch (whatever its session).
+    /// overwritten in place by the next batch (whatever its session);
+    /// empty while no session's plans read the raw stream.
     tuples: Vec<Tuple>,
     /// The one set of view-output tuples, frame offsets and blocks every
     /// session's batch runs in: lent to the session's `SharedViews` for
@@ -542,7 +569,7 @@ impl ShardWorker {
             self.metrics
                 .state_bytes
                 .fetch_sub(rt.last_state_bytes as i64, Ordering::Relaxed);
-            *rt = SessionRuntime::new(&self.catalog, &self.plans);
+            *rt = SessionRuntime::new(&self.catalog, &self.plans, (&self.stream, &self.schema));
             self.metrics.sessions_reset.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -581,7 +608,7 @@ impl ShardWorker {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 metrics.sessions.fetch_add(1, Ordering::Relaxed);
-                e.insert(SessionRuntime::new(catalog, plans))
+                e.insert(SessionRuntime::new(catalog, plans, (stream, schema)))
             }
         };
         // Per-session frame-rate quota: token bucket refilled from the
@@ -617,6 +644,7 @@ impl ShardWorker {
             views,
             instances,
             retiring,
+            raw_tuples,
             last_state_bytes,
             ..
         } = runtime;
@@ -625,22 +653,24 @@ impl ShardWorker {
         // state) pays a single integer decrement and no clock reads.
         let stages = &telemetry.stages;
         let timed = stage_sampler.sample();
-        // Transform-once, step-batched: one tuple conversion per frame
-        // (and, on the columnar path, one frame→block conversion of the
-        // whole batch straight from the skeleton frames), one shared
-        // view evaluation per batch, then every deployed plan steps its
-        // NFA over the whole batch in one call.
+        // Transform-once, step-batched: for readers of the raw stream
+        // one tuple conversion per frame (and, on the columnar path,
+        // one frame→block conversion of the whole batch straight from
+        // the skeleton frames), one shared view evaluation per batch
+        // over the frames themselves, then every deployed plan steps
+        // its NFA over the whole batch in one call.
         let mark = timed.then(Instant::now);
         views.lend(std::mem::take(bufs));
-        tuples.truncate(batch.frames.len());
-        let (kept, new) = batch.frames.split_at(tuples.len());
+        let raw = if *raw_tuples { batch.frames.len() } else { 0 };
+        tuples.truncate(raw);
+        let (kept, new) = batch.frames[..raw].split_at(tuples.len());
         let mut recycled = 0u64;
         for (slot, frame) in tuples.iter_mut().zip(kept) {
             recycled += u64::from(slots.tuple_into(frame, schema, slot));
         }
         tuples.extend(new.iter().map(|f| slots.tuple(f, schema)));
         gesto_stream::metrics::TUPLES_RECYCLED_TOTAL.add(recycled);
-        gesto_stream::metrics::TUPLES_BUILT_TOTAL.add(batch.frames.len() as u64 - recycled);
+        gesto_stream::metrics::TUPLES_BUILT_TOTAL.add(raw as u64 - recycled);
         // Adaptive scalar-vs-columnar choice, made per pushed batch: the
         // block kernels' fixed setup cost loses on tiny batches (batch 1
         // runs ~0.2–0.5× scalar, batch 16 ~2.7–5.6×,
@@ -653,8 +683,7 @@ impl ShardWorker {
             metrics.block_skips.fetch_add(1, Ordering::Relaxed);
         }
         views.set_columnar(take_columnar);
-        let prefill = views.columnar() && views.base_wanted();
-        if prefill {
+        if views.base_wanted() {
             // Some deployed query reads the raw stream: build its block
             // straight from the frames (cheaper than going through the
             // tuples), restricted to the lanes deployed predicates
@@ -667,19 +696,15 @@ impl ShardWorker {
             stages.transform.record(t0.elapsed().as_nanos() as u64);
         }
         let mark = timed.then(Instant::now);
-        if prefill {
-            views.begin_batch_prefilled(stream, tuples);
-        } else {
-            views.begin_batch(stream, tuples);
-        }
+        views.begin_batch_rows(stream, &RowBatch::of(&batch.frames, schema), tuples);
         if let Some(t0) = mark {
             stages.views.record(t0.elapsed().as_nanos() as u64);
         }
         // Data-path failpoint (disarmed: one relaxed load). Placed
-        // mid-batch — session created, buffers lent, base tuples and
-        // view outputs written, NFA not yet stepped — so an injected
-        // panic exercises the full quarantine path, session reset and
-        // torn scratch included.
+        // mid-batch — session created, buffers lent, raw tuples (if
+        // read) and view outputs written, NFA not yet stepped — so an
+        // injected panic exercises the full quarantine path, session
+        // reset and torn scratch included.
         crate::failpoint::maybe_poison(&batch.frames);
         let mark = timed.then(Instant::now);
         for inst in instances.iter_mut() {
@@ -709,7 +734,7 @@ impl ShardWorker {
                 metrics
                     .retiring
                     .fetch_sub(before - retiring.len(), Ordering::Relaxed);
-                SessionRuntime::sync_needed(views, plans, retiring);
+                *raw_tuples = SessionRuntime::sync_needed(views, plans, retiring, (stream, schema));
             }
         }
         // Every consumer has read the batch: the buffers are the
@@ -823,7 +848,7 @@ impl ShardWorker {
             // session started; instantiate them and re-mark the
             // needed set.
             slot.views.refresh(&self.catalog);
-            SessionRuntime::sync_needed(&mut slot.views, &self.plans, &slot.retiring);
+            slot.resync(&self.plans, (&self.stream, &self.schema));
         }
     }
 
@@ -842,13 +867,17 @@ impl ShardWorker {
                     self.metrics
                         .retiring
                         .fetch_sub(before - slot.retiring.len(), Ordering::Relaxed);
-                    SessionRuntime::sync_needed(&mut slot.views, &self.plans, &slot.retiring);
+                    slot.resync(&self.plans, (&self.stream, &self.schema));
                 }
             }
             Control::Open(session) => {
                 if let std::collections::hash_map::Entry::Vacant(e) = self.sessions.entry(session) {
                     self.metrics.sessions.fetch_add(1, Ordering::Relaxed);
-                    e.insert(SessionRuntime::new(&self.catalog, &self.plans));
+                    e.insert(SessionRuntime::new(
+                        &self.catalog,
+                        &self.plans,
+                        (&self.stream, &self.schema),
+                    ));
                 }
             }
             Control::Close(session, ack) => {
@@ -984,21 +1013,25 @@ mod tests {
     /// Detections a test worker's listener saw, by session.
     type Seen = Arc<Mutex<Vec<(u64, Detection)>>>;
 
+    /// `SELECT "<name>" MATCHING <pattern> …`, compiled for `catalog`.
+    fn plan(catalog: &Arc<Catalog>, name: &str, pattern: &str) -> Arc<QueryPlan> {
+        let text = format!(
+            r#"SELECT "{name}" MATCHING {pattern} within 2 seconds select first consume all;"#
+        );
+        gesto_cep::Engine::new(catalog.clone())
+            .compile(gesto_cep::parse_query(&text).unwrap())
+            .unwrap()
+    }
+
     /// A worker over the standard catalog with one query deployed, the
     /// way `Server::start` + a deploy leave it, and what it detects.
     fn worker_with_swipe_query() -> (ShardWorker, Seen) {
         let catalog = gesto_transform::standard_catalog();
-        let plan = gesto_cep::Engine::new(catalog.clone())
-            .compile(
-                gesto_cep::parse_query(
-                    r#"SELECT "swipe"
-                       MATCHING kinect_t(rHand_x < 100 and abs(rHand_y - 150) < 120)
-                             -> kinect_t(rHand_x > 700)
-                       within 2 seconds select first consume all;"#,
-                )
-                .unwrap(),
-            )
-            .unwrap();
+        let plan = plan(
+            &catalog,
+            "swipe",
+            "kinect_t(rHand_x < 100 and abs(rHand_y - 150) < 120) -> kinect_t(rHand_x > 700)",
+        );
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = seen.clone();
         let listener: DetectionSink = Arc::new(move |sid: SessionId, d: &Detection| {
@@ -1038,15 +1071,17 @@ mod tests {
         Performer::new(Persona::reference().with_seed(seed), 0).render(&gestures::swipe_right())
     }
 
-    fn keys(
-        seen: &Mutex<Vec<(u64, Detection)>>,
-    ) -> Vec<(u64, i64, i64, Vec<Vec<gesto_stream::Value>>)> {
+    /// A detection's comparison key: session, gesture, `ts`,
+    /// `started_at`, event values.
+    type Key = (u64, String, i64, i64, Vec<Vec<gesto_stream::Value>>);
+
+    fn keys(seen: &Mutex<Vec<(u64, Detection)>>) -> Vec<Key> {
         seen.lock()
             .unwrap()
             .iter()
             .map(|(sid, d)| {
                 let events = d.events.iter().map(|t| t.values().to_vec()).collect();
-                (*sid, d.ts, d.started_at, events)
+                (*sid, d.gesture.clone(), d.ts, d.started_at, events)
             })
             .collect()
     }
@@ -1093,6 +1128,82 @@ mod tests {
     }
 
     #[test]
+    fn raw_tuples_are_built_only_while_a_plan_reads_the_raw_stream() {
+        use gesto_kinect::{gestures, Performer, Persona};
+        const RAW: &str = "kinect(rHand_x - torso_x < 100) -> kinect(rHand_x - torso_x > 700)";
+        const VIEW: &str = "kinect_t(rHand_x < 100) -> kinect_t(rHand_x > 700)";
+
+        // Three swipes per session, in 15-frame (columnar) and 4-frame
+        // (scalar) batches, taking turns on one worker.
+        let traces: Vec<Vec<SkeletonFrame>> = (7..9)
+            .map(|seed| {
+                let mut p = Performer::new(Persona::reference().with_seed(seed), 0);
+                (0..3)
+                    .flat_map(|_| p.render(&gestures::swipe_right()))
+                    .collect()
+            })
+            .collect();
+        let turns: Vec<(u64, &[SkeletonFrame])> = traces[0]
+            .chunks(15)
+            .zip(traces[1].chunks(4))
+            .flat_map(|(a, b)| [(1, a), (2, b)])
+            .collect();
+        let (deploy, replace, undeploy) =
+            (turns.len() / 5, 2 * turns.len() / 5, 4 * turns.len() / 5);
+
+        // The same jobs at the same FIFO positions; `only` keeps one
+        // session's batches.
+        let run = |only: Option<u64>, check: bool| {
+            let (mut worker, seen) = worker_with_swipe_query();
+            let catalog = worker.catalog.clone();
+            let mut kept_on_by_retiring = false;
+            for (i, &(sid, frames)) in turns.iter().enumerate() {
+                if i == deploy {
+                    worker.control(Control::Deploy(plan(&catalog, "raw", RAW)));
+                } else if i == replace {
+                    // Version 2 reads the view: version 1's in-flight
+                    // runs are all that still reads the raw stream.
+                    worker.control(Control::Deploy(plan(&catalog, "raw", VIEW)));
+                } else if i == undeploy {
+                    worker.control(Control::Undeploy("raw".into()));
+                }
+                if only.is_some_and(|s| s != sid) {
+                    continue;
+                }
+                let before = worker.sessions.get(&SessionId(sid)).map(|rt| rt.raw_tuples);
+                worker.process(batch(sid, frames));
+                if !check {
+                    continue;
+                }
+                // Settled by the syncs before the batch; the sync after
+                // the last retiring instance drained shows from the next.
+                let rt = &worker.sessions[&SessionId(sid)];
+                let deployed = (deploy..replace).contains(&i);
+                assert_eq!(rt.raw_tuples, deployed || !rt.retiring.is_empty());
+                let built = before.unwrap_or(rt.raw_tuples);
+                assert!(built || !deployed, "turn {i}");
+                kept_on_by_retiring |= built && !deployed;
+                assert_eq!(worker.tuples.len(), if built { frames.len() } else { 0 });
+                for (t, f) in worker.tuples.iter().zip(frames) {
+                    let fresh = worker.slots.tuple(f, &worker.schema);
+                    assert_eq!(t.values(), fresh.values(), "turn {i}");
+                }
+            }
+            assert!(!check || kept_on_by_retiring);
+            assert!(worker.sessions.values().all(|rt| rt.retiring.is_empty()));
+            keys(&seen)
+        };
+        let shared = run(None, true);
+        for g in ["swipe", "raw"] {
+            assert!(shared.iter().any(|k| k.1 == g), "{g} detected");
+        }
+        for sid in [1, 2] {
+            let own: Vec<_> = shared.iter().filter(|k| k.0 == sid).cloned().collect();
+            assert_eq!(run(Some(sid), false), own, "session {sid} alone");
+        }
+    }
+
+    #[test]
     fn quarantine_rebuilds_buffers_torn_while_lent() {
         let (mut worker, seen) = worker_with_swipe_query();
         let (victim, bystander) = (swipe(3), swipe(4));
@@ -1103,7 +1214,10 @@ mod tests {
         // half-written outputs in them, and never came back.
         let rt = worker.sessions.get_mut(&SessionId(1)).unwrap();
         rt.views.lend(std::mem::take(&mut worker.bufs));
-        rt.views.begin_batch(&worker.stream, &worker.tuples);
+        let torn = victim[..10].to_vec();
+        let rows = RowBatch::of(&torn, &worker.schema);
+        rt.views.begin_batch_rows(&worker.stream, &rows, &[]);
+        assert!(rt.views.buffer_bytes() > 0);
         worker.quarantine(SessionId(1), 10);
         assert_eq!(worker.bufs.bytes(), 0, "a fresh set, not the torn one");
         assert!(worker.tuples.is_empty());

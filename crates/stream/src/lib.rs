@@ -65,7 +65,7 @@ pub mod wire;
 pub use block::{BitMask, ColumnBlock, FloatLane};
 pub use catalog::{Catalog, ViewDef, ViewFactory};
 pub use error::StreamError;
-pub use operator::{run_operator, BoxedOperator, Emit, Operator};
+pub use operator::{run_operator, BoxedOperator, Emit, Operator, RowBatch};
 pub use schema::{Field, Schema, SchemaBuilder, SchemaRef};
 pub use shared::{BatchBuffers, SharedViews};
 pub use time::{FrameClock, StreamTime, KINECT_FRAME_MS, KINECT_HZ};

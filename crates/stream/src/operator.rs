@@ -1,5 +1,7 @@
 //! The push-based operator abstraction.
 
+use std::any::Any;
+
 use crate::block::ColumnBlock;
 use crate::schema::SchemaRef;
 use crate::tuple::Tuple;
@@ -108,6 +110,26 @@ impl<'a> Emit<'a> {
     }
 }
 
+/// A base-stream batch in the form its producer holds it, before any
+/// tuple is built from it ([`crate::SharedViews::begin_batch_rows`]).
+pub struct RowBatch<'a> {
+    /// The producer's rows, e.g. a `Vec<SkeletonFrame>`; an operator
+    /// that knows the type downcasts.
+    pub rows: &'a dyn Any,
+    /// Number of rows (frames) in `rows`.
+    pub(crate) len: usize,
+    /// Schema of the tuples the producer builds from these rows.
+    pub schema: &'a SchemaRef,
+}
+
+impl<'a> RowBatch<'a> {
+    /// The batch `rows` (possibly empty), whose tuples have `schema`.
+    pub fn of<T: 'static>(rows: &'a Vec<T>, schema: &'a SchemaRef) -> Self {
+        let len = rows.len();
+        Self { rows, len, schema }
+    }
+}
+
 /// A push-based stream operator.
 ///
 /// Operators receive one input tuple at a time and may emit zero or more
@@ -124,6 +146,20 @@ pub trait Operator: Send {
     /// Processes one tuple. `emit` is valid for this call only; nothing
     /// it hands out may be kept.
     fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>);
+
+    /// [`Self::process`] without the tuple: an operator that can read
+    /// `batch` natively emits for row `row` exactly what `process` emits
+    /// for the tuple the producer builds from that row, and returns
+    /// `true`. `false` (the default) means it cannot and has done
+    /// nothing — the caller feeds it tuples.
+    ///
+    /// The answer depends on the type of `batch.rows` and on
+    /// `batch.schema` only, never on the row, and a `row` past the end
+    /// asks for the answer alone: a caller settles once, when its views
+    /// change, whether it has to build tuples at all.
+    fn process_row(&mut self, _batch: &RowBatch<'_>, _row: usize, _emit: &mut Emit<'_>) -> bool {
+        false
+    }
 
     /// Flushes any buffered state at end-of-stream (windows, aggregates).
     ///

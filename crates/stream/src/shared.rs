@@ -36,7 +36,7 @@ use std::collections::HashMap;
 
 use crate::block::ColumnBlock;
 use crate::catalog::Catalog;
-use crate::operator::{BoxedOperator, Emit};
+use crate::operator::{BoxedOperator, Emit, RowBatch};
 use crate::tuple::Tuple;
 
 /// Where a view reads its input tuples from.
@@ -97,6 +97,8 @@ pub struct BatchBuffers {
     /// [`SharedViews::fill_base_with`] / [`SharedViews::base_block_mut`],
     /// consumed by every `begin_batch*`).
     base_prefilled: bool,
+    /// Frames in the batch begun last ([`SharedViews::frames`]).
+    frames: usize,
     /// By view slot; grown to the borrower's slot count on demand.
     views: Vec<ViewBuffers>,
 }
@@ -246,6 +248,7 @@ impl SharedViews {
     pub fn lend(&mut self, mut bufs: BatchBuffers) {
         bufs.base.clear();
         bufs.base_prefilled = false;
+        bufs.frames = 0;
         for v in &mut bufs.views {
             v.live = false;
         }
@@ -296,13 +299,50 @@ impl SharedViews {
     /// filled since the previous `begin_batch*` — or whose row count
     /// does not match — is rebuilt from the tuples.
     pub fn begin_batch_prefilled(&mut self, stream: &str, tuples: &[Tuple]) {
+        self.begin(stream, tuples, None);
+    }
+
+    /// [`Self::begin_batch_prefilled`] from the producer's own rows: a
+    /// view rooted at `stream` reads `rows` natively
+    /// ([`crate::Operator::process_row`]) and is fed `tuples` only when
+    /// it declines. `tuples` are the tuples built from `rows` — or
+    /// empty, when [`Self::tuples_wanted`] said no view needs them and
+    /// no consumer reads the base stream (tuples or block) itself.
+    pub fn begin_batch_rows(&mut self, stream: &str, rows: &RowBatch<'_>, tuples: &[Tuple]) {
+        debug_assert!(tuples.is_empty() || tuples.len() == rows.len);
+        self.begin(stream, tuples, Some(rows));
+    }
+
+    /// True when some needed view rooted at `stream` declines batches
+    /// of `rows`' type and schema (`rows` may be empty), so
+    /// [`Self::begin_batch_rows`] must be given the tuples too. Holds
+    /// until the needed set or the views change.
+    pub fn tuples_wanted(&mut self, stream: &str, rows: &RowBatch<'_>) -> bool {
+        let mut nothing = Vec::new();
+        let mut emit = Emit::collect(&mut nothing);
+        self.states.iter_mut().any(|st| {
+            st.needed
+                && matches!(&st.input, Input::Stream(s) if s == stream)
+                && !st.op.process_row(rows, rows.len, &mut emit)
+        })
+    }
+
+    /// Frames in the current batch, whichever way it began; valid from
+    /// `begin_batch*` until [`Self::reclaim`].
+    pub fn frames(&self) -> usize {
+        self.bufs.frames
+    }
+
+    fn begin(&mut self, stream: &str, tuples: &[Tuple], rows: Option<&RowBatch<'_>>) {
+        let frames = rows.map_or(tuples.len(), |r| r.len);
         let prefilled = std::mem::take(&mut self.bufs.base_prefilled);
-        if self.base_wanted() && !(prefilled && self.bufs.base.rows() == tuples.len()) {
+        if self.base_wanted() && !(prefilled && self.bufs.base.rows() == frames) {
             self.bufs
                 .base
                 .fill_from_tuples_filtered(tuples, self.base_cols.as_deref());
         }
-        self.run_views(stream, tuples);
+        self.bufs.frames = frames;
+        self.run_views(stream, tuples, rows);
     }
 
     /// True when some consumer reads the base-stream block at all —
@@ -314,7 +354,8 @@ impl SharedViews {
 
     /// Evaluates every needed view over the batch (see
     /// [`Self::begin_batch`]) and rebuilds each live view's block.
-    fn run_views(&mut self, stream: &str, tuples: &[Tuple]) {
+    fn run_views(&mut self, stream: &str, tuples: &[Tuple], rows: Option<&RowBatch<'_>>) {
+        let frames = self.bufs.frames;
         if self.bufs.views.len() < self.states.len() {
             self.bufs
                 .views
@@ -339,13 +380,19 @@ impl SharedViews {
             let mut emit = Emit::new(&mut buf.out, build_block.then_some((&mut buf.block, cols)));
             buf.offsets.clear();
             buf.offsets.push(0);
-            for f in 0..tuples.len() {
-                let inputs = match up {
-                    None => &tuples[f..f + 1],
-                    Some(up) => &up.out[up.offsets[f] as usize..up.offsets[f + 1] as usize],
-                };
-                for t in inputs {
-                    st.op.process(t, &mut emit);
+            for f in 0..frames {
+                match up {
+                    None => {
+                        if !rows.is_some_and(|r| st.op.process_row(r, f, &mut emit)) {
+                            let tuple = tuples.get(f).expect("tuples, for a view that wants them");
+                            st.op.process(tuple, &mut emit);
+                        }
+                    }
+                    Some(up) => {
+                        for t in &up.out[up.offsets[f] as usize..up.offsets[f + 1] as usize] {
+                            st.op.process(t, &mut emit);
+                        }
+                    }
                 }
                 buf.offsets.push(emit.len as u32);
             }
@@ -814,6 +861,114 @@ mod tests {
                 assert!(bufs.bytes() > 0);
             }
         }
+    }
+
+    #[test]
+    fn native_rows_feed_who_reads_them_and_tuples_everyone_else() {
+        use crate::operator::{Emit, Operator};
+
+        /// Emits `x + 100` from a `Vec<f64>` row batch, `x + 1` from a
+        /// tuple — so the test can tell which entry ran.
+        struct AddOp(SchemaRef);
+        impl AddOp {
+            fn emit(&self, x: f64, emit: &mut Emit<'_>) {
+                let values = vec![Value::Timestamp(0), Value::Float(x)];
+                emit.push(Tuple::new_unchecked(self.0.clone(), values));
+            }
+        }
+        impl Operator for AddOp {
+            fn name(&self) -> &str {
+                "add"
+            }
+            fn output_schema(&self) -> SchemaRef {
+                self.0.clone()
+            }
+            fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>) {
+                self.emit(tuple.f64("x").unwrap() + 1.0, emit);
+            }
+            fn process_row(
+                &mut self,
+                batch: &RowBatch<'_>,
+                row: usize,
+                emit: &mut Emit<'_>,
+            ) -> bool {
+                let Some(xs) = batch.rows.downcast_ref::<Vec<f64>>() else {
+                    return false;
+                };
+                if let Some(x) = xs.get(row) {
+                    self.emit(x + 100.0, emit);
+                }
+                true
+            }
+        }
+
+        let cat = Catalog::new();
+        let schema = base();
+        cat.register_stream(schema.clone()).unwrap();
+        let op_schema = schema.clone();
+        cat.register_view(ViewDef {
+            name: "add".into(),
+            input: "kinect".into(),
+            schema: schema.clone(),
+            factory: Arc::new(move || Box::new(AddOp(op_schema.clone()))),
+        })
+        .unwrap();
+        let calls = Arc::new(AtomicU64::new(0));
+        cat.register_view(counted_view("v2", "kinect", 2.0, calls.clone()))
+            .unwrap();
+        cat.register_view(counted_view("add2", "add", 2.0, calls.clone()))
+            .unwrap();
+        let mut sv = SharedViews::new(&cat);
+        let slot = |n: &str| sv.slot_of(n).unwrap();
+        let (add, v2, add2) = (slot("add"), slot("v2"), slot("add2"));
+
+        let xs = vec![1.0, 2.0, 3.0];
+        let rows = RowBatch::of(&xs, &schema);
+        let tuples: Vec<Tuple> = xs.iter().map(|x| tup(0, *x)).collect();
+        let xs_of = |sv: &SharedViews, slot| -> Vec<f64> {
+            sv.outputs(slot)
+                .iter()
+                .map(|t| t.f64("x").unwrap())
+                .collect()
+        };
+
+        // Only views that read the rows are needed: no tuple is wanted,
+        // none is given, and the chained view still sees every frame.
+        sv.set_needed(["add2"]);
+        assert!(!sv.tuples_wanted("kinect", &rows));
+        assert!(sv.outputs(add).is_empty(), "the probe emitted nothing");
+        sv.begin_batch_rows("kinect", &rows, &[]);
+        assert_eq!(sv.frames(), 3);
+        assert_eq!(xs_of(&sv, add), [101.0, 102.0, 103.0]);
+        assert_eq!(xs_of(&sv, add2), [202.0, 204.0, 206.0]);
+        assert_eq!(sv.frame_outputs(add2, 1)[0].f64("x"), Some(204.0));
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+
+        // A needed view without a native entry: the caller is told, and
+        // that view — only that view — is fed the tuples.
+        sv.set_needed(["add", "v2"]);
+        assert!(sv.tuples_wanted("kinect", &rows));
+        assert!(!sv.tuples_wanted("other", &rows), "rooted elsewhere");
+        sv.begin_batch_rows("kinect", &rows, &tuples);
+        assert_eq!(xs_of(&sv, add), [101.0, 102.0, 103.0]);
+        assert_eq!(xs_of(&sv, v2), [2.0, 4.0, 6.0]);
+
+        // Rows of a type the view does not know: tuples again.
+        let bytes = vec![0u8; 3];
+        let bytes = RowBatch::of(&bytes, &schema);
+        sv.set_needed(["add"]);
+        assert!(sv.tuples_wanted("kinect", &bytes));
+        sv.begin_batch_rows("kinect", &bytes, &tuples);
+        assert_eq!(xs_of(&sv, add), [2.0, 3.0, 4.0]);
+
+        // The tuple entry is unchanged, and counts its own frames.
+        sv.begin_batch("kinect", &tuples[..2]);
+        assert_eq!(sv.frames(), 2);
+        assert_eq!(xs_of(&sv, add), [2.0, 3.0]);
+        let taken = sv.reclaim();
+        assert_eq!(sv.frames(), 0);
+        sv.lend(taken);
+        assert_eq!(sv.frames(), 0, "the previous batch's count is spent");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! on-the-fly" (§3.2). The view is a [`KinectTOp`]: a slot-compiled
 //! operator holding a stateful [`Transformer`]. Field positions are
 //! resolved once (via [`KinectSlots`]), so the per-frame work is pure
-//! slice indexing — no name lookups, no intermediate tuple, and on the
-//! steady state no allocation either: under [`gesto_stream::SharedViews`]
-//! the sink offers the spent output tuples of an earlier batch
+//! slice indexing — no name lookups, no intermediate tuple, no input
+//! tuple at all when the caller still holds the sensor's frames
+//! ([`Operator::process_row`]), and on the steady state no allocation
+//! either: under [`gesto_stream::SharedViews`] the sink offers the spent output tuples of an earlier batch
 //! ([`Emit::overwrite`]) and the operator overwrites the ones nobody kept
 //! a clone of. The operator itself holds no batch-sized buffer: output
 //! tuples and block rows go straight into the caller's
@@ -15,7 +16,7 @@
 use std::sync::Arc;
 
 use gesto_kinect::{schema_named, KinectSlots, SkeletonFrame, KINECT_STREAM};
-use gesto_stream::{Catalog, Emit, Operator, SchemaRef, StreamError, Tuple, ViewDef};
+use gesto_stream::{Catalog, Emit, Operator, RowBatch, SchemaRef, StreamError, Tuple, ViewDef};
 
 use crate::transform::{TransformConfig, Transformer};
 
@@ -57,6 +58,39 @@ impl KinectTOp {
     }
 }
 
+/// The slot table of input schema `schema`, re-resolved only when the
+/// schema instance changes (same `Arc` ⇒ same layout).
+fn input_slots<'a>(
+    cache: &'a mut Option<(SchemaRef, KinectSlots)>,
+    schema: &SchemaRef,
+) -> &'a KinectSlots {
+    if !matches!(&*cache, Some((cached, _)) if Arc::ptr_eq(cached, schema)) {
+        *cache = Some((schema.clone(), KinectSlots::resolve(schema, "")));
+    }
+    &cache.as_ref().expect("resolved").1
+}
+
+/// Transforms `frame` and, if it has a torso, emits the result.
+fn emit_transformed(
+    transformer: &mut Transformer,
+    out_slots: &KinectSlots,
+    out_schema: &SchemaRef,
+    frame: &SkeletonFrame,
+    emit: &mut Emit<'_>,
+) {
+    if let Some(transformed) = transformer.transform_frame(frame) {
+        // Overwrite a spent tuple in place unless a clone of it is
+        // still alive; write the block row straight from the frame,
+        // skipping the tuple→lane rebuild.
+        if !emit.overwrite(|slot| out_slots.tuple_into(&transformed, out_schema, slot)) {
+            emit.push(out_slots.tuple(&transformed, out_schema));
+        }
+        if let Some((block, row)) = emit.block_row(out_schema) {
+            out_slots.write_block_row(&transformed, row, block);
+        }
+    }
+}
+
 impl Operator for KinectTOp {
     fn name(&self) -> &str {
         KINECT_T
@@ -67,33 +101,26 @@ impl Operator for KinectTOp {
     }
 
     fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>) {
-        let Self {
-            out_schema,
-            out_slots,
-            in_slots,
-            transformer,
-            scratch,
-        } = self;
-        let cached = matches!(&*in_slots, Some((schema, _)) if Arc::ptr_eq(schema, tuple.schema()));
-        if !cached {
-            *in_slots = Some((
-                tuple.schema().clone(),
-                KinectSlots::resolve(tuple.schema(), ""),
-            ));
+        input_slots(&mut self.in_slots, tuple.schema()).read_frame(tuple, &mut self.scratch);
+        let (slots, schema) = (&self.out_slots, &self.out_schema);
+        emit_transformed(&mut self.transformer, slots, schema, &self.scratch, emit);
+    }
+
+    /// Reads a `Vec<SkeletonFrame>` whose tuples would carry the whole
+    /// frame ([`KinectSlots::covers_frame`]): building the tuple and
+    /// reading it back would hand [`Self::process`] this very frame.
+    fn process_row(&mut self, batch: &RowBatch<'_>, row: usize, emit: &mut Emit<'_>) -> bool {
+        let Some(frames) = batch.rows.downcast_ref::<Vec<SkeletonFrame>>() else {
+            return false;
+        };
+        if !input_slots(&mut self.in_slots, batch.schema).covers_frame() {
+            return false;
         }
-        let (_, slots) = in_slots.as_ref().expect("resolved");
-        slots.read_frame(tuple, scratch);
-        if let Some(transformed) = transformer.transform_frame(scratch) {
-            // Overwrite a spent tuple in place unless a clone of it is
-            // still alive; write the block row straight from the frame,
-            // skipping the tuple→lane rebuild.
-            if !emit.overwrite(|slot| out_slots.tuple_into(&transformed, out_schema, slot)) {
-                emit.push(out_slots.tuple(&transformed, out_schema));
-            }
-            if let Some((block, row)) = emit.block_row(out_schema) {
-                out_slots.write_block_row(&transformed, row, block);
-            }
+        if let Some(frame) = frames.get(row) {
+            let (slots, schema) = (&self.out_slots, &self.out_schema);
+            emit_transformed(&mut self.transformer, slots, schema, frame, emit);
         }
+        true
     }
 }
 
@@ -252,17 +279,19 @@ mod tests {
     #[test]
     fn recycling_views_match_the_never_recycling_operator() {
         // Three sessions take turns in ONE lent set of batch buffers:
-        // each `SharedViews` overwrites the spent outputs the previous
-        // session left there, while `run_operator` over a per-session
-        // oracle operator never recycles anything. Same frames in, same
-        // tuples and blocks out, per session — with different personas,
+        // each `SharedViews` is fed skeleton FRAMES and overwrites the
+        // spent outputs the previous session left there, while
+        // `run_operator` over a per-session oracle operator is fed the
+        // TUPLES built from those frames and never recycles anything.
+        // Same frames in, same tuples and blocks out, per session —
+        // with different personas,
         // torso dropouts (no emission, so batches come out shorter than
         // they went in), joint dropouts (a recycled slot must not keep
         // the stale joint, least of all another session's), uneven
         // batch lengths, and every third output cloned and held to the
         // end, so those buffers are shared when their turn comes.
         use gesto_kinect::{Joint, NoiseModel};
-        use gesto_stream::{BatchBuffers, SharedViews};
+        use gesto_stream::{BatchBuffers, RowBatch, SharedViews};
 
         let schema = kinect_schema();
         let out_schema = kinect_t_schema();
@@ -275,7 +304,7 @@ mod tests {
         struct Session {
             views: SharedViews,
             oracle: KinectTOp,
-            tuples: Vec<Tuple>,
+            frames: Vec<SkeletonFrame>,
             chunk: usize,
             fed: usize,
         }
@@ -307,7 +336,7 @@ mod tests {
                 Session {
                     views,
                     oracle: KinectTOp::new(TransformConfig::default(), out_schema.clone()),
-                    tuples: frames_to_tuples(&frames, &schema),
+                    frames,
                     chunk: [9, 4, 13][s],
                     fed: 0,
                 }
@@ -318,17 +347,21 @@ mod tests {
         let mut bufs = BatchBuffers::default();
         let mut held: Vec<(Tuple, Vec<gesto_stream::Value>)> = Vec::new();
         let (mut emitted, mut dropped, mut turns) = (0usize, 0usize, 0usize);
-        while sessions.iter().any(|s| s.fed < s.tuples.len()) {
+        while sessions.iter().any(|s| s.fed < s.frames.len()) {
             for s in &mut sessions {
                 // Uneven batches: a short batch leaves spent tuples
                 // over, a longer one after it runs out of them.
                 turns += 1;
                 let len = if turns % 2 == 0 { s.chunk / 3 } else { s.chunk };
-                let batch = &s.tuples[s.fed..(s.fed + len).min(s.tuples.len())];
+                let frames = s.frames[s.fed..(s.fed + len).min(s.frames.len())].to_vec();
+                let batch = frames_to_tuples(&frames, &schema);
                 s.fed += batch.len();
                 s.views.lend(std::mem::take(&mut bufs));
-                s.views.begin_batch(KINECT_STREAM, batch);
-                let expect = gesto_stream::run_operator(&mut s.oracle, batch);
+                let rows = RowBatch::of(&frames, &schema);
+                assert!(!s.views.tuples_wanted(KINECT_STREAM, &rows));
+                s.views.begin_batch_rows(KINECT_STREAM, &rows, &[]);
+                assert_eq!(s.views.frames(), frames.len());
+                let expect = gesto_stream::run_operator(&mut s.oracle, &batch);
                 let got = s.views.outputs(slot);
                 assert_eq!(got.len(), expect.len());
                 dropped += batch.len() - got.len();
@@ -360,6 +393,46 @@ mod tests {
                 &expect[..],
                 "a shared tuple is never overwritten"
             );
+        }
+    }
+
+    #[test]
+    fn frames_are_read_only_when_a_tuple_would_carry_all_of_them() {
+        // Over an ingest schema without the feet, frame → tuple → frame
+        // drops joints the transformer would otherwise see (and copy to
+        // its output): the operator must decline the frames and be fed
+        // the tuples, like it must for rows of a type it does not know.
+        use gesto_stream::{Catalog, RowBatch, SharedViews};
+
+        let full = kinect_schema();
+        let fields = full.fields().iter().filter(|f| !f.name.contains("Foot"));
+        let partial: SchemaRef =
+            Arc::new(gesto_stream::Schema::new(KINECT_STREAM, fields.cloned().collect()).unwrap());
+        let slots = KinectSlots::resolve(&partial, "");
+        assert!(!slots.covers_frame() && KinectSlots::resolve(&full, "").covers_frame());
+
+        let cat = Catalog::new();
+        cat.register_stream(partial.clone()).unwrap();
+        register_kinect_t(&cat, TransformConfig::default()).unwrap();
+        let mut views = SharedViews::new(&cat);
+        views.set_needed([KINECT_T]);
+
+        let frames = Performer::new(Persona::reference(), 0).render(&gestures::swipe_right());
+        let rows = |schema| RowBatch::of(&frames, schema);
+        assert!(views.tuples_wanted(KINECT_STREAM, &rows(&partial)));
+        assert!(!views.tuples_wanted(KINECT_STREAM, &rows(&full)));
+        let bytes = vec![0u8; frames.len()];
+        assert!(views.tuples_wanted(KINECT_STREAM, &RowBatch::of(&bytes, &full)));
+
+        let tuples: Vec<Tuple> = frames.iter().map(|f| slots.tuple(f, &partial)).collect();
+        views.begin_batch_rows(KINECT_STREAM, &rows(&partial), &tuples);
+        let mut oracle = KinectTOp::new(TransformConfig::default(), kinect_t_schema());
+        let expect = gesto_stream::run_operator(&mut oracle, &tuples);
+        let got = views.outputs(views.slot_of(KINECT_T).unwrap());
+        assert_eq!(got.len(), expect.len());
+        for (g, e) in got.iter().zip(&expect) {
+            assert_eq!(g.values(), e.values());
+            assert!(g.get_by_name("lFoot_x").unwrap().is_null());
         }
     }
 

@@ -642,7 +642,20 @@ fn server_detections(
     sessions: &[Vec<SkeletonFrame>],
     config: ServerConfig,
 ) -> (Vec<Vec<CanonicalDetection>>, gesto::serve::ServerMetrics) {
-    let catalog = standard_catalog();
+    // Varying chunk sizes per session so batches of different sessions
+    // interleave differently at every shard count.
+    server_detections_over(standard_catalog(), set, sessions, config, |s| 24 + s * 7)
+}
+
+/// [`server_detections`] over a caller-built catalog, session `s`
+/// pushing `chunk(s)` frames per batch.
+fn server_detections_over(
+    catalog: Arc<gesto::stream::Catalog>,
+    set: &[gesto::cep::Query],
+    sessions: &[Vec<SkeletonFrame>],
+    config: ServerConfig,
+    chunk: impl Fn(usize) -> usize,
+) -> (Vec<Vec<CanonicalDetection>>, gesto::serve::ServerMetrics) {
     let funcs = {
         let e = Engine::new(catalog.clone());
         register_rpy(e.functions());
@@ -666,10 +679,8 @@ fn server_detections(
     server.on_detection(Arc::new(move |session, d: &Detection| {
         sink_hits.lock().entry(session).or_default().push(d.clone());
     }));
-    // Varying chunk sizes per session so batches of different sessions
-    // interleave differently at every shard count.
     for (s, frames) in sessions.iter().enumerate() {
-        for chunk in frames.chunks(24 + s * 7) {
+        for chunk in frames.chunks(chunk(s)) {
             server
                 .push_batch(SessionId(s as u64), chunk.to_vec())
                 .expect("push");
@@ -800,4 +811,71 @@ fn server_sessions_match_seed_per_route_path() {
             _ => assert!(columnar > 0, "default: full chunks are columnar"),
         }
     }
+}
+
+/// A plan whose two sources are both *views* — `kinect_t` and a mirror
+/// view stacked on it — has no route on the raw stream, so the shard
+/// builds no raw tuples for it and the frame-at-a-time loop of a
+/// multi-source plan must take its frame count from the views. One-,
+/// seven- and thirty-frame batches, against the per-route reference.
+#[test]
+fn two_view_plan_without_a_raw_route_matches_per_route_path() {
+    use gesto::stream::{ops::MapOp, Value, ViewDef};
+    use gesto::transform::KINECT_T;
+
+    let catalog = standard_catalog();
+    let mirror = gesto::kinect::schema_named("kinect_m", "");
+    let x = mirror.index_of("rHand_x").unwrap();
+    let out = mirror.clone();
+    catalog
+        .register_view(ViewDef {
+            name: "kinect_m".into(),
+            input: KINECT_T.into(),
+            schema: mirror,
+            factory: Arc::new(move || {
+                let out = out.clone();
+                Box::new(MapOp::new("mirror", out.clone(), move |t: &Tuple| {
+                    let mut values = t.values().to_vec();
+                    values[x] = Value::Float(-t.values()[x].as_f64()?);
+                    Some(Tuple::new_unchecked(out.clone(), values))
+                }))
+            }),
+        })
+        .unwrap();
+    let set = [
+        parse_query(
+            r#"SELECT "there_and_mirrored"
+               MATCHING kinect_t(rHand_x < 100) -> kinect_m(rHand_x < -700)
+               within 2 seconds select first consume all;"#,
+        )
+        .unwrap(),
+        query_pool().swap_remove(0),
+    ];
+    let plans: Vec<_> = {
+        let engine = Engine::new(catalog.clone());
+        register_rpy(engine.functions());
+        set.iter()
+            .map(|q| engine.compile(q.clone()).expect("compiles"))
+            .collect()
+    };
+    assert!(plans[0].routes().len() == 2 && plans[0].routes().iter().all(|r| !r.views.is_empty()));
+
+    let schema = kinect_schema();
+    let sessions: Vec<Vec<SkeletonFrame>> = (0..3).map(workload).collect();
+    let expect: Vec<_> = sessions
+        .iter()
+        .map(|frames| {
+            canonical(reference_detections(
+                &plans,
+                &frames_to_tuples(frames, &schema),
+            ))
+        })
+        .collect();
+    assert!(expect
+        .iter()
+        .all(|e| e.iter().any(|d| d.0 == "there_and_mirrored")));
+    let sizes = [1, 7, 30];
+    let config = ServerConfig::new().with_shards(2);
+    let (got, _) = server_detections_over(catalog, &set, &sessions, config, |s| sizes[s]);
+    assert_eq!(got, expect);
 }

@@ -1,14 +1,18 @@
 //! The front path's no-allocation contract, counted.
 //!
 //! One test in a process of its own (a counting `#[global_allocator]`,
-//! as in `bench_nfa`): the shard worker's per-batch sequence — frame →
-//! base tuple ([`KinectSlots::tuple_into`]), frame → base block, shared
-//! views (`kinect_t` emitting through [`Emit::overwrite`]) in the one
-//! set of [`BatchBuffers`] lent to the session, NFA stepping —
-//! round-robin over three sessions whose traces seed no run calls the
-//! allocator **zero** times once the buffers are sized, each session's
-//! tuples landing in the very buffers the previous session's had, and
-//! exactly once per tuple somebody still holds a clone of.
+//! as in `bench_nfa`): the shard worker's per-batch sequence — lend the
+//! one set of [`BatchBuffers`], begin the batch from the skeleton
+//! frames (`kinect_t` reading them as they are and emitting through
+//! [`Emit::overwrite`]), NFA stepping, reclaim — round-robin over three
+//! sessions whose traces seed no run calls the allocator **zero** times
+//! once the buffers are sized, each session's tuples landing in the
+//! very buffers the previous session's had, and exactly once per tuple
+//! somebody still holds a clone of. No raw-stream tuple exists and one
+//! tuple per frame is counted — until a plan reads the raw stream: then
+//! the sequence also builds the frame → base tuple
+//! ([`KinectSlots::tuple_into`]) and the frame → base block, under the
+//! same contract.
 //!
 //! [`Emit::overwrite`]: gesto::stream::Emit::overwrite
 
@@ -18,7 +22,8 @@ use std::sync::Arc;
 
 use gesto::cep::{sync_shared_views, Detection, Engine, PlanInstance, QueryPlan};
 use gesto::kinect::{kinect_schema, KinectSlots, Performer, Persona, SkeletonFrame, KINECT_STREAM};
-use gesto::stream::{BatchBuffers, SchemaRef, SharedViews, Tuple, Value};
+use gesto::stream::metrics::{TUPLES_BUILT_TOTAL, TUPLES_RECYCLED_TOTAL};
+use gesto::stream::{BatchBuffers, RowBatch, SchemaRef, SharedViews, Tuple, Value};
 use gesto::transform::{standard_catalog, KINECT_T};
 
 /// Counts the calling thread's heap allocations (alloc / realloc /
@@ -81,6 +86,9 @@ struct Shard {
     schema: SchemaRef,
     slots: KinectSlots,
     sessions: Vec<Session>,
+    /// Some deployed plan has a route on the raw stream
+    /// (`SessionRuntime::raw_tuples`).
+    raw_tuples: bool,
     tuples: Vec<Tuple>,
     detections: Vec<Detection>,
     bufs: BatchBuffers,
@@ -94,13 +102,14 @@ impl Shard {
     fn push<R>(
         &mut self,
         s: usize,
-        frames: &[SkeletonFrame],
+        frames: &Vec<SkeletonFrame>,
         read: impl FnOnce(&[Tuple], &SharedViews) -> R,
     ) -> R {
         let Shard {
             schema,
             slots,
             sessions,
+            raw_tuples,
             tuples,
             detections,
             bufs,
@@ -109,16 +118,22 @@ impl Shard {
         let Session { views, instances } = &mut sessions[s];
         let before = allocations();
         views.lend(std::mem::take(bufs));
-        tuples.truncate(frames.len());
-        let (kept, new) = frames.split_at(tuples.len());
+        let raw = if *raw_tuples { frames.len() } else { 0 };
+        tuples.truncate(raw);
+        let (kept, new) = frames[..raw].split_at(tuples.len());
+        let mut recycled = 0;
         for (slot, frame) in tuples.iter_mut().zip(kept) {
-            slots.tuple_into(frame, schema, slot);
+            recycled += u64::from(slots.tuple_into(frame, schema, slot));
         }
         tuples.extend(new.iter().map(|f| slots.tuple(f, schema)));
+        TUPLES_RECYCLED_TOTAL.add(recycled);
+        TUPLES_BUILT_TOTAL.add(raw as u64 - recycled);
         views.set_columnar(true);
-        assert!(views.base_wanted(), "a deployed query reads the raw stream");
-        views.fill_base_with(|cols, block| slots.write_block(frames, schema, cols, block));
-        views.begin_batch_prefilled(KINECT_STREAM, tuples);
+        assert_eq!(views.base_wanted(), *raw_tuples);
+        if views.base_wanted() {
+            views.fill_base_with(|cols, block| slots.write_block(frames, schema, cols, block));
+        }
+        views.begin_batch_rows(KINECT_STREAM, &RowBatch::of(frames, schema), tuples);
         for inst in instances.iter_mut() {
             inst.push_batch_shared(KINECT_STREAM, tuples, views, detections)
                 .unwrap();
@@ -138,36 +153,46 @@ fn buffers(tuples: &[Tuple]) -> Vec<*const Value> {
 
 #[test]
 fn steady_state_batch_allocates_nothing() {
-    // One query over the raw stream (so the base block is built) and
-    // one over `kinect_t`; an idle skeleton satisfies neither first
-    // step, so no run is ever seeded.
+    // The four workloads' shape — every plan reads `kinect_t` — then
+    // the same with a plan on the raw stream deployed.
+    steady_state(false);
+    steady_state(true);
+}
+
+fn steady_state(raw: bool) {
+    // One query over `kinect_t` and, with `raw`, one over the raw
+    // stream (so base tuples and the base block are built); an idle
+    // skeleton satisfies neither first step, so no run is ever seeded.
     let catalog = standard_catalog();
     let engine = Engine::new(catalog.clone());
     let plans: Vec<Arc<QueryPlan>> = [
-        r#"SELECT "raw" MATCHING kinect(rHand_x - torso_x > 5000) -> kinect(rHand_x - torso_x < -5000)
-           within 1 seconds select first consume all;"#,
         r#"SELECT "view" MATCHING kinect_t(rHand_y > 5000) -> kinect_t(rHand_y < -5000)
            within 1 seconds select first consume all;"#,
-    ]
-    .iter()
-    .map(|q| engine.compile(gesto::cep::parse_query(q).unwrap()).unwrap())
-    .collect();
+        r#"SELECT "raw" MATCHING kinect(rHand_x - torso_x > 5000) -> kinect(rHand_x - torso_x < -5000)
+           within 1 seconds select first consume all;"#,
+    ][..1 + usize::from(raw)]
+        .iter()
+        .map(|q| engine.compile(gesto::cep::parse_query(q).unwrap()).unwrap())
+        .collect();
 
     const SESSIONS: usize = 3;
     let schema = kinect_schema();
     let mut shard = Shard {
         slots: KinectSlots::resolve(&schema, ""),
-        schema,
         sessions: (0..SESSIONS)
             .map(|_| {
                 let mut views = SharedViews::new(&catalog);
                 sync_shared_views(&mut views, &plans);
+                let none = Vec::<SkeletonFrame>::new();
+                assert!(!views.tuples_wanted(KINECT_STREAM, &RowBatch::of(&none, &schema)));
                 Session {
                     views,
                     instances: plans.iter().map(|p| p.instantiate()).collect(),
                 }
             })
             .collect(),
+        schema,
+        raw_tuples: raw,
         tuples: Vec::new(),
         detections: Vec::new(),
         bufs: BatchBuffers::default(),
@@ -175,24 +200,29 @@ fn steady_state_batch_allocates_nothing() {
     };
     let view_slot = shard.sessions[0].views.slot_of(KINECT_T).unwrap();
 
-    // Three users, one idle trace each, consumed a batch per turn.
-    let traces: Vec<Vec<SkeletonFrame>> = [
+    // Three users, one idle trace each, consumed a batch per turn (the
+    // batches are the producer's allocations, not the data path's).
+    let batches: Vec<Vec<Vec<SkeletonFrame>>> = [
         Persona::reference(),
         Persona::reference().with_height(1200.0).at(700.0, 2800.0),
         Persona::reference().rotated(0.8),
     ]
     .into_iter()
-    .map(|p| Performer::new(p, 0).render_idle(8 * 30 * 33 + 33))
+    .map(|p| {
+        let trace = Performer::new(p, 0).render_idle(8 * 30 * 33 + 33);
+        trace.chunks_exact(30).map(<[_]>::to_vec).collect()
+    })
     .collect();
     let mut turn = 0;
     let mut next = || {
         let (s, round) = (turn % SESSIONS, turn / SESSIONS);
         turn += 1;
-        (s, &traces[s][30 * round..30 * (round + 1)])
+        (s, &batches[s][round])
     };
     let where_the_values_live = |tuples: &[Tuple], views: &SharedViews| {
         (buffers(tuples), buffers(views.outputs(view_slot)))
     };
+    let counted = || TUPLES_RECYCLED_TOTAL.get() + TUPLES_BUILT_TOTAL.get();
 
     // Two rounds size everything: the first grows the shared tuple
     // vectors and blocks and each session's own NFA scratch and slot
@@ -202,32 +232,39 @@ fn steady_state_batch_allocates_nothing() {
         shard.push(s, frames, |_, _| ());
     }
 
-    // Steady state, two rounds: no allocation, and every batch's tuples
-    // sit in the buffers the previous batch — another session's — had.
+    // Steady state, two rounds: no allocation, every batch's tuples sit
+    // in the buffers the previous batch — another session's — had, and
+    // one tuple per frame is written: the view's (two with `raw`).
     let (s, frames) = next();
     let mut last = shard.push(s, frames, where_the_values_live);
-    let before = shard.allocs;
+    let (before, counted_before) = (shard.allocs, counted());
     for _ in 0..2 * SESSIONS {
         let (s, frames) = next();
         let now = shard.push(s, frames, where_the_values_live);
         assert_eq!(now, last, "session {s} reuses its predecessor's buffers");
         last = now;
     }
-    assert_eq!(last.0.len(), 30);
+    assert_eq!(last.0.len(), if raw { 30 } else { 0 }, "raw tuples");
     assert_eq!(last.1.len(), 30);
     assert_eq!(shard.allocs - before, 0, "steady state: no allocation");
+    let per_frame = 1 + u64::from(raw);
+    assert_eq!(
+        counted() - counted_before,
+        2 * SESSIONS as u64 * 30 * per_frame
+    );
     assert!(shard.detections.is_empty(), "the traces seed nothing");
 
-    // Somebody keeps 3 base tuples and 5 view outputs of one session's
-    // batch (a partial match, a retained detection): the next batch —
-    // another session's — builds exactly those anew, one allocation
-    // each, and the kept ones stay as they were.
+    // Somebody keeps 5 view outputs (and, with `raw`, 3 base tuples) of
+    // one session's batch (a partial match, a retained detection): the
+    // next batch — another session's — builds exactly those anew, one
+    // allocation each, and the kept ones stay as they were.
     let (s, frames) = next();
     let held: Vec<Tuple> = shard.push(s, frames, |tuples, views| {
-        let mut held = tuples[4..7].to_vec();
-        held.extend_from_slice(&views.outputs(view_slot)[10..15]);
+        let mut held = views.outputs(view_slot)[10..15].to_vec();
+        held.extend(tuples.iter().skip(4).take(3).cloned());
         held
     });
+    assert_eq!(held.len(), if raw { 8 } else { 5 });
     let snapshot: Vec<Vec<Value>> = held.iter().map(|t| t.values().to_vec()).collect();
     let (s, frames) = next();
     let before = shard.allocs;
