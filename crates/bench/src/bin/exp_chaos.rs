@@ -3,19 +3,19 @@
 //! and real TCP through the GSW1 edge), asserting the robustness
 //! invariants — frame conservation, exactly-once detection under the
 //! lossless policy, and bounded recovery from injected worker panics —
-//! then measures the steady-state overhead of the hardening with an
-//! A/B leg.
+//! then measures the steady-state overhead of idle admission control
+//! with an A/B leg.
 //!
 //! Usage:
 //!
 //!     exp_chaos [--smoke] [--frames N] [--trials N] [--json PATH]
 //!
-//! `--smoke` runs two representative scenarios on a small workload and
-//! skips the overhead A/B — the CI chaos step. The full run writes
+//! `--smoke` runs three representative scenarios on a small workload
+//! and skips the overhead A/B — the CI chaos step. The full run writes
 //! `BENCH_robustness.json`.
 
 use gesto_bench::chaos::{
-    drivers_for, overhead_ab, run_persona, ChaosOutcome, ChaosScale, PERSONAS,
+    drivers_for, overhead_ab, run_persona, ChaosDriver, ChaosOutcome, ChaosScale, PERSONAS,
 };
 use gesto_bench::{json_escape, Table};
 
@@ -57,12 +57,13 @@ fn main() {
         scale.frames = args.frames;
     }
 
-    // Smoke keeps one scenario per tentpole half: an overload persona
-    // in-process and the panic persona over the wire.
-    let plan: Vec<(&str, gesto_bench::chaos::ChaosDriver)> = if args.smoke {
+    // Smoke keeps an overload persona in-process and the panic persona
+    // through both drivers.
+    let plan: Vec<(&str, ChaosDriver)> = if args.smoke {
         vec![
-            ("bursty", gesto_bench::chaos::ChaosDriver::InProcess),
-            ("panic_injection", gesto_bench::chaos::ChaosDriver::Wire),
+            ("bursty", ChaosDriver::InProcess),
+            ("panic_injection", ChaosDriver::InProcess),
+            ("panic_injection", ChaosDriver::Wire),
         ]
     } else {
         PERSONAS
@@ -124,15 +125,15 @@ fn main() {
         let frames = if args.frames > 0 { args.frames } else { 40_000 };
         let report = overhead_ab(frames, args.trials);
         println!(
-            "\noverhead A/B ({} frames, best of {}): base {:.0} f/s, hardened {:.0} f/s → {:+.2}%",
+            "\nadmission overhead A/B ({} frames, best of {}): admission off {:.0} f/s, idle admission on {:.0} f/s → {:+.2}%",
             report.frames, report.trials, report.base_fps, report.hardened_fps, report.overhead_pct
         );
         assert!(
             report.overhead_pct < 1.0,
-            "supervision + admission overhead {:.2}% breaches the <1% guardrail",
+            "idle admission overhead {:.2}% breaches the <1% guardrail",
             report.overhead_pct
         );
-        println!("steady-state hardening overhead < 1% guardrail held ✓");
+        println!("steady-state admission overhead < 1% guardrail held ✓");
         Some(report)
     };
 

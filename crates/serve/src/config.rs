@@ -140,14 +140,6 @@ pub struct ServerConfig {
     /// store + deployed plans + config on restart. `None` (the default)
     /// keeps the control plane in-memory only.
     pub durability: Option<DurabilityConfig>,
-    /// Shard supervision: run each batch under `catch_unwind` so a
-    /// panic in the data path quarantines the poison batch, resets only
-    /// the affected session's NFA/view state and respawns the worker
-    /// thread — the process keeps serving every other session. **On by
-    /// default**; the only reason to turn it off is an A/B measurement
-    /// of the wrapper's (noise-level) cost, which is exactly what the
-    /// `exp_chaos --overhead` bench leg does.
-    pub supervision: bool,
     /// Per-session frame-rate quota in frames per second (`0` = no
     /// quota). Enforced on the shard worker with a token bucket (burst
     /// of one second's allowance): a batch that would overdraw the
@@ -190,7 +182,6 @@ impl Default for ServerConfig {
             pin_shards: false,
             stage_sample_every: 64,
             durability: None,
-            supervision: true,
             session_frame_quota: 0,
             shard_memory_budget: 0,
             max_batch_age_ms: 0,
@@ -243,13 +234,6 @@ impl ServerConfig {
     /// (`0` disables stage timing, `1` times every batch).
     pub fn with_stage_sample_every(mut self, every: u32) -> Self {
         self.stage_sample_every = every;
-        self
-    }
-
-    /// Enables or disables shard supervision (on by default; keep it on
-    /// outside of overhead A/B measurements).
-    pub fn with_supervision(mut self, on: bool) -> Self {
-        self.supervision = on;
         self
     }
 

@@ -13,14 +13,10 @@
 //!
 //! Arming [`arm_poison_ts`] makes the **first** shard worker that
 //! processes a batch containing a frame with exactly that timestamp
-//! panic mid-batch (one-shot: the trigger disarms itself, so the
-//! respawned worker does not re-panic on the next batch). With
-//! supervision on (the default) the panic exercises the full recovery
-//! path: poison-batch quarantine, session state reset, worker respawn.
-//!
-//! [`set_respawn_delay_ms`] stretches the (normally microsecond-scale)
-//! respawn window so tests can deterministically observe the
-//! not-ready state on `GET /readyz`.
+//! panic mid-batch (one-shot: the trigger disarms itself). The panic
+//! exercises the full recovery path: the worker catches it,
+//! quarantines the poison batch, resets that one session and carries
+//! on with its next job on the same thread.
 //!
 //! These hooks exist for tests and the chaos harness; they default to
 //! disarmed and cost nothing when unused. They are intentionally not
@@ -34,7 +30,6 @@ use gesto_kinect::SkeletonFrame;
 const DISARMED: i64 = i64::MIN;
 
 static POISON_TS: AtomicI64 = AtomicI64::new(DISARMED);
-static RESPAWN_DELAY_MS: AtomicU64 = AtomicU64::new(0);
 static POISON_TRIPS: AtomicU64 = AtomicU64::new(0);
 
 /// Arms the one-shot poison timestamp: the next processed batch
@@ -53,17 +48,6 @@ pub fn disarm() {
 /// Times the poison failpoint has fired since process start.
 pub fn poison_trips() -> u64 {
     POISON_TRIPS.load(Ordering::Acquire)
-}
-
-/// Delays worker respawn after a supervised panic by `ms` milliseconds
-/// (`0`, the default, respawns immediately). Lets tests observe the
-/// `/readyz` not-ready window deterministically.
-pub fn set_respawn_delay_ms(ms: u64) {
-    RESPAWN_DELAY_MS.store(ms, Ordering::Release);
-}
-
-pub(crate) fn respawn_delay_ms() -> u64 {
-    RESPAWN_DELAY_MS.load(Ordering::Acquire)
 }
 
 /// Hot-path check: panics iff the poison timestamp is armed and one of

@@ -73,11 +73,9 @@ pub struct ShardMetrics {
     /// list, per-gesture map) already held and had to wait. Stays 0 on
     /// the steady state — the contention audit's observable face.
     pub(crate) contention: AtomicU64,
-    /// Data-path panics caught by the supervised worker (each one
-    /// quarantined a batch and reset one session).
+    /// Data-path panics caught by the worker (each one quarantined a
+    /// batch and reset one session).
     pub(crate) panics: AtomicU64,
-    /// Times the shard's worker thread was respawned after a panic.
-    pub(crate) restarts: AtomicU64,
     /// Sessions whose NFA/view state was reset because a batch of
     /// theirs was quarantined (`gesto_sessions_reset_total`).
     pub(crate) sessions_reset: AtomicU64,
@@ -130,7 +128,6 @@ impl Default for ShardMetrics {
             pinned_core: AtomicI64::new(-1),
             contention: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
             sessions_reset: AtomicU64::new(0),
             quarantined_frames: AtomicU64::new(0),
             stale_batches: AtomicU64::new(0),
@@ -186,7 +183,6 @@ impl ShardMetrics {
             pinned_core: self.pinned_core.load(Ordering::Relaxed),
             contention: self.contention.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
             sessions_reset: self.sessions_reset.load(Ordering::Relaxed),
             quarantined_frames: self.quarantined_frames.load(Ordering::Relaxed),
             stale_batches: self.stale_batches.load(Ordering::Relaxed),
@@ -239,10 +235,8 @@ pub struct ShardSnapshot {
     /// Times the worker had to wait on a shared structure (0 on the
     /// steady state; see `gesto_shard_contention_total`).
     pub contention: u64,
-    /// Data-path panics caught by the supervised worker.
+    /// Data-path panics caught by the worker.
     pub panics: u64,
-    /// Worker-thread respawns after a caught panic.
-    pub restarts: u64,
     /// Sessions whose state was reset after a quarantined batch.
     pub sessions_reset: u64,
     /// Frames lost inside quarantined (poison) batches.
@@ -414,14 +408,9 @@ impl ServerMetrics {
         self.shards.iter().map(|s| s.contention).sum()
     }
 
-    /// Total data-path panics caught by supervised workers.
+    /// Total data-path panics caught by shard workers.
     pub fn panics(&self) -> u64 {
         self.shards.iter().map(|s| s.panics).sum()
-    }
-
-    /// Total worker-thread respawns after caught panics.
-    pub fn restarts(&self) -> u64 {
-        self.shards.iter().map(|s| s.restarts).sum()
     }
 
     /// Total sessions whose state was reset after a quarantined batch.

@@ -862,8 +862,8 @@ impl IoLoop {
                 )
             }
             ("GET" | "HEAD", "/readyz") => {
-                // Readiness: 503 until startup recovery finished and no
-                // shard worker is mid-respawn (plans rebroadcast).
+                // Readiness: 503 until startup recovery finished, and
+                // again once shutting down.
                 if self.handle.is_ready() {
                     ("200 OK", "text/plain; charset=utf-8", "ready\n".to_owned())
                 } else {

@@ -1,7 +1,7 @@
 //! The multi-session detection server and its clonable handle.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -21,7 +21,7 @@ use crate::durable::{self, ControlOp, DurableState};
 use crate::error::ServeError;
 use crate::metrics::{OverloadPolicy, OverloadState, ServerMetrics, ShardMetrics};
 use crate::session::SessionId;
-use crate::shard::{batch_cost, Batch, Control, Job, QueueGate, ShardWorker, WorkerExit};
+use crate::shard::{batch_cost, Batch, Control, Job, QueueGate, ShardWorker};
 use crate::telemetry::ServerTelemetry;
 
 /// Callback invoked for every detection of every session.
@@ -46,69 +46,6 @@ struct ShardLink {
     tx: Sender<Job>,
     gate: Arc<QueueGate>,
     metrics: Arc<ShardMetrics>,
-}
-
-/// The join handle of a shard's **current** worker thread generation.
-///
-/// Under supervision a shard's thread can die and be respawned any
-/// number of times; the dying thread stores its successor's handle here
-/// *before* exiting, so joining whatever handle the slot holds — in a
-/// take/join loop — is guaranteed to eventually join the final
-/// generation: a join only returns after the joined thread finished,
-/// i.e. after any successor handle it spawned became visible in the
-/// slot.
-struct WorkerSlot(Mutex<Option<JoinHandle<()>>>);
-
-/// Everything a dying worker thread needs to respawn itself (the
-/// supervisor runs *on* the shard's own thread — there is no central
-/// supervisor thread to become a bottleneck or single point of
-/// failure).
-struct SuperviseCtx {
-    shard_id: usize,
-    slot: Arc<WorkerSlot>,
-    metrics: Arc<ShardMetrics>,
-    /// Authoritative deployed set, rebroadcast to the respawned worker.
-    plans: PlanRegistry,
-    /// Shards currently between panic and successful respawn; non-zero
-    /// turns `GET /readyz` not-ready.
-    respawning: Arc<AtomicUsize>,
-}
-
-/// Body of every shard thread: runs the worker, and if it exits by
-/// supervised panic, respawns it — same shard id and thread name, same
-/// channel and session state (minus the quarantined session), core
-/// re-pinned by [`ShardWorker::run`]. The process keeps serving
-/// throughout; producers never observe more than queue latency.
-fn run_supervised(worker: ShardWorker, ctx: SuperviseCtx) {
-    let exited = worker.run();
-    let mut worker = match exited {
-        WorkerExit::Shutdown => return,
-        WorkerExit::Panicked(w) => w,
-    };
-    ctx.respawning.fetch_add(1, Ordering::AcqRel);
-    ctx.metrics.restarts.fetch_add(1, Ordering::Relaxed);
-    let delay = crate::failpoint::respawn_delay_ms();
-    if delay > 0 {
-        std::thread::sleep(Duration::from_millis(delay));
-    }
-    // Rebroadcast the authoritative plan set before taking traffic
-    // again. The worker's own plan list survives a batch panic, so this
-    // is normally a pure verification pass (`Arc::ptr_eq` fast path in
-    // `apply_deploy`); it does real work only if a deploy raced the
-    // panic window. A deploy still queued in the channel re-applies
-    // idempotently after this.
-    let plans: Vec<Arc<QueryPlan>> = ctx.plans.read().values().map(|d| d.plan.clone()).collect();
-    worker.resync_plans(&plans);
-    let slot = ctx.slot.clone();
-    let respawning = ctx.respawning.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("gesto-shard-{}", ctx.shard_id))
-        .spawn(move || run_supervised(*worker, ctx))
-        .expect("respawn shard worker");
-    // Publish the successor's handle before this thread exits — the
-    // ordering `Server::stop_workers` relies on.
-    *slot.0.lock() = Some(handle);
-    respawning.fetch_sub(1, Ordering::AcqRel);
 }
 
 /// One deployed plan with its rollout version. Redeploying a name
@@ -150,8 +87,6 @@ struct ServerCore {
     closed: AtomicBool,
     /// Start-up (including durable recovery + plan rebroadcast) done.
     ready: AtomicBool,
-    /// Shards currently between a supervised panic and their respawn.
-    respawning: Arc<AtomicUsize>,
 }
 
 /// A sharded, multi-threaded detection runtime serving many concurrent
@@ -181,7 +116,7 @@ struct ServerCore {
 /// ```
 pub struct Server {
     handle: ServerHandle,
-    workers: Vec<Arc<WorkerSlot>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 /// Clonable, thread-safe handle to a running [`Server`].
@@ -248,7 +183,6 @@ impl Server {
         let host_cores = crate::affinity::host_cores();
 
         let plans: PlanRegistry = Arc::new(RwLock::new(HashMap::new()));
-        let respawning = Arc::new(AtomicUsize::new(0));
         // Staleness shedding only exists under DropOldest: Block and
         // Reject already bound queue age through depth, and dropping a
         // Block producer's accepted batch would break its no-loss
@@ -278,24 +212,14 @@ impl Server {
                 config.columnar_min_batch,
                 telemetry.clone(),
                 pin_core,
-                config.supervision,
                 config.session_frame_quota,
                 max_batch_age,
             );
-            let slot = Arc::new(WorkerSlot(Mutex::new(None)));
-            let ctx = SuperviseCtx {
-                shard_id,
-                slot: slot.clone(),
-                metrics: metrics.clone(),
-                plans: plans.clone(),
-                respawning: respawning.clone(),
-            };
             let handle = std::thread::Builder::new()
                 .name(format!("gesto-shard-{shard_id}"))
-                .spawn(move || run_supervised(worker, ctx))
+                .spawn(move || worker.run())
                 .expect("spawn shard worker");
-            *slot.0.lock() = Some(handle);
-            workers.push(slot);
+            workers.push(handle);
             shards.push(ShardLink { tx, gate, metrics });
         }
         telemetry.register_shards(
@@ -330,7 +254,6 @@ impl Server {
             telemetry,
             closed: AtomicBool::new(false),
             ready: AtomicBool::new(false),
-            respawning,
         });
         let server = Server {
             handle: ServerHandle { core },
@@ -339,8 +262,6 @@ impl Server {
         if server.handle.core.config.durability.is_some() {
             server.handle.recover()?;
         }
-        // Recovery + plan rebroadcast done: readiness from here on is
-        // only gated by in-flight worker respawns.
         server.handle.core.ready.store(true, Ordering::Release);
         Ok(server)
     }
@@ -364,23 +285,8 @@ impl Server {
         for link in &self.handle.core.shards {
             let _ = link.tx.send(Job::Control(Control::Shutdown));
         }
-        for slot in self.workers.drain(..) {
-            // Join whatever thread generation currently owns the shard.
-            // A joined generation that panicked has already published
-            // its successor's handle (see `run_supervised`), so re-check
-            // the slot until it stays empty: the final generation exits
-            // on the Shutdown message above without respawning. The
-            // lock must not be held across `join()` — the dying thread
-            // takes it to publish its successor.
-            loop {
-                let h = slot.0.lock().take();
-                match h {
-                    Some(h) => {
-                        let _ = h.join();
-                    }
-                    None => break,
-                }
-            }
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -435,25 +341,39 @@ impl ServerHandle {
         session: SessionId,
         frames: Vec<SkeletonFrame>,
     ) -> Result<(), ServeError> {
+        self.enqueue(session, frames, |link| {
+            link.gate.wait_for_room(&link.metrics);
+            true
+        })
+        .map(|_| ())
+    }
+
+    /// The enqueue path of [`Self::push_batch`] and [`Self::offer_batch`].
+    /// `on_full` is what [`BackpressurePolicy::Block`] does with a full
+    /// queue: park until there is room and return `true`, or return
+    /// `false` to hand the frames back as [`OfferOutcome::Full`].
+    fn enqueue(
+        &self,
+        session: SessionId,
+        frames: Vec<SkeletonFrame>,
+        on_full: impl FnOnce(&ShardLink) -> bool,
+    ) -> Result<OfferOutcome, ServeError> {
         if self.core.closed.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
         let shard = session.shard(self.core.shards.len());
         let link = &self.core.shards[shard];
-        let cap = link.gate.capacity();
         self.check_memory_budget(shard, link, frames.len())?;
+        let full = link.gate.depth.load(Ordering::Acquire) >= link.gate.capacity();
         match self.core.config.backpressure {
-            BackpressurePolicy::Block => link.gate.wait_for_room(&link.metrics),
-            BackpressurePolicy::Reject => {
-                if link.gate.depth.load(Ordering::Acquire) >= cap {
-                    return Err(ServeError::QueueFull { shard });
-                }
+            BackpressurePolicy::Block if full && !on_full(link) => {
+                return Ok(OfferOutcome::Full(frames));
             }
-            BackpressurePolicy::DropOldest => {
-                if link.gate.depth.load(Ordering::Acquire) >= cap {
-                    link.gate.shed_requests.fetch_add(1, Ordering::AcqRel);
-                }
+            BackpressurePolicy::Reject if full => return Err(ServeError::QueueFull { shard }),
+            BackpressurePolicy::DropOldest if full => {
+                link.gate.shed_requests.fetch_add(1, Ordering::AcqRel);
             }
+            _ => {}
         }
         let cost = batch_cost(frames.len());
         link.gate.depth.fetch_add(1, Ordering::AcqRel);
@@ -464,6 +384,7 @@ impl ServerHandle {
                 frames,
                 enqueued: Instant::now(),
             }))
+            .map(|()| OfferOutcome::Queued)
             .map_err(|_| {
                 link.gate.depth.fetch_sub(1, Ordering::AcqRel);
                 link.gate.queued_bytes.fetch_sub(cost, Ordering::AcqRel);
@@ -521,45 +442,7 @@ impl ServerHandle {
         session: SessionId,
         frames: Vec<SkeletonFrame>,
     ) -> Result<OfferOutcome, ServeError> {
-        if self.core.closed.load(Ordering::Acquire) {
-            return Err(ServeError::Shutdown);
-        }
-        let shard = session.shard(self.core.shards.len());
-        let link = &self.core.shards[shard];
-        let cap = link.gate.capacity();
-        self.check_memory_budget(shard, link, frames.len())?;
-        match self.core.config.backpressure {
-            BackpressurePolicy::Block => {
-                if link.gate.depth.load(Ordering::Acquire) >= cap {
-                    return Ok(OfferOutcome::Full(frames));
-                }
-            }
-            BackpressurePolicy::Reject => {
-                if link.gate.depth.load(Ordering::Acquire) >= cap {
-                    return Err(ServeError::QueueFull { shard });
-                }
-            }
-            BackpressurePolicy::DropOldest => {
-                if link.gate.depth.load(Ordering::Acquire) >= cap {
-                    link.gate.shed_requests.fetch_add(1, Ordering::AcqRel);
-                }
-            }
-        }
-        let cost = batch_cost(frames.len());
-        link.gate.depth.fetch_add(1, Ordering::AcqRel);
-        link.gate.queued_bytes.fetch_add(cost, Ordering::AcqRel);
-        link.tx
-            .send(Job::Batch(Batch {
-                session,
-                frames,
-                enqueued: Instant::now(),
-            }))
-            .map(|()| OfferOutcome::Queued)
-            .map_err(|_| {
-                link.gate.depth.fetch_sub(1, Ordering::AcqRel);
-                link.gate.queued_bytes.fetch_sub(cost, Ordering::AcqRel);
-                ServeError::Shutdown
-            })
+        self.enqueue(session, frames, |_| false)
     }
 
     /// Creates session state eagerly (otherwise it is created on the
@@ -976,15 +859,10 @@ impl ServerHandle {
     }
 
     /// Readiness: `true` once start-up (durable recovery + plan
-    /// rebroadcast) completed, no shard worker is mid-respawn after a
-    /// supervised panic, and the server is not shutting down. The
-    /// network edge surfaces this as `GET /readyz` (200/503) — a load
-    /// balancer should route around the brief not-ready window of a
-    /// worker respawn even though pushes merely queue during it.
+    /// rebroadcast) completed and the server is not shutting down. The
+    /// network edge surfaces this as `GET /readyz` (200/503).
     pub fn is_ready(&self) -> bool {
-        self.core.ready.load(Ordering::Acquire)
-            && self.core.respawning.load(Ordering::Acquire) == 0
-            && !self.core.closed.load(Ordering::Acquire)
+        self.core.ready.load(Ordering::Acquire) && !self.core.closed.load(Ordering::Acquire)
     }
 
     /// The overload state machine, computed on demand from the worst

@@ -241,48 +241,15 @@ pub(crate) fn batch_cost(frames: usize) -> u64 {
     (frames * std::mem::size_of::<SkeletonFrame>() + std::mem::size_of::<Batch>()) as u64
 }
 
-/// Closes the gate when the worker exits — unless defused first.
-///
-/// Shutdown and channel-disconnect exits must close the gate so blocked
-/// producers wake and see the disconnection. A *supervised panic* exit
-/// must NOT: the channel stays alive and the respawned worker resumes
-/// the same queue, so producers should keep blocking/queueing as if
-/// nothing happened. The panic path calls [`GateGuard::defuse`] right
-/// before handing the worker back to the supervisor.
-struct GateGuard {
-    gate: Arc<QueueGate>,
-    armed: bool,
-}
-
-impl GateGuard {
-    fn new(gate: Arc<QueueGate>) -> Self {
-        Self { gate, armed: true }
-    }
-
-    fn defuse(&mut self) {
-        self.armed = false;
-    }
-}
+/// Closes the gate however [`ShardWorker::run`] exits — `Shutdown`,
+/// every sender gone, or a panic outside the caught batch — so blocked
+/// producers wake and see the disconnection.
+struct GateGuard(Arc<QueueGate>);
 
 impl Drop for GateGuard {
     fn drop(&mut self) {
-        if self.armed {
-            self.gate.close();
-        }
+        self.0.close();
     }
-}
-
-/// Why [`ShardWorker::run`] returned.
-pub(crate) enum WorkerExit {
-    /// Clean exit: `Shutdown` control message or all senders dropped.
-    /// The queue gate is closed; the worker is gone for good.
-    Shutdown,
-    /// A batch panicked under supervision. The poison batch has been
-    /// quarantined and the affected session reset; the worker — with
-    /// all other session state intact — is handed back so the
-    /// supervisor can respawn it on a fresh thread. The gate stays
-    /// open: producers keep queueing into the still-alive channel.
-    Panicked(Box<ShardWorker>),
 }
 
 /// State owned by one session on this shard — what must survive between
@@ -394,10 +361,6 @@ pub(crate) struct ShardWorker {
     /// Core to pin this worker to at start-up (`None` = unpinned; see
     /// `crate::affinity::placement`).
     pin_core: Option<usize>,
-    /// Catch batch panics, quarantine, and hand the worker back for
-    /// respawn (`ServerConfig::supervision`). Off = seed behaviour: a
-    /// panic kills the thread and closes the gate.
-    supervision: bool,
     /// Per-session frames/second admission quota (0 = unlimited); see
     /// `ServerConfig::session_frame_quota`.
     session_frame_quota: u32,
@@ -420,7 +383,6 @@ impl ShardWorker {
         columnar_min_batch: usize,
         telemetry: Arc<ServerTelemetry>,
         pin_core: Option<usize>,
-        supervision: bool,
         session_frame_quota: u32,
         max_batch_age: Option<Duration>,
     ) -> Self {
@@ -444,18 +406,17 @@ impl ShardWorker {
             telemetry,
             stage_sampler,
             pin_core,
-            supervision,
             session_frame_quota,
             max_batch_age,
         }
     }
 
-    /// The worker loop. Returns [`WorkerExit::Shutdown`] on a `Shutdown`
-    /// control message or when every sender is gone (gate closed), or
-    /// [`WorkerExit::Panicked`] when a supervised batch panicked (gate
-    /// left open; the supervisor respawns the worker on a new thread).
-    pub fn run(mut self) -> WorkerExit {
-        let mut gate_guard = GateGuard::new(self.gate.clone());
+    /// The worker loop. A batch that panics is quarantined
+    /// ([`Self::quarantine`]) and the loop carries on, on this thread.
+    /// Returns on a `Shutdown` control message or when every sender is
+    /// gone, with the gate closed.
+    pub fn run(mut self) {
+        let _gate_guard = GateGuard(self.gate.clone());
         // Pin before touching any session state so the NFA slabs and
         // view scratch are first faulted in from the core that will use
         // them. Failure (non-Linux, restricted cpuset) degrades to an
@@ -509,26 +470,19 @@ impl ShardWorker {
                             continue;
                         }
                     }
-                    if self.supervision {
-                        let session = batch.session;
-                        let frames = batch.frames.len() as u64;
-                        // AssertUnwindSafe: on panic the only state that
-                        // can be torn mid-update is the poisoned
-                        // session's runtime (holding the lent batch
-                        // buffers) and the shared scratch — quarantine
-                        // replaces the former and clears the latter
-                        // before the worker is reused.
-                        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.process(batch)
-                        }))
-                        .is_err()
-                        {
-                            self.quarantine(session, frames);
-                            gate_guard.defuse();
-                            return WorkerExit::Panicked(Box::new(self));
-                        }
-                    } else {
-                        self.process(batch);
+                    let session = batch.session;
+                    let frames = batch.frames.len() as u64;
+                    // AssertUnwindSafe: on panic the only state that can
+                    // be torn mid-update is the poisoned session's
+                    // runtime (holding the lent batch buffers) and the
+                    // shared scratch — quarantine replaces the former
+                    // and clears the latter before the next job.
+                    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        self.process(batch)
+                    }))
+                    .is_err()
+                    {
+                        self.quarantine(session, frames);
                     }
                 }
                 Job::Control(c) => {
@@ -538,7 +492,6 @@ impl ShardWorker {
                 }
             }
         }
-        WorkerExit::Shutdown
     }
 
     /// Post-panic cleanup, run on the worker thread that caught the
@@ -571,18 +524,6 @@ impl ShardWorker {
                 .fetch_sub(rt.last_state_bytes as i64, Ordering::Relaxed);
             *rt = SessionRuntime::new(&self.catalog, &self.plans, (&self.stream, &self.schema));
             self.metrics.sessions_reset.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Re-applies the authoritative plan set after a respawn. The
-    /// worker's own plan list survives a batch panic intact (control
-    /// state is never touched mid-batch), so [`Self::apply_deploy`]'s
-    /// `Arc::ptr_eq` fast path makes this a pure verification pass in
-    /// the common case — no spurious retiring instances. It only does
-    /// real work if a `Deploy` raced the panic window.
-    pub(crate) fn resync_plans(&mut self, plans: &[Arc<QueryPlan>]) {
-        for plan in plans {
-            self.apply_deploy(plan.clone());
         }
     }
 
@@ -815,14 +756,8 @@ impl ShardWorker {
     }
 
     /// Deploys or replaces one shared plan across every session.
-    /// Idempotent: re-applying the exact `Arc` already deployed (the
-    /// post-respawn [`Self::resync_plans`] pass) is a no-op — without
-    /// the `ptr_eq` fast path a resync would pointlessly cut every
-    /// session over to an identical instance and strand the old ones in
-    /// the retiring set.
     fn apply_deploy(&mut self, plan: Arc<QueryPlan>) {
         match self.plans.iter_mut().find(|p| p.name() == plan.name()) {
-            Some(p) if Arc::ptr_eq(p, &plan) => return,
             Some(p) => *p = plan.clone(),
             None => self.plans.push(plan.clone()),
         }
@@ -1050,7 +985,6 @@ mod tests {
             config.columnar_min_batch,
             Arc::new(ServerTelemetry::new(&config)),
             None,
-            true,
             0,
             None,
         );
@@ -1235,6 +1169,70 @@ mod tests {
         clean.process(batch(1, &victim));
         assert_eq!(keys(&seen), keys(&expect));
         assert_eq!(keys(&seen).len(), 2);
+    }
+
+    #[test]
+    fn run_recovers_a_panicked_batch_and_returns_once_on_shutdown() {
+        use gesto_cep::expr::{Arity, FunctionRegistry};
+        use gesto_stream::Value;
+        const POISON_TS: i64 = 777_777_777;
+
+        let (mut worker, seen) = worker_with_swipe_query();
+        // A plan whose predicate panics on one frame timestamp.
+        let funcs = FunctionRegistry::with_builtins();
+        funcs.register(
+            "boom",
+            Arity::Exact(1),
+            Arc::new(|args: &[Value]| {
+                assert_ne!(args[0].as_i64(), Some(POISON_TS), "poisoned frame");
+                Ok(Value::Float(0.0))
+            }),
+        );
+        let text = r#"SELECT "boom" MATCHING kinect_t(boom(ts) > 1.0);"#;
+        let query = gesto_cep::parse_query(text).unwrap();
+        worker.apply_deploy(QueryPlan::compile(query, worker.catalog.as_ref(), &funcs).unwrap());
+
+        let (tx, rx) = crossbeam::channel::unbounded();
+        worker.rx = rx;
+        let (metrics, gate) = (worker.metrics.clone(), worker.gate.clone());
+        let clean = swipe(5);
+        let mid = clean.len() / 2;
+        let mut poison = swipe(6)[..4].to_vec();
+        poison[0].ts = POISON_TS;
+        for b in [
+            batch(1, &clean[..mid]),
+            batch(2, &poison),
+            batch(1, &clean[mid..]),
+        ] {
+            gate.depth.fetch_add(1, Ordering::SeqCst);
+            gate.queued_bytes
+                .fetch_add(batch_cost(b.frames.len()), Ordering::SeqCst);
+            assert!(tx.send(Job::Batch(b)).is_ok());
+        }
+        assert!(tx.send(Job::Control(Control::Shutdown)).is_ok());
+
+        let (returned, returns) = mpsc::channel();
+        let thread = thread::spawn(move || {
+            worker.run();
+            returned.send(()).unwrap();
+        });
+        returns
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run returns on Shutdown");
+        thread.join().unwrap();
+        assert!(returns.try_recv().is_err(), "run returned exactly once");
+
+        let m = metrics.snapshot(0, gate.depth.load(Ordering::SeqCst));
+        assert_eq!((m.panics, m.sessions_reset), (1, 1));
+        assert_eq!(m.quarantined_frames, poison.len() as u64);
+        assert_eq!((m.batches_in, m.frames_in), (2, clean.len() as u64));
+        assert_eq!(
+            (m.queue_depth, gate.queued_bytes.load(Ordering::SeqCst)),
+            (0, 0)
+        );
+        assert!(!gate.open.load(Ordering::SeqCst), "gate closed on exit");
+        // The swipe straddling the panic still detects.
+        assert_eq!(keys(&seen).iter().filter(|k| k.0 == 1).count(), 1);
     }
 
     #[test]

@@ -437,12 +437,6 @@ impl ServerTelemetry {
                 );
                 c(
                     set,
-                    "gesto_shard_restarts_total",
-                    "Shard worker threads respawned after a supervised panic",
-                    m.restarts.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
                     "gesto_sessions_reset_total",
                     "Sessions whose NFA/view state was reset after their batch \
                      was quarantined by supervision",

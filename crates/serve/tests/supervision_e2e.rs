@@ -2,21 +2,23 @@
 //! the shard worker mid-load, and the process must
 //!
 //! 1. keep serving throughout (the client's connection survives, pings
-//!    answer, `/healthz` stays 200),
-//! 2. surface the respawn window through `GET /readyz` (503 while the
-//!    worker generation is being replaced, 200 again after),
+//!    answer, `/healthz` and `/readyz` answer 200 before, during and
+//!    after the panic),
+//! 2. recover on the thread that caught the panic: detections from
+//!    before and after it are delivered by the same shard thread,
 //! 3. reset **only** the poisoned session's state (counted once), and
 //! 4. deliver the bystander sessions' detections **byte-for-byte
 //!    identical** to an uninjected in-process run — including a gesture
-//!    that straddles the panic, proving NFA state survives the respawn —
-//!    and the reset victim's next gesture identical to a fresh
-//!    session's. The panic hits mid-`process`, while the worker's one
-//!    set of batch buffers is lent to the victim and holds its
-//!    half-processed batch: nothing of it may surface in any later
-//!    detection, and the worker must be running on a full set again.
+//!    that straddles the panic, proving NFA state survives it — and the
+//!    reset victim's next gesture identical to a fresh session's. The
+//!    panic hits mid-`process`, while the worker's one set of batch
+//!    buffers is lent to the victim and holds its half-processed batch:
+//!    nothing of it may surface in any later detection, and the worker
+//!    must be running on a full set again.
 
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use gesto_kinect::{gestures, Performer, Persona, SkeletonFrame};
@@ -27,13 +29,14 @@ use gesto_serve::{failpoint, Server, ServerConfig, SessionId};
 /// the victim that receives the poisoned batch.
 const BYSTANDERS: [(u64, u64); 2] = [(2, 200), (3, 201)];
 const VICTIM: u64 = 1;
+/// A session that completes one gesture before the panic.
+const EARLY: (u64, u64) = (4, 202);
 const CHUNK: usize = 33;
 /// Performer seed of the gesture the victim performs after its reset.
 const VICTIM_SEED: u64 = 555;
 /// Sentinel frame timestamp arming the panic-injection failpoint —
 /// far outside anything a rendered performance produces.
 const POISON_TS: i64 = 777_777_777_777;
-const RESPAWN_DELAY_MS: u64 = 300;
 
 fn swipe_frames(seed: u64) -> Vec<SkeletonFrame> {
     let mut p = Performer::new(Persona::reference().with_seed(seed), 0);
@@ -66,17 +69,39 @@ fn http_status(addr: std::net::SocketAddr, path: &str) -> u16 {
         .unwrap_or_else(|| panic!("unparseable HTTP response: {resp:?}"))
 }
 
+fn assert_serving_and_ready(addr: std::net::SocketAddr, when: &str) {
+    assert_eq!(http_status(addr, "/healthz"), 200, "healthz {when}");
+    assert_eq!(http_status(addr, "/readyz"), 200, "readyz {when}");
+}
+
 #[test]
-fn injected_panic_respawns_worker_and_spares_other_sessions() {
+fn injected_panic_is_recovered_on_the_same_thread_and_spares_other_sessions() {
     // One shard: the victim and both bystanders share the worker that
     // will panic — the strongest version of the isolation claim.
     let server = Server::start(ServerConfig::new().with_shards(1));
     teach_swipe(&server);
+    // The thread that delivered each detection.
+    let threads: Arc<Mutex<Vec<ThreadId>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = threads.clone();
+    server.on_detection(Arc::new(move |_, _| {
+        sink.lock().unwrap().push(std::thread::current().id())
+    }));
     let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
     let addr = net.local_addr();
     let mut client = NetClient::connect(addr).unwrap();
 
-    assert_eq!(http_status(addr, "/readyz"), 200, "ready before injection");
+    assert_serving_and_ready(addr, "before injection");
+
+    // One whole gesture before the panic, delivered by the shard thread.
+    for chunk in swipe_frames(EARLY.1).chunks(CHUNK) {
+        client.send_batch(EARLY.0, chunk).unwrap();
+    }
+    let t0 = Instant::now();
+    while threads.lock().unwrap().is_empty() {
+        assert!(t0.elapsed() < Duration::from_secs(10), "no early detection");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let early = threads.lock().unwrap().len();
 
     // First half of each bystander gesture: their NFA state is mid-run
     // when the panic hits.
@@ -95,49 +120,24 @@ fn injected_panic_respawns_worker_and_spares_other_sessions() {
     }
 
     // Arm the failpoint and deliver the poison on the victim session.
-    failpoint::set_respawn_delay_ms(RESPAWN_DELAY_MS);
     failpoint::arm_poison_ts(POISON_TS);
     let mut poison = swipe_frames(999);
     poison.truncate(4);
     poison[0].ts = POISON_TS;
     client.send_batch(VICTIM, &poison).unwrap();
 
-    // The worker panics, quarantines the batch and respawns after the
-    // injected delay. While the replacement is being brought up the
-    // process must stay alive and serving — /healthz 200 — but report
-    // not-ready on /readyz.
+    // The worker panics, quarantines the batch and carries on; the
+    // process stays serving and ready the whole time.
     let t0 = Instant::now();
-    let mut saw_not_ready = false;
-    loop {
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "worker never respawned (saw_not_ready={saw_not_ready})"
-        );
-        let ready = http_status(addr, "/readyz");
-        if ready == 503 {
-            saw_not_ready = true;
-            assert_eq!(
-                http_status(addr, "/healthz"),
-                200,
-                "process must serve (healthz) during the respawn window"
-            );
-        }
-        let m = server.metrics();
-        if ready == 200 && m.shards[0].restarts == 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
+    while server.metrics().shards[0].panics == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "poison never hit");
+        assert_serving_and_ready(addr, "while the panic is handled");
     }
-    assert!(
-        saw_not_ready,
-        "readyz never reported 503 during the {RESPAWN_DELAY_MS}ms respawn window"
-    );
     assert_eq!(failpoint::poison_trips(), 1, "failpoint fired exactly once");
-    failpoint::set_respawn_delay_ms(0);
+    assert_serving_and_ready(addr, "after the panic");
 
     // Second half of each bystander gesture: completes runs started
-    // before the panic, on the respawned worker, over the same
-    // still-alive connection.
+    // before the panic, over the same still-alive connection.
     for (sid, _, second) in &halves {
         for chunk in second.chunks(CHUNK) {
             client.send_batch(*sid, chunk).unwrap();
@@ -154,12 +154,19 @@ fn injected_panic_respawns_worker_and_spares_other_sessions() {
     let m = server.metrics();
     let s = &m.shards[0];
     assert_eq!(s.panics, 1, "one injected panic");
-    assert_eq!(s.restarts, 1, "one worker respawn");
     assert_eq!(s.sessions_reset, 1, "only the poisoned session reset");
     assert_eq!(s.quarantined_frames, poison.len() as u64);
     assert!(
         s.batch_buffer_bytes > 0,
-        "the respawned worker runs on a full set of batch buffers"
+        "the worker runs on a full set of batch buffers after the panic"
+    );
+
+    // Detections from before and after the panic: one shard thread.
+    let threads = threads.lock().unwrap().clone();
+    assert!(threads.len() > early, "no detection after the panic");
+    assert!(
+        threads.iter().all(|t| *t == threads[0]),
+        "detections came from more than one shard thread: {threads:?}"
     );
 
     assert!(
@@ -189,6 +196,11 @@ fn injected_panic_respawns_worker_and_spares_other_sessions() {
                 events: det.events.iter().map(|t| t.values().to_vec()).collect(),
             }));
     }));
+    for chunk in swipe_frames(EARLY.1).chunks(CHUNK) {
+        reference
+            .push_batch(SessionId(EARLY.0), chunk.to_vec())
+            .unwrap();
+    }
     for (sid, first, second) in &halves {
         for chunk in first.chunks(CHUNK).chain(second.chunks(CHUNK)) {
             reference

@@ -7,8 +7,7 @@
 //! operator per view and shares its output across every deployed query.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::error::StreamError;
 use crate::operator::BoxedOperator;
@@ -102,104 +101,70 @@ impl CatalogSnapshot {
 
 /// Thread-safe registry of base streams and views.
 ///
-/// Built for a multi-core steady state: every read path (`resolve`,
-/// `schema_of`, `view`, …) is **lock-free** — a single `Acquire` load of
-/// the current `CatalogSnapshot` pointer, no reference counting, no
-/// read lock for shard workers to contend on. Registrations serialise
-/// on a `Mutex`, rebuild the snapshot (including the complete resolve
-/// table), and publish it with one `Release` store.
-///
-/// Superseded snapshots are retained until the catalog drops rather
-/// than reference-counted: registrations are rare, snapshots are small
-/// (the maps hold `Arc`'d schemas and factories), and retention is what
-/// lets readers dereference the current pointer without any
-/// synchronisation beyond the load.
+/// Readers (`resolve`, `schema_of`, `view`, …) clone the current
+/// snapshot's `Arc` under a brief read lock; every reader is on the
+/// deploy or session-creation path, none runs per batch. Registrations
+/// build the next snapshot (including the complete resolve table) under
+/// the write lock and swap it in, so a superseded snapshot is freed
+/// with its last reader.
+#[derive(Default)]
 pub struct Catalog {
-    /// The currently published snapshot. Readers `Acquire`-load and
-    /// dereference; writers `Release`-store after pushing the new box
-    /// into `history`.
-    current: AtomicPtr<CatalogSnapshot>,
-    /// Registration lock + owner of every snapshot ever published (the
-    /// heap allocations behind `current` and any stale readers).
-    ///
-    /// The boxing is load-bearing despite `clippy::vec_box`: `current`
-    /// points **into** these allocations, so snapshots must have stable
-    /// addresses across `Vec` growth.
-    #[allow(clippy::vec_box)]
-    history: Mutex<Vec<Box<CatalogSnapshot>>>,
-}
-
-impl Default for Catalog {
-    fn default() -> Self {
-        Self::new()
-    }
+    current: RwLock<Arc<CatalogSnapshot>>,
 }
 
 impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Self {
-        let first = Box::new(CatalogSnapshot::default());
-        let ptr = &*first as *const CatalogSnapshot as *mut CatalogSnapshot;
-        Catalog {
-            current: AtomicPtr::new(ptr),
-            history: Mutex::new(vec![first]),
-        }
+        Self::default()
     }
 
-    /// The current snapshot (one `Acquire` load, no lock).
-    fn snapshot(&self) -> &CatalogSnapshot {
-        // SAFETY: `current` always points into a `Box` owned by
-        // `history`, which only grows and is dropped with `self`; the
-        // returned borrow cannot outlive `&self`. The `Release` store
-        // in `publish` pairs with this `Acquire` load, so the
-        // dereferenced snapshot is fully initialised.
-        unsafe { &*self.current.load(Ordering::Acquire) }
+    /// The current snapshot. A poisoned lock still holds a whole
+    /// snapshot: writers only ever swap in a finished one.
+    fn snapshot(&self) -> Arc<CatalogSnapshot> {
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
-    /// Publishes `snap` as the new current snapshot. Caller holds the
-    /// `history` lock.
-    #[allow(clippy::vec_box)] // see `history`: addresses must be stable
+    /// Publishes the snapshot `next` builds from the current one.
     fn publish(
-        history: &mut Vec<Box<CatalogSnapshot>>,
-        current: &AtomicPtr<CatalogSnapshot>,
-        snap: CatalogSnapshot,
-    ) {
-        let boxed = Box::new(snap);
-        let ptr = &*boxed as *const CatalogSnapshot as *mut CatalogSnapshot;
-        history.push(boxed);
-        current.store(ptr, Ordering::Release);
+        &self,
+        next: impl FnOnce(&CatalogSnapshot) -> Result<CatalogSnapshot, StreamError>,
+    ) -> Result<(), StreamError> {
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let mut snap = next(&current)?;
+        snap.rebuild_resolved()?;
+        *current = Arc::new(snap);
+        Ok(())
     }
 
     /// Registers a base stream schema.
     pub fn register_stream(&self, schema: SchemaRef) -> Result<(), StreamError> {
-        let mut history = self.history.lock().unwrap();
-        let cur = self.snapshot();
-        let name = schema.name.clone();
-        if cur.streams.contains_key(&name) || cur.views.contains_key(&name) {
-            return Err(StreamError::DuplicateStream(name));
-        }
-        let mut next = cur.clone_topology();
-        next.streams.insert(name, schema);
-        next.rebuild_resolved()?;
-        Self::publish(&mut history, &self.current, next);
-        Ok(())
+        self.publish(|cur| {
+            let name = schema.name.clone();
+            if cur.streams.contains_key(&name) || cur.views.contains_key(&name) {
+                return Err(StreamError::DuplicateStream(name));
+            }
+            let mut next = cur.clone_topology();
+            next.streams.insert(name, schema);
+            Ok(next)
+        })
     }
 
     /// Registers a derived view. The input must already exist.
     pub fn register_view(&self, view: ViewDef) -> Result<(), StreamError> {
-        let mut history = self.history.lock().unwrap();
-        let cur = self.snapshot();
-        if cur.streams.contains_key(&view.name) || cur.views.contains_key(&view.name) {
-            return Err(StreamError::DuplicateStream(view.name));
-        }
-        if !cur.streams.contains_key(&view.input) && !cur.views.contains_key(&view.input) {
-            return Err(StreamError::UnknownStream(view.input));
-        }
-        let mut next = cur.clone_topology();
-        next.views.insert(view.name.clone(), view);
-        next.rebuild_resolved()?;
-        Self::publish(&mut history, &self.current, next);
-        Ok(())
+        self.publish(|cur| {
+            if cur.streams.contains_key(&view.name) || cur.views.contains_key(&view.name) {
+                return Err(StreamError::DuplicateStream(view.name));
+            }
+            if !cur.streams.contains_key(&view.input) && !cur.views.contains_key(&view.input) {
+                return Err(StreamError::UnknownStream(view.input));
+            }
+            let mut next = cur.clone_topology();
+            next.views.insert(view.name.clone(), view);
+            Ok(next)
+        })
     }
 
     /// Schema of a stream or view by name.
@@ -231,9 +196,9 @@ impl Catalog {
     /// `("kinect", [kinect_t])`; instantiating the factories in order turns
     /// base tuples into view tuples.
     ///
-    /// Lock-free: the resolve table is precomputed at registration time,
-    /// so the steady state (every `deploy`, every session instantiation)
-    /// is a hash lookup in the current snapshot.
+    /// The resolve table is precomputed at registration time, so every
+    /// `deploy` and every session instantiation is a hash lookup in the
+    /// current snapshot.
     pub fn resolve(&self, name: &str) -> Result<(String, Vec<ViewDef>), StreamError> {
         self.snapshot()
             .resolved
@@ -397,5 +362,63 @@ mod tests {
             cat.names(),
             vec!["kinect".to_string(), "kinect_t".to_string()]
         );
+    }
+
+    #[test]
+    fn superseded_snapshot_is_freed_by_the_next_registration() {
+        let cat = Catalog::new();
+        cat.register_stream(base()).unwrap();
+        let old = Arc::downgrade(&cat.snapshot());
+        assert!(old.upgrade().is_some());
+        cat.register_view(view_over("kinect_t", "kinect", base()))
+            .unwrap();
+        assert!(old.upgrade().is_none(), "superseded snapshot leaked");
+        // A failed registration publishes nothing.
+        let current = Arc::downgrade(&cat.snapshot());
+        assert!(cat.register_stream(base()).is_err());
+        assert!(current.upgrade().is_some());
+    }
+
+    #[test]
+    fn readers_never_see_a_registered_name_go_missing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const VIEWS: usize = 200;
+        let cat = Catalog::new();
+        cat.register_stream(base()).unwrap();
+        // Views `v0 .. v{registered - 1}` are published.
+        let registered = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut names = 0;
+                    loop {
+                        let n = registered.load(Ordering::Acquire);
+                        if n > 0 {
+                            let (base, chain) = cat.resolve(&format!("v{}", n - 1)).unwrap();
+                            assert_eq!((base.as_str(), chain.len()), ("kinect", n));
+                            cat.schema_of(&format!("v{}", n / 2)).unwrap();
+                            assert!(cat.view_defs().len() >= n);
+                        }
+                        let now = cat.names().len();
+                        assert!(now >= names, "names() shrank from {names} to {now}");
+                        names = now;
+                        if n == VIEWS {
+                            break;
+                        }
+                    }
+                });
+            }
+            for i in 0..VIEWS {
+                let input = if i == 0 {
+                    "kinect".into()
+                } else {
+                    format!("v{}", i - 1)
+                };
+                cat.register_view(view_over(&format!("v{i}"), &input, base()))
+                    .unwrap();
+                registered.store(i + 1, Ordering::Release);
+            }
+        });
+        assert_eq!(cat.names().len(), VIEWS + 1);
     }
 }
