@@ -23,6 +23,16 @@
 //! replays them through the scalar path, which then yields the exact
 //! seed semantics including errors. The scalar evaluator therefore
 //! remains the bit-equivalence oracle *and* the fallback.
+//!
+//! **Bounds decide only what the kernels would.** Before any row pass,
+//! a `Band` on a column — or the leading `Band`-on-column terms of an
+//! `AndAll` — is checked against the lane's batch [`FloatLane::bounds`]:
+//! if `fl(hi ± c) <= -w` or `fl(lo ± c) >= w` for some such term, every
+//! row is known-false. Rounded subtraction is monotone, and a `NaN`
+//! edge (an infinite cell meeting an infinite centre) voids the check,
+//! so each row's scalar walk would also return `false` without error.
+//! The walk stops at the first term that is not such a band, because
+//! the scalar walk could err there.
 
 use gesto_stream::{BitMask, ColumnBlock, FloatLane, Value};
 
@@ -348,19 +358,63 @@ fn diff_compare_into(
     out.known.mask_tail_words();
 }
 
+/// What the lane bounds say about `abs(col ± c) < w` on every row:
+/// `Some(true)` when no row can hold it, `Some(false)` when no row's
+/// scalar evaluation can be `Null` or err, and `None` when `expr` is not
+/// a band over a lane with bounds (or some row could err).
+fn excludes(expr: &CompiledExpr, block: &ColumnBlock) -> Option<bool> {
+    let CompiledExpr::Band {
+        input: FusedInput::Col(i),
+        add,
+        center,
+        width,
+        ..
+    } = expr
+    else {
+        return None;
+    };
+    let (lo, hi) = block.lane(*i)?.bounds()?;
+    // `x + c` is exactly `x - (-c)`.
+    let c = if *add { -center } else { *center };
+    let (lo, hi) = (lo - c, hi - c);
+    (!(lo.is_nan() || hi.is_nan() || width.is_nan())).then(|| hi <= -width || lo >= *width)
+}
+
 impl CompiledExpr {
     /// Evaluates this predicate over every row of `block` at once,
     /// writing the per-row results into `out` (see [`BlockMasks`] and
     /// the module docs for the exactness contract). `scratch` pools the
     /// temporary lanes/masks so warm steady-state calls allocate
-    /// nothing.
+    /// nothing. Returns `true` when the lane bounds decided every row
+    /// false with no row pass.
     ///
     /// Expression shapes outside the fused set — and rows the kernels
     /// cannot decide exactly — are left with their `known` bit unset;
     /// callers replay those through the scalar [`Self::eval`].
-    pub fn eval_block(&self, block: &ColumnBlock, out: &mut BlockMasks, scratch: &mut EvalScratch) {
+    pub fn eval_block(
+        &self,
+        block: &ColumnBlock,
+        out: &mut BlockMasks,
+        scratch: &mut EvalScratch,
+    ) -> bool {
+        out.reset(block.rows());
+        let leading = match self {
+            CompiledExpr::AndAll(terms) => terms.as_slice(),
+            e => std::slice::from_ref(e),
+        };
+        let excluded = leading.iter().map_while(|t| excludes(t, block)).any(|x| x);
+        if excluded {
+            out.known.set_all();
+        } else {
+            self.eval_rows(block, out, scratch);
+        }
+        excluded
+    }
+
+    /// The row kernels behind [`Self::eval_block`]; `out` is already
+    /// reset to the block's rows.
+    fn eval_rows(&self, block: &ColumnBlock, out: &mut BlockMasks, scratch: &mut EvalScratch) {
         let rows = block.rows();
-        out.reset(rows);
         match self {
             CompiledExpr::Band {
                 input,
@@ -878,6 +932,86 @@ mod tests {
         );
         assert!(!masks.known.get(1), "5 < 10 walks into the bad term");
         assert_matches_oracle(&c, &tuples);
+    }
+
+    #[test]
+    fn bounds_decide_only_what_the_kernels_would() {
+        let reg = FunctionRegistry::with_builtins();
+        let inf = f64::INFINITY;
+        let band = |op: BinOp, c: f64, w: f64| {
+            Expr::lt(
+                Expr::abs(Expr::bin(op, Expr::col("x"), Expr::lit(c))),
+                Expr::lit(w),
+            )
+        };
+        let (sub, add) = (BinOp::Sub, BinOp::Add);
+        let wide = band(sub, 2.0, 50.0); // holds on [1, 3]: bounded, not excluding
+        let y_pos = Expr::bin(BinOp::Gt, Expr::col("y"), Expr::lit(0.0)); // no band
+        let bad = Expr::lt(Expr::col("tag"), Expr::lit(1.0)); // errors on every row
+        let floats = |xs: &[f64]| xs.iter().map(|x| Value::Float(*x)).collect::<Vec<_>>();
+        let (mid, infs) = (floats(&[1.0, 2.5, 3.0]), floats(&[inf, 5.0, inf]));
+        // (predicate, x cells, decided by the bounds?)
+        let cases = [
+            (band(sub, 10.0, 2.0), mid.clone(), true), // hi - c = -7 <= -2
+            (band(add, 10.0, 2.0), mid.clone(), true), // lo + c = 11 >= 2
+            (band(sub, 5.0, 2.0), mid.clone(), true),  // hi - c = -2: edge, exact
+            (band(add, 1.0, 2.0), mid.clone(), true),  // lo + c = 2: edge, exact
+            (band(sub, 4.9, 2.0), mid.clone(), false), // |3 - 4.9| < 2 holds
+            (band(sub, 0.0, 2.0), infs.clone(), true), // lo = 5 >= 2, inf rows false
+            (band(sub, 10.0, 2.0), floats(&[-inf, 5.0]), true),
+            (band(add, 0.0, 2.0), floats(&[-inf, 5.0]), false),
+            (band(sub, inf, 2.0), mid.clone(), true), // every cell shifts to -inf
+            (band(sub, inf, 2.0), infs.clone(), false), // inf - inf: rows err
+            (band(add, inf, 2.0), floats(&[-inf, 1.0]), false),
+            (band(sub, -inf, 2.0), floats(&[-inf, 1.0]), false),
+            // A `NaN` edge voids the check even where `w = -inf` would
+            // pass it: the `inf - inf` row errs.
+            (band(sub, inf, -inf), floats(&[1.0, inf]), false),
+            (band(sub, -inf, -inf), floats(&[-inf, 1.0]), false),
+            (band(sub, 0.0, inf), mid.clone(), false), // holds everywhere
+            (band(sub, 0.0, inf), floats(&[inf, inf]), true), // inf < inf fails
+            (band(sub, 10.0, 2.0), floats(&[1.0, f64::NAN]), false),
+            (
+                band(sub, 10.0, 2.0),
+                vec![Value::Float(1.0), Value::Null],
+                false,
+            ),
+            (
+                band(sub, 10.0, 2.0),
+                vec![Value::Float(1.0), Value::Int(1)],
+                false,
+            ),
+            // A whole AndAll: bounded band, then the excluding one.
+            (
+                Expr::and(wide.clone(), band(sub, 10.0, 2.0)),
+                mid.clone(),
+                true,
+            ),
+            // The walk stops at a term that is not a band…
+            (Expr::and(y_pos, band(sub, 10.0, 2.0)), mid.clone(), false),
+            // …and must, where that term errs before the excluding one.
+            (Expr::and(bad, band(sub, 10.0, 2.0)), mid.clone(), false),
+            (Expr::and(wide, band(sub, 2.0, 0.1)), mid.clone(), false),
+        ];
+        for (i, (e, xs, decides)) in cases.into_iter().enumerate() {
+            let c = compile(&e, &schema(), &reg).unwrap();
+            let tuples = rows(&xs);
+            assert_matches_oracle(&c, &tuples);
+            let mut block = ColumnBlock::new();
+            block.fill_from_tuples(&tuples);
+            let (mut masks, mut kernels) = (BlockMasks::default(), BlockMasks::default());
+            let mut scratch = EvalScratch::new();
+            assert_eq!(
+                c.eval_block(&block, &mut masks, &mut scratch),
+                decides,
+                "case {i}: {c:?}"
+            );
+            kernels.reset(tuples.len());
+            c.eval_rows(&block, &mut kernels, &mut scratch);
+            assert_eq!(masks.truth, kernels.truth, "case {i}");
+            assert_eq!(masks.null, kernels.null, "case {i}");
+            assert_eq!(masks.known, kernels.known, "case {i}");
+        }
     }
 
     #[test]

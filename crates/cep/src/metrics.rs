@@ -43,11 +43,20 @@ pub static NFA_MATCHES_TOTAL: ShardedCounter = ShardedCounter::new();
 /// attempt.
 pub static NFA_ROWS_STEPPED_TOTAL: ShardedCounter = ShardedCounter::new();
 
+/// Runs dropped because an older (under `select last`, a newer) run
+/// that the same row moved into the same step shares their future.
+pub static NFA_RUNS_MERGED_TOTAL: ShardedCounter = ShardedCounter::new();
+
 /// Event-arena compactions performed by the NFA runtimes.
 pub static NFA_ARENA_COMPACTIONS_TOTAL: ShardedCounter = ShardedCounter::new();
 
 /// Predicate-kernel block evaluations (one per step per block).
 pub static KERNEL_BLOCK_EVALS_TOTAL: ShardedCounter = ShardedCounter::new();
+
+/// Step-predicate block evaluations the lane bounds decided with no
+/// row pass (also counted in [`KERNEL_BLOCK_EVALS_TOTAL`] and
+/// [`KERNEL_BLOCK_ROWS_TOTAL`]).
+pub static KERNEL_BOUNDS_DECIDED_TOTAL: ShardedCounter = ShardedCounter::new();
 
 /// Rows presented to the vectorized predicate kernel.
 pub static KERNEL_BLOCK_ROWS_TOTAL: ShardedCounter = ShardedCounter::new();

@@ -48,6 +48,16 @@
 //!   A step a run first reaches mid-batch gets its mask on demand and
 //!   ORs its bits in ahead of the loop's position. A plan whose masks
 //!   come back empty costs the seed pre-pass and a word-wise OR.
+//! * **Rows no run can use** — every step a run waits at is hot, so a
+//!   visited row where no hot step ≥ 1 says `truth | !known` advances
+//!   nobody: it skips the run loop and only expires and seeds.
+//! * **Runs with one future** — when every `within` pending at step *s*
+//!   starts at leaf *s − 1* (every step of a learned, left-deep query),
+//!   runs one row moves into *s* share that row's timestamp, hence their
+//!   deadline and every later check: they advance, expire and complete
+//!   together. `select first` can only ever report the lowest id among
+//!   them (`last` the highest), so the rest are dropped in order
+//!   (`gesto_nfa_runs_merged_total`); `select all` keeps them all.
 //! * **Skipped-span expiry** — the only effect a non-candidate row has
 //!   in one-tuple stepping is expiring runs whose deadline it passed.
 //!   No run changes inside a skipped span, so pruning once with the
@@ -250,10 +260,10 @@ impl StepMasks {
         }
         self.hot[step] = true;
         let m = &mut self.pre[step];
-        predicate.eval_block(block, m, &mut self.eval);
         let rows = block.rows() as u64;
         deltas.block_evals += 1;
         deltas.block_rows += rows;
+        deltas.bounds_decided += u64::from(predicate.eval_block(block, m, &mut self.eval));
         // Rows the kernels left undecided take the scalar path in `hit`.
         deltas.fallback_rows += rows.saturating_sub(m.known.count() as u64);
         let decided = m.truth.words().iter().zip(m.known.words());
@@ -261,6 +271,12 @@ impl StepMasks {
             *c |= t | !k;
         }
         self.cand.mask_tail_words();
+    }
+
+    /// Whether some hot step ≥ 1 may hit `row` (`truth | !known`).
+    fn may_advance(&self, row: usize, stride: usize) -> bool {
+        let hits = |m: &BlockMasks| m.truth.get(row) || !m.known.get(row);
+        (1..stride).any(|s| self.hot[s] && hits(&self.pre[s]))
     }
 
     /// Answers "does `step`'s predicate match tuple `row`?" — from the
@@ -296,6 +312,8 @@ struct CallDeltas {
     block_evals: u64,
     block_rows: u64,
     fallback_rows: u64,
+    bounds_decided: u64,
+    merged: u64,
 }
 
 /// The immutable, compiled half of a pattern: leaf steps, time
@@ -311,6 +329,10 @@ pub struct NfaProgram {
     /// Distinct source names of the steps, in first-appearance order.
     sources: Vec<String>,
     constraints: Vec<TimeConstraint>,
+    /// Per step *s*: runs that one row moves into *s* together are kept
+    /// once — the select policy is `first` or `last`, and every `within`
+    /// pending at *s* starts at leaf *s − 1* (module docs).
+    merge_at: Vec<bool>,
     select: SelectPolicy,
     consume: ConsumePolicy,
 }
@@ -341,10 +363,16 @@ impl NfaProgram {
             Pattern::Sequence(s) => (s.select, s.consume),
             Pattern::Event(_) => (SelectPolicy::default(), ConsumePolicy::default()),
         };
+        // A `within` is pending at `s` when `from_leaf < s <= to_leaf`.
+        let one_clock = |s: usize, c: &TimeConstraint| c.from_leaf + 1 >= s || c.to_leaf < s;
+        let merge_at = (0..steps.len())
+            .map(|s| select != SelectPolicy::All && constraints.iter().all(|c| one_clock(s, c)))
+            .collect();
         Ok(Self {
             steps,
             sources,
             constraints,
+            merge_at,
             select,
             consume,
         })
@@ -414,6 +442,8 @@ pub struct NfaRuntime {
     completed_events: Vec<u32>,
     /// Arena mark/remap scratch for compaction.
     remap: Vec<u32>,
+    /// Per-step id of the run a merge keeps (reused across rows).
+    keep: Vec<u64>,
     /// When false, tuples stop seeding new runs; existing runs still
     /// advance to completion (the draining half of a versioned plan
     /// rollout).
@@ -473,6 +503,7 @@ impl NfaRuntime {
             completed: Vec::new(),
             completed_events: Vec::new(),
             remap: Vec::new(),
+            keep: Vec::new(),
             seeding: true,
         }
     }
@@ -608,6 +639,8 @@ impl NfaRuntime {
         bump(&m::KERNEL_BLOCK_EVALS_TOTAL, deltas.block_evals);
         bump(&m::KERNEL_BLOCK_ROWS_TOTAL, deltas.block_rows);
         bump(&m::KERNEL_SCALAR_FALLBACK_TOTAL, deltas.fallback_rows);
+        bump(&m::KERNEL_BOUNDS_DECIDED_TOTAL, deltas.bounds_decided);
+        bump(&m::NFA_RUNS_MERGED_TOTAL, deltas.merged);
         result
     }
 
@@ -633,6 +666,7 @@ impl NfaRuntime {
             shed,
             completed,
             completed_events,
+            keep,
             seeding,
             ..
         } = self;
@@ -713,8 +747,11 @@ impl NfaRuntime {
             completed_events.clear();
 
             // Advance existing runs in place (each run by at most one
-            // step per tuple, guarded by `touched`).
-            let mut i = 0;
+            // step per tuple, guarded by `touched`) — unless no hot step
+            // may hit this row, and every step a run waits at is hot.
+            let advances = block.is_none() || masks.may_advance(row, stride);
+            let mut i = if advances { 0 } else { runs.len() };
+            let mut merging = 0;
             while i < runs.len() {
                 let run = runs[i];
                 if run.touched == serial {
@@ -753,10 +790,14 @@ impl NfaRuntime {
                     continue;
                 }
                 heat(masks, deltas, waits_at);
+                merging += usize::from(program.merge_at[waits_at]);
                 let dl = deadline_of(program, arena_ts, &run_events[slab..slab + stride], run);
                 runs[i].deadline = dl;
                 *min_deadline = (*min_deadline).min(dl);
                 i += 1;
+            }
+            if merging > 1 {
+                deltas.merged += merge_moved(program, runs, run_events, keep, serial);
             }
 
             // Seed a new run: this tuple as leaf 0.
@@ -928,24 +969,62 @@ fn prune_expired(
     min_deadline: &mut StreamTime,
 ) -> u64 {
     let mut min = NO_DEADLINE;
+    let expired = retain_runs(runs, run_events, stride, |r| {
+        let live = now <= r.deadline;
+        min = min.min(if live { r.deadline } else { NO_DEADLINE });
+        live
+    });
+    *min_deadline = min;
+    expired
+}
+
+/// Keeps one run of each group that tuple `serial` moved into the same
+/// `merge_at` step — the lowest id under `select first`, the highest
+/// under `select last` — and drops the rest in order. Returns how many
+/// it dropped.
+fn merge_moved(
+    program: &NfaProgram,
+    runs: &mut Vec<Run>,
+    run_events: &mut Vec<u32>,
+    keep: &mut Vec<u64>,
+    serial: u64,
+) -> u64 {
+    let last = program.select == SelectPolicy::Last;
+    keep.clear();
+    keep.resize(program.steps.len(), if last { 0 } else { u64::MAX });
+    let grouped = |r: &Run| r.touched == serial && program.merge_at[r.next as usize];
+    for r in runs.iter().filter(|r| grouped(r)) {
+        let k = &mut keep[r.next as usize];
+        *k = if last { r.id.max(*k) } else { r.id.min(*k) };
+    }
+    retain_runs(runs, run_events, program.steps.len(), |r| {
+        !grouped(r) || r.id == keep[r.next as usize]
+    })
+}
+
+/// Drops the runs `keep` rejects, order-preserving, and returns how
+/// many it dropped (`keep` sees every run once, in slab order).
+fn retain_runs(
+    runs: &mut Vec<Run>,
+    run_events: &mut Vec<u32>,
+    stride: usize,
+    mut keep: impl FnMut(&Run) -> bool,
+) -> u64 {
     let mut kept = 0;
     for i in 0..runs.len() {
-        let dl = runs[i].deadline;
-        if now > dl {
+        if !keep(&runs[i]) {
             continue;
         }
-        min = min.min(dl);
         if kept != i {
             runs[kept] = runs[i];
             run_events.copy_within(i * stride..(i + 1) * stride, kept * stride);
         }
         kept += 1;
     }
-    let expired = runs.len() - kept;
+    let dropped = runs.len() - kept;
     runs.truncate(kept);
     run_events.truncate(kept * stride);
-    *min_deadline = min;
-    expired as u64
+    dropped as u64
 }
 
 /// Earliest `completion(from) + within` over the constraints whose

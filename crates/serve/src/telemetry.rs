@@ -138,6 +138,12 @@ impl ServerTelemetry {
             &gesto_cep::metrics::NFA_RUNS_SHED_TOTAL,
         );
         registry.register_sharded_counter_ref(
+            "gesto_nfa_runs_merged_total",
+            "NFA runs dropped because a run the same row moved into the same step shares their future",
+            &[],
+            &gesto_cep::metrics::NFA_RUNS_MERGED_TOTAL,
+        );
+        registry.register_sharded_counter_ref(
             "gesto_nfa_matches_total",
             "Completed pattern matches emitted by the NFA",
             &[],
@@ -163,6 +169,12 @@ impl ServerTelemetry {
             "Vectorized predicate evaluations (one per hot step per block)",
             &[],
             &gesto_cep::metrics::KERNEL_BLOCK_EVALS_TOTAL,
+        );
+        registry.register_sharded_counter_ref(
+            "gesto_kernel_bounds_decided_total",
+            "Vectorized predicate evaluations decided from lane bounds with no row pass",
+            &[],
+            &gesto_cep::metrics::KERNEL_BOUNDS_DECIDED_TOTAL,
         );
         registry.register_sharded_counter_ref(
             "gesto_kernel_block_rows_total",

@@ -170,6 +170,9 @@ pub struct FloatLane {
     /// into a float slot, or a foreign-schema row): consumers must fall
     /// back to the row-major tuple for exact semantics.
     other: BitMask,
+    /// [`Self::bounds`] once computed; every `&mut` write to the lane
+    /// resets it to "not computed" (`None`).
+    bounds: std::cell::Cell<Option<Option<(f64, f64)>>>,
 }
 
 impl FloatLane {
@@ -191,11 +194,34 @@ impl FloatLane {
         &self.other
     }
 
+    /// `(min, max)` over the batch when every cell is a plain non-`NaN`
+    /// float; `None` for an empty lane or one with any `Null`, non-float
+    /// or `NaN` cell. Computed at most once per batch, however many
+    /// predicates read it.
+    pub fn bounds(&self) -> Option<(f64, f64)> {
+        if let Some(b) = self.bounds.get() {
+            return b;
+        }
+        // Selects and a `NaN` flag, not `f64::min` and an early exit:
+        // the loop has no data-dependent branch.
+        let (mut lo, mut hi, mut nan) = (f64::INFINITY, f64::NEG_INFINITY, false);
+        for &x in &self.data {
+            lo = if x < lo { x } else { lo };
+            hi = if x > hi { x } else { hi };
+            nan |= x.is_nan();
+        }
+        let plain = !nan && !self.data.is_empty() && !self.null.any() && !self.other.any();
+        let b = plain.then_some((lo, hi));
+        self.bounds.set(Some(b));
+        b
+    }
+
     fn reset(&mut self, rows: usize) {
         self.data.clear();
         self.data.resize(rows, 0.0);
         self.null.reset(rows);
         self.other.reset(rows);
+        *self.bounds.get_mut() = None;
     }
 }
 
@@ -341,6 +367,7 @@ impl ColumnBlock {
             lane.data.push(0.0);
             lane.null.push(true);
             lane.other.push(false);
+            *lane.bounds.get_mut() = None;
         }
         self.rows += 1;
         self.rows - 1
@@ -357,6 +384,7 @@ impl ColumnBlock {
                 let lane = &mut self.lanes[*i as usize];
                 lane.data[row] = v;
                 lane.null.unset(row);
+                *lane.bounds.get_mut() = None;
             }
         }
     }
@@ -382,7 +410,7 @@ impl ColumnBlock {
     /// compiled predicate reads.
     pub fn fill_from_tuples_filtered(&mut self, tuples: &[Tuple], cols: Option<&[usize]>) {
         let Some(first) = tuples.first() else {
-            self.rows = 0;
+            self.clear();
             return;
         };
         let schema = first.schema().clone();
@@ -624,5 +652,50 @@ mod tests {
         assert_eq!(a.other(), b.other());
         assert!(grown.bytes() >= 70 * 8);
         assert_eq!(ColumnBlock::new().bytes(), 0);
+    }
+
+    #[test]
+    fn bounds_are_dropped_by_every_write() {
+        let s = schema();
+        let row = |x: Value| {
+            let vals = vec![Value::Timestamp(0), x, Value::Float(0.0), Value::Null];
+            Tuple::new_unchecked(s.clone(), vals)
+        };
+        let floats = |xs: &[f64]| xs.iter().map(|x| row(Value::Float(*x))).collect::<Vec<_>>();
+        let bounds = |b: &ColumnBlock| b.lane(1).and_then(FloatLane::bounds);
+
+        // write_float after a read.
+        let mut b = ColumnBlock::new();
+        b.begin(&s, 2);
+        b.write_float(1, 0, 3.0);
+        b.write_float(1, 1, -1.0);
+        assert_eq!(bounds(&b), Some((-1.0, 3.0)));
+        b.write_float(1, 1, 7.0);
+        assert_eq!(bounds(&b), Some((3.0, 7.0)));
+
+        // push_row: the new cell is Null until written.
+        b.push_row();
+        assert_eq!(bounds(&b), None);
+        b.write_float(1, 2, -5.0);
+        assert_eq!(bounds(&b), Some((-5.0, 7.0)));
+
+        // A filtered fill, then clear and a fresh begin.
+        b.fill_from_tuples_filtered(&floats(&[2.0, 4.0]), Some(&[1]));
+        assert_eq!(bounds(&b), Some((2.0, 4.0)));
+        b.clear();
+        assert_eq!(bounds(&b), None);
+        b.begin(&s, 1);
+        b.write_float(1, 0, 9.0);
+        assert_eq!(bounds(&b), Some((9.0, 9.0)));
+
+        // ±inf are plain floats; Null, Int and NaN cells void the bounds.
+        b.fill_from_tuples(&floats(&[f64::INFINITY, 0.0, f64::NEG_INFINITY]));
+        assert_eq!(bounds(&b), Some((f64::NEG_INFINITY, f64::INFINITY)));
+        for bad in [Value::Null, Value::Int(1), Value::Float(f64::NAN)] {
+            b.fill_from_tuples(&[row(Value::Float(1.0)), row(bad.clone())]);
+            assert_eq!(bounds(&b), None, "{bad:?}");
+        }
+        b.fill_from_tuples(&[]);
+        assert_eq!(bounds(&b), None);
     }
 }

@@ -4,20 +4,54 @@
 # `#[cfg(test)]`, the line that opens its test module; a line whose
 # first non-blank characters are `//` is a comment.
 #
-# Usage: scripts/loc.sh [REPO_ROOT]   (default: the repo this script is in)
+# Usage: scripts/loc.sh [GIT_REV]
+#
+# With GIT_REV, each count is followed by its change since that
+# revision. The revision is unpacked with `git archive` into a
+# temporary directory; the worktree is never touched.
 set -eu
-cd "${1:-$(dirname "$0")/..}"
-for dir in crates/*/; do
-    printf '%s ' "$(basename "$dir")"
-    find "${dir}src" -name '*.rs' -exec awk '
-        FNR == 1 { tests = 0 }
-        /^#\[cfg\(test\)\]/ { tests = 1 }
-        tests { next }
-        /^[ \t]*$/ { blank++; next }
-        /^[ \t]*\/\// { comment++; next }
-        { code++ }
-        END { print code + 0, comment + 0, blank + 0 }' {} +
-done | awk '
-    BEGIN { printf "%-12s %7s %8s %7s\n", "crate", "code", "comment", "blank" }
-    { printf "%-12s %7d %8d %7d\n", $1, $2, $3, $4; c += $2; m += $3; b += $4 }
-    END { printf "%-12s %7d %8d %7d\n", "total", c, m, b }'
+cd "$(dirname "$0")/.."
+
+# Prints `crate code comment blank` per crate of the tree at $1.
+count() {
+    for dir in "$1"/crates/*/; do
+        printf '%s ' "$(basename "$dir")"
+        find "${dir}src" -name '*.rs' -exec awk '
+            FNR == 1 { tests = 0 }
+            /^#\[cfg\(test\)\]/ { tests = 1 }
+            tests { next }
+            /^[ \t]*$/ { blank++; next }
+            /^[ \t]*\/\// { comment++; next }
+            { code++ }
+            END { print code + 0, comment + 0, blank + 0 }' {} +
+    done
+}
+
+base=
+if [ $# -gt 0 ]; then
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    git archive "$1" crates | tar -xf - -C "$tmp"
+    base=$tmp/counts
+    count "$tmp" >"$base"
+fi
+
+count . | awk -v base="$base" '
+    BEGIN {
+        while (base != "" && (getline line < base) > 0) {
+            split(line, f, " ")
+            old[f[1]] = f[2] " " f[3] " " f[4]
+        }
+        printf "%-12s %7s%s %8s%s %7s%s\n", "crate", "code", d("±"), "comment", d("±"), "blank", d("±")
+    }
+    function d(s) { return base == "" ? "" : sprintf(" %6s", s) }
+    function row(name, c, m, b, oc, om, ob) {
+        printf "%-12s %7d%s %8d%s %7d%s\n", name, c, d(sprintf("%+d", c - oc)),
+            m, d(sprintf("%+d", m - om)), b, d(sprintf("%+d", b - ob))
+    }
+    {
+        split(old[$1], o, " ")
+        row($1, $2, $3, $4, o[1], o[2], o[3])
+        for (i = 1; i <= 3; i++) { t[i] += $(i + 1); p[i] += o[i] }
+    }
+    END { row("total", t[1], t[2], t[3], p[1], p[2], p[3]) }'
