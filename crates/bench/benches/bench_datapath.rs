@@ -11,8 +11,9 @@
 //! After the criterion groups it prints a `front_path` table, timed by
 //! hand because its unit is ns per tuple / per frame: what building a
 //! kinect tuple costs fresh, overwritten in place and replaced because
-//! somebody shares it, what `SharedViews::begin_batch` costs with and
-//! without spent `kinect_t` outputs to recycle, and what it costs
+//! somebody shares it, what `SharedViews::begin_batch` costs on a block
+//! batch when no `kinect_t` row is read (the rows stay deferred) and when
+//! every row is materialised into a tuple, and what it costs
 //! round-robin over 512 sessions (30-frame batches, the shard's shape on
 //! `inproc_512x4`) when every session keeps its own batch buffers — the
 //! shard cycles through 512 cold sets — against one set lent to each
@@ -166,33 +167,36 @@ fn front_path(_: &mut Criterion) {
         }
     });
 
-    let begin_batch = |hold_outputs: bool| {
-        let mut views = SharedViews::new(&standard_catalog());
-        views.set_needed([KINECT_T]);
-        let slot = views.slot_of(KINECT_T).expect("standard catalog");
-        let mut held: Vec<Tuple> = Vec::new();
-        best_ns_per_element(n, || {
-            views.begin_batch(KINECT_STREAM, &kept);
-            if hold_outputs {
-                held.clear();
-                held.extend_from_slice(views.outputs(slot));
-            }
-        })
-    };
-    let (recycling, not_recycling) = (begin_batch(false), begin_batch(true));
-
-    // The shard's shape: many sessions, one 30-frame batch each in
-    // turn, the view block restricted to the lanes a deployed gesture
-    // reads (here the right hand's). The two set-ups are timed try by
-    // try in alternation, so a slow spell of the host hits both.
-    const SESSIONS: usize = 512;
-    const BATCH: usize = 30;
+    // The view block restricted to the lanes a deployed gesture reads
+    // (here the right hand's), as the shard declares them.
     let catalog = standard_catalog();
     let out_schema = gesto_transform::kinect_t_schema();
     let rhand: Vec<usize> = ["rHand_x", "rHand_y", "rHand_z"]
         .iter()
         .map(|c| out_schema.index_of(c).expect("kinect layout"))
         .collect();
+    let begin_batch = |materialise: bool| {
+        let mut views = SharedViews::new(&catalog);
+        views.set_needed([KINECT_T]);
+        views.clear_block_columns();
+        views.add_view_block_columns(KINECT_T, &rhand);
+        let slot = views.slot_of(KINECT_T).expect("standard catalog");
+        best_ns_per_element(n, || {
+            views.begin_batch(KINECT_STREAM, &kept);
+            if materialise {
+                views.rows(slot).iter().for_each(|t| {
+                    black_box(t);
+                });
+            }
+        })
+    };
+    let (none_kept, all_built) = (begin_batch(false), begin_batch(true));
+
+    // The shard's shape: many sessions, one 30-frame batch each in
+    // turn. The two set-ups are timed try by try in alternation, so a
+    // slow spell of the host hits both.
+    const SESSIONS: usize = 512;
+    const BATCH: usize = 30;
     let sessions = || -> Vec<SharedViews> {
         (0..SESSIONS)
             .map(|_| {
@@ -236,8 +240,8 @@ fn front_path(_: &mut Criterion) {
     println!("  KinectSlots::tuple_into (unique, in place)  {unique:>9.1}");
     println!("  KinectSlots::tuple_into (shared -> fresh)   {replaced:>9.1}");
     println!("front_path                                     ns/frame");
-    println!("  begin_batch, spent outputs recycled         {recycling:>9.1}");
-    println!("  begin_batch, spent outputs all still shared {not_recycling:>9.1}");
+    println!("  block batch, no row kept                    {none_kept:>9.1}");
+    println!("  block batch, every row materialised         {all_built:>9.1}");
     println!("  begin_batch, 512 sessions x 30, own buffers {per_session:>9.1}");
     println!("  begin_batch, 512 sessions x 30, one lent set{lent:>9.1}");
     println!("  begin_batch_rows (frames), same lent set    {frame_fed:>9.1}");

@@ -269,13 +269,13 @@ fn assert_zero_allocations() {
     let mut nfas = compile_gestures(4);
     let mut scratch = MatchScratch::new();
     for nfa in nfas.iter_mut() {
-        nfa.advance_block_into(SOURCE, &tuples, None, &mut scratch)
+        nfa.advance_block_into(SOURCE, &tuples[..], None, &mut scratch)
             .unwrap();
     }
     let before = allocations();
     for _ in 0..16 {
         for nfa in nfas.iter_mut() {
-            nfa.advance_block_into(SOURCE, &tuples, None, &mut scratch)
+            nfa.advance_block_into(SOURCE, &tuples[..], None, &mut scratch)
                 .unwrap();
         }
     }
@@ -296,7 +296,7 @@ fn assert_zero_allocations() {
     for _ in 0..2 {
         matches = 0;
         for nfa in nfas.iter_mut() {
-            nfa.advance_block_into(SOURCE, &tuples, None, &mut scratch)
+            nfa.advance_block_into(SOURCE, &tuples[..], None, &mut scratch)
                 .unwrap();
             matches += scratch.len() as u64;
             scratch.clear();
@@ -306,7 +306,7 @@ fn assert_zero_allocations() {
     let before = allocations();
     for _ in 0..16 {
         for nfa in nfas.iter_mut() {
-            nfa.advance_block_into(SOURCE, &tuples, None, &mut scratch)
+            nfa.advance_block_into(SOURCE, &tuples[..], None, &mut scratch)
                 .unwrap();
             scratch.clear();
             nfa.reset();
@@ -330,7 +330,7 @@ fn assert_zero_allocations() {
         block_matches = 0;
         block.fill_from_tuples(&tuples);
         for nfa in nfas.iter_mut() {
-            nfa.advance_block_into(SOURCE, &tuples, Some(&block), &mut scratch)
+            nfa.advance_block_into(SOURCE, &tuples[..], Some(&block), &mut scratch)
                 .unwrap();
             block_matches += scratch.len() as u64;
             scratch.clear();
@@ -341,7 +341,7 @@ fn assert_zero_allocations() {
     for _ in 0..16 {
         block.fill_from_tuples(&tuples);
         for nfa in nfas.iter_mut() {
-            nfa.advance_block_into(SOURCE, &tuples, Some(&block), &mut scratch)
+            nfa.advance_block_into(SOURCE, &tuples[..], Some(&block), &mut scratch)
                 .unwrap();
             scratch.clear();
             nfa.reset();
@@ -373,7 +373,7 @@ fn assert_zero_allocations() {
     for _ in 0..8 {
         block.fill_from_tuples(&tuples);
         dist_nfa
-            .advance_block_into(SOURCE, &tuples, Some(&block), &mut scratch)
+            .advance_block_into(SOURCE, &tuples[..], Some(&block), &mut scratch)
             .unwrap();
         scratch.clear();
     }
@@ -381,7 +381,7 @@ fn assert_zero_allocations() {
     for _ in 0..16 {
         block.fill_from_tuples(&tuples);
         dist_nfa
-            .advance_block_into(SOURCE, &tuples, Some(&block), &mut scratch)
+            .advance_block_into(SOURCE, &tuples[..], Some(&block), &mut scratch)
             .unwrap();
         scratch.clear();
     }
@@ -406,7 +406,7 @@ fn assert_zero_allocations() {
         for _ in 0..2 {
             block.fill_from_tuples(&tuples);
             for nfa in nfas.iter_mut() {
-                nfa.advance_block_into(SOURCE, &tuples, Some(&block), &mut scratch)
+                nfa.advance_block_into(SOURCE, &tuples[..], Some(&block), &mut scratch)
                     .unwrap();
                 scratch.clear();
                 nfa.reset();
@@ -416,7 +416,7 @@ fn assert_zero_allocations() {
         for _ in 0..16 {
             block.fill_from_tuples(&tuples);
             for nfa in nfas.iter_mut() {
-                nfa.advance_block_into(SOURCE, &tuples, Some(&block), &mut scratch)
+                nfa.advance_block_into(SOURCE, &tuples[..], Some(&block), &mut scratch)
                     .unwrap();
                 scratch.clear();
                 nfa.reset();

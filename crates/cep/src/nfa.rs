@@ -78,7 +78,7 @@
 
 use std::sync::Arc;
 
-use gesto_stream::{BitMask, ColumnBlock, SchemaRef, StreamTime, Tuple};
+use gesto_stream::{BitMask, ColumnBlock, RowSource, SchemaRef, StreamTime, Tuple};
 use gesto_telemetry::ShardedCounter;
 
 use crate::error::CepError;
@@ -279,16 +279,17 @@ impl StepMasks {
         (1..stride).any(|s| self.hot[s] && hits(&self.pre[s]))
     }
 
-    /// Answers "does `step`'s predicate match tuple `row`?" — from the
+    /// Answers "does `step`'s predicate match row `row`?" — from the
     /// block mask when the kernels decided that (step, row), and from
-    /// the memoised scalar evaluation otherwise (preserving the exact
-    /// scalar semantics, including errors, for undecided rows).
+    /// the memoised scalar evaluation of the row's tuple otherwise
+    /// (preserving the exact scalar semantics, including errors, for
+    /// undecided rows).
     #[inline]
-    fn hit(
+    fn hit<R: RowSource + ?Sized>(
         &mut self,
         step: usize,
         predicate: &CompiledExpr,
-        tuple: &Tuple,
+        rows: &R,
         row: usize,
         serial: u64,
     ) -> Result<bool, CepError> {
@@ -297,7 +298,7 @@ impl StepMasks {
         }
         let memo = &mut self.memo[step];
         if *memo >> 1 != serial {
-            *memo = serial << 1 | u64::from(predicate.eval_bool(tuple)?);
+            *memo = serial << 1 | u64::from(predicate.eval_bool(rows.tuple(row))?);
         }
         Ok(*memo & 1 == 1)
     }
@@ -588,10 +589,12 @@ impl NfaRuntime {
         self.min_deadline = NO_DEADLINE;
     }
 
-    /// Feeds a batch of tuples from one `source`, appending completed
+    /// Feeds a batch of rows from one `source`, appending completed
     /// matches to `out` in stream order; `block`, when given, must be
-    /// the columnar view of exactly `tuples` (same rows, same order —
-    /// a row-count mismatch disables it).
+    /// the columnar view of exactly `rows` (same rows, same order —
+    /// a row-count mismatch disables it). Every timestamp is read from
+    /// `rows`; a row's tuple only to intern it or to evaluate it on the
+    /// scalar path, so a deferred view row nobody keeps is never built.
     ///
     /// This is the hot loop (layout and candidate-row stepping: see the
     /// module docs). A batch in which nothing matches performs **zero**
@@ -604,10 +607,10 @@ impl NfaRuntime {
     /// behaviour: a row whose predicate would error scalar-side is one
     /// the kernels leave undecided, hence a candidate, hence evaluated
     /// by the scalar evaluator exactly when one-tuple stepping would.
-    pub fn advance_block_into(
+    pub fn advance_block_into<R: RowSource + ?Sized>(
         &mut self,
         source: &str,
-        tuples: &[Tuple],
+        rows: &R,
         block: Option<&ColumnBlock>,
         out: &mut MatchScratch,
     ) -> Result<(), CepError> {
@@ -621,7 +624,7 @@ impl NfaRuntime {
         let shed_before = self.shed;
         let matches_before = out.len();
         let mut deltas = CallDeltas::default();
-        let result = self.advance_block_core(source, tuples, block, out, &mut deltas);
+        let result = self.advance_block_core(source, rows, block, out, &mut deltas);
         let runs_delta = self.runs.len() as i64 - runs_before as i64;
         if runs_delta != 0 {
             m::NFA_RUNS_ACTIVE.add(runs_delta);
@@ -644,10 +647,10 @@ impl NfaRuntime {
         result
     }
 
-    fn advance_block_core(
+    fn advance_block_core<R: RowSource + ?Sized>(
         &mut self,
         source: &str,
-        tuples: &[Tuple],
+        rows: &R,
         block: Option<&ColumnBlock>,
         out: &mut MatchScratch,
         deltas: &mut CallDeltas,
@@ -687,8 +690,8 @@ impl NfaRuntime {
         // Candidate rows. Scalar path: all of them. Block path: the rows
         // a hot step — the seed step, plus every step some run waits at
         // now or comes to wait at during the batch — may hit.
-        masks.begin(stride, tuples.len());
-        let block = block.filter(|b| b.rows() == tuples.len() && !tuples.is_empty());
+        masks.begin(stride, rows.len());
+        let block = block.filter(|b| b.rows() == rows.len() && !rows.is_empty());
         // Heats `step` if this call has a block and the step listens.
         let heat = |masks: &mut StepMasks, deltas: &mut CallDeltas, step: usize| {
             if let Some(b) = block.filter(|_| live(step)) {
@@ -714,25 +717,24 @@ impl NfaRuntime {
             }
         }
 
-        let ts_of = |t: &Tuple| t.timestamp().unwrap_or(0);
         // First row the loop has neither visited nor skipped yet.
         let mut pending = 0;
         loop {
-            let row = masks.cand.next_set(pending).unwrap_or(tuples.len());
-            let visited = tuples.get(row).map(|t| (t, ts_of(t)));
+            let row = masks.cand.next_set(pending).unwrap_or(rows.len());
+            let visited = (row < rows.len()).then(|| rows.ts(row));
 
             // Expiry: one comparison unless some run can actually be
             // dead (then a full scan prunes and recomputes). The skipped
             // rows `pending..row` expire what their latest timestamp
             // expires (module docs: skipped-span expiry).
-            let mut now = visited.map(|(_, ts)| ts);
+            let mut now = visited;
             if *min_deadline != NO_DEADLINE {
-                now = now.max(tuples[pending..row].iter().map(ts_of).max());
+                now = now.max((pending..row).map(|r| rows.ts(r)).max());
             }
             if let Some(now) = now.filter(|now| now > min_deadline) {
                 deltas.expired += prune_expired(runs, run_events, stride, now, min_deadline);
             }
-            let Some((tuple, ts)) = visited else {
+            let Some(ts) = visited else {
                 break;
             };
             pending = row + 1;
@@ -759,12 +761,12 @@ impl NfaRuntime {
                     continue;
                 }
                 let step = run.next as usize;
-                if !live(step) || !masks.hit(step, &steps[step].predicate, tuple, row, serial)? {
+                if !live(step) || !masks.hit(step, &steps[step].predicate, rows, row, serial)? {
                     i += 1;
                     continue;
                 }
                 if arena_idx == u32::MAX {
-                    arena_idx = intern(arena, arena_ts, tuple, ts);
+                    arena_idx = intern(arena, arena_ts, rows.tuple(row), ts);
                 }
                 let slab = i * stride;
                 run_events[slab + step] = arena_idx;
@@ -801,9 +803,9 @@ impl NfaRuntime {
             }
 
             // Seed a new run: this tuple as leaf 0.
-            if seeding && live(0) && masks.hit(0, &steps[0].predicate, tuple, row, serial)? {
+            if seeding && live(0) && masks.hit(0, &steps[0].predicate, rows, row, serial)? {
                 if arena_idx == u32::MAX {
-                    arena_idx = intern(arena, arena_ts, tuple, ts);
+                    arena_idx = intern(arena, arena_ts, rows.tuple(row), ts);
                 }
                 let id = *next_run_id;
                 *next_run_id += 1;
@@ -1460,7 +1462,7 @@ mod tests {
         let mut block = ColumnBlock::new();
         block.fill_from_tuples(&[t(0, 0.5)]); // 1 row
         let batch = [t(0, 0.5), t(10, 10.0)]; // 2 tuples
-        n.advance_block_into("k", &batch, Some(&block), &mut out)
+        n.advance_block_into("k", &batch[..], Some(&block), &mut out)
             .unwrap();
         assert_eq!(out.len(), 1, "scalar fallback still matches");
     }

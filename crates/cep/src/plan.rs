@@ -12,7 +12,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gesto_stream::{Catalog, ColumnBlock, SharedViews, StreamError, Tuple, ViewFactory};
+use gesto_stream::{
+    Catalog, ColumnBlock, RowSource, SharedViews, StreamError, Tuple, ViewFactory, ViewRows,
+};
 
 use crate::detection::Detection;
 use crate::engine::QueryStats;
@@ -285,12 +287,10 @@ impl PlanInstance {
             // `begin_batch` (the NFA's predicate pre-pass runs over its
             // float lanes); per-frame stepping stays scalar.
             let (batch, block) = match (binding, frame) {
-                (RouteBinding::Direct, None) => (tuples, views.base_block()),
-                (RouteBinding::Direct, Some(f)) => (&tuples[f..f + 1], None),
-                (RouteBinding::Shared(slot), None) => {
-                    (views.outputs(*slot), views.view_block(*slot))
-                }
-                (RouteBinding::Shared(slot), Some(f)) => (views.frame_outputs(*slot, f), None),
+                (RouteBinding::Direct, None) => (ViewRows::tuples(tuples), views.base_block()),
+                (RouteBinding::Direct, Some(f)) => (ViewRows::tuples(&tuples[f..f + 1]), None),
+                (RouteBinding::Shared(slot), None) => (views.rows(*slot), views.view_block(*slot)),
+                (RouteBinding::Shared(slot), Some(f)) => (views.rows(*slot).frame(f), None),
             };
             advance_batch(
                 nfa,
@@ -298,7 +298,7 @@ impl PlanInstance {
                 detections,
                 &plan.query.name,
                 &route.source,
-                batch,
+                &batch,
                 block,
                 out,
             )?;
@@ -350,7 +350,7 @@ pub fn sync_shared_views(views: &mut SharedViews, plans: &[Arc<QueryPlan>]) {
 /// [`Detection`]s. All plan-level paths funnel through this one call, so
 /// there is exactly one stepping implementation; the no-match steady
 /// state touches the reusable `scratch` only (no allocation). `block`,
-/// when present, is the columnar view of `tuples` enabling the NFA's
+/// when present, is the columnar view of `rows` enabling the NFA's
 /// vectorized predicate pre-pass.
 #[allow(clippy::too_many_arguments)]
 fn advance_batch(
@@ -359,18 +359,18 @@ fn advance_batch(
     detections: &mut u64,
     gesture: &str,
     source: &str,
-    tuples: &[Tuple],
+    rows: &ViewRows<'_>,
     block: Option<&ColumnBlock>,
     out: &mut Vec<Detection>,
 ) -> Result<(), CepError> {
-    if tuples.is_empty() {
+    if rows.is_empty() {
         return Ok(());
     }
     // Drain the scratch even when stepping errors mid-batch: matches
     // completed by earlier tuples of the batch are still delivered
     // (exactly as if they had been pushed one by one), and a stale
     // scratch can never leak duplicates into a later call.
-    let result = nfa.advance_block_into(source, tuples, block, scratch);
+    let result = nfa.advance_block_into(source, rows, block, scratch);
     if !scratch.is_empty() {
         for m in scratch.matches() {
             *detections += 1;

@@ -222,22 +222,26 @@ impl KinectSlots {
         block: &mut ColumnBlock,
     ) {
         block.begin_filtered(schema, frames.len(), cols);
-        for (r, frame) in frames.iter().enumerate() {
-            self.write_block_row(frame, r, block);
+        for (row, frame) in frames.iter().enumerate() {
+            for (slot, joint) in self.joints.iter().zip(&frame.joints) {
+                if let (Some([x, y, z]), Some(p)) = (slot, joint) {
+                    block.write_float(*x, row, p.x);
+                    block.write_float(*y, row, p.y);
+                    block.write_float(*z, row, p.z);
+                }
+            }
         }
     }
 
-    /// One row of [`Self::write_block`]: writes `frame`'s tracked joints
-    /// into row `row` of a block begun for this table's schema, whose
-    /// cells of that row are still `Null`.
-    pub fn write_block_row(&self, frame: &SkeletonFrame, row: usize, block: &mut ColumnBlock) {
-        for (slot, joint) in self.joints.iter().zip(&frame.joints) {
-            if let (Some([x, y, z]), Some(p)) = (slot, joint) {
-                block.write_float(*x, row, p.x);
-                block.write_float(*y, row, p.y);
-                block.write_float(*z, row, p.z);
-            }
-        }
+    /// The joints ([`Joint::index`]) with a lane built in `block`, begun
+    /// for this table's schema, and their `(x, y, z)` columns: all a
+    /// writer of the block's rows has to visit.
+    pub fn built_joints<'a>(
+        &'a self,
+        block: &'a ColumnBlock,
+    ) -> impl Iterator<Item = (usize, [usize; 3])> + 'a {
+        let built = |cols: &[usize; 3]| cols.iter().any(|&c| block.lane(c).is_some());
+        (0..JOINT_COUNT).filter_map(move |j| Some((j, self.joints[j].filter(built)?)))
     }
 }
 

@@ -347,7 +347,7 @@ pub(crate) struct ShardWorker {
     /// overwritten in place by the next batch (whatever its session);
     /// empty while no session's plans read the raw stream.
     tuples: Vec<Tuple>,
-    /// The one set of view-output tuples, frame offsets and blocks every
+    /// The one set of view-output rows, frame offsets and blocks every
     /// session's batch runs in: lent to the session's `SharedViews` for
     /// the duration of `process`, back here before the next job. A
     /// fixed per-shard cost (`gesto_shard_batch_buffer_bytes`), not

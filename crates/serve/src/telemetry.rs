@@ -205,15 +205,15 @@ impl ServerTelemetry {
 
         registry.register_sharded_counter_ref(
             "gesto_tuples_recycled_total",
-            "Base and view-output tuples overwritten in place (uniquely owned: no \
-             allocation); the slot's previous tuple may be another session's",
+            "Raw and scalar-batch view tuples overwritten in place (uniquely owned: \
+             no allocation); the slot's previous tuple may be another session's",
             &[],
             &gesto_stream::metrics::TUPLES_RECYCLED_TOTAL,
         );
         registry.register_sharded_counter_ref(
             "gesto_tuples_built_total",
-            "Tuples built fresh where one could have been recycled (empty slot, or \
-             the previous tuple is still shared by a partial match or a detection)",
+            "Every other tuple built: fresh raw or scalar-batch view tuples, and \
+             deferred view rows a consumer read (counted when the batch is spent)",
             &[],
             &gesto_stream::metrics::TUPLES_BUILT_TOTAL,
         );
@@ -500,9 +500,9 @@ impl ServerTelemetry {
                 );
                 set.gauge(
                     "gesto_shard_batch_buffer_bytes",
-                    "Heap bytes of the one set of batch buffers (view outputs, frame \
-                     offsets, blocks) the shard worker lends to each session's batch \
-                     (capacity-based; per shard, not per session)",
+                    "Heap bytes of the one set of batch buffers (view rows and payloads, \
+                     frame offsets, blocks) the shard worker lends to each session's batch \
+                     (capacity-based, tuples excluded; per shard, not per session)",
                     &labels,
                     m.batch_buffer_bytes.load(Ordering::Relaxed) as f64,
                 );

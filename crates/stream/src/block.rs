@@ -359,7 +359,7 @@ impl ColumnBlock {
     /// Appends one row to a batch started with [`Self::begin_filtered`],
     /// every built lane cell `Null`, and returns its index — for
     /// writers that learn the row count only as they go (a view
-    /// operator emitting through [`crate::Emit::block_row`]). The block
+    /// operator deferring its rows through [`crate::Emit::defer`]). The block
     /// ends up exactly as if `begin_filtered` had been given the final
     /// row count.
     pub fn push_row(&mut self) -> usize {

@@ -43,7 +43,7 @@
 //! let t = Tuple::new(schema, vec![Value::Timestamp(0), Value::Float(4.2)]).unwrap();
 //! views.begin_batch("s", std::slice::from_ref(&t));
 //! let slot = views.slot_of("doubled").unwrap();
-//! assert_eq!(views.outputs(slot)[0].f64("x"), Some(8.4));
+//! assert_eq!(views.rows(slot).get(0).f64("x"), Some(8.4));
 //! ```
 
 #![warn(missing_docs)]
@@ -55,6 +55,7 @@ mod error;
 pub mod metrics;
 mod operator;
 pub mod ops;
+mod rows;
 mod schema;
 mod shared;
 pub mod time;
@@ -66,6 +67,7 @@ pub use block::{BitMask, ColumnBlock, FloatLane};
 pub use catalog::{Catalog, ViewDef, ViewFactory};
 pub use error::StreamError;
 pub use operator::{run_operator, BoxedOperator, Emit, Operator, RowBatch};
+pub use rows::{RowPayload, RowSource, ViewRows};
 pub use schema::{Field, Schema, SchemaBuilder, SchemaRef};
 pub use shared::{BatchBuffers, SharedViews};
 pub use time::{FrameClock, StreamTime, KINECT_FRAME_MS, KINECT_HZ};

@@ -22,12 +22,13 @@ pub static BLOCK_ROWS_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();
 /// Tuples overwritten in place — the slot's previous tuple was uniquely
 /// owned, so no allocation: base tuples by
 /// `gesto_kinect::KinectSlots::tuple_into` in the shard worker's scratch,
-/// view outputs through [`crate::Emit::overwrite`]. The previous tuple is
-/// whatever the last batch left there, another session's included.
-/// Counted per batch and added once.
+/// view outputs of scalar batches through [`crate::Emit::overwrite`].
+/// The previous tuple is whatever the last batch left there, another
+/// session's included. Counted per batch and added once.
 pub static TUPLES_RECYCLED_TOTAL: ShardedCounter = ShardedCounter::new();
 
-/// Tuples built fresh on the same paths — an empty slot, or one whose
-/// previous tuple something still shares. `recycled ÷
-/// (recycled + built)` is the recycling mechanism's useful ÷ attempts.
+/// Every other tuple built: a fresh raw or view tuple where none could be
+/// overwritten, and a deferred view row some consumer read (counted when
+/// the row is spent, at the next batch or `lend`). `(built + recycled)`
+/// per frame is the tuples a frame costs.
 pub static TUPLES_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();

@@ -1,26 +1,33 @@
 //! The push-based operator abstraction.
 
 use std::any::Any;
+use std::cell::OnceCell;
 
 use crate::block::ColumnBlock;
+use crate::rows::{Deferred, RowPayload};
 use crate::schema::SchemaRef;
+use crate::time::StreamTime;
 use crate::tuple::Tuple;
 
-/// Downstream sink of one batch: operators emit output tuples into it.
+/// Downstream sink of one batch: operators emit output rows into it.
 ///
 /// The buffers behind it belong to the caller, not to the operator, and
-/// outlive the batch: the output vector still holds the *spent* tuples
-/// of an earlier batch (under [`crate::SharedViews`] possibly another
-/// session's), which an operator may overwrite instead of allocating
-/// ([`Self::overwrite`]), and when the caller wants a columnar block of
-/// the outputs an operator may write its rows straight from source data
-/// ([`Self::block_row`]). So an operator keeps no batch-sized buffer of
-/// its own — only state that must survive between batches.
+/// outlive the batch, so an operator keeps no batch-sized buffer of its
+/// own — only state that must survive between batches. There are two
+/// kinds of sink:
 ///
-/// Ownership rule: a spent tuple may still be shared — a partial match
-/// interned it, a detection carries it — so the only way to write one
-/// is [`Tuple::values_mut`], which refuses while any clone is alive;
-/// the operator then leaves a fresh tuple in the slot instead.
+/// * **Without a block** (a scalar batch, [`Self::collect`]) every row
+///   is a tuple, built at emission. The output vector still holds the
+///   *spent* tuples of an earlier batch (under [`crate::SharedViews`]
+///   possibly another session's), which an operator may overwrite
+///   instead of allocating ([`Self::overwrite`]). A spent tuple may
+///   still be shared — a partial match interned it, a detection carries
+///   it — so the only way to write one is [`Tuple::values_mut`], which
+///   refuses while any clone is alive; a fresh tuple takes the slot.
+/// * **With a block** an operator may defer its rows ([`Self::defer`]):
+///   it writes their lanes, and their tuples are built only for the rows
+///   a consumer reads ([`crate::ViewRows`]). An operator that does not defer
+///   pushes tuples here too, and the caller builds the block from them.
 pub struct Emit<'a> {
     out: &'a mut Vec<Tuple>,
     /// Tuples emitted so far: `out[..len]`; `out[len..]` are spent, for
@@ -28,12 +35,9 @@ pub struct Emit<'a> {
     pub(crate) len: usize,
     /// Emissions that reused a spent tuple's buffer.
     pub(crate) recycled: usize,
-    /// The block the caller wants built for the outputs, and its
-    /// column filter.
-    block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>)>,
-    /// Block rows written through [`Self::block_row`]: equals `len`
-    /// when the operator wrote the block itself.
-    pub(crate) rows: usize,
+    /// A sink with a block: the block to build for the outputs, its
+    /// column filter, and where deferred rows go.
+    block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>, &'a mut Deferred)>,
 }
 
 impl<'a> Emit<'a> {
@@ -41,15 +45,19 @@ impl<'a> Emit<'a> {
     /// is spent), with the block to build for the outputs, if any.
     pub(crate) fn new(
         out: &'a mut Vec<Tuple>,
-        block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>)>,
+        block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>, &'a mut Deferred)>,
     ) -> Self {
         Self {
             out,
             len: 0,
             recycled: 0,
             block,
-            rows: 0,
         }
+    }
+
+    /// Rows emitted so far, tuples and deferred rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.len + self.block.as_ref().map_or(0, |(_, _, d)| d.rows.len())
     }
 
     /// A plain sink appending to `out`: no spent tuples to overwrite,
@@ -65,6 +73,10 @@ impl<'a> Emit<'a> {
 
     /// Emits `tuple`.
     pub fn push(&mut self, tuple: Tuple) {
+        debug_assert!(
+            self.rows() == self.len,
+            "an operator that defers defers every row"
+        );
         match self.out.get_mut(self.len) {
             Some(slot) => *slot = tuple,
             None => self.out.push(tuple),
@@ -86,27 +98,31 @@ impl<'a> Emit<'a> {
         true
     }
 
-    /// For an operator that can write float lanes straight from source
-    /// data: the block and the row of the tuple emitted last, all
-    /// cells `Null` until written with [`ColumnBlock::write_float`];
-    /// `schema` is the emitted tuples' schema. `None` when the caller
-    /// builds no block this batch.
+    /// Emits a row of `schema` with timestamp `ts` whose tuple is built
+    /// only if a consumer asks for it: returns the operator's payload
+    /// `P` (as this batch's earlier rows left it), the block, and the
+    /// row, its cells `Null` until written with
+    /// [`ColumnBlock::write_float`]. The operator records in `P` how to
+    /// build the row (`RowPayload::tuple` gets the row's index) and
+    /// writes the lanes bit-identical to
+    /// [`ColumnBlock::fill_from_tuples_filtered`] over that tuple;
+    /// `ts` is what its [`Tuple::timestamp`] would read (`0` if none).
     ///
-    /// An operator that takes a row takes one for **every** tuple it
-    /// emits, right after emitting it, and asserts the block ends up
-    /// bit-identical to [`ColumnBlock::fill_from_tuples_filtered`] over
-    /// its outputs; otherwise the caller rebuilds the block from them.
-    pub fn block_row(&mut self, schema: &SchemaRef) -> Option<(&mut ColumnBlock, usize)> {
-        let (block, cols) = self.block.as_mut()?;
-        if self.rows + 1 != self.len {
-            return None;
-        }
-        if self.rows == 0 {
+    /// `None` — the operator then pushes a tuple — on a sink without a
+    /// block, or once this batch has a tuple: an operator that defers a
+    /// row defers every row of the batch.
+    pub fn defer<P: RowPayload + Default>(
+        &mut self,
+        schema: &SchemaRef,
+        ts: StreamTime,
+    ) -> Option<(&mut P, &mut ColumnBlock, usize)> {
+        let (block, cols, deferred) = self.block.as_mut().filter(|_| self.len == 0)?;
+        if deferred.rows.is_empty() {
             block.begin_filtered(schema, 0, *cols);
         }
-        self.rows += 1;
+        deferred.rows.push((ts, OnceCell::new()));
         let row = block.push_row();
-        Some((block, row))
+        Some((deferred.payload(), block, row))
     }
 }
 

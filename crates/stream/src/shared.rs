@@ -25,7 +25,7 @@
 //! **Ownership.** What must survive between a session's batches — the
 //! operators and their state, the needed marks, the column filters —
 //! lives in the `SharedViews`. What is dead once the batch's consumers
-//! have read it — each view's output tuples, frame offsets and block,
+//! have read it — each view's output rows, frame offsets and block,
 //! and the base block — lives in a [`BatchBuffers`], which a caller
 //! running many sessions on one thread lends to whichever session's
 //! batch runs next ([`SharedViews::lend`] / [`SharedViews::reclaim`]),
@@ -37,6 +37,7 @@ use std::collections::HashMap;
 use crate::block::ColumnBlock;
 use crate::catalog::Catalog;
 use crate::operator::{BoxedOperator, Emit, RowBatch};
+use crate::rows::{Deferred, ViewRows};
 use crate::tuple::Tuple;
 
 /// Where a view reads its input tuples from.
@@ -64,25 +65,34 @@ struct ViewState {
 /// One view's share of a [`BatchBuffers`].
 #[derive(Default)]
 struct ViewBuffers {
-    /// Output tuples of the current batch, all frames concatenated in
-    /// order. Between batches: spent tuples, overwritten in place by
-    /// the next batch's emissions ([`Emit::overwrite`]).
+    /// Output rows of the current batch, all frames concatenated in
+    /// order: tuples, or (on a block batch, from an operator that
+    /// defers) deferred rows — never both. Between batches `out` holds
+    /// spent tuples, overwritten in place by the next batch's
+    /// emissions ([`Emit::overwrite`]).
     out: Vec<Tuple>,
-    /// Frame boundaries into `out`: frame `f`'s outputs are
-    /// `out[offsets[f] .. offsets[f+1]]`.
+    deferred: Deferred,
+    /// Frame boundaries into the rows: frame `f`'s outputs are rows
+    /// `offsets[f] .. offsets[f+1]`.
     offsets: Vec<u32>,
     /// True when the view ran this batch (its input chain was rooted at
-    /// the pushed stream), even if it emitted nothing; `out`, `offsets`
-    /// and `block` are this batch's only then.
+    /// the pushed stream), even if it emitted nothing; the rows,
+    /// `offsets` and `block` are this batch's only then.
     live: bool,
-    /// Columnar view of `out`, rebuilt per batch when the columnar data
+    /// Columnar view of the rows, built per batch when the columnar data
     /// path is enabled (the NFA's batch kernels read float lanes from
     /// here instead of matching on `Value` slices per tuple).
     block: ColumnBlock,
 }
 
+impl ViewBuffers {
+    fn rows(&self) -> ViewRows<'_> {
+        ViewRows::of(&self.out, &self.deferred, &self.offsets)
+    }
+}
+
 /// The batch-scoped half of a [`SharedViews`]: the base-stream block
-/// and, per view slot, output tuples, frame offsets and block. Nothing
+/// and, per view slot, output rows, frame offsets and block. Nothing
 /// in it carries information from one batch to the next — only warm
 /// capacity and spent tuples to overwrite — so one set can serve every
 /// `SharedViews` built from the same catalog, one batch at a time
@@ -104,16 +114,16 @@ pub struct BatchBuffers {
 }
 
 impl BatchBuffers {
-    /// Heap bytes held: vectors and blocks by capacity, plus the value
-    /// buffers of the tuples kept for overwriting.
+    /// Heap bytes held by the vectors, blocks and payloads, by capacity.
+    /// Tuples are not counted: a built tuple belongs to whoever holds it.
     pub fn bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
+        use std::mem::size_of;
         let views: usize = self
             .views
             .iter()
             .map(|v| {
                 v.out.capacity() * size_of::<Tuple>()
-                    + v.out.iter().map(|t| size_of_val(t.values())).sum::<usize>()
+                    + v.deferred.bytes()
                     + v.offsets.capacity() * size_of::<u32>()
                     + v.block.bytes()
             })
@@ -251,15 +261,15 @@ impl SharedViews {
         bufs.frames = 0;
         for v in &mut bufs.views {
             v.live = false;
+            v.deferred.spend();
         }
         self.bufs = bufs;
     }
 
-    /// Takes the batch buffers back — [`Self::outputs`],
-    /// [`Self::frame_outputs`], [`Self::view_block`] and
-    /// [`Self::base_block`] are readable from `begin_batch*` until this
-    /// call — leaving the session holding no batch-sized storage
-    /// ([`Self::buffer_bytes`] is 0).
+    /// Takes the batch buffers back — [`Self::rows`],
+    /// [`Self::view_block`] and [`Self::base_block`] are readable from
+    /// `begin_batch*` until this call — leaving the session holding no
+    /// batch-sized storage ([`Self::buffer_bytes`] is 0).
     pub fn reclaim(&mut self) -> BatchBuffers {
         std::mem::take(&mut self.bufs)
     }
@@ -273,8 +283,8 @@ impl SharedViews {
     /// over a whole batch of frames, exactly once per view, in
     /// dependency order. Until the next `begin_batch` (or
     /// [`Self::reclaim`]), a view's concatenated batch output is read
-    /// with [`Self::outputs`] and one frame's slice of it with
-    /// [`Self::frame_outputs`].
+    /// with [`Self::rows`], and one frame's share with
+    /// [`ViewRows::frame`].
     ///
     /// Each view operator still sees the tuples in frame order, so the
     /// outputs are identical to `tuples.len()` successive one-tuple
@@ -365,19 +375,21 @@ impl SharedViews {
             let (done, rest) = self.bufs.views.split_at_mut(i);
             let buf = &mut rest[0];
             buf.live = false;
+            buf.deferred.spend();
             if !st.needed {
                 continue;
             }
             // The upstream outputs, frame by frame.
             let up = match &st.input {
                 Input::Stream(s) if s.as_str() == stream => None,
-                Input::View(j) if done[*j].live => Some(&done[*j]),
+                Input::View(j) if done[*j].live => Some(done[*j].rows()),
                 _ => continue,
             };
             buf.block.clear();
             let cols = st.block_cols.as_deref();
             let build_block = self.columnar && cols.is_none_or(|c| !c.is_empty());
-            let mut emit = Emit::new(&mut buf.out, build_block.then_some((&mut buf.block, cols)));
+            let block = build_block.then_some((&mut buf.block, cols, &mut buf.deferred));
+            let mut emit = Emit::new(&mut buf.out, block);
             buf.offsets.clear();
             buf.offsets.push(0);
             for f in 0..frames {
@@ -388,32 +400,25 @@ impl SharedViews {
                             st.op.process(tuple, &mut emit);
                         }
                     }
-                    Some(up) => {
-                        for t in &up.out[up.offsets[f] as usize..up.offsets[f + 1] as usize] {
-                            st.op.process(t, &mut emit);
-                        }
-                    }
+                    Some(up) => up.frame(f).iter().for_each(|t| st.op.process(t, &mut emit)),
                 }
-                buf.offsets.push(emit.len as u32);
+                buf.offsets.push(emit.rows() as u32);
             }
-            let (len, recycled, rows) = (emit.len, emit.recycled, emit.rows);
+            let (len, recycled) = (emit.len, emit.recycled);
             buf.out.truncate(len);
             buf.live = true;
             if len > 0 {
                 crate::metrics::TUPLES_RECYCLED_TOTAL.add(recycled as u64);
                 crate::metrics::TUPLES_BUILT_TOTAL.add((len - recycled) as u64);
             }
+            // Deferred rows wrote their own block rows; tuples get the
+            // generic rebuild.
             if !build_block {
                 continue;
-            }
-            // An operator that wrote a row per emission straight from
-            // its source data (`Emit::block_row`, e.g. `KinectTOp` from
-            // transformed skeleton frames) skipped the tuple
-            // round-trip; everyone else gets the generic rebuild.
-            if rows == len {
-                crate::metrics::BLOCK_ROWS_BUILT_TOTAL.add(rows as u64);
-            } else {
+            } else if buf.deferred.rows.is_empty() {
                 buf.block.fill_from_tuples_filtered(&buf.out, cols);
+            } else {
+                crate::metrics::BLOCK_ROWS_BUILT_TOTAL.add(buf.deferred.rows.len() as u64);
             }
         }
     }
@@ -495,19 +500,11 @@ impl SharedViews {
         self.live(slot).filter(|_| self.columnar).map(|b| &b.block)
     }
 
-    /// Output tuples of the view in `slot` for the current batch, all
-    /// frames concatenated (empty when the view did not run or emitted
-    /// nothing).
-    pub fn outputs(&self, slot: usize) -> &[Tuple] {
-        self.live(slot).map_or(&[], |b| &b.out)
-    }
-
-    /// Output tuples of the view in `slot` for frame `frame` of the
-    /// current batch (empty when the view did not run).
-    pub fn frame_outputs(&self, slot: usize, frame: usize) -> &[Tuple] {
-        self.live(slot).map_or(&[], |b| {
-            &b.out[b.offsets[frame] as usize..b.offsets[frame + 1] as usize]
-        })
+    /// Output rows of the view in `slot` for the current batch, all
+    /// frames concatenated (none when the view did not run or emitted
+    /// nothing); [`ViewRows::frame`] narrows them to one frame's.
+    pub fn rows(&self, slot: usize) -> ViewRows<'_> {
+        self.live(slot).map(ViewBuffers::rows).unwrap_or_default()
     }
 
     /// Names of the instantiated views, in slot order.
@@ -534,6 +531,7 @@ mod tests {
     use super::*;
     use crate::catalog::ViewDef;
     use crate::ops::MapOp;
+    use crate::rows::RowSource;
     use crate::schema::{SchemaBuilder, SchemaRef};
     use crate::value::Value;
 
@@ -590,13 +588,13 @@ mod tests {
         let slot = sv.slot_of("v2").unwrap();
         sv.set_needed(["v2"]);
         sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 3.0)));
-        assert_eq!(sv.outputs(slot)[0].f64("x"), Some(6.0));
+        assert_eq!(sv.rows(slot).get(0).f64("x"), Some(6.0));
         assert_eq!(calls.load(Ordering::Relaxed), 1, "one eval per frame");
 
         // Reading twice costs nothing; next frame re-evaluates once.
-        assert_eq!(sv.outputs(slot).len(), 1);
+        assert_eq!(sv.rows(slot).len(), 1);
         sv.begin_batch("kinect", std::slice::from_ref(&tup(1, 5.0)));
-        assert_eq!(sv.outputs(slot)[0].f64("x"), Some(10.0));
+        assert_eq!(sv.rows(slot).get(0).f64("x"), Some(10.0));
         assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
@@ -616,7 +614,10 @@ mod tests {
         sv.set_needed(["v4"]);
         assert!(sv.is_needed(sv.slot_of("v2").unwrap()));
         sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 1.0)));
-        assert_eq!(sv.outputs(sv.slot_of("v4").unwrap())[0].f64("x"), Some(4.0));
+        assert_eq!(
+            sv.rows(sv.slot_of("v4").unwrap()).get(0).f64("x"),
+            Some(4.0)
+        );
         assert_eq!(c1.load(Ordering::Relaxed), 1);
         assert_eq!(c2.load(Ordering::Relaxed), 1);
     }
@@ -631,7 +632,7 @@ mod tests {
         let mut sv = SharedViews::new(&cat);
         sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 1.0)));
         assert_eq!(calls.load(Ordering::Relaxed), 0, "not needed, not run");
-        assert!(sv.outputs(sv.slot_of("v2").unwrap()).is_empty());
+        assert!(sv.rows(sv.slot_of("v2").unwrap()).is_empty());
     }
 
     #[test]
@@ -653,7 +654,7 @@ mod tests {
         sv.set_needed(["v2"]);
         sv.begin_batch("other", std::slice::from_ref(&tup(0, 1.0)));
         assert_eq!(calls.load(Ordering::Relaxed), 0);
-        assert!(sv.outputs(sv.slot_of("v2").unwrap()).is_empty());
+        assert!(sv.rows(sv.slot_of("v2").unwrap()).is_empty());
     }
 
     #[test]
@@ -683,7 +684,7 @@ mod tests {
         sv.begin_batch("kinect", &[tup(2, 1.0)]);
         assert!(sv.base_block().is_none());
         assert!(sv.view_block(slot).is_none());
-        assert_eq!(sv.outputs(slot).len(), 1, "scalar outputs unaffected");
+        assert_eq!(sv.rows(slot).len(), 1, "scalar outputs unaffected");
     }
 
     #[test]
@@ -730,90 +731,151 @@ mod tests {
     }
 
     #[test]
-    fn operator_written_block_rows_override_tuple_rebuild() {
-        use crate::operator::{Emit, Operator};
+    fn deferred_rows_are_built_once_when_read_and_never_outlive_their_batch() {
+        use std::cell::Cell;
 
-        /// Pass-through operator that writes a sentinel value into the
-        /// block row of every emission but the `skip`-th — so the test
-        /// can tell whether the direct path or the tuple rebuild
-        /// produced the block.
-        struct SentinelOp {
-            schema: SchemaRef,
-            skip: Option<usize>,
-            seen: usize,
+        use crate::metrics::TUPLES_BUILT_TOTAL;
+        use crate::operator::{Emit, Operator};
+        use crate::rows::RowPayload;
+
+        thread_local! {
+            /// Tuples built from deferred rows on this thread.
+            static BUILT: Cell<u64> = const { Cell::new(0) };
         }
-        impl Operator for SentinelOp {
+        /// Deferred rows of `2x`.
+        #[derive(Default)]
+        struct Doubled {
+            schema: Option<SchemaRef>,
+            rows: Vec<(i64, f64)>,
+        }
+        impl RowPayload for Doubled {
+            fn tuple(&self, row: usize) -> Tuple {
+                BUILT.with(|b| b.set(b.get() + 1));
+                let (ts, x) = self.rows[row];
+                let values = vec![Value::Timestamp(ts), Value::Float(x)];
+                Tuple::new_unchecked(self.schema.clone().unwrap(), values)
+            }
+            fn bytes(&self) -> usize {
+                self.rows.capacity() * 16
+            }
+        }
+        /// Doubles `x`, deferring every row of a block batch.
+        struct DeferOp(SchemaRef);
+        impl Operator for DeferOp {
             fn name(&self) -> &str {
-                "sentinel"
+                "defer"
             }
             fn output_schema(&self) -> SchemaRef {
-                self.schema.clone()
+                self.0.clone()
             }
-            fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>) {
-                emit.push(tuple.clone());
-                self.seen += 1;
-                if self.skip == Some(self.seen) {
-                    return;
+            fn process(&mut self, t: &Tuple, emit: &mut Emit<'_>) {
+                let (ts, x) = (t.timestamp().unwrap(), 2.0 * t.f64("x").unwrap());
+                let Some((rows, block, row)) = emit.defer::<Doubled>(&self.0, ts) else {
+                    let values = vec![Value::Timestamp(ts), Value::Float(x)];
+                    return emit.push(Tuple::new_unchecked(self.0.clone(), values));
+                };
+                if row == 0 {
+                    rows.schema = Some(self.0.clone());
+                    rows.rows.clear();
                 }
-                if let Some((block, row)) = emit.block_row(&self.schema) {
-                    block.write_float(1, row, 99.0);
-                }
+                rows.rows.push((ts, x));
+                block.write_float(1, row, x);
             }
         }
 
+        let cat = Catalog::new();
+        cat.register_stream(base()).unwrap();
         let schema = base();
-        let run = |skip: Option<usize>| {
-            let cat = Catalog::new();
-            cat.register_stream(schema.clone()).unwrap();
-            let op_schema = schema.clone();
-            cat.register_view(ViewDef {
-                name: "v".into(),
-                input: "kinect".into(),
-                schema: schema.clone(),
-                factory: Arc::new(move || {
-                    Box::new(SentinelOp {
-                        schema: op_schema.clone(),
-                        skip,
-                        seen: 0,
-                    })
-                }),
-            })
+        cat.register_view(ViewDef {
+            name: "d".into(),
+            input: "kinect".into(),
+            schema: schema.clone(),
+            factory: Arc::new(move || Box::new(DeferOp(schema.clone()))),
+        })
+        .unwrap();
+        let calls = Arc::new(AtomicU64::new(0));
+        cat.register_view(counted_view("d4", "d", 2.0, calls))
             .unwrap();
-            let mut sv = SharedViews::new(&cat);
-            sv.set_needed(["v"]);
-            sv
-        };
-        let tuples: Vec<Tuple> = [3.0, 4.0, 5.0]
-            .iter()
-            .map(|x| {
-                Tuple::new(schema.clone(), vec![Value::Timestamp(0), Value::Float(*x)]).unwrap()
-            })
-            .collect();
+        let built = || BUILT.with(Cell::get);
+        let batch = |x: f64| -> Vec<Tuple> { (0..4).map(|ts| tup(ts, x + ts as f64)).collect() };
 
-        let mut sv = run(None);
-        let slot = sv.slot_of("v").unwrap();
-        sv.begin_batch("kinect", &tuples);
-        // The sentinel — not the tuples' values — proves the rows the
-        // operator wrote won.
-        assert_eq!(
-            sv.view_block(slot).unwrap().lane(1).unwrap().values(),
-            &[99.0, 99.0, 99.0]
+        // Three sessions take turns in one lent set; session 0 reads `d`,
+        // session 1 the view over it, session 2 both.
+        let mut sessions = [
+            SharedViews::new(&cat),
+            SharedViews::new(&cat),
+            SharedViews::new(&cat),
+        ];
+        let (d, d4) = (
+            sessions[0].slot_of("d").unwrap(),
+            sessions[0].slot_of("d4").unwrap(),
         );
-        // Scalar outputs are untouched by the block path.
-        assert_eq!(sv.outputs(slot)[0].f64("x"), Some(3.0));
+        sessions[0].set_needed(["d"]);
+        sessions[1].set_needed(["d4"]);
+        sessions[2].set_needed(["d", "d4"]);
+        let mut bufs = BatchBuffers::default();
+        let mut kept: Vec<(Tuple, Vec<Value>)> = Vec::new();
+        for round in 0..3 {
+            for (s, sv) in sessions.iter_mut().enumerate() {
+                let x = (100 * round + 10 * s) as f64;
+                sv.lend(std::mem::take(&mut bufs));
+                assert!(
+                    sv.rows(d).is_empty() && sv.rows(d4).is_empty(),
+                    "nothing of the last borrower"
+                );
+                assert!(sv.view_block(d).is_none());
+                let counted = TUPLES_BUILT_TOTAL.get();
+                let before = built();
+                sv.begin_batch("kinect", &batch(x));
+                let rows = sv.rows(d);
+                assert_eq!(rows.len(), 4);
+                let lane = sv.view_block(d).unwrap().lane(1).unwrap().values().to_vec();
+                assert_eq!(lane, [0.0, 1.0, 2.0, 3.0].map(|i| 2.0 * (x + i)));
+                if s == 0 {
+                    // Timestamps and lanes cost no tuple; rows 1 and 3,
+                    // asked for by three consumers, cost one each.
+                    assert_eq!(RowSource::ts(&rows, 3), 3);
+                    assert_eq!(built(), before);
+                    for _ in 0..3 {
+                        assert_eq!(rows.get(1).f64("x"), Some(2.0 * (x + 1.0)));
+                        assert_eq!(rows.frame(3).get(0).f64("x"), Some(2.0 * (x + 3.0)));
+                    }
+                    assert!(std::ptr::eq(
+                        rows.get(1).values(),
+                        sv.rows(d).get(1).values()
+                    ));
+                    assert_eq!(built(), before + 2);
+                    kept.push((rows.get(1).clone(), rows.get(1).values().to_vec()));
+                } else {
+                    // The view over `d` reads every row of it, once.
+                    let fours: Vec<f64> = sv.rows(d4).iter().map(|t| t.f64("x").unwrap()).collect();
+                    assert_eq!(fours, [0.0, 1.0, 2.0, 3.0].map(|i| 4.0 * (x + i)));
+                    assert_eq!(sv.rows(d).iter().count(), 4);
+                    assert_eq!(built(), before + 4);
+                }
+                bufs = sv.reclaim();
+                // The previous batch's built rows are counted when spent.
+                sv.lend(std::mem::take(&mut bufs));
+                assert!(TUPLES_BUILT_TOTAL.get() - counted >= built() - before);
+                bufs = sv.reclaim();
+                assert!(bufs.bytes() > 0);
+            }
+        }
+        for (tuple, values) in &kept {
+            assert_eq!(
+                tuple.values(),
+                &values[..],
+                "a kept row outlives its batch unchanged"
+            );
+        }
 
-        // Columnar off: no row offered, no blocks.
+        // A scalar batch takes tuples at emission: nothing deferred.
+        let sv = &mut sessions[0];
         sv.set_columnar(false);
-        sv.begin_batch("kinect", &tuples);
-        assert!(sv.view_block(slot).is_none());
-
-        // A row short: the block is rebuilt from the tuples.
-        let mut sv = run(Some(2));
-        sv.begin_batch("kinect", &tuples);
-        assert_eq!(
-            sv.view_block(slot).unwrap().lane(1).unwrap().values(),
-            &[3.0, 4.0, 5.0]
-        );
+        let before = built();
+        sv.begin_batch("kinect", &batch(7.0));
+        assert_eq!(sv.rows(d).get(2).f64("x"), Some(18.0));
+        assert_eq!(built(), before);
     }
 
     #[test]
@@ -839,25 +901,25 @@ mod tests {
                 sv.lend(std::mem::take(&mut bufs));
                 // Nothing of the previous borrower shows before the
                 // batch begins.
-                assert!(sv.outputs(v2).is_empty() && sv.outputs(v4).is_empty());
+                assert!(sv.rows(v2).is_empty() && sv.rows(v4).is_empty());
                 assert!(sv.view_block(v2).is_none());
                 assert_eq!(sv.base_block().unwrap().rows(), 0);
                 let x = (10 * round + s) as f64;
                 let batch: Vec<Tuple> = (0..=s as i64 + 1).map(|ts| tup(ts, x)).collect();
                 sv.begin_batch("kinect", &batch);
-                assert_eq!(sv.outputs(v2).len(), batch.len());
-                assert_eq!(sv.outputs(v2)[0].f64("x"), Some(2.0 * x));
+                assert_eq!(sv.rows(v2).len(), batch.len());
+                assert_eq!(sv.rows(v2).get(0).f64("x"), Some(2.0 * x));
                 assert_eq!(sv.base_block().unwrap().rows(), batch.len());
                 if s == 0 {
-                    assert_eq!(sv.frame_outputs(v4, 1)[0].f64("x"), Some(4.0 * x));
+                    assert_eq!(sv.rows(v4).frame(1).get(0).f64("x"), Some(4.0 * x));
                 } else {
                     // Session 1 does not need v4: session 0's outputs
                     // in that slot are not its own.
-                    assert!(sv.outputs(v4).is_empty() && sv.view_block(v4).is_none());
+                    assert!(sv.rows(v4).is_empty() && sv.view_block(v4).is_none());
                 }
                 bufs = sv.reclaim();
                 assert_eq!(sv.buffer_bytes(), 0, "a session retains no batch buffer");
-                assert!(sv.outputs(v2).is_empty() && sv.base_block().unwrap().is_empty());
+                assert!(sv.rows(v2).is_empty() && sv.base_block().unwrap().is_empty());
                 assert!(bufs.bytes() > 0);
             }
         }
@@ -926,22 +988,19 @@ mod tests {
         let rows = RowBatch::of(&xs, &schema);
         let tuples: Vec<Tuple> = xs.iter().map(|x| tup(0, *x)).collect();
         let xs_of = |sv: &SharedViews, slot| -> Vec<f64> {
-            sv.outputs(slot)
-                .iter()
-                .map(|t| t.f64("x").unwrap())
-                .collect()
+            sv.rows(slot).iter().map(|t| t.f64("x").unwrap()).collect()
         };
 
         // Only views that read the rows are needed: no tuple is wanted,
         // none is given, and the chained view still sees every frame.
         sv.set_needed(["add2"]);
         assert!(!sv.tuples_wanted("kinect", &rows));
-        assert!(sv.outputs(add).is_empty(), "the probe emitted nothing");
+        assert!(sv.rows(add).is_empty(), "the probe emitted nothing");
         sv.begin_batch_rows("kinect", &rows, &[]);
         assert_eq!(sv.frames(), 3);
         assert_eq!(xs_of(&sv, add), [101.0, 102.0, 103.0]);
         assert_eq!(xs_of(&sv, add2), [202.0, 204.0, 206.0]);
-        assert_eq!(sv.frame_outputs(add2, 1)[0].f64("x"), Some(204.0));
+        assert_eq!(sv.rows(add2).frame(1).get(0).f64("x"), Some(204.0));
         assert_eq!(calls.load(Ordering::Relaxed), 3);
 
         // A needed view without a native entry: the caller is told, and
@@ -988,6 +1047,9 @@ mod tests {
         assert_eq!(sv.len(), 2);
         sv.set_needed(["v4"]);
         sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 1.0)));
-        assert_eq!(sv.outputs(sv.slot_of("v4").unwrap())[0].f64("x"), Some(4.0));
+        assert_eq!(
+            sv.rows(sv.slot_of("v4").unwrap()).get(0).f64("x"),
+            Some(4.0)
+        );
     }
 }

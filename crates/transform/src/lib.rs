@@ -21,5 +21,5 @@ mod transform;
 mod view;
 
 pub use rpy::{pitch_deg, register_rpy, roll_deg, yaw_deg};
-pub use transform::{TransformConfig, Transformer};
+pub use transform::{Basis, TransformConfig, Transformer};
 pub use view::{kinect_t_schema, register_kinect_t, standard_catalog, KINECT_T};

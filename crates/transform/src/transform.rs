@@ -13,7 +13,7 @@
 //!    (`dist(rHand, rElbow)`), then multiply by a reference forearm so
 //!    learned windows keep familiar millimetre-scale numbers.
 
-use gesto_kinect::{Joint, SkeletonFrame, Vec3, ALL_JOINTS, REFERENCE_FOREARM_MM};
+use gesto_kinect::{Joint, SkeletonFrame, Vec3, REFERENCE_FOREARM_MM};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the transformation view.
@@ -96,24 +96,33 @@ impl Transformer {
         self.smoothed_scale
     }
 
-    /// Transforms one frame into the user-invariant coordinate system.
+    /// Transforms one frame into the user-invariant coordinate system:
+    /// [`Self::prepare`], then [`Basis::apply`] on every tracked joint.
     ///
     /// Returns `None` when the torso is untracked (no origin — the frame
     /// is dropped, as a view predicate over garbage would be worse than a
     /// gap). Joints that are untracked stay untracked.
     pub fn transform_frame(&mut self, frame: &SkeletonFrame) -> Option<SkeletonFrame> {
+        Some(self.prepare(frame)?.apply_frame(frame))
+    }
+
+    /// The first half of [`Self::transform_frame`]: `frame`'s basis, or
+    /// `None` without a torso. Advances the smoothed scale estimate, so
+    /// call it exactly once per frame, in stream order; the basis then
+    /// transforms any of the frame's joints, now or later.
+    pub fn prepare(&mut self, frame: &SkeletonFrame) -> Option<Basis> {
         let torso = frame.joint(Joint::Torso)?;
 
         // Orientation estimate from the shoulder line (fallback: hips,
-        // then camera-aligned).
-        let (right, up, backward) = if self.config.align_orientation {
+        // then camera-aligned): the right, up and backward axes.
+        let axes = if self.config.align_orientation {
             self.estimate_basis(frame)
         } else {
-            (
+            [
                 Vec3::new(1.0, 0.0, 0.0),
                 Vec3::new(0.0, 1.0, 0.0),
                 Vec3::new(0.0, 0.0, 1.0),
-            )
+            ]
         };
 
         // Scale estimate from the right forearm.
@@ -128,19 +137,10 @@ impl Transformer {
             None if self.config.normalize_scale => 1.0, // no estimate yet
             None => 1.0,
         };
-
-        let mut out = SkeletonFrame::empty(frame.ts, frame.player);
-        for j in ALL_JOINTS {
-            if let Some(p) = frame.joint(j) {
-                let d = p - torso;
-                let t = Vec3::new(d.dot(&right) * k, d.dot(&up) * k, d.dot(&backward) * k);
-                out.set_joint(j, t);
-            }
-        }
-        Some(out)
+        Some(Basis { torso, axes, k })
     }
 
-    fn estimate_basis(&self, frame: &SkeletonFrame) -> (Vec3, Vec3, Vec3) {
+    fn estimate_basis(&self, frame: &SkeletonFrame) -> [Vec3; 3] {
         let up = Vec3::new(0.0, 1.0, 0.0);
         let lateral = frame
             .joint(Joint::RightShoulder)
@@ -157,7 +157,7 @@ impl Transformer {
             .and_then(|v| v.normalized())
             .unwrap_or(Vec3::new(1.0, 0.0, 0.0));
         let backward = -up.cross(&right);
-        (right, up, backward)
+        [right, up, backward]
     }
 
     fn update_scale(&mut self, frame: &SkeletonFrame) {
@@ -173,6 +173,35 @@ impl Transformer {
                 None => raw,
             });
         }
+    }
+}
+
+/// One frame's transform ([`Transformer::prepare`]): the torso origin,
+/// the user's right / up / backward axes and the scale factor `k`.
+/// Stateless, so a joint can be transformed whenever somebody reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct Basis {
+    torso: Vec3,
+    axes: [Vec3; 3],
+    k: f64,
+}
+
+impl Basis {
+    /// The user-invariant position of camera-space joint position `p`.
+    #[inline]
+    pub fn apply(&self, p: Vec3) -> Vec3 {
+        let d = p - self.torso;
+        let [x, y, z] = self.axes.map(|axis| d.dot(&axis) * self.k);
+        Vec3::new(x, y, z)
+    }
+
+    /// [`Self::apply`] on every tracked joint of `frame`.
+    pub fn apply_frame(&self, frame: &SkeletonFrame) -> SkeletonFrame {
+        let mut out = SkeletonFrame::empty(frame.ts, frame.player);
+        for (o, p) in out.joints.iter_mut().zip(&frame.joints) {
+            *o = p.map(|p| self.apply(p));
+        }
+        out
     }
 }
 
@@ -287,6 +316,50 @@ mod tests {
             max_pointwise_dist(&base, &rotated) > 100.0,
             "without alignment, rotation must show"
         );
+    }
+
+    #[test]
+    fn transform_frame_is_prepare_then_apply_on_every_joint() {
+        // The split a deferred `kinect_t` row relies on: `prepare` now,
+        // `Basis::apply` per joint whenever a reader asks, bit for bit
+        // the whole-frame transform — torso-less frames (no basis),
+        // shoulder-less ones (hip fallback) and joint dropouts included,
+        // with the smoothed scale advancing identically.
+        use gesto_kinect::ALL_JOINTS;
+        let persona = Persona::reference()
+            .rotated(0.6)
+            .with_noise(NoiseModel::realistic())
+            .with_seed(9);
+        let mut frames = Performer::new(persona, 0).render(&gestures::swipe_right());
+        for (i, f) in frames.iter_mut().enumerate() {
+            let dropped: &[Joint] = match i % 5 {
+                1 => &[Joint::Torso],
+                2 => &[Joint::LeftShoulder, Joint::RightShoulder],
+                3 => &[Joint::RightHand, Joint::LeftHip],
+                _ => &[],
+            };
+            dropped.iter().for_each(|&j| f.drop_joint(j));
+        }
+        let bits = |v: Option<Vec3>| v.map(|v| [v.x, v.y, v.z].map(f64::to_bits));
+        let mut whole = Transformer::new(TransformConfig::default());
+        let mut split = Transformer::new(TransformConfig::default());
+        let mut checked = 0;
+        for f in &frames {
+            let (expect, basis) = (whole.transform_frame(f), split.prepare(f));
+            assert_eq!(expect.is_none(), basis.is_none(), "torso-less frames drop");
+            assert_eq!(whole.scale_estimate(), split.scale_estimate());
+            let Some((expect, basis)) = expect.zip(basis) else {
+                continue;
+            };
+            for j in ALL_JOINTS {
+                assert_eq!(
+                    bits(f.joint(j).map(|p| basis.apply(p))),
+                    bits(expect.joint(j))
+                );
+            }
+            checked += 1;
+        }
+        assert!(checked > frames.len() / 2);
     }
 
     #[test]

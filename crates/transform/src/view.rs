@@ -4,21 +4,26 @@
 //! on-the-fly" (§3.2). The view is a [`KinectTOp`]: a slot-compiled
 //! operator holding a stateful [`Transformer`]. Field positions are
 //! resolved once (via [`KinectSlots`]), so the per-frame work is pure
-//! slice indexing — no name lookups, no intermediate tuple, no input
-//! tuple at all when the caller still holds the sensor's frames
-//! ([`Operator::process_row`]), and on the steady state no allocation
-//! either: under [`gesto_stream::SharedViews`] the sink offers the spent output tuples of an earlier batch
-//! ([`Emit::overwrite`]) and the operator overwrites the ones nobody kept
-//! a clone of. The operator itself holds no batch-sized buffer: output
-//! tuples and block rows go straight into the caller's
+//! slice indexing — no name lookups, no input tuple when the caller
+//! still holds the sensor's frames ([`Operator::process_row`]).
+//!
+//! A row costs what its readers read. On a block batch the operator
+//! defers every row ([`Emit::defer`]): it keeps the input frame and its
+//! [`Basis`], applies the basis only to the joints with a built lane,
+//! and the row becomes a tuple only if somebody reads it. Without a
+//! block it transforms the whole frame and overwrites a spent tuple
+//! nobody kept a clone of ([`Emit::overwrite`]). The operator holds no
+//! batch-sized buffer: both go into the caller's
 //! [`gesto_stream::BatchBuffers`].
 
 use std::sync::Arc;
 
 use gesto_kinect::{schema_named, KinectSlots, SkeletonFrame, KINECT_STREAM};
-use gesto_stream::{Catalog, Emit, Operator, RowBatch, SchemaRef, StreamError, Tuple, ViewDef};
+use gesto_stream::{
+    Catalog, Emit, Operator, RowBatch, RowPayload, SchemaRef, StreamError, Tuple, ViewDef,
+};
 
-use crate::transform::{TransformConfig, Transformer};
+use crate::transform::{Basis, TransformConfig, Transformer};
 
 /// Name of the transformed view.
 pub const KINECT_T: &str = "kinect_t";
@@ -70,6 +75,29 @@ fn input_slots<'a>(
     &cache.as_ref().expect("resolved").1
 }
 
+/// The deferred rows of one block batch: each row's input frame and
+/// basis, plus the batch's joints with a built lane.
+#[derive(Default)]
+struct KinectTRows {
+    out: Option<(KinectSlots, SchemaRef)>,
+    rows: Vec<(SkeletonFrame, Basis)>,
+    lanes: Vec<(usize, [usize; 3])>,
+}
+
+impl RowPayload for KinectTRows {
+    fn tuple(&self, row: usize) -> Tuple {
+        let (slots, schema) = self.out.as_ref().expect("rows were deferred");
+        let (frame, basis) = &self.rows[row];
+        slots.tuple(&basis.apply_frame(frame), schema)
+    }
+
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.rows.capacity() * size_of::<(SkeletonFrame, Basis)>()
+            + self.lanes.capacity() * size_of::<(usize, [usize; 3])>()
+    }
+}
+
 /// Transforms `frame` and, if it has a torso, emits the result.
 fn emit_transformed(
     transformer: &mut Transformer,
@@ -78,16 +106,33 @@ fn emit_transformed(
     frame: &SkeletonFrame,
     emit: &mut Emit<'_>,
 ) {
-    if let Some(transformed) = transformer.transform_frame(frame) {
-        // Overwrite a spent tuple in place unless a clone of it is
-        // still alive; write the block row straight from the frame,
-        // skipping the tuple→lane rebuild.
-        if !emit.overwrite(|slot| out_slots.tuple_into(&transformed, out_schema, slot)) {
-            emit.push(out_slots.tuple(&transformed, out_schema));
+    let Some(basis) = transformer.prepare(frame) else {
+        return;
+    };
+    let ts = out_schema.timestamp_slot().map_or(0, |_| frame.ts);
+    if let Some((rows, block, row)) = emit.defer::<KinectTRows>(out_schema, ts) {
+        if row == 0 {
+            // A new batch: its lanes, and this view's layout.
+            rows.out = Some((*out_slots, out_schema.clone()));
+            rows.rows.clear();
+            rows.lanes.clear();
+            rows.lanes.extend(out_slots.built_joints(block));
         }
-        if let Some((block, row)) = emit.block_row(out_schema) {
-            out_slots.write_block_row(&transformed, row, block);
+        for &(j, [x, y, z]) in &rows.lanes {
+            if let Some(t) = frame.joints[j].map(|p| basis.apply(p)) {
+                block.write_float(x, row, t.x);
+                block.write_float(y, row, t.y);
+                block.write_float(z, row, t.z);
+            }
         }
+        rows.rows.push((frame.clone(), basis));
+        return;
+    }
+    // Overwrite a spent tuple in place unless a clone of it is still
+    // alive.
+    let transformed = basis.apply_frame(frame);
+    if !emit.overwrite(|slot| out_slots.tuple_into(&transformed, out_schema, slot)) {
+        emit.push(out_slots.tuple(&transformed, out_schema));
     }
 }
 
@@ -152,7 +197,7 @@ mod tests {
     use super::*;
     use gesto_cep::Engine;
     use gesto_kinect::{frames_to_tuples, gestures, kinect_schema, Performer, Persona};
-    use gesto_stream::ColumnBlock;
+    use gesto_stream::{ColumnBlock, RowSource};
 
     /// Lane presence, validity bitmaps and every valid cell's bits.
     fn assert_blocks_identical(a: &ColumnBlock, b: &ColumnBlock, cols: usize) {
@@ -231,12 +276,13 @@ mod tests {
 
     #[test]
     fn view_block_written_directly_matches_tuple_rebuild() {
-        // SharedViews lets KinectTOp write the view block straight from
-        // its transformed frames (`Emit::block_row`); the result must be
-        // bit-identical to rebuilding the lanes from the output tuples
-        // — including dropout Nulls — both unfiltered and under a
-        // column filter (the same pattern that pins
-        // `KinectSlots::write_block` in gesto-kinect).
+        // On a block batch KinectTOp defers its rows (`Emit::defer`) and
+        // writes the lanes from a partial transform — the joints some
+        // lane is built for; the result must be bit-identical to
+        // rebuilding the lanes from the materialised rows — including
+        // dropout Nulls — unfiltered, under a one-joint column filter
+        // (the same pattern that pins `KinectSlots::write_block` in
+        // gesto-kinect), and under an empty filter (no block: tuples).
         use gesto_kinect::{kinect_schema, Joint, NoiseModel};
         use gesto_stream::SharedViews;
 
@@ -256,7 +302,7 @@ mod tests {
             .iter()
             .map(|n| out_schema.index_of(n).unwrap())
             .collect();
-        for cols in [None, Some(rhand.as_slice())] {
+        for cols in [None, Some(rhand.as_slice()), Some(&[][..])] {
             let cat = standard_catalog();
             let mut sv = SharedViews::new(&cat);
             sv.set_needed([KINECT_T]);
@@ -267,28 +313,34 @@ mod tests {
             sv.begin_batch(KINECT_STREAM, &tuples);
             let slot = sv.slot_of(KINECT_T).unwrap();
             let direct = sv.view_block(slot).expect("view ran");
-
+            let materialised: Vec<Tuple> = sv.rows(slot).iter().cloned().collect();
             let mut rebuilt = ColumnBlock::new();
-            rebuilt.fill_from_tuples_filtered(sv.outputs(slot), cols);
+            rebuilt.fill_from_tuples_filtered(&materialised, cols);
 
-            assert!(direct.rows() > 0, "transform emitted nothing");
-            assert_blocks_identical(direct, &rebuilt, out_schema.len());
+            assert!(!materialised.is_empty(), "transform emitted nothing");
+            if cols.is_some_and(<[usize]>::is_empty) {
+                assert!((0..out_schema.len()).all(|c| direct.lane(c).is_none()));
+            } else {
+                assert_blocks_identical(direct, &rebuilt, out_schema.len());
+            }
         }
     }
 
     #[test]
     fn recycling_views_match_the_never_recycling_operator() {
         // Three sessions take turns in ONE lent set of batch buffers:
-        // each `SharedViews` is fed skeleton FRAMES and overwrites the
-        // spent outputs the previous session left there, while
-        // `run_operator` over a per-session oracle operator is fed the
-        // TUPLES built from those frames and never recycles anything.
-        // Same frames in, same tuples and blocks out, per session —
-        // with different personas,
-        // torso dropouts (no emission, so batches come out shorter than
-        // they went in), joint dropouts (a recycled slot must not keep
-        // the stale joint, least of all another session's), uneven
-        // batch lengths, and every third output cloned and held to the
+        // each `SharedViews` is fed skeleton FRAMES — on scalar batches
+        // it overwrites the spent outputs the previous session left
+        // there, on block batches it defers its rows and a row becomes a
+        // tuple when read — while `run_operator` over a per-session
+        // oracle operator is fed the TUPLES built from those frames and
+        // neither recycles nor defers anything. Same frames in, same
+        // tuples and blocks out, per session — with different personas,
+        // a one-joint block filter for one of them, torso dropouts (no
+        // emission, so batches come out shorter than they went in),
+        // joint dropouts (a recycled slot must not keep the stale joint,
+        // least of all another session's), uneven batch lengths, both
+        // sinks in turn, and every third output cloned and held to the
         // end, so those buffers are shared when their turn comes.
         use gesto_kinect::{Joint, NoiseModel};
         use gesto_stream::{BatchBuffers, RowBatch, SharedViews};
@@ -301,6 +353,9 @@ mod tests {
             Persona::reference().rotated(0.8),
         ];
         let cat = standard_catalog();
+        let rhand: Vec<usize> = ["rHand_x", "rHand_y", "rHand_z"]
+            .map(|n| out_schema.index_of(n).unwrap())
+            .to_vec();
         struct Session {
             views: SharedViews,
             oracle: KinectTOp,
@@ -333,6 +388,10 @@ mod tests {
                 }
                 let mut views = SharedViews::new(&cat);
                 views.set_needed([KINECT_T]);
+                if s == 1 {
+                    views.clear_block_columns();
+                    views.add_view_block_columns(KINECT_T, &rhand);
+                }
                 Session {
                     views,
                     oracle: KinectTOp::new(TransformConfig::default(), out_schema.clone()),
@@ -356,13 +415,15 @@ mod tests {
                 let frames = s.frames[s.fed..(s.fed + len).min(s.frames.len())].to_vec();
                 let batch = frames_to_tuples(&frames, &schema);
                 s.fed += batch.len();
+                let columnar = turns % 3 != 0;
+                s.views.set_columnar(columnar);
                 s.views.lend(std::mem::take(&mut bufs));
                 let rows = RowBatch::of(&frames, &schema);
                 assert!(!s.views.tuples_wanted(KINECT_STREAM, &rows));
                 s.views.begin_batch_rows(KINECT_STREAM, &rows, &[]);
                 assert_eq!(s.views.frames(), frames.len());
                 let expect = gesto_stream::run_operator(&mut s.oracle, &batch);
-                let got = s.views.outputs(slot);
+                let got = s.views.rows(slot);
                 assert_eq!(got.len(), expect.len());
                 dropped += batch.len() - got.len();
                 for (g, e) in got.iter().zip(&expect) {
@@ -372,9 +433,10 @@ mod tests {
                     }
                     emitted += 1;
                 }
-                if !expect.is_empty() {
+                if !expect.is_empty() && columnar {
                     let mut rebuilt = ColumnBlock::new();
-                    rebuilt.fill_from_tuples(&expect);
+                    let filter = (s.chunk == 4).then_some(rhand.as_slice());
+                    rebuilt.fill_from_tuples_filtered(&expect, filter);
                     let direct = s.views.view_block(slot).expect("view ran");
                     assert_blocks_identical(direct, &rebuilt, out_schema.len());
                 }
@@ -428,7 +490,7 @@ mod tests {
         views.begin_batch_rows(KINECT_STREAM, &rows(&partial), &tuples);
         let mut oracle = KinectTOp::new(TransformConfig::default(), kinect_t_schema());
         let expect = gesto_stream::run_operator(&mut oracle, &tuples);
-        let got = views.outputs(views.slot_of(KINECT_T).unwrap());
+        let got = views.rows(views.slot_of(KINECT_T).unwrap());
         assert_eq!(got.len(), expect.len());
         for (g, e) in got.iter().zip(&expect) {
             assert_eq!(g.values(), e.values());

@@ -3,17 +3,21 @@
 //! One test in a process of its own (a counting `#[global_allocator]`,
 //! as in `bench_nfa`): the shard worker's per-batch sequence — lend the
 //! one set of [`BatchBuffers`], begin the batch from the skeleton
-//! frames (`kinect_t` reading them as they are and emitting through
-//! [`Emit::overwrite`]), NFA stepping, reclaim — round-robin over three
-//! sessions whose traces seed no run calls the allocator **zero** times
-//! once the buffers are sized, each session's tuples landing in the
-//! very buffers the previous session's had, and exactly once per tuple
-//! somebody still holds a clone of. No raw-stream tuple exists and one
-//! tuple per frame is counted — until a plan reads the raw stream: then
-//! the sequence also builds the frame → base tuple
+//! frames, NFA stepping, reclaim — round-robin over three sessions whose
+//! traces seed no run calls the allocator **zero** times once the
+//! buffers are sized. On a block batch `kinect_t` defers its rows
+//! ([`Emit::defer`]): no view tuple is built or counted, and a row a
+//! reader materialises is the reader's allocation, never the next
+//! batch's. On a scalar batch it overwrites the spent tuples
+//! ([`Emit::overwrite`]): one tuple per frame is counted, each lands in
+//! the very buffer the previous session's had, and the next batch
+//! allocates exactly once per tuple somebody still holds a clone of. No
+//! raw-stream tuple exists until a plan reads the raw stream: then the
+//! sequence also builds the frame → base tuple
 //! ([`KinectSlots::tuple_into`]) and the frame → base block, under the
-//! same contract.
+//! scalar contract.
 //!
+//! [`Emit::defer`]: gesto::stream::Emit::defer
 //! [`Emit::overwrite`]: gesto::stream::Emit::overwrite
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,7 +27,7 @@ use std::sync::Arc;
 use gesto::cep::{sync_shared_views, Detection, Engine, PlanInstance, QueryPlan};
 use gesto::kinect::{kinect_schema, KinectSlots, Performer, Persona, SkeletonFrame, KINECT_STREAM};
 use gesto::stream::metrics::{TUPLES_BUILT_TOTAL, TUPLES_RECYCLED_TOTAL};
-use gesto::stream::{BatchBuffers, RowBatch, SchemaRef, SharedViews, Tuple, Value};
+use gesto::stream::{BatchBuffers, RowBatch, RowSource, SchemaRef, SharedViews, Tuple, Value};
 use gesto::transform::{standard_catalog, KINECT_T};
 
 /// Counts the calling thread's heap allocations (alloc / realloc /
@@ -81,7 +85,7 @@ struct Session {
 }
 
 /// The shard worker's sessions and scratch, and its per-batch sequence
-/// (`ShardWorker::process`, columnar branch).
+/// (`ShardWorker::process`).
 struct Shard {
     schema: SchemaRef,
     slots: KinectSlots,
@@ -89,6 +93,8 @@ struct Shard {
     /// Some deployed plan has a route on the raw stream
     /// (`SessionRuntime::raw_tuples`).
     raw_tuples: bool,
+    /// Batches take the block path (`columnar_min_batch` ≤ 30).
+    columnar: bool,
     tuples: Vec<Tuple>,
     detections: Vec<Detection>,
     bufs: BatchBuffers,
@@ -110,6 +116,7 @@ impl Shard {
             slots,
             sessions,
             raw_tuples,
+            columnar,
             tuples,
             detections,
             bufs,
@@ -128,8 +135,8 @@ impl Shard {
         tuples.extend(new.iter().map(|f| slots.tuple(f, schema)));
         TUPLES_RECYCLED_TOTAL.add(recycled);
         TUPLES_BUILT_TOTAL.add(raw as u64 - recycled);
-        views.set_columnar(true);
-        assert_eq!(views.base_wanted(), *raw_tuples);
+        views.set_columnar(*columnar);
+        assert_eq!(views.base_wanted(), *raw_tuples && *columnar);
         if views.base_wanted() {
             views.fill_base_with(|cols, block| slots.write_block(frames, schema, cols, block));
         }
@@ -147,19 +154,22 @@ impl Shard {
 }
 
 /// Where each tuple's value buffer lives.
-fn buffers(tuples: &[Tuple]) -> Vec<*const Value> {
-    tuples.iter().map(|t| t.values().as_ptr()).collect()
+fn buffers<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Vec<*const Value> {
+    tuples.into_iter().map(|t| t.values().as_ptr()).collect()
 }
 
 #[test]
 fn steady_state_batch_allocates_nothing() {
     // The four workloads' shape — every plan reads `kinect_t` — then
-    // the same with a plan on the raw stream deployed.
-    steady_state(false);
-    steady_state(true);
+    // the same with a plan on the raw stream deployed; on the block
+    // path, then on the scalar path.
+    for columnar in [true, false] {
+        steady_state(false, columnar);
+        steady_state(true, columnar);
+    }
 }
 
-fn steady_state(raw: bool) {
+fn steady_state(raw: bool, columnar: bool) {
     // One query over `kinect_t` and, with `raw`, one over the raw
     // stream (so base tuples and the base block are built); an idle
     // skeleton satisfies neither first step, so no run is ever seeded.
@@ -193,6 +203,7 @@ fn steady_state(raw: bool) {
             .collect(),
         schema,
         raw_tuples: raw,
+        columnar,
         tuples: Vec::new(),
         detections: Vec::new(),
         bufs: BatchBuffers::default(),
@@ -219,8 +230,16 @@ fn steady_state(raw: bool) {
         turn += 1;
         (s, &batches[s][round])
     };
+    // Raw tuples' and (scalar path only: block batches build none) view
+    // tuples' value buffers, and the view's row count.
     let where_the_values_live = |tuples: &[Tuple], views: &SharedViews| {
-        (buffers(tuples), buffers(views.outputs(view_slot)))
+        let rows = views.rows(view_slot);
+        let view = if columnar {
+            Vec::new()
+        } else {
+            buffers(rows.iter())
+        };
+        (buffers(tuples), view, rows.len())
     };
     let counted = || TUPLES_RECYCLED_TOTAL.get() + TUPLES_BUILT_TOTAL.get();
 
@@ -234,7 +253,8 @@ fn steady_state(raw: bool) {
 
     // Steady state, two rounds: no allocation, every batch's tuples sit
     // in the buffers the previous batch — another session's — had, and
-    // one tuple per frame is written: the view's (two with `raw`).
+    // per frame one raw tuple (with `raw`) plus, on the scalar path, one
+    // view tuple is written.
     let (s, frames) = next();
     let mut last = shard.push(s, frames, where_the_values_live);
     let (before, counted_before) = (shard.allocs, counted());
@@ -245,31 +265,39 @@ fn steady_state(raw: bool) {
         last = now;
     }
     assert_eq!(last.0.len(), if raw { 30 } else { 0 }, "raw tuples");
-    assert_eq!(last.1.len(), 30);
+    assert_eq!(last.1.len(), if columnar { 0 } else { 30 }, "view tuples");
+    assert_eq!(last.2, 30, "view rows");
     assert_eq!(shard.allocs - before, 0, "steady state: no allocation");
-    let per_frame = 1 + u64::from(raw);
+    let per_frame = u64::from(raw) + u64::from(!columnar);
     assert_eq!(
         counted() - counted_before,
         2 * SESSIONS as u64 * 30 * per_frame
     );
     assert!(shard.detections.is_empty(), "the traces seed nothing");
 
-    // Somebody keeps 5 view outputs (and, with `raw`, 3 base tuples) of
-    // one session's batch (a partial match, a retained detection): the
-    // next batch — another session's — builds exactly those anew, one
-    // allocation each, and the kept ones stay as they were.
+    // Somebody keeps 5 view rows (and, with `raw`, 3 base tuples) of
+    // one session's batch (a partial match, a retained detection). On
+    // the block path the reader builds those 5 — its own allocations —
+    // and they are counted when the batch is spent; the next batch
+    // allocates nothing for them. On the scalar path (and for raw
+    // tuples) the next batch — another session's — builds exactly the
+    // kept ones anew, one allocation each. Kept ones stay as they were.
     let (s, frames) = next();
     let held: Vec<Tuple> = shard.push(s, frames, |tuples, views| {
-        let mut held = views.outputs(view_slot)[10..15].to_vec();
+        let rows = views.rows(view_slot);
+        let mut held: Vec<Tuple> = (10..15).map(|r| rows.get(r).clone()).collect();
         held.extend(tuples.iter().skip(4).take(3).cloned());
         held
     });
     assert_eq!(held.len(), if raw { 8 } else { 5 });
     let snapshot: Vec<Vec<Value>> = held.iter().map(|t| t.values().to_vec()).collect();
     let (s, frames) = next();
-    let before = shard.allocs;
+    let (before, counted_before) = (shard.allocs, counted());
     shard.push(s, frames, |_, _| ());
-    assert_eq!(shard.allocs - before, held.len() as u64);
+    let rebuilt = if columnar { 0 } else { 5 } + if raw { 3 } else { 0 };
+    assert_eq!(shard.allocs - before, rebuilt);
+    let materialised = if columnar { 5 } else { 0 };
+    assert_eq!(counted() - counted_before, 30 * per_frame + materialised);
     for (kept, expect) in held.iter().zip(&snapshot) {
         assert_eq!(
             kept.values(),

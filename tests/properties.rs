@@ -362,3 +362,165 @@ proptest! {
         }
     }
 }
+
+/// A catalog of the standard `kinect_t` plus two views: `kinect_d` over
+/// `kinect_t` (the right hand mirrored, or scaled by 1.5) and `kinect_r`
+/// over the raw stream (the right hand relative to the torso).
+fn view_catalog(mirror: bool) -> std::sync::Arc<gesto::stream::Catalog> {
+    use gesto::stream::{ops::MapOp, Tuple, Value, ViewDef};
+    use std::sync::Arc;
+
+    let catalog = gesto::transform::standard_catalog();
+    let map_view = |name: &str, input: &str, f: fn(&mut [Value], &[Value]) -> Option<()>| {
+        let schema = gesto::kinect::schema_named(name, "");
+        let out = schema.clone();
+        let factory: gesto::stream::ViewFactory = Arc::new(move || {
+            let out = out.clone();
+            Box::new(MapOp::new("map", out.clone(), move |t: &Tuple| {
+                let mut values = t.values().to_vec();
+                f(&mut values, t.values())?;
+                Some(Tuple::new_unchecked(out.clone(), values))
+            }))
+        });
+        let def = ViewDef {
+            name: name.into(),
+            input: input.into(),
+            schema,
+            factory,
+        };
+        catalog.register_view(def).unwrap();
+    };
+    let s = gesto::kinect::kinect_schema();
+    let col = |n: &str| s.index_of(n).unwrap();
+    let (x, y, tx, ty) = (
+        col("rHand_x"),
+        col("rHand_y"),
+        col("torso_x"),
+        col("torso_y"),
+    );
+    assert_eq!(
+        (x, y, tx, ty),
+        (26, 27, 8, 9),
+        "the offsets the views below hard-code"
+    );
+    if mirror {
+        map_view("kinect_d", "kinect_t", |v, t| {
+            v[26] = Value::Float(-t[26].as_f64()?);
+            Some(())
+        });
+    } else {
+        map_view("kinect_d", "kinect_t", |v, t| {
+            v[26] = Value::Float(1.5 * t[26].as_f64()?);
+            v[27] = Value::Float(1.5 * t[27].as_f64()?);
+            Some(())
+        });
+    }
+    map_view("kinect_r", gesto::kinect::KINECT_STREAM, |v, t| {
+        v[26] = Value::Float(t[26].as_f64()? - t[8].as_f64()?);
+        v[27] = Value::Float(t[27].as_f64()? - t[9].as_f64()?);
+        Some(())
+    });
+    catalog
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random view catalogs × random plan subsets — single- and
+    /// multi-route, with and without a route on the raw stream — ×
+    /// sessions in 1-, 7- and 30-frame batches (scalar and block path):
+    /// a server detects exactly what the per-route oracle detects, event
+    /// values included. Covers views over views reading deferred
+    /// `kinect_t` rows, and multi-route plans stepping frame by frame.
+    #[test]
+    fn server_detects_what_the_per_route_oracle_does_over_random_view_catalogs(
+        trace in proptest::collection::vec(
+            (0i64..120, -1.0..1.0f64, -1.0..1.0f64),
+            60..140,
+        ),
+        mirror in 0u8..2,
+        subset in 1u32..64,
+    ) {
+        use gesto::cep::fixtures::PerRouteReference;
+        use gesto::cep::{Engine, QueryPlan};
+        use gesto::serve::{BackpressurePolicy, Server, ServerConfig, SessionId};
+        use std::sync::{Arc, Mutex};
+
+        const QUERIES: [&str; 6] = [
+            r#"SELECT "t" MATCHING kinect_t(rHand_x > 200) -> kinect_t(rHand_x < -200)
+               within 1 seconds select last consume all;"#,
+            r#"SELECT "d" MATCHING kinect_d(rHand_y > 150) -> kinect_d(rHand_y < -150)
+               within 1 seconds select all consume none;"#,
+            r#"SELECT "r" MATCHING kinect_r(rHand_x < -250) -> kinect_r(rHand_x > 250)
+               within 2 seconds select first consume all;"#,
+            r#"SELECT "td" MATCHING kinect_t(rHand_x < 100) -> kinect_d(rHand_x < -200)
+               within 2 seconds select first consume all;"#,
+            r#"SELECT "raw_t" MATCHING kinect(rHand_x - torso_x < -250) -> kinect_t(rHand_x > 200)
+               within 2 seconds select first consume all;"#,
+            r#"SELECT "rd" MATCHING kinect_r(rHand_y > 150) -> kinect_d(rHand_y < -150)
+               -> kinect_t(rHand_y > 150) within 2 seconds select all consume all;"#,
+        ];
+
+        let rest = Performer::new(Persona::reference(), 0).render_idle(40).remove(0);
+        let torso = rest.joint(Joint::Torso).unwrap();
+        let mut ts = 0;
+        let frames: Vec<SkeletonFrame> = trace
+            .iter()
+            .map(|&(dt, ux, uy)| {
+                ts += dt;
+                let mut f = rest.clone();
+                f.ts = ts;
+                let offset = gesto::kinect::Vec3::new(600.0 * ux.powi(3), 600.0 * uy.powi(3), -150.0);
+                f.set_joint(Joint::RightHand, torso + offset);
+                f
+            })
+            .collect();
+
+        let catalog = view_catalog(mirror == 1);
+        let engine = Engine::new(catalog.clone());
+        let plans: Vec<Arc<QueryPlan>> = QUERIES
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| subset & (1 << i) != 0)
+            .map(|(_, q)| engine.compile(parse_query(q).unwrap()).unwrap())
+            .collect();
+        let expect = {
+            let mut oracles: Vec<_> = plans.iter().map(PerRouteReference::new).collect();
+            let mut out = Vec::new();
+            for t in gesto::kinect::frames_to_tuples(&frames, &gesto::kinect::kinect_schema()) {
+                for oracle in &mut oracles {
+                    oracle.push(gesto::kinect::KINECT_STREAM, &t, &mut out).unwrap();
+                }
+            }
+            detection_keys(&out)
+        };
+
+        let server = Server::with_parts(
+            ServerConfig::new().with_shards(1).with_backpressure(BackpressurePolicy::Block),
+            catalog,
+            engine.functions().clone(),
+            Arc::new(gesto::db::GestureStore::new()),
+        );
+        for p in &plans {
+            server.deploy_plan(p.clone()).unwrap();
+        }
+        let hits = Arc::new(Mutex::new(Vec::new()));
+        let sink = hits.clone();
+        server.on_detection(Arc::new(move |s: SessionId, d: &gesto::cep::Detection| {
+            sink.lock().unwrap().push((s, d.clone()));
+        }));
+        let sizes = [1, 7, 30];
+        for (s, size) in sizes.iter().enumerate() {
+            for chunk in frames.chunks(*size) {
+                server.push_batch(SessionId(s as u64), chunk.to_vec()).unwrap();
+            }
+        }
+        server.drain().unwrap();
+        let hits = hits.lock().unwrap().clone();
+        server.shutdown();
+        for (s, size) in sizes.iter().enumerate() {
+            let own: Vec<_> = hits.iter().filter(|h| h.0 == SessionId(s as u64)).map(|h| h.1.clone()).collect();
+            prop_assert_eq!(&detection_keys(&own), &expect, "{}-frame batches", size);
+        }
+    }
+}
