@@ -5,7 +5,9 @@
 //! through — runtimes are created per (session, query) deep inside the
 //! shard workers — so the counters live here as `const`-initialised
 //! statics and `gesto-serve` exports them by `'static` reference
-//! ([`gesto_telemetry::Registry::register_counter_ref`] and friends).
+//! ([`gesto_telemetry::Registry::register_sharded_counter_ref`],
+//! [`register_sharded_gauge_ref`](gesto_telemetry::Registry::register_sharded_gauge_ref)
+//! and [`register_histogram_ref`](gesto_telemetry::Registry::register_histogram_ref)).
 //! Updates are relaxed atomic adds; nothing here allocates or locks.
 //!
 //! Because the statics are process-global they aggregate across every

@@ -78,7 +78,7 @@ mod telemetry;
 pub use config::{BackpressurePolicy, DurabilityConfig, ServerConfig};
 pub use durable::ControlOp;
 pub use error::ServeError;
-pub use metrics::{LatencySummary, OverloadState, ServerMetrics, ShardMetrics, ShardSnapshot};
+pub use metrics::{LatencySummary, OverloadState, ServerMetrics, ShardSnapshot};
 pub use server::{DetectionSink, OfferOutcome, Server, ServerHandle};
 pub use session::SessionId;
 

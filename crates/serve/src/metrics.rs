@@ -1,10 +1,10 @@
 //! Per-shard and aggregated server metrics.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use gesto_telemetry::Histogram;
-use parking_lot::Mutex;
+use gesto_telemetry::{Counter, Gauge, Histogram, Registry};
 
 /// Percentiles over a shard's batch-push latencies (enqueue → fully
 /// processed), in microseconds.
@@ -37,129 +37,151 @@ impl LatencySummary {
     }
 }
 
-/// Live counters of one shard, shared between the worker thread and the
-/// server front-end (lock-free on the hot path except the per-gesture
-/// map, which is touched per batch, not per frame).
-///
-/// 128-byte aligned so two shards' metric structs never share a cache
-/// line (or a spatial-prefetcher line pair): each worker hammers its own
-/// counters every batch, and with core-pinned shards cross-core false
-/// sharing here would show up directly in the scale-out curve.
-#[repr(align(128))]
-pub struct ShardMetrics {
-    pub(crate) frames_in: AtomicU64,
-    pub(crate) batches_in: AtomicU64,
-    pub(crate) detections: AtomicU64,
-    pub(crate) shed_frames: AtomicU64,
-    pub(crate) shed_batches: AtomicU64,
-    pub(crate) push_errors: AtomicU64,
-    pub(crate) sink_panics: AtomicU64,
-    /// Batches that took the columnar path (block built + kernel
-    /// pre-pass).
-    pub(crate) columnar_batches: AtomicU64,
-    /// Batches that skipped block building (the batch was under
-    /// `columnar_min_batch`).
-    pub(crate) block_skips: AtomicU64,
-    pub(crate) sessions: AtomicUsize,
-    /// Retiring plan instances (replaced versions still draining their
-    /// in-flight runs) across this shard's sessions. 0 on the steady
-    /// state — a persistently non-zero value means a replaced plan's
-    /// partial matches never complete or expire.
-    pub(crate) retiring: AtomicUsize,
-    /// CPU core this shard's worker is pinned to, or `-1` when
-    /// unpinned. Written once at worker start-up.
-    pub(crate) pinned_core: AtomicI64,
-    /// Times the worker found a shared structure (detection-listener
-    /// list, per-gesture map) already held and had to wait. Stays 0 on
-    /// the steady state — the contention audit's observable face.
-    pub(crate) contention: AtomicU64,
-    /// Data-path panics caught by the worker (each one quarantined a
-    /// batch and reset one session).
-    pub(crate) panics: AtomicU64,
-    /// Sessions whose NFA/view state was reset because a batch of
-    /// theirs was quarantined (`gesto_sessions_reset_total`).
-    pub(crate) sessions_reset: AtomicU64,
-    /// Frames consumed by quarantined (poison) batches — lost with the
-    /// panic, accounted so frame conservation stays exact.
-    pub(crate) quarantined_frames: AtomicU64,
-    /// Batches dropped before NFA stepping because they sat queued past
-    /// `max_batch_age_ms` (drop-oldest policy only).
-    pub(crate) stale_batches: AtomicU64,
-    pub(crate) stale_frames: AtomicU64,
-    /// Batches dropped by the per-session frame-rate quota.
-    pub(crate) quota_batches: AtomicU64,
-    pub(crate) quota_frames: AtomicU64,
-    /// Batches refused at push/offer because the shard's memory budget
-    /// was exhausted (counted on the producer side).
-    pub(crate) mem_rejected_batches: AtomicU64,
-    /// Estimated resident bytes of this shard's session state (NFA run
-    /// slabs + event arenas), maintained incrementally by the worker.
-    pub(crate) state_bytes: AtomicI64,
-    /// Heap bytes of the one set of batch buffers — view outputs, frame
-    /// offsets, blocks — the worker lends to each session's batch
-    /// (capacity-based; a fixed per-shard cost).
-    pub(crate) batch_buffer_bytes: AtomicU64,
-    /// Times the worker woke parked `push_batch` producers (at most one
-    /// per `queue_capacity / 4` batches while a producer outruns it).
-    pub(crate) producer_wakeups: AtomicU64,
-    /// Parked producers released by the 50 ms timed wait, not by a
-    /// wake-up, with room in the queue. 0 unless a wake-up went missing
-    /// or a non-parking producer kept the queue above the low-water
-    /// mark.
-    pub(crate) gate_backstops: AtomicU64,
-    pub(crate) per_gesture: Mutex<HashMap<String, u64>>,
-    pub(crate) latency: Histogram,
-}
-
-impl Default for ShardMetrics {
-    fn default() -> Self {
-        ShardMetrics {
-            frames_in: AtomicU64::new(0),
-            batches_in: AtomicU64::new(0),
-            detections: AtomicU64::new(0),
-            shed_frames: AtomicU64::new(0),
-            shed_batches: AtomicU64::new(0),
-            push_errors: AtomicU64::new(0),
-            sink_panics: AtomicU64::new(0),
-            columnar_batches: AtomicU64::new(0),
-            block_skips: AtomicU64::new(0),
-            sessions: AtomicUsize::new(0),
-            retiring: AtomicUsize::new(0),
-            pinned_core: AtomicI64::new(-1),
-            contention: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            sessions_reset: AtomicU64::new(0),
-            quarantined_frames: AtomicU64::new(0),
-            stale_batches: AtomicU64::new(0),
-            stale_frames: AtomicU64::new(0),
-            quota_batches: AtomicU64::new(0),
-            quota_frames: AtomicU64::new(0),
-            mem_rejected_batches: AtomicU64::new(0),
-            state_bytes: AtomicI64::new(0),
-            batch_buffer_bytes: AtomicU64::new(0),
-            producer_wakeups: AtomicU64::new(0),
-            gate_backstops: AtomicU64::new(0),
-            per_gesture: Mutex::new(HashMap::new()),
-            latency: Histogram::new(),
-        }
-    }
+/// Instruments of one shard, shared between the worker thread, the
+/// producers that admit its batches and the server front-end. Each is
+/// declared here, once, with its exported name, help and `shard`
+/// label; the hot paths update it and [`Self::snapshot`] reads it.
+pub(crate) struct ShardMetrics {
+    pub(crate) frames_in: Arc<Counter>,
+    pub(crate) batches_in: Arc<Counter>,
+    pub(crate) detections: Arc<Counter>,
+    pub(crate) shed_frames: Arc<Counter>,
+    pub(crate) shed_batches: Arc<Counter>,
+    pub(crate) push_errors: Arc<Counter>,
+    pub(crate) sink_panics: Arc<Counter>,
+    pub(crate) columnar_batches: Arc<Counter>,
+    pub(crate) block_skips: Arc<Counter>,
+    pub(crate) sessions: Arc<Gauge>,
+    pub(crate) retiring: Arc<Gauge>,
+    /// Written once at worker start-up; `-1` until then, and for good
+    /// when the worker is unpinned.
+    pub(crate) pinned_core: Arc<Gauge>,
+    /// Waits on the detection-listener list (the only shared structure
+    /// the worker takes a lock on per batch).
+    pub(crate) contention: Arc<Counter>,
+    pub(crate) panics: Arc<Counter>,
+    pub(crate) sessions_reset: Arc<Counter>,
+    pub(crate) quarantined_frames: Arc<Counter>,
+    /// Admission drops: not registered, because `/metrics` exports them
+    /// only summed over shards (`gesto_admission_rejected_total{reason}`,
+    /// computed by the overload collector) and the frame counts only
+    /// through [`ServerMetrics::admission_dropped_frames`].
+    pub(crate) stale_batches: Counter,
+    pub(crate) stale_frames: Counter,
+    pub(crate) quota_batches: Counter,
+    pub(crate) quota_frames: Counter,
+    /// Counted on the producer side, at push/offer.
+    pub(crate) mem_rejected_batches: Counter,
+    /// Maintained incrementally by the worker, by delta per batch.
+    pub(crate) state_bytes: Arc<Gauge>,
+    pub(crate) batch_buffer_bytes: Arc<Gauge>,
+    pub(crate) producer_wakeups: Arc<Counter>,
+    pub(crate) gate_backstops: Arc<Counter>,
+    pub(crate) latency: Arc<Histogram>,
 }
 
 impl ShardMetrics {
-    pub(crate) fn record_detections(&self, gesture_counts: &HashMap<String, u64>, total: u64) {
-        self.detections.fetch_add(total, Ordering::Relaxed);
-        // Uncontended on the steady state (only scrapes and
-        // `ServerHandle::metrics` read this map); count the times it is
-        // not, so the contention audit has a live witness.
-        let mut map = match self.per_gesture.try_lock() {
-            Some(map) => map,
-            None => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                self.per_gesture.lock()
-            }
-        };
-        for (g, n) in gesture_counts {
-            *map.entry(g.clone()).or_insert(0) += n;
+    /// Registers shard `shard`'s instruments in `registry`.
+    pub(crate) fn new(registry: &Registry, shard: usize) -> Self {
+        let shard = shard.to_string();
+        let labels = [("shard", shard.as_str())];
+        let counter = |name: &str, help: &str| registry.counter(name, help, &labels);
+        let gauge = |name: &str, help: &str| registry.gauge(name, help, &labels);
+        let pinned_core = gauge(
+            "gesto_shard_pinned_core",
+            "CPU core the shard worker is pinned to (-1 = unpinned)",
+        );
+        pinned_core.set(-1);
+        ShardMetrics {
+            frames_in: counter("gesto_shard_frames_total", "Frames processed by the shard"),
+            batches_in: counter(
+                "gesto_shard_batches_total",
+                "Batches processed by the shard",
+            ),
+            detections: counter(
+                "gesto_shard_detections_total",
+                "Detections produced by the shard",
+            ),
+            shed_frames: counter(
+                "gesto_shard_shed_frames_total",
+                "Frames lost to the drop-oldest policy",
+            ),
+            shed_batches: counter(
+                "gesto_shard_shed_batches_total",
+                "Batches lost to the drop-oldest policy",
+            ),
+            push_errors: counter(
+                "gesto_shard_push_errors_total",
+                "Tuples that failed predicate evaluation",
+            ),
+            sink_panics: counter(
+                "gesto_shard_sink_panics_total",
+                "Detection-sink invocations that panicked (caught)",
+            ),
+            columnar_batches: counter(
+                "gesto_shard_columnar_batches_total",
+                "Batches that took the columnar (block + kernel pre-pass) path",
+            ),
+            block_skips: counter(
+                "gesto_shard_block_skips_total",
+                "Batches that skipped block building (under columnar_min_batch)",
+            ),
+            sessions: gauge("gesto_shard_sessions", "Sessions resident on the shard"),
+            retiring: gauge(
+                "gesto_shard_plan_instances_retiring",
+                "Replaced plan versions still draining in-flight runs \
+                 on the shard (0 on the steady state)",
+            ),
+            pinned_core,
+            contention: counter(
+                "gesto_shard_contention_total",
+                "Times the shard worker had to wait on a shared structure \
+                 (0 on the steady state)",
+            ),
+            panics: counter(
+                "gesto_shard_panics_total",
+                "Batch-processing panics caught by shard supervision",
+            ),
+            sessions_reset: counter(
+                "gesto_sessions_reset_total",
+                "Sessions whose NFA/view state was reset after their batch \
+                 was quarantined by supervision",
+            ),
+            quarantined_frames: counter(
+                "gesto_shard_quarantined_frames_total",
+                "Frames written off inside quarantined (panic-poisoned) batches",
+            ),
+            stale_batches: Counter::new(),
+            stale_frames: Counter::new(),
+            quota_batches: Counter::new(),
+            quota_frames: Counter::new(),
+            mem_rejected_batches: Counter::new(),
+            state_bytes: gauge(
+                "gesto_shard_state_bytes",
+                "Approximate resident NFA run-state bytes across the shard's \
+                 sessions (capacity-based lower bound)",
+            ),
+            batch_buffer_bytes: gauge(
+                "gesto_shard_batch_buffer_bytes",
+                "Heap bytes of the one set of batch buffers (view rows and payloads, \
+                 frame offsets, blocks) the shard worker lends to each session's batch \
+                 (capacity-based, tuples excluded; per shard, not per session)",
+            ),
+            producer_wakeups: counter(
+                "gesto_shard_producer_wakeups_total",
+                "Times the worker woke parked push_batch producers (queue \
+                 drained to the low-water mark)",
+            ),
+            gate_backstops: counter(
+                "gesto_shard_gate_backstop_total",
+                "Parked producers released by the 50 ms timed wait instead of a \
+                 wake-up, with room in the queue (0 on a healthy server)",
+            ),
+            latency: registry.histogram(
+                "gesto_shard_push_latency_us",
+                "Batch latency from enqueue to fully processed, in microseconds",
+                &labels,
+            ),
         }
     }
 
@@ -168,32 +190,32 @@ impl ShardMetrics {
     pub(crate) fn snapshot(&self, shard: usize, queue_depth: usize) -> ShardSnapshot {
         ShardSnapshot {
             shard,
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            batches_in: self.batches_in.load(Ordering::Relaxed),
-            detections: self.detections.load(Ordering::Relaxed),
-            shed_frames: self.shed_frames.load(Ordering::Relaxed),
-            shed_batches: self.shed_batches.load(Ordering::Relaxed),
-            push_errors: self.push_errors.load(Ordering::Relaxed),
-            sink_panics: self.sink_panics.load(Ordering::Relaxed),
-            columnar_batches: self.columnar_batches.load(Ordering::Relaxed),
-            block_skips: self.block_skips.load(Ordering::Relaxed),
+            frames_in: self.frames_in.get(),
+            batches_in: self.batches_in.get(),
+            detections: self.detections.get(),
+            shed_frames: self.shed_frames.get(),
+            shed_batches: self.shed_batches.get(),
+            push_errors: self.push_errors.get(),
+            sink_panics: self.sink_panics.get(),
+            columnar_batches: self.columnar_batches.get(),
+            block_skips: self.block_skips.get(),
             queue_depth,
-            sessions: self.sessions.load(Ordering::Relaxed),
-            retiring: self.retiring.load(Ordering::Relaxed),
-            pinned_core: self.pinned_core.load(Ordering::Relaxed),
-            contention: self.contention.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            sessions_reset: self.sessions_reset.load(Ordering::Relaxed),
-            quarantined_frames: self.quarantined_frames.load(Ordering::Relaxed),
-            stale_batches: self.stale_batches.load(Ordering::Relaxed),
-            stale_frames: self.stale_frames.load(Ordering::Relaxed),
-            quota_batches: self.quota_batches.load(Ordering::Relaxed),
-            quota_frames: self.quota_frames.load(Ordering::Relaxed),
-            mem_rejected_batches: self.mem_rejected_batches.load(Ordering::Relaxed),
-            state_bytes: self.state_bytes.load(Ordering::Relaxed).max(0) as u64,
-            batch_buffer_bytes: self.batch_buffer_bytes.load(Ordering::Relaxed),
-            producer_wakeups: self.producer_wakeups.load(Ordering::Relaxed),
-            gate_backstops: self.gate_backstops.load(Ordering::Relaxed),
+            sessions: self.sessions.get() as usize,
+            retiring: self.retiring.get() as usize,
+            pinned_core: self.pinned_core.get(),
+            contention: self.contention.get(),
+            panics: self.panics.get(),
+            sessions_reset: self.sessions_reset.get(),
+            quarantined_frames: self.quarantined_frames.get(),
+            stale_batches: self.stale_batches.get(),
+            stale_frames: self.stale_frames.get(),
+            quota_batches: self.quota_batches.get(),
+            quota_frames: self.quota_frames.get(),
+            mem_rejected_batches: self.mem_rejected_batches.get(),
+            state_bytes: self.state_bytes.get().max(0) as u64,
+            batch_buffer_bytes: self.batch_buffer_bytes.get() as u64,
+            producer_wakeups: self.producer_wakeups.get(),
+            gate_backstops: self.gate_backstops.get(),
             latency: LatencySummary::from_histogram(&self.latency),
         }
     }
@@ -345,7 +367,7 @@ impl OverloadPolicy {
             return queue;
         }
         let mem_used = gate.queued_bytes.load(Ordering::Acquire) as f64
-            + metrics.state_bytes.load(Ordering::Relaxed).max(0) as f64;
+            + metrics.state_bytes.get().max(0) as f64;
         queue.max(mem_used / self.memory_budget as f64)
     }
 

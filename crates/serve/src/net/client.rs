@@ -23,20 +23,20 @@
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use gesto_kinect::SkeletonFrame;
+use gesto_telemetry::Counter;
 
 use super::wire::{self, ErrorCode, Message, WireDetection};
 
 /// Process-wide count of successful [`NetClient`] reconnects, exported
 /// by any in-process network edge as `gesto_net_client_reconnects_total`.
-static CLIENT_RECONNECTS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static CLIENT_RECONNECTS: Counter = Counter::new();
 
 /// Successful reconnects of every [`NetClient`] in this process.
 pub fn client_reconnects_total() -> u64 {
-    CLIENT_RECONNECTS.load(Ordering::Relaxed)
+    CLIENT_RECONNECTS.get()
 }
 
 /// Reconnect policy of a [`NetClient`].
@@ -453,7 +453,7 @@ impl NetClient {
             self.send_message(&Message::OpenSession { session })?;
         }
         self.reconnects += 1;
-        CLIENT_RECONNECTS.fetch_add(1, Ordering::Relaxed);
+        CLIENT_RECONNECTS.inc();
         Ok(())
     }
 

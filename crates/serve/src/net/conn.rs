@@ -114,7 +114,7 @@ impl Outbox {
                 match (&*self.stream).write(&bytes[offset..]) {
                     Ok(0) => break,
                     Ok(n) => {
-                        self.metrics.bytes_out(n as u64);
+                        self.metrics.bytes_out.add(n as u64);
                         offset += n;
                         if offset == bytes.len() {
                             return true;
@@ -134,7 +134,7 @@ impl Outbox {
                 // The peer is not reading and this message may not be
                 // shed; shedding part of a message would desynchronise
                 // framing, so the connection is condemned instead.
-                self.metrics.slow_consumer_drop();
+                self.metrics.slow_consumer_drops.inc();
                 self.dead.store(true, Ordering::Release);
                 self.notify();
                 return false;
@@ -145,10 +145,10 @@ impl Outbox {
             // may overshoot the cap transiently — bounded by one notice
             // per congestion episode.
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.metrics.detection_drop();
+            self.metrics.detections_dropped.inc();
             if !self.notice_queued.load(Ordering::Relaxed) {
                 self.notice_queued.store(true, Ordering::Relaxed);
-                self.metrics.detection_notice();
+                self.metrics.detection_notices.inc();
                 buf.bytes.extend(notice);
                 if !self.pending.swap(true, Ordering::AcqRel) {
                     self.notify();
@@ -175,7 +175,7 @@ impl Outbox {
             match (&*self.stream).write(head) {
                 Ok(0) => break,
                 Ok(n) => {
-                    self.metrics.bytes_out(n as u64);
+                    self.metrics.bytes_out.add(n as u64);
                     buf.bytes.drain(..n);
                 }
                 Err(e) if super::poll::would_block(&e) => break,
@@ -311,7 +311,7 @@ impl Conn {
             match (&*self.stream).read(&mut chunk) {
                 Ok(0) => return ReadOutcome::Closed,
                 Ok(n) => {
-                    metrics.bytes_in(n as u64);
+                    metrics.bytes_in.add(n as u64);
                     self.last_activity = Instant::now();
                     self.rbuf.extend_from_slice(&chunk[..n]);
                     read_this_pass += n;
@@ -360,7 +360,7 @@ mod tests {
         let peer = TcpStream::connect(addr).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
-        let metrics = Arc::new(NetMetricsInner::default());
+        let metrics = Arc::new(NetMetricsInner::new(&gesto_telemetry::Registry::new()));
         let (dirty, _dirty_rx) = crossbeam::channel::unbounded();
         let outbox = Outbox::new(Arc::new(stream), metrics.clone(), dirty, 1);
 
@@ -375,9 +375,9 @@ mod tests {
         }
         assert!(shed >= 1, "outbox never overflowed");
         assert_eq!(outbox.dropped_detections(), shed);
-        assert_eq!(metrics.detections_dropped.load(Ordering::Relaxed), shed);
+        assert_eq!(metrics.detections_dropped.get(), shed);
         assert_eq!(
-            metrics.detection_notices.load(Ordering::Relaxed),
+            metrics.detection_notices.get(),
             1,
             "one congestion episode must queue exactly one notice"
         );

@@ -1,13 +1,10 @@
 //! The TCP ingestion edge: a non-blocking network front-end for the
 //! sharded detection [`Server`](crate::Server).
 //!
-//! [`NetConfig::io_threads`] I/O threads (default one) each run a
-//! readiness loop (epoll on Linux, a portable fallback elsewhere — see
-//! `poll`) over a non-blocking listener and the client connections the
-//! kernel assigned to it. With more than one thread the listeners
-//! share the port via `SO_REUSEPORT`, so accepting and wire decode
-//! scale past a single core while each connection still lives on
-//! exactly one loop. Clients speak the versioned little-endian `GSW1`
+//! One I/O thread runs a readiness loop (epoll on Linux, a portable
+//! fallback elsewhere — see `poll`) over a non-blocking listener and
+//! every client connection it accepted. Clients speak the versioned
+//! little-endian `GSW1`
 //! protocol specified in `docs/PROTOCOL.md` and implemented in
 //! [`wire`]: columnar frame batches in, detections with session
 //! attribution out, flow-controlled by credit grants.
@@ -63,13 +60,13 @@ mod poll;
 pub mod wire;
 
 pub use self::client::{client_reconnects_total, NetClient, NetClientConfig};
-pub use self::metrics::{LatencyHistogram, NetMetrics, LATENCY_BUCKETS};
+pub use self::metrics::NetMetrics;
 
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -133,14 +130,6 @@ pub struct NetConfig {
     /// `gesto_net_idle_closed_total`. Connections held paused by shard
     /// backpressure are exempt — they are stalled, not dead.
     pub idle_timeout_ms: u64,
-    /// I/O threads serving the edge (default 1). With more than one,
-    /// every thread runs its own listener bound with `SO_REUSEPORT` and
-    /// its own epoll loop, so the kernel load-balances connections and
-    /// wire decode scales past a single core. Platforms without the
-    /// raw-syscall backend clamp to one thread. A connection lives on
-    /// exactly one loop for its lifetime; engine session ids are drawn
-    /// from one shared allocator, so shard routing is unaffected.
-    pub io_threads: usize,
     /// Accept control-plane messages (`Deploy`/`Undeploy`/`SetConfig`,
     /// §8 of `docs/PROTOCOL.md`) on this edge. **Off by default**: the
     /// data edge is typically exposed to untrusted producers, and a
@@ -167,7 +156,6 @@ impl Default for NetConfig {
             initial_credits: 4096,
             max_connections: 16384,
             idle_timeout_ms: 300_000,
-            io_threads: 1,
             allow_control: false,
             max_sessions_per_conn: 1024,
             max_parked_batches: 64,
@@ -203,12 +191,6 @@ impl NetConfig {
     /// Sets the idle timeout in milliseconds (`0` disables it).
     pub fn with_idle_timeout_ms(mut self, ms: u64) -> Self {
         self.idle_timeout_ms = ms;
-        self
-    }
-
-    /// Sets the number of I/O threads (`SO_REUSEPORT` listener shards).
-    pub fn with_io_threads(mut self, threads: usize) -> Self {
-        self.io_threads = threads.max(1);
         self
     }
 
@@ -254,106 +236,67 @@ type Registry = Arc<Mutex<HashMap<u64, Arc<SessionRoute>>>>;
 pub struct NetServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
     metrics: NetMetrics,
 }
 
-/// Binds the edge's listening sockets. One thread gets a plain bind;
-/// more get per-thread `SO_REUSEPORT` listeners sharing the port (the
-/// first bind resolves port 0, the rest reuse the resolved address).
-/// Platforms without [`poll::bind_reuseport`] fall back to a single
-/// listener — the edge then runs one I/O thread.
-fn bind_listeners(addr: &str, threads: usize) -> io::Result<Vec<TcpListener>> {
-    let single = |addr: &str| -> io::Result<Vec<TcpListener>> {
-        let l = TcpListener::bind(addr)?;
-        l.set_nonblocking(true)?;
-        Ok(vec![l])
-    };
-    if threads <= 1 {
-        return single(addr);
-    }
-    use std::net::ToSocketAddrs;
-    let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "unresolvable listen address")
-    })?;
-    let first = match poll::bind_reuseport(target) {
-        Ok(l) => l,
-        // No SO_REUSEPORT on this platform: serve single-threaded.
-        Err(e) if e.kind() == io::ErrorKind::Unsupported => return single(addr),
-        Err(e) => return Err(e),
-    };
-    let resolved = first.local_addr()?;
-    let mut listeners = vec![first];
-    for _ in 1..threads {
-        listeners.push(poll::bind_reuseport(resolved)?);
-    }
-    for l in &listeners {
-        l.set_nonblocking(true)?;
-    }
-    Ok(listeners)
-}
-
 impl NetServer {
-    /// Binds `config.addr` and spawns [`NetConfig::io_threads`] I/O
-    /// threads serving `handle`'s engine over TCP.
+    /// Binds `config.addr` and spawns the I/O thread serving `handle`'s
+    /// engine over TCP.
     pub fn start(handle: ServerHandle, config: NetConfig) -> io::Result<NetServer> {
         poll::raise_nofile_limit();
-        let listeners = bind_listeners(&config.addr, config.io_threads.max(1))?;
-        let local_addr = listeners[0].local_addr()?;
+        let listener = TcpListener::bind(&config.addr)?;
+        listener.set_nonblocking(true)?;
+        let local_addr = listener.local_addr()?;
 
-        // Shared across every I/O thread: metrics, the session-route
-        // registry the detection sink consults, and the engine session
-        // id allocator (ids must stay unique edge-wide).
-        let inner: Arc<NetMetricsInner> = Arc::new(NetMetricsInner::default());
+        let scrape = handle.registry();
+        let inner = Arc::new(NetMetricsInner::new(&scrape));
+        scrape.register_counter_ref(
+            "gesto_net_client_reconnects_total",
+            "Successful NetClient redials in this process (clients co-located \
+             with the edge, e.g. benches and tests)",
+            &[],
+            &client::CLIENT_RECONNECTS,
+        );
         let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
         let epoch = Instant::now();
         install_detection_sink(&handle, &registry, &inner, epoch);
-        let scrape = handle.registry();
-        install_net_collector(&scrape, &inner, listeners.len());
-        let decode_stage = handle.telemetry().stages.decode.clone();
-        let session_ids = Arc::new(AtomicU64::new(NET_SESSION_BASE));
 
+        let mut poller = Poller::new()?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        let (dirty_tx, dirty_rx) = unbounded::<u64>();
         let stop = Arc::new(AtomicBool::new(false));
-        let idle_timeout =
-            (config.idle_timeout_ms > 0).then(|| Duration::from_millis(config.idle_timeout_ms));
-        let mut threads = Vec::with_capacity(listeners.len());
-        for (t, listener) in listeners.into_iter().enumerate() {
-            let mut poller = Poller::new()?;
-            poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-            let (dirty_tx, dirty_rx) = unbounded::<u64>();
-            let io = IoLoop {
-                listener,
-                poller,
-                conns: HashMap::new(),
-                attention: HashSet::new(),
-                next_conn: TOKEN_LISTENER + 1,
-                session_ids: session_ids.clone(),
-                dirty_tx,
-                dirty_rx,
-                registry: registry.clone(),
-                handle: handle.clone(),
-                config: config.clone(),
-                metrics: inner.clone(),
-                epoch,
-                events: Vec::with_capacity(256),
-                scratch: Vec::with_capacity(512),
-                stop: stop.clone(),
-                scrape: scrape.clone(),
-                decode_stage: decode_stage.clone(),
-                decode_sampler: handle.telemetry().sampler(),
-                idle_timeout,
-                idle_sweep_at: Instant::now(),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("gesto-net-{t}"))
-                    .spawn(move || io.run())?,
-            );
-        }
+        let io = IoLoop {
+            listener,
+            poller,
+            conns: HashMap::new(),
+            attention: HashSet::new(),
+            next_conn: TOKEN_LISTENER + 1,
+            next_session: NET_SESSION_BASE,
+            dirty_tx,
+            dirty_rx,
+            registry,
+            decode_stage: handle.telemetry().stages.decode.clone(),
+            decode_sampler: handle.telemetry().sampler(),
+            handle,
+            idle_timeout: (config.idle_timeout_ms > 0)
+                .then(|| Duration::from_millis(config.idle_timeout_ms)),
+            config,
+            metrics: inner.clone(),
+            epoch,
+            events: Vec::with_capacity(256),
+            scratch: Vec::with_capacity(512),
+            stop: stop.clone(),
+            scrape,
+            idle_sweep_at: Instant::now(),
+        };
+        let thread = std::thread::Builder::new()
+            .name("gesto-net".to_owned())
+            .spawn(move || io.run())?;
         Ok(NetServer {
             local_addr,
             stop,
-            threads,
+            thread: Some(thread),
             metrics: NetMetrics { inner },
         })
     }
@@ -377,7 +320,7 @@ impl NetServer {
 
     fn stop_thread(&mut self) {
         self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
@@ -387,158 +330,6 @@ impl Drop for NetServer {
     fn drop(&mut self) {
         self.stop_thread();
     }
-}
-
-/// Exports the edge's counters into the engine's scrape registry as
-/// the `gesto_net_*` families, read live at scrape time. Registered
-/// once per [`NetServer::start`]; start at most one edge per engine or
-/// the families will carry duplicate series.
-fn install_net_collector(
-    scrape: &Arc<gesto_telemetry::Registry>,
-    inner: &Arc<NetMetricsInner>,
-    io_threads: usize,
-) {
-    let m = inner.clone();
-    scrape.register_collector(move |set| {
-        set.gauge(
-            "gesto_net_io_threads",
-            "I/O threads serving the edge (>1 means SO_REUSEPORT listener sharding)",
-            &[],
-            io_threads as f64,
-        );
-        let c = |set: &mut gesto_telemetry::SampleSet, name: &str, help: &str, v: &AtomicU64| {
-            set.counter(name, help, &[], v.load(Ordering::Relaxed));
-        };
-        c(
-            set,
-            "gesto_net_connections_accepted_total",
-            "TCP connections accepted by the network edge",
-            &m.connections_accepted,
-        );
-        c(
-            set,
-            "gesto_net_connections_closed_total",
-            "TCP connections fully torn down",
-            &m.connections_closed,
-        );
-        set.gauge(
-            "gesto_net_connections_active",
-            "Connections currently registered with the event loop",
-            &[],
-            m.connections_active.load(Ordering::Relaxed) as f64,
-        );
-        c(
-            set,
-            "gesto_net_sessions_opened_total",
-            "Engine sessions opened over the wire",
-            &m.sessions_opened,
-        );
-        c(
-            set,
-            "gesto_net_frames_received_total",
-            "Skeleton frames decoded off the wire and accepted",
-            &m.frames_received,
-        );
-        c(
-            set,
-            "gesto_net_batches_received_total",
-            "Frame batches decoded off the wire and accepted",
-            &m.batches_received,
-        );
-        c(
-            set,
-            "gesto_net_batches_parked_total",
-            "Batches parked on their connection by shard backpressure",
-            &m.batches_parked,
-        );
-        c(
-            set,
-            "gesto_net_batches_rejected_total",
-            "Batches refused with a QueueFull error frame",
-            &m.batches_rejected,
-        );
-        c(
-            set,
-            "gesto_net_detections_sent_total",
-            "Detection messages pushed onto client connections",
-            &m.detections_sent,
-        );
-        c(
-            set,
-            "gesto_net_protocol_errors_total",
-            "Malformed or out-of-contract client messages",
-            &m.protocol_errors,
-        );
-        c(
-            set,
-            "gesto_net_slow_consumer_drops_total",
-            "Connections condemned because their detection outbox overflowed",
-            &m.slow_consumer_drops,
-        );
-        c(
-            set,
-            "gesto_net_detections_dropped_total",
-            "Detection messages shed because their connection's outbox was full",
-            &m.detections_dropped,
-        );
-        c(
-            set,
-            "gesto_net_detection_notices_total",
-            "DetectionsDropped notice frames queued to slow-reading peers",
-            &m.detection_notices,
-        );
-        c(
-            set,
-            "gesto_net_sessions_rejected_total",
-            "Session binds refused by admission control (overload or per-connection cap)",
-            &m.sessions_rejected,
-        );
-        c(
-            set,
-            "gesto_net_idle_closed_total",
-            "Connections closed by the idle timeout",
-            &m.idle_closed,
-        );
-        c(
-            set,
-            "gesto_net_credit_stalls_total",
-            "Times a connection's reads were paused by shard backpressure \
-             (its credit window left to dry up)",
-            &m.credit_stalls,
-        );
-        c(
-            set,
-            "gesto_net_http_requests_total",
-            "HTTP requests served off the multiplexed port",
-            &m.http_requests,
-        );
-        set.counter(
-            "gesto_net_client_reconnects_total",
-            "Successful NetClient redials in this process (clients co-located \
-             with the edge, e.g. benches and tests)",
-            &[],
-            client_reconnects_total(),
-        );
-        c(
-            set,
-            "gesto_net_bytes_in_total",
-            "Bytes read off client sockets",
-            &m.bytes_in,
-        );
-        c(
-            set,
-            "gesto_net_bytes_out_total",
-            "Bytes written to client sockets",
-            &m.bytes_out,
-        );
-        set.histogram(
-            "gesto_net_e2e_latency_us",
-            "Last accepted wire batch to detection entering the socket outbox, \
-             per session, in microseconds",
-            &[],
-            m.latency.snapshot(),
-        );
-    });
 }
 
 /// Registers the engine-side sink that routes detections back onto
@@ -586,7 +377,7 @@ fn install_detection_sink(
             // neither `detections_sent` nor latency observes it.
             return;
         }
-        inner.detections_sent.fetch_add(1, Ordering::Relaxed);
+        inner.detections_sent.inc();
         let now = epoch.elapsed().as_micros() as u64;
         let rx = route.last_rx_us.load(Ordering::Acquire);
         if now >= rx {
@@ -612,9 +403,8 @@ struct IoLoop {
     /// close acks, draining flushes).
     attention: HashSet<u64>,
     next_conn: u64,
-    /// Edge-wide engine session id allocator, shared by every I/O
-    /// thread (connection tokens are loop-local; session ids are not).
-    session_ids: Arc<AtomicU64>,
+    /// Engine session id of the next session bound over the wire.
+    next_session: u64,
     dirty_tx: Sender<u64>,
     dirty_rx: Receiver<u64>,
     registry: Registry,
@@ -709,9 +499,10 @@ impl IoLoop {
             };
             self.finish_conn(conn, Some(close));
             // Counted after the teardown it describes: whoever reads
-            // the close (Acquire in `NetMetrics::idle_closed`) also
-            // reads `connections_active` already decremented.
-            self.metrics.idle_closed.fetch_add(1, Ordering::Release);
+            // the close (acquire fence in `NetMetrics::idle_closed`)
+            // also reads `connections_active` already decremented.
+            fence(Ordering::Release);
+            self.metrics.idle_closed.inc();
         }
     }
 
@@ -752,12 +543,8 @@ impl IoLoop {
             id,
         ));
         self.conns.insert(id, Conn::new(id, stream, outbox));
-        self.metrics
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .connections_active
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.connections_accepted.inc();
+        self.metrics.connections_active.inc();
     }
 
     // ----- per-connection events --------------------------------------
@@ -808,7 +595,7 @@ impl IoLoop {
                 }
                 Ok(None) => break,
                 Err(_) => {
-                    self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.protocol_errors.inc();
                     return Some(Close::Fault(ErrorCode::Malformed, "undecodable message"));
                 }
             }
@@ -835,7 +622,7 @@ impl IoLoop {
             }
             return None;
         };
-        self.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
+        self.metrics.http_requests.inc();
         let head = String::from_utf8_lossy(&conn.rbuf[..end]).into_owned();
         let mut parts = head.split_whitespace();
         let method = parts.next().unwrap_or("");
@@ -972,7 +759,7 @@ impl IoLoop {
         op: impl FnOnce(&ServerHandle) -> Result<(), ServeError>,
     ) -> Option<Close> {
         if !self.config.allow_control {
-            self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.metrics.protocol_errors.inc();
             conn.send(
                 &Message::Error {
                     code: ErrorCode::ControlDisabled,
@@ -1016,7 +803,7 @@ impl IoLoop {
     ) -> Option<Close> {
         let n = frames.len() as i64;
         if n > conn.credits {
-            self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.metrics.protocol_errors.inc();
             return Some(Close::Fault(
                 ErrorCode::CreditExceeded,
                 "batch exceeds remaining credit",
@@ -1035,19 +822,13 @@ impl IoLoop {
             .route
             .last_rx_us
             .store(self.epoch.elapsed().as_micros() as u64, Ordering::Release);
-        self.metrics
-            .frames_received
-            .fetch_add(n as u64, Ordering::Relaxed);
-        self.metrics
-            .batches_received
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.frames_received.add(n as u64);
+        self.metrics.batches_received.inc();
         if !conn.parked.is_empty() {
             if conn.parked.len() >= self.config.max_parked_batches {
                 // The connection already buffers its cap of parked
                 // batches: drop instead of growing without bound.
-                self.metrics
-                    .batches_rejected
-                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics.batches_rejected.inc();
                 conn.send(
                     &Message::Error {
                         code: ErrorCode::QueueFull,
@@ -1078,9 +859,7 @@ impl IoLoop {
                 if conn.parked.len() >= self.config.max_parked_batches {
                     // Defensive bound (normally unreachable: a parked
                     // connection is paused): drop rather than park.
-                    self.metrics
-                        .batches_rejected
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.metrics.batches_rejected.inc();
                     conn.send(
                         &Message::Error {
                             code: ErrorCode::QueueFull,
@@ -1091,15 +870,13 @@ impl IoLoop {
                     return None;
                 }
                 conn.parked.push_back((global, frames));
-                self.metrics.batches_parked.fetch_add(1, Ordering::Relaxed);
+                self.metrics.batches_parked.inc();
                 self.pause(conn);
                 self.attention.insert(conn.id);
                 None
             }
             Err(ServeError::QueueFull { .. }) => {
-                self.metrics
-                    .batches_rejected
-                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics.batches_rejected.inc();
                 conn.send(
                     &Message::Error {
                         code: ErrorCode::QueueFull,
@@ -1136,9 +913,7 @@ impl IoLoop {
             None
         };
         if let Some(detail) = refusal {
-            self.metrics
-                .sessions_rejected
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.sessions_rejected.inc();
             conn.send(
                 &Message::Error {
                     code: ErrorCode::Overloaded,
@@ -1148,7 +923,8 @@ impl IoLoop {
             );
             return None;
         }
-        let global = self.session_ids.fetch_add(1, Ordering::Relaxed);
+        let global = self.next_session;
+        self.next_session += 1;
         let _ = self.handle.open_session(SessionId(global));
         let route = Arc::new(SessionRoute {
             client_session: client_sid,
@@ -1157,7 +933,7 @@ impl IoLoop {
             last_rx_us: AtomicU64::new(self.epoch.elapsed().as_micros() as u64),
         });
         self.registry.lock().insert(global, route.clone());
-        self.metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
+        self.metrics.sessions_opened.inc();
         let binding = SessionBinding { global, route };
         Some(conn.sessions.entry(client_sid).or_insert(binding))
     }
@@ -1199,7 +975,7 @@ impl IoLoop {
             return;
         }
         conn.paused = true;
-        self.metrics.credit_stalls.fetch_add(1, Ordering::Relaxed);
+        self.metrics.credit_stalls.inc();
         let interest = Interest {
             read: false,
             write: conn.outbox.has_pending(),
@@ -1276,9 +1052,7 @@ impl IoLoop {
                     break;
                 }
                 Err(ServeError::QueueFull { .. }) => {
-                    self.metrics
-                        .batches_rejected
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.metrics.batches_rejected.inc();
                     continue;
                 }
                 Err(_) => {
@@ -1364,12 +1138,8 @@ impl IoLoop {
             self.registry.lock().remove(&global);
         }
         self.attention.remove(&conn.id);
-        self.metrics
-            .connections_closed
-            .fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .connections_active
-            .fetch_sub(1, Ordering::Relaxed);
+        self.metrics.connections_closed.inc();
+        self.metrics.connections_active.dec();
     }
 
     fn shutdown_all(&mut self) {

@@ -53,34 +53,6 @@ pub(crate) use epoll::Poller;
 )))]
 pub(crate) use fallback::Poller;
 
-/// Binds a listening TCP socket on `addr` with `SO_REUSEPORT` set, so
-/// several listeners can share one port and the kernel load-balances
-/// accepted connections across them (the substrate of
-/// [`NetConfig::io_threads`](super::NetConfig::io_threads) listener
-/// sharding). Only the raw-syscall Linux backend supports this; other
-/// platforms return [`io::ErrorKind::Unsupported`] and the caller
-/// clamps to one listener.
-pub(crate) fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        epoll::bind_reuseport(addr)
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        let _ = addr;
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT listener sharding needs the raw-syscall backend",
-        ))
-    }
-}
-
 /// Raises the process's soft `RLIMIT_NOFILE` to its hard limit so one
 /// box can hold tens of thousands of connections. Best-effort: returns
 /// the (possibly unchanged) soft limit, or `None` where unsupported.
@@ -122,10 +94,6 @@ mod epoll {
         pub const EPOLL_PWAIT: usize = 281;
         pub const PRLIMIT64: usize = 302;
         pub const CLOSE: usize = 3;
-        pub const SOCKET: usize = 41;
-        pub const BIND: usize = 49;
-        pub const LISTEN: usize = 50;
-        pub const SETSOCKOPT: usize = 54;
     }
     #[cfg(target_arch = "aarch64")]
     mod nr {
@@ -134,10 +102,6 @@ mod epoll {
         pub const EPOLL_PWAIT: usize = 22;
         pub const PRLIMIT64: usize = 261;
         pub const CLOSE: usize = 57;
-        pub const SOCKET: usize = 198;
-        pub const BIND: usize = 200;
-        pub const LISTEN: usize = 201;
-        pub const SETSOCKOPT: usize = 208;
     }
 
     const EPOLL_CLOEXEC: usize = 0o2000000;
@@ -215,120 +179,6 @@ mod epoll {
         Some(if ret < 0 { old.cur } else { new.cur })
     }
 
-    const SOCK_STREAM: usize = 1;
-    const SOCK_CLOEXEC: usize = 0o2000000;
-    const SOL_SOCKET: usize = 1;
-    const SO_REUSEADDR: usize = 2;
-    const SO_REUSEPORT: usize = 15;
-    const AF_INET: u16 = 2;
-    const AF_INET6: u16 = 10;
-    const LISTEN_BACKLOG: usize = 1024;
-
-    /// Kernel `struct sockaddr_in` (16 bytes). Port and address are in
-    /// network byte order.
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port_be: u16,
-        addr: [u8; 4],
-        zero: [u8; 8],
-    }
-
-    /// Kernel `struct sockaddr_in6` (28 bytes).
-    #[repr(C)]
-    struct SockaddrIn6 {
-        family: u16,
-        port_be: u16,
-        flowinfo: u32,
-        addr: [u8; 16],
-        scope_id: u32,
-    }
-
-    /// See [`super::bind_reuseport`]. Raw `socket`/`setsockopt`/`bind`/
-    /// `listen` so `SO_REUSEPORT` can be set *before* the bind (the only
-    /// window in which it matters); the fd is then handed to the
-    /// standard library as an ordinary [`std::net::TcpListener`].
-    pub(crate) fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-        use std::os::fd::FromRawFd;
-
-        let domain = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
-        // SAFETY: socket(2) takes no pointer arguments.
-        let fd = check(unsafe {
-            syscall6(
-                nr::SOCKET,
-                [domain as usize, SOCK_STREAM | SOCK_CLOEXEC, 0, 0, 0, 0],
-            )
-        })? as RawFd;
-        let close_on_err = |e: io::Error| {
-            // SAFETY: no pointer arguments; `fd` is the socket opened
-            // above, owned by this function until `from_raw_fd` below.
-            unsafe { syscall6(nr::CLOSE, [fd as usize, 0, 0, 0, 0, 0]) };
-            e
-        };
-
-        let one: u32 = 1;
-        for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-            // SAFETY: the kernel reads `size_of::<u32>()` bytes of option
-            // value from `one`, a live local `u32`.
-            check(unsafe {
-                syscall6(
-                    nr::SETSOCKOPT,
-                    [
-                        fd as usize,
-                        SOL_SOCKET,
-                        opt,
-                        std::ptr::addr_of!(one) as usize,
-                        std::mem::size_of::<u32>(),
-                        0,
-                    ],
-                )
-            })
-            .map_err(close_on_err)?;
-        }
-
-        // The kernel copies the sockaddr during the call, so stack
-        // storage outlives its use.
-        let sa4;
-        let sa6;
-        let (sa_ptr, sa_len) = match addr {
-            std::net::SocketAddr::V4(v4) => {
-                sa4 = SockaddrIn {
-                    family: AF_INET,
-                    port_be: v4.port().to_be(),
-                    addr: v4.ip().octets(),
-                    zero: [0; 8],
-                };
-                (
-                    std::ptr::addr_of!(sa4) as usize,
-                    std::mem::size_of::<SockaddrIn>(),
-                )
-            }
-            std::net::SocketAddr::V6(v6) => {
-                sa6 = SockaddrIn6 {
-                    family: AF_INET6,
-                    port_be: v6.port().to_be(),
-                    flowinfo: v6.flowinfo().to_be(),
-                    addr: v6.ip().octets(),
-                    scope_id: v6.scope_id(),
-                };
-                (
-                    std::ptr::addr_of!(sa6) as usize,
-                    std::mem::size_of::<SockaddrIn6>(),
-                )
-            }
-        };
-        // SAFETY: the kernel reads `sa_len` bytes from `sa_ptr`, which
-        // points at `sa4`/`sa6` above — a live local `repr(C)` sockaddr
-        // of exactly `sa_len` bytes.
-        check(unsafe { syscall6(nr::BIND, [fd as usize, sa_ptr, sa_len, 0, 0, 0]) })
-            .map_err(close_on_err)?;
-        // SAFETY: listen(2) takes no pointer arguments.
-        check(unsafe { syscall6(nr::LISTEN, [fd as usize, LISTEN_BACKLOG, 0, 0, 0, 0]) })
-            .map_err(close_on_err)?;
-        // SAFETY: fd is a fresh, owned, listening socket.
-        Ok(unsafe { std::net::TcpListener::from_raw_fd(fd) })
-    }
-
     /// Level-triggered epoll instance.
     pub(crate) struct Poller {
         epfd: RawFd,
@@ -336,17 +186,12 @@ mod epoll {
         events: Vec<EpollEvent>,
     }
 
-    // SAFETY: `epfd` is plain kernel state (epoll ctl/wait are
-    // thread-safe) and `events` is an owned `Vec` of `Copy` data.
-    unsafe impl Send for Poller {}
-
     impl Poller {
         pub fn new() -> io::Result<Self> {
             // SAFETY: epoll_create1(2) takes no pointer arguments.
-            let epfd =
-                check(unsafe { syscall6(nr::EPOLL_CREATE1, [EPOLL_CLOEXEC, 0, 0, 0, 0, 0]) })?;
+            let ret = unsafe { syscall6(nr::EPOLL_CREATE1, [EPOLL_CLOEXEC, 0, 0, 0, 0, 0]) };
             Ok(Poller {
-                epfd: epfd as RawFd,
+                epfd: check(ret)? as RawFd,
                 events: vec![EpollEvent { events: 0, data: 0 }; 1024],
             })
         }

@@ -179,7 +179,7 @@ impl Server {
         let telemetry = Arc::new(ServerTelemetry::new(&config));
 
         // Shard→core placement: only when pinning is on and the host has
-        // cores to spread over (core 0 is left to the net I/O threads).
+        // cores to spread over (core 0 is left to the net I/O thread).
         let host_cores = crate::affinity::host_cores();
 
         let plans: PlanRegistry = Arc::new(RwLock::new(HashMap::new()));
@@ -196,7 +196,7 @@ impl Server {
         for shard_id in 0..shard_count {
             let (tx, rx) = unbounded::<Job>();
             let gate = Arc::new(QueueGate::new(config.effective_queue_capacity()));
-            let metrics = Arc::new(ShardMetrics::default());
+            let metrics = Arc::new(ShardMetrics::new(&telemetry.registry(), shard_id));
             let pin_core = config
                 .pin_shards
                 .then(|| crate::affinity::placement(shard_id, host_cores))
@@ -222,12 +222,6 @@ impl Server {
             workers.push(handle);
             shards.push(ShardLink { tx, gate, metrics });
         }
-        telemetry.register_shards(
-            shards
-                .iter()
-                .map(|l| (l.metrics.clone(), l.gate.clone()))
-                .collect(),
-        );
         telemetry.register_overload(
             shards
                 .iter()
@@ -410,11 +404,9 @@ impl ServerHandle {
             return Ok(());
         }
         let used = link.gate.queued_bytes.load(Ordering::Acquire)
-            + link.metrics.state_bytes.load(Ordering::Relaxed).max(0) as u64;
+            + link.metrics.state_bytes.get().max(0) as u64;
         if used + batch_cost(frames) > budget as u64 {
-            link.metrics
-                .mem_rejected_batches
-                .fetch_add(1, Ordering::Relaxed);
+            link.metrics.mem_rejected_batches.inc();
             return Err(ServeError::QueueFull { shard });
         }
         Ok(())
@@ -827,20 +819,19 @@ impl ServerHandle {
 
     /// Aggregated metrics across all shards.
     pub fn metrics(&self) -> ServerMetrics {
-        let mut per_gesture: BTreeMap<String, u64> = BTreeMap::new();
-        let mut shards = Vec::with_capacity(self.core.shards.len());
-        for (i, link) in self.core.shards.iter().enumerate() {
-            shards.push(
+        let shards = self
+            .core
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, link)| {
                 link.metrics
-                    .snapshot(i, link.gate.depth.load(Ordering::Acquire)),
-            );
-            for (g, n) in link.metrics.per_gesture.lock().iter() {
-                *per_gesture.entry(g.clone()).or_insert(0) += n;
-            }
-        }
+                    .snapshot(i, link.gate.depth.load(Ordering::Acquire))
+            })
+            .collect();
         ServerMetrics {
             shards,
-            per_gesture,
+            per_gesture: self.core.telemetry.per_gesture(),
             plans_compiled: self.core.telemetry.plans_compiled.get(),
         }
     }
@@ -889,7 +880,7 @@ impl ServerHandle {
         self.core
             .shards
             .iter()
-            .map(|l| l.metrics.sessions.load(Ordering::Relaxed))
+            .map(|l| l.metrics.sessions.get() as usize)
             .sum()
     }
 

@@ -38,7 +38,7 @@ use gesto_kinect::{KinectSlots, SkeletonFrame};
 use gesto_stream::{BatchBuffers, Catalog, RowBatch, SchemaRef, SharedViews, Tuple};
 use parking_lot::RwLock;
 
-use gesto_telemetry::Sampler;
+use gesto_telemetry::{Counter, Sampler};
 
 use crate::metrics::ShardMetrics;
 use crate::server::DetectionSink;
@@ -201,7 +201,7 @@ impl QueueGate {
             guard = g;
             if self.has_room() {
                 if timeout.timed_out() {
-                    metrics.gate_backstops.fetch_add(1, Ordering::Relaxed);
+                    metrics.gate_backstops.inc();
                 }
                 return;
             }
@@ -215,7 +215,7 @@ impl QueueGate {
         let remaining = self.depth.fetch_sub(1, Ordering::SeqCst) - 1;
         if remaining <= self.low_water && self.parked.load(Ordering::SeqCst) {
             self.parked.store(false, Ordering::SeqCst);
-            metrics.producer_wakeups.fetch_add(1, Ordering::Relaxed);
+            metrics.producer_wakeups.inc();
             self.notify();
         }
         remaining
@@ -343,6 +343,9 @@ pub(crate) struct ShardWorker {
     slots: KinectSlots,
     /// Detections scratch, reused across batches.
     detections: Vec<Detection>,
+    /// This worker's `gesto_detections_total{gesture}` counters, cached
+    /// on each gesture's first detection.
+    gesture_detections: HashMap<String, Arc<Counter>>,
     /// Frame→tuple conversion scratch: the previous batch's base tuples,
     /// overwritten in place by the next batch (whatever its session);
     /// empty while no session's plans read the raw stream.
@@ -401,6 +404,7 @@ impl ShardWorker {
             columnar_min_batch,
             slots,
             detections: Vec::new(),
+            gesture_detections: HashMap::new(),
             tuples: Vec::new(),
             bufs: BatchBuffers::default(),
             telemetry,
@@ -423,9 +427,7 @@ impl ShardWorker {
         // unpinned worker; `gesto_shard_pinned_core` stays -1.
         if let Some(cpu) = self.pin_core {
             if crate::affinity::pin_current_thread(cpu) {
-                self.metrics
-                    .pinned_core
-                    .store(cpu as i64, Ordering::Relaxed);
+                self.metrics.pinned_core.set(cpu as i64);
             }
         }
         while let Ok(job) = self.rx.recv() {
@@ -443,10 +445,8 @@ impl ShardWorker {
                     // meantime, this batch IS the newest, and the
                     // congestion the request reacted to is gone.
                     if remaining > 0 && take_one(&self.gate.shed_requests) {
-                        self.metrics
-                            .shed_frames
-                            .fetch_add(batch.frames.len() as u64, Ordering::Relaxed);
-                        self.metrics.shed_batches.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.shed_frames.add(batch.frames.len() as u64);
+                        self.metrics.shed_batches.inc();
                         continue;
                     }
                     if remaining == 0 {
@@ -463,10 +463,8 @@ impl ShardWorker {
                     // in O(queue) instead of grinding through it.
                     if let Some(max_age) = self.max_batch_age {
                         if batch.enqueued.elapsed() >= max_age {
-                            self.metrics
-                                .stale_frames
-                                .fetch_add(batch.frames.len() as u64, Ordering::Relaxed);
-                            self.metrics.stale_batches.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.stale_frames.add(batch.frames.len() as u64);
+                            self.metrics.stale_batches.inc();
                             continue;
                         }
                     }
@@ -508,22 +506,16 @@ impl ShardWorker {
     /// runtime, so their detections stay bit-identical to an
     /// un-panicked run (pinned by `tests/supervision_e2e.rs`).
     fn quarantine(&mut self, session: SessionId, frames: u64) {
-        self.metrics.panics.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .quarantined_frames
-            .fetch_add(frames, Ordering::Relaxed);
+        self.metrics.panics.inc();
+        self.metrics.quarantined_frames.add(frames);
         self.detections.clear();
         self.tuples.clear();
         self.bufs = BatchBuffers::default();
         if let Some(rt) = self.sessions.get_mut(&session) {
-            self.metrics
-                .retiring
-                .fetch_sub(rt.retiring.len(), Ordering::Relaxed);
-            self.metrics
-                .state_bytes
-                .fetch_sub(rt.last_state_bytes as i64, Ordering::Relaxed);
+            self.metrics.retiring.add(-(rt.retiring.len() as i64));
+            self.metrics.state_bytes.add(-(rt.last_state_bytes as i64));
             *rt = SessionRuntime::new(&self.catalog, &self.plans, (&self.stream, &self.schema));
-            self.metrics.sessions_reset.fetch_add(1, Ordering::Relaxed);
+            self.metrics.sessions_reset.inc();
         }
     }
 
@@ -538,6 +530,7 @@ impl ShardWorker {
             columnar_min_batch,
             slots,
             detections,
+            gesture_detections,
             tuples,
             bufs,
             telemetry,
@@ -548,7 +541,7 @@ impl ShardWorker {
         let runtime = match sessions.entry(batch.session) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
-                metrics.sessions.fetch_add(1, Ordering::Relaxed);
+                metrics.sessions.inc();
                 e.insert(SessionRuntime::new(catalog, plans, (stream, schema)))
             }
         };
@@ -570,10 +563,8 @@ impl ShardWorker {
             runtime.quota_stamp = Some(batch.enqueued);
             let need = batch.frames.len() as f64;
             if runtime.quota_tokens < need {
-                metrics
-                    .quota_frames
-                    .fetch_add(batch.frames.len() as u64, Ordering::Relaxed);
-                metrics.quota_batches.fetch_add(1, Ordering::Relaxed);
+                metrics.quota_frames.add(batch.frames.len() as u64);
+                metrics.quota_batches.inc();
                 return;
             }
             runtime.quota_tokens -= need;
@@ -619,9 +610,9 @@ impl ShardWorker {
         // Detections are bit-identical either way.
         let take_columnar = batch.frames.len() >= *columnar_min_batch;
         if take_columnar {
-            metrics.columnar_batches.fetch_add(1, Ordering::Relaxed);
+            metrics.columnar_batches.inc();
         } else {
-            metrics.block_skips.fetch_add(1, Ordering::Relaxed);
+            metrics.block_skips.inc();
         }
         views.set_columnar(take_columnar);
         if views.base_wanted() {
@@ -672,9 +663,7 @@ impl ShardWorker {
             if retiring.iter().any(|i| i.active_runs() == 0) {
                 let before = retiring.len();
                 retiring.retain(|i| i.active_runs() > 0);
-                metrics
-                    .retiring
-                    .fetch_sub(before - retiring.len(), Ordering::Relaxed);
+                metrics.retiring.add(-((before - retiring.len()) as i64));
                 *raw_tuples = SessionRuntime::sync_needed(views, plans, retiring, (stream, schema));
             }
         }
@@ -684,9 +673,7 @@ impl ShardWorker {
         if let Some(t0) = mark {
             stages.nfa.record(t0.elapsed().as_nanos() as u64);
         }
-        metrics
-            .batch_buffer_bytes
-            .store(bufs.bytes() as u64, Ordering::Relaxed);
+        metrics.batch_buffer_bytes.set(bufs.bytes() as i64);
 
         // Run-slab accounting for the memory budget: fold this session's
         // state-size change into the shard gauge. Capacity-based (see
@@ -698,28 +685,31 @@ impl ShardWorker {
             .map(PlanInstance::state_bytes)
             .sum();
         if state_now != *last_state_bytes {
-            metrics.state_bytes.fetch_add(
-                state_now as i64 - *last_state_bytes as i64,
-                Ordering::Relaxed,
-            );
+            metrics
+                .state_bytes
+                .add(state_now as i64 - *last_state_bytes as i64);
             *last_state_bytes = state_now;
         }
 
-        metrics
-            .frames_in
-            .fetch_add(batch.frames.len() as u64, Ordering::Relaxed);
-        metrics.batches_in.fetch_add(1, Ordering::Relaxed);
+        metrics.frames_in.add(batch.frames.len() as u64);
+        metrics.batches_in.inc();
         if errors > 0 {
-            metrics.push_errors.fetch_add(errors, Ordering::Relaxed);
+            metrics.push_errors.add(errors);
         }
 
         let mark = timed.then(Instant::now);
         if !detections.is_empty() {
-            let mut per_gesture: HashMap<String, u64> = HashMap::new();
+            metrics.detections.add(detections.len() as u64);
             for d in detections.iter() {
-                *per_gesture.entry(d.gesture.clone()).or_insert(0) += 1;
+                match gesture_detections.get(&d.gesture) {
+                    Some(counter) => counter.inc(),
+                    None => {
+                        let counter = telemetry.gesture_detections(&d.gesture);
+                        counter.inc();
+                        gesture_detections.insert(d.gesture.clone(), counter);
+                    }
+                }
             }
-            metrics.record_detections(&per_gesture, detections.len() as u64);
             // Writers (subscribe/unsubscribe, deploy-time) are rare, so
             // this read lock is uncontended on the steady state; when it
             // is not, count the wait — `gesto_shard_contention_total`
@@ -728,7 +718,7 @@ impl ShardWorker {
             let listeners = match self.listeners.try_read() {
                 Some(guard) => guard,
                 None => {
-                    metrics.contention.fetch_add(1, Ordering::Relaxed);
+                    metrics.contention.inc();
                     self.listeners.read()
                 }
             };
@@ -741,7 +731,7 @@ impl ShardWorker {
                     }))
                     .is_err()
                     {
-                        metrics.sink_panics.fetch_add(1, Ordering::Relaxed);
+                        metrics.sink_panics.inc();
                     }
                 }
             }
@@ -773,7 +763,7 @@ impl ShardWorker {
                     let mut old = std::mem::replace(i, plan.instantiate());
                     if old.active_runs() > 0 {
                         old.set_draining(true);
-                        self.metrics.retiring.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.retiring.inc();
                         slot.retiring.push(old);
                     }
                 }
@@ -801,13 +791,13 @@ impl ShardWorker {
                     slot.retiring.retain(|i| i.name() != name);
                     self.metrics
                         .retiring
-                        .fetch_sub(before - slot.retiring.len(), Ordering::Relaxed);
+                        .add(-((before - slot.retiring.len()) as i64));
                     slot.resync(&self.plans, (&self.stream, &self.schema));
                 }
             }
             Control::Open(session) => {
                 if let std::collections::hash_map::Entry::Vacant(e) = self.sessions.entry(session) {
-                    self.metrics.sessions.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.sessions.inc();
                     e.insert(SessionRuntime::new(
                         &self.catalog,
                         &self.plans,
@@ -817,13 +807,9 @@ impl ShardWorker {
             }
             Control::Close(session, ack) => {
                 if let Some(rt) = self.sessions.remove(&session) {
-                    self.metrics.sessions.fetch_sub(1, Ordering::Relaxed);
-                    self.metrics
-                        .retiring
-                        .fetch_sub(rt.retiring.len(), Ordering::Relaxed);
-                    self.metrics
-                        .state_bytes
-                        .fetch_sub(rt.last_state_bytes as i64, Ordering::Relaxed);
+                    self.metrics.sessions.dec();
+                    self.metrics.retiring.add(-(rt.retiring.len() as i64));
+                    self.metrics.state_bytes.add(-(rt.last_state_bytes as i64));
                 }
                 if let Some(ack) = ack {
                     let _ = ack.send(());
@@ -860,6 +846,8 @@ mod tests {
     use std::sync::mpsc;
     use std::thread;
 
+    use gesto_telemetry::Registry;
+
     use super::*;
 
     const CAP: usize = 64;
@@ -869,7 +857,7 @@ mod tests {
     /// receiver yields when the producer returns.
     fn gate_with_parked_producer() -> (Arc<QueueGate>, Arc<ShardMetrics>, mpsc::Receiver<()>) {
         let gate = Arc::new(QueueGate::new(CAP));
-        let metrics = Arc::new(ShardMetrics::default());
+        let metrics = Arc::new(ShardMetrics::new(&Registry::new(), 0));
         gate.depth.store(CAP, Ordering::SeqCst);
         let (tx, returned) = mpsc::channel();
         let (g, m) = (gate.clone(), metrics.clone());
@@ -889,25 +877,25 @@ mod tests {
         assert_eq!(gate.low_water, LOW_WATER);
         for depth in (LOW_WATER + 1..CAP).rev() {
             assert_eq!(gate.dequeued(&metrics), depth);
-            assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 0);
+            assert_eq!(metrics.producer_wakeups.get(), 0);
         }
         // Room since the first dequeue, yet nothing but the counted
         // backstop (this thread stalled for 50 ms) may have let it go.
         if returned.try_recv().is_ok() {
-            assert!(metrics.gate_backstops.load(Ordering::Relaxed) > 0);
+            assert!(metrics.gate_backstops.get() > 0);
             return;
         }
         assert!(gate.parked.load(Ordering::SeqCst));
 
         assert_eq!(gate.dequeued(&metrics), LOW_WATER);
-        assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.producer_wakeups.get(), 1);
         returned
             .recv_timeout(Duration::from_secs(10))
             .expect("woken at the low-water mark");
         // Lowered by the waker: draining on does not notify again.
         assert!(!gate.parked.load(Ordering::SeqCst));
         gate.dequeued(&metrics);
-        assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.producer_wakeups.get(), 1);
     }
 
     #[test]
@@ -918,13 +906,13 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("released by close");
         assert_eq!(gate.depth.load(Ordering::SeqCst), CAP, "still full");
-        assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.producer_wakeups.get(), 0);
     }
 
     #[test]
     fn worker_takes_no_lock_while_nobody_is_parked() {
         let gate = Arc::new(QueueGate::new(CAP));
-        let metrics = Arc::new(ShardMetrics::default());
+        let metrics = Arc::new(ShardMetrics::new(&Registry::new(), 0));
         gate.depth.store(CAP, Ordering::SeqCst);
         // The mutex is held for the whole drain: a worker that locked
         // it would never finish.
@@ -942,7 +930,7 @@ mod tests {
             .expect("drained without the gate mutex");
         drop(held);
         assert_eq!(gate.depth.load(Ordering::SeqCst), 0);
-        assert_eq!(metrics.producer_wakeups.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.producer_wakeups.get(), 0);
     }
 
     /// Detections a test worker's listener saw, by session.
@@ -979,7 +967,7 @@ mod tests {
             catalog,
             gesto_kinect::kinect_schema(),
             gesto_kinect::KINECT_STREAM.to_owned(),
-            Arc::new(ShardMetrics::default()),
+            Arc::new(ShardMetrics::new(&Registry::new(), 0)),
             Arc::new(QueueGate::new(CAP)),
             Arc::new(RwLock::new(vec![listener])),
             config.columnar_min_batch,

@@ -3,24 +3,32 @@
 //! `GET /metrics` renders (see `docs/OBSERVABILITY.md` for the full
 //! list of names).
 //!
-//! Three styles of wiring meet here:
+//! One rule: **a counter is declared where it is counted; a collector
+//! only computes, and never copies a counter.**
 //!
-//! * **Owned instruments** — the pipeline stage histograms
-//!   (`gesto_stage_duration_ns{stage=…}`) and the plans-compiled
-//!   counter are created in the registry and updated through `Arc`s.
-//! * **`'static` refs** — the process-global statics of `gesto-cep`
-//!   (NFA run accounting, predicate-kernel counters) and `gesto-stream`
-//!   (block-build counters) are exported by reference; those crates
-//!   never see a registry.
-//! * **Collectors** — per-shard counters and the network edge's
-//!   [`crate::net::NetMetrics`] are snapshots of live structures, read
-//!   at scrape time by closures registered here.
+//! * Whatever gesto-serve counts is an owned instrument, an
+//!   `Arc<Counter | Gauge | Histogram>` made by [`Registry::counter`] /
+//!   [`Registry::gauge`] / [`Registry::histogram`] with its name, help
+//!   and labels where it is created: the stage timers and control-plane
+//!   counters here, each shard's in `ShardMetrics::new`, the edge's in
+//!   `NetMetricsInner::new` (built by `NetServer::start`), one
+//!   `gesto_detections_total{gesture}` per detected gesture. Hot paths
+//!   update it; snapshots and `/metrics` read the same atomics.
+//! * A collector is a closure the registry runs at scrape time, for
+//!   values that exist only as computations: sums over shards, the
+//!   overload state, a `QueueGate`'s depth and queued bytes, plan
+//!   versions, journal stats.
+//! * `'static` refs remain only for counters in code that has no
+//!   registry handle: the process-global statics of `gesto-cep` (NFA
+//!   run accounting, predicate-kernel counters) and `gesto-stream`
+//!   (block-build and tuple counters), and `NetClient`'s reconnects.
 //!
 //! The cep/stream statics are process-global, so with two servers in
 //! one process each registry reports the *process* totals for those
 //! families (the ref registration is idempotent per registry); the
 //! shard and net families stay per-server.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gesto_telemetry::{Counter, Gauge, Histogram, Registry, Sampler};
@@ -79,6 +87,10 @@ pub(crate) struct ServerTelemetry {
     /// `gesto_recovery_corrupt_checkpoints_total` (corrupt checkpoint
     /// files skipped on the last recovery).
     pub recovery_corrupt_checkpoints: Arc<Counter>,
+    /// `gesto_detections_total{gesture}` by gesture, shared by every
+    /// shard. A worker takes the lock only on a gesture's first
+    /// detection, and caches the counter.
+    gesture_detections: Mutex<BTreeMap<String, Arc<Counter>>>,
 }
 
 impl ServerTelemetry {
@@ -256,7 +268,33 @@ impl ServerTelemetry {
             recovery_replayed_ops,
             recovery_truncated_bytes,
             recovery_corrupt_checkpoints,
+            gesture_detections: Mutex::new(BTreeMap::new()),
         }
+    }
+
+    /// The `gesto_detections_total{gesture}` counter of `gesture`.
+    pub fn gesture_detections(&self, gesture: &str) -> Arc<Counter> {
+        self.gesture_detections
+            .lock()
+            .entry(gesture.to_owned())
+            .or_insert_with(|| {
+                self.registry.counter(
+                    "gesto_detections_total",
+                    "Detections per gesture, across all shards",
+                    &[("gesture", gesture)],
+                )
+            })
+            .clone()
+    }
+
+    /// Detections per gesture, of every gesture detected so far.
+    pub fn per_gesture(&self) -> BTreeMap<String, u64> {
+        self.gesture_detections
+            .lock()
+            .iter()
+            .map(|(g, c)| (g.clone(), c.get()))
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Registers the `gesto_plan_version{gesture}` collector over the
@@ -350,187 +388,12 @@ impl ServerTelemetry {
         Sampler::new(self.stage_sample_every)
     }
 
-    /// Registers the per-shard scrape collector. Called once by the
-    /// server after the shard links exist; the collector captures only
-    /// the metrics/gate `Arc`s (not the server core), so shutdown has
-    /// no reference cycle to break.
-    pub fn register_shards(&self, shards: Vec<(Arc<ShardMetrics>, Arc<QueueGate>)>) {
-        use std::sync::atomic::Ordering;
-
-        self.registry.register_collector(move |set| {
-            let mut per_gesture: std::collections::BTreeMap<String, u64> =
-                std::collections::BTreeMap::new();
-            for (i, (m, gate)) in shards.iter().enumerate() {
-                let shard = i.to_string();
-                let labels = [("shard", shard.as_str())];
-                let c = |set: &mut gesto_telemetry::SampleSet, name: &str, help: &str, v: u64| {
-                    set.counter(name, help, &labels, v)
-                };
-                c(
-                    set,
-                    "gesto_shard_frames_total",
-                    "Frames processed by the shard",
-                    m.frames_in.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_batches_total",
-                    "Batches processed by the shard",
-                    m.batches_in.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_detections_total",
-                    "Detections produced by the shard",
-                    m.detections.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_shed_frames_total",
-                    "Frames lost to the drop-oldest policy",
-                    m.shed_frames.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_shed_batches_total",
-                    "Batches lost to the drop-oldest policy",
-                    m.shed_batches.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_push_errors_total",
-                    "Tuples that failed predicate evaluation",
-                    m.push_errors.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_sink_panics_total",
-                    "Detection-sink invocations that panicked (caught)",
-                    m.sink_panics.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_columnar_batches_total",
-                    "Batches that took the columnar (block + kernel pre-pass) path",
-                    m.columnar_batches.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_block_skips_total",
-                    "Batches that skipped block building (under columnar_min_batch)",
-                    m.block_skips.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_contention_total",
-                    "Times the shard worker had to wait on a shared structure \
-                     (0 on the steady state)",
-                    m.contention.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_producer_wakeups_total",
-                    "Times the worker woke parked push_batch producers (queue \
-                     drained to the low-water mark)",
-                    m.producer_wakeups.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_gate_backstop_total",
-                    "Parked producers released by the 50 ms timed wait instead of a \
-                     wake-up, with room in the queue (0 on a healthy server)",
-                    m.gate_backstops.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_panics_total",
-                    "Batch-processing panics caught by shard supervision",
-                    m.panics.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_sessions_reset_total",
-                    "Sessions whose NFA/view state was reset after their batch \
-                     was quarantined by supervision",
-                    m.sessions_reset.load(Ordering::Relaxed),
-                );
-                c(
-                    set,
-                    "gesto_shard_quarantined_frames_total",
-                    "Frames written off inside quarantined (panic-poisoned) batches",
-                    m.quarantined_frames.load(Ordering::Relaxed),
-                );
-                set.gauge(
-                    "gesto_shard_pinned_core",
-                    "CPU core the shard worker is pinned to (-1 = unpinned)",
-                    &labels,
-                    m.pinned_core.load(Ordering::Relaxed) as f64,
-                );
-                set.gauge(
-                    "gesto_shard_sessions",
-                    "Sessions resident on the shard",
-                    &labels,
-                    m.sessions.load(Ordering::Relaxed) as f64,
-                );
-                set.gauge(
-                    "gesto_shard_plan_instances_retiring",
-                    "Replaced plan versions still draining in-flight runs \
-                     on the shard (0 on the steady state)",
-                    &labels,
-                    m.retiring.load(Ordering::Relaxed) as f64,
-                );
-                set.gauge(
-                    "gesto_shard_queue_depth",
-                    "Batches currently queued on the shard",
-                    &labels,
-                    gate.depth.load(Ordering::Acquire) as f64,
-                );
-                set.gauge(
-                    "gesto_shard_queued_bytes",
-                    "Approximate bytes held by batches queued on the shard",
-                    &labels,
-                    gate.queued_bytes.load(Ordering::Acquire) as f64,
-                );
-                set.gauge(
-                    "gesto_shard_state_bytes",
-                    "Approximate resident NFA run-state bytes across the shard's \
-                     sessions (capacity-based lower bound)",
-                    &labels,
-                    m.state_bytes.load(Ordering::Relaxed).max(0) as f64,
-                );
-                set.gauge(
-                    "gesto_shard_batch_buffer_bytes",
-                    "Heap bytes of the one set of batch buffers (view rows and payloads, \
-                     frame offsets, blocks) the shard worker lends to each session's batch \
-                     (capacity-based, tuples excluded; per shard, not per session)",
-                    &labels,
-                    m.batch_buffer_bytes.load(Ordering::Relaxed) as f64,
-                );
-                set.histogram(
-                    "gesto_shard_push_latency_us",
-                    "Batch latency from enqueue to fully processed, in microseconds",
-                    &labels,
-                    m.latency.snapshot(),
-                );
-                for (g, n) in m.per_gesture.lock().iter() {
-                    *per_gesture.entry(g.clone()).or_insert(0) += n;
-                }
-            }
-            for (g, n) in &per_gesture {
-                set.counter(
-                    "gesto_detections_total",
-                    "Detections per gesture, across all shards",
-                    &[("gesture", g.as_str())],
-                    *n,
-                );
-            }
-        });
-    }
-
-    /// Registers the overload state machine gauge and the admission
-    /// rejection counters (summed across shards, labelled by the
-    /// admission mechanism that refused the batch). Mirrors
-    /// `ServerHandle::overload_state`: worst shard wins.
+    /// Registers the collector of what the shards' gates and admission
+    /// counters compute: the overload state machine gauge (mirrors
+    /// `ServerHandle::overload_state`: worst shard wins), each shard's
+    /// queue depth and queued bytes, and the admission rejections
+    /// summed across shards, labelled by the mechanism that refused the
+    /// batch.
     pub fn register_overload(
         &self,
         shards: Vec<(Arc<ShardMetrics>, Arc<QueueGate>)>,
@@ -543,11 +406,25 @@ impl ServerTelemetry {
             let mut quota = 0u64;
             let mut stale = 0u64;
             let mut memory = 0u64;
-            for (m, gate) in &shards {
+            for (i, (m, gate)) in shards.iter().enumerate() {
                 worst = worst.max(policy.fill(m, gate));
-                quota += m.quota_batches.load(Ordering::Relaxed);
-                stale += m.stale_batches.load(Ordering::Relaxed);
-                memory += m.mem_rejected_batches.load(Ordering::Relaxed);
+                quota += m.quota_batches.get();
+                stale += m.stale_batches.get();
+                memory += m.mem_rejected_batches.get();
+                let shard = i.to_string();
+                let labels = [("shard", shard.as_str())];
+                set.gauge(
+                    "gesto_shard_queue_depth",
+                    "Batches currently queued on the shard",
+                    &labels,
+                    gate.depth.load(Ordering::Acquire) as f64,
+                );
+                set.gauge(
+                    "gesto_shard_queued_bytes",
+                    "Approximate bytes held by batches queued on the shard",
+                    &labels,
+                    gate.queued_bytes.load(Ordering::Acquire) as f64,
+                );
             }
             set.gauge(
                 "gesto_overload_state",

@@ -224,15 +224,13 @@ fn protocol_basics_ping_idempotent_close_and_concurrent_clients() {
 }
 
 #[test]
-fn sharded_io_threads_serve_concurrent_clients() {
-    // Two SO_REUSEPORT listener shards (clamped to one on platforms
-    // without the raw-syscall backend — the test is then the plain
-    // single-loop path, still valid). Four concurrent clients must all
-    // be served, with edge-wide unique engine sessions: every client
-    // gets exactly its own detections back.
+fn concurrent_clients_get_only_their_own_detections() {
+    // Four clients on four threads at once, all served by the one I/O
+    // loop: each must be served, on an engine session of its own, and
+    // get exactly its own detections back.
     let server = Server::start(ServerConfig::new().with_shards(2));
     teach_swipe(&server);
-    let net = NetServer::start(server.handle(), NetConfig::new().with_io_threads(2)).unwrap();
+    let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
     let addr = net.local_addr();
 
     let workers: Vec<_> = (0..4u64)

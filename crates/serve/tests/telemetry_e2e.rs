@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use gesto_kinect::{gestures, Performer, Persona, SkeletonFrame};
 use gesto_serve::net::{NetClient, NetConfig, NetServer};
 use gesto_serve::{Server, ServerConfig};
+use gesto_telemetry::SampleValue;
 
 fn swipe_frames(seed: u64) -> Vec<SkeletonFrame> {
     let mut p = Performer::new(Persona::reference().with_seed(seed), 0);
@@ -235,61 +236,108 @@ fn idle_connections_are_reaped_and_counted() {
     server.shutdown();
 }
 
-/// Metric family names of `docs/OBSERVABILITY.md`'s catalog: every
-/// backticked `gesto_*` token between the "## Metric catalog" heading
-/// and the next second-level heading, label selectors stripped
-/// (`gesto_net_*`-style prefixes in section titles are not names).
-fn documented_families(doc: &str) -> std::collections::BTreeSet<String> {
+/// The "Metric catalog" section of `docs/OBSERVABILITY.md`: from its
+/// heading to the next second-level heading.
+fn catalog(doc: &str) -> &str {
     let catalog = doc
         .split_once("\n## Metric catalog")
         .expect("the doc has a metric catalog")
         .1;
-    let catalog = catalog.split("\n## ").next().unwrap();
-    catalog
-        .split('`')
+    catalog.split("\n## ").next().unwrap()
+}
+
+/// Every backticked `gesto_*` token in `text`, label selectors stripped
+/// (`gesto_net_*`-style prefixes in section titles are not names).
+fn families_in(text: &str) -> impl Iterator<Item = String> + '_ {
+    text.split('`')
         .skip(1)
         .step_by(2)
         .filter(|code| code.starts_with("gesto_") && !code.ends_with('*'))
         .map(|code| code.split('{').next().unwrap().to_owned())
-        .collect()
+}
+
+/// The catalog's Type column: each family named in a table row's first
+/// cell, with the kind in the row's second (a family may have a row
+/// per label value).
+fn documented_kinds(doc: &str) -> std::collections::BTreeMap<String, String> {
+    let mut kinds = std::collections::BTreeMap::new();
+    for row in catalog(doc).lines().filter(|l| l.starts_with("| `gesto_")) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        for name in families_in(cells[1]) {
+            let previous = kinds.insert(name.clone(), cells[2].to_owned());
+            assert!(
+                previous.is_none_or(|kind| kind == cells[2]),
+                "{name}'s catalog rows disagree on its kind"
+            );
+        }
+    }
+    kinds
 }
 
 /// The catalog and the live registry name the same families, both
-/// directions: a metric cannot ship undocumented and the docs cannot
-/// keep one that is gone. The server is durable, has a plan deployed
-/// and has detected once, so every conditional family is present.
+/// directions, and give each the same kind: a metric cannot ship
+/// undocumented, the docs cannot keep one that is gone, and a family
+/// rewired with the wrong instrument fails here. The server is durable,
+/// has a plan deployed, has detected once and has reaped an idle
+/// connection, so every conditional family is present.
 #[test]
 fn observability_catalog_matches_the_live_registry() {
     let dir = std::env::temp_dir().join(format!("gesto-catalog-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(ServerConfig::new().with_shards(1).with_durability(&dir));
     teach_swipe(&server);
-    let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
+    let net = NetServer::start(server.handle(), NetConfig::new().with_idle_timeout_ms(50)).unwrap();
     let mut client = NetClient::connect(net.local_addr()).unwrap();
     client.send_batch(1, &swipe_frames(41)).unwrap();
     assert!(
         !client.bye().unwrap().is_empty(),
         "one batch, one detection"
     );
+    let idle = NetClient::connect(net.local_addr()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while net.metrics().idle_closed() == 0 {
+        assert!(Instant::now() < deadline, "idle sweep never fired");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(idle);
 
-    let live: std::collections::BTreeSet<String> = server
+    let live: std::collections::BTreeMap<String, &str> = server
         .handle()
         .registry()
         .gather()
         .into_iter()
-        .map(|sample| sample.name)
+        .map(|sample| {
+            let kind = match sample.value {
+                SampleValue::Counter(_) => "counter",
+                SampleValue::Gauge(_) => "gauge",
+                SampleValue::Histogram(_) => "histogram",
+            };
+            (sample.name, kind)
+        })
         .collect();
     net.shutdown();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    let documented = documented_families(include_str!("../../../docs/OBSERVABILITY.md"));
-    let undocumented: Vec<_> = live.difference(&documented).collect();
-    let stale: Vec<_> = documented.difference(&live).collect();
+    let doc = include_str!("../../../docs/OBSERVABILITY.md");
+    let documented: std::collections::BTreeSet<String> = families_in(catalog(doc)).collect();
+    let undocumented: Vec<_> = live.keys().filter(|n| !documented.contains(*n)).collect();
+    let stale: Vec<_> = documented
+        .iter()
+        .filter(|n| !live.contains_key(*n))
+        .collect();
     assert!(
         undocumented.is_empty() && stale.is_empty(),
         "docs/OBSERVABILITY.md drifted from the registry:\n  \
          exported but not in the catalog: {undocumented:?}\n  \
          in the catalog but not exported: {stale:?}"
     );
+    let kinds = documented_kinds(doc);
+    for (name, kind) in &live {
+        assert_eq!(
+            kinds.get(name).map(String::as_str),
+            Some(*kind),
+            "{name}: the catalog's Type column disagrees with the registry"
+        );
+    }
 }

@@ -9,6 +9,13 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 /// `const`-constructible so hot-path crates can expose process-global
 /// statics (`static FOO: Counter = Counter::new();`) and a registry can
 /// export them by `'static` reference.
+///
+/// [`Counter`], [`Gauge`] and [`Histogram`] are 128-byte aligned, like
+/// a [`ShardedCounter`]'s slots: two instruments never share a cache
+/// line (or a spatial-prefetcher line pair), so threads updating their
+/// own instruments, such as each shard worker its own shard's, never
+/// contend on one.
+#[repr(align(128))]
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -38,6 +45,8 @@ impl Counter {
 }
 
 /// A value that can go up and down (one relaxed atomic RMW per update).
+/// 128-byte aligned (see [`Counter`]).
+#[repr(align(128))]
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicI64);
 
@@ -211,7 +220,9 @@ pub const HISTOGRAM_BUCKETS: usize = 32;
 /// This is the one histogram type of the runtime — the network edge's
 /// e2e latency, the shards' push latency and the sampled pipeline stage
 /// timers all record into it, and the registry exposes it as a
-/// Prometheus cumulative-bucket histogram.
+/// Prometheus cumulative-bucket histogram. 128-byte aligned (see
+/// [`Counter`]).
+#[repr(align(128))]
 #[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -450,6 +461,13 @@ mod tests {
         assert_eq!(G.get(), 0);
         G.add(-7);
         assert_eq!(G.get(), -7);
+    }
+
+    #[test]
+    fn instruments_never_share_a_cache_line() {
+        assert!(std::mem::align_of::<Counter>() >= 128);
+        assert!(std::mem::align_of::<Gauge>() >= 128);
+        assert!(std::mem::align_of::<Histogram>() >= 128);
     }
 
     #[test]

@@ -113,7 +113,6 @@ enum Instrument {
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     CounterRef(&'static Counter),
-    GaugeRef(&'static Gauge),
     HistogramRef(&'static Histogram),
     ShardedCounterRef(&'static ShardedCounter),
     ShardedGaugeRef(&'static ShardedGauge),
@@ -125,9 +124,7 @@ impl Instrument {
             Instrument::Counter(_)
             | Instrument::CounterRef(_)
             | Instrument::ShardedCounterRef(_) => MetricKind::Counter,
-            Instrument::Gauge(_) | Instrument::GaugeRef(_) | Instrument::ShardedGaugeRef(_) => {
-                MetricKind::Gauge
-            }
+            Instrument::Gauge(_) | Instrument::ShardedGaugeRef(_) => MetricKind::Gauge,
             Instrument::Histogram(_) | Instrument::HistogramRef(_) => MetricKind::Histogram,
         }
     }
@@ -138,7 +135,6 @@ impl Instrument {
             Instrument::CounterRef(c) => SampleValue::Counter(c.get()),
             Instrument::ShardedCounterRef(c) => SampleValue::Counter(c.get()),
             Instrument::Gauge(g) => SampleValue::Gauge(g.get() as f64),
-            Instrument::GaugeRef(g) => SampleValue::Gauge(g.get() as f64),
             Instrument::ShardedGaugeRef(g) => SampleValue::Gauge(g.get() as f64),
             Instrument::Histogram(h) => SampleValue::Histogram(Box::new(h.snapshot())),
             Instrument::HistogramRef(h) => SampleValue::Histogram(Box::new(h.snapshot())),
@@ -169,17 +165,19 @@ struct Inner {
 /// [`gather`](Registry::gather)/[`render`](Registry::render), both off
 /// the hot path.
 ///
-/// Two registration styles coexist:
+/// Three registration styles coexist:
 /// * [`counter`](Registry::counter) / [`gauge`](Registry::gauge) /
 ///   [`histogram`](Registry::histogram) create an `Arc`-owned
 ///   instrument and hand it back for the caller to update.
-/// * [`register_counter_ref`](Registry::register_counter_ref) and
-///   friends export a `'static` instrument that lives in another crate
-///   (the cep/stream process-global statics), so hot-path crates need
-///   no registry dependency at update time.
+/// * [`register_counter_ref`](Registry::register_counter_ref),
+///   [`register_histogram_ref`](Registry::register_histogram_ref) and
+///   the `register_sharded_*_ref` pair export a `'static` instrument
+///   that lives in code with no registry handle (the cep/stream
+///   process-global statics), so hot-path crates need no registry
+///   dependency at update time.
 /// * [`register_collector`](Registry::register_collector) runs a
-///   closure at scrape time for metrics that are snapshots of existing
-///   structures (per-shard metrics, net counters).
+///   closure at scrape time for values that are computed rather than
+///   counted: sums, states and readings of live structures.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
@@ -285,28 +283,6 @@ impl Registry {
             help,
             labels,
             Instrument::CounterRef(counter),
-        );
-    }
-
-    /// Exports a `'static` gauge. Same idempotence as
-    /// [`register_counter_ref`](Registry::register_counter_ref).
-    pub fn register_gauge_ref(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        gauge: &'static Gauge,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        if find(&inner.entries, name, labels).is_some() {
-            return;
-        }
-        push(
-            &mut inner.entries,
-            name,
-            help,
-            labels,
-            Instrument::GaugeRef(gauge),
         );
     }
 
