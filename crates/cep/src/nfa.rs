@@ -67,10 +67,14 @@
 //!   timestamps too. The prune is order-preserving, so the run slab is
 //!   in the same order either way and even a mid-row predicate error
 //!   leaves identical state behind.
-//! * **Caller-owned matches** — completed matches are written into a
+//! * **Caller-owned scratch** — completed matches are written into a
 //!   reusable [`MatchScratch`] instead of a fresh vector per call; the
-//!   scratch also owns the memo table and the masks, cleared
-//!   capacity-preservingly per batch rather than reallocated.
+//!   scratch also owns every other per-call buffer (memo table, masks,
+//!   the per-row completion drain, the merge and compaction tables),
+//!   cleared capacity-preservingly rather than reallocated. A runtime
+//!   holds only what survives between batches — runs, their event
+//!   slab, the arena — so one warm scratch can serve every runtime a
+//!   thread steps.
 //!
 //! [`NfaRuntime::advance_block_into`] is the only stepping entry point:
 //! a single tuple is a one-tuple batch, the scalar path is `block = None`
@@ -129,7 +133,7 @@ struct Run {
 
 /// A completed run parked between the advance scan and the selection
 /// wave. Its events are a `stride`-long block in `completed_events`.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct CompletedRun {
     id: u64,
     /// Offset of the event block in the per-tuple `completed_events`.
@@ -157,8 +161,8 @@ struct MatchSpan {
     len: u32,
 }
 
-/// Caller-owned storage for completed matches, plus the reusable
-/// predicate-evaluation scratch of the batched hot loop.
+/// Caller-owned storage for completed matches, plus every other
+/// per-call buffer of the batched hot loop.
 ///
 /// [`NfaRuntime::advance_block_into`] appends matches here instead of
 /// allocating a fresh vector per call; reusing one scratch across
@@ -166,7 +170,8 @@ struct MatchSpan {
 /// event tuples are stored in one flat vector, spanned per match.
 ///
 /// The scratch also owns the per-tuple predicate memo, the per-step
-/// block masks and the candidate-row mask. They are sized per batch with
+/// block masks, the candidate-row mask, the per-row completion drain and
+/// the merge and compaction tables. They are sized per use with
 /// capacity-preserving clears (never reallocated once warm), and one
 /// scratch may serve any number of runtimes — the buffers grow to the
 /// largest pattern seen and stay there.
@@ -175,6 +180,13 @@ pub struct MatchScratch {
     events: Vec<Tuple>,
     spans: Vec<MatchSpan>,
     masks: StepMasks,
+    /// Per-row completed-run drain.
+    completed: Vec<CompletedRun>,
+    completed_events: Vec<u32>,
+    /// Per-step id of the run a merge keeps.
+    keep: Vec<u64>,
+    /// Arena mark/remap table of a compaction.
+    remap: Vec<u32>,
 }
 
 impl MatchScratch {
@@ -418,7 +430,8 @@ impl NfaProgram {
 /// kept for the seed API).
 pub type Nfa = NfaRuntime;
 
-/// Compiled pattern + run state.
+/// Compiled pattern + run state: only what survives between batches
+/// (per-call buffers are the caller's [`MatchScratch`]).
 pub struct NfaRuntime {
     program: Arc<NfaProgram>,
     /// Dense run metadata; run *i*'s event indices are the block
@@ -438,13 +451,6 @@ pub struct NfaRuntime {
     max_runs: usize,
     /// Total runs discarded due to the `max_runs` cap.
     shed: u64,
-    /// Per-tuple completed-run drain (reused across tuples).
-    completed: Vec<CompletedRun>,
-    completed_events: Vec<u32>,
-    /// Arena mark/remap scratch for compaction.
-    remap: Vec<u32>,
-    /// Per-step id of the run a merge keeps (reused across rows).
-    keep: Vec<u64>,
     /// When false, tuples stop seeding new runs; existing runs still
     /// advance to completion (the draining half of a versioned plan
     /// rollout).
@@ -501,10 +507,6 @@ impl NfaRuntime {
             tuple_serial: 0,
             max_runs: DEFAULT_MAX_RUNS,
             shed: 0,
-            completed: Vec::new(),
-            completed_events: Vec::new(),
-            remap: Vec::new(),
-            keep: Vec::new(),
             seeding: true,
         }
     }
@@ -561,12 +563,13 @@ impl NfaRuntime {
 
     /// Approximate heap footprint of the run state, in bytes: the
     /// *capacities* (not lengths) of the run slab, event index blocks,
-    /// and shared event arena. Capacity-based because that is what the
-    /// allocator actually holds — a runtime that burst to 10k runs and
-    /// drained back to 3 still pins the 10k-run slab. Tuple payloads
-    /// are estimated by the arena's inline element size; spilled
-    /// per-tuple heap (strings, vectors) is not chased, so this is a
-    /// lower bound suitable for admission budgeting, not an exact
+    /// and shared event arena. Per-call buffers are the caller's
+    /// [`MatchScratch`] and are not counted. Capacity-based because that
+    /// is what the allocator actually holds — a runtime that burst to
+    /// 10k runs and drained back to 3 still pins the 10k-run slab.
+    /// Tuple payloads are estimated by the arena's inline element size;
+    /// spilled per-tuple heap (strings, vectors) is not chased, so this
+    /// is a lower bound suitable for admission budgeting, not an exact
     /// accounting.
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -574,9 +577,6 @@ impl NfaRuntime {
             + self.run_events.capacity() * size_of::<u32>()
             + self.arena.capacity() * size_of::<Tuple>()
             + self.arena_ts.capacity() * size_of::<StreamTime>()
-            + self.completed.capacity() * size_of::<CompletedRun>()
-            + self.completed_events.capacity() * size_of::<u32>()
-            + self.remap.capacity() * size_of::<u32>()
     }
 
     /// Drops all partial matches.
@@ -655,7 +655,16 @@ impl NfaRuntime {
         out: &mut MatchScratch,
         deltas: &mut CallDeltas,
     ) -> Result<(), CepError> {
-        self.maybe_compact();
+        let MatchScratch {
+            events,
+            spans,
+            masks,
+            completed,
+            completed_events,
+            keep,
+            remap,
+        } = out;
+        self.maybe_compact(remap);
         let Self {
             program,
             runs,
@@ -667,21 +676,12 @@ impl NfaRuntime {
             tuple_serial,
             max_runs,
             shed,
-            completed,
-            completed_events,
-            keep,
             seeding,
-            ..
         } = self;
         let seeding = *seeding;
         let program: &NfaProgram = program;
         let steps = program.steps.as_slice();
         let stride = steps.len();
-        let MatchScratch {
-            events,
-            spans,
-            masks,
-        } = out;
 
         // Hoisted across the batch: which steps listen to this source.
         let src = program.source_index(source);
@@ -883,7 +883,8 @@ impl NfaRuntime {
     /// Reclaims the event arena when churn (long-lived runs next to
     /// expired ones) lets it outgrow the live run set. Rare and
     /// amortised; the common recycle point is the run set emptying.
-    fn maybe_compact(&mut self) {
+    /// `remap` is the caller's scratch table.
+    fn maybe_compact(&mut self, remap: &mut Vec<u32>) {
         if self.runs.is_empty() {
             if !self.arena.is_empty() {
                 self.arena.clear();
@@ -898,20 +899,20 @@ impl NfaRuntime {
         }
         crate::metrics::NFA_ARENA_COMPACTIONS_TOTAL.inc();
         // Mark…
-        self.remap.clear();
-        self.remap.resize(self.arena.len(), u32::MAX);
+        remap.clear();
+        remap.resize(self.arena.len(), u32::MAX);
         for (i, run) in self.runs.iter().enumerate() {
             for k in 0..run.next as usize {
-                self.remap[self.run_events[i * stride + k] as usize] = 0;
+                remap[self.run_events[i * stride + k] as usize] = 0;
             }
         }
         // …compact in place (stable, so new index <= old index)…
         let mut w = 0usize;
-        for r in 0..self.arena.len() {
-            if self.remap[r] != u32::MAX {
+        for (r, slot) in remap.iter_mut().enumerate() {
+            if *slot != u32::MAX {
                 self.arena.swap(w, r);
                 self.arena_ts.swap(w, r);
-                self.remap[r] = w as u32;
+                *slot = w as u32;
                 w += 1;
             }
         }
@@ -921,7 +922,7 @@ impl NfaRuntime {
         for (i, run) in self.runs.iter().enumerate() {
             for k in 0..run.next as usize {
                 let e = &mut self.run_events[i * stride + k];
-                *e = self.remap[*e as usize];
+                *e = remap[*e as usize];
             }
         }
     }

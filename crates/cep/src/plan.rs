@@ -8,7 +8,19 @@
 //! engines or server shards. [`QueryPlan::instantiate`] stamps out the
 //! cheap per-session state (an empty run set); view operators belong to
 //! the session's [`SharedViews`], not to the plan instance.
+//!
+//! **Match scratch belongs to the stepping thread.** A [`PlanInstance`]
+//! is only its run state. Every plan call steps in its thread's one
+//! [`MatchScratch`], so a shard worker, an [`crate::Engine`] caller or
+//! any other loop over many instances runs each call on warm buffers.
+//! A call takes the scratch out of the thread-local for its duration
+//! and puts it back drained and cleared. A call that unwinds (a
+//! panicking UDF) drops the scratch it took, so the next call starts
+//! from an empty one and a torn match never reaches another plan. A
+//! nested call — a UDF that steps another instance — finds the slot
+//! empty and steps in a fresh scratch.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -112,7 +124,6 @@ impl QueryPlan {
             plan: Arc::clone(self),
             bindings: None,
             nfa: Nfa::instantiate(Arc::clone(&self.program)),
-            scratch: MatchScratch::new(),
             detections: 0,
         }
     }
@@ -128,7 +139,8 @@ enum RouteBinding {
 }
 
 /// Per-session runtime state of one deployed [`QueryPlan`]: NFA run
-/// state and a detection counter.
+/// state and a detection counter — no per-call buffer (the match
+/// scratch is the stepping thread's; see the module docs).
 pub struct PlanInstance {
     plan: Arc<QueryPlan>,
     /// Route → shared-view binding, resolved by [`Self::bind`] at deploy
@@ -136,9 +148,6 @@ pub struct PlanInstance {
     /// appends).
     bindings: Option<Vec<RouteBinding>>,
     nfa: Nfa,
-    /// Reusable match output of the batched NFA core: the steady-state
-    /// no-match path allocates nothing.
-    scratch: MatchScratch,
     detections: u64,
 }
 
@@ -275,7 +284,6 @@ impl PlanInstance {
             plan,
             bindings,
             nfa,
-            scratch,
             detections,
         } = self;
         let bindings = bindings.as_deref().expect("bound above");
@@ -294,7 +302,6 @@ impl PlanInstance {
             };
             advance_batch(
                 nfa,
-                scratch,
                 detections,
                 &plan.query.name,
                 &route.source,
@@ -346,16 +353,20 @@ pub fn sync_shared_views(views: &mut SharedViews, plans: &[Arc<QueryPlan>]) {
     sync_block_columns(views, plans);
 }
 
+thread_local! {
+    /// The stepping thread's match scratch (module docs). Boxed, so a
+    /// call moves a pointer in and out, not the whole scratch.
+    static SCRATCH: Cell<Option<Box<MatchScratch>>> = const { Cell::new(None) };
+}
+
 /// Steps the NFA over a batch and converts any completed matches into
 /// [`Detection`]s. All plan-level paths funnel through this one call, so
 /// there is exactly one stepping implementation; the no-match steady
-/// state touches the reusable `scratch` only (no allocation). `block`,
-/// when present, is the columnar view of `rows` enabling the NFA's
-/// vectorized predicate pre-pass.
-#[allow(clippy::too_many_arguments)]
+/// state touches the thread's warm scratch only (no allocation).
+/// `block`, when present, is the columnar view of `rows` enabling the
+/// NFA's vectorized predicate pre-pass.
 fn advance_batch(
     nfa: &mut Nfa,
-    scratch: &mut MatchScratch,
     detections: &mut u64,
     gesture: &str,
     source: &str,
@@ -366,11 +377,12 @@ fn advance_batch(
     if rows.is_empty() {
         return Ok(());
     }
+    let mut scratch = SCRATCH.take().unwrap_or_default();
     // Drain the scratch even when stepping errors mid-batch: matches
     // completed by earlier tuples of the batch are still delivered
     // (exactly as if they had been pushed one by one), and a stale
     // scratch can never leak duplicates into a later call.
-    let result = nfa.advance_block_into(source, rows, block, scratch);
+    let result = nfa.advance_block_into(source, rows, block, &mut scratch);
     if !scratch.is_empty() {
         for m in scratch.matches() {
             *detections += 1;
@@ -383,6 +395,7 @@ fn advance_batch(
         }
         scratch.clear();
     }
+    SCRATCH.set(Some(scratch));
     result
 }
 

@@ -26,6 +26,29 @@
 //! deploying more gestures does not re-run the coordinate
 //! transformation, and a steady-state batch that seeds no run calls
 //! the allocator not once (`tests/front_path_alloc.rs`).
+//!
+//! **Ownership and threading.** A worker is one thread; everything a
+//! batch touches is owned by it, at one of three levels, and taken
+//! without a lock:
+//!
+//! * *Per session* ([`SessionRuntime`]): what must survive between the
+//!   session's batches — view operator state, one [`PlanInstance`] (NFA
+//!   run state) per deployed or retiring plan, the quota bucket. Run
+//!   state is what `gesto_shard_state_bytes` counts against the memory
+//!   budget.
+//! * *Per worker* ([`ShardWorker`]): the batch's scratch, which every
+//!   session's batch uses in turn — the one [`BatchBuffers`] (view rows,
+//!   frame offsets, blocks), lent to the session's views for the batch
+//!   and reclaimed before the next job; the raw-stream `tuples`,
+//!   overwritten in place; the `detections` vector. A fixed per-shard
+//!   cost (`gesto_shard_batch_buffer_bytes`), not charged to the budget.
+//! * *Per thread*: the NFA's match scratch, which every plan call on
+//!   the thread takes and puts back (`gesto_cep`'s `plan` module docs).
+//!   Fixed, and not counted.
+//!
+//! A batch that panics can tear only the poisoned session's state and
+//! the worker's scratch; [`ShardWorker::quarantine`] repairs both before
+//! the next job.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -252,12 +275,11 @@ impl Drop for GateGuard {
     }
 }
 
-/// State owned by one session on this shard — what must survive between
-/// its batches: a shared view runtime (each view evaluated once per
-/// frame; operator state, no batch buffers — those are the worker's,
-/// see [`ShardWorker::bufs`]), one runtime instance per deployed plan
-/// in deployment order, plus the retiring instances of replaced plan
-/// versions, still draining their in-flight partial matches.
+/// State owned by one session on this shard (module docs: ownership):
+/// a shared view runtime (each view evaluated once per frame), one
+/// runtime instance per deployed plan in deployment order, plus the
+/// retiring instances of replaced plan versions, still draining their
+/// in-flight partial matches.
 pub(crate) struct SessionRuntime {
     views: SharedViews,
     instances: Vec<PlanInstance>,
@@ -341,20 +363,15 @@ pub(crate) struct ShardWorker {
     /// Kinect slot table resolved once against the ingest schema, shared
     /// by the frame→tuple and frame→block conversions.
     slots: KinectSlots,
-    /// Detections scratch, reused across batches.
+    /// The batch's detections (module docs: ownership).
     detections: Vec<Detection>,
     /// This worker's `gesto_detections_total{gesture}` counters, cached
     /// on each gesture's first detection.
     gesture_detections: HashMap<String, Arc<Counter>>,
-    /// Frame→tuple conversion scratch: the previous batch's base tuples,
-    /// overwritten in place by the next batch (whatever its session);
-    /// empty while no session's plans read the raw stream.
+    /// The batch's raw-stream tuples (module docs: ownership); empty
+    /// while no session's plans read the raw stream.
     tuples: Vec<Tuple>,
-    /// The one set of view-output rows, frame offsets and blocks every
-    /// session's batch runs in: lent to the session's `SharedViews` for
-    /// the duration of `process`, back here before the next job. A
-    /// fixed per-shard cost (`gesto_shard_batch_buffer_bytes`), not
-    /// charged to the memory budget.
+    /// The one set of batch buffers (module docs: ownership).
     bufs: BatchBuffers,
     /// Stage-duration histograms (`gesto_stage_duration_ns{stage=…}`).
     telemetry: Arc<ServerTelemetry>,
@@ -470,11 +487,8 @@ impl ShardWorker {
                     }
                     let session = batch.session;
                     let frames = batch.frames.len() as u64;
-                    // AssertUnwindSafe: on panic the only state that can
-                    // be torn mid-update is the poisoned session's
-                    // runtime (holding the lent batch buffers) and the
-                    // shared scratch — quarantine replaces the former
-                    // and clears the latter before the next job.
+                    // AssertUnwindSafe: what a panic can tear, and how
+                    // quarantine repairs it, is in the module docs.
                     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         self.process(batch)
                     }))
@@ -494,17 +508,18 @@ impl ShardWorker {
 
     /// Post-panic cleanup, run on the worker thread that caught the
     /// unwind: count the panic, write off the poison batch's frames,
-    /// clear the shared scratch buffers (they may hold torn mid-batch
-    /// output; the batch buffers went down with the session they were
-    /// lent to, so the worker starts a fresh set, sized again by the
-    /// next batches), and reset the poisoned session's runtime **in
-    /// place** —
-    /// views and every plan instance rebuilt fresh, in-flight partial
+    /// clear the worker's scratch (it may hold torn mid-batch output;
+    /// the batch buffers went down with the session they were lent to,
+    /// so the worker starts a fresh set, sized again by the next
+    /// batches), and reset the poisoned session's runtime **in place**
+    /// — views and every plan instance rebuilt fresh, in-flight partial
     /// matches of that session (only) discarded and counted via
-    /// `gesto_sessions_reset_total`. Every other session's state is
-    /// untouched: `process` only writes through the one session's
-    /// runtime, so their detections stay bit-identical to an
-    /// un-panicked run (pinned by `tests/supervision_e2e.rs`).
+    /// `gesto_sessions_reset_total`. The thread's NFA match scratch
+    /// needs no clearing: the unwound plan call dropped the one it
+    /// took. Every other session's state is untouched: `process` only
+    /// writes through the one session's runtime, so their detections
+    /// stay bit-identical to an un-panicked run (pinned by
+    /// `tests/supervision_e2e.rs`).
     fn quarantine(&mut self, session: SessionId, frames: u64) {
         self.metrics.panics.inc();
         self.metrics.quarantined_frames.add(frames);

@@ -97,6 +97,24 @@ impl ServerTelemetry {
     pub fn new(config: &ServerConfig) -> Self {
         let registry = Arc::new(Registry::new());
 
+        // Tells two servers' versions and configs apart from a scrape.
+        let config_hash = format!("{config:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        registry
+            .gauge(
+                "gesto_build_info",
+                "Constant 1: the gesto-serve version and an FNV-1a hash of the server's \
+                 ServerConfig",
+                &[
+                    ("version", env!("CARGO_PKG_VERSION")),
+                    ("config", &format!("{config_hash:016x}")),
+                ],
+            )
+            .set(1);
+
         let stage = |s: &str| registry.histogram(STAGE_NAME, STAGE_HELP, &[("stage", s)]);
         let stages = Stages {
             decode: stage("decode"),

@@ -236,6 +236,33 @@ fn idle_connections_are_reaped_and_counted() {
     server.shutdown();
 }
 
+/// The `config` label of `server`'s `gesto_build_info`, after checking
+/// the sample is 1 and carries this crate's version.
+fn config_label(server: &Server) -> String {
+    let body = server.handle().registry().render();
+    let line = body
+        .lines()
+        .find(|l| l.starts_with("gesto_build_info{"))
+        .expect("gesto_build_info is exported");
+    assert!(line.ends_with(" 1"), "{line}");
+    let version = format!("version=\"{}\"", env!("CARGO_PKG_VERSION"));
+    assert!(line.contains(&version), "{line}");
+    let (_, rest) = line.split_once("config=\"").expect("a config label");
+    rest.split('"').next().unwrap().to_owned()
+}
+
+#[test]
+fn build_info_tells_configs_apart() {
+    let one = Server::start(ServerConfig::new().with_shards(1));
+    let same = Server::start(ServerConfig::new().with_shards(1));
+    let two = Server::start(ServerConfig::new().with_shards(2));
+    assert_eq!(config_label(&one), config_label(&same));
+    assert_ne!(config_label(&one), config_label(&two));
+    for server in [one, same, two] {
+        server.shutdown();
+    }
+}
+
 /// The "Metric catalog" section of `docs/OBSERVABILITY.md`: from its
 /// heading to the next second-level heading.
 fn catalog(doc: &str) -> &str {

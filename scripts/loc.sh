@@ -9,6 +9,11 @@
 # With GIT_REV, each count is followed by its change since that
 # revision. The revision is unpacked with `git archive` into a
 # temporary directory; the worktree is never touched.
+#
+# Code budget: with GIT_REV, when ISSUE.md at the repo root holds a
+# line `Code budget: ≤ +N` (or `<= +N`), the script prints
+# `code budget: +X of <= +N` and exits 1 if the workspace total of code
+# lines grew by more than N since GIT_REV, printing the overrun.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,15 +33,19 @@ count() {
 }
 
 base=
+budget=
 if [ $# -gt 0 ]; then
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
     git archive "$1" crates | tar -xf - -C "$tmp"
     base=$tmp/counts
     count "$tmp" >"$base"
+    if [ -f ISSUE.md ]; then
+        budget=$(sed -nE 's/.*Code budget: *(≤|<=) *\+([0-9]+).*/\2/p' ISSUE.md | head -n 1)
+    fi
 fi
 
-count . | awk -v base="$base" '
+count . | awk -v base="$base" -v budget="$budget" '
     BEGIN {
         while (base != "" && (getline line < base) > 0) {
             split(line, f, " ")
@@ -54,4 +63,13 @@ count . | awk -v base="$base" '
         row($1, $2, $3, $4, o[1], o[2], o[3])
         for (i = 1; i <= 3; i++) { t[i] += $(i + 1); p[i] += o[i] }
     }
-    END { row("total", t[1], t[2], t[3], p[1], p[2], p[3]) }'
+    END {
+        row("total", t[1], t[2], t[3], p[1], p[2], p[3])
+        if (budget == "") exit
+        grown = t[1] - p[1]
+        printf "code budget: %+d of <= +%d\n", grown, budget
+        if (grown > budget + 0) {
+            printf "code budget exceeded by %d lines\n", grown - budget
+            exit 1
+        }
+    }'
