@@ -12,7 +12,7 @@
 //! also timed as an on/off A/B leg).
 //!
 //! ```sh
-//! cargo bench -p gesto-bench --bench bench_nfa -- --json BENCH_nfa.json
+//! cargo bench -p gesto-bench --bench bench_nfa
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -457,22 +457,13 @@ fn ab_stage_timer(tuples: &[Tuple]) -> (f64, f64) {
 }
 
 fn main() {
-    let mut json: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        // `cargo bench -- <filter>` style args are ignored.
-        if a == "--json" {
-            json = Some(it.next().expect("--json PATH"));
-        }
-    }
-
     println!("NFA stepping — 1-tuple batches vs N-tuple batches vs block");
     println!("==========================================================\n");
     assert_zero_allocations();
     println!();
 
     let tuples = workload(512);
-    let mut results: Vec<(AbResult, f64)> = Vec::new();
+    let (mut prev_n, mut prev_ns) = (0, 0.0);
     println!(
         "{:>9} {:>14} {:>14} {:>14} {:>9} {:>9} {:>9} {:>15}",
         "gestures",
@@ -487,10 +478,7 @@ fn main() {
     for n in [1usize, 4, 16, 64, 256] {
         let r = ab_advance(n, &tuples);
         // Marginal cost of the gestures added since the previous row of
-        // the sweep, block path: the curve ROADMAP item 3 wants bent.
-        let (prev_n, prev_ns) = results
-            .last()
-            .map_or((0, 0.0), |(p, _)| (p.gestures, p.block_ns_per_frame));
+        // the sweep, block path: the curve ROADMAP item 4 wants bent.
         let marginal = (r.block_ns_per_frame - prev_ns) / (n - prev_n) as f64;
         println!(
             "{:>9} {:>14.0} {:>14.0} {:>14.0} {:>8.2}x {:>8.2}x {:>9} {:>15.1}",
@@ -503,7 +491,7 @@ fn main() {
             r.matches,
             marginal
         );
-        results.push((r, marginal));
+        (prev_n, prev_ns) = (r.gestures, r.block_ns_per_frame);
     }
 
     let (timer_off_fps, timer_on_fps) = ab_stage_timer(&tuples);
@@ -512,23 +500,4 @@ fn main() {
         "\nstage-timer A/B (4 gestures, block path): off {timer_off_fps:.0} f/s, \
          every-batch {timer_on_fps:.0} f/s ({timer_overhead_pct:+.2}% overhead)"
     );
-
-    if let Some(path) = json {
-        let mut rows = String::new();
-        for (i, (r, marginal)) in results.iter().enumerate() {
-            if i > 0 {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"gestures\": {}, \"batch1_frames_per_sec\": {:.0}, \"batchn_frames_per_sec\": {:.0}, \"block_frames_per_sec\": {:.0}, \"block_marginal_ns_per_gesture_per_frame\": {marginal:.1}, \"speedup\": {:.2}, \"block_speedup\": {:.2}, \"matches_per_pass\": {}}}",
-                r.gestures, r.batch1_fps, r.batchn_fps, r.block_fps, r.speedup, r.block_speedup, r.matches
-            ));
-        }
-        let json_text = format!(
-            "{{\n  \"experiment\": \"bench_nfa\",\n  \"frames\": {},\n  \"zero_alloc_steady_state\": true,\n  \"stage_timer_off_frames_per_sec\": {timer_off_fps:.0},\n  \"stage_timer_on_frames_per_sec\": {timer_on_fps:.0},\n  \"stage_timer_overhead_pct\": {timer_overhead_pct:.2},\n  \"results\": [\n{rows}\n  ]\n}}\n",
-            tuples.len()
-        );
-        std::fs::write(&path, json_text).expect("write json");
-        println!("\nwrote {path}");
-    }
 }

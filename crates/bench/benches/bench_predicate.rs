@@ -11,7 +11,7 @@
 //! of this all-float workload and agree with the scalar oracle exactly.
 //!
 //! ```sh
-//! cargo bench -p gesto-bench --bench bench_predicate -- --json BENCH_predicate.json
+//! cargo bench -p gesto-bench --bench bench_predicate
 //! ```
 
 use std::time::Instant;
@@ -150,14 +150,6 @@ fn ab_shape(name: &'static str, expr: &CompiledExpr, tuples: &[Tuple]) -> Row {
 }
 
 fn main() {
-    let mut json: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json = Some(it.next().expect("--json PATH"));
-        }
-    }
-
     println!("Fused predicates — scalar eval vs columnar block kernels");
     println!("========================================================\n");
 
@@ -211,22 +203,4 @@ fn main() {
         );
     }
     println!("block kernels beat scalar on every shape at batch ≥ 16 ✓");
-
-    if let Some(path) = json {
-        let mut rows = String::new();
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"batch\": {}, \"scalar_ns_per_row\": {:.1}, \"block_ns_per_row\": {:.1}, \"build_ns_per_row\": {:.1}, \"speedup\": {:.2}}}",
-                r.shape, r.batch, r.scalar_ns_per_row, r.block_ns_per_row, r.build_ns_per_row, r.speedup
-            ));
-        }
-        let json_text = format!(
-            "{{\n  \"experiment\": \"bench_predicate\",\n  \"batches\": [1, 16, 256],\n  \"results\": [\n{rows}\n  ]\n}}\n"
-        );
-        std::fs::write(&path, json_text).expect("write json");
-        println!("\nwrote {path}");
-    }
 }

@@ -8,22 +8,20 @@
 //!
 //! Usage:
 //!
-//!     exp_chaos [--smoke] [--frames N] [--trials N] [--json PATH]
+//!     exp_chaos [--smoke] [--frames N] [--trials N]
 //!
 //! `--smoke` runs three representative scenarios on a small workload
-//! and skips the overhead A/B — the CI chaos step. The full run writes
-//! `BENCH_robustness.json`.
+//! and skips the overhead A/B — the CI chaos step.
 
 use gesto_bench::chaos::{
-    drivers_for, overhead_ab, run_persona, ChaosDriver, ChaosOutcome, ChaosScale, PERSONAS,
+    drivers_for, overhead_ab, run_persona, ChaosDriver, ChaosScale, PERSONAS,
 };
-use gesto_bench::{json_escape, Table};
+use gesto_bench::Table;
 
 struct Args {
     smoke: bool,
     frames: usize,
     trials: usize,
-    json: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -31,7 +29,6 @@ fn parse_args() -> Args {
         smoke: false,
         frames: 0, // 0 = scale default
         trials: 5,
-        json: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -39,7 +36,6 @@ fn parse_args() -> Args {
             "--smoke" => args.smoke = true,
             "--frames" => args.frames = it.next().expect("--frames N").parse().expect("number"),
             "--trials" => args.trials = it.next().expect("--trials N").parse().expect("number"),
-            "--json" => args.json = Some(it.next().expect("--json PATH")),
             other => panic!("unknown argument '{other}'"),
         }
     }
@@ -93,7 +89,6 @@ fn main() {
         "expected",
         "recovery_ms",
     ]);
-    let mut outcomes: Vec<ChaosOutcome> = Vec::new();
     for (persona, driver) in plan {
         // run_persona panics if any invariant breaks; returning is the
         // scenario's pass certificate.
@@ -114,14 +109,11 @@ fn main() {
             o.recovery_ms
                 .map_or_else(|| "-".into(), |r| format!("{r:.0}")),
         ]);
-        outcomes.push(o);
     }
     table.print();
     println!("\nconservation + exactly-once + bounded-recovery held on every scenario ✓");
 
-    let overhead = if args.smoke {
-        None
-    } else {
+    if !args.smoke {
         let frames = if args.frames > 0 { args.frames } else { 40_000 };
         let report = overhead_ab(frames, args.trials);
         println!(
@@ -134,50 +126,5 @@ fn main() {
             report.overhead_pct
         );
         println!("steady-state admission overhead < 1% guardrail held ✓");
-        Some(report)
-    };
-
-    if let Some(path) = &args.json {
-        let mut rows = String::new();
-        for (i, o) in outcomes.iter().enumerate() {
-            if i > 0 {
-                rows.push_str(",\n");
-            }
-            let expected = o
-                .expected_detections
-                .map_or_else(|| "null".into(), |e| e.to_string());
-            let recovery = o
-                .recovery_ms
-                .map_or_else(|| "null".into(), |r| format!("{r:.1}"));
-            rows.push_str(&format!(
-                "    {{\"persona\": \"{}\", \"driver\": \"{}\", \"sessions\": {}, \"frames_sent\": {}, \"frames_in\": {}, \"shed_frames\": {}, \"stale_frames\": {}, \"quota_frames\": {}, \"quarantined_frames\": {}, \"detections\": {}, \"expected_detections\": {expected}, \"recovery_ms\": {recovery}, \"elapsed_ms\": {:.1}, \"conserved\": true}}",
-                json_escape(o.persona),
-                o.driver,
-                o.sessions,
-                o.frames_sent,
-                o.frames_in,
-                o.shed_frames,
-                o.stale_frames,
-                o.quota_frames,
-                o.quarantined_frames,
-                o.detections,
-                o.elapsed_ms
-            ));
-        }
-        let overhead_json = overhead.as_ref().map_or_else(
-            || "null".to_string(),
-            |r| {
-                format!(
-                    "{{\"frames\": {}, \"trials\": {}, \"base_fps\": {:.0}, \"hardened_fps\": {:.0}, \"overhead_pct\": {:.3}, \"guardrail_pct\": 1.0}}",
-                    r.frames, r.trials, r.base_fps, r.hardened_fps, r.overhead_pct
-                )
-            },
-        );
-        let json = format!(
-            "{{\n  \"experiment\": \"exp_chaos\",\n  \"smoke\": {},\n  \"frames_per_session\": {},\n  \"scenarios\": [\n{rows}\n  ],\n  \"overhead_ab\": {overhead_json}\n}}\n",
-            args.smoke, scale.frames
-        );
-        std::fs::write(path, json).expect("write json");
-        println!("\nwrote {path}");
     }
 }

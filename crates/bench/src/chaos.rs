@@ -15,8 +15,8 @@
 //!   serving and ready throughout.
 //!
 //! The library is consumed by the `exp_chaos` experiment binary (full
-//! sweep + overhead A/B, `BENCH_robustness.json`) and by CI's chaos
-//! smoke step (two personas, short duration).
+//! sweep + overhead A/B) and by CI's chaos smoke step (two personas,
+//! short duration).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -107,7 +107,6 @@ pub struct ChaosOutcome {
     pub expected_detections: Option<u64>,
     /// Injected panic → panic counted and the server ready.
     pub recovery_ms: Option<f64>,
-    pub elapsed_ms: f64,
 }
 
 impl ChaosOutcome {
@@ -276,7 +275,6 @@ fn outcome(
     detections: u64,
     expected: Option<u64>,
     recovery_ms: Option<f64>,
-    started: Instant,
 ) -> ChaosOutcome {
     let out = ChaosOutcome {
         persona,
@@ -291,7 +289,6 @@ fn outcome(
         detections,
         expected_detections: expected,
         recovery_ms,
-        elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
     };
     assert!(
         out.conserved(),
@@ -335,7 +332,6 @@ pub fn run_persona(persona: &str, driver: ChaosDriver, scale: ChaosScale) -> Cha
 /// hold exactly whatever the mix.
 fn bursty(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     let sessions = 4u64;
-    let started = Instant::now();
     let mut rig = Rig::new(
         ServerConfig::new()
             .with_shards(1)
@@ -377,7 +373,6 @@ fn bursty(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
         sum_counts(&counts),
         None, // lossy by design: conservation, not exactly-once
         None,
-        started,
     )
 }
 
@@ -386,7 +381,6 @@ fn bursty(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
 /// real detections buried in the nulls.
 fn high_null(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     let sessions = 2u64;
-    let started = Instant::now();
     let workloads: Vec<(u64, Vec<SkeletonFrame>)> = (0..sessions)
         .map(|s| (s, null_heavy_workload(scale.frames / 2, 300 + s, 3)))
         .collect();
@@ -418,7 +412,6 @@ fn high_null(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
         sum_counts(&counts),
         Some(expected),
         None,
-        started,
     )
 }
 
@@ -427,7 +420,6 @@ fn high_null(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
 /// nothing may be detected.
 fn never_matching(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     let sessions = 2u64;
-    let started = Instant::now();
     let mut rig = Rig::new(
         ServerConfig::new()
             .with_shards(1)
@@ -446,13 +438,15 @@ fn never_matching(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     }
     // Bounded state: the resident run-slab gauge must not grow with the
     // stream (generous absolute cap — the point is "not O(frames)").
-    let state_bytes: f64 = crate::registry_snapshot(&rig.server.handle().registry())
+    let state_bytes: u64 = rig
+        .server
+        .metrics()
+        .shards
         .iter()
-        .filter(|(k, _)| k.starts_with("gesto_shard_state_bytes"))
-        .map(|(_, v)| *v)
+        .map(|s| s.state_bytes)
         .sum();
     assert!(
-        state_bytes < 32.0 * 1024.0 * 1024.0,
+        state_bytes < 32 * 1024 * 1024,
         "never-matching sessions accumulated {state_bytes} bytes of NFA state"
     );
     let (m, counts) = rig.finish();
@@ -465,7 +459,6 @@ fn never_matching(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
         sum_counts(&counts),
         Some(0), // a frozen pose must never detect
         None,
-        started,
     )
 }
 
@@ -475,7 +468,6 @@ fn never_matching(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
 /// run, and no frame may be lost.
 fn deploy_churn(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     let sessions = 4u64;
-    let started = Instant::now();
     let workloads: Vec<(u64, Vec<SkeletonFrame>)> = (0..sessions)
         .map(|s| (s, swipe_workload(scale.frames, 500 + s)))
         .collect();
@@ -517,7 +509,6 @@ fn deploy_churn(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
         sum_counts(&counts),
         Some(expected),
         None,
-        started,
     )
 }
 
@@ -525,7 +516,6 @@ fn deploy_churn(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
 /// the client to stall on server backpressure, and detections pile up
 /// unread until the end — nothing may be lost on either direction.
 fn slow_consumer(scale: ChaosScale) -> ChaosOutcome {
-    let started = Instant::now();
     let workloads: Vec<(u64, Vec<SkeletonFrame>)> = vec![(0, swipe_workload(scale.frames, 600))];
     let expected = sum_counts(&reference_counts(&workloads, scale.batch));
     let mut rig = Rig::new(
@@ -555,7 +545,6 @@ fn slow_consumer(scale: ChaosScale) -> ChaosOutcome {
         sum_counts(&counts),
         Some(expected),
         None,
-        started,
     )
 }
 
@@ -567,7 +556,6 @@ fn panic_injection(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     const POISON_TS: i64 = 777_000_000_000;
     const VICTIM: u64 = 1;
     const RECOVERY_DEADLINE: Duration = Duration::from_secs(5);
-    let started = Instant::now();
     let bystanders = [2u64, 3u64];
     let halves: Vec<(u64, Vec<SkeletonFrame>, Vec<SkeletonFrame>)> = bystanders
         .iter()
@@ -665,7 +653,6 @@ fn panic_injection(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
         bystander_detections,
         Some(sum_counts(&expected_by_session)),
         Some(recovery_ms),
-        started,
     )
 }
 

@@ -158,41 +158,6 @@ impl Table {
     }
 }
 
-/// Flattens a metric registry into sorted `(series, value)` pairs —
-/// counters/gauges verbatim, histograms as `_count`/`_sum` — for
-/// embedding per-point snapshots in bench JSON reports.
-pub fn registry_snapshot(reg: &gesto_telemetry::Registry) -> Vec<(String, f64)> {
-    use gesto_telemetry::SampleValue;
-    let mut out = Vec::new();
-    for s in reg.gather() {
-        let series = if s.labels.is_empty() {
-            s.name.clone()
-        } else {
-            let labels: Vec<String> = s
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{v}\""))
-                .collect();
-            format!("{}{{{}}}", s.name, labels.join(","))
-        };
-        match s.value {
-            SampleValue::Counter(v) => out.push((series, v as f64)),
-            SampleValue::Gauge(v) => out.push((series, v)),
-            SampleValue::Histogram(h) => {
-                out.push((format!("{series}_count"), h.count as f64));
-                out.push((format!("{series}_sum"), h.sum as f64));
-            }
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Minimal JSON string escaping for series names (quotes in labels).
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Percentage formatting helper.
 pub fn pct(hits: usize, total: usize) -> String {
     if total == 0 {

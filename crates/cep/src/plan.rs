@@ -447,8 +447,8 @@ mod tests {
         let mut b = plan.instantiate();
         // Instantiation shares, never recompiles: both instances point at
         // the very same plan and program allocations. (The process-global
-        // compiled_plan_count() is asserted in single-threaded binaries —
-        // exp_c7_throughput — where no parallel test can perturb it.)
+        // compiled_plan_count() is asserted by the facade's durable_restart
+        // test, alone in its process, where no parallel test can perturb it.)
         assert!(Arc::ptr_eq(a.plan(), &plan), "instance a shares the plan");
         assert!(Arc::ptr_eq(b.plan(), &plan), "instance b shares the plan");
         assert!(

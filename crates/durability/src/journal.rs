@@ -70,9 +70,8 @@ pub enum FsyncPolicy {
 }
 
 impl Default for FsyncPolicy {
-    /// The safest policy — control-plane ops are rare, so the per-op
-    /// flush does not show up in streaming throughput (measured in
-    /// `BENCH_durability.json`).
+    /// The safest policy — control-plane ops are rare, and only they are
+    /// journaled, so the per-op flush is off the streaming data path.
     fn default() -> Self {
         FsyncPolicy::Always
     }

@@ -110,7 +110,7 @@ pub struct ServerConfig {
     /// over its float lanes.
     ///
     /// The block kernels pay a fixed mask-setup cost per batch, so tiny
-    /// batches lose to scalar evaluation (`BENCH_predicate.json`:
+    /// batches lose to scalar evaluation (`bench_predicate`:
     /// ~0.2–0.5× at batch 1, ~2.7–5.6× at batch 16). The shard worker
     /// therefore picks scalar vs columnar **per pushed batch**: a batch
     /// shorter than this threshold evaluates predicates tuple-at-a-time,

@@ -5,8 +5,8 @@
 //! credit window (blocking in [`NetClient::send_batch`] when credit
 //! runs out — that is the backpressure reaching the producer), and
 //! collects streamed detections. It is deliberately simple and
-//! synchronous: one per producer thread; the tests and the
-//! `exp_net_throughput` bench drive thousands of them.
+//! synchronous: one per producer thread; the tests and `perfbench`'s
+//! wire workloads drive it.
 //!
 //! The data path **reconnects**: when the connection drops mid-stream,
 //! [`NetClient::send_batch`] (and the other session operations)

@@ -620,8 +620,8 @@ impl ShardWorker {
         gesto_stream::metrics::TUPLES_BUILT_TOTAL.add(raw as u64 - recycled);
         // Adaptive scalar-vs-columnar choice, made per pushed batch: the
         // block kernels' fixed setup cost loses on tiny batches (batch 1
-        // runs ~0.2–0.5× scalar, batch 16 ~2.7–5.6×,
-        // `BENCH_predicate.json`), so short batches step scalar.
+        // runs ~0.2–0.5× scalar, batch 16 ~2.7–5.6×, `bench_predicate`),
+        // so short batches step scalar.
         // Detections are bit-identical either way.
         let take_columnar = batch.frames.len() >= *columnar_min_batch;
         if take_columnar {

@@ -138,12 +138,19 @@ fn two_sessions_from_real_client_process_bit_identical() {
         "wire detections must be bit-identical to in-process push_batch"
     );
 
-    // The edge observed both sessions and measured e2e latency.
+    // The edge observed one connection and both sessions, lost no
+    // frame, delivered every detection it sent and measured e2e latency.
     let m = net.metrics();
+    let frames: usize = SESSIONS
+        .iter()
+        .map(|&(_, seed)| swipe_frames(seed).len())
+        .sum();
+    assert_eq!(m.connections_accepted(), 1);
     assert_eq!(m.sessions_opened(), 2);
+    assert_eq!(m.frames_received(), frames as u64, "edge lost frames");
     assert_eq!(m.detections_sent() as usize, got.len());
     assert!(m.latency().count() > 0, "latency histogram was fed");
-    assert!(m.frames_received() > 0 && m.bytes_in() > 0 && m.bytes_out() > 0);
+    assert!(m.bytes_in() > 0 && m.bytes_out() > 0);
 
     net.shutdown();
     reference.shutdown();

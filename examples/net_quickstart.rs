@@ -38,7 +38,7 @@ fn main() {
     println!("serving GSW1 on {}", net.local_addr());
 
     // The client half — in a real deployment this runs in another
-    // process (see `exp_net_throughput`) or another language entirely;
+    // process (as in the `net_e2e` test) or another language entirely;
     // the protocol is specified in docs/PROTOCOL.md.
     let mut client = NetClient::connect(net.local_addr()).expect("connect");
     println!("handshake done: {} initial frame credits", client.credits());

@@ -24,7 +24,7 @@ use gesto::kinect::{
 };
 use gesto::learn::query_gen::{generate_query, QueryStyle};
 use gesto::learn::{Learner, LearnerConfig};
-use gesto::serve::{BackpressurePolicy, Server, ServerConfig, SessionId};
+use gesto::serve::{affinity, BackpressurePolicy, Server, ServerConfig, SessionId};
 use gesto::stream::Tuple;
 use gesto::transform::{register_rpy, standard_catalog, TransformConfig, Transformer};
 use parking_lot::Mutex;
@@ -700,13 +700,30 @@ fn server_detections_over(
 /// For any gesture set and session population, every shard count and
 /// either pinning mode produces **bit-identical** per-session detections
 /// — and therefore exact conservation of the total detection count —
-/// relative to the 1-shard run. Pinning degrades gracefully on hosts
-/// where affinity is restricted, so this holds on any machine.
+/// relative to the 1-shard run. Every run also loses and sheds no frame
+/// under the blocking policy, and its shard workers never wait on a
+/// shared structure. A pinned shard reports its placement core (never
+/// core 0, which is left to net I/O) wherever the host lets a thread
+/// pin there, and runs unpinned where affinity is restricted, so this
+/// holds on any machine.
 #[test]
 fn shard_count_and_pinning_do_not_change_detections() {
     let pool = query_pool();
     let mut rng = Rng::new(0x5AA5);
     let mut detected = 0usize;
+    let cores = affinity::host_cores();
+    // Whether a thread may pin to shard `i`'s placement core here: a
+    // throwaway thread tries, so the test thread stays unpinned.
+    let pinned_core = |i| match affinity::placement(i, cores) {
+        Some(cpu)
+            if std::thread::spawn(move || affinity::pin_current_thread(cpu))
+                .join()
+                .unwrap() =>
+        {
+            cpu as i64
+        }
+        _ => -1,
+    };
     for case in 0..2u64 {
         // Random non-empty query subset and a session population whose
         // size is not a multiple of any shard count under test.
@@ -721,9 +738,27 @@ fn shard_count_and_pinning_do_not_change_detections() {
             .map(|_| workload(rng.below(8)))
             .collect();
 
+        let frames: usize = sessions.iter().map(Vec::len).sum();
         let sharded = |shards, pin| {
             let config = ServerConfig::new().with_shards(shards).with_pin_shards(pin);
-            server_detections(&set, &sessions, config).0
+            let (got, m) = server_detections(&set, &sessions, config);
+            assert_eq!(m.frames_in(), frames as u64, "blocking policy lost frames");
+            assert_eq!(m.shed_frames(), 0, "blocking policy must not shed");
+            assert_eq!(m.sessions(), sessions.len(), "session registry");
+            assert_eq!(
+                m.contention(),
+                0,
+                "a shard worker waited on a shared structure"
+            );
+            let reported: Vec<i64> = m.shards.iter().map(|s| s.pinned_core).collect();
+            let expected: Vec<i64> = (0..shards)
+                .map(|i| if pin { pinned_core(i) } else { -1 })
+                .collect();
+            assert_eq!(
+                reported, expected,
+                "{shards} shards (pin={pin}): pinned cores"
+            );
+            got
         };
         let baseline = sharded(1, false);
         let total: usize = baseline.iter().map(Vec::len).sum();

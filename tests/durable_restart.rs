@@ -4,11 +4,19 @@
 //! performances bit-identically to the original process: same
 //! gestures, same timestamps, same matched event tuples (floats
 //! compared through their round-trip representation, which is exact
-//! for `f64`).
+//! for `f64`) — and so must an in-memory server taught the same way:
+//! the journal never changes what the engine computes.
+//!
+//! This file's one test is alone in its process, so it also asserts the
+//! compile-once invariant on the process-wide
+//! [`compiled_plan_count`], which parallel tests would perturb: five
+//! deployed queries served to three sessions on two shards compile five
+//! plans, and recovery compiles each once more.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use gesto::cep::compiled_plan_count;
 use gesto::kinect::{gestures, NoiseModel, Performer, Persona, SkeletonFrame};
 use gesto::serve::{DurabilityConfig, Server, ServerConfig, SessionId};
 use parking_lot::Mutex;
@@ -67,20 +75,8 @@ fn run_performances(server: &Server) -> Vec<String> {
     got
 }
 
-#[test]
-fn restarted_server_detects_bit_identically() {
-    let dir = temp_dir("equiv");
-    let config = || {
-        ServerConfig::new()
-            .with_shards(2)
-            .with_durability_config(DurabilityConfig::new(&dir).with_checkpoint_every(3))
-    };
-
-    // Original process: teach four gestures (journaled as PutRecord +
-    // Deploy ops, with a checkpoint every 3 ops so recovery exercises
-    // checkpoint + journal-tail replay, not just one of them), plus a
-    // hand-written query, then detect.
-    let server = Server::try_start(config()).unwrap();
+/// Teaches four gestures and deploys one hand-written query.
+fn teach_all(server: &Server) {
     let teachings = [
         ("swipe_right", gestures::swipe_right()),
         ("swipe_left", gestures::swipe_left()),
@@ -96,12 +92,50 @@ fn restarted_server_detects_bit_identically() {
     server
         .deploy_text(r#"SELECT "ceiling" MATCHING kinect(head_y > 100000.0);"#)
         .unwrap();
+}
+
+#[test]
+fn restarted_server_detects_bit_identically() {
+    let dir = temp_dir("equiv");
+    let config = || {
+        ServerConfig::new()
+            .with_shards(2)
+            .with_durability_config(DurabilityConfig::new(&dir).with_checkpoint_every(3))
+    };
+
+    // Original process: teach four gestures (journaled as PutRecord +
+    // Deploy ops, with a checkpoint every 3 ops so recovery exercises
+    // checkpoint + journal-tail replay, not just one of them), plus a
+    // hand-written query, then detect.
+    let compiled_before = compiled_plan_count();
+    let server = Server::try_start(config()).unwrap();
+    teach_all(&server);
     server.set_config("mode", "restart-equivalence").unwrap();
     let first = run_performances(&server);
     assert!(
         first.len() >= 12,
         "original server detected too little to make equivalence meaningful: {first:?}"
     );
+    assert_eq!(
+        server.metrics().plans_compiled,
+        5,
+        "server-side compile counter"
+    );
+    assert_eq!(
+        compiled_plan_count() - compiled_before,
+        5,
+        "five queries on three sessions and two shards: five compiled plans, process-wide"
+    );
+
+    // The same teaching on an in-memory server detects identically.
+    let memory = Server::start(ServerConfig::new().with_shards(2));
+    teach_all(&memory);
+    assert_eq!(
+        run_performances(&memory),
+        first,
+        "the journal must not change what the engine computes"
+    );
+    memory.shutdown();
     let deployed_before = {
         let mut d = server.deployed_versions();
         d.sort();
@@ -110,7 +144,13 @@ fn restarted_server_detects_bit_identically() {
     server.shutdown(); // the "crash" (drain + exit; state is on disk)
 
     // Restarted process: *only* the durability directory survives.
+    let compiled_before = compiled_plan_count();
     let server = Server::try_start(config()).unwrap();
+    assert_eq!(
+        compiled_plan_count() - compiled_before,
+        5,
+        "recovery compiles each deployed plan once"
+    );
     let deployed_after = {
         let mut d = server.deployed_versions();
         d.sort();

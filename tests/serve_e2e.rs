@@ -69,7 +69,7 @@ fn teach_once_detect_everywhere() {
     // Compile-once invariant: one gesture = one compiled plan, no matter
     // how many sessions run it. The server's own counter is race-free
     // under parallel tests (the process-global compiled_plan_count() is
-    // asserted in the single-threaded exp_c7_throughput binary instead).
+    // asserted in durable_restart, a test alone in its process).
     assert_eq!(
         server.metrics().plans_compiled,
         1,
