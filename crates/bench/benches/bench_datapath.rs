@@ -10,16 +10,15 @@
 //!
 //! After the criterion groups it prints a `front_path` table, timed by
 //! hand because its unit is ns per tuple / per frame: what building a
-//! kinect tuple costs fresh, overwritten in place and replaced because
-//! somebody shares it, what `SharedViews::begin_batch` costs on a block
+//! kinect tuple costs, what `SharedViews::begin_batch` costs on a block
 //! batch when no `kinect_t` row is read (the rows stay deferred) and when
 //! every row is materialised into a tuple, and what it costs
 //! round-robin over 512 sessions (30-frame batches, the shard's shape on
 //! `inproc_512x4`) when every session keeps its own batch buffers — the
 //! shard cycles through 512 cold sets — against one set lent to each
 //! session in turn (`SharedViews::lend` / `reclaim`), which stays in
-//! cache — fed the batch's tuples (built beforehand: add a `tuple_into`
-//! per frame for what the shard used to pay) or its skeleton frames
+//! cache — fed the batch's tuples (built beforehand: add a tuple per
+//! frame for what the shard used to pay) or its skeleton frames
 //! (`begin_batch_rows`, what the shard does now).
 
 use std::hint::black_box;
@@ -149,23 +148,7 @@ fn front_path(_: &mut Criterion) {
             black_box(slots.tuple(black_box(f), &schema));
         }
     });
-    let mut kept: Vec<Tuple> = frames_to_tuples(&frames, &schema);
-    let unique = best_ns_per_element(n, || {
-        for (slot, f) in kept.iter_mut().zip(&frames) {
-            black_box(slots.tuple_into(black_box(f), &schema, slot));
-        }
-    });
-    // Every slot's previous tuple is still held by `shared`, so each
-    // write builds a fresh one; the holder then takes over the new one
-    // (the swap is two pointer moves, the drop of the old one is part
-    // of what a shared slot costs).
-    let mut shared = kept.clone();
-    let replaced = best_ns_per_element(n, || {
-        for ((slot, held), f) in kept.iter_mut().zip(&mut shared).zip(&frames) {
-            black_box(slots.tuple_into(black_box(f), &schema, slot));
-            *held = slot.clone();
-        }
-    });
+    let tuples: Vec<Tuple> = frames_to_tuples(&frames, &schema);
 
     // The view block restricted to the lanes a deployed gesture reads
     // (here the right hand's), as the shard declares them.
@@ -182,7 +165,7 @@ fn front_path(_: &mut Criterion) {
         views.add_view_block_columns(KINECT_T, &rhand);
         let slot = views.slot_of(KINECT_T).expect("standard catalog");
         best_ns_per_element(n, || {
-            views.begin_batch(KINECT_STREAM, &kept);
+            views.begin_batch(KINECT_STREAM, &tuples);
             if materialise {
                 views.rows(slot).iter().for_each(|t| {
                     black_box(t);
@@ -216,13 +199,13 @@ fn front_path(_: &mut Criterion) {
     for _ in 0..5 {
         per_session = per_session.min(ns_per_element(SESSIONS * BATCH, 20, || {
             for views in &mut own {
-                views.begin_batch(KINECT_STREAM, &kept[..BATCH]);
+                views.begin_batch(KINECT_STREAM, &tuples[..BATCH]);
             }
         }));
         lent = lent.min(ns_per_element(SESSIONS * BATCH, 20, || {
             for views in &mut borrowers {
                 views.lend(std::mem::take(&mut bufs));
-                views.begin_batch(KINECT_STREAM, &kept[..BATCH]);
+                views.begin_batch(KINECT_STREAM, &tuples[..BATCH]);
                 bufs = views.reclaim();
             }
         }));
@@ -236,9 +219,7 @@ fn front_path(_: &mut Criterion) {
     }
 
     println!("front_path                                     ns/tuple");
-    println!("  KinectSlots::tuple (fresh)                  {fresh:>9.1}");
-    println!("  KinectSlots::tuple_into (unique, in place)  {unique:>9.1}");
-    println!("  KinectSlots::tuple_into (shared -> fresh)   {replaced:>9.1}");
+    println!("  KinectSlots::tuple                          {fresh:>9.1}");
     println!("front_path                                     ns/frame");
     println!("  block batch, no row kept                    {none_kept:>9.1}");
     println!("  block batch, every row materialised         {all_built:>9.1}");

@@ -32,18 +32,15 @@
 //! exactly that prefix, so a crashed append can never poison later
 //! appends.
 //!
-//! # Fsync policies
+//! # Durability
 //!
-//! [`FsyncPolicy`] trades write latency for the crash-loss window:
-//! `Always` fsyncs every append (loss window: zero acknowledged ops),
-//! `EveryN(n)` fsyncs once per `n` appends, `IntervalMs(t)` fsyncs at
-//! most once per `t` milliseconds. See `docs/DURABILITY.md` for the
-//! full trade-off discussion.
+//! Every append is `fdatasync`ed before [`Journal::append`] returns, so
+//! no acknowledged record is lost on power failure. Only control-plane
+//! ops are journaled, and they are rare. See `docs/DURABILITY.md`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use crate::failpoint::{Failpoint, FailpointFs};
 use crate::Crc32;
@@ -54,28 +51,6 @@ pub const RECORD_HEADER_LEN: usize = 16;
 /// Upper bound on one record's payload; larger length fields are
 /// treated as corruption during replay.
 pub const MAX_PAYLOAD_LEN: u32 = 16 * 1024 * 1024;
-
-/// When appended records are flushed to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// `fdatasync` after every append. Zero acknowledged ops can be
-    /// lost; each append pays a device flush.
-    Always,
-    /// `fdatasync` once per `n` appends. Up to `n - 1` acknowledged ops
-    /// can be lost in a crash.
-    EveryN(u32),
-    /// `fdatasync` at most once per this many milliseconds (checked at
-    /// append time). The loss window is the interval.
-    IntervalMs(u64),
-}
-
-impl Default for FsyncPolicy {
-    /// The safest policy — control-plane ops are rare, and only they are
-    /// journaled, so the per-op flush is off the streaming data path.
-    fn default() -> Self {
-        FsyncPolicy::Always
-    }
-}
 
 /// Write-side counters, mirrored into `gesto_journal_*` metrics by the
 /// server.
@@ -120,16 +95,11 @@ impl Replay {
 #[derive(Debug)]
 pub struct Journal {
     dir: PathBuf,
-    policy: FsyncPolicy,
     file: FailpointFs,
     /// Path of the active segment (the failpoint tests reopen it).
     active: PathBuf,
     /// Sequence the next append will get.
     next_seq: u64,
-    /// Appends since the last fsync (EveryN policy).
-    unsynced: u32,
-    /// Time of the last fsync (IntervalMs policy).
-    last_sync: Instant,
     /// Reusable record-encode scratch.
     scratch: Vec<u8>,
     stats: JournalStats,
@@ -140,7 +110,7 @@ impl Journal {
     /// disk and repairing any torn tail: after this call the segment
     /// files hold exactly the returned valid prefix, and appends resume
     /// at `replay.last_seq() + 1`.
-    pub fn open(dir: impl AsRef<Path>, policy: FsyncPolicy) -> io::Result<(Journal, Replay)> {
+    pub fn open(dir: impl AsRef<Path>) -> io::Result<(Journal, Replay)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let replay = scan(&dir, 0, true)?;
@@ -157,20 +127,17 @@ impl Journal {
         let end = file.seek(SeekFrom::End(0))?;
         let journal = Journal {
             dir,
-            policy,
             file: FailpointFs::new(file, end),
             active,
             next_seq,
-            unsynced: 0,
-            last_sync: Instant::now(),
             scratch: Vec::with_capacity(256),
             stats: JournalStats::default(),
         };
         Ok((journal, replay))
     }
 
-    /// Appends one record, applying the fsync policy. Returns the
-    /// record's sequence number.
+    /// Appends one record and `fdatasync`s it. Returns the record's
+    /// sequence number.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         assert!(
             payload.len() as u64 <= u64::from(MAX_PAYLOAD_LEN),
@@ -183,40 +150,15 @@ impl Journal {
         self.next_seq += 1;
         self.stats.appends += 1;
         self.stats.bytes += self.scratch.len() as u64;
-        self.maybe_sync()?;
+        self.sync()?;
         Ok(seq)
     }
 
-    /// Forces an `fdatasync` of the active segment now, regardless of
-    /// policy.
+    /// Forces an `fdatasync` of the active segment now.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
-        self.unsynced = 0;
-        self.last_sync = Instant::now();
         self.stats.fsyncs += 1;
         Ok(())
-    }
-
-    fn maybe_sync(&mut self) -> io::Result<()> {
-        match self.policy {
-            FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-            FsyncPolicy::IntervalMs(ms) => {
-                self.unsynced += 1;
-                if self.last_sync.elapsed().as_millis() as u64 >= ms {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-        }
     }
 
     /// Seals the active segment and starts a new one at the next
@@ -455,14 +397,15 @@ mod tests {
     #[test]
     fn append_replay_roundtrip() {
         let dir = scratch_dir("roundtrip");
-        let (mut j, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (mut j, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.records, vec![]);
         assert_eq!(j.append(b"one").unwrap(), 1);
         assert_eq!(j.append(b"two").unwrap(), 2);
         assert_eq!(j.append(b"").unwrap(), 3, "empty payloads are legal");
+        assert_eq!(j.stats().fsyncs, j.stats().appends, "every append synced");
         drop(j);
 
-        let (j, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (j, replay) = Journal::open(&dir).unwrap();
         assert_eq!(
             replay.records,
             vec![(1, b"one".to_vec()), (2, b"two".to_vec()), (3, Vec::new())]
@@ -475,7 +418,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_repaired() {
         let dir = scratch_dir("torn");
-        let (mut j, _) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (mut j, _) = Journal::open(&dir).unwrap();
         j.append(b"keep me").unwrap();
         // Crash mid-way through the second record's payload.
         let cut = (2 * RECORD_HEADER_LEN + b"keep me".len() + 3) as u64;
@@ -483,13 +426,13 @@ mod tests {
         j.append(b"torn record").unwrap();
         drop(j);
 
-        let (mut j, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (mut j, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.records, vec![(1, b"keep me".to_vec())]);
         assert_eq!(replay.truncated_bytes, RECORD_HEADER_LEN as u64 + 3);
         // The repair leaves a cleanly appendable journal.
         assert_eq!(j.append(b"after repair").unwrap(), 2);
         drop(j);
-        let (_, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(
             replay.records,
             vec![(1, b"keep me".to_vec()), (2, b"after repair".to_vec())]
@@ -500,7 +443,7 @@ mod tests {
     #[test]
     fn bitflip_truncates_from_corrupt_record() {
         let dir = scratch_dir("flip");
-        let (mut j, _) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (mut j, _) = Journal::open(&dir).unwrap();
         j.append(b"good").unwrap();
         let second_start = (RECORD_HEADER_LEN + 4) as u64;
         j.arm_failpoint(Failpoint::BitFlipAt(
@@ -508,7 +451,7 @@ mod tests {
         ));
         j.append(b"bad payload").unwrap();
         drop(j);
-        let (_, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.records, vec![(1, b"good".to_vec())]);
         assert!(replay.truncated_bytes > 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -517,14 +460,14 @@ mod tests {
     #[test]
     fn short_write_desync_is_contained() {
         let dir = scratch_dir("short");
-        let (mut j, _) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (mut j, _) = Journal::open(&dir).unwrap();
         j.append(b"good").unwrap();
         let second_start = (RECORD_HEADER_LEN + 4) as u64;
         j.arm_failpoint(Failpoint::ShortWriteAt(second_start + 5));
         j.append(b"shorted").unwrap();
         j.append(b"misaligned follower").unwrap();
         drop(j);
-        let (_, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(
             replay.records,
             vec![(1, b"good".to_vec())],
@@ -536,7 +479,7 @@ mod tests {
     #[test]
     fn rotation_and_compaction() {
         let dir = scratch_dir("rotate");
-        let (mut j, _) = Journal::open(&dir, FsyncPolicy::EveryN(4)).unwrap();
+        let (mut j, _) = Journal::open(&dir).unwrap();
         j.append(b"a").unwrap(); // seq 1
         j.append(b"b").unwrap(); // seq 2
         j.rotate().unwrap(); // segment 2 starts at seq 3
@@ -551,27 +494,13 @@ mod tests {
         drop(j);
         // Seqs 1–2 are gone with their segment; replay resumes mid-log
         // (a checkpoint at seq 2 provides the missing prefix).
-        let (_, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+        let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.records, vec![(3, b"c".to_vec()), (4, b"d".to_vec())]);
         assert_eq!(
             replay_dir(&dir, 3).unwrap().records,
             vec![(4, b"d".to_vec())],
             "min_seq filters already-checkpointed records"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn interval_policy_counts_fsyncs() {
-        let dir = scratch_dir("interval");
-        let (mut j, _) = Journal::open(&dir, FsyncPolicy::IntervalMs(3_600_000)).unwrap();
-        for i in 0..100u32 {
-            j.append(&i.to_le_bytes()).unwrap();
-        }
-        assert_eq!(j.stats().fsyncs, 0, "interval not elapsed: no fsync");
-        j.sync().unwrap();
-        assert_eq!(j.stats().fsyncs, 1);
-        assert_eq!(j.stats().appends, 100);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

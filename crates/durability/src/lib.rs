@@ -6,9 +6,9 @@
 //! dependencies beyond `std`:
 //!
 //! * [`journal`] — a CRC32-framed, length-prefixed **write-ahead
-//!   journal** over rotating segment files, with configurable fsync
-//!   policies ([`FsyncPolicy`]) and torn-tail / corrupt-record detection
-//!   that truncates to the last valid record on replay.
+//!   journal** over rotating segment files, `fdatasync`ed on every
+//!   append, with torn-tail / corrupt-record detection that truncates to
+//!   the last valid record on replay.
 //! * [`checkpoint`] — **atomic snapshots** written via
 //!   temp-file-then-rename, CRC-validated on load, so a crash mid-write
 //!   can never destroy the previous checkpoint.
@@ -22,16 +22,16 @@
 //! `journal_conformance` golden tests — they cannot drift silently.
 //!
 //! ```
-//! use gesto_durability::{FsyncPolicy, Journal};
+//! use gesto_durability::Journal;
 //!
 //! let dir = std::env::temp_dir().join(format!("gesto-wal-doc-{}", std::process::id()));
-//! let (mut journal, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+//! let (mut journal, replay) = Journal::open(&dir).unwrap();
 //! assert!(replay.records.is_empty());
 //! journal.append(b"deploy swipe_right").unwrap();
 //!
 //! // A later process replays exactly what was appended.
 //! drop(journal);
-//! let (_journal, replay) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+//! let (_journal, replay) = Journal::open(&dir).unwrap();
 //! assert_eq!(replay.records, vec![(1, b"deploy swipe_right".to_vec())]);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
@@ -47,7 +47,7 @@ pub use checkpoint::{
     load_newest_checkpoint, prune_checkpoints, save_checkpoint, LoadedCheckpoint,
 };
 pub use failpoint::{Failpoint, FailpointFs};
-pub use journal::{replay_dir, FsyncPolicy, Journal, JournalStats, Replay};
+pub use journal::{replay_dir, Journal, JournalStats, Replay};
 
 /// CRC-32 (IEEE 802.3, the polynomial used by zlib/gzip/PNG), computed
 /// bytewise from a compile-time table. One-shot form of [`Crc32`].

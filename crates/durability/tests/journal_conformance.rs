@@ -8,7 +8,7 @@
 
 use gesto_durability::checkpoint::{save_checkpoint, CHECKPOINT_HEADER_LEN, CHECKPOINT_MAGIC};
 use gesto_durability::journal::{encode_record, RECORD_HEADER_LEN};
-use gesto_durability::{crc32, load_newest_checkpoint, replay_dir, FsyncPolicy, Journal};
+use gesto_durability::{crc32, load_newest_checkpoint, replay_dir, Journal};
 use std::path::PathBuf;
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -65,7 +65,7 @@ fn record_encoding_matches_golden_bytes() {
 #[test]
 fn journal_writes_golden_bytes_to_disk() {
     let dir = scratch_dir("journal-golden");
-    let (mut j, _) = Journal::open(&dir, FsyncPolicy::Always).unwrap();
+    let (mut j, _) = Journal::open(&dir).unwrap();
     j.append(b"teach swipe_right").unwrap();
     j.append(b"deploy v2").unwrap();
     drop(j);

@@ -50,9 +50,7 @@ pub struct KinectSlots {
     /// `(x, y, z)` value slots per joint, [`Joint::index`]-ordered;
     /// `None` when the schema lacks any of the three coordinate fields.
     joints: [Option<[usize; 3]>; JOINT_COUNT],
-    /// Distinct value slots resolved above. When it equals a tuple's
-    /// arity, [`Self::write_values`] overwrites every field; otherwise
-    /// the fields outside the table are reset to `Null` first.
+    /// Distinct value slots resolved above ([`Self::covers_frame`]).
     covered: usize,
 }
 
@@ -161,15 +159,10 @@ impl KinectSlots {
         tuple
     }
 
-    /// Writes `frame` over `values`, the value slice of a tuple laid out
-    /// like the schema this table was resolved against. **Every** field
-    /// is written — `Null` for an untracked joint and for a field the
-    /// table does not resolve — so nothing of what `values` held before
-    /// survives, whatever it was.
-    pub fn write_values(&self, frame: &SkeletonFrame, values: &mut [Value]) {
-        if self.covered != values.len() {
-            values.fill(Value::Null);
-        }
+    /// Writes `frame` into `values`, the all-`Null` value slice of a
+    /// fresh tuple laid out like the schema this table was resolved
+    /// against; untracked joints and unresolved fields stay `Null`.
+    fn write_values(&self, frame: &SkeletonFrame, values: &mut [Value]) {
         if let Some(i) = self.player {
             values[i] = Value::Int(frame.player);
         }
@@ -177,30 +170,11 @@ impl KinectSlots {
             values[i] = Value::Timestamp(frame.ts);
         }
         for (slot, joint) in self.joints.iter().zip(&frame.joints) {
-            let Some([x, y, z]) = *slot else { continue };
-            [values[x], values[y], values[z]] = match joint {
-                Some(p) => [Value::Float(p.x), Value::Float(p.y), Value::Float(p.z)],
-                None => [Value::Null, Value::Null, Value::Null],
-            };
-        }
-    }
-
-    /// [`Self::tuple`] into a slot that already holds a tuple: when
-    /// `slot` has this very `schema` (same `Arc`) and nobody else holds
-    /// a clone of it ([`Tuple::values_mut`]), its buffer is overwritten
-    /// in place — no allocation — and `true` is returned. Otherwise the
-    /// slot is replaced by a freshly built tuple (`false`); a clone
-    /// someone kept is left exactly as it was. Either way `slot` ends up
-    /// equal to `self.tuple(frame, schema)`.
-    pub fn tuple_into(&self, frame: &SkeletonFrame, schema: &SchemaRef, slot: &mut Tuple) -> bool {
-        if Arc::ptr_eq(slot.schema(), schema) {
-            if let Some(values) = slot.values_mut() {
-                self.write_values(frame, values);
-                return true;
+            if let (Some([x, y, z]), Some(p)) = (slot, joint) {
+                [values[*x], values[*y], values[*z]] =
+                    [Value::Float(p.x), Value::Float(p.y), Value::Float(p.z)];
             }
         }
-        *slot = self.tuple(frame, schema);
-        false
     }
 
     /// Converts a batch of frames straight into a [`ColumnBlock`] laid
@@ -366,96 +340,6 @@ mod tests {
             slots.joint(&t, Joint::Torso),
             Some(Vec3::new(1.0, 2.0, 3.0))
         );
-    }
-
-    /// Frames with independent per-joint dropouts (a third of the
-    /// joints missing on average).
-    fn arb_frames() -> impl proptest::strategy::Strategy<Value = Vec<SkeletonFrame>> {
-        use proptest::prelude::*;
-        let joint = proptest::option::of(proptest::array::uniform3(-2000.0..2000.0f64));
-        let frame = (
-            0i64..100_000,
-            1i64..4,
-            proptest::collection::vec(joint, 15..16),
-        );
-        proptest::collection::vec(frame, 1..12).prop_map(|frames| {
-            frames
-                .into_iter()
-                .map(|(ts, player, joints)| {
-                    let mut f = SkeletonFrame::empty(ts, player);
-                    for (slot, j) in f.joints.iter_mut().zip(joints) {
-                        *slot = j.map(|[x, y, z]| Vec3::new(x, y, z));
-                    }
-                    f
-                })
-                .collect()
-        })
-    }
-
-    proptest::proptest! {
-        /// Fresh construction is the oracle: whatever a slot held —
-        /// the previous frame of the sequence (other joints tracked),
-        /// a tuple someone still shares, a tuple of another schema —
-        /// `tuple_into` leaves it value-for-value what `tuple` builds,
-        /// and never writes through a clone.
-        #[test]
-        fn tuple_into_matches_fresh_construction(frames in arb_frames()) {
-            use proptest::prelude::*;
-            let schema = kinect_schema();
-            let slots = KinectSlots::resolve(&schema, "");
-            let mut slot = slots.tuple(&frames[0], &schema);
-            let mut held: Vec<(Tuple, Tuple)> = Vec::new();
-            for (i, f) in frames.iter().enumerate() {
-                let recycled = slots.tuple_into(f, &schema, &mut slot);
-                let fresh = slots.tuple(f, &schema);
-                prop_assert_eq!(slot.values(), fresh.values());
-                // Every second frame keeps a clone: the next write must
-                // go to a new buffer (not recycled) and leave this one
-                // bit-identical; the write after that owns its buffer.
-                prop_assert_eq!(recycled, i % 2 == 0);
-                if i % 2 == 0 {
-                    held.push((slot.clone(), fresh));
-                }
-            }
-            for (kept, expect) in &held {
-                prop_assert_eq!(kept.values(), expect.values());
-            }
-
-            // Same layout under another schema `Arc`: replaced, not written.
-            let other = schema_named("kinect_t", "");
-            let before = slot.clone();
-            prop_assert!(!slots.tuple_into(&frames[0], &other, &mut slot));
-            prop_assert!(Arc::ptr_eq(slot.schema(), &other));
-            prop_assert_eq!(slot.values(), slots.tuple(&frames[0], &other).values());
-            prop_assert!(Arc::ptr_eq(before.schema(), &schema));
-        }
-    }
-
-    #[test]
-    fn tuple_into_resets_fields_outside_the_table() {
-        // A schema wider than the slot table: the extra field must not
-        // keep what a recycled tuple held there.
-        let schema = Arc::new(
-            Schema::new(
-                "wide",
-                vec![
-                    Field::new("ts", ValueType::Timestamp),
-                    Field::new("rHand_x", ValueType::Float),
-                    Field::new("rHand_y", ValueType::Float),
-                    Field::new("rHand_z", ValueType::Float),
-                    Field::new("note", ValueType::Str),
-                ],
-            )
-            .unwrap(),
-        );
-        let slots = KinectSlots::resolve(&schema, "");
-        let mut dirty = vec![Value::Null; 5];
-        dirty[4] = Value::Str("stale".into());
-        let mut slot = Tuple::new(schema.clone(), dirty).unwrap();
-        let f = SkeletonFrame::empty(3, 1);
-        assert!(slots.tuple_into(&f, &schema, &mut slot), "unique: in place");
-        assert_eq!(slot.values(), slots.tuple(&f, &schema).values());
-        assert!(slot.get(4).unwrap().is_null());
     }
 
     #[test]

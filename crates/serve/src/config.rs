@@ -2,12 +2,11 @@
 
 use std::path::PathBuf;
 
-use gesto_durability::FsyncPolicy;
-
 /// Durable control plane configuration: where the write-ahead journal
-/// and checkpoints live, and how aggressively they are persisted. See
-/// `docs/DURABILITY.md` for the on-disk formats and the recovery
-/// algorithm.
+/// and checkpoints live, and how often a checkpoint is taken. Every
+/// journal append is `fdatasync`ed before the op returns, and the two
+/// newest checkpoints are kept. See `docs/DURABILITY.md` for the
+/// on-disk formats and the recovery algorithm.
 ///
 /// Only **control-plane** operations are journaled (teach, deploy,
 /// undeploy, set-config) — never frames — so the steady-state data path
@@ -17,49 +16,25 @@ pub struct DurabilityConfig {
     /// Directory holding journal segments (`wal-*.log`) and checkpoints
     /// (`ckpt-*.ckpt`). Created on start if missing.
     pub dir: PathBuf,
-    /// When appended journal records are fsynced. The default
-    /// ([`FsyncPolicy::Always`]) syncs every control op — they are rare,
-    /// so the cost is negligible; relax to `EveryN`/`IntervalMs` only if
-    /// the control plane itself becomes write-heavy.
-    pub fsync: FsyncPolicy,
     /// Journaled ops between automatic checkpoints (each checkpoint
     /// also rotates and compacts the journal). `0` disables automatic
     /// checkpoints; [`crate::ServerHandle::checkpoint`] still works.
     pub checkpoint_every: u64,
-    /// Checkpoint files retained after each checkpoint (older ones are
-    /// pruned). Keeping more than one lets recovery fall back past a
-    /// corrupt newest checkpoint.
-    pub keep_checkpoints: usize,
 }
 
 impl DurabilityConfig {
-    /// Durability under `dir` with the default policies (fsync every
-    /// op, checkpoint every 16 ops, keep 2 checkpoints).
+    /// Durability under `dir`, checkpointing every 16 ops.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            fsync: FsyncPolicy::Always,
             checkpoint_every: 16,
-            keep_checkpoints: 2,
         }
-    }
-
-    /// Sets the fsync policy.
-    pub fn with_fsync(mut self, policy: FsyncPolicy) -> Self {
-        self.fsync = policy;
-        self
     }
 
     /// Sets the auto-checkpoint interval in journaled ops (`0` = manual
     /// checkpoints only).
     pub fn with_checkpoint_every(mut self, ops: u64) -> Self {
         self.checkpoint_every = ops;
-        self
-    }
-
-    /// Sets how many checkpoints to retain (minimum 1).
-    pub fn with_keep_checkpoints(mut self, keep: usize) -> Self {
-        self.keep_checkpoints = keep.max(1);
         self
     }
 }
@@ -163,13 +138,6 @@ pub struct ServerConfig {
     /// work for a live stream. Counted as
     /// `gesto_admission_rejected_total{reason="stale"}`.
     pub max_batch_age_ms: u64,
-    /// Queue-fill ratio at which the overload state machine leaves
-    /// `Healthy` for `Shedding` (worst shard; memory budget fill counts
-    /// too). See [`crate::OverloadState`].
-    pub overload_shed_ratio: f64,
-    /// Queue-fill ratio at which the overload state machine enters
-    /// `Rejecting` (the edge then refuses **new** session binds).
-    pub overload_reject_ratio: f64,
 }
 
 impl Default for ServerConfig {
@@ -185,8 +153,6 @@ impl Default for ServerConfig {
             session_frame_quota: 0,
             shard_memory_budget: 0,
             max_batch_age_ms: 0,
-            overload_shed_ratio: 0.75,
-            overload_reject_ratio: 1.0,
         }
     }
 }
@@ -258,15 +224,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the overload thresholds as queue/memory fill ratios
-    /// (shedding at `shed`, rejecting at `reject`; both clamped to at
-    /// least 0.01, and `reject` to at least `shed`).
-    pub fn with_overload_thresholds(mut self, shed: f64, reject: f64) -> Self {
-        self.overload_shed_ratio = shed.max(0.01);
-        self.overload_reject_ratio = reject.max(self.overload_shed_ratio);
-        self
-    }
-
     /// Enables the durable control plane with default policies under
     /// `dir` (see [`DurabilityConfig::new`]).
     pub fn with_durability(self, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -294,7 +251,7 @@ impl ServerConfig {
     /// Resolved per-shard queue capacity: the configured value, at least
     /// 1 (a capacity of 0 would park a blocking producer forever). The
     /// field is public, so the clamp lives where the value is read —
-    /// queue gates, overload thresholds — and not in the setter.
+    /// queue gates, the overload state machine — and not in the setter.
     pub fn effective_queue_capacity(&self) -> usize {
         self.queue_capacity.max(1)
     }

@@ -291,10 +291,9 @@ pub struct ShardSnapshot {
 /// gauges (worst shard wins): queue fill and — when a
 /// [`crate::ServerConfig::shard_memory_budget`] is set — memory fill.
 ///
-/// `Healthy` → `Shedding` at
-/// [`crate::ServerConfig::overload_shed_ratio`], `Shedding` →
-/// `Rejecting` at [`crate::ServerConfig::overload_reject_ratio`]; the
-/// machine walks back down as the shards drain. Surfaced through
+/// `Healthy` → `Shedding` at a fill of 0.75, `Shedding` → `Rejecting`
+/// at 1.0 (a full queue or budget); the machine walks back down as the
+/// shards drain. Surfaced through
 /// [`crate::ServerHandle::overload_state`], `GET /healthz` (503 when
 /// rejecting) and the `gesto_overload_state` gauge; while `Rejecting`,
 /// the network edge refuses **new** session binds (existing sessions
@@ -339,14 +338,20 @@ impl std::fmt::Display for OverloadState {
     }
 }
 
-/// Thresholds the overload state machine evaluates against (derived
-/// from the server config once at startup).
+/// Worst-shard fill at which the overload state machine leaves
+/// `Healthy` for `Shedding`.
+const SHED_FILL: f64 = 0.75;
+
+/// Worst-shard fill at which it enters `Rejecting`: a full queue (or
+/// memory budget).
+const REJECT_FILL: f64 = 1.0;
+
+/// What the overload state machine divides by (derived from the server
+/// config).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OverloadPolicy {
     pub queue_capacity: usize,
     pub memory_budget: usize,
-    pub shed_ratio: f64,
-    pub reject_ratio: f64,
 }
 
 impl OverloadPolicy {
@@ -354,8 +359,6 @@ impl OverloadPolicy {
         OverloadPolicy {
             queue_capacity: config.effective_queue_capacity(),
             memory_budget: config.shard_memory_budget,
-            shed_ratio: config.overload_shed_ratio.max(0.01),
-            reject_ratio: config.overload_reject_ratio.max(0.01),
         }
     }
 
@@ -374,9 +377,9 @@ impl OverloadPolicy {
     /// Folds per-shard fills into the machine's state (worst shard
     /// wins).
     pub(crate) fn classify(&self, worst_fill: f64) -> OverloadState {
-        if worst_fill >= self.reject_ratio {
+        if worst_fill >= REJECT_FILL {
             OverloadState::Rejecting
-        } else if worst_fill >= self.shed_ratio {
+        } else if worst_fill >= SHED_FILL {
             OverloadState::Shedding
         } else {
             OverloadState::Healthy
@@ -489,6 +492,14 @@ mod tests {
         let s = LatencySummary::from_histogram(&h);
         assert_eq!(s.samples, 2048);
         assert_eq!(s.max_us, 2047);
+    }
+
+    #[test]
+    fn overload_thresholds_are_three_quarters_and_full() {
+        let policy = OverloadPolicy::from_config(&crate::ServerConfig::new());
+        let states = [0.74, 0.75, 0.99, 1.0].map(|fill| policy.classify(fill));
+        use OverloadState::{Healthy, Rejecting, Shedding};
+        assert_eq!(states, [Healthy, Shedding, Shedding, Rejecting]);
     }
 
     #[test]

@@ -212,7 +212,7 @@ impl NetMetrics {
 
     /// Session binds refused by admission control: the server was in
     /// the `Rejecting` overload state, or the connection hit its
-    /// session cap ([`crate::net::NetConfig::max_sessions_per_conn`]).
+    /// session cap (`MAX_SESSIONS_PER_CONN`, 1 024).
     pub fn sessions_rejected(&self) -> u64 {
         self.inner.sessions_rejected.get()
     }

@@ -108,6 +108,21 @@ fn looks_like_http(buf: &[u8]) -> bool {
     )
 }
 
+/// Connections beyond this many are accepted and immediately dropped:
+/// the last line of defence.
+const MAX_CONNECTIONS: usize = 16_384;
+
+/// Sessions one connection may bind. A bind past the cap is refused
+/// with a non-fatal `Overloaded` error frame: it bounds what one
+/// adversarial connection can pin in per-session NFA/view state.
+const MAX_SESSIONS_PER_CONN: usize = 1_024;
+
+/// Batches one connection may hold parked on shard backpressure. Past
+/// the cap, further batches are dropped with a non-fatal `QueueFull`
+/// error frame instead of parked: it bounds the frames a connection can
+/// buffer server-side beyond its shard queue slot.
+const MAX_PARKED_BATCHES: usize = 64;
+
 /// Index just past the `\r\n\r\n` terminating an HTTP request head.
 fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
@@ -123,8 +138,6 @@ pub struct NetConfig {
     /// `docs/PROTOCOL.md`): the number of frames a client may have in
     /// flight before it must wait for a grant.
     pub initial_credits: u32,
-    /// Connections beyond this are accepted and immediately dropped.
-    pub max_connections: usize,
     /// Close a connection after this many milliseconds without inbound
     /// bytes (`0` disables the sweep). Idle closes are counted as
     /// `gesto_net_idle_closed_total`. Connections held paused by shard
@@ -136,17 +149,6 @@ pub struct NetConfig {
     /// control message on a non-control edge is answered with a
     /// `ControlDisabled` error frame (the connection stays usable).
     pub allow_control: bool,
-    /// Sessions one connection may bind (default 1024). A bind past the
-    /// cap is refused with a non-fatal `Overloaded` error frame — it
-    /// bounds what one adversarial connection can pin in per-session
-    /// NFA/view state.
-    pub max_sessions_per_conn: usize,
-    /// Batches one connection may hold parked on shard backpressure
-    /// (default 64). Past the cap, further batches are dropped with a
-    /// non-fatal `QueueFull` error frame instead of parked — it bounds
-    /// the frames a connection can buffer server-side beyond its shard
-    /// queue slot.
-    pub max_parked_batches: usize,
 }
 
 impl Default for NetConfig {
@@ -154,11 +156,8 @@ impl Default for NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".to_owned(),
             initial_credits: 4096,
-            max_connections: 16384,
             idle_timeout_ms: 300_000,
             allow_control: false,
-            max_sessions_per_conn: 1024,
-            max_parked_batches: 64,
         }
     }
 }
@@ -182,12 +181,6 @@ impl NetConfig {
         self
     }
 
-    /// Sets the connection cap.
-    pub fn with_max_connections(mut self, conns: usize) -> Self {
-        self.max_connections = conns.max(1);
-        self
-    }
-
     /// Sets the idle timeout in milliseconds (`0` disables it).
     pub fn with_idle_timeout_ms(mut self, ms: u64) -> Self {
         self.idle_timeout_ms = ms;
@@ -198,18 +191,6 @@ impl NetConfig {
     /// this edge. Only enable on edges reserved for trusted operators.
     pub fn with_allow_control(mut self, allow: bool) -> Self {
         self.allow_control = allow;
-        self
-    }
-
-    /// Sets the per-connection session cap.
-    pub fn with_max_sessions_per_conn(mut self, sessions: usize) -> Self {
-        self.max_sessions_per_conn = sessions.max(1);
-        self
-    }
-
-    /// Sets the per-connection parked-batch cap.
-    pub fn with_max_parked_batches(mut self, batches: usize) -> Self {
-        self.max_parked_batches = batches.max(1);
         self
     }
 }
@@ -519,8 +500,8 @@ impl IoLoop {
     }
 
     fn accept_one(&mut self, stream: TcpStream) {
-        if self.conns.len() >= self.config.max_connections {
-            return; // Dropped: the cap is the last line of defence.
+        if self.conns.len() >= MAX_CONNECTIONS {
+            return;
         }
         if stream.set_nonblocking(true).is_err() {
             return;
@@ -825,7 +806,7 @@ impl IoLoop {
         self.metrics.frames_received.add(n as u64);
         self.metrics.batches_received.inc();
         if !conn.parked.is_empty() {
-            if conn.parked.len() >= self.config.max_parked_batches {
+            if conn.parked.len() >= MAX_PARKED_BATCHES {
                 // The connection already buffers its cap of parked
                 // batches: drop instead of growing without bound.
                 self.metrics.batches_rejected.inc();
@@ -856,7 +837,7 @@ impl IoLoop {
         match self.handle.offer_batch(SessionId(global), frames) {
             Ok(OfferOutcome::Queued) => None,
             Ok(OfferOutcome::Full(frames)) => {
-                if conn.parked.len() >= self.config.max_parked_batches {
+                if conn.parked.len() >= MAX_PARKED_BATCHES {
                     // Defensive bound (normally unreachable: a parked
                     // connection is paused): drop rather than park.
                     self.metrics.batches_rejected.inc();
@@ -905,7 +886,7 @@ impl IoLoop {
         if conn.sessions.contains_key(&client_sid) {
             return conn.sessions.get(&client_sid);
         }
-        let refusal = if conn.sessions.len() >= self.config.max_sessions_per_conn {
+        let refusal = if conn.sessions.len() >= MAX_SESSIONS_PER_CONN {
             Some("connection session cap reached")
         } else if self.handle.overload_state() == crate::metrics::OverloadState::Rejecting {
             Some("server rejecting new sessions under overload")

@@ -24,6 +24,10 @@ use crate::session::SessionId;
 use crate::shard::{batch_cost, Batch, Control, Job, QueueGate, ShardWorker};
 use crate::telemetry::ServerTelemetry;
 
+/// Checkpoint files kept after each checkpoint: the newest plus one
+/// fallback, so recovery can skip a corrupt newest checkpoint.
+const KEEP_CHECKPOINTS: usize = 2;
+
 /// Callback invoked for every detection of every session.
 pub type DetectionSink = Arc<dyn Fn(SessionId, &Detection) + Send + Sync>;
 
@@ -706,7 +710,7 @@ impl ServerHandle {
         ds.journal
             .compact(seq)
             .map_err(|e| durable::io_err("journal compact", e))?;
-        gesto_durability::prune_checkpoints(&ds.cfg.dir, ds.cfg.keep_checkpoints.max(1))
+        gesto_durability::prune_checkpoints(&ds.cfg.dir, KEEP_CHECKPOINTS)
             .map_err(|e| durable::io_err("checkpoint prune", e))?;
         ds.ops_since_ckpt = 0;
         self.core.telemetry.checkpoints_total.inc();
@@ -753,7 +757,7 @@ impl ServerHandle {
         // `ckpt_seq` can linger when a crash hit between checkpoint and
         // compaction; they are already folded into the snapshot.
         let (journal, replay) =
-            Journal::open(&dcfg.dir, dcfg.fsync).map_err(|e| durable::io_err("journal open", e))?;
+            Journal::open(&dcfg.dir).map_err(|e| durable::io_err("journal open", e))?;
         t.recovery_truncated_bytes.add(replay.truncated_bytes);
         let mut replayed = 0u64;
         for (seq, payload) in &replay.records {
@@ -857,12 +861,11 @@ impl ServerHandle {
     }
 
     /// The overload state machine, computed on demand from the worst
-    /// shard's queue/memory fill against the configured thresholds
-    /// (`ServerConfig::with_overload_thresholds`):
+    /// shard's queue/memory fill:
     /// [`OverloadState::Healthy`] → [`OverloadState::Shedding`] (some
-    /// shard past the shed ratio — degradation mechanisms are active)
-    /// → [`OverloadState::Rejecting`] (past the reject ratio — the net
-    /// edge refuses **new** sessions, `GET /healthz` turns 503).
+    /// shard at least 3/4 full — degradation mechanisms are active)
+    /// → [`OverloadState::Rejecting`] (full — the net edge refuses
+    /// **new** sessions, `GET /healthz` turns 503).
     /// Exported as the `gesto_overload_state` gauge (0/1/2).
     pub fn overload_state(&self) -> OverloadState {
         let policy = OverloadPolicy::from_config(&self.core.config);

@@ -11,13 +11,11 @@
 //! them without a tuple in between). Only while somebody reads the raw
 //! stream itself — a deployed or retiring plan with a route on it, or a
 //! view that declines frames (`SessionRuntime::raw_tuples`, settled at
-//! the deploy-time sync) — is there also one frame→tuple conversion per
-//! frame, written over the tuples the scratch still holds from the
-//! previous batch ([`KinectSlots::tuple_into`]: a tuple nobody kept a
-//! clone of is overwritten in place, a shared one is replaced), plus
-//! (for batches of at least `ServerConfig::columnar_min_batch` frames)
-//! one frame→block conversion of the whole batch straight from the
-//! frames ([`KinectSlots::write_block`]). The one shared view
+//! the deploy-time sync) — is there also one fresh frame→tuple
+//! conversion per frame ([`KinectSlots::tuple`]), plus (for batches of
+//! at least `ServerConfig::columnar_min_batch` frames) one frame→block
+//! conversion of the whole batch straight from the frames
+//! ([`KinectSlots::write_block`]). The one shared view
 //! evaluation for the whole batch runs in the worker's one set of
 //! batch buffers, lent to the session for the batch
 //! ([`SharedViews::lend`] / [`SharedViews::reclaim`]), then every deployed plan
@@ -25,7 +23,8 @@
 //! and their columnar blocks ([`PlanInstance::push_batch_shared`]) —
 //! deploying more gestures does not re-run the coordinate
 //! transformation, and a steady-state batch that seeds no run calls
-//! the allocator not once (`tests/front_path_alloc.rs`).
+//! the allocator once per tuple it builds and never otherwise
+//! (`tests/front_path_alloc.rs`).
 //!
 //! **Ownership and threading.** A worker is one thread; everything a
 //! batch touches is owned by it, at one of three levels, and taken
@@ -39,9 +38,9 @@
 //! * *Per worker* ([`ShardWorker`]): the batch's scratch, which every
 //!   session's batch uses in turn — the one [`BatchBuffers`] (view rows,
 //!   frame offsets, blocks), lent to the session's views for the batch
-//!   and reclaimed before the next job; the raw-stream `tuples`,
-//!   overwritten in place; the `detections` vector. A fixed per-shard
-//!   cost (`gesto_shard_batch_buffer_bytes`), not charged to the budget.
+//!   and reclaimed before the next job; the raw-stream `tuples`; the
+//!   `detections` vector. A fixed per-shard cost
+//!   (`gesto_shard_batch_buffer_bytes`), not charged to the budget.
 //! * *Per thread*: the NFA's match scratch, which every plan call on
 //!   the thread takes and puts back (`gesto_cep`'s `plan` module docs).
 //!   Fixed, and not counted.
@@ -608,16 +607,11 @@ impl ShardWorker {
         // its NFA over the whole batch in one call.
         let mark = timed.then(Instant::now);
         views.lend(std::mem::take(bufs));
-        let raw = if *raw_tuples { batch.frames.len() } else { 0 };
-        tuples.truncate(raw);
-        let (kept, new) = batch.frames[..raw].split_at(tuples.len());
-        let mut recycled = 0u64;
-        for (slot, frame) in tuples.iter_mut().zip(kept) {
-            recycled += u64::from(slots.tuple_into(frame, schema, slot));
+        tuples.clear();
+        if *raw_tuples {
+            tuples.extend(batch.frames.iter().map(|f| slots.tuple(f, schema)));
+            gesto_stream::metrics::TUPLES_BUILT_TOTAL.add(tuples.len() as u64);
         }
-        tuples.extend(new.iter().map(|f| slots.tuple(f, schema)));
-        gesto_stream::metrics::TUPLES_RECYCLED_TOTAL.add(recycled);
-        gesto_stream::metrics::TUPLES_BUILT_TOTAL.add(raw as u64 - recycled);
         // Adaptive scalar-vs-columnar choice, made per pushed batch: the
         // block kernels' fixed setup cost loses on tiny batches (batch 1
         // runs ~0.2–0.5× scalar, batch 16 ~2.7–5.6×, `bench_predicate`),

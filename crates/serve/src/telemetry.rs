@@ -234,16 +234,8 @@ impl ServerTelemetry {
         );
 
         registry.register_sharded_counter_ref(
-            "gesto_tuples_recycled_total",
-            "Raw and scalar-batch view tuples overwritten in place (uniquely owned: \
-             no allocation); the slot's previous tuple may be another session's",
-            &[],
-            &gesto_stream::metrics::TUPLES_RECYCLED_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
             "gesto_tuples_built_total",
-            "Every other tuple built: fresh raw or scalar-batch view tuples, and \
-             deferred view rows a consumer read (counted when the batch is spent)",
+            "Every tuple built; ÷ gesto_shard_frames_total = tuples per frame",
             &[],
             &gesto_stream::metrics::TUPLES_BUILT_TOTAL,
         );
@@ -447,7 +439,7 @@ impl ServerTelemetry {
             set.gauge(
                 "gesto_overload_state",
                 "Overload state machine: 0 = healthy, 1 = shedding, 2 = rejecting \
-                 (worst shard's queue/memory fill vs the configured thresholds)",
+                 (worst shard's queue/memory fill: shedding from 0.75, rejecting from 1.0)",
                 &[],
                 f64::from(policy.classify(worst).code()),
             );

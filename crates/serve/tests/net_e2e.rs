@@ -267,6 +267,42 @@ fn concurrent_clients_get_only_their_own_detections() {
 }
 
 #[test]
+fn a_bind_past_the_session_cap_is_refused_and_bound_sessions_stream_on() {
+    // One connection may bind 1 024 sessions: the 1 025th bind gets the
+    // non-fatal `Overloaded` frame, and the connection and the sessions
+    // bound before it keep streaming.
+    let server = Server::start(ServerConfig::new().with_shards(2));
+    teach_swipe(&server);
+    let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
+    let mut client = NetClient::connect(net.local_addr()).unwrap();
+    for sid in 0..1_025 {
+        client.open_session(sid).unwrap();
+    }
+    client.ping().unwrap();
+    assert_eq!(client.admission_rejections(), 1, "only the last bind");
+    assert_eq!(net.metrics().sessions_opened(), 1_024);
+    assert_eq!(net.metrics().sessions_rejected(), 1);
+
+    let frames = swipe_frames(9);
+    for sid in [0, 1_023] {
+        for chunk in frames.chunks(CHUNK) {
+            client.send_batch(sid, chunk).unwrap();
+        }
+    }
+    let detections = client.bye().unwrap();
+    for sid in [0, 1_023] {
+        assert!(
+            detections.iter().any(|d| d.session == sid),
+            "bound session {sid} detected nothing"
+        );
+    }
+    assert_eq!(net.metrics().frames_received(), 2 * frames.len() as u64);
+
+    net.shutdown();
+    server.shutdown();
+}
+
+#[test]
 fn control_plane_over_the_wire_and_gated_by_default() {
     let server = Server::start(ServerConfig::new().with_shards(1));
     teach_swipe(&server);

@@ -19,16 +19,7 @@ pub static BLOCKS_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();
 /// Rows materialised across all built blocks.
 pub static BLOCK_ROWS_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();
 
-/// Tuples overwritten in place — the slot's previous tuple was uniquely
-/// owned, so no allocation: base tuples by
-/// `gesto_kinect::KinectSlots::tuple_into` in the shard worker's scratch,
-/// view outputs of scalar batches through [`crate::Emit::overwrite`].
-/// The previous tuple is whatever the last batch left there, another
-/// session's included. Counted per batch and added once.
-pub static TUPLES_RECYCLED_TOTAL: ShardedCounter = ShardedCounter::new();
-
-/// Every other tuple built: a fresh raw or view tuple where none could be
-/// overwritten, and a deferred view row some consumer read (counted when
-/// the row is spent, at the next batch or `lend`). `(built + recycled)`
-/// per frame is the tuples a frame costs.
+/// Every tuple built: a raw or scalar-batch view tuple, and a deferred
+/// view row some consumer read (counted when the row is spent, at the
+/// next batch or `lend`). Per frame, it is the tuples a frame costs.
 pub static TUPLES_BUILT_TOTAL: ShardedCounter = ShardedCounter::new();

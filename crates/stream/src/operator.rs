@@ -17,85 +17,52 @@ use crate::tuple::Tuple;
 /// kinds of sink:
 ///
 /// * **Without a block** (a scalar batch, [`Self::collect`]) every row
-///   is a tuple, built at emission. The output vector still holds the
-///   *spent* tuples of an earlier batch (under [`crate::SharedViews`]
-///   possibly another session's), which an operator may overwrite
-///   instead of allocating ([`Self::overwrite`]). A spent tuple may
-///   still be shared — a partial match interned it, a detection carries
-///   it — so the only way to write one is [`Tuple::values_mut`], which
-///   refuses while any clone is alive; a fresh tuple takes the slot.
+///   is a fresh tuple, built at emission ([`Self::push`]).
 /// * **With a block** an operator may defer its rows ([`Self::defer`]):
 ///   it writes their lanes, and their tuples are built only for the rows
 ///   a consumer reads ([`crate::ViewRows`]). An operator that does not defer
 ///   pushes tuples here too, and the caller builds the block from them.
 pub struct Emit<'a> {
     out: &'a mut Vec<Tuple>,
-    /// Tuples emitted so far: `out[..len]`; `out[len..]` are spent, for
-    /// the caller to truncate once the batch is through.
-    pub(crate) len: usize,
-    /// Emissions that reused a spent tuple's buffer.
-    pub(crate) recycled: usize,
     /// A sink with a block: the block to build for the outputs, its
     /// column filter, and where deferred rows go.
     block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>, &'a mut Deferred)>,
 }
 
 impl<'a> Emit<'a> {
-    /// A sink replacing the contents of `out` (what it holds on entry
-    /// is spent), with the block to build for the outputs, if any.
+    /// A sink appending to the empty `out`, with the block to build for
+    /// the outputs, if any.
     pub(crate) fn new(
         out: &'a mut Vec<Tuple>,
         block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>, &'a mut Deferred)>,
     ) -> Self {
-        Self {
-            out,
-            len: 0,
-            recycled: 0,
-            block,
-        }
+        Self { out, block }
     }
 
     /// Rows emitted so far, tuples and deferred rows.
     pub(crate) fn rows(&self) -> usize {
-        self.len + self.block.as_ref().map_or(0, |(_, _, d)| d.rows.len())
+        self.out.len() + self.deferred()
     }
 
-    /// A plain sink appending to `out`: no spent tuples to overwrite,
-    /// no block. For driving an operator outside [`crate::SharedViews`]
-    /// ([`run_operator`], reference implementations).
+    /// Deferred rows emitted so far.
+    fn deferred(&self) -> usize {
+        self.block.as_ref().map_or(0, |(_, _, d)| d.rows.len())
+    }
+
+    /// A plain sink appending to `out`, with no block. For driving an
+    /// operator outside [`crate::SharedViews`] ([`run_operator`],
+    /// reference implementations).
     pub fn collect(out: &'a mut Vec<Tuple>) -> Self {
-        let len = out.len();
-        Self {
-            len,
-            ..Self::new(out, None)
-        }
+        Self::new(out, None)
     }
 
     /// Emits `tuple`.
     pub fn push(&mut self, tuple: Tuple) {
         debug_assert!(
-            self.rows() == self.len,
+            self.deferred() == 0,
             "an operator that defers defers every row"
         );
-        match self.out.get_mut(self.len) {
-            Some(slot) => *slot = tuple,
-            None => self.out.push(tuple),
-        }
-        self.len += 1;
-    }
-
-    /// Emits by overwriting: if a spent tuple is left, `write` gets it,
-    /// must leave the tuple to emit in its place, and returns whether
-    /// it reused the buffer (`KinectSlots::tuple_into` has this shape).
-    /// Returns `false`, having emitted nothing, when none is left — the
-    /// operator then [`Self::push`]es a fresh tuple.
-    pub fn overwrite(&mut self, write: impl FnOnce(&mut Tuple) -> bool) -> bool {
-        let Some(slot) = self.out.get_mut(self.len) else {
-            return false;
-        };
-        self.recycled += usize::from(write(slot));
-        self.len += 1;
-        true
+        self.out.push(tuple);
     }
 
     /// Emits a row of `schema` with timestamp `ts` whose tuple is built
@@ -116,7 +83,7 @@ impl<'a> Emit<'a> {
         schema: &SchemaRef,
         ts: StreamTime,
     ) -> Option<(&mut P, &mut ColumnBlock, usize)> {
-        let (block, cols, deferred) = self.block.as_mut().filter(|_| self.len == 0)?;
+        let (block, cols, deferred) = self.block.as_mut().filter(|_| self.out.is_empty())?;
         if deferred.rows.is_empty() {
             block.begin_filtered(schema, 0, *cols);
         }
@@ -149,9 +116,7 @@ impl<'a> RowBatch<'a> {
 /// A push-based stream operator.
 ///
 /// Operators receive one input tuple at a time and may emit zero or more
-/// output tuples into the [`Emit`] sink, which keeps per-tuple
-/// processing allocation-free for operators that overwrite spent
-/// tuples.
+/// output rows into the [`Emit`] sink.
 pub trait Operator: Send {
     /// Human-readable operator name (for stats and debugging).
     fn name(&self) -> &str;

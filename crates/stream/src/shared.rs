@@ -67,9 +67,7 @@ struct ViewState {
 struct ViewBuffers {
     /// Output rows of the current batch, all frames concatenated in
     /// order: tuples, or (on a block batch, from an operator that
-    /// defers) deferred rows — never both. Between batches `out` holds
-    /// spent tuples, overwritten in place by the next batch's
-    /// emissions ([`Emit::overwrite`]).
+    /// defers) deferred rows — never both.
     out: Vec<Tuple>,
     deferred: Deferred,
     /// Frame boundaries into the rows: frame `f`'s outputs are rows
@@ -94,10 +92,9 @@ impl ViewBuffers {
 /// The batch-scoped half of a [`SharedViews`]: the base-stream block
 /// and, per view slot, output rows, frame offsets and block. Nothing
 /// in it carries information from one batch to the next — only warm
-/// capacity and spent tuples to overwrite — so one set can serve every
-/// `SharedViews` built from the same catalog, one batch at a time
-/// ([`SharedViews::lend`]). Starts empty (`default()`); the first
-/// batches size it.
+/// capacity — so one set can serve every `SharedViews` built from the
+/// same catalog, one batch at a time ([`SharedViews::lend`]). Starts
+/// empty (`default()`); the first batches size it.
 #[derive(Default)]
 pub struct BatchBuffers {
     /// Columnar view of the base-stream batch itself (for query routes
@@ -250,8 +247,8 @@ impl SharedViews {
 
     /// Lends `bufs` to this session for its next batches, in place of
     /// the set it held (its own, normally empty when the caller always
-    /// lends). Whatever another session left in them is spent: no
-    /// accessor shows it, and [`Self::begin_batch`] overwrites it.
+    /// lends). Whatever another session left in them is dropped: only
+    /// their capacity carries over.
     ///
     /// One thread, one borrower at a time: lend, fill the base block if
     /// wanted, `begin_batch*`, let the consumers read, [`Self::reclaim`].
@@ -261,6 +258,7 @@ impl SharedViews {
         bufs.frames = 0;
         for v in &mut bufs.views {
             v.live = false;
+            v.out.clear();
             v.deferred.spend();
         }
         self.bufs = bufs;
@@ -375,6 +373,7 @@ impl SharedViews {
             let (done, rest) = self.bufs.views.split_at_mut(i);
             let buf = &mut rest[0];
             buf.live = false;
+            buf.out.clear();
             buf.deferred.spend();
             if !st.needed {
                 continue;
@@ -404,12 +403,9 @@ impl SharedViews {
                 }
                 buf.offsets.push(emit.rows() as u32);
             }
-            let (len, recycled) = (emit.len, emit.recycled);
-            buf.out.truncate(len);
             buf.live = true;
-            if len > 0 {
-                crate::metrics::TUPLES_RECYCLED_TOTAL.add(recycled as u64);
-                crate::metrics::TUPLES_BUILT_TOTAL.add((len - recycled) as u64);
+            if !buf.out.is_empty() {
+                crate::metrics::TUPLES_BUILT_TOTAL.add(buf.out.len() as u64);
             }
             // Deferred rows wrote their own block rows; tuples get the
             // generic rebuild.

@@ -82,15 +82,14 @@ impl Tuple {
         &self.values
     }
 
-    /// The values for overwriting in place — `Some` only while this
-    /// handle is the **sole owner** of the value buffer.
+    /// The values of a tuple this handle **solely owns**, used to fill a
+    /// freshly built tuple.
     ///
-    /// Ownership rule: every clone of a tuple (a partial match that
-    /// interned it, a [`Tuple`] inside a retained detection, a caller's
-    /// copy) shares the buffer, and while any clone is alive this
-    /// returns `None` — a shared tuple is never written, the caller
-    /// builds a fresh one instead. The gate is [`Arc::get_mut`]; there
-    /// is no other way to write a tuple's values. As with
+    /// Every clone of a tuple (a partial match that interned it, a
+    /// [`Tuple`] inside a retained detection, a caller's copy) shares
+    /// the buffer, and while any clone is alive this returns `None`, so
+    /// a kept tuple is never written. The gate is [`Arc::get_mut`];
+    /// there is no other way to write a tuple's values. As with
     /// [`Self::new_unchecked`], the caller keeps the values conforming
     /// to the schema.
     pub fn values_mut(&mut self) -> Option<&mut [Value]> {

@@ -11,10 +11,9 @@
 //! defers every row ([`Emit::defer`]): it keeps the input frame and its
 //! [`Basis`], applies the basis only to the joints with a built lane,
 //! and the row becomes a tuple only if somebody reads it. Without a
-//! block it transforms the whole frame and overwrites a spent tuple
-//! nobody kept a clone of ([`Emit::overwrite`]). The operator holds no
-//! batch-sized buffer: both go into the caller's
-//! [`gesto_stream::BatchBuffers`].
+//! block it transforms the whole frame and pushes a fresh tuple
+//! ([`Emit::push`]). The operator holds no batch-sized buffer: both go
+//! into the caller's [`gesto_stream::BatchBuffers`].
 
 use std::sync::Arc;
 
@@ -128,12 +127,7 @@ fn emit_transformed(
         rows.rows.push((frame.clone(), basis));
         return;
     }
-    // Overwrite a spent tuple in place unless a clone of it is still
-    // alive.
-    let transformed = basis.apply_frame(frame);
-    if !emit.overwrite(|slot| out_slots.tuple_into(&transformed, out_schema, slot)) {
-        emit.push(out_slots.tuple(&transformed, out_schema));
-    }
+    emit.push(out_slots.tuple(&basis.apply_frame(frame), out_schema));
 }
 
 impl Operator for KinectTOp {
@@ -327,21 +321,20 @@ mod tests {
     }
 
     #[test]
-    fn recycling_views_match_the_never_recycling_operator() {
+    fn lent_views_fed_frames_match_the_tuple_fed_operator() {
         // Three sessions take turns in ONE lent set of batch buffers:
         // each `SharedViews` is fed skeleton FRAMES — on scalar batches
-        // it overwrites the spent outputs the previous session left
-        // there, on block batches it defers its rows and a row becomes a
-        // tuple when read — while `run_operator` over a per-session
-        // oracle operator is fed the TUPLES built from those frames and
-        // neither recycles nor defers anything. Same frames in, same
+        // it builds a tuple per row, on block batches it defers its rows
+        // and a row becomes a tuple when read — while `run_operator`
+        // over a per-session oracle operator is fed the TUPLES built
+        // from those frames and defers nothing. Same frames in, same
         // tuples and blocks out, per session — with different personas,
         // a one-joint block filter for one of them, torso dropouts (no
         // emission, so batches come out shorter than they went in),
-        // joint dropouts (a recycled slot must not keep the stale joint,
-        // least of all another session's), uneven batch lengths, both
-        // sinks in turn, and every third output cloned and held to the
-        // end, so those buffers are shared when their turn comes.
+        // joint dropouts (no stale joint, least of all another
+        // session's, may show), uneven batch lengths, both sinks in
+        // turn, and every third output cloned and held to the end: what
+        // a reader kept never changes.
         use gesto_kinect::{Joint, NoiseModel};
         use gesto_stream::{BatchBuffers, RowBatch, SharedViews};
 
@@ -408,8 +401,8 @@ mod tests {
         let (mut emitted, mut dropped, mut turns) = (0usize, 0usize, 0usize);
         while sessions.iter().any(|s| s.fed < s.frames.len()) {
             for s in &mut sessions {
-                // Uneven batches: a short batch leaves spent tuples
-                // over, a longer one after it runs out of them.
+                // Uneven batches: a short batch after a long one, and
+                // a long one after a short one.
                 turns += 1;
                 let len = if turns % 2 == 0 { s.chunk / 3 } else { s.chunk };
                 let frames = s.frames[s.fed..(s.fed + len).min(s.frames.len())].to_vec();
@@ -453,7 +446,7 @@ mod tests {
             assert_eq!(
                 kept.values(),
                 &expect[..],
-                "a shared tuple is never overwritten"
+                "a tuple a reader kept keeps its values"
             );
         }
     }
@@ -500,8 +493,8 @@ mod tests {
 
     #[test]
     fn operator_holds_no_batch_sized_buffer() {
-        // Output tuples, spent tuples and block rows live in the
-        // caller's `BatchBuffers` (`Emit`). Exhaustive on purpose: a
+        // Output tuples and block rows live in the caller's
+        // `BatchBuffers` (`Emit`). Exhaustive on purpose: a
         // new field has to be justified here as state that must survive
         // between batches.
         let KinectTOp {

@@ -11,9 +11,10 @@
 # temporary directory; the worktree is never touched.
 #
 # Code budget: with GIT_REV, when ISSUE.md at the repo root holds a
-# line `Code budget: ≤ +N` (or `<= +N`), the script prints
-# `code budget: +X of <= +N` and exits 1 if the workspace total of code
-# lines grew by more than N since GIT_REV, printing the overrun.
+# line `Code budget: ≤ +N` or `≤ -N` (or `<= +N` / `<= -N`), the script
+# prints `code budget: ±X of <= ±N` and exits 1 if the workspace total
+# of code lines changed by more than the signed budget since GIT_REV
+# (with `-N`: shrank by fewer than N lines), printing the overrun.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -41,7 +42,7 @@ if [ $# -gt 0 ]; then
     base=$tmp/counts
     count "$tmp" >"$base"
     if [ -f ISSUE.md ]; then
-        budget=$(sed -nE 's/.*Code budget: *(≤|<=) *\+([0-9]+).*/\2/p' ISSUE.md | head -n 1)
+        budget=$(sed -nE 's/.*Code budget: *(≤|<=) *([+-][0-9]+).*/\2/p' ISSUE.md | head -n 1)
     fi
 fi
 
@@ -67,7 +68,7 @@ count . | awk -v base="$base" -v budget="$budget" '
         row("total", t[1], t[2], t[3], p[1], p[2], p[3])
         if (budget == "") exit
         grown = t[1] - p[1]
-        printf "code budget: %+d of <= +%d\n", grown, budget
+        printf "code budget: %+d of <= %+d\n", grown, budget
         if (grown > budget + 0) {
             printf "code budget exceeded by %d lines\n", grown - budget
             exit 1

@@ -1,24 +1,21 @@
-//! The front path's no-allocation contract, counted.
+//! The front path's allocation contract, counted.
 //!
 //! One test in a process of its own (a counting `#[global_allocator]`,
 //! as in `bench_nfa`): the shard worker's per-batch sequence — lend the
 //! one set of [`BatchBuffers`], begin the batch from the skeleton
 //! frames, NFA stepping, reclaim — round-robin over three sessions whose
-//! traces seed no run calls the allocator **zero** times once the
-//! buffers are sized. On a block batch `kinect_t` defers its rows
-//! ([`Emit::defer`]): no view tuple is built or counted, and a row a
-//! reader materialises is the reader's allocation, never the next
-//! batch's. On a scalar batch it overwrites the spent tuples
-//! ([`Emit::overwrite`]): one tuple per frame is counted, each lands in
-//! the very buffer the previous session's had, and the next batch
-//! allocates exactly once per tuple somebody still holds a clone of. No
-//! raw-stream tuple exists until a plan reads the raw stream: then the
-//! sequence also builds the frame → base tuple
-//! ([`KinectSlots::tuple_into`]) and the frame → base block, under the
-//! scalar contract.
+//! traces seed no run calls the allocator exactly once per tuple it adds
+//! to `gesto_tuples_built_total` once the buffers are sized, and never
+//! otherwise. On a block batch `kinect_t` defers its rows
+//! ([`Emit::defer`]): no view tuple is built, so nothing is allocated,
+//! and a row a reader materialises is the reader's allocation, counted
+//! when the batch is spent. On a scalar batch every view row is a fresh
+//! tuple. No raw-stream tuple exists until a plan reads the raw stream:
+//! then the sequence also builds one fresh base tuple per frame
+//! ([`KinectSlots::tuple`]) and, on a block batch, the frame → base
+//! block.
 //!
 //! [`Emit::defer`]: gesto::stream::Emit::defer
-//! [`Emit::overwrite`]: gesto::stream::Emit::overwrite
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,7 +23,7 @@ use std::sync::Arc;
 
 use gesto::cep::{sync_shared_views, Detection, Engine, PlanInstance, QueryPlan};
 use gesto::kinect::{kinect_schema, KinectSlots, Performer, Persona, SkeletonFrame, KINECT_STREAM};
-use gesto::stream::metrics::{TUPLES_BUILT_TOTAL, TUPLES_RECYCLED_TOTAL};
+use gesto::stream::metrics::TUPLES_BUILT_TOTAL;
 use gesto::stream::{BatchBuffers, RowBatch, RowSource, SchemaRef, SharedViews, Tuple, Value};
 use gesto::transform::{standard_catalog, KINECT_T};
 
@@ -125,16 +122,11 @@ impl Shard {
         let Session { views, instances } = &mut sessions[s];
         let before = allocations();
         views.lend(std::mem::take(bufs));
-        let raw = if *raw_tuples { frames.len() } else { 0 };
-        tuples.truncate(raw);
-        let (kept, new) = frames[..raw].split_at(tuples.len());
-        let mut recycled = 0;
-        for (slot, frame) in tuples.iter_mut().zip(kept) {
-            recycled += u64::from(slots.tuple_into(frame, schema, slot));
+        tuples.clear();
+        if *raw_tuples {
+            tuples.extend(frames.iter().map(|f| slots.tuple(f, schema)));
+            TUPLES_BUILT_TOTAL.add(frames.len() as u64);
         }
-        tuples.extend(new.iter().map(|f| slots.tuple(f, schema)));
-        TUPLES_RECYCLED_TOTAL.add(recycled);
-        TUPLES_BUILT_TOTAL.add(raw as u64 - recycled);
         views.set_columnar(*columnar);
         assert_eq!(views.base_wanted(), *raw_tuples && *columnar);
         if views.base_wanted() {
@@ -153,13 +145,8 @@ impl Shard {
     }
 }
 
-/// Where each tuple's value buffer lives.
-fn buffers<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Vec<*const Value> {
-    tuples.into_iter().map(|t| t.values().as_ptr()).collect()
-}
-
 #[test]
-fn steady_state_batch_allocates_nothing() {
+fn steady_state_batch_allocates_once_per_built_tuple() {
     // The four workloads' shape — every plan reads `kinect_t` — then
     // the same with a plan on the raw stream deployed; on the block
     // path, then on the scalar path.
@@ -230,58 +217,46 @@ fn steady_state(raw: bool, columnar: bool) {
         turn += 1;
         (s, &batches[s][round])
     };
-    // Raw tuples' and (scalar path only: block batches build none) view
-    // tuples' value buffers, and the view's row count.
-    let where_the_values_live = |tuples: &[Tuple], views: &SharedViews| {
-        let rows = views.rows(view_slot);
-        let view = if columnar {
-            Vec::new()
-        } else {
-            buffers(rows.iter())
-        };
-        (buffers(tuples), view, rows.len())
-    };
-    let counted = || TUPLES_RECYCLED_TOTAL.get() + TUPLES_BUILT_TOTAL.get();
+    let built = || TUPLES_BUILT_TOTAL.get();
 
-    // Two rounds size everything: the first grows the shared tuple
-    // vectors and blocks and each session's own NFA scratch and slot
-    // tables, the second is the first to overwrite instead of build.
+    // Two rounds size everything: the first grows the shared vectors and
+    // blocks, the second each session's own NFA scratch and slot tables.
     for _ in 0..2 * SESSIONS {
         let (s, frames) = next();
         shard.push(s, frames, |_, _| ());
     }
 
-    // Steady state, two rounds: no allocation, every batch's tuples sit
-    // in the buffers the previous batch — another session's — had, and
-    // per frame one raw tuple (with `raw`) plus, on the scalar path, one
-    // view tuple is written.
-    let (s, frames) = next();
-    let mut last = shard.push(s, frames, where_the_values_live);
-    let (before, counted_before) = (shard.allocs, counted());
+    // Steady state, two rounds: per frame one raw tuple (with `raw`)
+    // plus, on the scalar path, one view tuple is built, each one
+    // allocation, and nothing else allocates.
+    let per_frame = u64::from(raw) + u64::from(!columnar);
+    let (before, built_before) = (shard.allocs, built());
     for _ in 0..2 * SESSIONS {
         let (s, frames) = next();
-        let now = shard.push(s, frames, where_the_values_live);
-        assert_eq!(now, last, "session {s} reuses its predecessor's buffers");
-        last = now;
+        let rows = shard.push(s, frames, |tuples, views| {
+            (tuples.len(), views.rows(view_slot).len())
+        });
+        assert_eq!(
+            rows,
+            (if raw { 30 } else { 0 }, 30),
+            "raw tuples, view rows"
+        );
     }
-    assert_eq!(last.0.len(), if raw { 30 } else { 0 }, "raw tuples");
-    assert_eq!(last.1.len(), if columnar { 0 } else { 30 }, "view tuples");
-    assert_eq!(last.2, 30, "view rows");
-    assert_eq!(shard.allocs - before, 0, "steady state: no allocation");
-    let per_frame = u64::from(raw) + u64::from(!columnar);
+    let tuples = built() - built_before;
+    assert_eq!(tuples, 2 * SESSIONS as u64 * 30 * per_frame);
     assert_eq!(
-        counted() - counted_before,
-        2 * SESSIONS as u64 * 30 * per_frame
+        shard.allocs - before,
+        tuples,
+        "one allocation per tuple built"
     );
     assert!(shard.detections.is_empty(), "the traces seed nothing");
 
     // Somebody keeps 5 view rows (and, with `raw`, 3 base tuples) of
     // one session's batch (a partial match, a retained detection). On
     // the block path the reader builds those 5 — its own allocations —
-    // and they are counted when the batch is spent; the next batch
-    // allocates nothing for them. On the scalar path (and for raw
-    // tuples) the next batch — another session's — builds exactly the
-    // kept ones anew, one allocation each. Kept ones stay as they were.
+    // and they are counted when the batch is spent; the next batches
+    // allocate nothing for them. What a reader kept keeps its values
+    // while the other sessions' batches run in the same buffers.
     let (s, frames) = next();
     let held: Vec<Tuple> = shard.push(s, frames, |tuples, views| {
         let rows = views.rows(view_slot);
@@ -291,26 +266,16 @@ fn steady_state(raw: bool, columnar: bool) {
     });
     assert_eq!(held.len(), if raw { 8 } else { 5 });
     let snapshot: Vec<Vec<Value>> = held.iter().map(|t| t.values().to_vec()).collect();
-    let (s, frames) = next();
-    let (before, counted_before) = (shard.allocs, counted());
-    shard.push(s, frames, |_, _| ());
-    let rebuilt = if columnar { 0 } else { 5 } + if raw { 3 } else { 0 };
-    assert_eq!(shard.allocs - before, rebuilt);
-    let materialised = if columnar { 5 } else { 0 };
-    assert_eq!(counted() - counted_before, 30 * per_frame + materialised);
-    for (kept, expect) in held.iter().zip(&snapshot) {
-        assert_eq!(
-            kept.values(),
-            &expect[..],
-            "a shared tuple is never overwritten"
-        );
+    let (before, built_before) = (shard.allocs, built());
+    for _ in 0..SESSIONS {
+        let (s, frames) = next();
+        shard.push(s, frames, |_, _| ());
     }
-
-    // The replacements are uniquely owned again: back to zero, clones
-    // still held.
-    let (s, frames) = next();
-    let before = shard.allocs;
-    shard.push(s, frames, |_, _| ());
-    assert_eq!(shard.allocs - before, 0);
-    drop(held);
+    let materialised = if columnar { 5 } else { 0 };
+    let tuples = built() - built_before;
+    assert_eq!(tuples, SESSIONS as u64 * 30 * per_frame + materialised);
+    assert_eq!(shard.allocs - before, tuples - materialised);
+    for (kept, expect) in held.iter().zip(&snapshot) {
+        assert_eq!(kept.values(), &expect[..], "a kept tuple keeps its values");
+    }
 }

@@ -251,8 +251,8 @@ proptest! {
 /// Detections as comparable `(gesture, ts, started_at, events)` keys,
 /// sorted. The matched events are rendered value by value (`{:?}` of an
 /// `f64` round-trips, so equal strings mean bit-equal values): a
-/// detection whose event tuples were overwritten after it fired — the
-/// server recycles tuple buffers — no longer equals the oracle's.
+/// detection whose event tuples changed after it fired no longer equals
+/// the oracle's.
 fn detection_keys(ds: &[gesto::cep::Detection]) -> Vec<(String, i64, i64, Vec<String>)> {
     let mut keys: Vec<_> = ds
         .iter()
