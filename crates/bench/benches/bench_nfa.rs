@@ -1,5 +1,5 @@
 //! NFA stepping A/B/C over the one entry point,
-//! [`Nfa::advance_block_into`]: 1-tuple batches vs one N-tuple batch
+//! [`NfaRuntime::advance_block_into`]: 1-tuple batches vs one N-tuple batch
 //! (both scalar, `block = None`) vs one N-tuple batch with its
 //! [`ColumnBlock`] (block masks + candidate-row stepping), at
 //! 1/4/16/64/256 distinct deployed gestures with the block path's
@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gesto_cep::{parse_pattern, FunctionRegistry, MatchScratch, Nfa, SingleSchema};
+use gesto_cep::{parse_pattern, FunctionRegistry, MatchScratch, NfaRuntime, SingleSchema};
 use gesto_stream::{ColumnBlock, SchemaBuilder, SchemaRef, Tuple, Value};
 
 /// Counts every heap allocation (alloc/realloc/alloc_zeroed) so the
@@ -93,12 +93,12 @@ fn gesture_pattern(g: usize) -> String {
     )
 }
 
-fn compile_gestures(n: usize) -> Vec<Nfa> {
+fn compile_gestures(n: usize) -> Vec<NfaRuntime> {
     let funcs = FunctionRegistry::with_builtins();
     let resolver = SingleSchema(schema());
     (0..n)
         .map(|i| {
-            Nfa::compile(
+            NfaRuntime::compile(
                 &parse_pattern(&gesture_pattern(i)).unwrap(),
                 &resolver,
                 &funcs,
@@ -357,7 +357,7 @@ fn assert_zero_allocations() {
 
     // (d) The dist() kernel's six-lane read must stay allocation-free
     // too (it seeds every tuple here, shedding at the run cap).
-    let mut dist_nfa = Nfa::compile(
+    let mut dist_nfa = NfaRuntime::compile(
         &parse_pattern(&format!(
             "{SOURCE}(dist(x, y, z, x, y, z) < 1) -> {SOURCE}(x > 9000)"
         ))
@@ -439,7 +439,7 @@ fn ab_stage_timer(tuples: &[Tuple]) -> (f64, f64) {
     let mut nfas = compile_gestures(4);
     let mut scratch = MatchScratch::new();
     let mut block = ColumnBlock::new();
-    let pass = |nfas: &mut Vec<Nfa>, block: &mut ColumnBlock, scratch: &mut MatchScratch| {
+    let pass = |nfas: &mut Vec<NfaRuntime>, block: &mut ColumnBlock, scratch: &mut MatchScratch| {
         block.fill_from_tuples(tuples);
         for nfa in nfas.iter_mut() {
             nfa.advance_block_into(SOURCE, tuples, Some(block), scratch)

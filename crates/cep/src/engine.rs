@@ -8,7 +8,6 @@
 //! paper's "exchanging the applications' pre-defined navigation
 //! operations during runtime" (§4).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gesto_stream::{Catalog, SharedViews, Tuple};
@@ -23,9 +22,6 @@ use crate::plan::{PlanInstance, QueryPlan};
 
 /// Callback invoked on every detection.
 pub type DetectionListener = Arc<dyn Fn(&Detection) + Send + Sync>;
-
-/// The deployed-query registry type.
-type QueryMap = HashMap<String, Mutex<PlanInstance>>;
 
 /// Runtime statistics of a deployed query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,14 +43,32 @@ pub struct QueryStats {
 /// The engine is one logical session: it owns a [`SharedViews`] runtime,
 /// so every registered view is evaluated **once per pushed tuple** and
 /// its output is shared by reference across all deployed query routes
-/// (the transform-once data path). Lock order is `views` → `queries`
-/// everywhere.
+/// (the transform-once data path).
 pub struct Engine {
     catalog: Arc<Catalog>,
     funcs: Arc<FunctionRegistry>,
-    views: Mutex<SharedViews>,
-    queries: RwLock<HashMap<String, Mutex<PlanInstance>>>,
+    state: Mutex<Deployed>,
     listeners: RwLock<Vec<DetectionListener>>,
+}
+
+/// The view runtime and the deployed queries, in deployment order,
+/// behind the engine's one lock.
+struct Deployed {
+    views: SharedViews,
+    queries: Vec<PlanInstance>,
+}
+
+impl Deployed {
+    fn position(&self, name: &str) -> Option<usize> {
+        self.queries.iter().position(|q| q.plan().name() == name)
+    }
+
+    /// Re-syncs the shared view runtime with the set of deployed queries
+    /// ([`crate::plan::sync_shared_views`]).
+    fn sync_views(&mut self) {
+        let plans: Vec<_> = self.queries.iter().map(|q| q.plan().clone()).collect();
+        crate::plan::sync_shared_views(&mut self.views, &plans);
+    }
 }
 
 impl Engine {
@@ -65,42 +79,33 @@ impl Engine {
 
     /// Creates an engine with a custom function registry.
     pub fn with_functions(catalog: Arc<Catalog>, funcs: Arc<FunctionRegistry>) -> Self {
-        let views = Mutex::new(SharedViews::new(&catalog));
+        let views = SharedViews::new(&catalog);
         Self {
             catalog,
             funcs,
-            views,
-            queries: RwLock::new(HashMap::new()),
+            state: Mutex::new(Deployed {
+                views,
+                queries: Vec::new(),
+            }),
             listeners: RwLock::new(Vec::new()),
         }
     }
 
-    /// Re-syncs the shared view runtime with the set of deployed queries
-    /// ([`crate::plan::sync_shared_views`]). Called under the deploy locks.
-    fn sync_views(views: &mut SharedViews, queries: &QueryMap) {
-        let plans: Vec<_> = queries
-            .values()
-            .map(|entry| entry.lock().plan().clone())
-            .collect();
-        crate::plan::sync_shared_views(views, &plans);
-    }
-
     /// Instantiates `plan` over the engine's views — picking up views
     /// registered since the last deploy — and installs it under its
-    /// name. Rejects a plan whose source view this engine's catalog does
-    /// not have (a plan compiled against another catalog), leaving the
+    /// name: in its predecessor's slot on a replace, last otherwise.
+    /// Rejects a plan whose source view this engine's catalog does not
+    /// have (a plan compiled against another catalog), leaving the
     /// deployed set untouched.
-    fn install(
-        &self,
-        views: &mut SharedViews,
-        queries: &mut QueryMap,
-        plan: Arc<QueryPlan>,
-    ) -> Result<(), CepError> {
-        views.refresh(&self.catalog);
+    fn install(&self, state: &mut Deployed, plan: Arc<QueryPlan>) -> Result<(), CepError> {
+        state.views.refresh(&self.catalog);
         let mut instance = plan.instantiate();
-        instance.bind(views)?;
-        queries.insert(plan.name().to_owned(), Mutex::new(instance));
-        Self::sync_views(views, queries);
+        instance.bind(&state.views)?;
+        match state.position(plan.name()) {
+            Some(slot) => state.queries[slot] = instance,
+            None => state.queries.push(instance),
+        }
+        state.sync_views();
         Ok(())
     }
 
@@ -137,12 +142,11 @@ impl Engine {
     /// query with the same name is already deployed, or if the plan reads
     /// a view this engine's catalog does not have.
     pub fn deploy_plan(&self, plan: Arc<QueryPlan>) -> Result<(), CepError> {
-        let mut views = self.views.lock();
-        let mut queries = self.queries.write();
-        if queries.contains_key(plan.name()) {
+        let mut state = self.state.lock();
+        if state.position(plan.name()).is_some() {
             return Err(CepError::DuplicateQuery(plan.name().to_owned()));
         }
-        self.install(&mut views, &mut queries, plan)
+        self.install(&mut state, plan)
     }
 
     /// Parses and deploys query text.
@@ -152,13 +156,12 @@ impl Engine {
 
     /// Removes a deployed query.
     pub fn undeploy(&self, name: &str) -> Result<Query, CepError> {
-        let mut views = self.views.lock();
-        let mut queries = self.queries.write();
-        let removed = queries
-            .remove(name)
-            .map(|d| d.into_inner().plan().query().clone())
+        let mut state = self.state.lock();
+        let slot = state
+            .position(name)
             .ok_or_else(|| CepError::UnknownQuery(name.to_owned()))?;
-        Self::sync_views(&mut views, &queries);
+        let removed = state.queries.remove(slot).plan().query().clone();
+        state.sync_views();
         Ok(removed)
     }
 
@@ -172,42 +175,49 @@ impl Engine {
     /// deployed query — if the plan reads a view this engine's catalog
     /// does not have.
     pub fn replace_plan(&self, plan: Arc<QueryPlan>) -> Result<(), CepError> {
-        let mut views = self.views.lock();
-        let mut queries = self.queries.write();
-        self.install(&mut views, &mut queries, plan)
+        self.install(&mut self.state.lock(), plan)
     }
 
     /// Names of deployed queries (sorted).
     pub fn deployed(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.queries.read().keys().cloned().collect();
+        let state = self.state.lock();
+        let mut v: Vec<String> = state
+            .queries
+            .iter()
+            .map(|q| q.plan().name().to_owned())
+            .collect();
         v.sort();
         v
     }
 
     /// Number of deployed queries.
     pub fn len(&self) -> usize {
-        self.queries.read().len()
+        self.state.lock().queries.len()
     }
 
     /// True when no queries are deployed.
     pub fn is_empty(&self) -> bool {
-        self.queries.read().is_empty()
+        self.state.lock().queries.is_empty()
     }
 
     /// Statistics of one deployed query.
     pub fn stats(&self, name: &str) -> Result<QueryStats, CepError> {
-        let queries = self.queries.read();
-        let d = queries
-            .get(name)
-            .ok_or_else(|| CepError::UnknownQuery(name.to_owned()))?
-            .lock();
-        Ok(d.stats())
+        let state = self.state.lock();
+        let slot = state
+            .position(name)
+            .ok_or_else(|| CepError::UnknownQuery(name.to_owned()))?;
+        Ok(state.queries[slot].stats())
     }
 
     /// Statistics of every deployed query, sorted by name.
     pub fn stats_all(&self) -> Vec<QueryStats> {
-        let queries = self.queries.read();
-        let mut out: Vec<QueryStats> = queries.values().map(|d| d.lock().stats()).collect();
+        let mut out: Vec<QueryStats> = self
+            .state
+            .lock()
+            .queries
+            .iter()
+            .map(|q| q.stats())
+            .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
@@ -216,9 +226,8 @@ impl Engine {
     /// hand-off point for moving deployments into another runtime (e.g. a
     /// multi-session server) without recompiling.
     pub fn deployed_plans(&self) -> Vec<Arc<QueryPlan>> {
-        let queries = self.queries.read();
-        let mut out: Vec<Arc<QueryPlan>> =
-            queries.values().map(|d| d.lock().plan().clone()).collect();
+        let state = self.state.lock();
+        let mut out: Vec<Arc<QueryPlan>> = state.queries.iter().map(|q| q.plan().clone()).collect();
         out.sort_by(|a, b| a.name().cmp(b.name()));
         out
     }
@@ -234,9 +243,8 @@ impl Engine {
 
     /// Pushes a batch of tuples of one stream; returns all detections.
     ///
-    /// Amortises route dispatch across the batch: the view runtime, the
-    /// query registry and every instance lock are acquired once for the
-    /// whole batch, not once per tuple.
+    /// Amortises route dispatch across the batch: the engine's lock is
+    /// taken once for the whole batch, not once per tuple.
     pub fn push_batch(&self, stream: &str, tuples: &[Tuple]) -> Result<Vec<Detection>, CepError> {
         let mut out = Vec::new();
         self.push_batch_into(stream, tuples, &mut out)?;
@@ -246,8 +254,9 @@ impl Engine {
     /// [`Self::push_batch`] into a caller-owned buffer (the allocation-
     /// free variant for hot loops that reuse a detections scratch).
     /// Detections are appended; the buffer is not cleared. Within one
-    /// batch, detections are grouped per query (each query's NFA steps
-    /// the whole batch in one call) and stream-ordered within a query.
+    /// batch, detections are grouped per query in deployment order (each
+    /// query's NFA steps the whole batch in one call) and stream-ordered
+    /// within a query.
     ///
     /// Listeners fire after the batch completes, with no engine locks
     /// held — a listener may safely call back into the engine (stats,
@@ -261,22 +270,17 @@ impl Engine {
     ) -> Result<(), CepError> {
         let fresh = out.len();
         let result = {
-            let mut views = self.views.lock();
-            let queries = self.queries.read();
-            let mut instances: Vec<_> = queries.values().map(|m| m.lock()).collect();
+            let mut state = self.state.lock();
+            let Deployed { views, queries } = &mut *state;
             // Transform-once, step-batched: every needed view runs once
             // over the whole batch, then each deployed plan advances its
             // NFA batch-at-a-time over the shared outputs.
             views.begin_batch(stream, tuples);
-            let mut run = || -> Result<(), CepError> {
-                for inst in instances.iter_mut() {
-                    inst.push_batch_shared(stream, tuples, &views, out)?;
-                }
-                Ok(())
-            };
-            run()
+            queries
+                .iter_mut()
+                .try_for_each(|q| q.push_batch_shared(stream, tuples, views, out))
         };
-        // All locks are released before listeners run, so listeners can
+        // The lock is released before listeners run, so listeners can
         // re-enter the engine without self-deadlocking.
         if out.len() > fresh {
             let listeners = self.listeners.read();
@@ -292,9 +296,8 @@ impl Engine {
     /// Resets all partial matches of all queries (e.g. between test
     /// passes).
     pub fn reset_runs(&self) {
-        let queries = self.queries.read();
-        for entry in queries.values() {
-            entry.lock().reset();
+        for q in &mut self.state.lock().queries {
+            q.reset();
         }
     }
 }
@@ -443,9 +446,27 @@ mod tests {
         let ds = e
             .push_batch("kinect", &[tup(0, 10.0), tup(10, 0.0)])
             .unwrap();
-        let mut names: Vec<_> = ds.iter().map(|d| d.gesture.as_str()).collect();
-        names.sort();
+        let names: Vec<_> = ds.iter().map(|d| d.gesture.as_str()).collect();
         assert_eq!(names, vec!["hi", "lo"]);
+    }
+
+    #[test]
+    fn detections_come_out_in_deployment_order() {
+        let e = engine_with_view();
+        let order = ["m", "c", "x", "a", "q", "h", "z", "e"];
+        for name in order {
+            e.deploy_text(&format!(r#"SELECT "{name}" MATCHING kinect(x > 9);"#))
+                .unwrap();
+        }
+        let ds = e.push("kinect", &tup(0, 10.0)).unwrap();
+        let names: Vec<_> = ds.iter().map(|d| d.gesture.as_str()).collect();
+        assert_eq!(names, order);
+        // A replace keeps its slot.
+        e.replace(parse_query(r#"SELECT "x" MATCHING kinect(x > 9);"#).unwrap())
+            .unwrap();
+        let ds = e.push("kinect", &tup(10, 10.0)).unwrap();
+        let names: Vec<_> = ds.iter().map(|d| d.gesture.as_str()).collect();
+        assert_eq!(names, order);
     }
 
     #[test]
@@ -492,8 +513,7 @@ mod tests {
             .unwrap();
         let ds = e.push("kinect", &tup(0, 10.0)).unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 1, "transform-once");
-        let mut names: Vec<_> = ds.iter().map(|d| d.gesture.as_str()).collect();
-        names.sort();
+        let names: Vec<_> = ds.iter().map(|d| d.gesture.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
         e.push("kinect", &tup(10, -1.0)).unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 2);

@@ -57,8 +57,8 @@ pub use engine::{DetectionListener, Engine, QueryStats};
 pub use error::CepError;
 pub use expr::{BinOp, Expr, FunctionRegistry, UnaryOp};
 pub use nfa::{
-    MatchScratch, MatchView, Nfa, NfaProgram, NfaRuntime, SchemaResolver, SingleSchema,
-    TimeConstraint, DEFAULT_MAX_RUNS,
+    MatchScratch, MatchView, NfaProgram, NfaRuntime, SchemaResolver, SingleSchema, TimeConstraint,
+    DEFAULT_MAX_RUNS,
 };
 pub use parser::{parse_expr, parse_pattern, parse_query};
 pub use pattern::{ConsumePolicy, EventPattern, Pattern, Query, SelectPolicy, SequencePattern};

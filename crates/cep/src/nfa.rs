@@ -426,10 +426,6 @@ impl NfaProgram {
     }
 }
 
-/// Compiled pattern + run state (the historical name of [`NfaRuntime`],
-/// kept for the seed API).
-pub type Nfa = NfaRuntime;
-
 /// Compiled pattern + run state: only what survives between batches
 /// (per-call buffers are the caller's [`MatchScratch`]).
 pub struct NfaRuntime {
@@ -1146,9 +1142,9 @@ mod tests {
         Tuple::new(schema(), vec![Value::Timestamp(ts), Value::Float(x)]).unwrap()
     }
 
-    fn nfa(src: &str) -> Nfa {
+    fn nfa(src: &str) -> NfaRuntime {
         let p = parse_pattern(src).unwrap();
-        Nfa::compile(
+        NfaRuntime::compile(
             &p,
             &SingleSchema(schema()),
             &FunctionRegistry::with_builtins(),
@@ -1165,7 +1161,7 @@ mod tests {
 
     /// Steps a one-tuple batch on the scalar path (`block = None`) and
     /// returns the matches it completed.
-    fn step(n: &mut Nfa, source: &str, tuple: &Tuple) -> Result<Vec<Hit>, CepError> {
+    fn step(n: &mut NfaRuntime, source: &str, tuple: &Tuple) -> Result<Vec<Hit>, CepError> {
         let mut scratch = MatchScratch::new();
         n.advance_block_into(source, std::slice::from_ref(tuple), None, &mut scratch)?;
         Ok(scratch
@@ -1340,7 +1336,7 @@ mod tests {
             .float("torso_z")
             .build()
             .unwrap();
-        let n = Nfa::compile(
+        let n = NfaRuntime::compile(
             &q.pattern,
             &SingleSchema(schema),
             &FunctionRegistry::with_builtins(),

@@ -32,7 +32,7 @@ use crate::detection::Detection;
 use crate::engine::QueryStats;
 use crate::error::CepError;
 use crate::expr::FunctionRegistry;
-use crate::nfa::{MatchScratch, Nfa, NfaProgram};
+use crate::nfa::{MatchScratch, NfaProgram, NfaRuntime};
 use crate::pattern::Query;
 
 /// Plans compiled process-wide (monotone). Lets scale experiments assert
@@ -123,7 +123,7 @@ impl QueryPlan {
         PlanInstance {
             plan: Arc::clone(self),
             bindings: None,
-            nfa: Nfa::instantiate(Arc::clone(&self.program)),
+            nfa: NfaRuntime::instantiate(Arc::clone(&self.program)),
             detections: 0,
         }
     }
@@ -147,7 +147,7 @@ pub struct PlanInstance {
     /// or on the first push (slots are stable: [`SharedViews`] only ever
     /// appends).
     bindings: Option<Vec<RouteBinding>>,
-    nfa: Nfa,
+    nfa: NfaRuntime,
     detections: u64,
 }
 
@@ -366,7 +366,7 @@ thread_local! {
 /// `block`, when present, is the columnar view of `rows` enabling the
 /// NFA's vectorized predicate pre-pass.
 fn advance_batch(
-    nfa: &mut Nfa,
+    nfa: &mut NfaRuntime,
     detections: &mut u64,
     gesture: &str,
     source: &str,

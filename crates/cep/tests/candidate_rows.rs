@@ -6,7 +6,7 @@
 //! its own process, nothing else stepping an NFA beside it.
 
 use gesto_cep::metrics::{KERNEL_BLOCK_ROWS_TOTAL, NFA_ROWS_STEPPED_TOTAL};
-use gesto_cep::{parse_pattern, FunctionRegistry, MatchScratch, Nfa, SingleSchema};
+use gesto_cep::{parse_pattern, FunctionRegistry, MatchScratch, NfaRuntime, SingleSchema};
 use gesto_stream::{ColumnBlock, SchemaBuilder, Tuple, Value};
 
 const ROWS: usize = 30;
@@ -29,7 +29,7 @@ fn rows_stepped_follow_candidate_rows_not_block_rows() {
             .collect()
     };
     let nfa = || {
-        Nfa::compile(
+        NfaRuntime::compile(
             &parse_pattern("k(abs(x - 10) < 5) -> k(abs(x - 80) < 5) within 10 seconds").unwrap(),
             &SingleSchema(schema.clone()),
             &FunctionRegistry::with_builtins(),
@@ -37,7 +37,7 @@ fn rows_stepped_follow_candidate_rows_not_block_rows() {
         .unwrap()
     };
     // (rows stepped, rows presented to the kernels) by one batch.
-    let step = |nfa: &mut Nfa, tuples: &[Tuple], columnar: bool| {
+    let step = |nfa: &mut NfaRuntime, tuples: &[Tuple], columnar: bool| {
         let mut block = ColumnBlock::new();
         block.fill_from_tuples(tuples);
         let mut out = MatchScratch::new();

@@ -12,7 +12,7 @@
 //! must report the same detections — timestamps and every event's
 //! values — while holding at most as many runs, and fewer somewhere.
 
-use gesto_cep::{parse_pattern, FunctionRegistry, MatchScratch, Nfa, SingleSchema};
+use gesto_cep::{parse_pattern, FunctionRegistry, MatchScratch, NfaRuntime, SingleSchema};
 use gesto_stream::{ColumnBlock, SchemaBuilder, SchemaRef, Tuple, Value};
 
 /// `abs(col + off) < width` on column 1 (`x`) or 2 (`y`).
@@ -231,7 +231,7 @@ fn merged_runtime_detects_what_the_unmerged_reference_does() {
         let (select, consume_all) = (case_no / 2 % 3, case_no / 6 % 2 == 0);
         let (text, mut model) = case(&mut rng, left_deep, select, consume_all);
         let pattern = parse_pattern(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-        let mut nfa = Nfa::compile(&pattern, &SingleSchema(schema.clone()), &funcs).unwrap();
+        let mut nfa = NfaRuntime::compile(&pattern, &SingleSchema(schema.clone()), &funcs).unwrap();
         let columnar = rng.below(2) == 0;
         let batch = 1 + rng.below(40) as usize;
         let tuples = stream(&mut rng, &schema, 240);

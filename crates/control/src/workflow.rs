@@ -95,7 +95,6 @@ pub struct Workflow {
     transformer: Transformer,
     motion: MotionDetector,
     session: Session,
-    auto_deploy: bool,
 }
 
 impl Workflow {
@@ -119,14 +118,7 @@ impl Workflow {
             transformer: Transformer::new(TransformConfig::default()),
             motion: MotionDetector::new(MotionConfig::default()),
             session: Session::new(),
-            auto_deploy: true,
         })
-    }
-
-    /// Disables automatic deployment on finalisation (the experiment
-    /// harness inspects definitions first).
-    pub fn set_auto_deploy(&mut self, enabled: bool) {
-        self.auto_deploy = enabled;
     }
 
     /// The session state.
@@ -212,7 +204,7 @@ impl Workflow {
     }
 
     /// Finalises the learner into a definition, stores it, generates the
-    /// query and (if auto-deploy) replaces it in the engine. Returns
+    /// query and replaces it in the engine. Returns
     /// `(name, poses, query text)`.
     pub fn finalize(&mut self) -> Result<(String, usize, String), WorkflowError> {
         let def: GestureDefinition = self.learner.finalize(&self.gesture_name)?;
@@ -223,9 +215,7 @@ impl Workflow {
             .put_definition(def)
             .map_err(|e| WorkflowError::Learn(LearnError::Invalid(e.to_string())))?;
         self.store.put_query_text(&self.gesture_name, &text);
-        if self.auto_deploy {
-            self.engine.replace(query)?;
-        }
+        self.engine.replace(query)?;
         Ok((self.gesture_name.clone(), poses, text))
     }
 }

@@ -13,7 +13,7 @@
 //! underlying [`File`].
 
 use std::fs::File;
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 
 /// One injected fault, positioned by absolute file offset (bytes since
 /// the start of the segment file).
@@ -88,12 +88,6 @@ impl FailpointFs {
         &self.file
     }
 
-    /// The wrapped file, mutably (the journal truncates through this
-    /// during tail repair).
-    pub fn file_mut(&mut self) -> &mut File {
-        &mut self.file
-    }
-
     /// Flushes file contents to stable storage (`fdatasync`).
     pub fn sync_data(&mut self) -> io::Result<()> {
         self.file.sync_data()
@@ -150,18 +144,6 @@ impl Write for FailpointFs {
 
     fn flush(&mut self) -> io::Result<()> {
         self.file.flush()
-    }
-}
-
-impl FailpointFs {
-    /// Truncates the underlying file to `len` bytes and repositions the
-    /// cursor at the new end (journal tail repair).
-    pub fn truncate_to(&mut self, len: u64) -> io::Result<()> {
-        self.file.set_len(len)?;
-        self.file.seek(SeekFrom::Start(len))?;
-        self.logical = len;
-        self.persisted = len;
-        Ok(())
     }
 }
 

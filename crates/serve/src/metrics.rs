@@ -85,9 +85,9 @@ impl ShardMetrics {
     pub(crate) fn new(registry: &Registry, shard: usize) -> Self {
         let shard = shard.to_string();
         let labels = [("shard", shard.as_str())];
-        let counter = |name: &str, help: &str| registry.counter(name, help, &labels);
-        let gauge = |name: &str, help: &str| registry.gauge(name, help, &labels);
-        let pinned_core = gauge(
+        let counter = |name: &str, help: &str| registry.instrument(name, help, &labels);
+        let gauge = |name: &str, help: &str| registry.instrument(name, help, &labels);
+        let pinned_core: Arc<Gauge> = gauge(
             "gesto_shard_pinned_core",
             "CPU core the shard worker is pinned to (-1 = unpinned)",
         );
@@ -177,7 +177,7 @@ impl ShardMetrics {
                 "Parked producers released by the 50 ms timed wait instead of a \
                  wake-up, with room in the queue (0 on a healthy server)",
             ),
-            latency: registry.histogram(
+            latency: registry.instrument(
                 "gesto_shard_push_latency_us",
                 "Batch latency from enqueue to fully processed, in microseconds",
                 &labels,

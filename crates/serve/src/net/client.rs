@@ -26,13 +26,19 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use gesto_kinect::SkeletonFrame;
-use gesto_telemetry::Counter;
+use gesto_telemetry::{Counter, Global};
 
 use super::wire::{self, ErrorCode, Message, WireDetection};
 
 /// Process-wide count of successful [`NetClient`] reconnects, exported
-/// by any in-process network edge as `gesto_net_client_reconnects_total`.
-pub(crate) static CLIENT_RECONNECTS: Counter = Counter::new();
+/// by any in-process network edge.
+pub(crate) static CLIENT_RECONNECTS: Global<Counter> = Global::new(
+    "gesto_net_client_reconnects_total",
+    "Successful NetClient redials in this process (clients co-located \
+     with the edge, e.g. benches and tests)",
+    &[],
+    Counter::new(),
+);
 
 /// Successful reconnects of every [`NetClient`] in this process.
 pub fn client_reconnects_total() -> u64 {
@@ -156,11 +162,6 @@ impl NetClient {
     /// [`wire::FLAG_WANT_EVENTS`] (detections carry matched tuples).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<NetClient> {
         Self::connect_with_config(addr, NetClientConfig::new())
-    }
-
-    /// Connects with explicit hello `flags` (`wire::FLAG_*`).
-    pub fn connect_with_flags(addr: impl ToSocketAddrs, flags: u16) -> io::Result<NetClient> {
-        Self::connect_with_config(addr, NetClientConfig::new().with_flags(flags))
     }
 
     /// Connects with an explicit reconnect policy and hello flags.

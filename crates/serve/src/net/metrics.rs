@@ -40,7 +40,7 @@ impl NetMetricsInner {
     /// the same registry gets the same instruments, and counts into
     /// them.
     pub(crate) fn new(registry: &Registry) -> Self {
-        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
+        let counter = |name: &str, help: &str| registry.instrument(name, help, &[]);
         NetMetricsInner {
             connections_accepted: counter(
                 "gesto_net_connections_accepted_total",
@@ -50,7 +50,7 @@ impl NetMetricsInner {
                 "gesto_net_connections_closed_total",
                 "TCP connections fully torn down",
             ),
-            connections_active: registry.gauge(
+            connections_active: registry.instrument(
                 "gesto_net_connections_active",
                 "Connections currently registered with the event loop",
                 &[],
@@ -117,7 +117,7 @@ impl NetMetricsInner {
                 "gesto_net_bytes_out_total",
                 "Bytes written to client sockets",
             ),
-            latency: registry.histogram(
+            latency: registry.instrument(
                 "gesto_net_e2e_latency_us",
                 "Last accepted wire batch to detection entering the socket outbox, \
                  per session, in microseconds",

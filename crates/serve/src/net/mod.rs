@@ -232,13 +232,7 @@ impl NetServer {
 
         let scrape = handle.registry();
         let inner = Arc::new(NetMetricsInner::new(&scrape));
-        scrape.register_counter_ref(
-            "gesto_net_client_reconnects_total",
-            "Successful NetClient redials in this process (clients co-located \
-             with the edge, e.g. benches and tests)",
-            &[],
-            &client::CLIENT_RECONNECTS,
-        );
+        scrape.export(&client::CLIENT_RECONNECTS);
         let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
         let epoch = Instant::now();
         install_detection_sink(&handle, &registry, &inner, epoch);
@@ -373,6 +367,16 @@ enum Close {
     Quiet,
     /// Protocol violation: send this error first, then close.
     Fault(ErrorCode, &'static str),
+}
+
+/// What [`IoLoop::offer`] made of a batch.
+enum Offered {
+    /// Queued on its shard, or refused and reported to the client.
+    Done,
+    /// The shard queue is full: the batch comes back to be parked.
+    Full(Vec<gesto_kinect::SkeletonFrame>),
+    /// The engine is gone.
+    Close(Close),
 }
 
 /// The single-threaded event loop behind [`NetServer`].
@@ -823,39 +827,33 @@ impl IoLoop {
             conn.parked.push_back((global, frames));
             return None;
         }
-        self.offer(conn, global, frames)
-    }
-
-    /// Hands a batch to the engine, translating shard backpressure into
-    /// connection state (park/pause) or protocol errors.
-    fn offer(
-        &mut self,
-        conn: &mut Conn,
-        global: u64,
-        frames: Vec<gesto_kinect::SkeletonFrame>,
-    ) -> Option<Close> {
-        match self.handle.offer_batch(SessionId(global), frames) {
-            Ok(OfferOutcome::Queued) => None,
-            Ok(OfferOutcome::Full(frames)) => {
-                if conn.parked.len() >= MAX_PARKED_BATCHES {
-                    // Defensive bound (normally unreachable: a parked
-                    // connection is paused): drop rather than park.
-                    self.metrics.batches_rejected.inc();
-                    conn.send(
-                        &Message::Error {
-                            code: ErrorCode::QueueFull,
-                            detail: "parked-batch cap reached, batch dropped".to_owned(),
-                        },
-                        &mut self.scratch,
-                    );
-                    return None;
-                }
+        match self.offer(conn, global, frames) {
+            Offered::Full(frames) => {
                 conn.parked.push_back((global, frames));
                 self.metrics.batches_parked.inc();
                 self.pause(conn);
                 self.attention.insert(conn.id);
                 None
             }
+            Offered::Done => None,
+            Offered::Close(close) => Some(close),
+        }
+    }
+
+    /// Hands a batch to the engine and translates the result, for a
+    /// fresh batch and a parked one alike: a batch the shard refuses
+    /// (`ServeError::QueueFull`) is counted and reported to the client
+    /// with a non-fatal `Error(QueueFull)`; a full shard hands the
+    /// batch back for the caller to park.
+    fn offer(
+        &mut self,
+        conn: &mut Conn,
+        global: u64,
+        frames: Vec<gesto_kinect::SkeletonFrame>,
+    ) -> Offered {
+        match self.handle.offer_batch(SessionId(global), frames) {
+            Ok(OfferOutcome::Queued) => Offered::Done,
+            Ok(OfferOutcome::Full(frames)) => Offered::Full(frames),
             Err(ServeError::QueueFull { .. }) => {
                 self.metrics.batches_rejected.inc();
                 conn.send(
@@ -865,9 +863,9 @@ impl IoLoop {
                     },
                     &mut self.scratch,
                 );
-                None
+                Offered::Done
             }
-            Err(_) => Some(Close::Fault(ErrorCode::Shutdown, "engine shut down")),
+            Err(_) => Offered::Close(Close::Fault(ErrorCode::Shutdown, "engine shut down")),
         }
     }
 
@@ -1026,18 +1024,14 @@ impl IoLoop {
 
         // Parked batches: retry in order; stop at the first still-full.
         while let Some((global, frames)) = conn.parked.pop_front() {
-            match self.handle.offer_batch(SessionId(global), frames) {
-                Ok(OfferOutcome::Queued) => continue,
-                Ok(OfferOutcome::Full(frames)) => {
+            match self.offer(&mut conn, global, frames) {
+                Offered::Done => continue,
+                Offered::Full(frames) => {
                     conn.parked.push_front((global, frames));
                     break;
                 }
-                Err(ServeError::QueueFull { .. }) => {
-                    self.metrics.batches_rejected.inc();
-                    continue;
-                }
-                Err(_) => {
-                    close = Some(Close::Fault(ErrorCode::Shutdown, "engine shut down"));
+                Offered::Close(c) => {
+                    close = Some(c);
                     break;
                 }
             }

@@ -7,30 +7,34 @@
 //! only computes, and never copies a counter.**
 //!
 //! * Whatever gesto-serve counts is an owned instrument, an
-//!   `Arc<Counter | Gauge | Histogram>` made by [`Registry::counter`] /
-//!   [`Registry::gauge`] / [`Registry::histogram`] with its name, help
-//!   and labels where it is created: the stage timers and control-plane
-//!   counters here, each shard's in `ShardMetrics::new`, the edge's in
-//!   `NetMetricsInner::new` (built by `NetServer::start`), one
-//!   `gesto_detections_total{gesture}` per detected gesture. Hot paths
-//!   update it; snapshots and `/metrics` read the same atomics.
+//!   `Arc<Counter | Gauge | Histogram>` got or created by
+//!   [`Registry::instrument`] with its name, help and labels where it is
+//!   created: the stage timers and control-plane counters here, each
+//!   shard's in `ShardMetrics::new`, the edge's in `NetMetricsInner::new`
+//!   (built by `NetServer::start`), one `gesto_detections_total{gesture}`
+//!   per detected gesture. Hot paths update it; snapshots and `/metrics`
+//!   read the same atomics.
+//! * Code with no registry handle declares its counters as
+//!   `gesto_telemetry::Global` statics, named beside the code that
+//!   counts them: `gesto_cep::metrics` (NFA run accounting,
+//!   predicate-kernel counters, the kernel stage timer),
+//!   `gesto_stream::metrics` (block-build and tuple counters) and
+//!   `NetClient`'s reconnects. Each server publishes them with
+//!   [`Registry::export`].
 //! * A collector is a closure the registry runs at scrape time, for
 //!   values that exist only as computations: sums over shards, the
 //!   overload state, a `QueueGate`'s depth and queued bytes, plan
 //!   versions, journal stats.
-//! * `'static` refs remain only for counters in code that has no
-//!   registry handle: the process-global statics of `gesto-cep` (NFA
-//!   run accounting, predicate-kernel counters) and `gesto-stream`
-//!   (block-build and tuple counters), and `NetClient`'s reconnects.
 //!
-//! The cep/stream statics are process-global, so with two servers in
-//! one process each registry reports the *process* totals for those
-//! families (the ref registration is idempotent per registry); the
-//! shard and net families stay per-server.
+//! The statics are process-global, so with two servers in one process
+//! each registry reports the *process* totals for those families
+//! (`export` is idempotent per registry); the shard and net families
+//! stay per-server.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use gesto_cep::metrics::{STAGE_HELP, STAGE_NAME};
 use gesto_telemetry::{Counter, Gauge, Histogram, Registry, Sampler};
 use parking_lot::Mutex;
 
@@ -41,9 +45,8 @@ use crate::server::PlanRegistry;
 use crate::shard::QueueGate;
 
 /// Owned per-stage duration histograms, exported as
-/// `gesto_stage_duration_ns{stage=…}`. The kernel pre-pass joins the
-/// same family through `gesto_cep::metrics::KERNEL_STAGE_NS` with
-/// `stage="kernel"`.
+/// `gesto_stage_duration_ns{stage=…}`. The kernel pre-pass adds the
+/// `stage="kernel"` series, `gesto_cep::metrics::KERNEL_STAGE_NS`.
 pub(crate) struct Stages {
     /// Wire decode: GSW1 frame-batch payload → skeleton frames (on the
     /// I/O loop).
@@ -57,10 +60,6 @@ pub(crate) struct Stages {
     /// Detection write-back: per-gesture accounting + sink fan-out.
     pub sink: Arc<Histogram>,
 }
-
-const STAGE_NAME: &str = "gesto_stage_duration_ns";
-const STAGE_HELP: &str = "Sampled duration of one pipeline stage for one batch, in nanoseconds \
-     (1-in-N sampled; see ServerConfig::stage_sample_every)";
 
 /// Per-server telemetry: the registry plus the owned instruments the
 /// pipeline updates.
@@ -104,7 +103,7 @@ impl ServerTelemetry {
                 (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
             });
         registry
-            .gauge(
+            .instrument::<Gauge>(
                 "gesto_build_info",
                 "Constant 1: the gesto-serve version and an FNV-1a hash of the server's \
                  ServerConfig",
@@ -115,7 +114,7 @@ impl ServerTelemetry {
             )
             .set(1);
 
-        let stage = |s: &str| registry.histogram(STAGE_NAME, STAGE_HELP, &[("stage", s)]);
+        let stage = |s: &str| registry.instrument(STAGE_NAME, STAGE_HELP, &[("stage", s)]);
         let stages = Stages {
             decode: stage("decode"),
             transform: stage("transform"),
@@ -123,146 +122,46 @@ impl ServerTelemetry {
             nfa: stage("nfa"),
             sink: stage("sink"),
         };
-        registry.register_histogram_ref(
-            STAGE_NAME,
-            STAGE_HELP,
-            &[("stage", "kernel")],
-            &gesto_cep::metrics::KERNEL_STAGE_NS,
-        );
         // The kernel timer lives inside gesto-cep and samples through
         // its own process-global sampler; align it with the server's
         // configured rate.
         gesto_cep::metrics::KERNEL_SAMPLER.set_every(config.stage_sample_every);
 
-        let plans_compiled = registry.counter(
+        let plans_compiled = registry.instrument(
             "gesto_plans_compiled_total",
             "Query plans compiled by this server (compile-once: plans deployed \
              pre-compiled are not counted)",
             &[],
         );
 
-        // NFA run accounting (process-global statics in gesto-cep;
-        // sharded instruments, summed at scrape time).
-        registry.register_sharded_gauge_ref(
-            "gesto_nfa_runs_active",
-            "Live (partial-match) NFA runs across all sessions",
-            &[],
-            &gesto_cep::metrics::NFA_RUNS_ACTIVE,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_nfa_runs_seeded_total",
-            "NFA runs started by a first-step match",
-            &[],
-            &gesto_cep::metrics::NFA_RUNS_SEEDED_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_nfa_runs_expired_total",
-            "NFA runs discarded because a within-window expired",
-            &[],
-            &gesto_cep::metrics::NFA_RUNS_EXPIRED_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_nfa_runs_shed_total",
-            "NFA runs shed by the max_runs overload guard",
-            &[],
-            &gesto_cep::metrics::NFA_RUNS_SHED_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_nfa_runs_merged_total",
-            "NFA runs dropped because a run the same row moved into the same step shares their future",
-            &[],
-            &gesto_cep::metrics::NFA_RUNS_MERGED_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_nfa_matches_total",
-            "Completed pattern matches emitted by the NFA",
-            &[],
-            &gesto_cep::metrics::NFA_MATCHES_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_nfa_rows_stepped_total",
-            "Rows the NFA stepping loops visited (candidate rows; compare \
-             gesto_kernel_block_rows_total, the rows presented to the kernels)",
-            &[],
-            &gesto_cep::metrics::NFA_ROWS_STEPPED_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_nfa_arena_compactions_total",
-            "Event-arena compactions performed by NFA runtimes",
-            &[],
-            &gesto_cep::metrics::NFA_ARENA_COMPACTIONS_TOTAL,
-        );
-
-        // Predicate kernel (vectorized pre-pass) counters.
-        registry.register_sharded_counter_ref(
-            "gesto_kernel_block_evals_total",
-            "Vectorized predicate evaluations (one per hot step per block)",
-            &[],
-            &gesto_cep::metrics::KERNEL_BLOCK_EVALS_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_kernel_bounds_decided_total",
-            "Vectorized predicate evaluations decided from lane bounds with no row pass",
-            &[],
-            &gesto_cep::metrics::KERNEL_BOUNDS_DECIDED_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_kernel_block_rows_total",
-            "Rows presented to the vectorized predicate kernel",
-            &[],
-            &gesto_cep::metrics::KERNEL_BLOCK_ROWS_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_kernel_scalar_fallback_total",
-            "Rows the kernel left undecided and deferred to the scalar evaluator",
-            &[],
-            &gesto_cep::metrics::KERNEL_SCALAR_FALLBACK_TOTAL,
-        );
-
-        // Columnar block builders (gesto-stream).
-        registry.register_sharded_counter_ref(
-            "gesto_blocks_built_total",
-            "Columnar frame blocks materialised",
-            &[],
-            &gesto_stream::metrics::BLOCKS_BUILT_TOTAL,
-        );
-        registry.register_sharded_counter_ref(
-            "gesto_block_rows_built_total",
-            "Rows materialised across all built blocks",
-            &[],
-            &gesto_stream::metrics::BLOCK_ROWS_BUILT_TOTAL,
-        );
-
-        registry.register_sharded_counter_ref(
-            "gesto_tuples_built_total",
-            "Every tuple built; ÷ gesto_shard_frames_total = tuples per frame",
-            &[],
-            &gesto_stream::metrics::TUPLES_BUILT_TOTAL,
-        );
+        // The process-global statics of the NFA runtime, the kernels
+        // and the block builders.
+        gesto_cep::metrics::export(&registry);
+        gesto_stream::metrics::export(&registry);
 
         // Durable control plane instruments (all stay 0 on a
         // non-durable server).
-        let checkpoints_total = registry.counter(
+        let checkpoints_total = registry.instrument(
             "gesto_checkpoints_total",
             "Control-plane checkpoints written (each rotates + compacts the journal)",
             &[],
         );
-        let checkpoint_last_seq = registry.gauge(
+        let checkpoint_last_seq = registry.instrument(
             "gesto_checkpoint_last_seq",
             "Journal sequence number the newest checkpoint covers (0 before the first)",
             &[],
         );
-        let recovery_replayed_ops = registry.counter(
+        let recovery_replayed_ops = registry.instrument(
             "gesto_recovery_replayed_ops_total",
             "Journal-tail control ops replayed during crash recovery",
             &[],
         );
-        let recovery_truncated_bytes = registry.counter(
+        let recovery_truncated_bytes = registry.instrument(
             "gesto_recovery_truncated_bytes_total",
             "Torn or corrupt journal bytes discarded during crash recovery",
             &[],
         );
-        let recovery_corrupt_checkpoints = registry.counter(
+        let recovery_corrupt_checkpoints = registry.instrument(
             "gesto_recovery_corrupt_checkpoints_total",
             "Corrupt checkpoint files skipped during crash recovery",
             &[],
@@ -288,7 +187,7 @@ impl ServerTelemetry {
             .lock()
             .entry(gesture.to_owned())
             .or_insert_with(|| {
-                self.registry.counter(
+                self.registry.instrument(
                     "gesto_detections_total",
                     "Detections per gesture, across all shards",
                     &[("gesture", gesture)],

@@ -198,6 +198,35 @@ fn credit_backpressure_stalls_producer_when_shard_is_full() {
 }
 
 #[test]
+fn a_batch_refused_by_the_memory_budget_gets_queue_full_and_its_credit_back() {
+    // A one-byte shard memory budget refuses every batch. Each refusal
+    // must reach the client as one non-fatal `Error(QueueFull)`, the
+    // refused frames' credit must still come back (the client sends
+    // five windows' worth), and the connection must stay up.
+    let server = Server::start(
+        ServerConfig::new()
+            .with_shards(1)
+            .with_shard_memory_budget(1),
+    );
+    let net = NetServer::start(server.handle(), NetConfig::new().with_initial_credits(64)).unwrap();
+    let mut client = NetClient::connect(net.local_addr()).unwrap();
+    let batch: Vec<SkeletonFrame> = swipe_frames(3).into_iter().cycle().take(32).collect();
+    let batches = 10;
+    for _ in 0..batches {
+        client.send_batch(1, &batch).unwrap();
+    }
+    client.ping().unwrap();
+    assert_eq!(client.rejected_batches(), batches);
+    assert_eq!(net.metrics().batches_rejected(), batches);
+    assert_eq!(server.metrics().mem_rejected_batches(), batches);
+    assert_eq!(server.metrics().frames_in(), 0);
+
+    let _ = client.bye().unwrap();
+    net.shutdown();
+    server.shutdown();
+}
+
+#[test]
 fn protocol_basics_ping_idempotent_close_and_concurrent_clients() {
     let server = Server::start(ServerConfig::new().with_shards(2));
     teach_swipe(&server);

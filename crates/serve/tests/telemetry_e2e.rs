@@ -306,7 +306,9 @@ fn documented_kinds(doc: &str) -> std::collections::BTreeMap<String, String> {
 /// undocumented, the docs cannot keep one that is gone, and a family
 /// rewired with the wrong instrument fails here. The server is durable,
 /// has a plan deployed, has detected once and has reaped an idle
-/// connection, so every conditional family is present.
+/// connection, so every conditional family is present. Its edge has
+/// restarted and a second server runs beside it, so registration is
+/// exercised twice over.
 #[test]
 fn observability_catalog_matches_the_live_registry() {
     let dir = std::env::temp_dir().join(format!("gesto-catalog-{}", std::process::id()));
@@ -327,6 +329,30 @@ fn observability_catalog_matches_the_live_registry() {
         std::thread::sleep(Duration::from_millis(10));
     }
     drop(idle);
+
+    // Restart the edge on the same handle, then start a second server
+    // in the process. The edge's counters carry on across the restart,
+    // and the first server still renders each series exactly once.
+    let received = net.metrics().frames_received();
+    net.shutdown();
+    let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
+    let frames = swipe_frames(42);
+    let mut client = NetClient::connect(net.local_addr()).unwrap();
+    client.send_batch(1, &frames).unwrap();
+    client.bye().unwrap();
+    assert_eq!(
+        net.metrics().frames_received(),
+        received + frames.len() as u64
+    );
+    let other = Server::start(ServerConfig::new().with_shards(1));
+    let (_, body) = http(net.local_addr(), "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let mut series = std::collections::BTreeMap::<&str, usize>::new();
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
+        *series.entry(line.rsplit_once(' ').unwrap().0).or_default() += 1;
+    }
+    let repeated: Vec<_> = series.iter().filter(|&(_, &n)| n > 1).collect();
+    assert!(repeated.is_empty(), "series rendered twice: {repeated:?}");
+    other.shutdown();
 
     let live: std::collections::BTreeMap<String, &str> = server
         .handle()

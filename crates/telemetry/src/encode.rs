@@ -11,29 +11,29 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use crate::instruments::HistogramSnapshot;
-use crate::registry::{MetricKind, Sample, SampleValue};
+use crate::registry::{Sample, SampleValue};
 
 /// Encodes gathered samples as a Prometheus 0.0.4 text payload.
 ///
 /// Families render sorted by name; series within a family sort by their
 /// label pairs, so the output is deterministic for a given sample set.
 pub fn encode_text(samples: &[Sample]) -> String {
-    // Group by family name, keeping (help, kind) from the first sample
+    // Group by family name, keeping (help, type) from the first sample
     // seen for the family.
-    let mut families: BTreeMap<&str, (&str, MetricKind, Vec<&Sample>)> = BTreeMap::new();
+    let mut families: BTreeMap<&str, (&str, &str, Vec<&Sample>)> = BTreeMap::new();
     for s in samples {
         families
             .entry(&s.name)
-            .or_insert_with(|| (&s.help, s.value.kind(), Vec::new()))
+            .or_insert_with(|| (&s.help, s.value.type_word(), Vec::new()))
             .2
             .push(s);
     }
 
     let mut out = String::new();
-    for (name, (help, kind, mut series)) in families {
+    for (name, (help, type_word, mut series)) in families {
         series.sort_by(|a, b| a.labels.cmp(&b.labels));
         let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
-        let _ = writeln!(out, "# TYPE {name} {}", type_str(kind));
+        let _ = writeln!(out, "# TYPE {name} {type_word}");
         for s in series {
             match &s.value {
                 SampleValue::Counter(v) => {
@@ -47,14 +47,6 @@ pub fn encode_text(samples: &[Sample]) -> String {
         }
     }
     out
-}
-
-fn type_str(kind: MetricKind) -> &'static str {
-    match kind {
-        MetricKind::Counter => "counter",
-        MetricKind::Gauge => "gauge",
-        MetricKind::Histogram => "histogram",
-    }
 }
 
 /// Renders one histogram snapshot as cumulative buckets + sum + count.

@@ -1,26 +1,16 @@
-//! The metric registry: named, labelled instrument families plus
-//! scrape-time collectors, gathered into [`Sample`]s for the text
-//! encoder.
+//! The metric registry: named, labelled instruments plus scrape-time
+//! collectors, gathered into [`Sample`]s for the text encoder.
 
+use std::any::Any;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 use crate::instruments::{
     Counter, Gauge, Histogram, HistogramSnapshot, ShardedCounter, ShardedGauge,
 };
 
-/// What kind of time series a sample belongs to (drives the `# TYPE`
-/// line of the exposition format).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonically increasing.
-    Counter,
-    /// Goes up and down.
-    Gauge,
-    /// Power-of-two bucket histogram.
-    Histogram,
-}
-
-/// The value carried by one [`Sample`].
+/// The value carried by one [`Sample`]; its variant is the family's
+/// `# TYPE`.
 #[derive(Debug, Clone)]
 pub enum SampleValue {
     /// A counter reading.
@@ -35,11 +25,12 @@ pub enum SampleValue {
 }
 
 impl SampleValue {
-    pub(crate) fn kind(&self) -> MetricKind {
+    /// The exposition format's `# TYPE` word.
+    pub(crate) fn type_word(&self) -> &'static str {
         match self {
-            SampleValue::Counter(_) => MetricKind::Counter,
-            SampleValue::Gauge(_) => MetricKind::Gauge,
-            SampleValue::Histogram(_) => MetricKind::Histogram,
+            SampleValue::Counter(_) => "counter",
+            SampleValue::Gauge(_) => "gauge",
+            SampleValue::Histogram(_) => "histogram",
         }
     }
 }
@@ -96,49 +87,90 @@ impl SampleSet {
         self.samples.push(Sample {
             name: name.to_string(),
             help: help.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            labels: owned(labels),
             value,
         });
     }
 }
 
-/// A registered instrument: either owned via `Arc` (created through the
-/// registry) or a `'static` reference (process-global statics living in
-/// hot-path crates like `gesto-cep`).
-enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-    CounterRef(&'static Counter),
-    HistogramRef(&'static Histogram),
-    ShardedCounterRef(&'static ShardedCounter),
-    ShardedGaugeRef(&'static ShardedGauge),
+/// An instrument the registry can read at scrape time.
+pub trait Instrument: Any + Send + Sync {
+    /// The current reading.
+    fn read(&self) -> SampleValue;
 }
 
-impl Instrument {
-    fn kind(&self) -> MetricKind {
-        match self {
-            Instrument::Counter(_)
-            | Instrument::CounterRef(_)
-            | Instrument::ShardedCounterRef(_) => MetricKind::Counter,
-            Instrument::Gauge(_) | Instrument::ShardedGaugeRef(_) => MetricKind::Gauge,
-            Instrument::Histogram(_) | Instrument::HistogramRef(_) => MetricKind::Histogram,
+impl Instrument for Counter {
+    fn read(&self) -> SampleValue {
+        SampleValue::Counter(self.get())
+    }
+}
+
+impl Instrument for ShardedCounter {
+    fn read(&self) -> SampleValue {
+        SampleValue::Counter(self.get())
+    }
+}
+
+impl Instrument for Gauge {
+    fn read(&self) -> SampleValue {
+        SampleValue::Gauge(self.get() as f64)
+    }
+}
+
+impl Instrument for ShardedGauge {
+    fn read(&self) -> SampleValue {
+        SampleValue::Gauge(self.get() as f64)
+    }
+}
+
+impl Instrument for Histogram {
+    fn read(&self) -> SampleValue {
+        SampleValue::Histogram(Box::new(self.snapshot()))
+    }
+}
+
+/// A `'static` instrument reads through its reference: this is how
+/// [`Registry::export`] holds a [`Global`].
+impl<I: Instrument> Instrument for &'static I {
+    fn read(&self) -> SampleValue {
+        (**self).read()
+    }
+}
+
+/// A process-global instrument declared with its name, help and labels
+/// where it is counted: `static FOO: Global<Counter> =
+/// Global::new("foo_total", "…", &[], Counter::new());`. It derefs to
+/// the instrument, so updates are `FOO.add(n)`, and any registry
+/// publishes it with [`Registry::export`].
+pub struct Global<I> {
+    name: &'static str,
+    help: &'static str,
+    labels: &'static [(&'static str, &'static str)],
+    inst: I,
+}
+
+impl<I> Global<I> {
+    /// Declares `inst` under this name, help and label set.
+    pub const fn new(
+        name: &'static str,
+        help: &'static str,
+        labels: &'static [(&'static str, &'static str)],
+        inst: I,
+    ) -> Self {
+        Global {
+            name,
+            help,
+            labels,
+            inst,
         }
     }
+}
 
-    fn read(&self) -> SampleValue {
-        match self {
-            Instrument::Counter(c) => SampleValue::Counter(c.get()),
-            Instrument::CounterRef(c) => SampleValue::Counter(c.get()),
-            Instrument::ShardedCounterRef(c) => SampleValue::Counter(c.get()),
-            Instrument::Gauge(g) => SampleValue::Gauge(g.get() as f64),
-            Instrument::ShardedGaugeRef(g) => SampleValue::Gauge(g.get() as f64),
-            Instrument::Histogram(h) => SampleValue::Histogram(Box::new(h.snapshot())),
-            Instrument::HistogramRef(h) => SampleValue::Histogram(Box::new(h.snapshot())),
-        }
+impl<I> Deref for Global<I> {
+    type Target = I;
+
+    fn deref(&self) -> &I {
+        &self.inst
     }
 }
 
@@ -146,10 +178,12 @@ struct Entry {
     name: String,
     help: String,
     labels: Vec<(String, String)>,
-    inst: Instrument,
+    inst: Arc<dyn Instrument>,
 }
 
 type Collector = Box<dyn Fn(&mut SampleSet) + Send + Sync>;
+
+const POISONED: &str = "a registration or a collector panicked holding the registry";
 
 #[derive(Default)]
 struct Inner {
@@ -165,16 +199,13 @@ struct Inner {
 /// [`gather`](Registry::gather)/[`render`](Registry::render), both off
 /// the hot path.
 ///
-/// Three registration styles coexist:
-/// * [`counter`](Registry::counter) / [`gauge`](Registry::gauge) /
-///   [`histogram`](Registry::histogram) create an `Arc`-owned
-///   instrument and hand it back for the caller to update.
-/// * [`register_counter_ref`](Registry::register_counter_ref),
-///   [`register_histogram_ref`](Registry::register_histogram_ref) and
-///   the `register_sharded_*_ref` pair export a `'static` instrument
-///   that lives in code with no registry handle (the cep/stream
-///   process-global statics), so hot-path crates need no registry
-///   dependency at update time.
+/// There is one way in per kind of metric:
+/// * [`instrument`](Registry::instrument) gets or creates an owned
+///   instrument under a name and label set, for code that holds the
+///   registry.
+/// * [`export`](Registry::export) publishes a [`Global`], a
+///   process-global static that names itself where it is counted, in
+///   code with no registry handle.
 /// * [`register_collector`](Registry::register_collector) runs a
 ///   closure at scrape time for values that are computed rather than
 ///   counted: sums, states and readings of live structures.
@@ -189,169 +220,45 @@ impl Registry {
         Registry::default()
     }
 
-    /// Creates (or retrieves) a counter with this exact name + label
-    /// set.
+    /// Gets the instrument of this exact name and label set, or
+    /// creates it.
     ///
     /// # Panics
     /// Panics on an invalid metric name, or if the name is already
     /// registered with a different kind.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let mut inner = self.inner.lock().unwrap();
+    pub fn instrument<T: Instrument + Default>(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+    ) -> Arc<T> {
+        let mut inner = self.inner.lock().expect(POISONED);
         if let Some(e) = find(&inner.entries, name, labels) {
-            match &e.inst {
-                Instrument::Counter(c) => return c.clone(),
-                _ => panic!("metric {name} already registered with a different kind"),
-            }
+            let any: Arc<dyn Any + Send + Sync> = e.inst.clone();
+            return any.downcast().unwrap_or_else(|_| {
+                panic!("metric {name} already registered with a different kind")
+            });
         }
-        let c = Arc::new(Counter::new());
-        push(
-            &mut inner.entries,
-            name,
-            help,
-            labels,
-            Instrument::Counter(c.clone()),
-        );
-        c
+        let inst = Arc::new(T::default());
+        push(&mut inner.entries, name, help, labels, inst.clone());
+        inst
     }
 
-    /// Creates (or retrieves) a gauge with this exact name + label set.
-    ///
-    /// # Panics
-    /// Panics on an invalid metric name, or if the name is already
-    /// registered with a different kind.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(e) = find(&inner.entries, name, labels) {
-            match &e.inst {
-                Instrument::Gauge(g) => return g.clone(),
-                _ => panic!("metric {name} already registered with a different kind"),
-            }
+    /// Publishes a process-global instrument. Exporting one twice is a
+    /// no-op, so two servers in one process can both export the shared
+    /// statics.
+    pub fn export<I: Instrument>(&self, global: &'static Global<I>) {
+        let mut inner = self.inner.lock().expect(POISONED);
+        if find(&inner.entries, global.name, global.labels).is_none() {
+            let inst = Arc::new(&global.inst);
+            push(
+                &mut inner.entries,
+                global.name,
+                global.help,
+                global.labels,
+                inst,
+            );
         }
-        let g = Arc::new(Gauge::new());
-        push(
-            &mut inner.entries,
-            name,
-            help,
-            labels,
-            Instrument::Gauge(g.clone()),
-        );
-        g
-    }
-
-    /// Creates (or retrieves) a histogram with this exact name + label
-    /// set.
-    ///
-    /// # Panics
-    /// Panics on an invalid metric name, or if the name is already
-    /// registered with a different kind.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(e) = find(&inner.entries, name, labels) {
-            match &e.inst {
-                Instrument::Histogram(h) => return h.clone(),
-                _ => panic!("metric {name} already registered with a different kind"),
-            }
-        }
-        let h = Arc::new(Histogram::new());
-        push(
-            &mut inner.entries,
-            name,
-            help,
-            labels,
-            Instrument::Histogram(h.clone()),
-        );
-        h
-    }
-
-    /// Exports a `'static` counter (a process-global living in another
-    /// crate). Re-registering the same name + labels is a no-op, so two
-    /// servers in one process can both export the shared statics.
-    pub fn register_counter_ref(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        counter: &'static Counter,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        if find(&inner.entries, name, labels).is_some() {
-            return;
-        }
-        push(
-            &mut inner.entries,
-            name,
-            help,
-            labels,
-            Instrument::CounterRef(counter),
-        );
-    }
-
-    /// Exports a `'static` histogram. Same idempotence as
-    /// [`register_counter_ref`](Registry::register_counter_ref).
-    pub fn register_histogram_ref(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        histogram: &'static Histogram,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        if find(&inner.entries, name, labels).is_some() {
-            return;
-        }
-        push(
-            &mut inner.entries,
-            name,
-            help,
-            labels,
-            Instrument::HistogramRef(histogram),
-        );
-    }
-
-    /// Exports a `'static` [`ShardedCounter`] (summed over its slots at
-    /// scrape time). Same idempotence as
-    /// [`register_counter_ref`](Registry::register_counter_ref).
-    pub fn register_sharded_counter_ref(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        counter: &'static ShardedCounter,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        if find(&inner.entries, name, labels).is_some() {
-            return;
-        }
-        push(
-            &mut inner.entries,
-            name,
-            help,
-            labels,
-            Instrument::ShardedCounterRef(counter),
-        );
-    }
-
-    /// Exports a `'static` [`ShardedGauge`] (summed over its slots at
-    /// scrape time). Same idempotence as
-    /// [`register_counter_ref`](Registry::register_counter_ref).
-    pub fn register_sharded_gauge_ref(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        gauge: &'static ShardedGauge,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        if find(&inner.entries, name, labels).is_some() {
-            return;
-        }
-        push(
-            &mut inner.entries,
-            name,
-            help,
-            labels,
-            Instrument::ShardedGaugeRef(gauge),
-        );
     }
 
     /// Registers a scrape-time collector: the closure runs on every
@@ -359,13 +266,17 @@ impl Registry {
     /// are derived from live structures rather than dedicated
     /// instruments.
     pub fn register_collector(&self, f: impl Fn(&mut SampleSet) + Send + Sync + 'static) {
-        self.inner.lock().unwrap().collectors.push(Box::new(f));
+        self.inner
+            .lock()
+            .expect(POISONED)
+            .collectors
+            .push(Box::new(f));
     }
 
     /// Reads every registered instrument and runs every collector,
     /// returning the flat sample list (encoder input).
     pub fn gather(&self) -> Vec<Sample> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().expect(POISONED);
         let mut set = SampleSet::default();
         for e in &inner.entries {
             set.samples.push(Sample {
@@ -403,7 +314,7 @@ fn push(
     name: &str,
     help: &str,
     labels: &[(&str, &str)],
-    inst: Instrument,
+    inst: Arc<dyn Instrument>,
 ) {
     assert!(
         valid_name(name),
@@ -411,19 +322,23 @@ fn push(
     );
     if let Some(prev) = entries.iter().find(|e| e.name == name) {
         assert!(
-            prev.inst.kind() == inst.kind(),
+            prev.inst.read().type_word() == inst.read().type_word(),
             "metric {name} already registered with a different kind"
         );
     }
     entries.push(Entry {
         name: name.to_string(),
         help: help.to_string(),
-        labels: labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
+        labels: owned(labels),
         inst,
     });
+}
+
+fn owned(labels: &[(&str, &str)]) -> Vec<(String, String)> {
+    labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
 }
 
 /// Prometheus metric-name grammar: `[a-zA-Z_:][a-zA-Z0-9_:]*`.
@@ -443,7 +358,7 @@ mod tests {
     #[test]
     fn counter_roundtrip() {
         let r = Registry::new();
-        let c = r.counter("test_total", "help", &[]);
+        let c: Arc<Counter> = r.instrument("test_total", "help", &[]);
         c.add(7);
         let samples = r.gather();
         assert_eq!(samples.len(), 1);
@@ -453,13 +368,13 @@ mod tests {
     #[test]
     fn get_or_create_returns_same_instrument() {
         let r = Registry::new();
-        let a = r.counter("dup_total", "help", &[("shard", "0")]);
-        let b = r.counter("dup_total", "help", &[("shard", "0")]);
+        let a: Arc<Counter> = r.instrument("dup_total", "help", &[("shard", "0")]);
+        let b: Arc<Counter> = r.instrument("dup_total", "help", &[("shard", "0")]);
         a.inc();
         b.inc();
         assert_eq!(a.get(), 2);
         // A different label set is a distinct series.
-        let c = r.counter("dup_total", "help", &[("shard", "1")]);
+        let c: Arc<Counter> = r.instrument("dup_total", "help", &[("shard", "1")]);
         c.add(5);
         assert_eq!(r.gather().len(), 2);
     }
@@ -468,23 +383,32 @@ mod tests {
     #[should_panic(expected = "different kind")]
     fn kind_conflict_panics() {
         let r = Registry::new();
-        r.counter("conflict_metric", "help", &[]);
-        r.gauge("conflict_metric", "help", &[]);
+        r.instrument::<Counter>("conflict_metric", "help", &[]);
+        r.instrument::<Gauge>("conflict_metric", "help", &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different kind")]
+    fn kind_conflict_across_label_sets_panics() {
+        static H: Global<Histogram> = Global::new("mixed", "help", &[("a", "1")], Histogram::new());
+        let r = Registry::new();
+        r.export(&H);
+        r.instrument::<Counter>("mixed", "help", &[("a", "2")]);
     }
 
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn invalid_name_panics() {
         let r = Registry::new();
-        r.counter("bad-name", "help", &[]);
+        r.instrument::<Counter>("bad-name", "help", &[]);
     }
 
     #[test]
-    fn static_refs_are_idempotent() {
-        static C: Counter = Counter::new();
+    fn exports_are_idempotent() {
+        static C: Global<Counter> = Global::new("static_total", "help", &[], Counter::new());
         let r = Registry::new();
-        r.register_counter_ref("static_total", "help", &[], &C);
-        r.register_counter_ref("static_total", "help", &[], &C);
+        r.export(&C);
+        r.export(&C);
         C.inc();
         let samples = r.gather();
         assert_eq!(samples.len(), 1);

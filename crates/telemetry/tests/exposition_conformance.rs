@@ -4,12 +4,12 @@
 //! accidental format change (header order, escaping, bucket math) fails
 //! loudly instead of silently breaking scrapers.
 
-use gesto_telemetry::Registry;
+use gesto_telemetry::{Counter, Gauge, Histogram, Registry};
 
 #[test]
 fn counter_family_golden() {
     let r = Registry::new();
-    let c = r.counter(
+    let c = r.instrument::<Counter>(
         "gesto_net_frames_received_total",
         "Skeleton frames decoded off the wire",
         &[],
@@ -28,13 +28,13 @@ fn labelled_series_golden() {
     let r = Registry::new();
     // Registered out of order: series must render sorted by labels,
     // under a single family header.
-    r.counter(
+    r.instrument::<Counter>(
         "gesto_shard_frames_total",
         "Frames per shard",
         &[("shard", "1")],
     )
     .add(20);
-    r.counter(
+    r.instrument::<Counter>(
         "gesto_shard_frames_total",
         "Frames per shard",
         &[("shard", "0")],
@@ -52,7 +52,7 @@ fn labelled_series_golden() {
 #[test]
 fn gauge_golden() {
     let r = Registry::new();
-    let g = r.gauge("gesto_nfa_runs_active", "Live NFA runs", &[]);
+    let g = r.instrument::<Gauge>("gesto_nfa_runs_active", "Live NFA runs", &[]);
     g.set(-3);
     assert_eq!(
         r.render(),
@@ -65,7 +65,7 @@ fn gauge_golden() {
 #[test]
 fn histogram_golden() {
     let r = Registry::new();
-    let h = r.histogram(
+    let h = r.instrument::<Histogram>(
         "gesto_shard_push_latency_us",
         "Enqueue-to-detection latency",
         &[("shard", "0")],
@@ -113,8 +113,8 @@ fn escaping_golden() {
 #[test]
 fn mixed_registry_families_sort_by_name() {
     let r = Registry::new();
-    r.counter("gesto_z_total", "z", &[]).inc();
-    r.gauge("gesto_a_active", "a", &[]).set(2);
+    r.instrument::<Counter>("gesto_z_total", "z", &[]).inc();
+    r.instrument::<Gauge>("gesto_a_active", "a", &[]).set(2);
     assert_eq!(
         r.render(),
         "# HELP gesto_a_active a\n\

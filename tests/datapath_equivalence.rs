@@ -231,13 +231,13 @@ fn lockstep(
     mut split: impl FnMut() -> usize,
     blocks: bool,
 ) -> Lockstep {
-    use gesto::cep::{parse_pattern, FunctionRegistry, MatchScratch, Nfa, SingleSchema};
+    use gesto::cep::{parse_pattern, FunctionRegistry, MatchScratch, NfaRuntime, SingleSchema};
 
     let pattern = parse_pattern(text).expect("pattern parses");
     let funcs = FunctionRegistry::with_builtins();
     let resolver = SingleSchema(tuples[0].schema().clone());
     let compile = || {
-        Nfa::compile(&pattern, &resolver, &funcs)
+        NfaRuntime::compile(&pattern, &resolver, &funcs)
             .unwrap()
             .with_max_runs(max_runs)
     };
