@@ -11,8 +11,10 @@
 //! After the criterion groups it prints a `front_path` table, timed by
 //! hand because its unit is ns per tuple / per frame: what building a
 //! kinect tuple costs, what `SharedViews::begin_batch` costs on a block
-//! batch when no `kinect_t` row is read (the rows stay deferred) and when
-//! every row is materialised into a tuple, and what it costs
+//! batch when no `kinect_t` row is read (the rows stay deferred), when
+//! every row is kept (`RowSource::keep`: a handle, no tuple, as a run
+//! interns a row) and when every row is materialised into a tuple, and
+//! what it costs
 //! round-robin over 512 sessions (30-frame batches, the shard's shape on
 //! `inproc_512x4`) when every session keeps its own batch buffers — the
 //! shard cycles through 512 cold sets — against one set lent to each
@@ -35,7 +37,7 @@ use gesto_kinect::{
 };
 use gesto_learn::query_gen::{generate_query, QueryStyle};
 use gesto_learn::LearnerConfig;
-use gesto_stream::{BatchBuffers, RowBatch, SharedViews, Tuple};
+use gesto_stream::{BatchBuffers, RowBatch, RowSource, SharedViews, Tuple, ViewRows};
 use gesto_transform::{standard_catalog, KINECT_T};
 
 const FRAMES: usize = 240;
@@ -158,7 +160,7 @@ fn front_path(_: &mut Criterion) {
         .iter()
         .map(|c| out_schema.index_of(c).expect("kinect layout"))
         .collect();
-    let begin_batch = |materialise: bool| {
+    let begin_batch = |read: &dyn Fn(ViewRows<'_>)| {
         let mut views = SharedViews::new(&catalog);
         views.set_needed([KINECT_T]);
         views.clear_block_columns();
@@ -166,14 +168,12 @@ fn front_path(_: &mut Criterion) {
         let slot = views.slot_of(KINECT_T).expect("standard catalog");
         best_ns_per_element(n, || {
             views.begin_batch(KINECT_STREAM, &tuples);
-            if materialise {
-                views.rows(slot).iter().for_each(|t| {
-                    black_box(t);
-                });
-            }
+            read(views.rows(slot));
         })
     };
-    let (none_kept, all_built) = (begin_batch(false), begin_batch(true));
+    let none_kept = begin_batch(&|_| {});
+    let all_kept = begin_batch(&|rows| (0..rows.len()).for_each(|r| drop(black_box(rows.keep(r)))));
+    let all_built = begin_batch(&|rows| rows.iter().for_each(|t| _ = black_box(t)));
 
     // The shard's shape: many sessions, one 30-frame batch each in
     // turn. The two set-ups are timed try by try in alternation, so a
@@ -222,6 +222,7 @@ fn front_path(_: &mut Criterion) {
     println!("  KinectSlots::tuple                          {fresh:>9.1}");
     println!("front_path                                     ns/frame");
     println!("  block batch, no row kept                    {none_kept:>9.1}");
+    println!("  block batch, every row kept                 {all_kept:>9.1}");
     println!("  block batch, every row materialised         {all_built:>9.1}");
     println!("  begin_batch, 512 sessions x 30, own buffers {per_session:>9.1}");
     println!("  begin_batch, 512 sessions x 30, one lent set{lent:>9.1}");

@@ -130,8 +130,13 @@ pub static KERNEL_STAGE_NS: Global<Histogram> = Global::new(
 );
 
 /// 1-in-N sampler gating [`KERNEL_STAGE_NS`] timing so the steady-state
-/// pre-pass pays one atomic add, not two clock reads.
-pub static KERNEL_SAMPLER: SharedSampler = SharedSampler::new(64);
+/// pre-pass pays a thread-local decrement, not two clock reads.
+pub static KERNEL_SAMPLER: SharedSampler = SharedSampler::new(64, &KERNEL_TICK);
+
+thread_local! {
+    /// [`KERNEL_SAMPLER`]'s countdown on each thread.
+    static KERNEL_TICK: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
 
 /// Publishes every instrument of this module in `registry` (idempotent,
 /// like [`Registry::export`]).

@@ -17,13 +17,14 @@
 //! The stepping core is [`NfaRuntime::advance_block_into`], engineered
 //! for zero heap allocations on the no-match steady state:
 //!
-//! * **Event arena** — a tuple that matches any step is interned once
-//!   into an append-only arena (`arena` + `arena_ts`), shared by every
-//!   run it seeds or advances. Seeding N runs from one tuple no longer
-//!   clones it N times; runs refer to events by `u32` arena index. The
-//!   arena is cleared whenever the run set empties (every `consume all`
-//!   detection does this) and mark-compacted if churn ever makes it
-//!   outgrow the live run set.
+//! * **Event arena** — a row that matches any step is interned once into
+//!   an append-only arena (`arena` + `arena_ts`) as the row source's
+//!   [`KeptRow`], shared by every run it seeds or advances; runs refer to
+//!   events by `u32` arena index. A deferred view row stays its frame
+//!   until a completed match copies its tuple out, so only rows a match
+//!   carries are ever built. The arena is cleared whenever the run set
+//!   empties (every `consume all` detection does this) and
+//!   mark-compacted if churn ever makes it outgrow the live run set.
 //! * **Run slab** — run metadata lives in a dense `Vec<Run>`; the arena
 //!   indices of run *i*'s matched events live at
 //!   `run_events[i*stride ..]` with `stride = step_count`. Removing a
@@ -82,7 +83,7 @@
 
 use std::sync::Arc;
 
-use gesto_stream::{BitMask, ColumnBlock, RowSource, SchemaRef, StreamTime, Tuple};
+use gesto_stream::{BitMask, ColumnBlock, KeptRow, RowSource, SchemaRef, StreamTime, Tuple};
 use gesto_telemetry::ShardedCounter;
 
 use crate::error::CepError;
@@ -434,9 +435,9 @@ pub struct NfaRuntime {
     /// `run_events[i*stride .. i*stride + stride]` (first `next` valid).
     runs: Vec<Run>,
     run_events: Vec<u32>,
-    /// Shared append-only event storage: every tuple that matched a step
-    /// this "generation", interned once, plus its timestamp.
-    arena: Vec<Tuple>,
+    /// Shared append-only event storage: every row that matched a step
+    /// this "generation", kept once, plus its timestamp.
+    arena: Vec<KeptRow>,
     arena_ts: Vec<StreamTime>,
     /// Earliest deadline over all runs (conservative: may be stale-low
     /// after a run is removed, which only costs an extra prune scan).
@@ -551,7 +552,7 @@ impl NfaRuntime {
         self.shed
     }
 
-    /// Tuples currently interned in the shared event arena (inspection:
+    /// Rows currently interned in the shared event arena (inspection:
     /// the arena must track the live run set, not the stream length).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
@@ -563,15 +564,15 @@ impl NfaRuntime {
     /// [`MatchScratch`] and are not counted. Capacity-based because that
     /// is what the allocator actually holds — a runtime that burst to
     /// 10k runs and drained back to 3 still pins the 10k-run slab.
-    /// Tuple payloads are estimated by the arena's inline element size;
-    /// spilled per-tuple heap (strings, vectors) is not chased, so this
-    /// is a lower bound suitable for admission budgeting, not an exact
-    /// accounting.
+    /// The arena counts row handles: what a kept row owns — a tuple's
+    /// values, or a deferred `kinect_t` row's frame and basis until it
+    /// is built — is heap this lower bound does not see, so it suits
+    /// admission budgeting, not exact accounting.
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         self.runs.capacity() * size_of::<Run>()
             + self.run_events.capacity() * size_of::<u32>()
-            + self.arena.capacity() * size_of::<Tuple>()
+            + self.arena.capacity() * size_of::<KeptRow>()
             + self.arena_ts.capacity() * size_of::<StreamTime>()
     }
 
@@ -589,8 +590,9 @@ impl NfaRuntime {
     /// matches to `out` in stream order; `block`, when given, must be
     /// the columnar view of exactly `rows` (same rows, same order —
     /// a row-count mismatch disables it). Every timestamp is read from
-    /// `rows`; a row's tuple only to intern it or to evaluate it on the
-    /// scalar path, so a deferred view row nobody keeps is never built.
+    /// `rows`; a row is kept to intern it and read to evaluate it on the
+    /// scalar path, and an interned row's tuple is read only when a
+    /// match carries it out.
     ///
     /// This is the hot loop (layout and candidate-row stepping: see the
     /// module docs). A batch in which nothing matches performs **zero**
@@ -762,7 +764,7 @@ impl NfaRuntime {
                     continue;
                 }
                 if arena_idx == u32::MAX {
-                    arena_idx = intern(arena, arena_ts, rows.tuple(row), ts);
+                    arena_idx = intern(arena, arena_ts, rows.keep(row), ts);
                 }
                 let slab = i * stride;
                 run_events[slab + step] = arena_idx;
@@ -801,7 +803,7 @@ impl NfaRuntime {
             // Seed a new run: this tuple as leaf 0.
             if seeding && live(0) && masks.hit(0, &steps[0].predicate, rows, row, serial)? {
                 if arena_idx == u32::MAX {
-                    arena_idx = intern(arena, arena_ts, rows.tuple(row), ts);
+                    arena_idx = intern(arena, arena_ts, rows.keep(row), ts);
                 }
                 let id = *next_run_id;
                 *next_run_id += 1;
@@ -858,7 +860,7 @@ impl NfaRuntime {
                     start: events.len() as u32,
                     len: stride as u32,
                 });
-                events.extend(ev.iter().map(|&e| arena[e as usize].clone()));
+                events.extend(ev.iter().map(|&e| arena[e as usize].tuple().clone()));
             }
 
             // Consumption policy.
@@ -932,16 +934,16 @@ impl Drop for NfaRuntime {
     }
 }
 
-/// Interns a matched tuple into the shared arena, returning its index.
+/// Interns a matched row into the shared arena, returning its index.
 #[inline]
 fn intern(
-    arena: &mut Vec<Tuple>,
+    arena: &mut Vec<KeptRow>,
     arena_ts: &mut Vec<StreamTime>,
-    t: &Tuple,
+    row: KeptRow,
     ts: StreamTime,
 ) -> u32 {
     let idx = arena.len() as u32;
-    arena.push(t.clone());
+    arena.push(row);
     arena_ts.push(ts);
     idx
 }

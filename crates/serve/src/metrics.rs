@@ -159,7 +159,7 @@ impl ShardMetrics {
             state_bytes: gauge(
                 "gesto_shard_state_bytes",
                 "Approximate resident NFA run-state bytes across the shard's \
-                 sessions (capacity-based lower bound)",
+                 sessions (capacity-based lower bound; kept rows count as handles)",
             ),
             batch_buffer_bytes: gauge(
                 "gesto_shard_batch_buffer_bytes",

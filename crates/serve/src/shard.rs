@@ -34,7 +34,8 @@
 //!   session's batches — view operator state, one [`PlanInstance`] (NFA
 //!   run state) per deployed or retiring plan, the quota bucket. Run
 //!   state is what `gesto_shard_state_bytes` counts against the memory
-//!   budget.
+//!   budget; of the event arena it counts the row handles, so a kept
+//!   `kinect_t` row's frame and basis are heap the budget does not see.
 //! * *Per worker* ([`ShardWorker`]): the batch's scratch, which every
 //!   session's batch uses in turn — the one [`BatchBuffers`] (view rows,
 //!   frame offsets, blocks), lent to the session's views for the batch
@@ -1142,14 +1143,20 @@ mod tests {
         worker.process(batch(2, &bystander[..mid]));
         worker.process(batch(1, &victim[..10]));
         // A panic mid-`process`: the buffers are with the victim, its
-        // half-written outputs in them, and never came back.
+        // half-written outputs in them, and never came back. A row it
+        // built is counted all the same: a tuple counts when it is built.
         let rt = worker.sessions.get_mut(&SessionId(1)).unwrap();
         rt.views.lend(std::mem::take(&mut worker.bufs));
         let torn = victim[..10].to_vec();
         let rows = RowBatch::of(&torn, &worker.schema);
         rt.views.begin_batch_rows(&worker.stream, &rows, &[]);
         assert!(rt.views.buffer_bytes() > 0);
+        let built = || gesto_stream::metrics::TUPLES_BUILT_TOTAL.get();
+        let counted = built();
+        let slot = rt.views.slot_of(gesto_transform::KINECT_T).unwrap();
+        assert!(rt.views.rows(slot).get(3).f64("rHand_x").is_some());
         worker.quarantine(SessionId(1), 10);
+        assert!(built() > counted, "the torn batch's tuple is counted");
         assert_eq!(worker.bufs.bytes(), 0, "a fresh set, not the torn one");
         assert!(worker.tuples.is_empty());
         assert_eq!(worker.sessions[&SessionId(1)].views.buffer_bytes(), 0);

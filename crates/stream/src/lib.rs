@@ -67,7 +67,7 @@ pub use block::{BitMask, ColumnBlock, FloatLane};
 pub use catalog::{Catalog, ViewDef, ViewFactory};
 pub use error::StreamError;
 pub use operator::{run_operator, BoxedOperator, Emit, Operator, RowBatch};
-pub use rows::{RowPayload, RowSource, ViewRows};
+pub use rows::{KeptRow, RowPayload, RowSource, ViewRows};
 pub use schema::{Field, Schema, SchemaBuilder, SchemaRef};
 pub use shared::{BatchBuffers, SharedViews};
 pub use time::{FrameClock, StreamTime, KINECT_FRAME_MS, KINECT_HZ};

@@ -29,12 +29,13 @@ pub static BLOCK_ROWS_BUILT_TOTAL: Global<ShardedCounter> = Global::new(
     ShardedCounter::new(),
 );
 
-/// Every tuple built: a raw or scalar-batch view tuple, and a deferred
-/// view row some consumer read (counted when the row is spent, at the
-/// next batch or `lend`). Per frame, it is the tuples a frame costs.
+/// Every tuple, counted when it is built: a raw or scalar-batch view
+/// tuple, and a deferred view row some consumer read, or a kept one
+/// read at last (`rows` module docs). Per frame, it is the tuples a
+/// frame costs.
 pub static TUPLES_BUILT_TOTAL: Global<ShardedCounter> = Global::new(
     "gesto_tuples_built_total",
-    "Every tuple built; ÷ gesto_shard_frames_total = tuples per frame",
+    "Every tuple, counted when built; ÷ gesto_shard_frames_total = tuples per frame",
     &[],
     ShardedCounter::new(),
 );

@@ -1,24 +1,44 @@
 //! A batch's rows as consumers read them — and rows that become tuples
 //! only when somebody reads them.
 //!
+//! # Ownership and threading
+//!
 //! On a block batch a view operator may *defer* a row
-//! ([`crate::Emit::defer`]): it writes the row's block lanes and keeps, in
-//! its [`RowPayload`], what building the row's tuple takes. The tuple is
-//! built the first time a consumer asks for it ([`RowSource::tuple`]: a
-//! run seeding or advancing on the row, the scalar evaluator deciding a
-//! row the kernels left unknown, a view over this one), at most once per
-//! batch, and every later consumer of the batch shares it. The next
-//! batch, or the next [`crate::SharedViews::lend`], drops the built
-//! tuples; a consumer that kept a clone keeps it unchanged.
+//! ([`crate::Emit::defer`]): it writes the row's block lanes and keeps,
+//! in its [`RowPayload`], what building the row's tuple takes. The
+//! deferred rows and the payload live in the lent
+//! [`crate::BatchBuffers`]: *lend* ([`crate::SharedViews::lend`]) drops
+//! the previous borrower's, and everything a [`ViewRows`] borrows is
+//! valid until *reclaim* ([`crate::SharedViews::reclaim`]). A consumer
+//! takes a row in one of two ways:
+//!
+//! * It *reads* it ([`RowSource::tuple`], [`ViewRows::get`]: the scalar
+//!   evaluator deciding a row the kernels left unknown, a view over this
+//!   one). The tuple is built into the row's cell, at most once per
+//!   batch, and every later consumer of the batch shares it.
+//! * It *keeps* it ([`RowSource::keep`]: a run seeding or advancing on
+//!   the row). A [`KeptRow`] owns what it needs and outlives the batch
+//!   and its buffers. A row that was a tuple already (tuple-fed rows,
+//!   scalar-batch rows, raw rows, a row somebody read) is kept by a
+//!   clone. A deferred row is kept as one shared handle per batch row,
+//!   one allocation owning the payload's inputs for it (for `kinect_t`:
+//!   the input frame and its basis), and its tuple is built on the first
+//!   read of any clone, once.
+//!
+//! A tuple is counted in `gesto_tuples_built_total` when it is built.
+//! A batch's rows, cells and payloads belong to the thread stepping the
+//! batch; a [`KeptRow`] is `Send + Sync` and may be built on any thread.
 
 use std::any::Any;
 use std::cell::OnceCell;
+use std::sync::{Arc, OnceLock};
 
 use crate::time::StreamTime;
 use crate::tuple::Tuple;
 
-/// A batch's rows as the NFA steps them: timestamps always, tuples only
-/// for the rows it keeps or must evaluate on the scalar path.
+/// A batch's rows as the NFA steps them: timestamps always; a row is
+/// kept when a run interns it, and read when the scalar evaluator must
+/// decide it.
 pub trait RowSource {
     /// Number of rows.
     fn len(&self) -> usize;
@@ -28,8 +48,54 @@ pub trait RowSource {
     }
     /// Timestamp of row `row` (`0` for a tuple without one).
     fn ts(&self, row: usize) -> StreamTime;
-    /// Tuple of row `row`.
+    /// Tuple of row `row`, read (module docs).
     fn tuple(&self, row: usize) -> &Tuple;
+    /// Row `row`, kept (module docs).
+    fn keep(&self, row: usize) -> KeptRow {
+        KeptRow::from(self.tuple(row).clone())
+    }
+}
+
+/// A row kept past its batch: a tuple, or a shared handle that builds
+/// its tuple once, on first read (module docs).
+#[derive(Clone)]
+pub struct KeptRow(Kept);
+
+#[derive(Clone)]
+enum Kept {
+    Tuple(Tuple),
+    Deferred(Arc<Lazy<dyn Fn() -> Tuple + Send + Sync>>),
+}
+
+/// A deferred row's tuple, once built, and what builds it.
+struct Lazy<F: ?Sized> {
+    tuple: OnceLock<Tuple>,
+    build: F,
+}
+
+impl KeptRow {
+    /// A row whose tuple `build` makes on the first read.
+    pub fn defer(build: impl Fn() -> Tuple + Send + Sync + 'static) -> Self {
+        let tuple = OnceLock::new();
+        Self(Kept::Deferred(Arc::new(Lazy { tuple, build })))
+    }
+
+    /// The row's tuple, built now if nobody read it before.
+    pub fn tuple(&self) -> &Tuple {
+        match &self.0 {
+            Kept::Tuple(t) => t,
+            Kept::Deferred(lazy) => lazy.tuple.get_or_init(|| {
+                crate::metrics::TUPLES_BUILT_TOTAL.inc();
+                (lazy.build)()
+            }),
+        }
+    }
+}
+
+impl From<Tuple> for KeptRow {
+    fn from(tuple: Tuple) -> Self {
+        Self(Kept::Tuple(tuple))
+    }
 }
 
 impl RowSource for [Tuple] {
@@ -50,12 +116,16 @@ impl RowSource for [Tuple] {
 pub trait RowPayload: Any + Send {
     /// Builds row `row`'s tuple.
     fn tuple(&self, row: usize) -> Tuple;
+    /// Row `row` as a [`KeptRow::defer`] handle that owns what building
+    /// it takes.
+    fn keep(&self, row: usize) -> KeptRow;
     /// Heap bytes held, by capacity.
     fn bytes(&self) -> usize;
 }
 
-/// One deferred row: its timestamp, and its tuple once somebody asked.
-type DeferredRow = (StreamTime, OnceCell<Tuple>);
+/// One deferred row: its timestamp, and the row once somebody read or
+/// kept it.
+type DeferredRow = (StreamTime, OnceCell<KeptRow>);
 
 /// One view's deferred rows of the current batch.
 #[derive(Default)]
@@ -65,15 +135,6 @@ pub(crate) struct Deferred {
 }
 
 impl Deferred {
-    /// Drops the rows, counting the tuples consumers built from them.
-    pub(crate) fn spend(&mut self) {
-        let built = self.rows.iter().filter(|(_, t)| t.get().is_some()).count();
-        if built > 0 {
-            crate::metrics::TUPLES_BUILT_TOTAL.add(built as u64);
-        }
-        self.rows.clear();
-    }
-
     /// The payload as type `P`, replacing one of another type.
     pub(crate) fn payload<P: RowPayload + Default>(&mut self) -> &mut P {
         let p = self.payload.get_or_insert_with(|| Box::new(P::default()));
@@ -140,13 +201,21 @@ impl<'a> ViewRows<'a> {
         }
     }
 
-    /// Row `row`'s tuple, built now if nobody asked for it before.
+    /// Row `row`'s tuple, read (module docs).
     pub fn get(&self, row: usize) -> &'a Tuple {
         let Some((_, cell)) = self.deferred.get(row) else {
             return &self.tuples[row];
         };
-        let payload = self.payload.expect("deferred rows have a payload");
-        cell.get_or_init(|| payload.tuple(self.first + row))
+        let row = self.first + row;
+        cell.get_or_init(|| {
+            crate::metrics::TUPLES_BUILT_TOTAL.inc();
+            KeptRow::from(self.payload().tuple(row))
+        })
+        .tuple()
+    }
+
+    fn payload(&self) -> &'a dyn RowPayload {
+        self.payload.expect("deferred rows have a payload")
     }
 
     /// Every row's tuple, in order.
@@ -167,5 +236,12 @@ impl RowSource for ViewRows<'_> {
     }
     fn tuple(&self, row: usize) -> &Tuple {
         self.get(row)
+    }
+    fn keep(&self, row: usize) -> KeptRow {
+        let Some((_, cell)) = self.deferred.get(row) else {
+            return KeptRow::from(self.tuples[row].clone());
+        };
+        let row = self.first + row;
+        cell.get_or_init(|| self.payload().keep(row)).clone()
     }
 }

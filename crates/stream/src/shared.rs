@@ -22,15 +22,26 @@
 //! later deploy needs it again, it resumes from its last evaluated
 //! frame's state.
 //!
-//! **Ownership.** What must survive between a session's batches — the
-//! operators and their state, the needed marks, the column filters —
-//! lives in the `SharedViews`. What is dead once the batch's consumers
-//! have read it — each view's output rows, frame offsets and block,
-//! and the base block — lives in a [`BatchBuffers`], which a caller
-//! running many sessions on one thread lends to whichever session's
-//! batch runs next ([`SharedViews::lend`] / [`SharedViews::reclaim`]),
-//! so all of them work in one cache-resident set. A `SharedViews`
-//! nobody lends to simply keeps its own.
+//! # Ownership and threading
+//!
+//! What must survive between a session's batches — the operators and
+//! their state, the needed marks, the column filters — lives in the
+//! `SharedViews`. What is dead once the batch's consumers have read it
+//! — each view's output tuples, deferred rows and payload, frame
+//! offsets and block, and the base block — lives in a [`BatchBuffers`].
+//! A caller running many sessions on one thread *lends* one set to
+//! whichever session's batch runs next ([`SharedViews::lend`] drops
+//! what the previous borrower left; only capacity carries over) and
+//! *reclaims* it after ([`SharedViews::reclaim`]), so all of them work
+//! in one cache-resident set; a `SharedViews` nobody lends to keeps its
+//! own. The batch accessors ([`SharedViews::rows`], `view_block`,
+//! `base_block`, `frames`) read the batch from `begin_batch*` until
+//! `reclaim`, and show nothing of a previous borrower. A deferred row
+//! is built when a consumer reads it and *kept* as a [`crate::KeptRow`]
+//! (`rows` module docs): a tuple a consumer read and a row it kept are
+//! its own and outlive the buffers; nothing else of a batch does. One
+//! thread, one borrower at a time: lend, fill the base block if
+//! wanted, `begin_batch*`, let the consumers read, reclaim.
 
 use std::collections::HashMap;
 
@@ -90,11 +101,10 @@ impl ViewBuffers {
 }
 
 /// The batch-scoped half of a [`SharedViews`]: the base-stream block
-/// and, per view slot, output rows, frame offsets and block. Nothing
-/// in it carries information from one batch to the next — only warm
-/// capacity — so one set can serve every `SharedViews` built from the
-/// same catalog, one batch at a time ([`SharedViews::lend`]). Starts
-/// empty (`default()`); the first batches size it.
+/// and, per view slot, output rows, frame offsets and block. Lent and
+/// reclaimed as the module docs say; it carries only warm capacity from
+/// one batch to the next. Starts empty (`default()`); the first
+/// batches size it.
 #[derive(Default)]
 pub struct BatchBuffers {
     /// Columnar view of the base-stream batch itself (for query routes
@@ -246,12 +256,7 @@ impl SharedViews {
     }
 
     /// Lends `bufs` to this session for its next batches, in place of
-    /// the set it held (its own, normally empty when the caller always
-    /// lends). Whatever another session left in them is dropped: only
-    /// their capacity carries over.
-    ///
-    /// One thread, one borrower at a time: lend, fill the base block if
-    /// wanted, `begin_batch*`, let the consumers read, [`Self::reclaim`].
+    /// the set it held (module docs).
     pub fn lend(&mut self, mut bufs: BatchBuffers) {
         bufs.base.clear();
         bufs.base_prefilled = false;
@@ -259,15 +264,13 @@ impl SharedViews {
         for v in &mut bufs.views {
             v.live = false;
             v.out.clear();
-            v.deferred.spend();
+            v.deferred.rows.clear();
         }
         self.bufs = bufs;
     }
 
-    /// Takes the batch buffers back — [`Self::rows`],
-    /// [`Self::view_block`] and [`Self::base_block`] are readable from
-    /// `begin_batch*` until this call — leaving the session holding no
-    /// batch-sized storage ([`Self::buffer_bytes`] is 0).
+    /// Takes the batch buffers back (module docs), leaving the session
+    /// holding no batch-sized storage ([`Self::buffer_bytes`] is 0).
     pub fn reclaim(&mut self) -> BatchBuffers {
         std::mem::take(&mut self.bufs)
     }
@@ -279,10 +282,9 @@ impl SharedViews {
 
     /// Evaluates every needed view whose chain is rooted at `stream`
     /// over a whole batch of frames, exactly once per view, in
-    /// dependency order. Until the next `begin_batch` (or
-    /// [`Self::reclaim`]), a view's concatenated batch output is read
+    /// dependency order. A view's concatenated batch output is read
     /// with [`Self::rows`], and one frame's share with
-    /// [`ViewRows::frame`].
+    /// [`ViewRows::frame`] (module docs: until when).
     ///
     /// Each view operator still sees the tuples in frame order, so the
     /// outputs are identical to `tuples.len()` successive one-tuple
@@ -335,8 +337,8 @@ impl SharedViews {
         })
     }
 
-    /// Frames in the current batch, whichever way it began; valid from
-    /// `begin_batch*` until [`Self::reclaim`].
+    /// Frames in the current batch, whichever way it began (module
+    /// docs).
     pub fn frames(&self) -> usize {
         self.bufs.frames
     }
@@ -374,7 +376,7 @@ impl SharedViews {
             let buf = &mut rest[0];
             buf.live = false;
             buf.out.clear();
-            buf.deferred.spend();
+            buf.deferred.rows.clear();
             if !st.needed {
                 continue;
             }
@@ -496,9 +498,9 @@ impl SharedViews {
         self.live(slot).filter(|_| self.columnar).map(|b| &b.block)
     }
 
-    /// Output rows of the view in `slot` for the current batch, all
-    /// frames concatenated (none when the view did not run or emitted
-    /// nothing); [`ViewRows::frame`] narrows them to one frame's.
+    /// Output rows of the view in `slot` for the current batch (module
+    /// docs), all frames concatenated (none when the view did not run or
+    /// emitted nothing); [`ViewRows::frame`] narrows them to one frame's.
     pub fn rows(&self, slot: usize) -> ViewRows<'_> {
         self.live(slot).map(ViewBuffers::rows).unwrap_or_default()
     }
@@ -727,16 +729,21 @@ mod tests {
     }
 
     #[test]
-    fn deferred_rows_are_built_once_when_read_and_never_outlive_their_batch() {
+    fn deferred_rows_are_built_once_and_only_kept_rows_outlive_their_batch() {
         use std::cell::Cell;
 
         use crate::metrics::TUPLES_BUILT_TOTAL;
         use crate::operator::{Emit, Operator};
-        use crate::rows::RowPayload;
+        use crate::rows::{KeptRow, RowPayload};
 
         thread_local! {
             /// Tuples built from deferred rows on this thread.
             static BUILT: Cell<u64> = const { Cell::new(0) };
+        }
+        fn build(schema: &SchemaRef, (ts, x): (i64, f64)) -> Tuple {
+            BUILT.with(|b| b.set(b.get() + 1));
+            let values = vec![Value::Timestamp(ts), Value::Float(x)];
+            Tuple::new_unchecked(schema.clone(), values)
         }
         /// Deferred rows of `2x`.
         #[derive(Default)]
@@ -746,10 +753,11 @@ mod tests {
         }
         impl RowPayload for Doubled {
             fn tuple(&self, row: usize) -> Tuple {
-                BUILT.with(|b| b.set(b.get() + 1));
-                let (ts, x) = self.rows[row];
-                let values = vec![Value::Timestamp(ts), Value::Float(x)];
-                Tuple::new_unchecked(self.schema.clone().unwrap(), values)
+                build(self.schema.as_ref().unwrap(), self.rows[row])
+            }
+            fn keep(&self, row: usize) -> KeptRow {
+                let (schema, row) = (self.schema.clone().unwrap(), self.rows[row]);
+                KeptRow::defer(move || build(&schema, row))
             }
             fn bytes(&self) -> usize {
                 self.rows.capacity() * 16
@@ -811,6 +819,7 @@ mod tests {
         sessions[2].set_needed(["d", "d4"]);
         let mut bufs = BatchBuffers::default();
         let mut kept: Vec<(Tuple, Vec<Value>)> = Vec::new();
+        let mut unread: Vec<(KeptRow, f64)> = Vec::new();
         for round in 0..3 {
             for (s, sv) in sessions.iter_mut().enumerate() {
                 let x = (100 * round + 10 * s) as f64;
@@ -829,7 +838,7 @@ mod tests {
                 assert_eq!(lane, [0.0, 1.0, 2.0, 3.0].map(|i| 2.0 * (x + i)));
                 if s == 0 {
                     // Timestamps and lanes cost no tuple; rows 1 and 3,
-                    // asked for by three consumers, cost one each.
+                    // read by three consumers, cost one each.
                     assert_eq!(RowSource::ts(&rows, 3), 3);
                     assert_eq!(built(), before);
                     for _ in 0..3 {
@@ -841,6 +850,21 @@ mod tests {
                         sv.rows(d).get(1).values()
                     ));
                     assert_eq!(built(), before + 2);
+                    // Keeping row 2 twice builds nothing: both keeps
+                    // share one handle, and reading it through either
+                    // or through the batch builds it once.
+                    let (k2, again) = (rows.keep(2), rows.keep(2));
+                    assert_eq!(built(), before + 2);
+                    assert!(std::ptr::eq(k2.tuple().values(), rows.get(2).values()));
+                    assert!(std::ptr::eq(again.tuple().values(), k2.tuple().values()));
+                    assert_eq!(built(), before + 3);
+                    // A row read already is kept as its tuple.
+                    assert!(std::ptr::eq(
+                        rows.keep(1).tuple().values(),
+                        rows.get(1).values()
+                    ));
+                    unread.push((rows.keep(0), 2.0 * x));
+                    assert_eq!(built(), before + 3);
                     kept.push((rows.get(1).clone(), rows.get(1).values().to_vec()));
                 } else {
                     // The view over `d` reads every row of it, once.
@@ -849,10 +873,10 @@ mod tests {
                     assert_eq!(sv.rows(d).iter().count(), 4);
                     assert_eq!(built(), before + 4);
                 }
-                bufs = sv.reclaim();
-                // The previous batch's built rows are counted when spent.
-                sv.lend(std::mem::take(&mut bufs));
-                assert!(TUPLES_BUILT_TOTAL.get() - counted >= built() - before);
+                assert!(
+                    TUPLES_BUILT_TOTAL.get() - counted >= built() - before,
+                    "counted when built, before the batch is spent"
+                );
                 bufs = sv.reclaim();
                 assert!(bufs.bytes() > 0);
             }
@@ -864,6 +888,15 @@ mod tests {
                 "a kept row outlives its batch unchanged"
             );
         }
+        // Kept unread, row 0 of each round outlived its batch and the
+        // other borrowers of the buffers: it is built on its first read,
+        // once, from what the handle owns.
+        let before = built();
+        for (row, x) in &unread {
+            assert_eq!(row.tuple().f64("x"), Some(*x));
+            assert_eq!(row.clone().tuple().f64("x"), Some(*x));
+        }
+        assert_eq!(built(), before + unread.len() as u64);
 
         // A scalar batch takes tuples at emission: nothing deferred.
         let sv = &mut sessions[0];

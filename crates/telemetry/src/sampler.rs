@@ -7,7 +7,9 @@
 //! thread (a shard worker, the I/O loop), [`SharedSampler`] for
 //! process-global statics shared across threads.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::thread::LocalKey;
 
 /// Single-owner countdown sampler: `sample()` returns `true` on the
 /// first call and then once every `every` calls.
@@ -48,21 +50,34 @@ impl Sampler {
 /// predicate-kernel stage timer in `gesto-cep`, which has no per-worker
 /// state to hang a [`Sampler`] on).
 ///
-/// One relaxed `fetch_add` per decision. The modulo makes every Nth
-/// global call sample regardless of which thread lands on it.
+/// The period is global; the decision is each thread's own: like a
+/// [`Sampler`], a thread's first call fires and then one in every
+/// `every` of its calls, counted in the thread-local `tick` the sampler
+/// is built with. A decision reads one shared atomic and writes only
+/// thread-local state, so threads never contend on a cache line.
+///
+/// ```
+/// use std::cell::Cell;
+/// use gesto_telemetry::SharedSampler;
+///
+/// thread_local!(static TICK: Cell<u32> = const { Cell::new(0) });
+/// static SAMPLER: SharedSampler = SharedSampler::new(4, &TICK);
+/// assert_eq!((0..8).filter(|_| SAMPLER.sample()).count(), 2);
+/// ```
 #[derive(Debug)]
 pub struct SharedSampler {
     every: AtomicU32,
-    tick: AtomicU32,
+    tick: &'static LocalKey<Cell<u32>>,
 }
 
 impl SharedSampler {
-    /// A shared sampler firing once every `every` calls; `every == 0`
+    /// A shared sampler firing once every `every` calls of each thread,
+    /// counted in `tick`, which only this sampler may use; `every == 0`
     /// disables it.
-    pub const fn new(every: u32) -> Self {
+    pub const fn new(every: u32, tick: &'static LocalKey<Cell<u32>>) -> Self {
         SharedSampler {
             every: AtomicU32::new(every),
-            tick: AtomicU32::new(0),
+            tick,
         }
     }
 
@@ -84,9 +99,11 @@ impl SharedSampler {
         if every == 0 {
             return false;
         }
-        self.tick
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every)
+        self.tick.with(|tick| {
+            let left = tick.get().min(every - 1);
+            tick.set(left.checked_sub(1).unwrap_or(every - 1));
+            left == 0
+        })
     }
 }
 
@@ -117,22 +134,31 @@ mod tests {
     }
 
     #[test]
-    fn shared_sampler_rate_holds_across_threads() {
-        static S: SharedSampler = SharedSampler::new(8);
-        let hits: u32 = (0..4)
-            .map(|_| std::thread::spawn(|| (0..2000).filter(|_| S.sample()).count() as u32))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|t| t.join().unwrap())
-            .sum();
-        // 8000 total decisions at 1-in-8 = exactly 1000 (fetch_add makes
-        // the global sequence exact even when interleaved).
-        assert_eq!(hits, 1000);
+    fn shared_sampler_fires_one_in_n_of_each_threads_calls() {
+        thread_local!(static TICK: Cell<u32> = const { Cell::new(0) });
+        static S: SharedSampler = SharedSampler::new(8, &TICK);
+        // Four threads at once, each 2001 calls at 1-in-8: each fires on
+        // its own calls 1, 9, …, 2001, whatever the interleaving.
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let fired: Vec<usize> = (0..2001).filter(|_| S.sample()).collect();
+                        assert_eq!(fired, (0..2001).step_by(8).collect::<Vec<_>>());
+                    })
+                })
+                .collect();
+            threads.into_iter().for_each(|t| t.join().unwrap());
+        });
     }
 
     #[test]
     fn shared_sampler_set_every() {
-        let s = SharedSampler::new(0);
+        thread_local!(static TICK: Cell<u32> = const { Cell::new(0) });
+        static S: SharedSampler = SharedSampler::new(0, &TICK);
+        let s = &S;
         assert!(!s.sample());
         s.set_every(1);
         assert!(s.sample());

@@ -10,16 +10,18 @@
 //! A row costs what its readers read. On a block batch the operator
 //! defers every row ([`Emit::defer`]): it keeps the input frame and its
 //! [`Basis`], applies the basis only to the joints with a built lane,
-//! and the row becomes a tuple only if somebody reads it. Without a
-//! block it transforms the whole frame and pushes a fresh tuple
-//! ([`Emit::push`]). The operator holds no batch-sized buffer: both go
-//! into the caller's [`gesto_stream::BatchBuffers`].
+//! and the row becomes a tuple only if somebody reads it. A row a run
+//! keeps is one shared copy of its frame and basis, built on the first
+//! read (`gesto_stream`'s `rows` module docs). Without a block it
+//! transforms the whole frame and pushes a fresh tuple ([`Emit::push`]).
+//! The operator holds no batch-sized buffer: both go into the caller's
+//! [`gesto_stream::BatchBuffers`].
 
 use std::sync::Arc;
 
 use gesto_kinect::{schema_named, KinectSlots, SkeletonFrame, KINECT_STREAM};
 use gesto_stream::{
-    Catalog, Emit, Operator, RowBatch, RowPayload, SchemaRef, StreamError, Tuple, ViewDef,
+    Catalog, Emit, KeptRow, Operator, RowBatch, RowPayload, SchemaRef, StreamError, Tuple, ViewDef,
 };
 
 use crate::transform::{Basis, TransformConfig, Transformer};
@@ -36,8 +38,8 @@ pub fn kinect_t_schema() -> SchemaRef {
 /// slot, applies the user-invariant [`Transformer`], and writes the
 /// transformed joints into an output tuple by slot.
 pub struct KinectTOp {
-    out_schema: SchemaRef,
-    out_slots: KinectSlots,
+    /// Output slot table and schema, shared with every row kept.
+    out: Arc<(KinectSlots, SchemaRef)>,
     /// Input slot table, re-resolved only when the input schema instance
     /// changes (same `Arc` ⇒ same layout).
     in_slots: Option<(SchemaRef, KinectSlots)>,
@@ -53,8 +55,7 @@ impl KinectTOp {
     pub fn new(config: TransformConfig, out_schema: SchemaRef) -> Self {
         let out_slots = KinectSlots::resolve(&out_schema, "");
         Self {
-            out_schema,
-            out_slots,
+            out: Arc::new((out_slots, out_schema)),
             in_slots: None,
             transformer: Transformer::new(config),
             scratch: SkeletonFrame::empty(0, 0),
@@ -78,16 +79,22 @@ fn input_slots<'a>(
 /// basis, plus the batch's joints with a built lane.
 #[derive(Default)]
 struct KinectTRows {
-    out: Option<(KinectSlots, SchemaRef)>,
+    out: Option<Arc<(KinectSlots, SchemaRef)>>,
     rows: Vec<(SkeletonFrame, Basis)>,
     lanes: Vec<(usize, [usize; 3])>,
 }
 
 impl RowPayload for KinectTRows {
     fn tuple(&self, row: usize) -> Tuple {
-        let (slots, schema) = self.out.as_ref().expect("rows were deferred");
+        let (slots, schema) = &**self.out.as_ref().expect("rows were deferred");
         let (frame, basis) = &self.rows[row];
         slots.tuple(&basis.apply_frame(frame), schema)
+    }
+
+    fn keep(&self, row: usize) -> KeptRow {
+        let out = self.out.clone().expect("rows were deferred");
+        let (frame, basis) = self.rows[row].clone();
+        KeptRow::defer(move || out.0.tuple(&basis.apply_frame(&frame), &out.1))
     }
 
     fn bytes(&self) -> usize {
@@ -100,19 +107,19 @@ impl RowPayload for KinectTRows {
 /// Transforms `frame` and, if it has a torso, emits the result.
 fn emit_transformed(
     transformer: &mut Transformer,
-    out_slots: &KinectSlots,
-    out_schema: &SchemaRef,
+    out: &Arc<(KinectSlots, SchemaRef)>,
     frame: &SkeletonFrame,
     emit: &mut Emit<'_>,
 ) {
     let Some(basis) = transformer.prepare(frame) else {
         return;
     };
+    let (out_slots, out_schema) = &**out;
     let ts = out_schema.timestamp_slot().map_or(0, |_| frame.ts);
     if let Some((rows, block, row)) = emit.defer::<KinectTRows>(out_schema, ts) {
         if row == 0 {
             // A new batch: its lanes, and this view's layout.
-            rows.out = Some((*out_slots, out_schema.clone()));
+            rows.out = Some(out.clone());
             rows.rows.clear();
             rows.lanes.clear();
             rows.lanes.extend(out_slots.built_joints(block));
@@ -136,13 +143,12 @@ impl Operator for KinectTOp {
     }
 
     fn output_schema(&self) -> SchemaRef {
-        self.out_schema.clone()
+        self.out.1.clone()
     }
 
     fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>) {
         input_slots(&mut self.in_slots, tuple.schema()).read_frame(tuple, &mut self.scratch);
-        let (slots, schema) = (&self.out_slots, &self.out_schema);
-        emit_transformed(&mut self.transformer, slots, schema, &self.scratch, emit);
+        emit_transformed(&mut self.transformer, &self.out, &self.scratch, emit);
     }
 
     /// Reads a `Vec<SkeletonFrame>` whose tuples would carry the whole
@@ -156,8 +162,7 @@ impl Operator for KinectTOp {
             return false;
         }
         if let Some(frame) = frames.get(row) {
-            let (slots, schema) = (&self.out_slots, &self.out_schema);
-            emit_transformed(&mut self.transformer, slots, schema, frame, emit);
+            emit_transformed(&mut self.transformer, &self.out, frame, emit);
         }
         true
     }
@@ -498,8 +503,7 @@ mod tests {
         // new field has to be justified here as state that must survive
         // between batches.
         let KinectTOp {
-            out_schema: _,
-            out_slots: _,
+            out: _,
             in_slots: _,
             transformer: _,
             scratch: _,

@@ -1,21 +1,27 @@
 //! The front path's allocation contract, counted.
 //!
 //! One test in a process of its own (a counting `#[global_allocator]`,
-//! as in `bench_nfa`): the shard worker's per-batch sequence — lend the
-//! one set of [`BatchBuffers`], begin the batch from the skeleton
-//! frames, NFA stepping, reclaim — round-robin over three sessions whose
-//! traces seed no run calls the allocator exactly once per tuple it adds
-//! to `gesto_tuples_built_total` once the buffers are sized, and never
-//! otherwise. On a block batch `kinect_t` defers its rows
-//! ([`Emit::defer`]): no view tuple is built, so nothing is allocated,
-//! and a row a reader materialises is the reader's allocation, counted
-//! when the batch is spent. On a scalar batch every view row is a fresh
-//! tuple. No raw-stream tuple exists until a plan reads the raw stream:
-//! then the sequence also builds one fresh base tuple per frame
-//! ([`KinectSlots::tuple`]) and, on a block batch, the frame → base
-//! block.
+//! as in `bench_nfa`), its legs run one after the other: the shard
+//! worker's per-batch sequence — lend the one set of [`BatchBuffers`],
+//! begin the batch from the skeleton frames, NFA stepping, reclaim —
+//! round-robin over three sessions whose traces seed no run calls the
+//! allocator exactly once per tuple it adds to `gesto_tuples_built_total`
+//! once the buffers are sized, and never otherwise. On a block batch
+//! `kinect_t` defers its rows ([`Emit::defer`]): no view tuple is built,
+//! so nothing is allocated, and a row a reader materialises is the
+//! reader's allocation, counted as it is built. On a scalar batch every
+//! view row is a fresh tuple. No raw-stream tuple exists until a plan
+//! reads the raw stream: then the sequence also builds one fresh base
+//! tuple per frame ([`KinectSlots::tuple`]) and, on a block batch, the
+//! frame → base block.
+//!
+//! The last leg's traces seed and advance runs: on a block batch a row a
+//! run keeps costs one allocation (its [`KeptRow`] handle) and no tuple
+//! until a detection carries it, and then one tuple however many plans'
+//! detections carry it.
 //!
 //! [`Emit::defer`]: gesto::stream::Emit::defer
+//! [`KeptRow`]: gesto::stream::KeptRow
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,7 +30,9 @@ use std::sync::Arc;
 use gesto::cep::{sync_shared_views, Detection, Engine, PlanInstance, QueryPlan};
 use gesto::kinect::{kinect_schema, KinectSlots, Performer, Persona, SkeletonFrame, KINECT_STREAM};
 use gesto::stream::metrics::TUPLES_BUILT_TOTAL;
-use gesto::stream::{BatchBuffers, RowBatch, RowSource, SchemaRef, SharedViews, Tuple, Value};
+use gesto::stream::{
+    BatchBuffers, Catalog, RowBatch, RowSource, SchemaRef, SharedViews, Tuple, Value,
+};
 use gesto::transform::{standard_catalog, KINECT_T};
 
 /// Counts the calling thread's heap allocations (alloc / realloc /
@@ -154,6 +162,149 @@ fn steady_state_batch_allocates_once_per_built_tuple() {
         steady_state(false, columnar);
         steady_state(true, columnar);
     }
+    assert_eq!(
+        kept_rows(true),
+        kept_rows(false),
+        "block and scalar detect alike"
+    );
+}
+
+/// A shard over `catalog` running `plans` in each of three sessions.
+fn new_shard(catalog: &Catalog, plans: &[Arc<QueryPlan>], raw: bool, columnar: bool) -> Shard {
+    let schema = kinect_schema();
+    Shard {
+        slots: KinectSlots::resolve(&schema, ""),
+        sessions: (0..SESSIONS)
+            .map(|_| {
+                let mut views = SharedViews::new(catalog);
+                sync_shared_views(&mut views, plans);
+                let none = Vec::<SkeletonFrame>::new();
+                assert!(!views.tuples_wanted(KINECT_STREAM, &RowBatch::of(&none, &schema)));
+                Session {
+                    views,
+                    instances: plans.iter().map(|p| p.instantiate()).collect(),
+                }
+            })
+            .collect(),
+        schema,
+        raw_tuples: raw,
+        columnar,
+        tuples: Vec::new(),
+        detections: Vec::new(),
+        bufs: BatchBuffers::default(),
+        allocs: 0,
+    }
+}
+
+const SESSIONS: usize = 3;
+
+/// Three users' idle traces, `rounds` 30-frame batches each (the batches
+/// are the producer's allocations, not the data path's).
+fn idle_batches(rounds: usize) -> Vec<Vec<Vec<SkeletonFrame>>> {
+    [
+        Persona::reference(),
+        Persona::reference().with_height(1200.0).at(700.0, 2800.0),
+        Persona::reference().rotated(0.8),
+    ]
+    .into_iter()
+    .map(|p| {
+        let trace = Performer::new(p, 0).render_idle((rounds as i64 + 1) * 30 * 33);
+        trace.chunks_exact(30).map(<[_]>::to_vec).collect()
+    })
+    .collect()
+}
+
+fn compile(engine: &Engine, queries: &[&str]) -> Vec<Arc<QueryPlan>> {
+    queries
+        .iter()
+        .map(|q| engine.compile(gesto::cep::parse_query(q).unwrap()).unwrap())
+        .collect()
+}
+
+/// Runs whose every idle row is kept: first a plan that seeds on each row
+/// and never completes, then two plans that complete on every second
+/// row. Returns the second part's detections (gesture, timestamps and
+/// event values).
+fn kept_rows(columnar: bool) -> Vec<(String, i64, i64, Vec<Vec<Value>>)> {
+    let catalog = standard_catalog();
+    let engine = Engine::new(catalog.clone());
+    // Every idle row satisfies `ANY` and none `NONE`; the block kernels
+    // decide both, so no row is built to evaluate them.
+    let (any, none) = ("kinect_t(rHand_y > -100000)", "kinect_t(rHand_y > 100000)");
+    let built = || TUPLES_BUILT_TOTAL.get();
+    let batches = idle_batches(42);
+
+    // Each row seeds a run that waits a second for `NONE`: a block
+    // batch keeps its 30 rows, one allocation and no tuple each, once
+    // the arena has grown to its compaction point (≈ 35 batches); a
+    // scalar batch builds each row at emission, and keeps it by a clone.
+    let q = format!("SELECT \"kept\" MATCHING {any} -> {none} within 1 seconds select first;");
+    let mut shard = new_shard(&catalog, &compile(&engine, &[&q]), false, columnar);
+    for round in 0..40 {
+        for (s, trace) in batches.iter().enumerate() {
+            shard.push(s, &trace[round], |_, _| ());
+        }
+    }
+    let (before, built_before) = (shard.allocs, built());
+    for round in 40..42 {
+        for (s, trace) in batches.iter().enumerate() {
+            shard.push(s, &trace[round], |_, _| ());
+        }
+    }
+    let rows = 2 * SESSIONS as u64 * 30;
+    let tuples = if columnar { 0 } else { rows };
+    assert_eq!(built() - built_before, tuples, "a kept row is no tuple");
+    assert_eq!(shard.allocs - before, rows, "one allocation per kept row");
+    assert!(shard.detections.is_empty());
+
+    // Two plans alike complete on rows (2k, 2k + 1) of every batch: each
+    // keeps the batch's 30 rows, its detections carry all of them, and
+    // each carried row is built once for both — and, on a block batch,
+    // counted once with the handle.
+    let pair = |name| {
+        format!(
+            "SELECT \"{name}\" MATCHING {any} -> {any} within 1 seconds select first consume all;"
+        )
+    };
+    let mut shard = new_shard(
+        &catalog,
+        &compile(&engine, &[&pair("a"), &pair("b")]),
+        false,
+        columnar,
+    );
+    let mut detected = Vec::new();
+    for round in 0..4 {
+        for (s, trace) in batches.iter().enumerate() {
+            let (allocs, built_before) = (shard.allocs, built());
+            shard.push(s, &trace[round], |_, _| ());
+            let ds = &shard.detections;
+            assert_eq!(ds.len(), 30, "15 detections per plan");
+            let (a, b) = ds.split_at(15);
+            for (a, b) in a.iter().zip(b) {
+                assert_eq!((&a.gesture[..], &b.gesture[..]), ("a", "b"));
+                for (ta, tb) in a.events.iter().zip(b.events.iter()) {
+                    assert!(
+                        std::ptr::eq(ta.values(), tb.values()),
+                        "built once for both"
+                    );
+                }
+            }
+            let carried = a.iter().map(|d| d.events.len() as u64).sum::<u64>();
+            assert_eq!((carried, built() - built_before), (30, 30));
+            if round >= 2 {
+                // A kept row's handle, its tuple, and a detection's name
+                // and event slice.
+                let kept = if columnar { 30 } else { 0 };
+                assert_eq!(shard.allocs - allocs, kept + 30 + 2 * 30);
+            }
+            detected.extend(ds.iter().map(|d| {
+                let events = d.events.iter().map(|t| t.values().to_vec()).collect();
+                (d.gesture.clone(), d.ts, d.started_at, events)
+            }));
+            shard.detections.clear();
+        }
+    }
+    detected
 }
 
 fn steady_state(raw: bool, columnar: bool) {
@@ -172,45 +323,11 @@ fn steady_state(raw: bool, columnar: bool) {
         .map(|q| engine.compile(gesto::cep::parse_query(q).unwrap()).unwrap())
         .collect();
 
-    const SESSIONS: usize = 3;
-    let schema = kinect_schema();
-    let mut shard = Shard {
-        slots: KinectSlots::resolve(&schema, ""),
-        sessions: (0..SESSIONS)
-            .map(|_| {
-                let mut views = SharedViews::new(&catalog);
-                sync_shared_views(&mut views, &plans);
-                let none = Vec::<SkeletonFrame>::new();
-                assert!(!views.tuples_wanted(KINECT_STREAM, &RowBatch::of(&none, &schema)));
-                Session {
-                    views,
-                    instances: plans.iter().map(|p| p.instantiate()).collect(),
-                }
-            })
-            .collect(),
-        schema,
-        raw_tuples: raw,
-        columnar,
-        tuples: Vec::new(),
-        detections: Vec::new(),
-        bufs: BatchBuffers::default(),
-        allocs: 0,
-    };
+    let mut shard = new_shard(&catalog, &plans, raw, columnar);
     let view_slot = shard.sessions[0].views.slot_of(KINECT_T).unwrap();
 
-    // Three users, one idle trace each, consumed a batch per turn (the
-    // batches are the producer's allocations, not the data path's).
-    let batches: Vec<Vec<Vec<SkeletonFrame>>> = [
-        Persona::reference(),
-        Persona::reference().with_height(1200.0).at(700.0, 2800.0),
-        Persona::reference().rotated(0.8),
-    ]
-    .into_iter()
-    .map(|p| {
-        let trace = Performer::new(p, 0).render_idle(8 * 30 * 33 + 33);
-        trace.chunks_exact(30).map(<[_]>::to_vec).collect()
-    })
-    .collect();
+    // Three users, one idle trace each, consumed a batch per turn.
+    let batches = idle_batches(8);
     let mut turn = 0;
     let mut next = || {
         let (s, round) = (turn % SESSIONS, turn / SESSIONS);
@@ -252,11 +369,12 @@ fn steady_state(raw: bool, columnar: bool) {
     assert!(shard.detections.is_empty(), "the traces seed nothing");
 
     // Somebody keeps 5 view rows (and, with `raw`, 3 base tuples) of
-    // one session's batch (a partial match, a retained detection). On
-    // the block path the reader builds those 5 — its own allocations —
-    // and they are counted when the batch is spent; the next batches
-    // allocate nothing for them. What a reader kept keeps its values
-    // while the other sessions' batches run in the same buffers.
+    // one session's batch (a retained detection). On the block path the
+    // reader builds those 5 — its own allocations — and they are
+    // counted as they are built; the next batches allocate nothing for
+    // them. What a reader kept keeps its values while the other
+    // sessions' batches run in the same buffers.
+    let (before, built_before) = (shard.allocs, built());
     let (s, frames) = next();
     let held: Vec<Tuple> = shard.push(s, frames, |tuples, views| {
         let rows = views.rows(view_slot);
@@ -265,16 +383,18 @@ fn steady_state(raw: bool, columnar: bool) {
         held
     });
     assert_eq!(held.len(), if raw { 8 } else { 5 });
+    let materialised = if columnar { 5 } else { 0 };
+    assert_eq!(built() - built_before, 30 * per_frame + materialised);
+    assert_eq!(shard.allocs - before, 30 * per_frame);
     let snapshot: Vec<Vec<Value>> = held.iter().map(|t| t.values().to_vec()).collect();
     let (before, built_before) = (shard.allocs, built());
     for _ in 0..SESSIONS {
         let (s, frames) = next();
         shard.push(s, frames, |_, _| ());
     }
-    let materialised = if columnar { 5 } else { 0 };
     let tuples = built() - built_before;
-    assert_eq!(tuples, SESSIONS as u64 * 30 * per_frame + materialised);
-    assert_eq!(shard.allocs - before, tuples - materialised);
+    assert_eq!(tuples, SESSIONS as u64 * 30 * per_frame);
+    assert_eq!(shard.allocs - before, tuples);
     for (kept, expect) in held.iter().zip(&snapshot) {
         assert_eq!(kept.values(), &expect[..], "a kept tuple keeps its values");
     }
