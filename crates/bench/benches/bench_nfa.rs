@@ -9,7 +9,10 @@
 //! nothing matches, under seed/expire churn, with the columnar
 //! block build + predicate pre-pass in the loop, and with the kernel
 //! stage timer sampling every batch (the telemetry overhead guard,
-//! also timed as an on/off A/B leg).
+//! also timed as an on/off A/B leg) — and for an idle catalog: 64
+//! deployed plans with no run whose seeds the lane bounds rule out,
+//! stepped through `PlanInstance::push_batch_shared`, which answers them
+//! without stepping (timed per plan call against the full step).
 //!
 //! ```sh
 //! cargo bench -p gesto-bench --bench bench_nfa
@@ -19,8 +22,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gesto_cep::{parse_pattern, FunctionRegistry, MatchScratch, NfaRuntime, SingleSchema};
-use gesto_stream::{ColumnBlock, SchemaBuilder, SchemaRef, Tuple, Value};
+use gesto_cep::{
+    parse_pattern, parse_query, FunctionRegistry, MatchScratch, NfaRuntime, PlanInstance,
+    QueryPlan, SingleSchema,
+};
+use gesto_stream::{Catalog, ColumnBlock, SchemaBuilder, SchemaRef, SharedViews, Tuple, Value};
 
 /// Counts every heap allocation (alloc/realloc/alloc_zeroed) so the
 /// bench can assert the hot loop's no-allocation contract.
@@ -160,6 +166,31 @@ fn idle_workload(frames: usize) -> Vec<Tuple> {
             )
         })
         .collect()
+}
+
+/// `n` deployed plans of the sweep's gestures over a catalog whose
+/// stream is [`SOURCE`], and the views a session steps them in.
+fn idle_catalog(n: usize) -> (Vec<PlanInstance>, SharedViews) {
+    let catalog = Catalog::new();
+    catalog.register_stream(schema()).unwrap();
+    let funcs = FunctionRegistry::with_builtins();
+    let plans = (0..n).map(|g| {
+        let query = parse_query(&format!("SELECT \"g{g}\" MATCHING {};", gesture_pattern(g)));
+        QueryPlan::compile(query.unwrap(), &catalog, &funcs)
+            .unwrap()
+            .instantiate()
+    });
+    (plans.collect(), SharedViews::new(&catalog))
+}
+
+/// One session's batch through every plan of an idle catalog.
+fn push_idle(plans: &mut [PlanInstance], views: &SharedViews, tuples: &[Tuple]) {
+    let mut out = Vec::new();
+    for plan in plans.iter_mut() {
+        plan.push_batch_shared(SOURCE, tuples, views, &mut out)
+            .unwrap();
+    }
+    assert!(out.is_empty(), "an idle catalog detects nothing");
 }
 
 /// Mean ns/iter of `f` over an adaptive iteration count (~0.4 s).
@@ -430,6 +461,47 @@ fn assert_zero_allocations() {
     }
     gesto_cep::metrics::KERNEL_SAMPLER.set_every(64);
     println!("alloc-check: stage timer off/every=1    0 allocations ✓");
+
+    // (f) An idle catalog: 64 plans with no run, every seed ruled out by
+    // the lane bounds, are answered without stepping — and allocate
+    // nothing, block build included.
+    let tuples = idle_workload(30);
+    let (mut plans, mut views) = idle_catalog(64);
+    for _ in 0..2 {
+        views.begin_batch(SOURCE, &tuples);
+        push_idle(&mut plans, &views, &tuples);
+    }
+    let before = allocations();
+    for _ in 0..16 {
+        views.begin_batch(SOURCE, &tuples);
+        push_idle(&mut plans, &views, &tuples);
+    }
+    let idle_allocs = allocations() - before;
+    assert!(plans.iter().all(|p| p.active_runs() == 0));
+    assert_eq!(idle_allocs, 0, "an idle catalog must not allocate");
+    println!("alloc-check: idle catalog, 64 plans     0 allocations ✓");
+}
+
+/// ns per plan call of a 64-plan idle catalog over one 30-frame batch:
+/// through the plan (answered without stepping), and stepped in full.
+fn idle_catalog_ns() -> (f64, f64) {
+    let tuples = idle_workload(30);
+    let (mut plans, mut views) = idle_catalog(64);
+    views.begin_batch(SOURCE, &tuples);
+    let skipped = measure(|| push_idle(&mut plans, &views, &tuples)) / 64.0;
+    let block = views.base_block().expect("columnar by default");
+    let mut nfas: Vec<NfaRuntime> = plans
+        .iter()
+        .map(|p| NfaRuntime::instantiate(p.plan().program().clone()))
+        .collect();
+    let mut scratch = MatchScratch::new();
+    let stepped = measure(|| {
+        for nfa in nfas.iter_mut() {
+            nfa.advance_block_into(SOURCE, &tuples[..], Some(block), &mut scratch)
+                .unwrap();
+        }
+    }) / 64.0;
+    (skipped, stepped)
 }
 
 /// Times the columnar path with the kernel stage timer disabled vs
@@ -493,6 +565,12 @@ fn main() {
         );
         (prev_n, prev_ns) = (r.gestures, r.block_ns_per_frame);
     }
+
+    let (skipped, stepped) = idle_catalog_ns();
+    println!(
+        "\nidle catalog (64 plans, no run, seeds ruled out by bounds, 30-frame batch): \
+         {skipped:.1} ns/plan call, {stepped:.1} stepped in full"
+    );
 
     let (timer_off_fps, timer_on_fps) = ab_stage_timer(&tuples);
     let timer_overhead_pct = (timer_off_fps / timer_on_fps - 1.0) * 100.0;

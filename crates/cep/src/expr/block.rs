@@ -398,17 +398,24 @@ impl CompiledExpr {
         scratch: &mut EvalScratch,
     ) -> bool {
         out.reset(block.rows());
-        let leading = match self {
-            CompiledExpr::AndAll(terms) => terms.as_slice(),
-            e => std::slice::from_ref(e),
-        };
-        let excluded = leading.iter().map_while(|t| excludes(t, block)).any(|x| x);
+        let excluded = self.bounds_exclude(block);
         if excluded {
             out.known.set_all();
         } else {
             self.eval_rows(block, out, scratch);
         }
         excluded
+    }
+
+    /// True when the lane bounds of `block` decide this predicate false
+    /// on every row, with no row pass (module docs): what
+    /// [`Self::eval_block`] then returns.
+    pub(crate) fn bounds_exclude(&self, block: &ColumnBlock) -> bool {
+        let leading = match self {
+            CompiledExpr::AndAll(terms) => terms.as_slice(),
+            e => std::slice::from_ref(e),
+        };
+        leading.iter().map_while(|t| excludes(t, block)).any(|x| x)
     }
 
     /// The row kernels behind [`Self::eval_block`]; `out` is already

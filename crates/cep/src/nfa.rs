@@ -586,6 +586,36 @@ impl NfaRuntime {
         self.min_deadline = NO_DEADLINE;
     }
 
+    /// Answers a non-empty batch from `source` without stepping it, when
+    /// it cannot move this runtime: there is no run, the call has the
+    /// batch's `block`, and the seed step is deaf to `source`, not
+    /// seeding, or ruled out on every row by the lane bounds
+    /// ([`CompiledExpr::bounds_exclude`]). Then it leaves exactly the
+    /// state and counts [`Self::advance_block_into`] would (an emptied
+    /// arena; the bounds' one block evaluation, if the seed step
+    /// listens) and returns `true`; otherwise `false`, having done
+    /// nothing.
+    pub(crate) fn skip_idle(&mut self, source: &str, block: Option<&ColumnBlock>) -> bool {
+        use crate::metrics as m;
+        let Some(block) = block else {
+            return false;
+        };
+        let seed = &self.program.steps[0];
+        let hears = self.seeding && self.program.source_index(source) == Some(seed.source);
+        if !self.runs.is_empty() || hears && !seed.predicate.bounds_exclude(block) {
+            return false;
+        }
+        if hears {
+            m::KERNEL_BLOCK_EVALS_TOTAL.add(1);
+            m::KERNEL_BLOCK_ROWS_TOTAL.add(block.rows() as u64);
+            m::KERNEL_BOUNDS_DECIDED_TOTAL.add(1);
+        }
+        self.arena.clear();
+        self.arena_ts.clear();
+        self.min_deadline = NO_DEADLINE;
+        true
+    }
+
     /// Feeds a batch of rows from one `source`, appending completed
     /// matches to `out` in stream order; `block`, when given, must be
     /// the columnar view of exactly `rows` (same rows, same order —
@@ -1477,6 +1507,39 @@ mod tests {
             assert_eq!(step(&mut n, "k", &tup(base + 10, 10.0)).unwrap().len(), 1);
             assert_eq!(n.arena_len(), 0, "arena recycled after the wave");
         }
+    }
+
+    #[test]
+    fn an_idle_skip_clears_the_arena_its_last_run_expired_from() {
+        // A run expires mid-batch: the arena keeps its row until the next
+        // call, which a skip then is — it must empty the arena as the
+        // full step would.
+        let mut n = nfa("k(abs(x - 10) < 5) -> k(abs(x - 80) < 5) within 1 seconds");
+        step(&mut n, "k", &tup(0, 10.0)).unwrap();
+        let schema = schema();
+        let quiet: Vec<Tuple> = (0..30)
+            .map(|r| {
+                Tuple::new(
+                    schema.clone(),
+                    vec![Value::Timestamp(2000 + r * 33), Value::Float(50.0)],
+                )
+            })
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let mut block = ColumnBlock::new();
+        block.fill_from_tuples(&quiet);
+        assert!(!n.skip_idle("k", Some(&block)), "a run is live");
+        n.advance_block_into("k", &quiet[..], Some(&block), &mut MatchScratch::new())
+            .unwrap();
+        assert_eq!(
+            (n.active_runs(), n.arena_len()),
+            (0, 1),
+            "expired, row kept"
+        );
+        assert!(!n.skip_idle("k", None), "no block: stepped");
+        assert!(n.skip_idle("k", Some(&block)));
+        assert_eq!(n.arena_len(), 0, "the skip emptied the arena");
+        assert_eq!(n.min_deadline, NO_DEADLINE);
     }
 
     #[test]

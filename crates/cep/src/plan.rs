@@ -374,7 +374,9 @@ fn advance_batch(
     block: Option<&ColumnBlock>,
     out: &mut Vec<Detection>,
 ) -> Result<(), CepError> {
-    if rows.is_empty() {
+    // A batch that cannot move the plan is answered without stepping.
+    let block = block.filter(|b| b.rows() == rows.len());
+    if rows.is_empty() || nfa.skip_idle(source, block) {
         return Ok(());
     }
     let mut scratch = SCRATCH.take().unwrap_or_default();

@@ -98,11 +98,11 @@ pub struct ServerConfig {
     /// Pin each shard worker to a dedicated CPU core (Linux only;
     /// ignored elsewhere and on single-core hosts).
     ///
-    /// The placement policy ([`crate::affinity::placement`]) reserves
-    /// core 0 for the network I/O thread(s) and spreads shards over the
-    /// remaining cores, so a shard never time-shares with wire decode.
-    /// Which core each shard landed on (or `-1` for unpinned) is
-    /// exported as `gesto_shard_pinned_core{shard}`.
+    /// The placement policy ([`crate::affinity::placement`]) spreads
+    /// shards over every core of the process but core 0; nothing else
+    /// is pinned, so the network I/O thread(s) may still share a
+    /// shard's core. Which core each shard landed on (or `-1` for
+    /// unpinned) is exported as `gesto_shard_pinned_core{shard}`.
     pub pin_shards: bool,
     /// Pipeline stage timers sample one batch in this many per shard
     /// (wire decode → transform → views → NFA → sink durations exported

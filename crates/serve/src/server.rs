@@ -183,7 +183,7 @@ impl Server {
         let telemetry = Arc::new(ServerTelemetry::new(&config));
 
         // Shard→core placement: only when pinning is on and the host has
-        // cores to spread over (core 0 is left to the net I/O thread).
+        // cores to spread over (no shard is pinned to core 0).
         let host_cores = crate::affinity::host_cores();
 
         let plans: PlanRegistry = Arc::new(RwLock::new(HashMap::new()));

@@ -18,6 +18,8 @@
 //! All buffers are reused across batches: rebuilding a block for a new
 //! batch of the same schema performs no heap allocation once warm.
 
+use std::ops::Range;
+
 use crate::schema::SchemaRef;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
@@ -356,36 +358,36 @@ impl ColumnBlock {
         }
     }
 
-    /// Appends one row to a batch started with [`Self::begin_filtered`],
-    /// every built lane cell `Null`, and returns its index — for
-    /// writers that learn the row count only as they go (a view
-    /// operator deferring its rows through [`crate::Emit::defer`]). The block
-    /// ends up exactly as if `begin_filtered` had been given the final
-    /// row count.
-    pub fn push_row(&mut self) -> usize {
-        for (lane, _) in self.lanes.iter_mut().zip(&self.built).filter(|(_, b)| **b) {
-            lane.data.push(0.0);
-            lane.null.push(true);
-            lane.other.push(false);
-            *lane.bounds.get_mut() = None;
-        }
-        self.rows += 1;
-        self.rows - 1
-    }
-
     /// Writes one float cell (clearing its `Null` mark). `col` must be a
     /// float column of the layout schema; non-float columns — and lanes
     /// skipped by the [`Self::begin_filtered`] column filter — are
     /// ignored.
     #[inline]
     pub fn write_float(&mut self, col: usize, row: usize, v: f64) {
-        if let Some(Some(i)) = self.lane_of.get(col) {
-            if self.built[*i as usize] {
-                let lane = &mut self.lanes[*i as usize];
-                lane.data[row] = v;
-                lane.null.unset(row);
-                *lane.bounds.get_mut() = None;
+        self.write_lane(col, row..row + 1, |_| Some(v));
+    }
+
+    /// [`Self::write_float`] over `rows` of column `col`, one lane pass:
+    /// `cell(r)` is row `r`'s value, `None` leaving the cell as it is.
+    #[inline]
+    pub fn write_lane<F: FnMut(usize) -> Option<f64>>(
+        &mut self,
+        col: usize,
+        rows: Range<usize>,
+        mut cell: F,
+    ) {
+        let Some(&Some(i)) = self.lane_of.get(col) else {
+            return;
+        };
+        if self.built[i as usize] {
+            let lane = &mut self.lanes[i as usize];
+            for r in rows {
+                if let Some(v) = cell(r) {
+                    lane.data[r] = v;
+                    lane.null.unset(r);
+                }
             }
+            *lane.bounds.get_mut() = None;
         }
     }
 
@@ -623,34 +625,34 @@ mod tests {
     }
 
     #[test]
-    fn pushed_rows_match_a_block_begun_at_full_size() {
+    fn lane_writes_match_cell_writes() {
         // 70 rows cross a bitmap word; a dirty block (other schema
         // shape, more rows, every lane built) must not show through.
         let s = schema();
         let cols: &[usize] = &[2];
-        let mut sized = ColumnBlock::new();
-        sized.begin_filtered(&s, 70, Some(cols));
-        let mut grown = ColumnBlock::new();
-        grown.begin(&s, 90);
-        grown.write_float(2, 80, 1.0);
-        grown.clear();
-        assert!(grown.lane(2).is_none() && grown.rows() == 0);
-        grown.begin_filtered(&s, 0, Some(cols));
+        let mut by_cell = ColumnBlock::new();
+        by_cell.begin_filtered(&s, 70, Some(cols));
+        let mut by_lane = ColumnBlock::new();
+        by_lane.begin(&s, 90);
+        by_lane.write_float(2, 80, 1.0);
+        by_lane.clear();
+        assert!(by_lane.lane(2).is_none() && by_lane.rows() == 0);
+        by_lane.begin_filtered(&s, 70, Some(cols));
+        let cell = |r: usize| (!r.is_multiple_of(3)).then_some(r as f64);
         for r in 0..70 {
-            assert_eq!(grown.push_row(), r);
-            if r % 3 != 0 {
-                sized.write_float(2, r, r as f64);
-                grown.write_float(2, r, r as f64);
-                grown.write_float(1, r, 7.0); // filtered out: ignored
+            if let Some(x) = cell(r) {
+                by_cell.write_float(2, r, x);
             }
         }
-        assert_eq!(grown.rows(), 70);
-        assert!(grown.lane(1).is_none());
-        let (a, b) = (sized.lane(2).unwrap(), grown.lane(2).unwrap());
+        by_lane.write_lane(2, 0..30, cell);
+        by_lane.write_lane(2, 30..70, cell);
+        by_lane.write_lane(1, 0..70, |_| Some(7.0)); // filtered out: ignored
+        assert!(by_lane.lane(1).is_none());
+        let (a, b) = (by_cell.lane(2).unwrap(), by_lane.lane(2).unwrap());
         assert_eq!(a.values(), b.values());
         assert_eq!(a.null(), b.null());
         assert_eq!(a.other(), b.other());
-        assert!(grown.bytes() >= 70 * 8);
+        assert!(by_lane.bytes() >= 70 * 8);
         assert_eq!(ColumnBlock::new().bytes(), 0);
     }
 
@@ -673,11 +675,9 @@ mod tests {
         b.write_float(1, 1, 7.0);
         assert_eq!(bounds(&b), Some((3.0, 7.0)));
 
-        // push_row: the new cell is Null until written.
-        b.push_row();
-        assert_eq!(bounds(&b), None);
-        b.write_float(1, 2, -5.0);
-        assert_eq!(bounds(&b), Some((-5.0, 7.0)));
+        // write_lane after a read.
+        b.write_lane(1, 0..2, |r| (r == 1).then_some(-5.0));
+        assert_eq!(bounds(&b), Some((-5.0, 3.0)));
 
         // A filtered fill, then clear and a fresh begin.
         b.fill_from_tuples_filtered(&floats(&[2.0, 4.0]), Some(&[1]));

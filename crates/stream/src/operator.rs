@@ -3,7 +3,6 @@
 use std::any::Any;
 use std::cell::OnceCell;
 
-use crate::block::ColumnBlock;
 use crate::rows::{Deferred, RowPayload};
 use crate::schema::SchemaRef;
 use crate::time::StreamTime;
@@ -19,87 +18,96 @@ use crate::tuple::Tuple;
 /// * **Without a block** (a scalar batch, [`Self::collect`]) every row
 ///   is a fresh tuple, built at emission ([`Self::push`]).
 /// * **With a block** an operator may defer its rows ([`Self::defer`]):
-///   it writes their lanes, and their tuples are built only for the rows
-///   a consumer reads ([`crate::ViewRows`]). An operator that does not defer
-///   pushes tuples here too, and the caller builds the block from them.
+///   their tuples are built only for the rows a consumer reads
+///   ([`crate::ViewRows`]), and once the batch is over the caller begins
+///   the block at its final row count and has the operator's payload
+///   write the lanes ([`RowPayload::write_lanes`]). An operator that
+///   does not defer pushes tuples here too, and the caller builds the
+///   block from them.
 pub struct Emit<'a> {
     out: &'a mut Vec<Tuple>,
-    /// A sink with a block: the block to build for the outputs, its
-    /// column filter, and where deferred rows go.
-    block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>, &'a mut Deferred)>,
+    /// Frame boundaries ([`Self::end_frame`]); none on a plain sink.
+    ends: Option<&'a mut Vec<u32>>,
+    /// A sink with a block: where deferred rows go.
+    deferred: Option<&'a mut Deferred>,
 }
 
 impl<'a> Emit<'a> {
-    /// A sink appending to the empty `out`, with the block to build for
-    /// the outputs, if any.
+    /// A sink appending to the empty `out`, recording frame ends after
+    /// the first (`0`) in `ends`, with deferred rows if it has a block.
     pub(crate) fn new(
         out: &'a mut Vec<Tuple>,
-        block: Option<(&'a mut ColumnBlock, Option<&'a [usize]>, &'a mut Deferred)>,
+        ends: Option<&'a mut Vec<u32>>,
+        deferred: Option<&'a mut Deferred>,
     ) -> Self {
-        Self { out, block }
-    }
-
-    /// Rows emitted so far, tuples and deferred rows.
-    pub(crate) fn rows(&self) -> usize {
-        self.out.len() + self.deferred()
+        Self {
+            out,
+            ends,
+            deferred,
+        }
     }
 
     /// Deferred rows emitted so far.
-    fn deferred(&self) -> usize {
-        self.block.as_ref().map_or(0, |(_, _, d)| d.rows.len())
+    fn deferred_rows(&self) -> usize {
+        self.deferred.as_ref().map_or(0, |d| d.rows.len())
     }
 
     /// A plain sink appending to `out`, with no block. For driving an
     /// operator outside [`crate::SharedViews`] ([`run_operator`],
     /// reference implementations).
     pub fn collect(out: &'a mut Vec<Tuple>) -> Self {
-        Self::new(out, None)
+        Self::new(out, None, None)
+    }
+
+    /// Ends the current input frame: the rows emitted since the last
+    /// end are its outputs ([`crate::ViewRows::frame`]). The caller ends
+    /// each frame it feeds [`Operator::process`]; an operator ends each
+    /// frame of its [`Operator::process_batch`].
+    pub fn end_frame(&mut self) {
+        let rows = (self.out.len() + self.deferred_rows()) as u32;
+        if let Some(ends) = self.ends.as_deref_mut() {
+            ends.push(rows);
+        }
     }
 
     /// Emits `tuple`.
     pub fn push(&mut self, tuple: Tuple) {
         debug_assert!(
-            self.deferred() == 0,
+            self.deferred_rows() == 0,
             "an operator that defers defers every row"
         );
         self.out.push(tuple);
     }
 
-    /// Emits a row of `schema` with timestamp `ts` whose tuple is built
-    /// only if a consumer asks for it: returns the operator's payload
-    /// `P` (as this batch's earlier rows left it), the block, and the
-    /// row, its cells `Null` until written with
-    /// [`ColumnBlock::write_float`]. The operator records in `P` how to
-    /// build the row (`RowPayload::tuple` gets the row's index) and
-    /// writes the lanes bit-identical to
-    /// [`ColumnBlock::fill_from_tuples_filtered`] over that tuple;
-    /// `ts` is what its [`Tuple::timestamp`] would read (`0` if none).
+    /// Emits a row with timestamp `ts` whose tuple is built only if a
+    /// consumer asks for it: returns the operator's payload `P` (as this
+    /// batch's earlier rows left it) and the row's index. The operator
+    /// records in `P` how to build the row ([`RowPayload::tuple`]) and
+    /// write its lanes ([`RowPayload::write_lanes`]); `ts` is what its
+    /// [`Tuple::timestamp`] would read (`0` if none).
     ///
     /// `None` — the operator then pushes a tuple — on a sink without a
     /// block, or once this batch has a tuple: an operator that defers a
     /// row defers every row of the batch.
-    pub fn defer<P: RowPayload + Default>(
-        &mut self,
-        schema: &SchemaRef,
-        ts: StreamTime,
-    ) -> Option<(&mut P, &mut ColumnBlock, usize)> {
-        let (block, cols, deferred) = self.block.as_mut().filter(|_| self.out.is_empty())?;
-        if deferred.rows.is_empty() {
-            block.begin_filtered(schema, 0, *cols);
-        }
+    pub fn defer<P: RowPayload + Default>(&mut self, ts: StreamTime) -> Option<(&mut P, usize)> {
+        let deferred = self
+            .deferred
+            .as_deref_mut()
+            .filter(|_| self.out.is_empty())?;
+        let row = deferred.rows.len();
         deferred.rows.push((ts, OnceCell::new()));
-        let row = block.push_row();
-        Some((deferred.payload(), block, row))
+        Some((deferred.payload(), row))
     }
 }
 
 /// A base-stream batch in the form its producer holds it, before any
 /// tuple is built from it ([`crate::SharedViews::begin_batch_rows`]).
+#[derive(Clone, Copy)]
 pub struct RowBatch<'a> {
-    /// The producer's rows, e.g. a `Vec<SkeletonFrame>`; an operator
-    /// that knows the type downcasts.
-    pub rows: &'a dyn Any,
-    /// Number of rows (frames) in `rows`.
+    /// The producer's rows, e.g. a `Vec<SkeletonFrame>` ([`Self::rows`]).
+    pub(crate) rows: &'a dyn Any,
+    /// Number of rows (frames) in `rows`: all of them, or none in a
+    /// probe ([`crate::SharedViews::tuples_wanted`]).
     pub(crate) len: usize,
     /// Schema of the tuples the producer builds from these rows.
     pub schema: &'a SchemaRef,
@@ -110,6 +118,13 @@ impl<'a> RowBatch<'a> {
     pub fn of<T: 'static>(rows: &'a Vec<T>, schema: &'a SchemaRef) -> Self {
         let len = rows.len();
         Self { rows, len, schema }
+    }
+
+    /// The rows, if they are `T`s: an operator that knows the type
+    /// reads them.
+    pub fn rows<T: 'static>(&self) -> Option<&'a [T]> {
+        let rows: &'a Vec<T> = self.rows.downcast_ref()?;
+        Some(&rows[..self.len])
     }
 }
 
@@ -128,17 +143,17 @@ pub trait Operator: Send {
     /// it hands out may be kept.
     fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>);
 
-    /// [`Self::process`] without the tuple: an operator that can read
-    /// `batch` natively emits for row `row` exactly what `process` emits
-    /// for the tuple the producer builds from that row, and returns
+    /// [`Self::process`] over a whole batch, without its tuples: an
+    /// operator that can read `batch` natively emits, frame by frame and
+    /// ending each ([`Emit::end_frame`]), exactly what `process` emits
+    /// for the tuples the producer builds from those rows, and returns
     /// `true`. `false` (the default) means it cannot and has done
     /// nothing — the caller feeds it tuples.
     ///
-    /// The answer depends on the type of `batch.rows` and on
-    /// `batch.schema` only, never on the row, and a `row` past the end
-    /// asks for the answer alone: a caller settles once, when its views
-    /// change, whether it has to build tuples at all.
-    fn process_row(&mut self, _batch: &RowBatch<'_>, _row: usize, _emit: &mut Emit<'_>) -> bool {
+    /// The answer depends on the type of the rows and on `batch.schema`
+    /// only, never on the rows: a caller settles once, with an empty
+    /// batch, whether it has to build tuples at all.
+    fn process_batch(&mut self, _batch: &RowBatch<'_>, _emit: &mut Emit<'_>) -> bool {
         false
     }
 

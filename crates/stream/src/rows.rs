@@ -4,8 +4,10 @@
 //! # Ownership and threading
 //!
 //! On a block batch a view operator may *defer* a row
-//! ([`crate::Emit::defer`]): it writes the row's block lanes and keeps,
-//! in its [`RowPayload`], what building the row's tuple takes. The
+//! ([`crate::Emit::defer`]): it keeps, in its [`RowPayload`], what
+//! building the row's tuple and writing its lanes takes; once the batch
+//! is over the block is begun at its row count and the payload writes
+//! every lane ([`RowPayload::write_lanes`]). The
 //! deferred rows and the payload live in the lent
 //! [`crate::BatchBuffers`]: *lend* ([`crate::SharedViews::lend`]) drops
 //! the previous borrower's, and everything a [`ViewRows`] borrows is
@@ -33,6 +35,7 @@ use std::any::Any;
 use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
 
+use crate::block::ColumnBlock;
 use crate::time::StreamTime;
 use crate::tuple::Tuple;
 
@@ -119,6 +122,10 @@ pub trait RowPayload: Any + Send {
     /// Row `row` as a [`KeptRow::defer`] handle that owns what building
     /// it takes.
     fn keep(&self, row: usize) -> KeptRow;
+    /// Writes every deferred row's lanes into `block`, begun for them
+    /// (every built lane cell `Null`), bit-identical to
+    /// [`ColumnBlock::fill_from_tuples_filtered`] over their tuples.
+    fn write_lanes(&mut self, block: &mut ColumnBlock);
     /// Heap bytes held, by capacity.
     fn bytes(&self) -> usize;
 }
@@ -131,7 +138,7 @@ type DeferredRow = (StreamTime, OnceCell<KeptRow>);
 #[derive(Default)]
 pub(crate) struct Deferred {
     pub(crate) rows: Vec<DeferredRow>,
-    payload: Option<Box<dyn RowPayload>>,
+    pub(crate) payload: Option<Box<dyn RowPayload>>,
 }
 
 impl Deferred {

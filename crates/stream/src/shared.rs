@@ -313,11 +313,12 @@ impl SharedViews {
     }
 
     /// [`Self::begin_batch_prefilled`] from the producer's own rows: a
-    /// view rooted at `stream` reads `rows` natively
-    /// ([`crate::Operator::process_row`]) and is fed `tuples` only when
-    /// it declines. `tuples` are the tuples built from `rows` — or
-    /// empty, when [`Self::tuples_wanted`] said no view needs them and
-    /// no consumer reads the base stream (tuples or block) itself.
+    /// view rooted at `stream` reads `rows` natively, the whole batch in
+    /// one call ([`crate::Operator::process_batch`]), and is fed
+    /// `tuples` only when it declines. `tuples` are the tuples built
+    /// from `rows` — or empty, when [`Self::tuples_wanted`] said no view
+    /// needs them and no consumer reads the base stream (tuples or
+    /// block) itself.
     pub fn begin_batch_rows(&mut self, stream: &str, rows: &RowBatch<'_>, tuples: &[Tuple]) {
         debug_assert!(tuples.is_empty() || tuples.len() == rows.len);
         self.begin(stream, tuples, Some(rows));
@@ -330,10 +331,11 @@ impl SharedViews {
     pub fn tuples_wanted(&mut self, stream: &str, rows: &RowBatch<'_>) -> bool {
         let mut nothing = Vec::new();
         let mut emit = Emit::collect(&mut nothing);
+        let probe = RowBatch { len: 0, ..*rows };
         self.states.iter_mut().any(|st| {
             st.needed
                 && matches!(&st.input, Input::Stream(s) if s == stream)
-                && !st.op.process_row(rows, rows.len, &mut emit)
+                && !st.op.process_batch(&probe, &mut emit)
         })
     }
 
@@ -389,34 +391,39 @@ impl SharedViews {
             buf.block.clear();
             let cols = st.block_cols.as_deref();
             let build_block = self.columnar && cols.is_none_or(|c| !c.is_empty());
-            let block = build_block.then_some((&mut buf.block, cols, &mut buf.deferred));
-            let mut emit = Emit::new(&mut buf.out, block);
             buf.offsets.clear();
             buf.offsets.push(0);
-            for f in 0..frames {
+            let deferred = build_block.then_some(&mut buf.deferred);
+            let mut emit = Emit::new(&mut buf.out, Some(&mut buf.offsets), deferred);
+            // A stream-rooted view reads the whole batch in one call if
+            // it can, and is fed the tuples frame by frame if not.
+            let native = up.is_none() && rows.is_some_and(|r| st.op.process_batch(r, &mut emit));
+            for f in (0..frames).filter(|_| !native) {
                 match up {
                     None => {
-                        if !rows.is_some_and(|r| st.op.process_row(r, f, &mut emit)) {
-                            let tuple = tuples.get(f).expect("tuples, for a view that wants them");
-                            st.op.process(tuple, &mut emit);
-                        }
+                        let tuple = tuples.get(f).expect("tuples, for a view that wants them");
+                        st.op.process(tuple, &mut emit);
                     }
                     Some(up) => up.frame(f).iter().for_each(|t| st.op.process(t, &mut emit)),
                 }
-                buf.offsets.push(emit.rows() as u32);
+                emit.end_frame();
             }
+            debug_assert_eq!(buf.offsets.len(), frames + 1, "one end per frame");
             buf.live = true;
             if !buf.out.is_empty() {
                 crate::metrics::TUPLES_BUILT_TOTAL.add(buf.out.len() as u64);
             }
-            // Deferred rows wrote their own block rows; tuples get the
-            // generic rebuild.
-            if !build_block {
-                continue;
-            } else if buf.deferred.rows.is_empty() {
-                buf.block.fill_from_tuples_filtered(&buf.out, cols);
-            } else {
-                crate::metrics::BLOCK_ROWS_BUILT_TOTAL.add(buf.deferred.rows.len() as u64);
+            // Deferred rows: the block begun at their count, lanes from
+            // the payload; tuples: the generic rebuild.
+            let deferred = buf.deferred.rows.len();
+            match &mut buf.deferred.payload {
+                _ if !build_block => {}
+                Some(payload) if deferred > 0 => {
+                    buf.block
+                        .begin_filtered(&st.op.output_schema(), deferred, cols);
+                    payload.write_lanes(&mut buf.block);
+                }
+                _ => buf.block.fill_from_tuples_filtered(&buf.out, cols),
             }
         }
     }
@@ -759,6 +766,9 @@ mod tests {
                 let (schema, row) = (self.schema.clone().unwrap(), self.rows[row]);
                 KeptRow::defer(move || build(&schema, row))
             }
+            fn write_lanes(&mut self, block: &mut ColumnBlock) {
+                block.write_lane(1, 0..self.rows.len(), |r| Some(self.rows[r].1));
+            }
             fn bytes(&self) -> usize {
                 self.rows.capacity() * 16
             }
@@ -774,7 +784,7 @@ mod tests {
             }
             fn process(&mut self, t: &Tuple, emit: &mut Emit<'_>) {
                 let (ts, x) = (t.timestamp().unwrap(), 2.0 * t.f64("x").unwrap());
-                let Some((rows, block, row)) = emit.defer::<Doubled>(&self.0, ts) else {
+                let Some((rows, row)) = emit.defer::<Doubled>(ts) else {
                     let values = vec![Value::Timestamp(ts), Value::Float(x)];
                     return emit.push(Tuple::new_unchecked(self.0.clone(), values));
                 };
@@ -783,7 +793,6 @@ mod tests {
                     rows.rows.clear();
                 }
                 rows.rows.push((ts, x));
-                block.write_float(1, row, x);
             }
         }
 
@@ -977,17 +986,13 @@ mod tests {
             fn process(&mut self, tuple: &Tuple, emit: &mut Emit<'_>) {
                 self.emit(tuple.f64("x").unwrap() + 1.0, emit);
             }
-            fn process_row(
-                &mut self,
-                batch: &RowBatch<'_>,
-                row: usize,
-                emit: &mut Emit<'_>,
-            ) -> bool {
-                let Some(xs) = batch.rows.downcast_ref::<Vec<f64>>() else {
+            fn process_batch(&mut self, batch: &RowBatch<'_>, emit: &mut Emit<'_>) -> bool {
+                let Some(xs) = batch.rows::<f64>() else {
                     return false;
                 };
-                if let Some(x) = xs.get(row) {
+                for x in xs {
                     self.emit(x + 100.0, emit);
+                    emit.end_frame();
                 }
                 true
             }

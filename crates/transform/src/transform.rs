@@ -190,9 +190,14 @@ impl Basis {
     /// The user-invariant position of camera-space joint position `p`.
     #[inline]
     pub fn apply(&self, p: Vec3) -> Vec3 {
-        let d = p - self.torso;
-        let [x, y, z] = self.axes.map(|axis| d.dot(&axis) * self.k);
+        let [x, y, z] = [0, 1, 2].map(|axis| self.apply_axis(p, axis));
         Vec3::new(x, y, z)
+    }
+
+    /// Coordinate `axis` (0 = x, 1 = y, 2 = z) of [`Self::apply`]`(p)`.
+    #[inline]
+    pub fn apply_axis(&self, p: Vec3, axis: usize) -> f64 {
+        (p - self.torso).dot(&self.axes[axis]) * self.k
     }
 
     /// [`Self::apply`] on every tracked joint of `frame`.

@@ -4,13 +4,17 @@
 //! on-the-fly" (§3.2). The view is a [`KinectTOp`]: a slot-compiled
 //! operator holding a stateful [`Transformer`]. Field positions are
 //! resolved once (via [`KinectSlots`]), so the per-frame work is pure
-//! slice indexing — no name lookups, no input tuple when the caller
-//! still holds the sensor's frames ([`Operator::process_row`]).
+//! slice indexing — no name lookups, and no input tuple when the caller
+//! still holds the sensor's frames: then the view takes the whole batch
+//! in one call ([`Operator::process_batch`]).
 //!
 //! A row costs what its readers read. On a block batch the operator
-//! defers every row ([`Emit::defer`]): it keeps the input frame and its
-//! [`Basis`], applies the basis only to the joints with a built lane,
-//! and the row becomes a tuple only if somebody reads it. A row a run
+//! defers every row ([`Emit::defer`]): it prepares each frame's
+//! [`Basis`], in order, and keeps it with the input frame. Once the
+//! batch is over, the block is begun at its row count and the operator's
+//! payload writes it one lane at a time, applying each basis only to the
+//! joints with a built lane ([`RowPayload::write_lanes`]); the row
+//! becomes a tuple only if somebody reads it. A row a run
 //! keeps is one shared copy of its frame and basis, built on the first
 //! read (`gesto_stream`'s `rows` module docs). Without a block it
 //! transforms the whole frame and pushes a fresh tuple ([`Emit::push`]).
@@ -21,7 +25,8 @@ use std::sync::Arc;
 
 use gesto_kinect::{schema_named, KinectSlots, SkeletonFrame, KINECT_STREAM};
 use gesto_stream::{
-    Catalog, Emit, KeptRow, Operator, RowBatch, RowPayload, SchemaRef, StreamError, Tuple, ViewDef,
+    Catalog, ColumnBlock, Emit, KeptRow, Operator, RowBatch, RowPayload, SchemaRef, StreamError,
+    Tuple, ViewDef,
 };
 
 use crate::transform::{Basis, TransformConfig, Transformer};
@@ -76,7 +81,7 @@ fn input_slots<'a>(
 }
 
 /// The deferred rows of one block batch: each row's input frame and
-/// basis, plus the batch's joints with a built lane.
+/// basis, plus the joints with a built lane (reused, like the rows).
 #[derive(Default)]
 struct KinectTRows {
     out: Option<Arc<(KinectSlots, SchemaRef)>>,
@@ -95,6 +100,22 @@ impl RowPayload for KinectTRows {
         let out = self.out.clone().expect("rows were deferred");
         let (frame, basis) = self.rows[row].clone();
         KeptRow::defer(move || out.0.tuple(&basis.apply_frame(&frame), &out.1))
+    }
+
+    /// One lane at a time, applying each row's basis to the lane's
+    /// coordinate of the joint only.
+    fn write_lanes(&mut self, block: &mut ColumnBlock) {
+        let slots = &self.out.as_ref().expect("rows were deferred").0;
+        self.lanes.clear();
+        self.lanes.extend(slots.built_joints(block));
+        for &(j, cols) in &self.lanes {
+            for (axis, col) in cols.into_iter().enumerate() {
+                block.write_lane(col, 0..self.rows.len(), |r| {
+                    let (frame, basis) = &self.rows[r];
+                    frame.joints[j].map(|p| basis.apply_axis(p, axis))
+                });
+            }
+        }
     }
 
     fn bytes(&self) -> usize {
@@ -116,20 +137,11 @@ fn emit_transformed(
     };
     let (out_slots, out_schema) = &**out;
     let ts = out_schema.timestamp_slot().map_or(0, |_| frame.ts);
-    if let Some((rows, block, row)) = emit.defer::<KinectTRows>(out_schema, ts) {
+    if let Some((rows, row)) = emit.defer::<KinectTRows>(ts) {
         if row == 0 {
-            // A new batch: its lanes, and this view's layout.
+            // A new batch, of this view's layout.
             rows.out = Some(out.clone());
             rows.rows.clear();
-            rows.lanes.clear();
-            rows.lanes.extend(out_slots.built_joints(block));
-        }
-        for &(j, [x, y, z]) in &rows.lanes {
-            if let Some(t) = frame.joints[j].map(|p| basis.apply(p)) {
-                block.write_float(x, row, t.x);
-                block.write_float(y, row, t.y);
-                block.write_float(z, row, t.z);
-            }
         }
         rows.rows.push((frame.clone(), basis));
         return;
@@ -152,17 +164,18 @@ impl Operator for KinectTOp {
     }
 
     /// Reads a `Vec<SkeletonFrame>` whose tuples would carry the whole
-    /// frame ([`KinectSlots::covers_frame`]): building the tuple and
-    /// reading it back would hand [`Self::process`] this very frame.
-    fn process_row(&mut self, batch: &RowBatch<'_>, row: usize, emit: &mut Emit<'_>) -> bool {
-        let Some(frames) = batch.rows.downcast_ref::<Vec<SkeletonFrame>>() else {
+    /// frame ([`KinectSlots::covers_frame`]): building the tuples and
+    /// reading them back would hand [`Self::process`] these very frames.
+    fn process_batch(&mut self, batch: &RowBatch<'_>, emit: &mut Emit<'_>) -> bool {
+        let Some(frames) = batch.rows::<SkeletonFrame>() else {
             return false;
         };
         if !input_slots(&mut self.in_slots, batch.schema).covers_frame() {
             return false;
         }
-        if let Some(frame) = frames.get(row) {
+        for frame in frames {
             emit_transformed(&mut self.transformer, &self.out, frame, emit);
+            emit.end_frame();
         }
         true
     }
@@ -197,6 +210,12 @@ mod tests {
     use gesto_cep::Engine;
     use gesto_kinect::{frames_to_tuples, gestures, kinect_schema, Performer, Persona};
     use gesto_stream::{ColumnBlock, RowSource};
+
+    /// Held by every test that builds blocks, so one can count them.
+    fn blocks() -> std::sync::MutexGuard<'static, ()> {
+        static BLOCKS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        BLOCKS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Lane presence, validity bitmaps and every valid cell's bits.
     fn assert_blocks_identical(a: &ColumnBlock, b: &ColumnBlock, cols: usize) {
@@ -234,6 +253,7 @@ mod tests {
 
     #[test]
     fn engine_detects_on_transformed_view_across_users() {
+        let _blocks = blocks();
         let engine = Engine::new(standard_catalog());
         // A crude swipe detector over transformed coordinates.
         engine
@@ -275,6 +295,7 @@ mod tests {
 
     #[test]
     fn view_block_written_directly_matches_tuple_rebuild() {
+        let _blocks = blocks();
         // On a block batch KinectTOp defers its rows (`Emit::defer`) and
         // writes the lanes from a partial transform — the joints some
         // lane is built for; the result must be bit-identical to
@@ -327,6 +348,7 @@ mod tests {
 
     #[test]
     fn lent_views_fed_frames_match_the_tuple_fed_operator() {
+        let _blocks = blocks();
         // Three sessions take turns in ONE lent set of batch buffers:
         // each `SharedViews` is fed skeleton FRAMES — on scalar batches
         // it builds a tuple per row, on block batches it defers its rows
@@ -457,7 +479,76 @@ mod tests {
     }
 
     #[test]
+    fn a_whole_batch_defers_what_the_per_tuple_path_defers() {
+        // The same frames, with torso-less frames mid-batch, fed as
+        // frames (one `process_batch` call) and as tuples (one `process`
+        // call each): the same lanes bit for bit, the same frame
+        // offsets, and rows that build — read or kept — equal tuples;
+        // with no block, the same pushed tuples. Either way a block
+        // counts once, and each of its rows once.
+        use gesto_kinect::{Joint, NoiseModel};
+        use gesto_stream::metrics::{BLOCKS_BUILT_TOTAL, BLOCK_ROWS_BUILT_TOTAL};
+        use gesto_stream::SharedViews;
+
+        let _blocks = blocks();
+        let (schema, out_schema) = (kinect_schema(), kinect_t_schema());
+        let persona = Persona::reference()
+            .with_noise(NoiseModel::realistic())
+            .with_seed(17);
+        let mut frames = Performer::new(persona, 0).render(&gestures::swipe_right());
+        for f in [4, 5, 11] {
+            frames[f].drop_joint(Joint::Torso);
+        }
+        frames[7].drop_joint(Joint::RightHand);
+        let tuples = frames_to_tuples(&frames, &schema);
+        let rhand = ["rHand_x", "rHand_y", "rHand_z"].map(|n| out_schema.index_of(n).unwrap());
+        let cat = standard_catalog();
+        for (columnar, cols) in [(true, None), (true, Some(&rhand[..])), (false, None)] {
+            let [mut batch, mut per_tuple] = [0, 1].map(|_| {
+                let mut views = SharedViews::new(&cat);
+                views.set_needed([KINECT_T]);
+                if let Some(cols) = cols {
+                    views.clear_block_columns();
+                    views.add_view_block_columns(KINECT_T, cols);
+                }
+                views.set_columnar(columnar);
+                views
+            });
+            let counts = || (BLOCKS_BUILT_TOTAL.get(), BLOCK_ROWS_BUILT_TOTAL.get());
+            let before = counts();
+            batch.begin_batch_rows(KINECT_STREAM, &RowBatch::of(&frames, &schema), &[]);
+            let by_batch = (counts().0 - before.0, counts().1 - before.1);
+            let before = counts();
+            per_tuple.begin_batch(KINECT_STREAM, &tuples);
+            let by_tuple = (counts().0 - before.0, counts().1 - before.1);
+            let slot = batch.slot_of(KINECT_T).unwrap();
+            let (got, expect) = (batch.rows(slot), per_tuple.rows(slot));
+            let emitted = frames.len() - 3;
+            assert_eq!((got.len(), expect.len()), (emitted, emitted));
+            let built = u64::from(columnar);
+            assert_eq!(by_batch, (built, built * emitted as u64));
+            assert_eq!(by_tuple, by_batch, "blocks and rows counted once");
+            for f in 0..frames.len() {
+                let (g, e) = (got.frame(f), expect.frame(f));
+                assert_eq!(g.len(), usize::from(![4, 5, 11].contains(&f)), "frame {f}");
+                assert_eq!(e.len(), g.len(), "frame {f}");
+                if !g.is_empty() {
+                    assert_eq!(g.ts(0), e.ts(0));
+                    // Kept first (the handle builds), then read.
+                    assert_eq!(g.keep(0).tuple().values(), e.keep(0).tuple().values());
+                    assert_eq!(g.get(0).values(), e.get(0).values());
+                }
+            }
+            match (batch.view_block(slot), per_tuple.view_block(slot)) {
+                (Some(g), Some(e)) => assert_blocks_identical(g, e, out_schema.len()),
+                (g, e) => assert!(g.is_none() && e.is_none() && !columnar),
+            }
+        }
+    }
+
+    #[test]
     fn frames_are_read_only_when_a_tuple_would_carry_all_of_them() {
+        let _blocks = blocks();
         // Over an ingest schema without the feet, frame → tuple → frame
         // drops joints the transformer would otherwise see (and copy to
         // its output): the operator must decline the frames and be fed

@@ -703,7 +703,7 @@ fn server_detections_over(
 /// relative to the 1-shard run. Every run also loses and sheds no frame
 /// under the blocking policy, and its shard workers never wait on a
 /// shared structure. A pinned shard reports its placement core (never
-/// core 0, which is left to net I/O) wherever the host lets a thread
+/// core 0) wherever the host lets a thread
 /// pin there, and runs unpinned where affinity is restricted, so this
 /// holds on any machine.
 #[test]

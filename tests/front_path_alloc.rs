@@ -15,10 +15,12 @@
 //! tuple per frame ([`KinectSlots::tuple`]) and, on a block batch, the
 //! frame → base block.
 //!
-//! The last leg's traces seed and advance runs: on a block batch a row a
-//! run keeps costs one allocation (its [`KeptRow`] handle) and no tuple
-//! until a detection carries it, and then one tuple however many plans'
-//! detections carry it.
+//! The `kept_rows` leg's traces seed and advance runs: on a block batch a
+//! row a run keeps costs one allocation (its [`KeptRow`] handle) and no
+//! tuple until a detection carries it, and then one tuple however many
+//! plans' detections carry it. The last leg deploys sixteen plans whose
+//! seeds the lane bounds rule out on every idle batch: none is stepped,
+//! and a warm batch allocates nothing.
 //!
 //! [`Emit::defer`]: gesto::stream::Emit::defer
 //! [`KeptRow`]: gesto::stream::KeptRow
@@ -167,6 +169,54 @@ fn steady_state_batch_allocates_once_per_built_tuple() {
         kept_rows(false),
         "block and scalar detect alike"
     );
+    idle_catalog();
+}
+
+/// Sixteen plans in each session whose seed bands no idle row comes
+/// near: the lane bounds rule every seed out, so no plan is stepped, and
+/// a warm batch allocates nothing and builds no tuple.
+fn idle_catalog() {
+    use gesto::cep::metrics::{KERNEL_BOUNDS_DECIDED_TOTAL, NFA_ROWS_STEPPED_TOTAL};
+    let catalog = standard_catalog();
+    let engine = Engine::new(catalog.clone());
+    let queries: Vec<String> = (0..16)
+        .map(|i| {
+            let c = 5000 + 100 * i;
+            format!(
+                "SELECT \"g{i}\" MATCHING kinect_t(abs(rHand_y - {c}) < 50 and abs(rHand_x - {c}) < 50) \
+                 -> kinect_t(abs(rHand_y + {c}) < 50) within 1 seconds select first consume all;"
+            )
+        })
+        .collect();
+    let queries: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let mut shard = new_shard(&catalog, &compile(&engine, &queries), false, true);
+    let batches = idle_batches(4);
+    let mut before = (0, 0, 0, 0);
+    for round in 0..4 {
+        if round == 2 {
+            before = (
+                shard.allocs,
+                TUPLES_BUILT_TOTAL.get(),
+                KERNEL_BOUNDS_DECIDED_TOTAL.get(),
+                NFA_ROWS_STEPPED_TOTAL.get(),
+            );
+        }
+        for (s, trace) in batches.iter().enumerate() {
+            shard.push(s, &trace[round], |_, _| ());
+        }
+    }
+    let calls = 2 * SESSIONS as u64 * 16;
+    assert_eq!(
+        (
+            shard.allocs - before.0,
+            TUPLES_BUILT_TOTAL.get() - before.1,
+            KERNEL_BOUNDS_DECIDED_TOTAL.get() - before.2,
+            NFA_ROWS_STEPPED_TOTAL.get() - before.3,
+        ),
+        (0, 0, calls, 0),
+        "allocations, tuples, seeds ruled out, rows stepped"
+    );
+    assert!(shard.detections.is_empty());
 }
 
 /// A shard over `catalog` running `plans` in each of three sessions.
