@@ -2,7 +2,9 @@
 //! time, enum-tagged `Value` reads) vs the columnar block kernels
 //! (`CompiledExpr::eval_block` over contiguous `f64` lanes) across the
 //! fused shapes of learned gesture queries — `Band`, `Cmp`, `Dist` and
-//! the `AndAll` pose conjunction — at batch sizes 1/16/256.
+//! the `AndAll` pose conjunction — at batch sizes 1/16/30/256 (30 is the
+//! serving batch of the benchmark's in-process workloads), and prints
+//! what the 3-term pose costs per row against one band at each size.
 //!
 //! Also reports the one-time per-batch block build cost
 //! (`ColumnBlock::fill_from_tuples`), which the real data path amortises
@@ -91,6 +93,8 @@ fn shapes() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
+const BATCHES: [usize; 4] = [1, 16, 30, 256];
+
 struct Row {
     shape: &'static str,
     batch: usize,
@@ -174,7 +178,7 @@ fn main() {
     );
     let mut results = Vec::new();
     for (name, expr) in &compiled {
-        for batch in [1usize, 16, 256] {
+        for batch in BATCHES {
             let tuples = workload(batch);
             let r = ab_shape(name, expr, &tuples);
             println!(
@@ -190,6 +194,20 @@ fn main() {
         }
         println!();
     }
+
+    let block_ns = |shape: &str, batch: usize| {
+        let r = results
+            .iter()
+            .find(|r| r.shape == shape && r.batch == batch);
+        r.expect("every shape runs at every batch").block_ns_per_row
+    };
+    for batch in BATCHES {
+        println!(
+            "and_all / band block ns/row at batch {batch:>3}: {:.2}",
+            block_ns("and_all", batch) / block_ns("band", batch)
+        );
+    }
+    println!();
 
     // The committed claim: the block kernels beat the scalar path on
     // every fused shape once batches reach 16 rows.

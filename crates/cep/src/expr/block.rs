@@ -33,6 +33,16 @@
 //! so each row's scalar walk would also return `false` without error.
 //! The walk stops at the first term that is not such a band, because
 //! the scalar walk could err there.
+//!
+//! **A learned pose is decided in one pass.** A conjunction of
+//! `Band`-on-column terms — every pose `query_gen` emits, and a lone band
+//! as its one-term case — is decided word by word (`col_bands_into`):
+//! the running known / null / decided-false words of 64 rows stay in
+//! registers while each term's bits fold in, and the word stops at the
+//! first term that leaves none of its rows alive. The masks are bit-
+//! identical to folding each term's own `eval_block` masks; a term with
+//! a `NaN` centre or width, or an unbuilt lane, sends the conjunction
+//! down that per-term fold instead.
 
 use gesto_stream::{BitMask, ColumnBlock, FloatLane, Value};
 
@@ -67,10 +77,11 @@ impl BlockMasks {
 
 /// Pooled scratch buffers for block evaluation.
 ///
-/// Kernel recursion (e.g. `AndAll` over `Band` terms) needs temporary
-/// value lanes and masks; taking them from this pool instead of
-/// allocating keeps the steady-state hot loop allocation-free (the pool
-/// warms up on the first batch and is reused afterwards).
+/// Kernel recursion (e.g. an `AndAll` over terms other than column
+/// bands) needs temporary value lanes and masks; taking them from this
+/// pool instead of allocating keeps the steady-state hot loop
+/// allocation-free (the pool warms up on the first batch and is reused
+/// afterwards).
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     vals: Vec<Vec<f64>>,
@@ -248,15 +259,93 @@ fn compare_into(
     }
 }
 
-/// Single-pass transform-and-compare straight over a column lane — the
-/// `Col` fast path of `Band`/`Cmp`: no copy into scratch, the mapped
-/// quantity (`|x ± c|` for bands, identity for plain comparisons) is
-/// compared in the same chunked loop that packs the result bits.
+/// The lane, shift and width of a term [`col_bands_into`] decides:
+/// `abs(col - c) < w` over a built lane, `c` and `w` not `NaN` (a
+/// `NaN` comparison errs scalar-side). `x + c` is exactly `x - (-c)`.
+fn col_band<'a>(t: &CompiledExpr, block: &'a ColumnBlock) -> Option<(&'a FloatLane, f64, f64)> {
+    match t {
+        CompiledExpr::Band {
+            input: FusedInput::Col(i),
+            add,
+            center,
+            width,
+            ..
+        } if !(center.is_nan() || width.is_nan()) => Some((
+            block.lane(*i)?,
+            if *add { -center } else { *center },
+            *width,
+        )),
+        _ => None,
+    }
+}
+
+/// The `abs(x - c) < w` and `NaN` bits of one word's rows (at most 64).
+/// Eight rows at a time, so each row's bit has a constant position and
+/// the loop vectorises to compare masks and ORs, not per-row shifts.
+fn band_word(xs: &[f64], c: f64, width: f64) -> (u64, u64) {
+    let (mut cmp, mut nan) = (0u64, 0u64);
+    let mut bits = |xs: &[f64], at: usize| {
+        let (mut cb, mut nb) = (0u64, 0u64);
+        for (i, &x) in xs.iter().enumerate() {
+            let y = (x - c).abs();
+            cb |= ((y < width) as u64) << i;
+            nb |= (y.is_nan() as u64) << i;
+        }
+        // `% 64`: an empty tail of a full word sits at bit 64, adding 0.
+        cmp |= cb << (at % 64);
+        nan |= nb << (at % 64);
+    };
+    let chunks = xs.chunks_exact(8);
+    let tail = chunks.remainder();
+    for (k, ch) in chunks.enumerate() {
+        bits(ch, 8 * k);
+    }
+    bits(tail, xs.len() - tail.len());
+    (cmp, nan)
+}
+
+/// The word routine of the module docs ("A learned pose is decided in
+/// one pass"): decides the conjunction of `terms` into `out` with the
+/// Kleene rule of the `AndAll` fold, taking no mask from the pool.
+/// Returns `false`, writing nothing, when some term is not a
+/// [`col_band`].
+fn col_bands_into(terms: &[CompiledExpr], block: &ColumnBlock, out: &mut BlockMasks) -> bool {
+    if !terms.iter().all(|t| col_band(t, block).is_some()) {
+        return false;
+    }
+    let rows = block.rows();
+    for w in 0..out.known.words().len() {
+        let (start, end) = (w * 64, rows.min(w * 64 + 64));
+        let mut known = !0u64 >> (64 - (end - start));
+        let (mut alive, mut null, mut dead) = (known, 0u64, 0u64);
+        for (lane, c, width) in terms.iter().filter_map(|t| col_band(t, block)) {
+            let (cmp, nan) = band_word(&lane.values()[start..end], c, width);
+            let n = lane.null().words()[w];
+            let f = !(n | lane.other().words()[w] | nan);
+            // A live row the term leaves undecided is unknown overall;
+            // a `Null` row stays alive, a later `false` still wins.
+            known &= !(alive & !(f | n));
+            dead |= alive & f & !cmp;
+            null |= alive & n;
+            alive &= (f & cmp) | n;
+            if alive == 0 {
+                break;
+            }
+        }
+        out.truth.words_mut()[w] = known & !dead & !null;
+        out.null.words_mut()[w] = known & !dead & null;
+        out.known.words_mut()[w] = known;
+    }
+    true
+}
+
+/// Single-pass compare straight over a column lane — the `Col` fast
+/// path of `Cmp`: no copy into scratch, the comparison runs in the same
+/// chunked loop that packs the result bits.
 fn lane_compare_into(
     xs: &[f64],
     op: BinOp,
     rhs: f64,
-    map: impl Fn(f64) -> f64 + Copy,
     null: &BitMask,
     other: &BitMask,
     out: &mut BlockMasks,
@@ -271,9 +360,8 @@ fn lane_compare_into(
                 let mut cmp = 0u64;
                 let mut nan = 0u64;
                 for (b, &x) in chunk.iter().enumerate() {
-                    let y = map(x);
-                    cmp |= ((y $op rhs) as u64) << b;
-                    nan |= ((y != y) as u64) << b;
+                    cmp |= ((x $op rhs) as u64) << b;
+                    nan |= ((x != x) as u64) << b;
                 }
                 let n = null.words()[w];
                 let f = !(n | other.words()[w]) & !nan;
@@ -411,16 +499,26 @@ impl CompiledExpr {
     /// on every row, with no row pass (module docs): what
     /// [`Self::eval_block`] then returns.
     pub(crate) fn bounds_exclude(&self, block: &ColumnBlock) -> bool {
-        let leading = match self {
-            CompiledExpr::AndAll(terms) => terms.as_slice(),
+        self.conjuncts()
+            .iter()
+            .map_while(|t| excludes(t, block))
+            .any(|x| x)
+    }
+
+    /// The terms of an `AndAll`, or this expression as the one term.
+    fn conjuncts(&self) -> &[CompiledExpr] {
+        match self {
+            CompiledExpr::AndAll(terms) => terms,
             e => std::slice::from_ref(e),
-        };
-        leading.iter().map_while(|t| excludes(t, block)).any(|x| x)
+        }
     }
 
     /// The row kernels behind [`Self::eval_block`]; `out` is already
     /// reset to the block's rows.
     fn eval_rows(&self, block: &ColumnBlock, out: &mut BlockMasks, scratch: &mut EvalScratch) {
+        if col_bands_into(self.conjuncts(), block, out) {
+            return;
+        }
         let rows = block.rows();
         match self {
             CompiledExpr::Band {
@@ -435,21 +533,9 @@ impl CompiledExpr {
                 }
                 let (add, center) = (*add, *center);
                 match input {
-                    // Single-pass fast path straight over the lane.
-                    FusedInput::Col(i) => {
-                        if let Some(lane) = block.lane(*i) {
-                            lane_compare_into(
-                                lane.values(),
-                                BinOp::Lt,
-                                *width,
-                                move |x| (if add { x + center } else { x - center }).abs(),
-                                lane.null(),
-                                lane.other(),
-                                out,
-                            );
-                        }
-                        return;
-                    }
+                    // A built lane is `col_bands_into`'s; an unbuilt one
+                    // leaves every row unknown.
+                    FusedInput::Col(_) => return,
                     // Single-pass fast path over both lanes at once.
                     FusedInput::Diff(a, b) => {
                         if let (Some(la), Some(lb)) = (block.lane(*a), block.lane(*b)) {
@@ -490,7 +576,6 @@ impl CompiledExpr {
                                 lane.values(),
                                 *op,
                                 *rhs,
-                                |x| x,
                                 lane.null(),
                                 lane.other(),
                                 out,
@@ -1018,6 +1103,146 @@ mod tests {
             assert_eq!(masks.truth, kernels.truth, "case {i}");
             assert_eq!(masks.null, kernels.null, "case {i}");
             assert_eq!(masks.known, kernels.known, "case {i}");
+        }
+    }
+
+    /// The Kleene AND of each term's own `eval_block` masks, row by row:
+    /// the fold `col_bands_into` must reproduce bit for bit.
+    fn and_reference(terms: &[CompiledExpr], block: &ColumnBlock) -> BlockMasks {
+        let rows = block.rows();
+        let (mut out, mut term) = (BlockMasks::default(), BlockMasks::default());
+        let mut scratch = EvalScratch::new();
+        out.reset(rows);
+        out.known.set_all();
+        let (mut alive, mut dead) = (out.known.clone(), out.truth.clone());
+        for t in terms {
+            t.eval_block(block, &mut term, &mut scratch);
+            for r in 0..rows {
+                if !alive.get(r) {
+                    continue;
+                }
+                if !term.known.get(r) {
+                    out.known.unset(r); // the scalar walk might err here
+                    alive.unset(r);
+                } else if term.null.get(r) {
+                    out.null.set(r); // sticky, unless a later term is false
+                } else if !term.truth.get(r) {
+                    dead.set(r);
+                    alive.unset(r);
+                }
+            }
+        }
+        for r in 0..rows {
+            if !out.known.get(r) || dead.get(r) {
+                out.null.unset(r);
+            } else if !out.null.get(r) {
+                out.truth.set(r);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn col_band_conjunctions_match_the_per_term_fold() {
+        let reg = FunctionRegistry::with_builtins();
+        let s = schema();
+        // Lanes x, y, ax; y is banded by `+`, so its centre is -10.
+        let centres = [10.0, -10.0, 10.0];
+        let band = |col: &str, op: BinOp, c: f64| {
+            Expr::lt(
+                Expr::abs(Expr::bin(op, Expr::col(col), Expr::lit(c))),
+                Expr::lit(4.0),
+            )
+        };
+        let (x, y, ax) = (
+            band("x", BinOp::Sub, 10.0),
+            band("y", BinOp::Add, 10.0),
+            band("ax", BinOp::Sub, 10.0),
+        );
+        let pose = Expr::and(Expr::and(x.clone(), y.clone()), ax.clone());
+        let mut seed = 0x2545F4914F6CDD1Du64;
+        let mut cell = |lane: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let c = centres[lane];
+            match seed % 16 {
+                0..=7 => Value::Float(c + (seed >> 8) as f64 % 7.0 - 3.0),
+                8..=10 => Value::Float(c + 20.0),
+                11 => Value::Null,
+                12 => Value::Int(10),
+                13 => Value::Float(f64::NAN),
+                14 => Value::Float(f64::INFINITY),
+                _ => Value::Float(f64::NEG_INFINITY),
+            }
+        };
+        let mut grid = |n: usize, word0_x_out: bool| -> Vec<Tuple> {
+            (0..n)
+                .map(|r| {
+                    let mut vals = vec![Value::Float(1.0); s.len()];
+                    vals[0] = Value::Timestamp(r as i64);
+                    for lane in 0..3 {
+                        vals[1 + lane] = cell(lane);
+                    }
+                    if word0_x_out && r < 64 {
+                        vals[1] = Value::Float(100.0);
+                    }
+                    vals[s.len() - 1] = Value::Str("t".into());
+                    Tuple::new_unchecked(s.clone(), vals)
+                })
+                .collect()
+        };
+        let nan_centre = Expr::and(x.clone(), band("y", BinOp::Sub, f64::NAN));
+        // (predicate, rows, x out of band on word 0, lanes built, routine?)
+        let all = Some(&[1usize, 2, 3][..]);
+        let mut cases = Vec::new();
+        for n in [1, 30, 63, 64, 65, 130] {
+            cases.push((pose.clone(), n, false, all, true));
+            cases.push((x.clone(), n, false, all, true));
+        }
+        cases.push((pose.clone(), 130, true, all, true));
+        cases.push((pose.clone(), 130, false, Some(&[1, 2][..]), false));
+        cases.push((nan_centre, 130, false, all, false));
+        for (i, (e, n, word0_x_out, cols, routine)) in cases.into_iter().enumerate() {
+            let c = compile(&e, &s, &reg).unwrap();
+            let tuples = grid(n, word0_x_out);
+            let mut block = ColumnBlock::new();
+            block.fill_from_tuples_filtered(&tuples, cols);
+            let expect = and_reference(c.conjuncts(), &block);
+            let (mut masks, mut scratch) = (BlockMasks::default(), EvalScratch::new());
+            masks.reset(n);
+            assert_eq!(col_bands_into(c.conjuncts(), &block, &mut masks), routine);
+            for bounds in [false, true] {
+                if bounds {
+                    c.eval_block(&block, &mut masks, &mut scratch);
+                } else {
+                    masks.reset(n);
+                    c.eval_rows(&block, &mut masks, &mut scratch);
+                }
+                assert_eq!(masks.truth, expect.truth, "case {i}: {c:?}");
+                assert_eq!(masks.null, expect.null, "case {i}");
+                assert_eq!(masks.known, expect.known, "case {i}");
+            }
+            if word0_x_out {
+                assert_eq!(masks.known.words()[0], !0, "word 0 known false");
+                assert_eq!(masks.truth.words()[0] | masks.null.words()[0], 0);
+                assert!(masks.truth.words()[1] != 0, "word 1 still decided");
+            }
+            for (r, t) in tuples
+                .iter()
+                .enumerate()
+                .filter(|(r, _)| masks.known.get(*r))
+            {
+                let scalar = c
+                    .eval(t)
+                    .unwrap_or_else(|e| panic!("case {i} row {r}: {e}"));
+                let decided = match (masks.truth.get(r), masks.null.get(r)) {
+                    (true, _) => Value::Bool(true),
+                    (_, true) => Value::Null,
+                    _ => Value::Bool(false),
+                };
+                assert_eq!(scalar, decided, "case {i} row {r}");
+            }
         }
     }
 

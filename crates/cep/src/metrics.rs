@@ -120,8 +120,10 @@ pub static KERNEL_SCALAR_FALLBACK_TOTAL: Global<ShardedCounter> = counter(
     "Rows the kernel left undecided and deferred to the scalar evaluator",
 );
 
-/// Sampled duration of the per-block predicate pre-pass, in
-/// nanoseconds: the `stage="kernel"` series of [`STAGE_NAME`].
+/// Sampled time of one stepped plan call's block evaluations, in
+/// nanoseconds — the heats before the stepping loop and those made
+/// mid-batch, summed and recorded once: the `stage="kernel"` series of
+/// [`STAGE_NAME`].
 pub static KERNEL_STAGE_NS: Global<Histogram> = Global::new(
     STAGE_NAME,
     STAGE_HELP,

@@ -272,6 +272,7 @@ impl StepMasks {
             return;
         }
         self.hot[step] = true;
+        let t0 = deltas.kernel_ns.is_some().then(std::time::Instant::now);
         let m = &mut self.pre[step];
         let rows = block.rows() as u64;
         deltas.block_evals += 1;
@@ -284,6 +285,9 @@ impl StepMasks {
             *c |= t | !k;
         }
         self.cand.mask_tail_words();
+        if let (Some(ns), Some(t0)) = (&mut deltas.kernel_ns, t0) {
+            *ns += t0.elapsed().as_nanos() as u64;
+        }
     }
 
     /// Whether some hot step ≥ 1 may hit `row` (`truth | !known`).
@@ -328,6 +332,9 @@ struct CallDeltas {
     fallback_rows: u64,
     bounds_decided: u64,
     merged: u64,
+    /// Summed time of every heat, when the call is sampled for the
+    /// `stage="kernel"` timer.
+    kernel_ns: Option<u64>,
 }
 
 /// The immutable, compiled half of a pattern: leaf steps, time
@@ -672,6 +679,9 @@ impl NfaRuntime {
         bump(&m::KERNEL_SCALAR_FALLBACK_TOTAL, deltas.fallback_rows);
         bump(&m::KERNEL_BOUNDS_DECIDED_TOTAL, deltas.bounds_decided);
         bump(&m::NFA_RUNS_MERGED_TOTAL, deltas.merged);
+        if let Some(ns) = deltas.kernel_ns {
+            m::KERNEL_STAGE_NS.record(ns);
+        }
         result
     }
 
@@ -730,17 +740,12 @@ impl NfaRuntime {
             if block.is_none() {
                 masks.cand.set_all();
             } else {
-                let kernel_t0 = crate::metrics::KERNEL_SAMPLER
-                    .sample()
-                    .then(std::time::Instant::now);
+                deltas.kernel_ns = crate::metrics::KERNEL_SAMPLER.sample().then_some(0);
                 if seeding {
                     heat(masks, deltas, 0);
                 }
                 for run in runs.iter() {
                     heat(masks, deltas, run.next as usize);
-                }
-                if let Some(t0) = kernel_t0 {
-                    crate::metrics::KERNEL_STAGE_NS.record(t0.elapsed().as_nanos() as u64);
                 }
             }
         }

@@ -615,8 +615,8 @@ impl ShardWorker {
         }
         // Adaptive scalar-vs-columnar choice, made per pushed batch: the
         // block kernels' fixed setup cost loses on tiny batches (batch 1
-        // runs ~0.2–0.5× scalar, batch 16 ~2.7–5.6×, `bench_predicate`),
-        // so short batches step scalar.
+        // runs 0.2–1.0× scalar, batch 16 2.6–6.6×, batch 30 4.3–11×,
+        // `bench_predicate`), so short batches step scalar.
         // Detections are bit-identical either way.
         let take_columnar = batch.frames.len() >= *columnar_min_batch;
         if take_columnar {
