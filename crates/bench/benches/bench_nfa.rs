@@ -352,7 +352,7 @@ fn assert_zero_allocations() {
     println!("alloc-check: seed/expire/match churn    0 allocations ✓ ({matches} matches/pass)");
 
     // (c) Columnar path: the per-batch block build and the predicate
-    // pre-pass (per-(step, tuple) bitmasks + pooled kernel scratch in
+    // pre-pass (per-(step, tuple) bitmasks + the kernels' word buffer in
     // the MatchScratch) must also be allocation-free once warm.
     let mut nfas = compile_gestures(4);
     let mut block = ColumnBlock::new();

@@ -1,14 +1,18 @@
 //! Predicate kernel A/B: scalar `CompiledExpr::eval_bool` (tuple at a
 //! time, enum-tagged `Value` reads) vs the columnar block kernels
 //! (`CompiledExpr::eval_block` over contiguous `f64` lanes) across the
-//! fused shapes of learned gesture queries — `Band`, `Cmp`, `Dist` and
-//! the `AndAll` pose conjunction — at batch sizes 1/16/30/256 (30 is the
-//! serving batch of the benchmark's in-process workloads), and prints
-//! what the 3-term pose costs per row against one band at each size.
+//! fused shapes of learned gesture queries — `Band`, `Cmp`, `Dist`, the
+//! `AndAll` pose conjunction and an `OrAll` — at batch sizes 1/16/30/256
+//! (30 is the serving batch of the benchmark's in-process workloads),
+//! and prints what the 3-term pose costs per row against one band at
+//! each size.
 //!
-//! Also reports the one-time per-batch block build cost
-//! (`ColumnBlock::fill_from_tuples`), which the real data path amortises
-//! across every deployed gesture and pattern step reading the batch.
+//! Also reports the cost of building this bench's block from tuples
+//! (`ColumnBlock::fill_from_tuples`). The data path does not take that
+//! route for `kinect_t`: its lanes are written straight from the rows
+//! (`RowPayload::write_lanes`), once per batch for every deployed
+//! gesture and pattern step reading it.
+//!
 //! Every measurement is cross-checked: the kernels must decide all rows
 //! of this all-float workload and agree with the scalar oracle exactly.
 //!
@@ -81,8 +85,8 @@ fn shapes() -> Vec<(&'static str, &'static str)> {
     vec![
         ("band", "abs(x - 50) < 12"),
         ("cmp", "x > 50"),
-        // Two-lane difference shapes: the single-pass kernel reads both
-        // lanes at once instead of materialising `x - y` per row.
+        // Two-lane difference shapes: `x - y` is computed one 64-row
+        // word at a time into the scratch buffer, then compared.
         ("diff", "x - y > 20"),
         ("diff_band", "abs(x - y - 10) < 12"),
         ("dist", "dist(ax, ay, az, bx, by, bz) < 40"),
@@ -90,6 +94,7 @@ fn shapes() -> Vec<(&'static str, &'static str)> {
             "and_all",
             "abs(x - 50) < 12 and abs(y - 50) < 12 and abs(z - 50) < 12",
         ),
+        ("or_all", "x < 10 or abs(y - 50) < 5"),
     ]
 }
 
@@ -165,7 +170,9 @@ fn main() {
             let e = compile(&parse_expr(text).unwrap(), &s, &funcs).unwrap();
             let dbg = format!("{e:?}");
             assert!(
-                dbg.starts_with("Band") | dbg.starts_with("Cmp") | dbg.starts_with("AndAll"),
+                ["Band", "Cmp", "AndAll", "OrAll"]
+                    .iter()
+                    .any(|p| dbg.starts_with(p)),
                 "{name} must fuse: {dbg}"
             );
             (name, e)

@@ -3,12 +3,11 @@
 //!
 //! The scalar [`CompiledExpr::eval`] walks enum-tagged `Value` slices one
 //! tuple at a time. For the fused hot shapes — [`CompiledExpr::Band`],
-//! [`CompiledExpr::Cmp`] (including `dist()` inputs) and their
-//! `AndAll`/`OrAll` folds — this module evaluates a whole batch in one
-//! pass over the block's contiguous `f64` lanes, producing per-row
-//! bitmasks. The loops are chunked (64 rows per mask word) and
-//! branch-free so stable rustc autovectorizes them; no nightly
-//! `std::simd` is involved.
+//! [`CompiledExpr::Cmp`] (including `dist()` inputs), their
+//! `AndAll`/`OrAll` folds and `Bool`/`Null` literals — this module
+//! decides a whole batch over the block's contiguous `f64` lanes,
+//! producing per-row bitmasks. No nightly `std::simd` is involved: the
+//! loops are branch-free so stable rustc autovectorizes them.
 //!
 //! # Contract with the scalar oracle
 //!
@@ -34,15 +33,17 @@
 //! The walk stops at the first term that is not such a band, because
 //! the scalar walk could err there.
 //!
-//! **A learned pose is decided in one pass.** A conjunction of
-//! `Band`-on-column terms — every pose `query_gen` emits, and a lone band
-//! as its one-term case — is decided word by word (`col_bands_into`):
-//! the running known / null / decided-false words of 64 rows stay in
-//! registers while each term's bits fold in, and the word stops at the
-//! first term that leaves none of its rows alive. The masks are bit-
-//! identical to folding each term's own `eval_block` masks; a term with
-//! a `NaN` centre or width, or an unbuilt lane, sends the conjunction
-//! down that per-term fold instead.
+//! **One word at a time.** Every row pass decides one 64-row word of
+//! the whole predicate before the next: a comparison reads its word of
+//! the quantity (a column's lane in place; a difference or `dist()` into
+//! the one 64-value buffer of [`EvalScratch`]) and packs its compare and
+//! `NaN` bits eight rows at a time, and an `AndAll` / `OrAll` folds its
+//! terms' known / null / truth words with the Kleene rule, stopping at
+//! the first term that leaves none of the word's rows alive. No mask is
+//! built per term, so a learned pose — a conjunction of column bands —
+//! is decided in one pass.
+
+use std::ops::Range;
 
 use gesto_stream::{BitMask, ColumnBlock, FloatLane, Value};
 
@@ -75,220 +76,104 @@ impl BlockMasks {
     }
 }
 
-/// Pooled scratch buffers for block evaluation.
-///
-/// Kernel recursion (e.g. an `AndAll` over terms other than column
-/// bands) needs temporary value lanes and masks; taking them from this
-/// pool instead of allocating keeps the steady-state hot loop
-/// allocation-free (the pool warms up on the first batch and is reused
-/// afterwards).
-#[derive(Debug, Default)]
+/// Scratch for block evaluation: the one word of values a `Diff` or
+/// `dist()` quantity is computed into. Reused across words and batches,
+/// so warm calls allocate and zero-fill nothing.
+#[derive(Debug)]
 pub struct EvalScratch {
-    vals: Vec<Vec<f64>>,
-    bits: Vec<BitMask>,
-    masks: Vec<BlockMasks>,
+    buf: [f64; 64],
+}
+
+impl Default for EvalScratch {
+    fn default() -> Self {
+        Self { buf: [0.0; 64] }
+    }
 }
 
 impl EvalScratch {
-    /// An empty pool.
+    /// A fresh scratch.
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn take_vals(&mut self) -> Vec<f64> {
-        self.vals.pop().unwrap_or_default()
-    }
-
-    fn give_vals(&mut self, v: Vec<f64>) {
-        self.vals.push(v);
-    }
-
-    fn take_bits(&mut self) -> BitMask {
-        self.bits.pop().unwrap_or_default()
-    }
-
-    fn give_bits(&mut self, b: BitMask) {
-        self.bits.push(b);
-    }
-
-    fn take_masks(&mut self) -> BlockMasks {
-        self.masks.pop().unwrap_or_default()
-    }
-
-    fn give_masks(&mut self, m: BlockMasks) {
-        self.masks.push(m);
-    }
 }
 
-/// Reads a fused float quantity ([`FusedInput`]) over a whole block:
-/// `vals[r]` receives the quantity for row `r`, `null` marks rows whose
-/// scalar read yields `Null`, and `float` marks rows where every
-/// involved cell was a plain float (so `vals[r]` is exact — possibly
-/// `NaN`/`±inf`, which comparisons handle separately). Rows in neither
-/// mask held some other value kind and must take the scalar fallback.
-///
-/// Returns `false` when a referenced column has no float lane (non-float
-/// column type): the caller then leaves every row unknown.
-pub fn eval_fused_block(
+/// One word's share of [`BlockMasks`]: the same bits, same invariants.
+#[derive(Default)]
+struct Word {
+    truth: u64,
+    null: u64,
+    known: u64,
+}
+
+/// One word of a fused quantity over `rows` (at most 64, starting on a
+/// word boundary): its values, the rows whose scalar read yields `Null`,
+/// and the rows where every cell read was a plain float. Rows in neither
+/// set held some other value kind and must take the scalar fallback.
+/// `None` when a referenced column has no lane.
+fn read<'a>(
     input: &FusedInput,
-    block: &ColumnBlock,
-    vals: &mut Vec<f64>,
-    null: &mut BitMask,
-    float: &mut BitMask,
-) -> bool {
-    let rows = block.rows();
-    vals.clear();
-    null.reset(rows);
-    float.reset(rows);
+    block: &'a ColumnBlock,
+    rows: Range<usize>,
+    buf: &'a mut [f64; 64],
+) -> Option<(&'a [f64], u64, u64)> {
+    let w = rows.start / 64;
+    let len = rows.len();
     match input {
         FusedInput::Col(i) => {
-            let Some(lane) = block.lane(*i) else {
-                return false;
-            };
-            vals.extend_from_slice(lane.values());
-            null.copy_from(lane.null());
-            float.set_all();
-            for ((f, n), o) in float
-                .words_mut()
-                .iter_mut()
-                .zip(lane.null().words())
-                .zip(lane.other().words())
-            {
-                *f &= !(n | o);
-            }
-            true
+            let lane = block.lane(*i)?;
+            let n = lane.null().words()[w];
+            Some((&lane.values()[rows], n, !(n | lane.other().words()[w])))
         }
         // Binary arithmetic checks `Null` on either side before the
-        // numeric check (see `FusedInput::read`), so the null mask is
-        // the plain union, independent of `other` cells.
+        // numeric check (see `FusedInput::read`), so `Null` wins over an
+        // `other` cell on the other side.
         FusedInput::Diff(a, b) => {
-            let (Some(la), Some(lb)) = (block.lane(*a), block.lane(*b)) else {
-                return false;
-            };
-            let (xa, xb) = (la.values(), lb.values());
-            vals.extend(xa.iter().zip(xb).map(|(x, y)| x - y));
-            float.set_all();
-            for i in 0..null.words().len() {
-                let n = la.null().words()[i] | lb.null().words()[i];
-                null.words_mut()[i] |= n;
-                float.words_mut()[i] &= !(n | la.other().words()[i] | lb.other().words()[i]);
+            let (la, lb) = (block.lane(*a)?, block.lane(*b)?);
+            let (xa, xb) = (&la.values()[rows.clone()], &lb.values()[rows]);
+            for ((d, x), y) in buf.iter_mut().zip(xa).zip(xb) {
+                *d = x - y;
             }
-            true
+            let n = la.null().words()[w] | lb.null().words()[w];
+            let f = !(n | la.other().words()[w] | lb.other().words()[w]);
+            Some((&buf[..len], n, f))
         }
         // `dist()` scans its six arguments left to right: the *first*
         // non-float cell decides between `Null` and fallback, exactly
         // like the scalar read.
         FusedInput::Dist(cols) => {
-            // Fixed-size lane table: this runs per batch inside the
-            // zero-allocation hot loop.
-            let mut lanes = [None; 6];
-            for (slot, c) in lanes.iter_mut().zip(cols) {
-                match block.lane(*c) {
-                    Some(l) => *slot = Some(l),
-                    None => return false,
-                }
+            let mut lanes: [&FloatLane; 6] = [block.lane(cols[0])?; 6];
+            for (slot, c) in lanes.iter_mut().zip(cols).skip(1) {
+                *slot = block.lane(*c)?;
             }
-            let lanes = lanes.map(|l| l.expect("all six lanes resolved"));
-            // `pending[r]`: every lane scanned so far was a plain float.
-            float.set_all(); // reused as the running `pending` mask
+            // `f`: every lane scanned so far was a plain float.
+            let (mut n, mut f) = (0u64, !0u64);
             for lane in &lanes {
-                for i in 0..null.words().len() {
-                    let pending = float.words()[i];
-                    null.words_mut()[i] |= pending & lane.null().words()[i];
-                    float.words_mut()[i] =
-                        pending & !(lane.null().words()[i] | lane.other().words()[i]);
-                }
+                n |= f & lane.null().words()[w];
+                f &= !(lane.null().words()[w] | lane.other().words()[w]);
             }
-            let (ax, ay, az) = (lanes[0].values(), lanes[1].values(), lanes[2].values());
-            let (bx, by, bz) = (lanes[3].values(), lanes[4].values(), lanes[5].values());
-            vals.extend((0..rows).map(|r| {
+            let x = lanes.map(|l| &l.values()[rows.clone()]);
+            for (r, d) in buf[..len].iter_mut().enumerate() {
                 // Same expression, same order as the scalar kernel.
-                let dx = ax[r] - bx[r];
-                let dy = ay[r] - by[r];
-                let dz = az[r] - bz[r];
-                (dx * dx + dy * dy + dz * dz).sqrt()
-            }));
-            true
+                let dx = x[0][r] - x[3][r];
+                let dy = x[1][r] - x[4][r];
+                let dz = x[2][r] - x[5][r];
+                *d = (dx * dx + dy * dy + dz * dz).sqrt();
+            }
+            Some((&buf[..len], n, f))
         }
     }
 }
 
-/// Comparison kernel: `out.truth[r] = vals[r] op rhs` for every row
-/// where all inputs were floats and the quantity is not `NaN` (a `NaN`
-/// ordering comparison errors on the scalar path, so those rows stay
-/// unknown); `null` rows are known-`Null`.
-fn compare_into(
-    vals: &[f64],
-    op: BinOp,
-    rhs: f64,
-    float: &BitMask,
-    null: &BitMask,
-    out: &mut BlockMasks,
-) {
-    let rows = vals.len();
-    out.reset(rows);
-    macro_rules! cmp_words {
-        ($op:tt) => {
-            for w in 0..out.known.words().len() {
-                let start = w * 64;
-                let chunk = &vals[start..rows.min(start + 64)];
-                let mut cmp = 0u64;
-                let mut nan = 0u64;
-                for (b, &x) in chunk.iter().enumerate() {
-                    cmp |= ((x $op rhs) as u64) << b;
-                    nan |= ((x != x) as u64) << b;
-                }
-                let f = float.words()[w] & !nan;
-                let n = null.words()[w];
-                out.truth.words_mut()[w] = cmp & f;
-                out.null.words_mut()[w] = n;
-                out.known.words_mut()[w] = f | n;
-            }
-        };
-    }
-    match op {
-        BinOp::Lt => cmp_words!(<),
-        BinOp::Le => cmp_words!(<=),
-        BinOp::Gt => cmp_words!(>),
-        BinOp::Ge => cmp_words!(>=),
-        BinOp::Eq => cmp_words!(==),
-        BinOp::Ne => cmp_words!(!=),
-        // Not a comparison: leave everything unknown (never produced by
-        // the fuser; defensive).
-        _ => {}
-    }
-}
-
-/// The lane, shift and width of a term [`col_bands_into`] decides:
-/// `abs(col - c) < w` over a built lane, `c` and `w` not `NaN` (a
-/// `NaN` comparison errs scalar-side). `x + c` is exactly `x - (-c)`.
-fn col_band<'a>(t: &CompiledExpr, block: &'a ColumnBlock) -> Option<(&'a FloatLane, f64, f64)> {
-    match t {
-        CompiledExpr::Band {
-            input: FusedInput::Col(i),
-            add,
-            center,
-            width,
-            ..
-        } if !(center.is_nan() || width.is_nan()) => Some((
-            block.lane(*i)?,
-            if *add { -center } else { *center },
-            *width,
-        )),
-        _ => None,
-    }
-}
-
-/// The `abs(x - c) < w` and `NaN` bits of one word's rows (at most 64).
+/// The `test(map(x))` and `NaN`-of-`map(x)` bits of one word's values.
 /// Eight rows at a time, so each row's bit has a constant position and
 /// the loop vectorises to compare masks and ORs, not per-row shifts.
-fn band_word(xs: &[f64], c: f64, width: f64) -> (u64, u64) {
+fn bits(xs: &[f64], map: impl Fn(f64) -> f64, test: impl Fn(f64) -> bool) -> (u64, u64) {
     let (mut cmp, mut nan) = (0u64, 0u64);
-    let mut bits = |xs: &[f64], at: usize| {
+    let mut pack = |xs: &[f64], at: usize| {
         let (mut cb, mut nb) = (0u64, 0u64);
         for (i, &x) in xs.iter().enumerate() {
-            let y = (x - c).abs();
-            cb |= ((y < width) as u64) << i;
+            let y = map(x);
+            cb |= (test(y) as u64) << i;
             nb |= (y.is_nan() as u64) << i;
         }
         // `% 64`: an empty tail of a full word sits at bit 64, adding 0.
@@ -298,152 +183,35 @@ fn band_word(xs: &[f64], c: f64, width: f64) -> (u64, u64) {
     let chunks = xs.chunks_exact(8);
     let tail = chunks.remainder();
     for (k, ch) in chunks.enumerate() {
-        bits(ch, 8 * k);
+        pack(ch, 8 * k);
     }
-    bits(tail, xs.len() - tail.len());
+    pack(tail, xs.len() - tail.len());
     (cmp, nan)
 }
 
-/// The word routine of the module docs ("A learned pose is decided in
-/// one pass"): decides the conjunction of `terms` into `out` with the
-/// Kleene rule of the `AndAll` fold, taking no mask from the pool.
-/// Returns `false`, writing nothing, when some term is not a
-/// [`col_band`].
-fn col_bands_into(terms: &[CompiledExpr], block: &ColumnBlock, out: &mut BlockMasks) -> bool {
-    if !terms.iter().all(|t| col_band(t, block).is_some()) {
-        return false;
+/// One word of the fused comparison `test(map(input))`. A row is known
+/// where its scalar read is `Null`, or every cell was a plain float and
+/// the mapped quantity is not `NaN` (a `NaN` comparison errs
+/// scalar-side).
+fn compare(
+    input: &FusedInput,
+    block: &ColumnBlock,
+    rows: Range<usize>,
+    buf: &mut [f64; 64],
+    map: impl Fn(f64) -> f64,
+    test: impl Fn(f64) -> bool,
+) -> Word {
+    let live = !0u64 >> (64 - rows.len());
+    let Some((xs, null, float)) = read(input, block, rows, buf) else {
+        return Word::default();
+    };
+    let (cmp, nan) = bits(xs, map, test);
+    let f = float & !nan & live;
+    Word {
+        truth: cmp & f,
+        null,
+        known: f | null,
     }
-    let rows = block.rows();
-    for w in 0..out.known.words().len() {
-        let (start, end) = (w * 64, rows.min(w * 64 + 64));
-        let mut known = !0u64 >> (64 - (end - start));
-        let (mut alive, mut null, mut dead) = (known, 0u64, 0u64);
-        for (lane, c, width) in terms.iter().filter_map(|t| col_band(t, block)) {
-            let (cmp, nan) = band_word(&lane.values()[start..end], c, width);
-            let n = lane.null().words()[w];
-            let f = !(n | lane.other().words()[w] | nan);
-            // A live row the term leaves undecided is unknown overall;
-            // a `Null` row stays alive, a later `false` still wins.
-            known &= !(alive & !(f | n));
-            dead |= alive & f & !cmp;
-            null |= alive & n;
-            alive &= (f & cmp) | n;
-            if alive == 0 {
-                break;
-            }
-        }
-        out.truth.words_mut()[w] = known & !dead & !null;
-        out.null.words_mut()[w] = known & !dead & null;
-        out.known.words_mut()[w] = known;
-    }
-    true
-}
-
-/// Single-pass compare straight over a column lane — the `Col` fast
-/// path of `Cmp`: no copy into scratch, the comparison runs in the same
-/// chunked loop that packs the result bits.
-fn lane_compare_into(
-    xs: &[f64],
-    op: BinOp,
-    rhs: f64,
-    null: &BitMask,
-    other: &BitMask,
-    out: &mut BlockMasks,
-) {
-    let rows = xs.len();
-    out.reset(rows);
-    macro_rules! cmp_words {
-        ($op:tt) => {
-            for w in 0..out.known.words().len() {
-                let start = w * 64;
-                let chunk = &xs[start..rows.min(start + 64)];
-                let mut cmp = 0u64;
-                let mut nan = 0u64;
-                for (b, &x) in chunk.iter().enumerate() {
-                    cmp |= ((x $op rhs) as u64) << b;
-                    nan |= ((x != x) as u64) << b;
-                }
-                let n = null.words()[w];
-                let f = !(n | other.words()[w]) & !nan;
-                out.truth.words_mut()[w] = cmp & f;
-                out.null.words_mut()[w] = n;
-                out.known.words_mut()[w] = f | n;
-            }
-        };
-    }
-    match op {
-        BinOp::Lt => cmp_words!(<),
-        BinOp::Le => cmp_words!(<=),
-        BinOp::Gt => cmp_words!(>),
-        BinOp::Ge => cmp_words!(>=),
-        BinOp::Eq => cmp_words!(==),
-        BinOp::Ne => cmp_words!(!=),
-        _ => return,
-    }
-    // `!(n | o)` sets bits past the row count; re-establish the
-    // mask invariant (bits past the length are zero).
-    out.truth.mask_tail_words();
-    out.known.mask_tail_words();
-}
-
-/// Single-pass two-lane kernel — the `Diff` fast path of `Band`/`Cmp`:
-/// the difference `la[r] - lb[r]` is mapped (`|d ± c|` for bands,
-/// identity for plain comparisons) and compared in the same chunked
-/// loop that packs the result bits. No difference lane is materialised
-/// and the row range is scanned once, where the scratch path copied
-/// `la - lb` into a temporary and re-scanned it (plus its masks) in
-/// [`compare_into`].
-///
-/// Mask semantics match [`eval_fused_block`]'s `Diff` arm exactly:
-/// `Null` on either side wins over a non-float cell on the other (the
-/// scalar read checks `Null` first), any `other` cell defers the row,
-/// and a `NaN` difference stays unknown because its scalar comparison
-/// would error.
-fn diff_compare_into(
-    la: &FloatLane,
-    lb: &FloatLane,
-    op: BinOp,
-    rhs: f64,
-    map: impl Fn(f64) -> f64 + Copy,
-    out: &mut BlockMasks,
-) {
-    let (xa, xb) = (la.values(), lb.values());
-    let rows = xa.len();
-    out.reset(rows);
-    macro_rules! cmp_words {
-        ($op:tt) => {
-            for w in 0..out.known.words().len() {
-                let start = w * 64;
-                let end = rows.min(start + 64);
-                let (ca, cb) = (&xa[start..end], &xb[start..end]);
-                let mut cmp = 0u64;
-                let mut nan = 0u64;
-                for (b, (&x, &y)) in ca.iter().zip(cb).enumerate() {
-                    let d = map(x - y);
-                    cmp |= ((d $op rhs) as u64) << b;
-                    nan |= ((d != d) as u64) << b;
-                }
-                let n = la.null().words()[w] | lb.null().words()[w];
-                let f = !(n | la.other().words()[w] | lb.other().words()[w]) & !nan;
-                out.truth.words_mut()[w] = cmp & f;
-                out.null.words_mut()[w] = n;
-                out.known.words_mut()[w] = f | n;
-            }
-        };
-    }
-    match op {
-        BinOp::Lt => cmp_words!(<),
-        BinOp::Le => cmp_words!(<=),
-        BinOp::Gt => cmp_words!(>),
-        BinOp::Ge => cmp_words!(>=),
-        BinOp::Eq => cmp_words!(==),
-        BinOp::Ne => cmp_words!(!=),
-        _ => return,
-    }
-    // `!(n | o)` sets bits past the row count; re-establish the
-    // mask invariant (bits past the length are zero).
-    out.truth.mask_tail_words();
-    out.known.mask_tail_words();
 }
 
 /// What the lane bounds say about `abs(col ± c) < w` on every row:
@@ -471,10 +239,9 @@ fn excludes(expr: &CompiledExpr, block: &ColumnBlock) -> Option<bool> {
 impl CompiledExpr {
     /// Evaluates this predicate over every row of `block` at once,
     /// writing the per-row results into `out` (see [`BlockMasks`] and
-    /// the module docs for the exactness contract). `scratch` pools the
-    /// temporary lanes/masks so warm steady-state calls allocate
-    /// nothing. Returns `true` when the lane bounds decided every row
-    /// false with no row pass.
+    /// the module docs for the exactness contract). `scratch` holds the
+    /// word buffer, so warm calls allocate nothing. Returns `true` when
+    /// the lane bounds decided every row false with no row pass.
     ///
     /// Expression shapes outside the fused set — and rows the kernels
     /// cannot decide exactly — are left with their `known` bit unset;
@@ -513,13 +280,22 @@ impl CompiledExpr {
         }
     }
 
-    /// The row kernels behind [`Self::eval_block`]; `out` is already
-    /// reset to the block's rows.
+    /// The row pass behind [`Self::eval_block`], one [`Self::word`] per
+    /// word; `out` is already reset to the block's rows.
     fn eval_rows(&self, block: &ColumnBlock, out: &mut BlockMasks, scratch: &mut EvalScratch) {
-        if col_bands_into(self.conjuncts(), block, out) {
-            return;
-        }
         let rows = block.rows();
+        for w in 0..out.known.words().len() {
+            let word = self.word(block, w * 64..rows.min(w * 64 + 64), &mut scratch.buf);
+            out.truth.words_mut()[w] = word.truth;
+            out.null.words_mut()[w] = word.null;
+            out.known.words_mut()[w] = word.known;
+        }
+    }
+
+    /// Decides this predicate on the word of `rows` (1 to 64 rows from a
+    /// word boundary); shapes outside the fused set leave it unknown.
+    fn word(&self, block: &ColumnBlock, rows: Range<usize>, buf: &mut [f64; 64]) -> Word {
+        let live = !0u64 >> (64 - rows.len());
         match self {
             CompiledExpr::Band {
                 input,
@@ -527,175 +303,70 @@ impl CompiledExpr {
                 center,
                 width,
                 ..
-            } => {
-                if center.is_nan() || width.is_nan() {
-                    return; // scalar comparison may error: stay unknown
-                }
-                let (add, center) = (*add, *center);
-                match input {
-                    // A built lane is `col_bands_into`'s; an unbuilt one
-                    // leaves every row unknown.
-                    FusedInput::Col(_) => return,
-                    // Single-pass fast path over both lanes at once.
-                    FusedInput::Diff(a, b) => {
-                        if let (Some(la), Some(lb)) = (block.lane(*a), block.lane(*b)) {
-                            diff_compare_into(
-                                la,
-                                lb,
-                                BinOp::Lt,
-                                *width,
-                                move |d| (if add { d + center } else { d - center }).abs(),
-                                out,
-                            );
-                        }
-                        return;
-                    }
-                    FusedInput::Dist(_) => {}
-                }
-                let mut vals = scratch.take_vals();
-                let mut null = scratch.take_bits();
-                let mut float = scratch.take_bits();
-                if eval_fused_block(input, block, &mut vals, &mut null, &mut float) {
-                    for x in vals.iter_mut() {
-                        *x = if add { *x + center } else { *x - center }.abs();
-                    }
-                    compare_into(&vals, BinOp::Lt, *width, &float, &null, out);
-                }
-                scratch.give_bits(float);
-                scratch.give_bits(null);
-                scratch.give_vals(vals);
+            } if !(center.is_nan() || width.is_nan()) => {
+                // `x + c` is exactly `x - (-c)`.
+                let c = if *add { -center } else { *center };
+                compare(input, block, rows, buf, |x| (x - c).abs(), |y| y < *width)
             }
-            CompiledExpr::Cmp { input, op, rhs, .. } => {
-                if rhs.is_nan() {
-                    return;
+            CompiledExpr::Cmp { input, op, rhs, .. } if !rhs.is_nan() => {
+                let (id, r) = (|x| x, *rhs);
+                match op {
+                    BinOp::Lt => compare(input, block, rows, buf, id, |y| y < r),
+                    BinOp::Le => compare(input, block, rows, buf, id, |y| y <= r),
+                    BinOp::Gt => compare(input, block, rows, buf, id, |y| y > r),
+                    BinOp::Ge => compare(input, block, rows, buf, id, |y| y >= r),
+                    BinOp::Eq => compare(input, block, rows, buf, id, |y| y == r),
+                    BinOp::Ne => compare(input, block, rows, buf, id, |y| y != r),
+                    // Not a comparison (never produced by the fuser).
+                    _ => Word::default(),
                 }
-                match input {
-                    FusedInput::Col(i) => {
-                        if let Some(lane) = block.lane(*i) {
-                            lane_compare_into(
-                                lane.values(),
-                                *op,
-                                *rhs,
-                                lane.null(),
-                                lane.other(),
-                                out,
-                            );
-                        }
-                        return;
-                    }
-                    FusedInput::Diff(a, b) => {
-                        if let (Some(la), Some(lb)) = (block.lane(*a), block.lane(*b)) {
-                            diff_compare_into(la, lb, *op, *rhs, |d| d, out);
-                        }
-                        return;
-                    }
-                    FusedInput::Dist(_) => {}
-                }
-                let mut vals = scratch.take_vals();
-                let mut null = scratch.take_bits();
-                let mut float = scratch.take_bits();
-                if eval_fused_block(input, block, &mut vals, &mut null, &mut float) {
-                    compare_into(&vals, *op, *rhs, &float, &null, out);
-                }
-                scratch.give_bits(float);
-                scratch.give_bits(null);
-                scratch.give_vals(vals);
             }
-            // Kleene conjunction, folded word-wise. A row stays `alive`
-            // while no term decided it `false`; an unknown term on a
-            // live row makes the whole row unknown (the scalar walk
-            // might error there), while rows already decided false
-            // short-circuit past later terms exactly like the scalar
-            // evaluator.
-            CompiledExpr::AndAll(terms) => {
-                let mut term = scratch.take_masks();
-                let mut alive = scratch.take_bits();
-                let mut dead_false = scratch.take_bits();
-                alive.reset(rows);
-                alive.set_all();
-                dead_false.reset(rows);
-                out.known.set_all();
+            // Kleene folds. A row stays `alive` until some term decides
+            // it (`false` for AND, `true` for OR); a term leaving a live
+            // row unknown makes it unknown overall (the scalar walk
+            // might err there), and a `Null` keeps it alive. Rows no
+            // longer alive short-circuit past later terms exactly like
+            // the scalar walk.
+            CompiledExpr::AndAll(terms) | CompiledExpr::OrAll(terms) => {
+                let and = matches!(self, CompiledExpr::AndAll(_));
+                let (mut known, mut alive, mut null, mut decided) = (live, live, 0u64, 0u64);
                 for t in terms {
-                    t.eval_block(block, &mut term, scratch);
-                    for w in 0..alive.words().len() {
-                        let a = alive.words()[w];
-                        let tk = term.known.words()[w];
-                        let t_false = tk & !term.truth.words()[w] & !term.null.words()[w];
-                        out.known.words_mut()[w] &= !(a & !tk);
-                        dead_false.words_mut()[w] |= a & t_false;
-                        out.null.words_mut()[w] |= a & term.null.words()[w];
-                        alive.words_mut()[w] = a & tk & !t_false;
-                    }
-                    if !alive.any() {
-                        break; // every row decided false or went unknown
-                    }
-                }
-                for w in 0..out.known.words().len() {
-                    let k = out.known.words()[w];
-                    let f = dead_false.words()[w];
-                    let n = out.null.words()[w];
-                    out.null.words_mut()[w] = k & !f & n;
-                    out.truth.words_mut()[w] = k & !f & !n;
-                }
-                scratch.give_bits(dead_false);
-                scratch.give_bits(alive);
-                scratch.give_masks(term);
-            }
-            // Kleene disjunction: `true` short-circuits, `Null` is
-            // sticky-unknown.
-            CompiledExpr::OrAll(terms) => {
-                let mut term = scratch.take_masks();
-                let mut alive = scratch.take_bits();
-                let mut dead_true = scratch.take_bits();
-                alive.reset(rows);
-                alive.set_all();
-                dead_true.reset(rows);
-                out.known.set_all();
-                for t in terms {
-                    t.eval_block(block, &mut term, scratch);
-                    for w in 0..alive.words().len() {
-                        let a = alive.words()[w];
-                        let tk = term.known.words()[w];
-                        let t_true = tk & term.truth.words()[w];
-                        out.known.words_mut()[w] &= !(a & !tk);
-                        dead_true.words_mut()[w] |= a & t_true;
-                        out.null.words_mut()[w] |= a & term.null.words()[w];
-                        alive.words_mut()[w] = a & tk & !t_true;
-                    }
-                    if !alive.any() {
+                    let tw = t.word(block, rows.clone(), buf);
+                    let hit = if and {
+                        tw.known & !tw.truth & !tw.null
+                    } else {
+                        tw.truth
+                    };
+                    known &= !(alive & !tw.known);
+                    decided |= alive & hit;
+                    null |= alive & tw.null;
+                    alive &= tw.known & !hit;
+                    if alive == 0 {
                         break;
                     }
                 }
-                for w in 0..out.known.words().len() {
-                    let k = out.known.words()[w];
-                    let t = dead_true.words()[w];
-                    let n = out.null.words()[w];
-                    out.truth.words_mut()[w] = k & t;
-                    out.null.words_mut()[w] = k & !t & n;
-                }
-                scratch.give_bits(dead_true);
-                scratch.give_bits(alive);
-                scratch.give_masks(term);
+                let null = known & !decided & null;
+                let truth = if and {
+                    known & !decided & !null
+                } else {
+                    known & decided
+                };
+                Word { truth, null, known }
             }
-            CompiledExpr::Literal(v) => match v {
-                Value::Bool(b) => {
-                    out.known.set_all();
-                    if *b {
-                        out.truth.set_all();
-                    }
-                }
-                Value::Null => {
-                    out.known.set_all();
-                    out.null.set_all();
-                }
-                // A non-boolean literal in predicate position: standalone
-                // it is simply "no match", but inside `and`/`or` the
-                // scalar walk errors — stay unknown either way.
-                _ => {}
+            CompiledExpr::Literal(Value::Bool(b)) => Word {
+                truth: if *b { live } else { 0 },
+                null: 0,
+                known: live,
             },
-            // Column reads, unfused binaries, unary ops, calls: no
-            // kernel; the scalar path handles every row.
-            _ => {}
+            CompiledExpr::Literal(Value::Null) => Word {
+                truth: 0,
+                null: live,
+                known: live,
+            },
+            // Column reads, unfused binaries, unary ops, calls, and a
+            // non-boolean literal (standalone "no match", but an error
+            // inside `and`/`or`): the scalar path handles every row.
+            _ => Word::default(),
         }
     }
 }
@@ -890,8 +561,8 @@ mod tests {
         assert!(!masks.known.get(6), "NaN cell: would error scalar");
         assert!(masks.known.get(7) && !masks.truth.get(7), "-0.0 - 0.0 ≤ 2");
 
-        // Band over a difference: |x - y - 2| < 1 takes the same
-        // two-lane single pass.
+        // Band over a difference: |x - y - 2| < 1 reads the same word
+        // of differences.
         let band = Expr::lt(
             Expr::abs(Expr::bin(BinOp::Sub, diff(), Expr::lit(2.0))),
             Expr::lit(1.0),
@@ -1106,17 +777,28 @@ mod tests {
         }
     }
 
-    /// The Kleene AND of each term's own `eval_block` masks, row by row:
-    /// the fold `col_bands_into` must reproduce bit for bit.
-    fn and_reference(terms: &[CompiledExpr], block: &ColumnBlock) -> BlockMasks {
+    /// `eval_block`'s masks as a row-by-row Kleene fold: an `AndAll` /
+    /// `OrAll` folds each term's own reference masks, any other shape
+    /// is its own `eval_block`. The word evaluator must reproduce it bit
+    /// for bit.
+    fn reference(e: &CompiledExpr, block: &ColumnBlock) -> BlockMasks {
+        let (and, terms) = match e {
+            CompiledExpr::AndAll(terms) => (true, terms),
+            CompiledExpr::OrAll(terms) => (false, terms),
+            _ => {
+                let mut out = BlockMasks::default();
+                e.eval_block(block, &mut out, &mut EvalScratch::new());
+                return out;
+            }
+        };
         let rows = block.rows();
-        let (mut out, mut term) = (BlockMasks::default(), BlockMasks::default());
-        let mut scratch = EvalScratch::new();
+        let mut out = BlockMasks::default();
         out.reset(rows);
         out.known.set_all();
-        let (mut alive, mut dead) = (out.known.clone(), out.truth.clone());
+        // `decided`: a term settled the row (`false` for AND, `true` for OR).
+        let (mut alive, mut decided) = (out.known.clone(), out.truth.clone());
         for t in terms {
-            t.eval_block(block, &mut term, &mut scratch);
+            let term = reference(t, block);
             for r in 0..rows {
                 if !alive.get(r) {
                     continue;
@@ -1125,21 +807,60 @@ mod tests {
                     out.known.unset(r); // the scalar walk might err here
                     alive.unset(r);
                 } else if term.null.get(r) {
-                    out.null.set(r); // sticky, unless a later term is false
-                } else if !term.truth.get(r) {
-                    dead.set(r);
+                    out.null.set(r); // sticky, unless a later term decides
+                } else if term.truth.get(r) != and {
+                    decided.set(r);
                     alive.unset(r);
                 }
             }
         }
         for r in 0..rows {
-            if !out.known.get(r) || dead.get(r) {
+            let (known, hit) = (out.known.get(r), decided.get(r));
+            if !known || hit {
                 out.null.unset(r);
-            } else if !out.null.get(r) {
+            }
+            let truth = if and { !hit && !out.null.get(r) } else { hit };
+            if known && truth {
                 out.truth.set(r);
             }
         }
         out
+    }
+
+    /// Asserts `eval_block`, with and without the bounds check, against
+    /// [`reference`], and its known rows against the scalar `eval`.
+    fn assert_matches_reference(
+        c: &CompiledExpr,
+        block: &ColumnBlock,
+        tuples: &[Tuple],
+        case: &str,
+    ) {
+        let expect = reference(c, block);
+        let (mut masks, mut scratch) = (BlockMasks::default(), EvalScratch::new());
+        for bounds in [false, true] {
+            if bounds {
+                c.eval_block(block, &mut masks, &mut scratch);
+            } else {
+                masks.reset(block.rows());
+                c.eval_rows(block, &mut masks, &mut scratch);
+            }
+            assert_eq!(masks.truth, expect.truth, "{case}: {c:?}");
+            assert_eq!(masks.null, expect.null, "{case}");
+            assert_eq!(masks.known, expect.known, "{case}");
+        }
+        for (r, t) in tuples
+            .iter()
+            .enumerate()
+            .filter(|(r, _)| masks.known.get(*r))
+        {
+            let scalar = c.eval(t).unwrap_or_else(|e| panic!("{case} row {r}: {e}"));
+            let decided = match (masks.truth.get(r), masks.null.get(r)) {
+                (true, _) => Value::Bool(true),
+                (_, true) => Value::Null,
+                _ => Value::Bool(false),
+            };
+            assert_eq!(scalar, decided, "{case} row {r}");
+        }
     }
 
     #[test]
@@ -1193,55 +914,126 @@ mod tests {
                 .collect()
         };
         let nan_centre = Expr::and(x.clone(), band("y", BinOp::Sub, f64::NAN));
-        // (predicate, rows, x out of band on word 0, lanes built, routine?)
+        // (predicate, rows, x out of band on word 0, lanes built)
         let all = Some(&[1usize, 2, 3][..]);
         let mut cases = Vec::new();
         for n in [1, 30, 63, 64, 65, 130] {
-            cases.push((pose.clone(), n, false, all, true));
-            cases.push((x.clone(), n, false, all, true));
+            cases.push((pose.clone(), n, false, all));
+            cases.push((x.clone(), n, false, all));
         }
-        cases.push((pose.clone(), 130, true, all, true));
-        cases.push((pose.clone(), 130, false, Some(&[1, 2][..]), false));
-        cases.push((nan_centre, 130, false, all, false));
-        for (i, (e, n, word0_x_out, cols, routine)) in cases.into_iter().enumerate() {
+        cases.push((pose.clone(), 130, true, all));
+        cases.push((pose.clone(), 130, false, Some(&[1, 2][..])));
+        cases.push((nan_centre, 130, false, all));
+        for (i, (e, n, word0_x_out, cols)) in cases.into_iter().enumerate() {
             let c = compile(&e, &s, &reg).unwrap();
             let tuples = grid(n, word0_x_out);
             let mut block = ColumnBlock::new();
             block.fill_from_tuples_filtered(&tuples, cols);
-            let expect = and_reference(c.conjuncts(), &block);
-            let (mut masks, mut scratch) = (BlockMasks::default(), EvalScratch::new());
-            masks.reset(n);
-            assert_eq!(col_bands_into(c.conjuncts(), &block, &mut masks), routine);
-            for bounds in [false, true] {
-                if bounds {
-                    c.eval_block(&block, &mut masks, &mut scratch);
-                } else {
-                    masks.reset(n);
-                    c.eval_rows(&block, &mut masks, &mut scratch);
-                }
-                assert_eq!(masks.truth, expect.truth, "case {i}: {c:?}");
-                assert_eq!(masks.null, expect.null, "case {i}");
-                assert_eq!(masks.known, expect.known, "case {i}");
-            }
+            assert_matches_reference(&c, &block, &tuples, &format!("case {i}"));
             if word0_x_out {
+                let mut masks = BlockMasks::default();
+                c.eval_block(&block, &mut masks, &mut EvalScratch::new());
                 assert_eq!(masks.known.words()[0], !0, "word 0 known false");
                 assert_eq!(masks.truth.words()[0] | masks.null.words()[0], 0);
                 assert!(masks.truth.words()[1] != 0, "word 1 still decided");
             }
-            for (r, t) in tuples
-                .iter()
-                .enumerate()
-                .filter(|(r, _)| masks.known.get(*r))
-            {
-                let scalar = c
-                    .eval(t)
-                    .unwrap_or_else(|e| panic!("case {i} row {r}: {e}"));
-                let decided = match (masks.truth.get(r), masks.null.get(r)) {
-                    (true, _) => Value::Bool(true),
-                    (_, true) => Value::Null,
-                    _ => Value::Bool(false),
-                };
-                assert_eq!(scalar, decided, "case {i} row {r}");
+        }
+    }
+
+    #[test]
+    fn every_arm_decides_across_word_boundaries() {
+        let reg = FunctionRegistry::with_builtins();
+        let s = schema();
+        // Lanes x, y, ax, ay, az, bx, by, bz (columns 1..=8) and the
+        // centre of each lane's plain-float cells.
+        let centres = [10.0, 9.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0];
+        let diff_band = Expr::lt(
+            Expr::abs(Expr::bin(
+                BinOp::Sub,
+                Expr::bin(BinOp::Sub, Expr::col("x"), Expr::col("y")),
+                Expr::lit(1.0),
+            )),
+            Expr::lit(2.0),
+        );
+        let dist_cmp = Expr::lt(
+            Expr::Call {
+                func: "dist".into(),
+                args: ["ax", "ay", "az", "bx", "by", "bz"]
+                    .iter()
+                    .map(|c| Expr::col(*c))
+                    .collect(),
+            },
+            Expr::lit(4.0),
+        );
+        let x_cmp = Expr::bin(BinOp::Gt, Expr::col("x"), Expr::lit(11.0));
+        let nested = Expr::bin(
+            BinOp::Or,
+            Expr::and(diff_band.clone(), dist_cmp.clone()),
+            x_cmp.clone(),
+        );
+        // `x > 11` first: with x out of range on word 0 it decides every
+        // row of word 0 true, and the fold stops there for word 0 only.
+        let or_first = Expr::bin(
+            BinOp::Or,
+            x_cmp.clone(),
+            Expr::and(diff_band.clone(), dist_cmp.clone()),
+        );
+        let with_null = Expr::and(Expr::and(dist_cmp, Expr::lit(Value::Null)), x_cmp);
+        let with_false = Expr::bin(BinOp::Or, Expr::lit(false), diff_band);
+        let mut seed = 0x9E3779B97F4A7C15u64;
+        // Every kind of cell in every lane: the first 16 rows cycle
+        // through the kinds (offset per lane), the rest are drawn.
+        let mut cell = |r: usize, lane: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let c = centres[lane];
+            let kind = if r < 16 {
+                (r + 3 * lane) % 16
+            } else {
+                seed as usize % 16
+            };
+            match kind {
+                0..=7 => Value::Float(c + (seed >> 8) as f64 % 5.0 - 2.0),
+                8 => Value::Float(c + 20.0),
+                9 | 10 => Value::Null,
+                11 => Value::Int(c as i64),
+                12 => Value::Str("s".into()),
+                13 => Value::Float(f64::NAN),
+                14 => Value::Float(f64::INFINITY),
+                _ => Value::Float(f64::NEG_INFINITY),
+            }
+        };
+        let mut grid = |n: usize, word0_x_out: bool| -> Vec<Tuple> {
+            (0..n)
+                .map(|r| {
+                    let mut vals = vec![Value::Float(1.0); s.len()];
+                    vals[0] = Value::Timestamp(r as i64);
+                    for lane in 0..8 {
+                        vals[1 + lane] = cell(r, lane);
+                    }
+                    if word0_x_out && r < 64 {
+                        vals[1] = Value::Float(100.0);
+                    }
+                    vals[s.len() - 1] = Value::Str("t".into());
+                    Tuple::new_unchecked(s.clone(), vals)
+                })
+                .collect()
+        };
+        let all = Some(&[1usize, 2, 3, 4, 5, 6, 7, 8][..]);
+        let no_ay = Some(&[1usize, 2, 3, 5, 6, 7, 8][..]);
+        let shapes = [nested, or_first, with_null, with_false];
+        for (k, e) in shapes.iter().enumerate() {
+            let c = compile(e, &s, &reg).unwrap();
+            assert!(format!("{c:?}").contains("All("), "{c:?}");
+            for n in [1, 63, 64, 65, 130] {
+                for (cols, word0_x_out) in [(all, false), (all, true), (no_ay, false)] {
+                    let tuples = grid(n, word0_x_out);
+                    let mut block = ColumnBlock::new();
+                    block.fill_from_tuples_filtered(&tuples, cols);
+                    let case = format!("shape {k}, {n} rows, {cols:?}, x out {word0_x_out}");
+                    assert_matches_reference(&c, &block, &tuples, &case);
+                }
             }
         }
     }

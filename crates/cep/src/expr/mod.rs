@@ -6,6 +6,6 @@ mod eval;
 mod functions;
 
 pub use ast::{BinOp, Expr, UnaryOp};
-pub use block::{eval_fused_block, BlockMasks, EvalScratch};
+pub use block::{BlockMasks, EvalScratch};
 pub use eval::{compile, CompiledExpr, FusedInput};
 pub use functions::{Arity, FunctionRegistry, ScalarFn};

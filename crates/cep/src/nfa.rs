@@ -240,7 +240,7 @@ struct StepMasks {
     /// Rows the stepping loop visits: every row on the scalar path, the
     /// OR of `truth | !known` over the hot steps on the block path.
     cand: BitMask,
-    /// Pooled buffers for the batch kernels.
+    /// The batch kernels' word buffer.
     eval: EvalScratch,
 }
 

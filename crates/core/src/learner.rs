@@ -7,11 +7,10 @@
 //! acceptable results."
 
 use gesto_kinect::SkeletonFrame;
-use gesto_stream::Tuple;
 
 use crate::config::{LearnerConfig, WithinPolicy};
 use crate::merging::{MergeState, MergeWarning};
-use crate::model::{GestureDefinition, GestureSample, PathPoint};
+use crate::model::{GestureDefinition, GestureSample};
 use crate::sampling::sample_path;
 
 /// Errors of the learning pipeline.
@@ -42,7 +41,6 @@ pub struct Learner {
     config: LearnerConfig,
     merge: MergeState,
     warnings: Vec<MergeWarning>,
-    last_characteristic: Vec<PathPoint>,
 }
 
 impl Learner {
@@ -53,7 +51,6 @@ impl Learner {
             config,
             merge,
             warnings: Vec::new(),
-            last_characteristic: Vec::new(),
         }
     }
 
@@ -77,21 +74,9 @@ impl Learner {
         &self.warnings
     }
 
-    /// Characteristic points of the most recently added sample (visual
-    /// feedback during recording).
-    pub fn last_characteristic_points(&self) -> &[PathPoint] {
-        &self.last_characteristic
-    }
-
     /// Current pose windows (before generalisation).
     pub fn windows(&self) -> &[crate::window::PoseWindow] {
         self.merge.windows()
-    }
-
-    /// Adds one recorded sample from (transformed) stream tuples.
-    pub fn add_sample_tuples(&mut self, tuples: &[Tuple]) -> Result<Vec<MergeWarning>, LearnError> {
-        let sample = GestureSample::from_tuples(tuples, &self.config.joints);
-        self.add_sample(&sample)
     }
 
     /// Adds one recorded sample from skeleton frames.
@@ -114,7 +99,6 @@ impl Learner {
         }
         let warnings = self.merge.add_sample(&characteristic);
         self.warnings.extend(warnings.iter().cloned());
-        self.last_characteristic = characteristic;
         Ok(warnings)
     }
 

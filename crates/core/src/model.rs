@@ -106,20 +106,6 @@ pub struct GestureSample {
 }
 
 impl GestureSample {
-    /// Builds a sample from (transformed) tuples, skipping readings where
-    /// a selected joint is untracked.
-    pub fn from_tuples(tuples: &[Tuple], joints: &JointSet) -> Self {
-        let points = tuples
-            .iter()
-            .filter_map(|t| {
-                let ts = t.timestamp()?;
-                let feat = joints.features_from_tuple(t)?;
-                Some(PathPoint::new(ts, feat))
-            })
-            .collect();
-        Self { points }
-    }
-
     /// Builds a sample from skeleton frames.
     pub fn from_frames(frames: &[SkeletonFrame], joints: &JointSet) -> Self {
         let points = frames

@@ -132,16 +132,6 @@ impl PoseWindow {
         }
     }
 
-    /// Euclidean distance from the centre to a point.
-    pub fn center_dist(&self, point: &[f64]) -> f64 {
-        self.center
-            .iter()
-            .zip(point)
-            .map(|(c, p)| (c - p) * (c - p))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Largest per-dimension overshoot of `point` beyond the bounds
     /// (0 when inside) — the outlier measure of the merge step.
     pub fn max_overshoot(&self, point: &[f64]) -> f64 {

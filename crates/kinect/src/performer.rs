@@ -196,11 +196,6 @@ impl Performer {
         &self.persona
     }
 
-    /// Stream time of the next frame this performer will emit.
-    pub fn next_ts(&self) -> i64 {
-        self.clock.frame_ts(self.frame_no)
-    }
-
     /// Renders `spec` as a 30 Hz frame sequence at the persona's tempo.
     pub fn render(&mut self, spec: &GestureSpec) -> Vec<SkeletonFrame> {
         self.render_padded(spec, 0, 0)

@@ -615,7 +615,7 @@ impl ShardWorker {
         }
         // Adaptive scalar-vs-columnar choice, made per pushed batch: the
         // block kernels' fixed setup cost loses on tiny batches (batch 1
-        // runs 0.2–1.0× scalar, batch 16 2.6–6.6×, batch 30 4.3–11×,
+        // runs 0.3–1.0× scalar, batch 16 4.5–8.8×, batch 30 6.8–12×,
         // `bench_predicate`), so short batches step scalar.
         // Detections are bit-identical either way.
         let take_columnar = batch.frames.len() >= *columnar_min_batch;

@@ -151,13 +151,6 @@ impl BitMask {
             self.set(self.bits - 1);
         }
     }
-
-    /// Copies another mask of the same length into this one.
-    pub fn copy_from(&mut self, other: &BitMask) {
-        self.bits = other.bits;
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-    }
 }
 
 /// One float column of a [`ColumnBlock`]: a contiguous `f64` lane plus

@@ -111,8 +111,8 @@ pub struct BatchBuffers {
     /// that read the raw stream directly).
     base: ColumnBlock,
     /// The caller filled `base` for the batch about to begin (set by
-    /// [`SharedViews::fill_base_with`] / [`SharedViews::base_block_mut`],
-    /// consumed by every `begin_batch*`).
+    /// [`SharedViews::fill_base_with`], consumed by every
+    /// `begin_batch*`).
     base_prefilled: bool,
     /// Frames in the batch begun last ([`SharedViews::frames`]).
     frames: usize,
@@ -304,10 +304,10 @@ impl SharedViews {
     /// base-stream block by a cheaper route (e.g.
     /// `gesto_kinect::KinectSlots::write_block` straight from skeleton
     /// frames, skipping the per-frame `Vec<Value>` round-trip): fill it
-    /// through [`Self::fill_base_with`] / [`Self::base_block_mut`] for
-    /// exactly these `tuples` first, then call this. A base block not
-    /// filled since the previous `begin_batch*` — or whose row count
-    /// does not match — is rebuilt from the tuples.
+    /// through [`Self::fill_base_with`] for exactly these `tuples`
+    /// first, then call this. A base block not filled since the
+    /// previous `begin_batch*` — or whose row count does not match — is
+    /// rebuilt from the tuples.
     pub fn begin_batch_prefilled(&mut self, stream: &str, tuples: &[Tuple]) {
         self.begin(stream, tuples, None);
     }
@@ -476,16 +476,8 @@ impl SharedViews {
         self.columnar.then_some(&self.bufs.base)
     }
 
-    /// Mutable base block, for callers that can fill it straight from
-    /// sensor frames before [`Self::begin_batch_prefilled`].
-    pub fn base_block_mut(&mut self) -> &mut ColumnBlock {
-        self.bufs.base_prefilled = true;
-        &mut self.bufs.base
-    }
-
     /// Hands a caller-provided filler the base block *and* the declared
-    /// base column filter together (the borrow-friendly form of
-    /// [`Self::base_block_mut`]): the filler must materialise exactly
+    /// base column filter together: the filler must materialise exactly
     /// the filtered lanes — e.g. `KinectSlots::write_block` — before
     /// [`Self::begin_batch_prefilled`].
     pub fn fill_base_with(&mut self, fill: impl FnOnce(Option<&[usize]>, &mut ColumnBlock)) {
@@ -703,7 +695,7 @@ mod tests {
         };
         let tuples = [tup(0, 7.0)];
         // Simulate a caller writing the base block directly.
-        sv.base_block_mut().fill_from_tuples(&tuples);
+        sv.fill_base_with(|cols, b| b.fill_from_tuples_filtered(&tuples, cols));
         sv.begin_batch_prefilled("kinect", &tuples);
         assert_eq!(sv.base_block().unwrap().lane(1).unwrap().values(), &[7.0]);
 
@@ -726,7 +718,7 @@ mod tests {
             &[8.0, 9.0]
         );
         // A plain `begin_batch` consumes the mark too.
-        sv.base_block_mut().fill_from_tuples(&more);
+        sv.fill_base_with(|cols, b| b.fill_from_tuples_filtered(&more, cols));
         sv.begin_batch("kinect", &other);
         sv.begin_batch_prefilled("kinect", &other);
         assert_eq!(

@@ -50,14 +50,6 @@ impl Default for TransformConfig {
 }
 
 impl TransformConfig {
-    /// Paper-pure normalisation: coordinates in forearm units.
-    pub fn unit_scale() -> Self {
-        Self {
-            reference_scale: 1.0,
-            ..Self::default()
-        }
-    }
-
     /// Identity-like config that only re-centres on the torso (no
     /// rotation, no scaling) — what the raw Fig. 1 query effectively uses.
     pub fn torso_only() -> Self {
