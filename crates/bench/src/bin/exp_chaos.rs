@@ -10,8 +10,8 @@
 //!
 //!     exp_chaos [--smoke] [--frames N] [--trials N]
 //!
-//! `--smoke` runs three representative scenarios on a small workload
-//! and skips the overhead A/B — the CI chaos step.
+//! `--smoke` runs every scenario on a small workload and skips the
+//! overhead A/B — the CI chaos step.
 
 use gesto_bench::chaos::{
     drivers_for, overhead_ab, run_persona, ChaosDriver, ChaosScale, PERSONAS,
@@ -53,20 +53,10 @@ fn main() {
         scale.frames = args.frames;
     }
 
-    // Smoke keeps an overload persona in-process and the panic persona
-    // through both drivers.
-    let plan: Vec<(&str, ChaosDriver)> = if args.smoke {
-        vec![
-            ("bursty", ChaosDriver::InProcess),
-            ("panic_injection", ChaosDriver::InProcess),
-            ("panic_injection", ChaosDriver::Wire),
-        ]
-    } else {
-        PERSONAS
-            .iter()
-            .flat_map(|p| drivers_for(p).iter().map(move |d| (*p, *d)))
-            .collect()
-    };
+    let plan: Vec<(&str, ChaosDriver)> = PERSONAS
+        .iter()
+        .flat_map(|p| drivers_for(p).iter().map(move |d| (*p, *d)))
+        .collect();
 
     println!(
         "chaos sweep: {} scenario(s), {} frames/session{}\n",

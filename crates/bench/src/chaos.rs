@@ -15,7 +15,7 @@
 //!   serving and ready throughout.
 //!
 //! The library is consumed by the `exp_chaos` experiment binary (full
-//! sweep + overhead A/B) and by CI's chaos smoke step (two personas,
+//! sweep + overhead A/B) and by CI's chaos smoke step (the same sweep,
 //! short duration).
 
 use std::collections::HashMap;

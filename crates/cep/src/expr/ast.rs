@@ -76,11 +76,6 @@ impl BinOp {
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
         )
     }
-
-    /// True for `and`/`or`.
-    pub fn is_logical(&self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
 }
 
 /// Unary operators.

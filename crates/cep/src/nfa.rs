@@ -526,16 +526,6 @@ impl NfaRuntime {
         self
     }
 
-    /// Number of leaf steps.
-    pub fn step_count(&self) -> usize {
-        self.program.steps.len()
-    }
-
-    /// The compiled time constraints (for inspection/tests).
-    pub fn constraints(&self) -> &[TimeConstraint] {
-        &self.program.constraints
-    }
-
     /// Live partial matches.
     pub fn active_runs(&self) -> usize {
         self.runs.len()
@@ -1269,7 +1259,7 @@ mod tests {
     fn nested_within_gives_per_segment_budgets() {
         // (A -> B within 1s) -> C within 1s : B-A <= 1s and C-B <= 1s.
         let mut n = nfa("(k(x < 1) -> k(x > 9) within 1 seconds) -> k(x < 1) within 1 seconds");
-        assert_eq!(n.constraints().len(), 2);
+        assert_eq!(n.program().constraints().len(), 2);
         step(&mut n, "k", &tup(0, 0.0)).unwrap();
         step(&mut n, "k", &tup(900, 10.0)).unwrap();
         // C arrives 1.9 s after A but only 1.0 s after B: must match.
@@ -1379,9 +1369,9 @@ mod tests {
             &FunctionRegistry::with_builtins(),
         )
         .unwrap();
-        assert_eq!(n.step_count(), 3);
+        assert_eq!(n.program().step_count(), 3);
         assert_eq!(
-            n.constraints(),
+            n.program().constraints(),
             &[
                 TimeConstraint {
                     from_leaf: 0,

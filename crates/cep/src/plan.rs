@@ -205,7 +205,7 @@ impl PlanInstance {
             detections: self.detections,
             active_runs: self.nfa.active_runs(),
             shed_runs: self.nfa.shed_runs(),
-            steps: self.nfa.step_count(),
+            steps: self.nfa.program().step_count(),
         }
     }
 

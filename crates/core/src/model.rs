@@ -1,8 +1,7 @@
 //! Data model of the learner: joint sets, sample paths, learned gesture
 //! definitions.
 
-use gesto_kinect::{joint_from_tuple, Joint, SkeletonFrame};
-use gesto_stream::Tuple;
+use gesto_kinect::{Joint, SkeletonFrame};
 use serde::{Deserialize, Serialize};
 
 use crate::window::PoseWindow;
@@ -51,17 +50,6 @@ impl JointSet {
         let joint = self.joints[d / 3];
         let axis = ["x", "y", "z"][d % 3];
         format!("{}_{axis}", joint.prefix())
-    }
-
-    /// Extracts the feature vector from a (transformed) kinect-layout
-    /// tuple; `None` when any selected joint is untracked.
-    pub fn features_from_tuple(&self, tuple: &Tuple) -> Option<Vec<f64>> {
-        let mut feat = Vec::with_capacity(self.dims());
-        for j in &self.joints {
-            let p = joint_from_tuple(tuple, *j, "")?;
-            feat.extend_from_slice(&[p.x, p.y, p.z]);
-        }
-        Some(feat)
     }
 
     /// Extracts the feature vector from a skeleton frame.
@@ -217,7 +205,7 @@ impl GestureDefinition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gesto_kinect::{frame_to_tuple, kinect_schema, Vec3};
+    use gesto_kinect::Vec3;
 
     #[test]
     fn joint_set_dedup_and_dims() {
@@ -229,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn features_from_frame_and_tuple() {
+    fn features_from_frame() {
         let js = JointSet::both_hands();
         let mut f = SkeletonFrame::empty(10, 1);
         f.set_joint(Joint::RightHand, Vec3::new(1.0, 2.0, 3.0));
@@ -237,11 +225,6 @@ mod tests {
         f.set_joint(Joint::LeftHand, Vec3::new(4.0, 5.0, 6.0));
         assert_eq!(
             js.features_from_frame(&f),
-            Some(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        );
-        let t = frame_to_tuple(&f, &kinect_schema());
-        assert_eq!(
-            js.features_from_tuple(&t),
             Some(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         );
     }

@@ -34,8 +34,8 @@ pub use gestures::GestureSpec;
 pub use joints::{Joint, SkeletonFrame, ALL_JOINTS, JOINT_COUNT};
 pub use performer::{NoiseModel, Performer, Persona};
 pub use stream::{
-    frame_to_tuple, frames_to_tuples, joint_from_tuple, kinect_schema, schema_named,
-    tuple_to_frame, KinectSlots, KINECT_STREAM,
+    frame_to_tuple, frames_to_tuples, kinect_schema, schema_named, tuple_to_frame, KinectSlots,
+    KINECT_STREAM,
 };
 pub use trajectory::{min_jerk, PathSpec, TimeProfile};
 pub use vec3::Vec3;

@@ -39,10 +39,10 @@ pub fn schema_named(name: &str, field_suffix: &str) -> SchemaRef {
 
 /// Slot indices of a kinect-layout tuple, resolved once per schema.
 ///
-/// Every per-joint loop that used to do per-field name lookups
-/// (`tuple_to_frame`, `joint_from_tuple`, the Fig. 1 trace tuples, the
-/// `kinect_t` view operator) shares this table; after [`Self::resolve`]
-/// all reads and writes are plain slice indexing.
+/// Every per-joint loop over a kinect-layout tuple (`tuple_to_frame`,
+/// the Fig. 1 trace tuples, the `kinect_t` view operator) shares this
+/// table; after [`Self::resolve`] all reads and writes are plain slice
+/// indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KinectSlots {
     player: Option<usize>,
@@ -231,27 +231,6 @@ pub fn frames_to_tuples(frames: &[SkeletonFrame], schema: &SchemaRef) -> Vec<Tup
     frames.iter().map(|f| slots.tuple(f, schema)).collect()
 }
 
-/// Reads a joint position back out of a kinect-layout tuple (with an
-/// optional field suffix). `None` when any coordinate is missing.
-///
-/// Convenience wrapper that resolves the slot table per call; hot loops
-/// should resolve a [`KinectSlots`] once instead.
-pub fn joint_from_tuple(tuple: &Tuple, joint: Joint, field_suffix: &str) -> Option<Vec3> {
-    let p = joint.prefix();
-    let slot = |axis: &str| {
-        tuple
-            .schema()
-            .index_of(&format!("{p}_{axis}{field_suffix}"))
-    };
-    let (x, y, z) = (slot("x")?, slot("y")?, slot("z")?);
-    let v = tuple.values();
-    Some(Vec3::new(
-        v.get(x)?.as_f64()?,
-        v.get(y)?.as_f64()?,
-        v.get(z)?.as_f64()?,
-    ))
-}
-
 /// Converts a kinect-layout tuple back into a skeleton frame.
 pub fn tuple_to_frame(tuple: &Tuple, field_suffix: &str) -> SkeletonFrame {
     KinectSlots::resolve(tuple.schema(), field_suffix).frame(tuple)
@@ -329,11 +308,6 @@ mod tests {
         let t = frame_to_tuple(&f, &schema);
         assert!(t.get_by_name("rHand_x").unwrap().is_null());
         assert_eq!(t.f64("torso_y"), Some(2.0));
-        assert_eq!(joint_from_tuple(&t, Joint::RightHand, ""), None);
-        assert_eq!(
-            joint_from_tuple(&t, Joint::Torso, ""),
-            Some(Vec3::new(1.0, 2.0, 3.0))
-        );
         let slots = KinectSlots::resolve(&schema, "");
         assert_eq!(slots.joint(&t, Joint::RightHand), None);
         assert_eq!(

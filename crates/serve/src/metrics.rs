@@ -11,9 +11,8 @@ use gesto_telemetry::{Counter, Gauge, Histogram, Registry};
 ///
 /// Backed by the shared power-of-two histogram, so the percentiles are
 /// bucket ceilings (the next power of two at or above the true value)
-/// rather than exact order statistics — and recording is one relaxed
-/// atomic add instead of the old mutex-guarded 1024-entry ring that
-/// `summary()` cloned and sorted on every call.
+/// rather than exact order statistics, and recording is one relaxed
+/// atomic add.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Latencies recorded (all-time, not a sliding window).

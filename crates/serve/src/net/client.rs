@@ -10,10 +10,10 @@
 //!
 //! The data path **reconnects**: when the connection drops mid-stream,
 //! [`NetClient::send_batch`] (and the other session operations)
-//! redials with exponential backoff and jitter under the bounded retry
-//! budget of [`NetClientConfig`], re-handshakes, and re-opens every
-//! session the client had open — the producer keeps streaming through
-//! a server restart. Frames in flight around the drop may be lost (the
+//! redials with exponential backoff and jitter under a bounded retry
+//! budget, re-handshakes, and re-opens every session the client had
+//! open — the producer keeps streaming through a server restart.
+//! Frames in flight around the drop may be lost (the
 //! transport is at-most-once; the engine's durable control plane is
 //! what survives the restart, not ephemeral frames). Control
 //! operations ([`NetClient::deploy_text`] and friends) are **not**
@@ -45,66 +45,16 @@ pub fn client_reconnects_total() -> u64 {
     CLIENT_RECONNECTS.get()
 }
 
-/// Reconnect policy of a [`NetClient`].
-///
-/// After a connection failure the client sleeps
-/// `min(base_backoff_ms << attempt, max_backoff_ms)` milliseconds,
-/// halved-and-jittered (equal jitter: half fixed, half random), then
-/// redials — at most `max_retries` times per failed operation before
-/// the error surfaces.
-#[derive(Debug, Clone)]
-pub struct NetClientConfig {
-    /// Hello flags to request (`wire::FLAG_*`).
-    pub flags: u16,
-    /// Redial attempts per failed operation (`0` disables reconnect).
-    pub max_retries: u32,
-    /// First backoff step, in milliseconds.
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling, in milliseconds.
-    pub max_backoff_ms: u64,
-}
-
-impl Default for NetClientConfig {
-    fn default() -> Self {
-        NetClientConfig {
-            flags: wire::FLAG_WANT_EVENTS,
-            max_retries: 3,
-            base_backoff_ms: 50,
-            max_backoff_ms: 2_000,
-        }
-    }
-}
-
-impl NetClientConfig {
-    /// Defaults: want events, 3 retries, 50 ms base backoff, 2 s cap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the hello flags.
-    pub fn with_flags(mut self, flags: u16) -> Self {
-        self.flags = flags;
-        self
-    }
-
-    /// Sets the retry budget (`0` disables reconnect).
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Sets the first backoff step, in milliseconds.
-    pub fn with_base_backoff_ms(mut self, ms: u64) -> Self {
-        self.base_backoff_ms = ms.max(1);
-        self
-    }
-
-    /// Sets the backoff ceiling, in milliseconds.
-    pub fn with_max_backoff_ms(mut self, ms: u64) -> Self {
-        self.max_backoff_ms = ms.max(1);
-        self
-    }
-}
+/// Redial attempts per failed operation. After a connection failure
+/// the client sleeps `min(BASE_BACKOFF_MS << (attempt - 1), MAX_BACKOFF_MS)`
+/// milliseconds, halved-and-jittered (equal jitter: half fixed, half
+/// random), then redials — at most this many times before the error
+/// surfaces.
+const MAX_RETRIES: u32 = 3;
+/// First backoff step, in milliseconds.
+const BASE_BACKOFF_MS: u64 = 50;
+/// Backoff ceiling, in milliseconds.
+const MAX_BACKOFF_MS: u64 = 2_000;
 
 /// Is this I/O error a lost connection (worth redialling) rather than
 /// a protocol or logic error?
@@ -136,7 +86,6 @@ pub struct NetClient {
     stream: TcpStream,
     /// Resolved peer addresses, kept for redialling.
     addrs: Vec<SocketAddr>,
-    config: NetClientConfig,
     rbuf: Vec<u8>,
     scratch: Vec<u8>,
     credits: u64,
@@ -161,14 +110,6 @@ impl NetClient {
     /// Connects and completes the handshake, requesting
     /// [`wire::FLAG_WANT_EVENTS`] (detections carry matched tuples).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<NetClient> {
-        Self::connect_with_config(addr, NetClientConfig::new())
-    }
-
-    /// Connects with an explicit reconnect policy and hello flags.
-    pub fn connect_with_config(
-        addr: impl ToSocketAddrs,
-        config: NetClientConfig,
-    ) -> io::Result<NetClient> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         if addrs.is_empty() {
             return Err(io::Error::new(
@@ -187,7 +128,6 @@ impl NetClient {
         let mut client = NetClient {
             stream,
             addrs,
-            config,
             rbuf: Vec::with_capacity(4096),
             scratch: Vec::with_capacity(4096),
             credits: 0,
@@ -213,7 +153,7 @@ impl NetClient {
     fn handshake(&mut self) -> io::Result<()> {
         self.send_message(&Message::Hello {
             version: wire::VERSION,
-            flags: self.config.flags,
+            flags: wire::FLAG_WANT_EVENTS,
         })?;
         // The HelloAck is always the server's first message.
         match self.read_message()? {
@@ -284,9 +224,9 @@ impl NetClient {
     /// grant first if the window is exhausted. Batches must hold at
     /// most [`wire::MAX_BATCH_FRAMES`] frames.
     ///
-    /// A lost connection is redialled under the [`NetClientConfig`]
-    /// budget and the batch re-sent; frames of a batch that failed
-    /// mid-write may be lost (at-most-once transport).
+    /// A lost connection is redialled under the retry budget and the
+    /// batch re-sent; frames of a batch that failed mid-write may be
+    /// lost (at-most-once transport).
     pub fn send_batch(&mut self, session: u64, frames: &[SkeletonFrame]) -> io::Result<()> {
         self.sessions.insert(session);
         self.with_reconnect(|c| {
@@ -423,7 +363,7 @@ impl NetClient {
                 return Err(err);
             }
             loop {
-                if attempt >= self.config.max_retries {
+                if attempt >= MAX_RETRIES {
                     return Err(err);
                 }
                 attempt += 1;
@@ -433,7 +373,7 @@ impl NetClient {
                     // Budget left: the next lap sleeps longer and
                     // tries again. Budget gone: report the original
                     // disconnect, the root cause.
-                    Err(_) if attempt < self.config.max_retries => continue,
+                    Err(_) if attempt < MAX_RETRIES => continue,
                     Err(e) => return Err(e),
                 }
             }
@@ -462,9 +402,8 @@ impl NetClient {
     /// step fixed, half uniformly random, so a fleet of clients cut
     /// off by one restart does not redial in lockstep.
     fn backoff(&mut self, attempt: u32) -> Duration {
-        let base = self.config.base_backoff_ms.max(1);
-        let exp = base.saturating_mul(1u64 << (attempt - 1).min(20));
-        let capped = exp.min(self.config.max_backoff_ms.max(1));
+        let exp = BASE_BACKOFF_MS << (attempt - 1);
+        let capped = exp.min(MAX_BACKOFF_MS);
         let half = capped / 2;
         Duration::from_millis(half + self.next_jitter() % (half + 1))
     }

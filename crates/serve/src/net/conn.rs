@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,10 +47,6 @@ pub(crate) struct Outbox {
     /// by [`Self::flush`] once the spill drains, so each episode
     /// produces exactly one notice).
     notice_queued: AtomicBool,
-    /// Detection messages shed on this connection because its outbox
-    /// was full (the per-connection count behind
-    /// `NetMetrics::detections_dropped`).
-    dropped: AtomicU64,
 }
 
 #[derive(Default)]
@@ -74,7 +70,6 @@ impl Outbox {
             dirty,
             id,
             notice_queued: AtomicBool::new(false),
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -91,8 +86,9 @@ impl Outbox {
     }
 
     /// [`Self::send`] for **droppable** payloads (detection pushes): on
-    /// overflow the message is shed — counted per connection and
-    /// globally — instead of condemning the connection, and a one-shot
+    /// overflow the message is shed — counted in
+    /// `gesto_net_detections_dropped_total` — instead of condemning the
+    /// connection, and a one-shot
     /// `DetectionsDropped` notice frame (`notice`, pre-encoded by the
     /// caller) is queued so the peer observes the gap instead of a
     /// silent hole in its detection stream (one notice per congestion
@@ -144,7 +140,6 @@ impl Outbox {
             // mutex (flush clears it the same way). The ~20-byte notice
             // may overshoot the cap transiently — bounded by one notice
             // per congestion episode.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
             self.metrics.detections_dropped.inc();
             if !self.notice_queued.load(Ordering::Relaxed) {
                 self.notice_queued.store(true, Ordering::Relaxed);
@@ -196,14 +191,6 @@ impl Outbox {
         }
         self.pending.store(!empty, Ordering::Release);
         empty
-    }
-
-    /// Detections shed on this connection because its outbox was full
-    /// (the per-connection view behind the global counter; read by
-    /// tests — production reads go through `NetMetrics`).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn dropped_detections(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Buffered bytes are waiting for [`Self::flush`].
@@ -350,7 +337,7 @@ mod tests {
     use std::time::Duration;
 
     /// Overflowing the outbox with droppable payloads sheds them
-    /// (counted per connection and globally) and queues exactly one
+    /// (counted in the edge's metrics) and queues exactly one
     /// notice per congestion episode — without condemning the
     /// connection; draining the spill re-arms the notice.
     #[test]
@@ -374,7 +361,6 @@ mod tests {
             }
         }
         assert!(shed >= 1, "outbox never overflowed");
-        assert_eq!(outbox.dropped_detections(), shed);
         assert_eq!(metrics.detections_dropped.get(), shed);
         assert_eq!(
             metrics.detection_notices.get(),
@@ -397,6 +383,6 @@ mod tests {
         }
         assert!(outbox.flush(), "spill never drained");
         assert!(outbox.send_droppable(&[1, 2, 3], &notice));
-        assert_eq!(outbox.dropped_detections(), shed);
+        assert_eq!(metrics.detections_dropped.get(), shed);
     }
 }

@@ -59,7 +59,7 @@ mod metrics;
 mod poll;
 pub mod wire;
 
-pub use self::client::{client_reconnects_total, NetClient, NetClientConfig};
+pub use self::client::{client_reconnects_total, NetClient};
 pub use self::metrics::NetMetrics;
 
 use std::collections::{HashMap, HashSet};

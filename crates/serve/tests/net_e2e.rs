@@ -12,7 +12,7 @@ use std::process::Command;
 use std::sync::{Arc, Mutex};
 
 use gesto_kinect::{gestures, Performer, Persona, SkeletonFrame};
-use gesto_serve::net::{wire, NetClient, NetClientConfig, NetConfig, NetServer};
+use gesto_serve::net::{wire, NetClient, NetConfig, NetServer};
 use gesto_serve::{BackpressurePolicy, Server, ServerConfig, SessionId};
 
 const CHILD_ADDR_VAR: &str = "GESTO_NET_E2E_ADDR";
@@ -389,14 +389,7 @@ fn client_reconnects_with_backoff_after_edge_restart() {
     let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
     let addr = net.local_addr();
 
-    let mut client = NetClient::connect_with_config(
-        addr,
-        NetClientConfig::new()
-            .with_max_retries(20)
-            .with_base_backoff_ms(5)
-            .with_max_backoff_ms(50),
-    )
-    .unwrap();
+    let mut client = NetClient::connect(addr).unwrap();
     client.open_session(3).unwrap();
     for chunk in swipe_frames(60).chunks(CHUNK) {
         client.send_batch(3, chunk).unwrap();

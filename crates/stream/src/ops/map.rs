@@ -9,9 +9,10 @@ pub type MapFn = Box<dyn FnMut(&Tuple) -> Option<Tuple> + Send>;
 
 /// Applies a fallible per-tuple function; `None` drops the tuple.
 ///
-/// This is the workhorse behind declarative views such as the paper's
-/// `kinect_t` transformation view (§3.2): a single pass over the incoming
-/// stream that rewrites every tuple on-the-fly.
+/// A single pass over the incoming stream that rewrites every tuple
+/// on-the-fly, for user-declared views. The paper's `kinect_t`
+/// transformation view (§3.2) has its own batch operator, `KinectTOp`
+/// in `gesto-transform`.
 pub struct MapOp {
     name: String,
     schema: SchemaRef,

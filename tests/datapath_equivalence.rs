@@ -248,7 +248,7 @@ fn lockstep(
         matches: 0,
         error: None,
         shed: 0,
-        constrained: !oracle.constraints().is_empty(),
+        constrained: !oracle.program().constraints().is_empty(),
     };
     let mut rest = tuples;
     while !rest.is_empty() && seen.error.is_none() {
