@@ -88,7 +88,7 @@ fn bench_datapath(c: &mut Criterion) {
             .map(|q| QueryPlan::compile(q, catalog.as_ref(), &funcs).unwrap())
             .collect();
 
-        // Seed semantics: every plan runs its own private view chain.
+        // Seed semantics: every plan runs its own private view operators.
         group.bench_function(BenchmarkId::new("per_route", n), |b| {
             let mut instances: Vec<_> = plans.iter().map(PerRouteReference::new).collect();
             let mut out = Vec::new();

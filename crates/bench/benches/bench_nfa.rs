@@ -171,7 +171,7 @@ fn idle_workload(frames: usize) -> Vec<Tuple> {
 /// `n` deployed plans of the sweep's gestures over a catalog whose
 /// stream is [`SOURCE`], and the views a session steps them in.
 fn idle_catalog(n: usize) -> (Vec<PlanInstance>, SharedViews) {
-    let catalog = Catalog::new();
+    let mut catalog = Catalog::new();
     catalog.register_stream(schema()).unwrap();
     let funcs = FunctionRegistry::with_builtins();
     let plans = (0..n).map(|g| {

@@ -78,9 +78,9 @@ fn main() {
     );
 
     // Detection check on the original trace.
-    let catalog = Arc::new(Catalog::new());
+    let mut catalog = Catalog::new();
     catalog.register_stream(kinect_schema()).unwrap();
-    let engine = Engine::new(catalog);
+    let engine = Engine::new(Arc::new(catalog));
     engine
         .deploy(generate_query(&def, QueryStyle::RawTorsoRelative))
         .unwrap();

@@ -35,10 +35,10 @@ fn build(config: TransformConfig) -> Engine {
     let def = learner.finalize("swipe_right").expect("finalizable");
 
     // Catalog with the matching view.
-    let catalog = Arc::new(Catalog::new());
+    let mut catalog = Catalog::new();
     catalog.register_stream(kinect_schema()).unwrap();
-    register_kinect_t(&catalog, config).unwrap();
-    let engine = Engine::new(catalog);
+    register_kinect_t(&mut catalog, config).unwrap();
+    let engine = Engine::new(Arc::new(catalog));
     engine
         .deploy(generate_query_on(
             &def,

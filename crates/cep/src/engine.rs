@@ -91,14 +91,12 @@ impl Engine {
         }
     }
 
-    /// Instantiates `plan` over the engine's views — picking up views
-    /// registered since the last deploy — and installs it under its
-    /// name: in its predecessor's slot on a replace, last otherwise.
+    /// Instantiates `plan` over the engine's views and installs it under
+    /// its name: in its predecessor's slot on a replace, last otherwise.
     /// Rejects a plan whose source view this engine's catalog does not
     /// have (a plan compiled against another catalog), leaving the
     /// deployed set untouched.
     fn install(&self, state: &mut Deployed, plan: Arc<QueryPlan>) -> Result<(), CepError> {
-        state.views.refresh(&self.catalog);
         let mut instance = plan.instantiate();
         instance.bind(&state.views)?;
         match state.position(plan.name()) {
@@ -320,7 +318,7 @@ mod tests {
     }
 
     fn engine_with_view() -> Engine {
-        let cat = Arc::new(Catalog::new());
+        let mut cat = Catalog::new();
         cat.register_stream(schema()).unwrap();
         // kinect_t doubles x.
         let out = SchemaBuilder::new("kinect_t")
@@ -347,7 +345,7 @@ mod tests {
             }),
         })
         .unwrap();
-        Engine::new(cat)
+        Engine::new(Arc::new(cat))
     }
 
     #[test]
@@ -472,7 +470,7 @@ mod tests {
     #[test]
     fn view_evaluated_once_per_tuple_across_queries() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let cat = Arc::new(Catalog::new());
+        let mut cat = Catalog::new();
         cat.register_stream(schema()).unwrap();
         let out = SchemaBuilder::new("kinect_t")
             .timestamp("ts")
@@ -502,7 +500,7 @@ mod tests {
             }),
         })
         .unwrap();
-        let e = Engine::new(cat);
+        let e = Engine::new(Arc::new(cat));
         // Three queries over the same view: the transform must still run
         // exactly once per pushed tuple.
         e.deploy_text(r#"SELECT "a" MATCHING kinect_t(x > 18);"#)
@@ -563,9 +561,9 @@ mod tests {
         let plan = engine_with_view()
             .compile(parse_query(r#"SELECT "v" MATCHING kinect_t(x > 18);"#).unwrap())
             .unwrap();
-        let cat = Arc::new(Catalog::new());
+        let mut cat = Catalog::new();
         cat.register_stream(schema()).unwrap();
-        let e = Engine::new(cat);
+        let e = Engine::new(Arc::new(cat));
         let unknown_view = |r: Result<(), CepError>| {
             matches!(
                 r,

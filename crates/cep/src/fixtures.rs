@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use gesto_stream::{BoxedOperator, Emit, Tuple};
+use gesto_stream::{run_operator, BoxedOperator, Tuple};
 
 use crate::detection::Detection;
 use crate::error::CepError;
@@ -39,7 +39,7 @@ within 1 seconds select first consume all;
 "#;
 
 /// The seed's per-route data path, kept as a **test oracle**: every
-/// route of the plan runs its own private view-operator chain (one
+/// view route of the plan runs its own private view operator (one
 /// `kinect_t` transformer per route, nothing shared between plans) and
 /// the NFA is stepped one tuple at a time on the scalar path. The engine
 /// and the shard worker must detect exactly what this does
@@ -47,21 +47,21 @@ within 1 seconds select first consume all;
 /// Built from public pieces only — the data path does not know it exists.
 pub struct PerRouteReference {
     plan: Arc<QueryPlan>,
-    /// One private operator chain per route, base→source order.
-    chains: Vec<Vec<BoxedOperator>>,
+    /// One private operator per route that reads a view.
+    ops: Vec<Option<BoxedOperator>>,
     nfa: NfaRuntime,
     scratch: MatchScratch,
 }
 
 impl PerRouteReference {
-    /// Fresh per-route state over `plan`: one operator per view per route.
+    /// Fresh per-route state over `plan`: one operator per view route.
     pub fn new(plan: &Arc<QueryPlan>) -> Self {
         Self {
             plan: Arc::clone(plan),
-            chains: plan
+            ops: plan
                 .routes()
                 .iter()
-                .map(|r| r.factories.iter().map(|f| f()).collect())
+                .map(|r| r.factory.as_ref().map(|f| f()))
                 .collect(),
             nfa: NfaRuntime::instantiate(Arc::clone(plan.program())),
             scratch: MatchScratch::new(),
@@ -76,20 +76,15 @@ impl PerRouteReference {
         tuple: &Tuple,
         out: &mut Vec<Detection>,
     ) -> Result<(), CepError> {
-        for (route, chain) in self.plan.routes().iter().zip(&mut self.chains) {
+        for (route, op) in self.plan.routes().iter().zip(&mut self.ops) {
             if route.base != stream {
                 continue;
             }
-            // Each stage may emit 0..n tuples per input.
-            let mut staged = vec![tuple.clone()];
-            for op in chain.iter_mut() {
-                let mut next = Vec::new();
-                let mut emit = Emit::collect(&mut next);
-                for t in &staged {
-                    op.process(t, &mut emit);
-                }
-                staged = next;
-            }
+            // A view may emit 0..n tuples per input.
+            let staged = match op {
+                Some(op) => run_operator(op.as_mut(), std::slice::from_ref(tuple)),
+                None => vec![tuple.clone()],
+            };
             for t in &staged {
                 let stepped = self.nfa.advance_block_into(
                     &route.source,

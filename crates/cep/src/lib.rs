@@ -22,11 +22,11 @@
 //! use gesto_stream::{Catalog, SchemaBuilder, Tuple, Value};
 //! use gesto_cep::Engine;
 //!
-//! let catalog = Arc::new(Catalog::new());
+//! let mut catalog = Catalog::new();
 //! let schema = SchemaBuilder::new("kinect").timestamp("ts").float("x").build().unwrap();
 //! catalog.register_stream(schema.clone()).unwrap();
 //!
-//! let engine = Engine::new(catalog);
+//! let engine = Engine::new(Arc::new(catalog));
 //! engine.deploy_text(
 //!     r#"SELECT "swipe" MATCHING kinect(x < 10) -> kinect(x > 90) within 1 seconds;"#,
 //! ).unwrap();

@@ -4,10 +4,10 @@
 //! multi-tenant runtime thousands of sessions run the *same* gestures, so
 //! compiling per session would dominate. A [`QueryPlan`] is the
 //! compile-once artefact — the parsed [`Query`], its [`NfaProgram`] and
-//! the resolved view-chain routes — shared via `Arc` across any number of
-//! engines or server shards. [`QueryPlan::instantiate`] stamps out the
-//! cheap per-session state (an empty run set); view operators belong to
-//! the session's [`SharedViews`], not to the plan instance.
+//! the resolved routes — shared via `Arc` across any number of engines
+//! or server shards. [`QueryPlan::instantiate`] stamps out the cheap
+//! per-session state (an empty run set); view operators belong to the
+//! session's [`SharedViews`], not to the plan instance.
 //!
 //! **Match scratch belongs to the stepping thread.** A [`PlanInstance`]
 //! is only its run state. Every plan call steps in its thread's one
@@ -45,19 +45,20 @@ pub fn compiled_plan_count() -> u64 {
     COMPILED_PLANS.load(Ordering::Relaxed)
 }
 
-/// One source of a query and how to reach it from its base stream: the
-/// view chain between them, outermost last.
+/// One source of a query and how to reach it from its base stream:
+/// directly, or through the view the source names.
 pub struct RouteSpec {
     /// Source name as written in the query (stream or view).
     pub source: String,
     /// Base stream the source resolves to.
     pub base: String,
-    /// View operator factories, base→source order. The data path never
-    /// calls these (views run once per session in [`SharedViews`]); the
-    /// per-route test reference in [`crate::fixtures`] does.
-    pub factories: Vec<ViewFactory>,
-    /// Names of the views in `factories`, base→source order; the
-    /// outermost one resolves to the [`SharedViews`] slot the route reads.
+    /// Operator factory of the source view, if the source is one. The
+    /// data path never calls it (views run once per session in
+    /// [`SharedViews`]); the per-route test reference in
+    /// [`crate::fixtures`] does.
+    pub factory: Option<ViewFactory>,
+    /// The source view's name, if the source is one (at most one name):
+    /// it resolves to the [`SharedViews`] slot the route reads.
     pub views: Vec<String>,
 }
 
@@ -80,12 +81,12 @@ impl QueryPlan {
         let program = Arc::new(NfaProgram::compile(&query.pattern, catalog, funcs)?);
         let mut routes = Vec::new();
         for source in query.pattern.sources() {
-            let (base, views) = catalog.resolve(source)?;
+            let (base, view) = catalog.resolve(source)?;
             routes.push(RouteSpec {
                 source: source.to_owned(),
-                base,
-                factories: views.iter().map(|v| v.factory.clone()).collect(),
-                views: views.iter().map(|v| v.name.clone()).collect(),
+                base: base.to_owned(),
+                factory: view.map(|v| v.factory.clone()),
+                views: view.map(|v| v.name.clone()).into_iter().collect(),
             });
         }
         COMPILED_PLANS.fetch_add(1, Ordering::Relaxed);
@@ -144,8 +145,8 @@ enum RouteBinding {
 pub struct PlanInstance {
     plan: Arc<QueryPlan>,
     /// Route → shared-view binding, resolved by [`Self::bind`] at deploy
-    /// or on the first push (slots are stable: [`SharedViews`] only ever
-    /// appends).
+    /// or on the first push (a session's [`SharedViews`] slots are fixed
+    /// for its life).
     bindings: Option<Vec<RouteBinding>>,
     nfa: NfaRuntime,
     detections: u64,
@@ -210,7 +211,7 @@ impl PlanInstance {
     }
 
     /// Resolves every route's source against the session's `views`: the
-    /// base stream itself, or the slot of the route's outermost view.
+    /// base stream itself, or the slot of the route's view.
     /// Fails with [`StreamError::UnknownStream`] when `views` does not
     /// know that view — the plan was compiled against another catalog.
     pub(crate) fn bind(&mut self, views: &SharedViews) -> Result<(), CepError> {
@@ -218,12 +219,12 @@ impl PlanInstance {
             .plan
             .routes
             .iter()
-            .map(|r| match r.views.last() {
+            .map(|r| match r.views.first() {
                 None => Ok(RouteBinding::Direct),
-                Some(outermost) => views
-                    .slot_of(outermost)
+                Some(view) => views
+                    .slot_of(view)
                     .map(RouteBinding::Shared)
-                    .ok_or_else(|| StreamError::UnknownStream(outermost.clone()).into()),
+                    .ok_or_else(|| StreamError::UnknownStream(view.clone()).into()),
             })
             .collect::<Result<_, CepError>>()?;
         self.bindings = Some(bindings);
@@ -330,9 +331,9 @@ pub fn sync_block_columns<'a>(
     for plan in plans {
         for route in plan.routes() {
             let cols = plan.program().columns_read(&route.source);
-            match route.views.last() {
+            match route.views.first() {
                 None => views.add_base_block_columns(&cols),
-                Some(outermost) => views.add_view_block_columns(outermost, &cols),
+                Some(view) => views.add_view_block_columns(view, &cols),
             }
         }
     }
@@ -340,9 +341,9 @@ pub fn sync_block_columns<'a>(
 
 /// The deploy-time sync of a session's [`SharedViews`] with its deployed
 /// `plans` (retiring versions included): marks exactly the views some
-/// route references — plus their inputs — as needed, so views nobody
-/// reads stop being evaluated after an undeploy, then declares the block
-/// columns the plans' predicates read ([`sync_block_columns`]).
+/// route references as needed, so views nobody reads stop being
+/// evaluated after an undeploy, then declares the block columns the
+/// plans' predicates read ([`sync_block_columns`]).
 pub fn sync_shared_views(views: &mut SharedViews, plans: &[Arc<QueryPlan>]) {
     views.set_needed(
         plans
@@ -408,7 +409,7 @@ mod tests {
     use gesto_stream::{SchemaBuilder, Value};
 
     fn catalog() -> Catalog {
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(
             SchemaBuilder::new("kinect")
                 .timestamp("ts")

@@ -151,7 +151,7 @@ fn a_plan_the_batch_cannot_move_is_not_stepped() {
         .float("x")
         .build()
         .unwrap();
-    let catalog = Catalog::new();
+    let mut catalog = Catalog::new();
     catalog.register_stream(schema.clone()).unwrap();
     let funcs = FunctionRegistry::with_builtins();
     // `x` in 50..=56 on every row: the lane bounds rule out every seed

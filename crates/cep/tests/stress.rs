@@ -24,9 +24,9 @@ fn tup(ts: i64, x: f64) -> Tuple {
 
 #[test]
 fn concurrent_push_and_deploy_churn_keep_stats_consistent() {
-    let catalog = Arc::new(Catalog::new());
+    let mut catalog = Catalog::new();
     catalog.register_stream(schema()).unwrap();
-    let engine = Arc::new(Engine::new(catalog));
+    let engine = Arc::new(Engine::new(Arc::new(catalog)));
 
     // The stable query: a single-event pattern, so every matching tuple
     // yields exactly one detection and totals are exact even under

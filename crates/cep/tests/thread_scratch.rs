@@ -21,7 +21,7 @@ fn schema() -> SchemaRef {
 }
 
 fn catalog(schema: &SchemaRef) -> Catalog {
-    let catalog = Catalog::new();
+    let mut catalog = Catalog::new();
     catalog.register_stream(schema.clone()).unwrap();
     catalog
 }

@@ -779,10 +779,6 @@ impl ShardWorker {
                 }
                 None => instances.push(plan.instantiate()),
             }
-            // The plan may reference views registered after the
-            // session started; instantiate them and re-mark the
-            // needed set.
-            slot.views.refresh(&self.catalog);
             slot.resync(&self.plans, (&self.stream, &self.schema));
         }
     }

@@ -37,8 +37,6 @@ pub enum StreamError {
     UnknownStream(String),
     /// A stream or view name was registered twice.
     DuplicateStream(String),
-    /// View wiring problem (a cyclic view chain).
-    Pipeline(String),
 }
 
 impl fmt::Display for StreamError {
@@ -68,7 +66,6 @@ impl fmt::Display for StreamError {
             StreamError::DuplicateStream(name) => {
                 write!(f, "stream or view '{name}' is already registered")
             }
-            StreamError::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
         }
     }
 }
@@ -92,8 +89,5 @@ mod tests {
         }
         .to_string()
         .contains("expected 2"));
-        assert!(StreamError::Pipeline("cycle".into())
-            .to_string()
-            .contains("cycle"));
     }
 }

@@ -3,7 +3,7 @@
 //! Minimal data-stream management core in the spirit of the AnduIN engine
 //! used by *Beier et al., "Learning Event Patterns for Gesture Detection"*
 //! (EDBT 2014): dynamically typed tuples with shared schemas, a catalog of
-//! named streams and declarative views, and [`SharedViews`] — the
+//! named base streams and the views over them, and [`SharedViews`] — the
 //! per-session runtime that evaluates every needed view once per batch
 //! and hands the outputs (row tuples plus their [`ColumnBlock`]) to any
 //! number of consumers.
@@ -20,7 +20,7 @@
 //! use gesto_stream::{Catalog, SchemaBuilder, SharedViews, Tuple, Value, ViewDef};
 //!
 //! let schema = SchemaBuilder::new("s").timestamp("ts").float("x").build().unwrap();
-//! let catalog = Catalog::new();
+//! let mut catalog = Catalog::new();
 //! catalog.register_stream(schema.clone()).unwrap();
 //! let out = schema.clone();
 //! catalog

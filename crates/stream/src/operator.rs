@@ -156,11 +156,6 @@ pub trait Operator: Send {
     fn process_batch(&mut self, _batch: &RowBatch<'_>, _emit: &mut Emit<'_>) -> bool {
         false
     }
-
-    /// Flushes any buffered state at end-of-stream (windows, aggregates).
-    ///
-    /// The default implementation emits nothing.
-    fn finish(&mut self, _emit: &mut Emit<'_>) {}
 }
 
 /// A boxed operator: what a catalog view factory returns.
@@ -174,7 +169,6 @@ pub fn run_operator(op: &mut dyn Operator, input: &[Tuple]) -> Vec<Tuple> {
     for t in input {
         op.process(t, &mut emit);
     }
-    op.finish(&mut emit);
     out
 }
 

@@ -122,19 +122,6 @@ impl Schema {
         Ok(Arc::new(Self::new(name, fields)?))
     }
 
-    /// Rebuilds the name index and the timestamp slot. Deserialisation
-    /// already does this, so the method is only useful after manual field
-    /// surgery in tests.
-    pub fn reindex(&mut self) {
-        self.index = self
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), i))
-            .collect();
-        self.ts_slot = resolve_ts_slot(&self.fields, &self.index);
-    }
-
     /// Number of fields.
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -382,8 +369,7 @@ mod tests {
         let json = serde_json::to_string(&*s).unwrap();
         let back: Schema = serde_json::from_str(&json).unwrap();
         assert_eq!(back, *s);
-        // The index is rebuilt by deserialisation itself, not by a
-        // caller remembering to reindex().
+        // The index is rebuilt by deserialisation itself.
         assert_eq!(back.index_of("y"), Some(2));
         assert_eq!(back.index_of("nope"), None);
         assert_eq!(back.timestamp_slot(), Some(0));

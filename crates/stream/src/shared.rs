@@ -4,15 +4,14 @@
 //! `kinect_t` coordinate transformation N times per frame for N queries.
 //! [`SharedViews`] is the per-session runtime that avoids it: it
 //! instantiates every registered view exactly once, evaluates each
-//! *needed* view exactly once per frame in dependency order, and hands
-//! the output tuples out by reference so any number of query routes
-//! share them.
+//! *needed* view over the base stream it reads exactly once per frame,
+//! and hands the output tuples out by reference so any number of query
+//! routes share them.
 //!
 //! A `SharedViews` is per-session state (view operators may be stateful,
-//! e.g. the transformer's smoothed scale estimate); the slot numbering is
-//! deterministic for a given catalog, and append-only under
-//! [`SharedViews::refresh`], so slot indices cached by consumers stay
-//! valid across catalog growth.
+//! e.g. the transformer's smoothed scale estimate). A view's slot is its
+//! position in [`Catalog::view_defs`], fixed for the session's life: the
+//! catalog does not change once it is shared.
 //!
 //! View state is **stream-scoped**: an operator lives as long as the
 //! session, persisting across query deploy/undeploy (a query deployed
@@ -43,29 +42,20 @@
 //! thread, one borrower at a time: lend, fill the base block if
 //! wanted, `begin_batch*`, let the consumers read, reclaim.
 
-use std::collections::HashMap;
-
 use crate::block::ColumnBlock;
 use crate::catalog::Catalog;
 use crate::operator::{BoxedOperator, Emit, RowBatch};
 use crate::rows::{Deferred, ViewRows};
 use crate::tuple::Tuple;
 
-/// Where a view reads its input tuples from.
-enum Input {
-    /// A base stream, matched against the pushed stream name.
-    Stream(String),
-    /// Another view, by slot (always a lower slot: dependency order).
-    View(usize),
-}
-
 /// One instantiated view: what survives between batches.
 struct ViewState {
     name: String,
-    input: Input,
+    /// The base stream the view reads.
+    input: String,
     op: BoxedOperator,
-    /// True when some consumer references this view (directly or as the
-    /// input of a needed view); others are skipped entirely.
+    /// True when some consumer references this view; others are skipped
+    /// entirely.
     needed: bool,
     /// Column filter for the view's block: `None` builds every float
     /// lane, `Some(cols)` (sorted, deduplicated; possibly empty) builds
@@ -84,9 +74,9 @@ struct ViewBuffers {
     /// Frame boundaries into the rows: frame `f`'s outputs are rows
     /// `offsets[f] .. offsets[f+1]`.
     offsets: Vec<u32>,
-    /// True when the view ran this batch (its input chain was rooted at
-    /// the pushed stream), even if it emitted nothing; the rows,
-    /// `offsets` and `block` are this batch's only then.
+    /// True when the view ran this batch (it reads the pushed stream),
+    /// even if it emitted nothing; the rows, `offsets` and `block` are
+    /// this batch's only then.
     live: bool,
     /// Columnar view of the rows, built per batch when the columnar data
     /// path is enabled (the NFA's batch kernels read float lanes from
@@ -141,10 +131,8 @@ impl BatchBuffers {
 
 /// Per-session, evaluate-once runtime over a catalog's views.
 pub struct SharedViews {
-    /// Views in dependency order: a view's input slot is always lower
-    /// than its own.
+    /// By slot: [`Catalog::view_defs`] order.
     states: Vec<ViewState>,
-    slots: HashMap<String, usize>,
     /// Column filter for the base block (same contract as the per-view
     /// filters).
     base_cols: Option<Vec<usize>>,
@@ -159,55 +147,22 @@ impl SharedViews {
     /// Instantiates one operator per view registered in `catalog`.
     /// All views start out *not needed*; see [`Self::set_needed`].
     pub fn new(catalog: &Catalog) -> Self {
-        let mut sv = Self {
-            states: Vec::new(),
-            slots: HashMap::new(),
+        let states = catalog
+            .view_defs()
+            .map(|def| ViewState {
+                name: def.name.clone(),
+                input: def.input.clone(),
+                op: (def.factory)(),
+                needed: false,
+                block_cols: None,
+            })
+            .collect();
+        Self {
+            states,
             base_cols: None,
             columnar: true,
             bufs: BatchBuffers::default(),
-        };
-        sv.refresh(catalog);
-        sv
-    }
-
-    /// Instantiates views registered in `catalog` since construction (the
-    /// catalog is add-only, so this only ever appends slots — existing
-    /// operators keep their state and existing slot indices stay valid).
-    pub fn refresh(&mut self, catalog: &Catalog) {
-        let mut pending: Vec<_> = catalog
-            .view_defs()
-            .into_iter()
-            .filter(|v| !self.slots.contains_key(&v.name))
-            .collect();
-        // Deterministic slot numbering: sorted by name, then placed in
-        // dependency order (an input must be a stream or an already
-        // placed view; Catalog::register_view guarantees convergence).
-        pending.sort_by(|a, b| a.name.cmp(&b.name));
-        loop {
-            let before = pending.len();
-            pending.retain(|def| {
-                let input = if let Some(&j) = self.slots.get(&def.input) {
-                    Input::View(j)
-                } else if catalog.is_stream(&def.input) {
-                    Input::Stream(def.input.clone())
-                } else {
-                    return true; // input view not placed yet
-                };
-                self.slots.insert(def.name.clone(), self.states.len());
-                self.states.push(ViewState {
-                    name: def.name.clone(),
-                    input,
-                    op: (def.factory)(),
-                    needed: false,
-                    block_cols: None,
-                });
-                false
-            });
-            if pending.is_empty() || pending.len() == before {
-                break;
-            }
         }
-        debug_assert!(pending.is_empty(), "catalog views must be acyclic");
     }
 
     /// Number of instantiated views.
@@ -222,11 +177,11 @@ impl SharedViews {
 
     /// Slot of a view by name.
     pub fn slot_of(&self, name: &str) -> Option<usize> {
-        self.slots.get(name).copied()
+        self.states.iter().position(|s| s.name == name)
     }
 
-    /// Marks exactly the given views — plus their transitive view inputs
-    /// — as needed; every other view is skipped by [`Self::begin_batch`].
+    /// Marks exactly the given views as needed; every other view is
+    /// skipped by [`Self::begin_batch`].
     /// Unknown names are ignored here; a plan that reads such a view is
     /// rejected when it is deployed or first pushed.
     pub fn set_needed<'a>(&mut self, names: impl IntoIterator<Item = &'a str>) {
@@ -235,24 +190,9 @@ impl SharedViews {
         }
         for n in names {
             if let Some(i) = self.slot_of(n) {
-                self.mark_needed(i);
+                self.states[i].needed = true;
             }
         }
-    }
-
-    fn mark_needed(&mut self, i: usize) {
-        if self.states[i].needed {
-            return;
-        }
-        self.states[i].needed = true;
-        if let Input::View(j) = self.states[i].input {
-            self.mark_needed(j);
-        }
-    }
-
-    /// True when the view in `slot` is currently marked needed.
-    pub fn is_needed(&self, slot: usize) -> bool {
-        self.states[slot].needed
     }
 
     /// Lends `bufs` to this session for its next batches, in place of
@@ -280,11 +220,10 @@ impl SharedViews {
         self.bufs.bytes()
     }
 
-    /// Evaluates every needed view whose chain is rooted at `stream`
-    /// over a whole batch of frames, exactly once per view, in
-    /// dependency order. A view's concatenated batch output is read
-    /// with [`Self::rows`], and one frame's share with
-    /// [`ViewRows::frame`] (module docs: until when).
+    /// Evaluates every needed view that reads `stream` over a whole
+    /// batch of frames, exactly once per view. A view's concatenated
+    /// batch output is read with [`Self::rows`], and one frame's share
+    /// with [`ViewRows::frame`] (module docs: until when).
     ///
     /// Each view operator still sees the tuples in frame order, so the
     /// outputs are identical to `tuples.len()` successive one-tuple
@@ -313,7 +252,7 @@ impl SharedViews {
     }
 
     /// [`Self::begin_batch_prefilled`] from the producer's own rows: a
-    /// view rooted at `stream` reads `rows` natively, the whole batch in
+    /// view that reads `stream` reads `rows` natively, the whole batch in
     /// one call ([`crate::Operator::process_batch`]), and is fed
     /// `tuples` only when it declines. `tuples` are the tuples built
     /// from `rows` — or empty, when [`Self::tuples_wanted`] said no view
@@ -324,19 +263,17 @@ impl SharedViews {
         self.begin(stream, tuples, Some(rows));
     }
 
-    /// True when some needed view rooted at `stream` declines batches
+    /// True when some needed view that reads `stream` declines batches
     /// of `rows`' type and schema (`rows` may be empty), so
     /// [`Self::begin_batch_rows`] must be given the tuples too. Holds
-    /// until the needed set or the views change.
+    /// until the needed set changes.
     pub fn tuples_wanted(&mut self, stream: &str, rows: &RowBatch<'_>) -> bool {
         let mut nothing = Vec::new();
         let mut emit = Emit::collect(&mut nothing);
         let probe = RowBatch { len: 0, ..*rows };
-        self.states.iter_mut().any(|st| {
-            st.needed
-                && matches!(&st.input, Input::Stream(s) if s == stream)
-                && !st.op.process_batch(&probe, &mut emit)
-        })
+        self.states
+            .iter_mut()
+            .any(|st| st.needed && st.input == stream && !st.op.process_batch(&probe, &mut emit))
     }
 
     /// Frames in the current batch, whichever way it began (module
@@ -373,21 +310,13 @@ impl SharedViews {
                 .views
                 .resize_with(self.states.len(), ViewBuffers::default);
         }
-        for (i, st) in self.states.iter_mut().enumerate() {
-            let (done, rest) = self.bufs.views.split_at_mut(i);
-            let buf = &mut rest[0];
+        for (st, buf) in self.states.iter_mut().zip(&mut self.bufs.views) {
             buf.live = false;
             buf.out.clear();
             buf.deferred.rows.clear();
-            if !st.needed {
+            if !st.needed || st.input != stream {
                 continue;
             }
-            // The upstream outputs, frame by frame.
-            let up = match &st.input {
-                Input::Stream(s) if s.as_str() == stream => None,
-                Input::View(j) if done[*j].live => Some(done[*j].rows()),
-                _ => continue,
-            };
             buf.block.clear();
             let cols = st.block_cols.as_deref();
             let build_block = self.columnar && cols.is_none_or(|c| !c.is_empty());
@@ -395,17 +324,12 @@ impl SharedViews {
             buf.offsets.push(0);
             let deferred = build_block.then_some(&mut buf.deferred);
             let mut emit = Emit::new(&mut buf.out, Some(&mut buf.offsets), deferred);
-            // A stream-rooted view reads the whole batch in one call if
-            // it can, and is fed the tuples frame by frame if not.
-            let native = up.is_none() && rows.is_some_and(|r| st.op.process_batch(r, &mut emit));
+            // The view reads the whole batch in one call if it can, and
+            // is fed the tuples frame by frame if not.
+            let native = rows.is_some_and(|r| st.op.process_batch(r, &mut emit));
             for f in (0..frames).filter(|_| !native) {
-                match up {
-                    None => {
-                        let tuple = tuples.get(f).expect("tuples, for a view that wants them");
-                        st.op.process(tuple, &mut emit);
-                    }
-                    Some(up) => up.frame(f).iter().for_each(|t| st.op.process(t, &mut emit)),
-                }
+                let tuple = tuples.get(f).expect("tuples, for a view that wants them");
+                st.op.process(tuple, &mut emit);
                 emit.end_frame();
             }
             debug_assert_eq!(buf.offsets.len(), frames + 1, "one end per frame");
@@ -445,7 +369,7 @@ impl SharedViews {
     /// view `name`'s block (union with previous declarations; unknown
     /// names are ignored — a plan reading such a view never deploys).
     pub fn add_view_block_columns(&mut self, name: &str, cols: &[usize]) {
-        if let Some(&slot) = self.slots.get(name) {
+        if let Some(slot) = self.slot_of(name) {
             union_cols(&mut self.states[slot].block_cols, cols);
         }
     }
@@ -575,7 +499,7 @@ mod tests {
 
     #[test]
     fn evaluates_each_needed_view_once_per_frame() {
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(base()).unwrap();
         let calls = Arc::new(AtomicU64::new(0));
         cat.register_view(counted_view("v2", "kinect", 2.0, calls.clone()))
@@ -596,32 +520,8 @@ mod tests {
     }
 
     #[test]
-    fn chained_views_evaluate_in_dependency_order() {
-        let cat = Catalog::new();
-        cat.register_stream(base()).unwrap();
-        let c1 = Arc::new(AtomicU64::new(0));
-        let c2 = Arc::new(AtomicU64::new(0));
-        cat.register_view(counted_view("v2", "kinect", 2.0, c1.clone()))
-            .unwrap();
-        cat.register_view(counted_view("v4", "v2", 2.0, c2.clone()))
-            .unwrap();
-
-        let mut sv = SharedViews::new(&cat);
-        // Needing only the outer view pulls in its input transitively.
-        sv.set_needed(["v4"]);
-        assert!(sv.is_needed(sv.slot_of("v2").unwrap()));
-        sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 1.0)));
-        assert_eq!(
-            sv.rows(sv.slot_of("v4").unwrap()).get(0).f64("x"),
-            Some(4.0)
-        );
-        assert_eq!(c1.load(Ordering::Relaxed), 1);
-        assert_eq!(c2.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn unneeded_views_are_skipped() {
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(base()).unwrap();
         let calls = Arc::new(AtomicU64::new(0));
         cat.register_view(counted_view("v2", "kinect", 2.0, calls.clone()))
@@ -634,7 +534,7 @@ mod tests {
 
     #[test]
     fn other_stream_does_not_feed_views() {
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(base()).unwrap();
         cat.register_stream(
             SchemaBuilder::new("other")
@@ -656,7 +556,7 @@ mod tests {
 
     #[test]
     fn blocks_built_for_base_and_live_views() {
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(base()).unwrap();
         let c = Arc::new(AtomicU64::new(0));
         cat.register_view(counted_view("v2", "kinect", 2.0, c))
@@ -686,7 +586,7 @@ mod tests {
 
     #[test]
     fn prefilled_base_is_kept_and_mismatch_rebuilds() {
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(base()).unwrap();
         let mut sv = SharedViews::new(&cat);
         let s = base();
@@ -788,7 +688,7 @@ mod tests {
             }
         }
 
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(base()).unwrap();
         let schema = base();
         cat.register_view(ViewDef {
@@ -799,13 +699,13 @@ mod tests {
         })
         .unwrap();
         let calls = Arc::new(AtomicU64::new(0));
-        cat.register_view(counted_view("d4", "d", 2.0, calls))
+        cat.register_view(counted_view("d4", "kinect", 4.0, calls))
             .unwrap();
         let built = || BUILT.with(Cell::get);
         let batch = |x: f64| -> Vec<Tuple> { (0..4).map(|ts| tup(ts, x + ts as f64)).collect() };
 
         // Three sessions take turns in one lent set; session 0 reads `d`,
-        // session 1 the view over it, session 2 both.
+        // sessions 1 and 2 both it and `d4`, a view over the raw tuples.
         let mut sessions = [
             SharedViews::new(&cat),
             SharedViews::new(&cat),
@@ -816,7 +716,7 @@ mod tests {
             sessions[0].slot_of("d4").unwrap(),
         );
         sessions[0].set_needed(["d"]);
-        sessions[1].set_needed(["d4"]);
+        sessions[1].set_needed(["d", "d4"]);
         sessions[2].set_needed(["d", "d4"]);
         let mut bufs = BatchBuffers::default();
         let mut kept: Vec<(Tuple, Vec<Value>)> = Vec::new();
@@ -868,7 +768,8 @@ mod tests {
                     assert_eq!(built(), before + 3);
                     kept.push((rows.get(1).clone(), rows.get(1).values().to_vec()));
                 } else {
-                    // The view over `d` reads every row of it, once.
+                    // `d4` reads the tuples; reading every row of `d`
+                    // builds each once.
                     let fours: Vec<f64> = sv.rows(d4).iter().map(|t| t.f64("x").unwrap()).collect();
                     assert_eq!(fours, [0.0, 1.0, 2.0, 3.0].map(|i| 4.0 * (x + i)));
                     assert_eq!(sv.rows(d).iter().count(), 4);
@@ -910,19 +811,19 @@ mod tests {
 
     #[test]
     fn lent_buffers_serve_two_sessions_and_stay_with_neither() {
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(base()).unwrap();
         let calls = Arc::new(AtomicU64::new(0));
         cat.register_view(counted_view("v2", "kinect", 2.0, calls.clone()))
             .unwrap();
-        cat.register_view(counted_view("v4", "v2", 2.0, calls))
+        cat.register_view(counted_view("v4", "kinect", 4.0, calls))
             .unwrap();
         let mut sessions = [SharedViews::new(&cat), SharedViews::new(&cat)];
         let (v2, v4) = (
             sessions[0].slot_of("v2").unwrap(),
             sessions[0].slot_of("v4").unwrap(),
         );
-        sessions[0].set_needed(["v4"]);
+        sessions[0].set_needed(["v2", "v4"]);
         sessions[1].set_needed(["v2"]);
 
         let mut bufs = BatchBuffers::default();
@@ -959,12 +860,14 @@ mod tests {
     fn native_rows_feed_who_reads_them_and_tuples_everyone_else() {
         use crate::operator::{Emit, Operator};
 
-        /// Emits `x + 100` from a `Vec<f64>` row batch, `x + 1` from a
-        /// tuple — so the test can tell which entry ran.
-        struct AddOp(SchemaRef);
+        /// Emits `scale * (x + 100)` from a `Vec<f64>` row batch,
+        /// `scale * (x + 1)` from a tuple — so the test can tell which
+        /// entry ran — and counts its emissions.
+        struct AddOp(SchemaRef, f64, Arc<AtomicU64>);
         impl AddOp {
             fn emit(&self, x: f64, emit: &mut Emit<'_>) {
-                let values = vec![Value::Timestamp(0), Value::Float(x)];
+                self.2.fetch_add(1, Ordering::Relaxed);
+                let values = vec![Value::Timestamp(0), Value::Float(self.1 * x)];
                 emit.push(Tuple::new_unchecked(self.0.clone(), values));
             }
         }
@@ -990,21 +893,24 @@ mod tests {
             }
         }
 
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         let schema = base();
         cat.register_stream(schema.clone()).unwrap();
-        let op_schema = schema.clone();
-        cat.register_view(ViewDef {
-            name: "add".into(),
-            input: "kinect".into(),
-            schema: schema.clone(),
-            factory: Arc::new(move || Box::new(AddOp(op_schema.clone()))),
-        })
-        .unwrap();
         let calls = Arc::new(AtomicU64::new(0));
-        cat.register_view(counted_view("v2", "kinect", 2.0, calls.clone()))
+        for (name, scale, calls) in [
+            ("add", 1.0, Arc::new(AtomicU64::new(0))),
+            ("add2", 2.0, calls.clone()),
+        ] {
+            let op_schema = schema.clone();
+            cat.register_view(ViewDef {
+                name: name.into(),
+                input: "kinect".into(),
+                schema: schema.clone(),
+                factory: Arc::new(move || Box::new(AddOp(op_schema.clone(), scale, calls.clone()))),
+            })
             .unwrap();
-        cat.register_view(counted_view("add2", "add", 2.0, calls.clone()))
+        }
+        cat.register_view(counted_view("v2", "kinect", 2.0, calls.clone()))
             .unwrap();
         let mut sv = SharedViews::new(&cat);
         let slot = |n: &str| sv.slot_of(n).unwrap();
@@ -1018,8 +924,8 @@ mod tests {
         };
 
         // Only views that read the rows are needed: no tuple is wanted,
-        // none is given, and the chained view still sees every frame.
-        sv.set_needed(["add2"]);
+        // none is given, and each still sees every frame.
+        sv.set_needed(["add", "add2"]);
         assert!(!sv.tuples_wanted("kinect", &rows));
         assert!(sv.rows(add).is_empty(), "the probe emitted nothing");
         sv.begin_batch_rows("kinect", &rows, &[]);
@@ -1054,28 +960,5 @@ mod tests {
         assert_eq!(sv.frames(), 0);
         sv.lend(taken);
         assert_eq!(sv.frames(), 0, "the previous batch's count is spent");
-    }
-
-    #[test]
-    fn refresh_appends_and_keeps_slots_stable() {
-        let cat = Catalog::new();
-        cat.register_stream(base()).unwrap();
-        let c = Arc::new(AtomicU64::new(0));
-        cat.register_view(counted_view("v2", "kinect", 2.0, c.clone()))
-            .unwrap();
-        let mut sv = SharedViews::new(&cat);
-        let v2 = sv.slot_of("v2").unwrap();
-
-        cat.register_view(counted_view("v4", "v2", 2.0, c.clone()))
-            .unwrap();
-        sv.refresh(&cat);
-        assert_eq!(sv.slot_of("v2"), Some(v2), "existing slot unchanged");
-        assert_eq!(sv.len(), 2);
-        sv.set_needed(["v4"]);
-        sv.begin_batch("kinect", std::slice::from_ref(&tup(0, 1.0)));
-        assert_eq!(
-            sv.rows(sv.slot_of("v4").unwrap()).get(0).f64("x"),
-            Some(4.0)
-        );
     }
 }

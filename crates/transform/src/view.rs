@@ -182,7 +182,10 @@ impl Operator for KinectTOp {
 }
 
 /// Registers the `kinect_t` view over the raw `kinect` stream.
-pub fn register_kinect_t(catalog: &Catalog, config: TransformConfig) -> Result<(), StreamError> {
+pub fn register_kinect_t(
+    catalog: &mut Catalog,
+    config: TransformConfig,
+) -> Result<(), StreamError> {
     let schema = kinect_t_schema();
     let factory_schema = schema.clone();
     catalog.register_view(ViewDef {
@@ -196,12 +199,12 @@ pub fn register_kinect_t(catalog: &Catalog, config: TransformConfig) -> Result<(
 /// Builds a catalog with the `kinect` stream and default `kinect_t` view
 /// registered — the standard setup for examples, tests and benches.
 pub fn standard_catalog() -> Arc<Catalog> {
-    let catalog = Arc::new(Catalog::new());
+    let mut catalog = Catalog::new();
     catalog
         .register_stream(gesto_kinect::kinect_schema())
         .expect("fresh catalog");
-    register_kinect_t(&catalog, TransformConfig::default()).expect("fresh catalog");
-    catalog
+    register_kinect_t(&mut catalog, TransformConfig::default()).expect("fresh catalog");
+    Arc::new(catalog)
 }
 
 #[cfg(test)]
@@ -243,12 +246,11 @@ mod tests {
     }
 
     #[test]
-    fn catalog_resolves_view_chain() {
+    fn catalog_resolves_kinect_t_to_its_base_stream() {
         let cat = standard_catalog();
-        let (base, views) = cat.resolve(KINECT_T).unwrap();
+        let (base, view) = cat.resolve(KINECT_T).unwrap();
         assert_eq!(base, KINECT_STREAM);
-        assert_eq!(views.len(), 1);
-        assert_eq!(views[0].name, KINECT_T);
+        assert_eq!(view.unwrap().name, KINECT_T);
     }
 
     #[test]
@@ -562,9 +564,9 @@ mod tests {
         let slots = KinectSlots::resolve(&partial, "");
         assert!(!slots.covers_frame() && KinectSlots::resolve(&full, "").covers_frame());
 
-        let cat = Catalog::new();
+        let mut cat = Catalog::new();
         cat.register_stream(partial.clone()).unwrap();
-        register_kinect_t(&cat, TransformConfig::default()).unwrap();
+        register_kinect_t(&mut cat, TransformConfig::default()).unwrap();
         let mut views = SharedViews::new(&cat);
         views.set_needed([KINECT_T]);
 

@@ -102,7 +102,7 @@ fn workload(seed: u64) -> Vec<SkeletonFrame> {
 }
 
 /// Reference semantics: the seed's per-route path. Every plan runs its
-/// own private view chains (one `Transformer` per route) and steps its
+/// own private view operators (one `Transformer` per route) and steps its
 /// NFA one tuple at a time.
 fn reference_detections(plans: &[Arc<QueryPlan>], tuples: &[Tuple]) -> Vec<Detection> {
     let mut instances: Vec<_> = plans.iter().map(PerRouteReference::new).collect();
@@ -849,38 +849,45 @@ fn server_sessions_match_seed_per_route_path() {
 }
 
 /// A plan whose two sources are both *views* — `kinect_t` and a mirror
-/// view stacked on it — has no route on the raw stream, so the shard
+/// view over raw `kinect` — has no route on the raw stream, so the shard
 /// builds no raw tuples for it and the frame-at-a-time loop of a
 /// multi-source plan must take its frame count from the views. One-,
 /// seven- and thirty-frame batches, against the per-route reference.
 #[test]
 fn two_view_plan_without_a_raw_route_matches_per_route_path() {
-    use gesto::stream::{ops::MapOp, Value, ViewDef};
-    use gesto::transform::KINECT_T;
+    use gesto::stream::{ops::MapOp, Catalog, Value, ViewDef};
+    use gesto::transform::register_kinect_t;
 
-    let catalog = standard_catalog();
+    let mut catalog = Catalog::new();
+    catalog.register_stream(kinect_schema()).unwrap();
+    register_kinect_t(&mut catalog, TransformConfig::default()).unwrap();
+    // x becomes -|rHand_x - torso_x|: the hand's distance from the torso,
+    // mirrored.
     let mirror = gesto::kinect::schema_named("kinect_m", "");
     let x = mirror.index_of("rHand_x").unwrap();
+    let torso_x = mirror.index_of("torso_x").unwrap();
     let out = mirror.clone();
     catalog
         .register_view(ViewDef {
             name: "kinect_m".into(),
-            input: KINECT_T.into(),
+            input: KINECT_STREAM.into(),
             schema: mirror,
             factory: Arc::new(move || {
                 let out = out.clone();
                 Box::new(MapOp::new("mirror", out.clone(), move |t: &Tuple| {
                     let mut values = t.values().to_vec();
-                    values[x] = Value::Float(-t.values()[x].as_f64()?);
+                    let dx = t.values()[x].as_f64()? - t.values()[torso_x].as_f64()?;
+                    values[x] = Value::Float(-dx.abs());
                     Some(Tuple::new_unchecked(out.clone(), values))
                 }))
             }),
         })
         .unwrap();
+    let catalog = Arc::new(catalog);
     let set = [
         parse_query(
             r#"SELECT "there_and_mirrored"
-               MATCHING kinect_t(rHand_x < 100) -> kinect_m(rHand_x < -700)
+               MATCHING kinect_t(rHand_x < 100) -> kinect_m(rHand_x < -300)
                within 2 seconds select first consume all;"#,
         )
         .unwrap(),

@@ -90,9 +90,9 @@ fn generated_query_detects_the_original_trace() {
     let def = learn_fig1();
     // Deploy over the raw kinect stream (predicates subtract torso
     // inline, as in the paper's Fig. 1 query).
-    let catalog = Arc::new(Catalog::new());
+    let mut catalog = Catalog::new();
     catalog.register_stream(kinect_schema()).unwrap();
-    let engine = Engine::new(catalog);
+    let engine = Engine::new(Arc::new(catalog));
     engine
         .deploy(generate_query(&def, QueryStyle::RawTorsoRelative))
         .unwrap();
@@ -109,9 +109,9 @@ fn generated_query_detects_the_original_trace() {
 #[test]
 fn reversed_trace_is_not_detected() {
     let def = learn_fig1();
-    let catalog = Arc::new(Catalog::new());
+    let mut catalog = Catalog::new();
     catalog.register_stream(kinect_schema()).unwrap();
-    let engine = Engine::new(catalog);
+    let engine = Engine::new(Arc::new(catalog));
     engine
         .deploy(generate_query(&def, QueryStyle::RawTorsoRelative))
         .unwrap();

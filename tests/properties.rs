@@ -270,7 +270,7 @@ proptest! {
 
     /// Random traces × random batch splits × the scalar/columnar dial:
     /// a server session detects exactly what the per-route oracle
-    /// (private view chains, one-tuple scalar stepping) detects. The
+    /// (private view operators, one-tuple scalar stepping) detects. The
     /// right hand mostly rests between the patterns' bands, so most rows
     /// are ones the block path skips, and timestamps jump far enough —
     /// backwards too — to blow `within` budgets inside those skipped
@@ -363,15 +363,21 @@ proptest! {
     }
 }
 
-/// A catalog of the standard `kinect_t` plus two views: `kinect_d` over
-/// `kinect_t` (the right hand mirrored, or scaled by 1.5) and `kinect_r`
-/// over the raw stream (the right hand relative to the torso).
+/// A catalog of the standard `kinect` and `kinect_t` plus two views over
+/// the raw stream: `kinect_d` (the right hand relative to the torso,
+/// mirrored or scaled by 1.5) and `kinect_r` (the right hand relative to
+/// the torso).
 fn view_catalog(mirror: bool) -> std::sync::Arc<gesto::stream::Catalog> {
-    use gesto::stream::{ops::MapOp, Tuple, Value, ViewDef};
+    use gesto::stream::{ops::MapOp, Catalog, Tuple, Value, ViewDef};
+    use gesto::transform::{register_kinect_t, TransformConfig};
     use std::sync::Arc;
 
-    let catalog = gesto::transform::standard_catalog();
-    let map_view = |name: &str, input: &str, f: fn(&mut [Value], &[Value]) -> Option<()>| {
+    let mut catalog = Catalog::new();
+    catalog
+        .register_stream(gesto::kinect::kinect_schema())
+        .unwrap();
+    register_kinect_t(&mut catalog, TransformConfig::default()).unwrap();
+    let mut map_view = |name: &str, input: &str, f: fn(&mut [Value], &[Value]) -> Option<()>| {
         let schema = gesto::kinect::schema_named(name, "");
         let out = schema.clone();
         let factory: gesto::stream::ViewFactory = Arc::new(move || {
@@ -404,14 +410,15 @@ fn view_catalog(mirror: bool) -> std::sync::Arc<gesto::stream::Catalog> {
         "the offsets the views below hard-code"
     );
     if mirror {
-        map_view("kinect_d", "kinect_t", |v, t| {
-            v[26] = Value::Float(-t[26].as_f64()?);
+        map_view("kinect_d", gesto::kinect::KINECT_STREAM, |v, t| {
+            v[26] = Value::Float(t[8].as_f64()? - t[26].as_f64()?);
+            v[27] = Value::Float(t[27].as_f64()? - t[9].as_f64()?);
             Some(())
         });
     } else {
-        map_view("kinect_d", "kinect_t", |v, t| {
-            v[26] = Value::Float(1.5 * t[26].as_f64()?);
-            v[27] = Value::Float(1.5 * t[27].as_f64()?);
+        map_view("kinect_d", gesto::kinect::KINECT_STREAM, |v, t| {
+            v[26] = Value::Float(1.5 * (t[26].as_f64()? - t[8].as_f64()?));
+            v[27] = Value::Float(1.5 * (t[27].as_f64()? - t[9].as_f64()?));
             Some(())
         });
     }
@@ -420,7 +427,7 @@ fn view_catalog(mirror: bool) -> std::sync::Arc<gesto::stream::Catalog> {
         v[27] = Value::Float(t[27].as_f64()? - t[9].as_f64()?);
         Some(())
     });
-    catalog
+    Arc::new(catalog)
 }
 
 proptest! {
@@ -430,8 +437,9 @@ proptest! {
     /// multi-route, with and without a route on the raw stream — ×
     /// sessions in 1-, 7- and 30-frame batches (scalar and block path):
     /// a server detects exactly what the per-route oracle detects, event
-    /// values included. Covers views over views reading deferred
-    /// `kinect_t` rows, and multi-route plans stepping frame by frame.
+    /// values included. Covers plans mixing `kinect_t`'s deferred rows
+    /// with tuple views over the raw stream, and multi-route plans
+    /// stepping frame by frame.
     #[test]
     fn server_detects_what_the_per_route_oracle_does_over_random_view_catalogs(
         trace in proptest::collection::vec(
