@@ -205,11 +205,22 @@ impl Expr {
         }
     }
 
+    /// True when the printed text starts with `-`: a unary minus or a
+    /// negative number (binary operands of a unary are parenthesised).
+    fn prints_minus_first(&self) -> bool {
+        match self {
+            Expr::Unary { op, .. } => *op == UnaryOp::Neg,
+            Expr::Literal(Value::Float(x)) => *x < 0.0,
+            Expr::Literal(Value::Int(i)) => *i < 0,
+            _ => false,
+        }
+    }
+
     fn fmt_prec(&self, f: &mut fmt::Formatter<'_>, parent_prec: u8) -> fmt::Result {
         match self {
             Expr::Column(c) => f.write_str(c),
             Expr::Literal(v) => match v {
-                Value::Str(s) => write!(f, "\"{s}\""),
+                Value::Str(s) => write_quoted(f, s),
                 Value::Float(x) => {
                     // Integral floats print without a trailing ".0" to match
                     // the paper's query style (`< 50`).
@@ -222,10 +233,12 @@ impl Expr {
                 other => write!(f, "{other}"),
             },
             Expr::Unary { op, expr } => {
-                match op {
-                    UnaryOp::Neg => f.write_str("-")?,
-                    UnaryOp::Not => f.write_str("not ")?,
-                }
+                f.write_str(match op {
+                    UnaryOp::Not => "not ",
+                    // `--` would start a comment.
+                    UnaryOp::Neg if expr.prints_minus_first() => "- ",
+                    UnaryOp::Neg => "-",
+                })?;
                 expr.fmt_prec(f, 6)
             }
             Expr::Binary { op, lhs, rhs } => {
@@ -259,6 +272,13 @@ impl Expr {
             }
         }
     }
+}
+
+/// Writes `s` as a query-text string literal: in double quotes, with
+/// `"` and `\` escaped by a backslash.
+pub(crate) fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    let escaped = s.replace('\\', r"\\").replace('"', r#"\""#);
+    write!(f, "\"{escaped}\"")
 }
 
 impl fmt::Display for Expr {
@@ -353,5 +373,16 @@ mod tests {
             Expr::bin(BinOp::Sub, Expr::col("b"), Expr::col("c")),
         );
         assert_eq!(e.to_string(), "a - (b - c)");
+    }
+
+    #[test]
+    fn minus_before_a_minus_is_spaced() {
+        let neg = |e| Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(e),
+        };
+        assert_eq!(neg(neg(Expr::col("x"))).to_string(), "- -x");
+        assert_eq!(neg(Expr::lit(-5.0)).to_string(), "- -5");
+        assert_eq!(Expr::lit("a\"b\\c").to_string(), r#""a\"b\\c""#);
     }
 }

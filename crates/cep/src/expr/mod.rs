@@ -5,6 +5,7 @@ mod block;
 mod eval;
 mod functions;
 
+pub(crate) use ast::write_quoted;
 pub use ast::{BinOp, Expr, UnaryOp};
 pub use block::{BlockMasks, EvalScratch};
 pub use eval::{compile, CompiledExpr, FusedInput};

@@ -1,6 +1,13 @@
 //! Lexer for the gesture query dialect.
+//!
+//! Punctuation is the [`PUNCT`] table, and an operator token carries
+//! its [`BinOp`], so each symbol is spelled once for the lexer, the
+//! parser and (through [`BinOp::symbol`]) the printer. Words, numbers
+//! and `"`-quoted strings (escapes `\"` and `\\`; any UTF-8 inside)
+//! are read by hand. Comments run from `--` to end of line.
 
 use crate::error::CepError;
+use crate::expr::BinOp;
 
 /// A lexical token with its byte offset in the source.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,6 +27,8 @@ pub enum TokenKind {
     Number(f64),
     /// Double-quoted string literal (unescaped).
     Str(String),
+    /// An arithmetic or comparison operator; `-` is also unary minus.
+    Op(BinOp),
     /// `(`
     LParen,
     /// `)`
@@ -30,29 +39,32 @@ pub enum TokenKind {
     Semicolon,
     /// `->`
     Arrow,
-    /// `+`
-    Plus,
-    /// `-`
-    Minus,
-    /// `*`
-    Star,
-    /// `/`
-    Slash,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `=` (also accepts `==`)
-    Eq,
-    /// `!=` (also accepts `<>`)
-    Ne,
     /// End of input.
     Eof,
 }
+
+/// Every punctuation token, longest spelling first so that no token is
+/// read as its own prefix (`->` before `-`, `<=` before `<`). `==` and
+/// `<>` are aliases of `=` and `!=`.
+const PUNCT: &[(&str, TokenKind)] = &[
+    ("->", TokenKind::Arrow),
+    ("<=", TokenKind::Op(BinOp::Le)),
+    (">=", TokenKind::Op(BinOp::Ge)),
+    ("==", TokenKind::Op(BinOp::Eq)),
+    ("!=", TokenKind::Op(BinOp::Ne)),
+    ("<>", TokenKind::Op(BinOp::Ne)),
+    ("(", TokenKind::LParen),
+    (")", TokenKind::RParen),
+    (",", TokenKind::Comma),
+    (";", TokenKind::Semicolon),
+    ("+", TokenKind::Op(BinOp::Add)),
+    ("-", TokenKind::Op(BinOp::Sub)),
+    ("*", TokenKind::Op(BinOp::Mul)),
+    ("/", TokenKind::Op(BinOp::Div)),
+    ("<", TokenKind::Op(BinOp::Lt)),
+    (">", TokenKind::Op(BinOp::Gt)),
+    ("=", TokenKind::Op(BinOp::Eq)),
+];
 
 impl TokenKind {
     /// Human-readable description for error messages.
@@ -61,255 +73,99 @@ impl TokenKind {
             TokenKind::Ident(s) => format!("identifier '{s}'"),
             TokenKind::Number(n) => format!("number {n}"),
             TokenKind::Str(s) => format!("string \"{s}\""),
-            TokenKind::LParen => "'('".into(),
-            TokenKind::RParen => "')'".into(),
-            TokenKind::Comma => "','".into(),
-            TokenKind::Semicolon => "';'".into(),
-            TokenKind::Arrow => "'->'".into(),
-            TokenKind::Plus => "'+'".into(),
-            TokenKind::Minus => "'-'".into(),
-            TokenKind::Star => "'*'".into(),
-            TokenKind::Slash => "'/'".into(),
-            TokenKind::Lt => "'<'".into(),
-            TokenKind::Le => "'<='".into(),
-            TokenKind::Gt => "'>'".into(),
-            TokenKind::Ge => "'>='".into(),
-            TokenKind::Eq => "'='".into(),
-            TokenKind::Ne => "'!='".into(),
+            TokenKind::Op(op) => format!("'{}'", op.symbol()),
             TokenKind::Eof => "end of input".into(),
+            punct => {
+                let (text, _) = PUNCT
+                    .iter()
+                    .find(|(_, kind)| kind == punct)
+                    .expect("every other token kind is in PUNCT");
+                format!("'{text}'")
+            }
         }
     }
 }
 
-/// Tokenises query text. Comments run from `--` to end of line.
+/// Tokenises query text.
 pub fn lex(src: &str) -> Result<Vec<Token>, CepError> {
-    let bytes = src.as_bytes();
+    let error = |offset, message: String| CepError::Parse { offset, message };
     let mut tokens = Vec::new();
     let mut i = 0usize;
-
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b'-' if i + 1 < bytes.len() && bytes[i + 1] == b'-' => {
-                // line comment
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'-' if i + 1 < bytes.len() && bytes[i + 1] == b'>' => {
-                tokens.push(Token {
-                    kind: TokenKind::Arrow,
-                    offset: i,
-                });
-                i += 2;
-            }
-            b'-' => {
-                tokens.push(Token {
-                    kind: TokenKind::Minus,
-                    offset: i,
-                });
+    while let Some(c) = src[i..].chars().next() {
+        let rest = &src[i..];
+        let (len, kind) = match c {
+            ' ' | '\t' | '\r' | '\n' => {
                 i += 1;
+                continue;
             }
-            b'(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    offset: i,
-                });
-                i += 1;
+            '-' if rest.starts_with("--") => {
+                i += rest.find('\n').unwrap_or(rest.len());
+                continue;
             }
-            b')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    offset: i,
-                });
-                i += 1;
-            }
-            b',' => {
-                tokens.push(Token {
-                    kind: TokenKind::Comma,
-                    offset: i,
-                });
-                i += 1;
-            }
-            b';' => {
-                tokens.push(Token {
-                    kind: TokenKind::Semicolon,
-                    offset: i,
-                });
-                i += 1;
-            }
-            b'+' => {
-                tokens.push(Token {
-                    kind: TokenKind::Plus,
-                    offset: i,
-                });
-                i += 1;
-            }
-            b'*' => {
-                tokens.push(Token {
-                    kind: TokenKind::Star,
-                    offset: i,
-                });
-                i += 1;
-            }
-            b'/' => {
-                tokens.push(Token {
-                    kind: TokenKind::Slash,
-                    offset: i,
-                });
-                i += 1;
-            }
-            b'<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token {
-                        kind: TokenKind::Le,
-                        offset: i,
-                    });
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    tokens.push(Token {
-                        kind: TokenKind::Ne,
-                        offset: i,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Lt,
-                        offset: i,
-                    });
-                    i += 1;
-                }
-            }
-            b'>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token {
-                        kind: TokenKind::Ge,
-                        offset: i,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Gt,
-                        offset: i,
-                    });
-                    i += 1;
-                }
-            }
-            b'=' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token {
-                        kind: TokenKind::Eq,
-                        offset: i,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Eq,
-                        offset: i,
-                    });
-                    i += 1;
-                }
-            }
-            b'!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token {
-                        kind: TokenKind::Ne,
-                        offset: i,
-                    });
-                    i += 2;
-                } else {
-                    return Err(CepError::Parse {
-                        offset: i,
-                        message: "unexpected '!' (did you mean '!=' ?)".into(),
-                    });
-                }
-            }
-            b'"' => {
-                let start = i;
-                i += 1;
+            '"' => {
                 let mut s = String::new();
-                loop {
-                    if i >= bytes.len() {
-                        return Err(CepError::Parse {
-                            offset: start,
-                            message: "unterminated string literal".into(),
-                        });
+                let mut chars = rest.char_indices().skip(1);
+                let len = loop {
+                    match chars.next() {
+                        None => return Err(error(i, "unterminated string literal".into())),
+                        Some((n, '"')) => break n + 1,
+                        Some((_, '\\')) => s.extend(chars.next().map(|(_, e)| e)),
+                        Some((_, c)) => s.push(c),
                     }
-                    match bytes[i] {
-                        b'"' => {
-                            i += 1;
-                            break;
-                        }
-                        b'\\' if i + 1 < bytes.len() => {
-                            s.push(bytes[i + 1] as char);
-                            i += 2;
-                        }
-                        b => {
-                            s.push(b as char);
-                            i += 1;
-                        }
-                    }
+                };
+                (len, TokenKind::Str(s))
+            }
+            '0'..='9' | '.' => {
+                let len = number_len(rest.as_bytes());
+                let text = &rest[..len];
+                let n = text
+                    .parse()
+                    .map_err(|_| error(i, format!("invalid number '{text}'")))?;
+                (len, TokenKind::Number(n))
+            }
+            'a'..='z' | 'A'..='Z' | '_' => {
+                let len = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .unwrap_or(rest.len());
+                (len, TokenKind::Ident(rest[..len].to_owned()))
+            }
+            _ => match PUNCT.iter().find(|(text, _)| rest.starts_with(text)) {
+                Some((text, kind)) => (text.len(), kind.clone()),
+                None if c == '!' => {
+                    return Err(error(i, "unexpected '!' (did you mean '!=' ?)".into()))
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Str(s),
-                    offset: start,
-                });
-            }
-            b'0'..=b'9' | b'.' => {
-                let start = i;
-                let mut seen_dot = false;
-                let mut seen_exp = false;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'0'..=b'9' => i += 1,
-                        b'.' if !seen_dot && !seen_exp => {
-                            seen_dot = true;
-                            i += 1;
-                        }
-                        b'e' | b'E' if !seen_exp && i > start => {
-                            seen_exp = true;
-                            i += 1;
-                            if i < bytes.len() && (bytes[i] == b'+' || bytes[i] == b'-') {
-                                i += 1;
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-                let text = &src[start..i];
-                let n: f64 = text.parse().map_err(|_| CepError::Parse {
-                    offset: start,
-                    message: format!("invalid number '{text}'"),
-                })?;
-                tokens.push(Token {
-                    kind: TokenKind::Number(n),
-                    offset: start,
-                });
-            }
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(src[start..i].to_owned()),
-                    offset: start,
-                });
-            }
-            other => {
-                return Err(CepError::Parse {
-                    offset: i,
-                    message: format!("unexpected character '{}'", other as char),
-                });
-            }
-        }
+                None => return Err(error(i, format!("unexpected character '{c}'"))),
+            },
+        };
+        tokens.push(Token { kind, offset: i });
+        i += len;
     }
     tokens.push(Token {
         kind: TokenKind::Eof,
         offset: src.len(),
     });
     Ok(tokens)
+}
+
+/// Length of the number at the start of `rest`: digits with at most one
+/// `.`, then an optional exponent (`e`/`E`, optional sign, digits).
+fn number_len(rest: &[u8]) -> usize {
+    let (mut dot, mut exp, mut n) = (false, false, 0);
+    while let Some(&b) = rest.get(n) {
+        match b {
+            b'0'..=b'9' => {}
+            b'.' if !dot && !exp => dot = true,
+            b'e' | b'E' if !exp && n > 0 => {
+                exp = true;
+                if matches!(rest.get(n + 1), Some(b'+' | b'-')) {
+                    n += 1;
+                }
+            }
+            _ => break,
+        }
+        n += 1;
+    }
+    n
 }
 
 #[cfg(test)]
@@ -331,12 +187,12 @@ mod tests {
                 TokenKind::Ident("abs".into()),
                 TokenKind::LParen,
                 TokenKind::Ident("rHand_x".into()),
-                TokenKind::Minus,
+                TokenKind::Op(BinOp::Sub),
                 TokenKind::Ident("torso_x".into()),
-                TokenKind::Minus,
+                TokenKind::Op(BinOp::Sub),
                 TokenKind::Number(0.0),
                 TokenKind::RParen,
-                TokenKind::Lt,
+                TokenKind::Op(BinOp::Lt),
                 TokenKind::Number(50.0),
                 TokenKind::RParen,
                 TokenKind::Arrow,
@@ -361,7 +217,7 @@ mod tests {
             kinds("a - b"),
             vec![
                 TokenKind::Ident("a".into()),
-                TokenKind::Minus,
+                TokenKind::Op(BinOp::Sub),
                 TokenKind::Ident("b".into()),
                 TokenKind::Eof
             ]
@@ -394,10 +250,11 @@ mod tests {
     #[test]
     fn strings_with_escapes() {
         assert_eq!(
-            kinds(r#""swipe_right" "a\"b""#),
+            kinds(r#""swipe_right" "a\"b" "c\\d wavé""#),
             vec![
                 TokenKind::Str("swipe_right".into()),
                 TokenKind::Str("a\"b".into()),
+                TokenKind::Str("c\\d wavé".into()),
                 TokenKind::Eof
             ]
         );
@@ -414,14 +271,14 @@ mod tests {
         assert_eq!(
             kinds("< <= > >= = == != <>"),
             vec![
-                TokenKind::Lt,
-                TokenKind::Le,
-                TokenKind::Gt,
-                TokenKind::Ge,
-                TokenKind::Eq,
-                TokenKind::Eq,
-                TokenKind::Ne,
-                TokenKind::Ne,
+                TokenKind::Op(BinOp::Lt),
+                TokenKind::Op(BinOp::Le),
+                TokenKind::Op(BinOp::Gt),
+                TokenKind::Op(BinOp::Ge),
+                TokenKind::Op(BinOp::Eq),
+                TokenKind::Op(BinOp::Eq),
+                TokenKind::Op(BinOp::Ne),
+                TokenKind::Op(BinOp::Ne),
                 TokenKind::Eof
             ]
         );
@@ -429,10 +286,17 @@ mod tests {
 
     #[test]
     fn bad_character_reports_offset() {
-        let err = lex("abc $").unwrap_err();
-        match err {
-            CepError::Parse { offset, .. } => assert_eq!(offset, 4),
-            other => panic!("unexpected {other:?}"),
+        for (src, offset, message) in [
+            ("abc $", 4, "unexpected character '$'"),
+            ("\"é\" é", 5, "unexpected character 'é'"),
+        ] {
+            match lex(src).unwrap_err() {
+                CepError::Parse {
+                    offset: o,
+                    message: m,
+                } => assert_eq!((o, m.as_str()), (offset, message)),
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 

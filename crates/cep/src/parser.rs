@@ -9,9 +9,17 @@
 //!              [ CONSUME (all|none) ]
 //! unit      := seconds|second|sec|s|ms|millisecond(s)
 //! step      := ident '(' expr ')' | '(' sequence ')'
-//! expr      := or-expression over and/or/not, comparisons, + - * /,
-//!              function calls, columns, numbers, strings, true/false
+//! expr      := unary ( binop unary )*
+//! unary     := ( '-' | NOT ) unary | primary
+//! primary   := number | string | TRUE | FALSE | '(' expr ')'
+//!            | ident [ '(' [ expr ( ',' expr )* ] ')' ]
 //! ```
+//!
+//! `binop` is ranked by [`BinOp::precedence`], the table the printer
+//! parenthesises by: `or` < `and` < comparisons < `+ -` < `* /`. Every
+//! operator is left-associative, and a comparison does not chain: its
+//! left operand holds no `or`, `and` or comparison outside parentheses,
+//! so `a < b < c` is an error and `a and b < c` is `a and (b < c)`.
 
 use gesto_stream::Value;
 
@@ -111,6 +119,24 @@ impl Parser {
         matches!(&self.peek().kind, TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 
+    /// Consumes the next token if it is the keyword `kw`.
+    fn eat_keyword(&mut self, kw: &str) -> bool {
+        let found = self.peek_keyword(kw);
+        if found {
+            self.next();
+        }
+        found
+    }
+
+    /// Consumes the next token, which must be a word, and returns it
+    /// lower-cased; `expected` names what belongs there.
+    fn word(&mut self, expected: &str) -> Result<String, CepError> {
+        match self.next().kind {
+            TokenKind::Ident(w) => Ok(w.to_ascii_lowercase()),
+            other => Err(self.error(format!("expected {expected}, found {}", other.describe()))),
+        }
+    }
+
     fn query(&mut self) -> Result<Query, CepError> {
         self.keyword("select")?;
         let name = match self.next().kind {
@@ -139,8 +165,7 @@ impl Parser {
         let mut within_ms = None;
         let mut select = None;
         let mut consume = None;
-        if self.peek_keyword("within") {
-            self.next();
+        if self.eat_keyword("within") {
             let n = match self.next().kind {
                 TokenKind::Number(n) => n,
                 other => {
@@ -150,59 +175,24 @@ impl Parser {
                     )))
                 }
             };
-            let unit = match self.next().kind {
-                TokenKind::Ident(u) => u.to_ascii_lowercase(),
-                other => {
-                    return Err(self.error(format!(
-                        "expected time unit after duration, found {}",
-                        other.describe()
-                    )))
-                }
-            };
+            let unit = self.word("time unit after duration")?;
             let ms = match unit.as_str() {
                 "seconds" | "second" | "sec" | "s" => n * 1000.0,
                 "ms" | "millisecond" | "milliseconds" => n,
-                other => return Err(self.error(format!("unknown time unit '{other}'"))),
+                _ => return Err(self.error(format!("unknown time unit '{unit}'"))),
             };
             if ms <= 0.0 {
                 return Err(self.error("'within' duration must be positive"));
             }
             within_ms = Some(ms.round() as i64);
         }
-        if self.peek_keyword("select") {
-            self.next();
-            let kw = match self.next().kind {
-                TokenKind::Ident(s) => s.to_ascii_lowercase(),
-                other => {
-                    return Err(self.error(format!(
-                        "expected first|all|last after 'select', found {}",
-                        other.describe()
-                    )))
-                }
-            };
-            select = Some(match kw.as_str() {
-                "first" => SelectPolicy::First,
-                "all" => SelectPolicy::All,
-                "last" => SelectPolicy::Last,
-                other => return Err(self.error(format!("unknown select policy '{other}'"))),
-            });
+        if self.eat_keyword("select") {
+            let all = [SelectPolicy::First, SelectPolicy::All, SelectPolicy::Last];
+            select = Some(self.policy("select", &all, SelectPolicy::keyword)?);
         }
-        if self.peek_keyword("consume") {
-            self.next();
-            let kw = match self.next().kind {
-                TokenKind::Ident(s) => s.to_ascii_lowercase(),
-                other => {
-                    return Err(self.error(format!(
-                        "expected all|none after 'consume', found {}",
-                        other.describe()
-                    )))
-                }
-            };
-            consume = Some(match kw.as_str() {
-                "all" => ConsumePolicy::All,
-                "none" => ConsumePolicy::None,
-                other => return Err(self.error(format!("unknown consume policy '{other}'"))),
-            });
+        if self.eat_keyword("consume") {
+            let all = [ConsumePolicy::All, ConsumePolicy::None];
+            consume = Some(self.policy("consume", &all, ConsumePolicy::keyword)?);
         }
 
         // A single step with no modifiers collapses to the step itself.
@@ -215,6 +205,22 @@ impl Parser {
             select: select.unwrap_or_default(),
             consume: consume.unwrap_or_default(),
         }))
+    }
+
+    /// Reads the policy word after `modifier`, spelled as `keyword` spells
+    /// one of `all`.
+    fn policy<P: Copy>(
+        &mut self,
+        modifier: &str,
+        all: &[P],
+        keyword: fn(&P) -> &'static str,
+    ) -> Result<P, CepError> {
+        let words: Vec<_> = all.iter().map(keyword).collect();
+        let word = self.word(&format!("{} after '{modifier}'", words.join("|")))?;
+        all.iter()
+            .copied()
+            .find(|p| keyword(p) == word)
+            .ok_or_else(|| self.error(format!("unknown {modifier} policy '{word}'")))
     }
 
     fn step(&mut self) -> Result<Pattern, CepError> {
@@ -250,102 +256,56 @@ impl Parser {
     // ----- expressions -----
 
     fn expr(&mut self) -> Result<Expr, CepError> {
-        self.or_expr()
+        self.binary(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, CepError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek_keyword("or") {
-            self.next();
-            let rhs = self.and_expr()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, CepError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek_keyword("and") {
-            self.next();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, CepError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek().kind {
-            TokenKind::Lt => Some(BinOp::Lt),
-            TokenKind::Le => Some(BinOp::Le),
-            TokenKind::Gt => Some(BinOp::Gt),
-            TokenKind::Ge => Some(BinOp::Ge),
-            TokenKind::Eq => Some(BinOp::Eq),
-            TokenKind::Ne => Some(BinOp::Ne),
+    /// The binary operator the next token spells, if any.
+    fn peek_op(&self) -> Option<BinOp> {
+        match &self.peek().kind {
+            TokenKind::Op(op) => Some(*op),
+            TokenKind::Ident(w) => [BinOp::And, BinOp::Or]
+                .into_iter()
+                .find(|op| w.eq_ignore_ascii_case(op.symbol())),
             _ => None,
-        };
-        if let Some(op) = op {
+        }
+    }
+
+    /// Precedence climbing over operators of rank `min_prec` and up,
+    /// left-associative. A comparison's left operand is arithmetic, so
+    /// none follows an operator of comparison rank or lower at this level.
+    fn binary(&mut self, min_prec: u8) -> Result<Expr, CepError> {
+        let mut lhs = self.unary()?;
+        let mut arithmetic = true;
+        while let Some(op) = self.peek_op() {
+            let prec = op.precedence();
+            if prec < min_prec || (op.is_comparison() && !arithmetic) {
+                break;
+            }
             self.next();
-            let rhs = self.add_expr()?;
-            Ok(Expr::bin(op, lhs, rhs))
+            let rhs = self.binary(prec + 1)?;
+            lhs = Expr::bin(op, lhs, rhs);
+            arithmetic &= prec > BinOp::Eq.precedence();
+        }
+        Ok(lhs)
+    }
+
+    fn unary(&mut self) -> Result<Expr, CepError> {
+        let op = if self.peek().kind == TokenKind::Op(BinOp::Sub) {
+            UnaryOp::Neg
+        } else if self.peek_keyword("not") {
+            UnaryOp::Not
         } else {
-            Ok(lhs)
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, CepError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, CepError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, CepError> {
-        if self.peek().kind == TokenKind::Minus {
-            self.next();
-            let e = self.unary_expr()?;
+            return self.primary();
+        };
+        self.next();
+        Ok(match (op, self.unary()?) {
             // Fold negation into numeric literals for cleaner ASTs.
-            return Ok(match e {
-                Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
-                other => Expr::Unary {
-                    op: UnaryOp::Neg,
-                    expr: Box::new(other),
-                },
-            });
-        }
-        if self.peek_keyword("not") {
-            self.next();
-            let e = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Not,
+            (UnaryOp::Neg, Expr::Literal(Value::Float(f))) => Expr::Literal(Value::Float(-f)),
+            (op, e) => Expr::Unary {
+                op,
                 expr: Box::new(e),
-            });
-        }
-        self.primary()
+            },
+        })
     }
 
     fn primary(&mut self) -> Result<Expr, CepError> {

@@ -27,7 +27,7 @@ use std::fmt;
 use gesto_stream::StreamTime;
 use serde::{Deserialize, Serialize};
 
-use crate::expr::Expr;
+use crate::expr::{write_quoted, Expr};
 
 /// Which completed matches to report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -240,7 +240,9 @@ impl Query {
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "SELECT \"{}\"", self.name)?;
+        f.write_str("SELECT ")?;
+        write_quoted(f, &self.name)?;
+        writeln!(f)?;
         f.write_str("MATCHING ")?;
         self.pattern
             .fmt_indented(f, 0, matches!(self.pattern, Pattern::Sequence(_)))?;

@@ -547,12 +547,29 @@ impl ServerHandle {
     /// (without seeding new ones) until they complete or expire — a
     /// redeploy under load drops no frames and loses no in-flight
     /// detection.
+    ///
+    /// A durable server journals the query as text and parses it again
+    /// at recovery, so it refuses, with [`ServeError::Durability`] and
+    /// before deploying or journaling anything, a query whose text does
+    /// not read back as the same query: a `±inf` or `NaN` literal (it
+    /// prints as a column name) or an `Int` literal (it reads back as a
+    /// `Float`). No caller but a test builds an `Int` literal (the
+    /// learner and the parser make `Float`s); query text can yield an
+    /// infinite one from a literal past `f64` range, such as `1e400`.
     pub fn deploy_plan(&self, plan: Arc<QueryPlan>) -> Result<(), ServeError> {
         // Hold the registry lock across the journal append and the
         // broadcast so concurrent deploy/undeploy calls serialise:
         // every shard sees control messages in the same order as the
         // registry (and the journal) records them.
         let mut plans = self.core.plans.write();
+        let durable = self.core.durable.lock().is_some();
+        if durable && parse_query(&plan.query().to_query_text()).ok().as_ref() != Some(plan.query())
+        {
+            return Err(ServeError::Durability(format!(
+                "gesture '{}' not deployed: its query text does not read back as the same query",
+                plan.name()
+            )));
+        }
         let version = plans.get(plan.name()).map(|d| d.version + 1).unwrap_or(1);
         plans.insert(
             plan.name().to_owned(),

@@ -7,19 +7,27 @@
 //! for `f64`) — and so must an in-memory server taught the same way:
 //! the journal never changes what the engine computes.
 //!
-//! This file's one test is alone in its process, so it also asserts the
-//! compile-once invariant on the process-wide
-//! [`compiled_plan_count`], which parallel tests would perturb: five
-//! deployed queries served to three sessions on two shards compile five
-//! plans, and recovery compiles each once more.
+//! The tests of this file take turns on [`SERIAL`], so each is alone in
+//! its process while it runs. The first therefore also asserts the
+//! compile-once invariant on the process-wide [`compiled_plan_count`],
+//! which parallel tests would perturb: five deployed queries served to
+//! three sessions on two shards compile five plans, and recovery
+//! compiles each once more.
+//!
+//! A durable server journals each query as text and parses it again at
+//! recovery; the last two tests pin that the text reads back as the
+//! same query, or the deploy is refused.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use gesto::cep::compiled_plan_count;
+use gesto::cep::{compiled_plan_count, Expr, Pattern, Query};
 use gesto::kinect::{gestures, NoiseModel, Performer, Persona, SkeletonFrame};
-use gesto::serve::{DurabilityConfig, Server, ServerConfig, SessionId};
+use gesto::serve::{DurabilityConfig, ServeError, Server, ServerConfig, SessionId};
 use parking_lot::Mutex;
+
+/// Held for the whole of each test (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gesto-restart-{}-{name}", std::process::id()));
@@ -96,6 +104,7 @@ fn teach_all(server: &Server) {
 
 #[test]
 fn restarted_server_detects_bit_identically() {
+    let _alone = SERIAL.lock();
     let dir = temp_dir("equiv");
     let config = || {
         ServerConfig::new()
@@ -166,6 +175,88 @@ fn restarted_server_detects_bit_identically() {
         first, second,
         "restarted server must detect bit-identically from disk state"
     );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn durable_config(dir: &std::path::Path) -> ServerConfig {
+    ServerConfig::new().with_durability_config(DurabilityConfig::new(dir))
+}
+
+/// Gestures `server` detects on one performance of a swipe.
+fn detected_names(server: &Server) -> Vec<String> {
+    let names = Arc::new(Mutex::new(Vec::new()));
+    let sink = names.clone();
+    server.on_detection(Arc::new(move |_, det| {
+        sink.lock().push(det.gesture.to_string())
+    }));
+    let frames = perform(&gestures::swipe_right(), 7);
+    server.push_batch(SessionId(0), frames).unwrap();
+    server.drain().unwrap();
+    let got = names.lock().clone();
+    got
+}
+
+#[test]
+fn a_quoted_non_ascii_name_survives_restart() {
+    let _alone = SERIAL.lock();
+    let dir = temp_dir("quoted");
+    let name = "a\"b\\c wavé";
+    let server = Server::try_start(durable_config(&dir)).unwrap();
+    server
+        .deploy_text(r#"SELECT "a\"b\\c wavé" MATCHING kinect(head_y > -100000.0);"#)
+        .unwrap();
+    let deployed = server.deployed_versions();
+    assert_eq!(deployed, vec![(name.to_owned(), 1)]);
+    server.shutdown();
+
+    let server = Server::try_start(durable_config(&dir)).expect("restart from disk");
+    assert_eq!(server.deployed_versions(), deployed);
+    assert!(
+        detected_names(&server).iter().any(|g| g == name),
+        "the restarted server must fire under the deployed name"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn durable_deploy_refuses_query_text_that_does_not_read_back() {
+    let _alone = SERIAL.lock();
+    let dir = temp_dir("readback");
+    let event = |rhs: Expr| Pattern::event("kinect", Expr::lt(Expr::col("rHand_x"), rhs));
+    let unreadable = [
+        ("infinite", Expr::lit(f64::INFINITY)),
+        ("nan", Expr::lit(f64::NAN)),
+        ("int", Expr::lit(1i64)),
+    ];
+
+    // Without durability the query text is never read: all deploy.
+    let memory = Server::start(ServerConfig::new());
+    for (name, rhs) in unreadable.clone() {
+        memory.deploy(Query::new(name, event(rhs))).unwrap();
+    }
+    memory.shutdown();
+
+    let server = Server::try_start(durable_config(&dir)).unwrap();
+    for (name, rhs) in unreadable {
+        match server.deploy(Query::new(name, event(rhs))) {
+            Err(ServeError::Durability(m)) => assert!(m.contains(&format!("'{name}'")), "{m}"),
+            other => panic!("{name}: expected a durability error, got {other:?}"),
+        }
+    }
+    assert!(
+        server.deployed().is_empty(),
+        "a refused query is not deployed"
+    );
+    server
+        .deploy(Query::new("finite", event(Expr::lit(1.0e6))))
+        .unwrap();
+    server.shutdown();
+
+    let server = Server::try_start(durable_config(&dir)).expect("nothing unreadable was journaled");
+    assert_eq!(server.deployed_versions(), vec![("finite".to_owned(), 1)]);
+    assert!(detected_names(&server).iter().any(|g| g == "finite"));
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,64 +1,241 @@
 //! Property-based tests over cross-crate invariants.
 
-use gesto::cep::{parse_expr, parse_query, BinOp, Expr, Pattern, Query};
+use gesto::cep::{
+    parse_expr, parse_pattern, parse_query, BinOp, ConsumePolicy, Expr, Pattern, Query,
+    SelectPolicy, SequencePattern, UnaryOp,
+};
 use gesto::kinect::{Joint, NoiseModel, Performer, Persona, SkeletonFrame};
 use gesto::learn::merging::resample_to;
 use gesto::learn::sampling::{sample_path, CentroidMode, Strategy as SamplingStrategy};
 use gesto::learn::{Metric, PathPoint, PoseWindow, Threshold};
+use gesto::stream::Value;
 use gesto::transform::{TransformConfig, Transformer};
 use proptest::prelude::*;
 
 // ---------- generators ----------
 
-fn arb_value() -> impl proptest::strategy::Strategy<Value = f64> {
-    -1000.0..1000.0f64
-}
-
-/// Keywords of the query language that cannot be column/source names.
+/// Keywords of the query language, in any case: never a column, source
+/// or function name (the parser would read them as keywords).
 const RESERVED: &[&str] = &[
     "and", "or", "not", "true", "false", "within", "select", "consume", "matching",
 ];
 
-fn ident() -> impl proptest::strategy::Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,8}".prop_filter("reserved word", |s| !RESERVED.contains(&s.as_str()))
+fn not_reserved(s: &str) -> bool {
+    !RESERVED.iter().any(|k| k.eq_ignore_ascii_case(s))
 }
 
+fn ident() -> impl proptest::strategy::Strategy<Value = String> {
+    "[a-zA-Z_][a-zA-Z0-9_]{0,8}".prop_filter("reserved word", |s| not_reserved(s))
+}
+
+/// Characters the lexer treats specially, drawn more often than chance
+/// would: quote, escape, comment/minus, non-ASCII, layout, punctuation.
+const SPECIAL: &[char] = &[
+    '"', '\\', '-', 'é', '€', '😀', '\n', '\t', ' ', '(', ')', ';',
+];
+
+/// Any `char`.
+fn any_char() -> impl proptest::strategy::Strategy<Value = char> {
+    prop_oneof![
+        (0u32..0x11_0000).prop_map(|u| char::from_u32(u).unwrap_or('\u{fffd}')),
+        (0u8..0x80).prop_map(char::from),
+        (0..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+    ]
+}
+
+fn any_string(max_len: usize) -> impl proptest::strategy::Strategy<Value = String> {
+    proptest::collection::vec(any_char(), 0..max_len).prop_map(|cs| cs.into_iter().collect())
+}
+
+/// Finite floats below 1e15 in magnitude, integral and fractional: they
+/// print in at most about twenty digits, so no cut of query text joins
+/// two of them into a literal that overflows.
+fn finite_f64() -> impl proptest::strategy::Strategy<Value = f64> {
+    prop_oneof![
+        (-1000.0..1000.0f64).prop_map(|v| (v * 100.0).round() / 100.0),
+        -1.0e15..1.0e15f64,
+        -1.0..1.0f64,
+    ]
+}
+
+/// Every expression the parser can produce: all of `BinOp`, `not`,
+/// unary minus, calls, columns, finite numbers, any string, booleans.
+/// Outside that domain (so never drawn): a unary minus over a number,
+/// possibly through more unary minuses (the parser folds it into the
+/// literal); `Int`, `Null`, `Timestamp` and non-finite literals; a
+/// keyword as a column or function; an upper-case function name.
 fn arb_expr(depth: u32) -> BoxedStrategy<Expr> {
     let leaf = prop_oneof![
-        arb_value()
-            .prop_map(|v| Expr::Literal(gesto::stream::Value::Float((v * 100.0).round() / 100.0))),
+        finite_f64().prop_map(|v| Expr::Literal(Value::Float(v))),
+        any_string(8).prop_map(|s| Expr::Literal(Value::Str(s))),
+        (0u8..2).prop_map(|b| Expr::lit(b == 1)),
+        // Columns twice, binary operators twice below: drawn twice as often.
+        ident().prop_map(Expr::Column),
         ident().prop_map(Expr::Column),
     ];
     leaf.prop_recursive(depth, 64, 4, |inner| {
+        let call = "[a-z_][a-z0-9_]{0,6}".prop_filter("reserved word", |s| not_reserved(s));
         prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::bin(BinOp::Add, a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::bin(BinOp::Sub, a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::bin(BinOp::Mul, a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::lt(a, b)),
-            inner.clone().prop_map(Expr::abs),
+            (0..BIN_OPS.len(), inner.clone(), inner.clone())
+                .prop_map(|(i, a, b)| Expr::bin(BIN_OPS[i], a, b)),
+            (0..BIN_OPS.len(), inner.clone(), inner.clone())
+                .prop_map(|(i, a, b)| Expr::bin(BIN_OPS[i], a, b)),
+            inner.clone().prop_map(|e| Expr::Unary {
+                op: UnaryOp::Not,
+                expr: Box::new(e),
+            }),
+            inner
+                .clone()
+                .prop_filter("minus over a number", |e| !folds_into_a_number(e))
+                .prop_map(|e| Expr::Unary {
+                    op: UnaryOp::Neg,
+                    expr: Box::new(e),
+                }),
+            (call, proptest::collection::vec(inner, 0..4))
+                .prop_map(|(func, args)| Expr::Call { func, args }),
         ]
     })
     .boxed()
 }
 
-fn arb_predicate() -> BoxedStrategy<Expr> {
-    // Comparisons only (event predicates are boolean).
-    (arb_expr(2), arb_expr(2))
-        .prop_map(|(a, b)| Expr::lt(a, b))
+const BIN_OPS: [BinOp; 12] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::And,
+    BinOp::Or,
+];
+
+/// A number under zero or more unary minuses, which a unary minus in
+/// front would fold into.
+fn folds_into_a_number(e: &Expr) -> bool {
+    match e {
+        Expr::Literal(Value::Float(_)) => true,
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => folds_into_a_number(expr),
+        _ => false,
+    }
+}
+
+/// Nested sequences with `within` in seconds and in ms, every `select`
+/// and `consume` policy, over events with any predicate of [`arb_expr`].
+fn arb_pattern() -> BoxedStrategy<Pattern> {
+    let event = (ident(), arb_expr(3)).prop_map(|(src, pred)| Pattern::event(src, pred));
+    let select = [SelectPolicy::First, SelectPolicy::All, SelectPolicy::Last];
+    let consume = [ConsumePolicy::All, ConsumePolicy::None];
+    event
+        .prop_recursive(3, 16, 3, move |inner| {
+            let within = prop_oneof![1i64..100_000, (1i64..100_000).prop_map(|s| s * 1000)];
+            (
+                proptest::collection::vec(inner, 1..4),
+                proptest::option::of(within),
+                0..select.len(),
+                0..consume.len(),
+            )
+                .prop_map(move |(steps, within_ms, s, c)| {
+                    Pattern::Sequence(SequencePattern {
+                        steps,
+                        within_ms,
+                        select: select[s],
+                        consume: consume[c],
+                    })
+                })
+        })
         .boxed()
 }
 
-fn arb_pattern() -> BoxedStrategy<Pattern> {
-    let event = (ident(), arb_predicate()).prop_map(|(src, pred)| Pattern::event(src, pred));
-    event
-        .prop_recursive(3, 16, 3, |inner| {
-            (
-                proptest::collection::vec(inner, 1..4),
-                proptest::option::of(1i64..5000),
-            )
-                .prop_map(|(steps, within)| Pattern::sequence(steps, within))
-        })
+fn arb_query() -> BoxedStrategy<Query> {
+    (any_string(12), arb_pattern())
+        .prop_map(|(name, pattern)| Query::new(name, pattern))
         .boxed()
+}
+
+/// Words and punctuation of the dialect, well- and ill-formed, for
+/// token soups that reach deeper into the parser than random characters.
+const TOKENS: &[&str] = &[
+    "SELECT",
+    "select",
+    "MATCHING",
+    "kinect",
+    "kinect_t",
+    "(",
+    ")",
+    "->",
+    ",",
+    ";",
+    "within",
+    "WITHIN",
+    "1",
+    "0.5",
+    ".5",
+    "1e3",
+    "1e",
+    "seconds",
+    "ms",
+    "parsec",
+    "select",
+    "first",
+    "last",
+    "all",
+    "consume",
+    "none",
+    "and",
+    "OR",
+    "not",
+    "true",
+    "x",
+    "abs",
+    "-",
+    "--",
+    "+",
+    "*",
+    "/",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "=",
+    "==",
+    "!=",
+    "<>",
+    "!",
+    "\"g\"",
+    "\"a\\\"b\"",
+    "\"wavé\"",
+    "\"",
+    "é",
+    "$",
+    "\\",
+    "\n",
+];
+
+fn token_soup() -> impl proptest::strategy::Strategy<Value = String> {
+    proptest::collection::vec(0..TOKENS.len(), 0..24)
+        .prop_map(|ix| ix.iter().map(|&i| TOKENS[i]).collect::<Vec<_>>().join(" "))
+}
+
+/// `text` without the part between two points at fractions `a` and `b`
+/// of its length (a fraction past 1 is the end): a prefix, a text with a
+/// hole, or the whole text.
+fn cut(text: &str, a: f64, b: f64) -> String {
+    let at = |f: f64| {
+        let mut i = ((f.min(1.0)) * text.len() as f64) as usize;
+        while !text.is_char_boundary(i) {
+            i -= 1;
+        }
+        i
+    };
+    let (from, to) = (at(a.min(b)), at(a.max(b)));
+    format!("{}{}", &text[..from], &text[to..])
 }
 
 fn arb_path(max_len: usize) -> BoxedStrategy<Vec<PathPoint>> {
@@ -89,13 +266,44 @@ proptest! {
         prop_assert_eq!(parsed, e);
     }
 
+    /// Print → parse is the identity on every query the parser can
+    /// produce (the domain of [`arb_query`]): a durable server journals
+    /// query text and parses it again at recovery.
     #[test]
-    fn query_display_parse_roundtrip(p in arb_pattern(), name in "[a-zA-Z][a-zA-Z0-9_ ]{0,12}") {
-        let q = Query::new(name, p);
+    fn query_text_round_trips(q in arb_query()) {
         let text = q.to_query_text();
         let parsed = parse_query(&text)
             .unwrap_or_else(|err| panic!("generated query must parse: {err}\n{text}"));
         prop_assert_eq!(parsed, q);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary strings, token soups and random cuts of valid query
+    /// text go through all three entry points: each returns `Ok` or
+    /// `Err` without a panic, and what it accepts prints to text that
+    /// parses back to the same tree.
+    #[test]
+    fn query_parser_never_panics(
+        chars in any_string(64),
+        soup in token_soup(),
+        q in arb_query(),
+        hole in (0.0..1.2f64, 0.0..1.2f64),
+    ) {
+        let cut_text = cut(&q.to_query_text(), hole.0, hole.1);
+        for src in [&chars, &soup, &cut_text] {
+            if let Ok(e) = parse_expr(src) {
+                prop_assert_eq!(parse_expr(&e.to_string()).ok(), Some(e), "{:?}", src);
+            }
+            if let Ok(p) = parse_pattern(src) {
+                prop_assert_eq!(parse_pattern(&p.to_string()).ok(), Some(p), "{:?}", src);
+            }
+            if let Ok(q) = parse_query(src) {
+                prop_assert_eq!(parse_query(&q.to_query_text()).ok(), Some(q), "{:?}", src);
+            }
+        }
     }
 }
 
