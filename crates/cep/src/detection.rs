@@ -17,9 +17,7 @@ pub struct Detection {
     pub started_at: i64,
     /// The matched event tuples, one per pattern step. Shared: cloning a
     /// detection (e.g. fanning it out to several sinks) bumps one
-    /// refcount instead of deep-copying the events; call
-    /// [`Self::events_vec`] to materialise an owned copy at the facade
-    /// boundary.
+    /// refcount instead of deep-copying the events.
     pub events: Arc<[Tuple]>,
 }
 
@@ -27,11 +25,5 @@ impl Detection {
     /// Duration of the gesture in stream milliseconds.
     pub fn duration_ms(&self) -> i64 {
         self.ts - self.started_at
-    }
-
-    /// Materialises an owned copy of the matched event tuples (the
-    /// internal storage is shared).
-    pub fn events_vec(&self) -> Vec<Tuple> {
-        self.events.to_vec()
     }
 }

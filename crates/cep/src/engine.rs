@@ -3,15 +3,16 @@
 //! The engine owns a [`Catalog`] of streams/views and a set of deployed
 //! queries. Tuples are pushed per base stream; the engine evaluates each
 //! needed view (e.g. `kinect` → `kinect_t`) once per batch and advances
-//! every deployed query's NFA over the shared outputs. Queries can be
-//! deployed, undeployed and replaced while the stream is live — the
-//! paper's "exchanging the applications' pre-defined navigation
-//! operations during runtime" (§4).
+//! every deployed query's NFA over the shared outputs, returning the
+//! detections to the caller (a multi-session server fans them out to
+//! its own sinks). Queries can be deployed, undeployed and replaced
+//! while the stream is live — the paper's "exchanging the applications'
+//! pre-defined navigation operations during runtime" (§4).
 
 use std::sync::Arc;
 
 use gesto_stream::{Catalog, SharedViews, Tuple};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::detection::Detection;
 use crate::error::CepError;
@@ -19,9 +20,6 @@ use crate::expr::FunctionRegistry;
 use crate::parser::parse_query;
 use crate::pattern::Query;
 use crate::plan::{PlanInstance, QueryPlan};
-
-/// Callback invoked on every detection.
-pub type DetectionListener = Arc<dyn Fn(&Detection) + Send + Sync>;
 
 /// Runtime statistics of a deployed query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +46,6 @@ pub struct Engine {
     catalog: Arc<Catalog>,
     funcs: Arc<FunctionRegistry>,
     state: Mutex<Deployed>,
-    listeners: RwLock<Vec<DetectionListener>>,
 }
 
 /// The view runtime and the deployed queries, in deployment order,
@@ -87,7 +84,6 @@ impl Engine {
                 views,
                 queries: Vec::new(),
             }),
-            listeners: RwLock::new(Vec::new()),
         }
     }
 
@@ -115,12 +111,6 @@ impl Engine {
     /// The engine's function registry (for registering UDFs).
     pub fn functions(&self) -> &Arc<FunctionRegistry> {
         &self.funcs
-    }
-
-    /// Adds a detection listener (invoked for every detection of every
-    /// query).
-    pub fn add_listener(&self, listener: DetectionListener) {
-        self.listeners.write().push(listener);
     }
 
     /// Compiles `query` into a shareable plan against this engine's
@@ -231,7 +221,7 @@ impl Engine {
     }
 
     /// Pushes one tuple of base stream `stream` through all deployed
-    /// queries; returns all detections (listeners are also invoked).
+    /// queries; returns all detections.
     ///
     /// Views are evaluated once for the tuple and shared across every
     /// deployed query (transform-once).
@@ -255,40 +245,21 @@ impl Engine {
     /// batch, detections are grouped per query in deployment order (each
     /// query's NFA steps the whole batch in one call) and stream-ordered
     /// within a query.
-    ///
-    /// Listeners fire after the batch completes, with no engine locks
-    /// held — a listener may safely call back into the engine (stats,
-    /// push, deploy). On error, detections already appended to `out`
-    /// have been reported to listeners.
     pub fn push_batch_into(
         &self,
         stream: &str,
         tuples: &[Tuple],
         out: &mut Vec<Detection>,
     ) -> Result<(), CepError> {
-        let fresh = out.len();
-        let result = {
-            let mut state = self.state.lock();
-            let Deployed { views, queries } = &mut *state;
-            // Transform-once, step-batched: every needed view runs once
-            // over the whole batch, then each deployed plan advances its
-            // NFA batch-at-a-time over the shared outputs.
-            views.begin_batch(stream, tuples);
-            queries
-                .iter_mut()
-                .try_for_each(|q| q.push_batch_shared(stream, tuples, views, out))
-        };
-        // The lock is released before listeners run, so listeners can
-        // re-enter the engine without self-deadlocking.
-        if out.len() > fresh {
-            let listeners = self.listeners.read();
-            for det in &out[fresh..] {
-                for l in listeners.iter() {
-                    l(det);
-                }
-            }
-        }
-        result
+        let mut state = self.state.lock();
+        let Deployed { views, queries } = &mut *state;
+        // Transform-once, step-batched: every needed view runs once over
+        // the whole batch, then each deployed plan advances its NFA
+        // batch-at-a-time over the shared outputs.
+        views.begin_batch(stream, tuples);
+        queries
+            .iter_mut()
+            .try_for_each(|q| q.push_batch_shared(stream, tuples, views, out))
     }
 
     /// Resets all partial matches of all queries (e.g. between test
@@ -400,38 +371,6 @@ mod tests {
         assert_eq!(q.name, "g");
         assert!(e.push("kinect", &tup(1, 10.0)).unwrap().is_empty());
         assert!(matches!(e.undeploy("g"), Err(CepError::UnknownQuery(_))));
-    }
-
-    #[test]
-    fn listeners_invoked() {
-        let e = engine_with_view();
-        e.deploy_text(r#"SELECT "g" MATCHING kinect(x > 9);"#)
-            .unwrap();
-        let hits = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
-        let h2 = hits.clone();
-        e.add_listener(Arc::new(move |d: &Detection| {
-            h2.lock().push(d.gesture.clone())
-        }));
-        e.push("kinect", &tup(0, 10.0)).unwrap();
-        assert_eq!(hits.lock().as_slice(), &["g".to_string()]);
-    }
-
-    #[test]
-    fn listener_may_reenter_the_engine() {
-        // Listeners run with no engine locks held: a monitoring sink
-        // that calls back into the engine must not self-deadlock.
-        let e = Arc::new(engine_with_view());
-        e.deploy_text(r#"SELECT "g" MATCHING kinect(x > 9);"#)
-            .unwrap();
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
-        let e2 = Arc::downgrade(&e);
-        let s2 = seen.clone();
-        e.add_listener(Arc::new(move |d: &Detection| {
-            let engine = e2.upgrade().expect("engine alive");
-            s2.lock().push(engine.stats(&d.gesture).unwrap().detections);
-        }));
-        e.push("kinect", &tup(0, 10.0)).unwrap();
-        assert_eq!(seen.lock().as_slice(), &[1]);
     }
 
     #[test]

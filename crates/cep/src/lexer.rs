@@ -118,9 +118,12 @@ pub fn lex(src: &str) -> Result<Vec<Token>, CepError> {
             '0'..='9' | '.' => {
                 let len = number_len(rest.as_bytes());
                 let text = &rest[..len];
-                let n = text
+                let n: f64 = text
                     .parse()
                     .map_err(|_| error(i, format!("invalid number '{text}'")))?;
+                if !n.is_finite() {
+                    return Err(error(i, format!("number '{text}' is out of range")));
+                }
                 (len, TokenKind::Number(n))
             }
             'a'..='z' | 'A'..='Z' | '_' => {
@@ -289,6 +292,7 @@ mod tests {
         for (src, offset, message) in [
             ("abc $", 4, "unexpected character '$'"),
             ("\"é\" é", 5, "unexpected character 'é'"),
+            ("x < 1e400", 4, "number '1e400' is out of range"),
         ] {
             match lex(src).unwrap_err() {
                 CepError::Parse {

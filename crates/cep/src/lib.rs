@@ -53,7 +53,7 @@ mod pattern;
 mod plan;
 
 pub use detection::Detection;
-pub use engine::{DetectionListener, Engine, QueryStats};
+pub use engine::{Engine, QueryStats};
 pub use error::CepError;
 pub use expr::{BinOp, Expr, FunctionRegistry, UnaryOp};
 pub use nfa::{

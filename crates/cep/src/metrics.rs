@@ -24,7 +24,7 @@ pub const STAGE_NAME: &str = "gesto_stage_duration_ns";
 /// Help text of the [`STAGE_NAME`] family.
 pub const STAGE_HELP: &str =
     "Sampled duration of one pipeline stage for one batch, in nanoseconds \
-     (1-in-N sampled; see ServerConfig::stage_sample_every)";
+     (1-in-64 sampled)";
 
 /// A sharded counter named `name`, with no labels.
 const fn counter(name: &'static str, help: &'static str) -> Global<ShardedCounter> {

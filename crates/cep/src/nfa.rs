@@ -539,11 +539,6 @@ impl NfaRuntime {
         self.seeding = seeding;
     }
 
-    /// Whether tuples may seed new runs (see [`Self::set_seeding`]).
-    pub fn is_seeding(&self) -> bool {
-        self.seeding
-    }
-
     /// Runs discarded because of the `max_runs` cap.
     pub fn shed_runs(&self) -> u64 {
         self.shed

@@ -20,6 +20,11 @@
 //! operator is left-associative, and a comparison does not chain: its
 //! left operand holds no `or`, `and` or comparison outside parentheses,
 //! so `a < b < c` is an error and `a and b < c` is `a and (b < c)`.
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: compiling, evaluating,
+//! printing and dropping a query all recurse over its tree, so text
+//! nested deeper is refused with a [`CepError::Parse`] at the token that
+//! crosses the bound instead of overflowing the stack.
 
 use gesto_stream::Value;
 
@@ -28,10 +33,19 @@ use crate::expr::{BinOp, Expr, UnaryOp};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::pattern::{ConsumePolicy, Pattern, Query, SelectPolicy, SequencePattern};
 
+/// The deepest nesting the parser accepts. Each parenthesis, unary
+/// operator, event predicate, function call and nested `( sequence )`
+/// step is one level, and so is each link of an operator chain: the
+/// tree of `a + b + c` is left-deep, two levels. Learned queries stay
+/// far below: the texts learned for the standard gesture library nest at
+/// most 10 levels (five poses over one hand's three coordinates), and
+/// each further pose or coordinate adds one. A 30 000-term chain
+/// overflows a 2 MiB stack in the recursions over its tree.
+const MAX_NESTING: usize = 128;
+
 /// Parses a complete `SELECT ... MATCHING ...;` query.
 pub fn parse_query(src: &str) -> Result<Query, CepError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -40,8 +54,7 @@ pub fn parse_query(src: &str) -> Result<Query, CepError> {
 /// Parses a bare pattern (the part after `MATCHING`, without trailing
 /// semicolon).
 pub fn parse_pattern(src: &str) -> Result<Pattern, CepError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let pat = p.sequence()?;
     p.expect_eof()?;
     Ok(pat)
@@ -50,9 +63,8 @@ pub fn parse_pattern(src: &str) -> Result<Pattern, CepError> {
 /// Parses a bare expression (useful for manually adding separating
 /// constraints to generated queries, §3.3.2).
 pub fn parse_expr(src: &str) -> Result<Expr, CepError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr()?;
+    let mut p = Parser::new(src)?;
+    let (e, _) = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
@@ -60,9 +72,22 @@ pub fn parse_expr(src: &str) -> Result<Expr, CepError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of nesting open around the token at `pos`.
+    open: usize,
 }
 
+/// An expression with its height: the levels of nesting inside it.
+type Nested = (Expr, usize);
+
 impl Parser {
+    fn new(src: &str) -> Result<Self, CepError> {
+        Ok(Parser {
+            tokens: lex(src)?,
+            pos: 0,
+            open: 0,
+        })
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -80,6 +105,33 @@ impl Parser {
             offset: self.peek().offset,
             message: message.into(),
         }
+    }
+
+    /// Fails with a parse error at `offset` when `height` more levels
+    /// under the open ones pass [`MAX_NESTING`].
+    fn bound(&self, height: usize, offset: usize) -> Result<(), CepError> {
+        if self.open + height > MAX_NESTING {
+            return Err(CepError::Parse {
+                offset,
+                message: format!("query nests deeper than {MAX_NESTING} levels"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs `f` one level of nesting deeper, inside the token `opener`
+    /// just consumed; refuses `opener` if that level passes
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        opener: Token,
+        f: impl FnOnce(&mut Self) -> Result<T, CepError>,
+    ) -> Result<T, CepError> {
+        self.bound(1, opener.offset)?;
+        self.open += 1;
+        let out = f(self)?;
+        self.open -= 1;
+        Ok(out)
     }
 
     fn expect(&mut self, kind: &TokenKind) -> Result<Token, CepError> {
@@ -181,8 +233,9 @@ impl Parser {
                 "ms" | "millisecond" | "milliseconds" => n,
                 _ => return Err(self.error(format!("unknown time unit '{unit}'"))),
             };
-            if ms <= 0.0 {
-                return Err(self.error("'within' duration must be positive"));
+            // Stored in whole milliseconds, so it must round to one.
+            if ms.round() < 1.0 {
+                return Err(self.error("'within' duration must be at least 1 ms"));
             }
             within_ms = Some(ms.round() as i64);
         }
@@ -226,8 +279,8 @@ impl Parser {
     fn step(&mut self) -> Result<Pattern, CepError> {
         match self.peek().kind.clone() {
             TokenKind::LParen => {
-                self.next();
-                let inner = self.sequence()?;
+                let opener = self.next();
+                let inner = self.nested(opener, Self::sequence)?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(inner)
             }
@@ -241,8 +294,8 @@ impl Parser {
                     }
                 }
                 self.next();
-                self.expect(&TokenKind::LParen)?;
-                let predicate = self.expr()?;
+                let opener = self.expect(&TokenKind::LParen)?;
+                let (predicate, _) = self.nested(opener, Self::expr)?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(Pattern::event(source, predicate))
             }
@@ -255,7 +308,7 @@ impl Parser {
 
     // ----- expressions -----
 
-    fn expr(&mut self) -> Result<Expr, CepError> {
+    fn expr(&mut self) -> Result<Nested, CepError> {
         self.binary(0)
     }
 
@@ -273,23 +326,26 @@ impl Parser {
     /// Precedence climbing over operators of rank `min_prec` and up,
     /// left-associative. A comparison's left operand is arithmetic, so
     /// none follows an operator of comparison rank or lower at this level.
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, CepError> {
-        let mut lhs = self.unary()?;
+    /// Each link nests the chain so far one level deeper.
+    fn binary(&mut self, min_prec: u8) -> Result<Nested, CepError> {
+        let (mut lhs, mut height) = self.unary()?;
         let mut arithmetic = true;
         while let Some(op) = self.peek_op() {
             let prec = op.precedence();
             if prec < min_prec || (op.is_comparison() && !arithmetic) {
                 break;
             }
-            self.next();
-            let rhs = self.binary(prec + 1)?;
+            let offset = self.next().offset;
+            let (rhs, rhs_height) = self.binary(prec + 1)?;
+            height = height.max(rhs_height) + 1;
+            self.bound(height, offset)?;
             lhs = Expr::bin(op, lhs, rhs);
             arithmetic &= prec > BinOp::Eq.precedence();
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn unary(&mut self) -> Result<Expr, CepError> {
+    fn unary(&mut self) -> Result<Nested, CepError> {
         let op = if self.peek().kind == TokenKind::Op(BinOp::Sub) {
             UnaryOp::Neg
         } else if self.peek_keyword("not") {
@@ -297,61 +353,67 @@ impl Parser {
         } else {
             return self.primary();
         };
-        self.next();
-        Ok(match (op, self.unary()?) {
+        let opener = self.next();
+        let (e, height) = self.nested(opener, Self::unary)?;
+        let e = match (op, e) {
             // Fold negation into numeric literals for cleaner ASTs.
             (UnaryOp::Neg, Expr::Literal(Value::Float(f))) => Expr::Literal(Value::Float(-f)),
             (op, e) => Expr::Unary {
                 op,
                 expr: Box::new(e),
             },
-        })
+        };
+        Ok((e, height + 1))
     }
 
-    fn primary(&mut self) -> Result<Expr, CepError> {
+    fn primary(&mut self) -> Result<Nested, CepError> {
         match self.peek().kind.clone() {
             TokenKind::Number(n) => {
                 self.next();
-                Ok(Expr::Literal(Value::Float(n)))
+                Ok((Expr::Literal(Value::Float(n)), 0))
             }
             TokenKind::Str(s) => {
                 self.next();
-                Ok(Expr::Literal(Value::Str(s)))
+                Ok((Expr::Literal(Value::Str(s)), 0))
             }
             TokenKind::LParen => {
-                self.next();
-                let e = self.expr()?;
+                let opener = self.next();
+                let (e, height) = self.nested(opener, Self::expr)?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(e)
+                Ok((e, height + 1))
             }
             TokenKind::Ident(name) => {
                 if name.eq_ignore_ascii_case("true") {
                     self.next();
-                    return Ok(Expr::Literal(Value::Bool(true)));
+                    return Ok((Expr::Literal(Value::Bool(true)), 0));
                 }
                 if name.eq_ignore_ascii_case("false") {
                     self.next();
-                    return Ok(Expr::Literal(Value::Bool(false)));
+                    return Ok((Expr::Literal(Value::Bool(false)), 0));
                 }
                 self.next();
-                if self.peek().kind == TokenKind::LParen {
-                    self.next();
-                    let mut args = Vec::new();
-                    if self.peek().kind != TokenKind::RParen {
-                        args.push(self.expr()?);
-                        while self.peek().kind == TokenKind::Comma {
-                            self.next();
-                            args.push(self.expr()?);
+                if self.peek().kind != TokenKind::LParen {
+                    return Ok((Expr::Column(name), 0));
+                }
+                let opener = self.next();
+                let (args, height) = self.nested(opener, |p| {
+                    let (mut args, mut height) = (Vec::new(), 0);
+                    if p.peek().kind != TokenKind::RParen {
+                        loop {
+                            let (arg, h) = p.expr()?;
+                            args.push(arg);
+                            height = height.max(h);
+                            if p.peek().kind != TokenKind::Comma {
+                                break;
+                            }
+                            p.next();
                         }
                     }
-                    self.expect(&TokenKind::RParen)?;
-                    Ok(Expr::Call {
-                        func: name.to_ascii_lowercase(),
-                        args,
-                    })
-                } else {
-                    Ok(Expr::Column(name))
-                }
+                    Ok((args, height))
+                })?;
+                self.expect(&TokenKind::RParen)?;
+                let func = name.to_ascii_lowercase();
+                Ok((Expr::Call { func, args }, height + 1))
             }
             other => Err(self.error(format!("expected expression, found {}", other.describe()))),
         }
@@ -434,6 +496,7 @@ mod tests {
             _ => panic!(),
         }
         assert!(parse_pattern("a(true) -> b(true) within 0 seconds").is_err());
+        assert!(parse_pattern("a(true) -> b(true) within 0.4 ms").is_err());
         assert!(parse_pattern("a(true) -> b(true) within 1 parsec").is_err());
     }
 
@@ -516,6 +579,71 @@ mod tests {
         .unwrap();
         assert_eq!(p.event_count(), 4);
         assert_eq!(p.depth(), 3);
+    }
+
+    /// The offset of the parse error `r` holds.
+    fn error_offset<T: std::fmt::Debug>(r: Result<T, CepError>) -> usize {
+        match r {
+            Err(CepError::Parse { offset, message }) => {
+                assert!(message.contains("nests deeper"), "{message}");
+                offset
+            }
+            other => panic!("expected a nesting error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_crossing_token() {
+        // `x+x+…`: the n-th `+` sits at offset 2n - 1 and nests n levels.
+        let chain = |links: usize| format!("x{}", "+x".repeat(links));
+        assert!(parse_expr(&chain(MAX_NESTING)).is_ok());
+        assert_eq!(
+            error_offset(parse_expr(&chain(MAX_NESTING + 1))),
+            2 * MAX_NESTING + 1
+        );
+        let parens = |n: usize| format!("{}x{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_expr(&parens(MAX_NESTING)).is_ok());
+        assert_eq!(
+            error_offset(parse_expr(&parens(MAX_NESTING + 1))),
+            MAX_NESTING
+        );
+        let negations = |n: usize| format!("{}x", "- ".repeat(n));
+        assert!(parse_expr(&negations(MAX_NESTING)).is_ok());
+        assert_eq!(
+            error_offset(parse_expr(&negations(MAX_NESTING + 1))),
+            2 * MAX_NESTING
+        );
+        let calls = |n: usize| format!("{}x{}", "f(".repeat(n), ")".repeat(n));
+        assert!(parse_expr(&calls(MAX_NESTING)).is_ok());
+        assert!(error_offset(parse_expr(&calls(MAX_NESTING + 1))) > 0);
+        // The event predicate is one more level.
+        let query = |pred: &str| parse_query(&format!(r#"SELECT "g" MATCHING kinect({pred});"#));
+        assert!(query(&chain(MAX_NESTING - 1)).is_ok());
+        assert!(error_offset(query(&chain(MAX_NESTING))) > 0);
+        let steps = |n: usize| format!("{}a(true){}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_pattern(&steps(MAX_NESTING - 1)).is_ok());
+        assert!(error_offset(parse_pattern(&steps(MAX_NESTING))) > 0);
+    }
+
+    #[test]
+    fn deep_text_is_refused_on_a_2_mib_stack() {
+        // Unbounded, both shapes overflow the stack of a 2 MiB thread
+        // (the network I/O thread's), in the parser or in what walks the
+        // tree it builds.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let chain = format!("x{}", " + x".repeat(29_999));
+                let parens = format!("{}x{}", "(".repeat(30_000), ")".repeat(30_000));
+                for pred in [chain, parens] {
+                    assert!(parse_expr(&pred).is_err());
+                    let text = format!(r#"SELECT "deep" MATCHING kinect({pred} > 0);"#);
+                    assert!(parse_query(&text).is_err());
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

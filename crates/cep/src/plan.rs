@@ -182,11 +182,6 @@ impl PlanInstance {
         self.nfa.set_seeding(!draining);
     }
 
-    /// Whether the instance is draining (see [`Self::set_draining`]).
-    pub fn is_draining(&self) -> bool {
-        !self.nfa.is_seeding()
-    }
-
     /// Live partial matches (cheap accessor for drain polling).
     pub fn active_runs(&self) -> usize {
         self.nfa.active_runs()
@@ -504,7 +499,6 @@ mod tests {
         push(&mut i, &mut views, tup(0, 0.5), &mut out);
         assert_eq!(i.active_runs(), 1);
         i.set_draining(true);
-        assert!(i.is_draining());
 
         // A seed-step tuple no longer starts a run…
         push(&mut i, &mut views, tup(5, 0.5), &mut out);

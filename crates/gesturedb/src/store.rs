@@ -179,15 +179,6 @@ impl GestureStore {
         self.inner.write().remove(name)
     }
 
-    /// Drops the recorded samples of `name` (e.g. after re-recording).
-    pub fn clear_samples(&self, name: &str) -> usize {
-        let mut inner = self.inner.write();
-        match inner.get_mut(name) {
-            Some(rec) => std::mem::take(&mut rec.samples).len(),
-            None => 0,
-        }
-    }
-
     /// Snapshot for persistence (carries a CRC over the payload).
     pub fn snapshot(&self) -> StoreSnapshot {
         let gestures = self.inner.read().clone();
@@ -304,15 +295,13 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_drops_the_record() {
         let store = GestureStore::new();
         store.add_sample("a", sample());
         store.add_sample("a", sample());
-        assert_eq!(store.clear_samples("a"), 2);
-        assert_eq!(store.get("a").unwrap().samples.len(), 0);
-        assert!(store.remove("a").is_some());
+        assert_eq!(store.remove("a").unwrap().samples.len(), 2);
         assert!(store.get("a").is_none());
-        assert_eq!(store.clear_samples("missing"), 0);
+        assert!(store.remove("a").is_none());
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub enum BackpressurePolicy {
 /// let config = ServerConfig::new()
 ///     .with_shards(4)
 ///     .with_queue_capacity(256)
-///     .with_backpressure(BackpressurePolicy::DropOldest)
-///     .with_columnar_min_batch(8);
+///     .with_backpressure(BackpressurePolicy::DropOldest);
 /// assert_eq!(config.effective_shards(), 4);
 /// ```
 #[derive(Debug, Clone)]
@@ -104,15 +103,8 @@ pub struct ServerConfig {
     /// shard's core. Which core each shard landed on (or `-1` for
     /// unpinned) is exported as `gesto_shard_pinned_core{shard}`.
     pub pin_shards: bool,
-    /// Pipeline stage timers sample one batch in this many per shard
-    /// (wire decode → transform → views → NFA → sink durations exported
-    /// as `gesto_stage_duration_ns`). `0` disables stage timing; `1`
-    /// times every batch. The default (64) keeps the steady-state cost
-    /// of a timed pipeline to one integer decrement per stage per
-    /// batch.
-    pub stage_sample_every: u32,
     /// Durable control plane: journal every control op to disk, restore
-    /// store + deployed plans + config on restart. `None` (the default)
+    /// store + deployed plans on restart. `None` (the default)
     /// keeps the control plane in-memory only.
     pub durability: Option<DurabilityConfig>,
     /// Per-session frame-rate quota in frames per second (`0` = no
@@ -148,7 +140,6 @@ impl Default for ServerConfig {
             backpressure: BackpressurePolicy::default(),
             columnar_min_batch: 8,
             pin_shards: false,
-            stage_sample_every: 64,
             durability: None,
             session_frame_quota: 0,
             shard_memory_budget: 0,
@@ -182,24 +173,10 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the minimum batch size for the columnar path (`0` makes
-    /// every batch columnar, `usize::MAX` keeps every batch scalar).
-    pub fn with_columnar_min_batch(mut self, frames: usize) -> Self {
-        self.columnar_min_batch = frames;
-        self
-    }
-
     /// Enables core pinning for shard workers (off by default; no-op on
     /// non-Linux targets and single-core hosts).
     pub fn with_pin_shards(mut self, on: bool) -> Self {
         self.pin_shards = on;
-        self
-    }
-
-    /// Sets the 1-in-N sampling rate of the pipeline stage timers
-    /// (`0` disables stage timing, `1` times every batch).
-    pub fn with_stage_sample_every(mut self, every: u32) -> Self {
-        self.stage_sample_every = every;
         self
     }
 

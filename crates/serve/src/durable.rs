@@ -2,9 +2,9 @@
 //! payloads.
 //!
 //! Every control-plane mutation of a durable server — teaching a
-//! gesture, deploying or undeploying a plan, setting a config key — is
-//! serialised as one [`ControlOp`] (JSON) and appended to the
-//! write-ahead journal **before** it is acknowledged to the caller.
+//! gesture, deploying or undeploying a plan — is serialised as one
+//! [`ControlOp`] (JSON) and appended to the write-ahead journal
+//! **before** it is acknowledged to the caller.
 //! Recovery ([`crate::Server::try_with_parts`]) loads the newest valid
 //! checkpoint, replays the journal tail in sequence order, recompiles
 //! each surviving plan exactly once, and broadcasts it to the shards —
@@ -16,7 +16,7 @@
 //! rarely, skeleton streams are ephemeral, and keeping the journal off
 //! the hot path is what makes durability free at steady state.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use gesto_db::{GestureRecord, StoreSnapshot};
 use gesto_durability::Journal;
@@ -55,13 +55,6 @@ pub enum ControlOp {
         /// Gesture (query) name.
         name: String,
     },
-    /// A durable config key was set.
-    SetConfig {
-        /// Key.
-        key: String,
-        /// Value.
-        value: String,
-    },
 }
 
 /// One deployed plan's durable identity inside a checkpoint.
@@ -84,8 +77,6 @@ pub struct CheckpointPayload {
     pub store: StoreSnapshot,
     /// Deployed plans, sorted by name (deterministic payload bytes).
     pub plans: Vec<PlanMeta>,
-    /// Durable config keys.
-    pub config: BTreeMap<String, String>,
 }
 
 /// Live state of a durable server: the open journal plus checkpoint
@@ -120,7 +111,6 @@ pub(crate) fn decode_op(payload: &[u8]) -> Result<ControlOp, crate::ServeError> 
 pub(crate) fn encode_checkpoint(
     store: StoreSnapshot,
     plans: &HashMap<String, crate::server::DeployedPlan>,
-    config: BTreeMap<String, String>,
 ) -> Result<String, crate::ServeError> {
     let mut metas: Vec<PlanMeta> = plans
         .iter()
@@ -134,7 +124,6 @@ pub(crate) fn encode_checkpoint(
     serde_json::to_string(&CheckpointPayload {
         store,
         plans: metas,
-        config,
     })
     .map_err(|e| crate::ServeError::Durability(format!("encoding checkpoint: {e}")))
 }
@@ -172,9 +161,10 @@ mod tests {
             ControlOp::Undeploy {
                 name: "swipe".into(),
             },
-            ControlOp::SetConfig {
-                key: "mode".into(),
-                value: "demo".into(),
+            ControlOp::Deploy {
+                name: "swipe".into(),
+                text: "SELECT \"swipe\"\nMATCHING kinect(x < 2);".into(),
+                version: 4,
             },
         ];
         for op in ops {
@@ -182,6 +172,18 @@ mod tests {
             let back = decode_op(json.as_bytes()).unwrap();
             assert_eq!(back, op);
         }
+    }
+
+    #[test]
+    fn a_checkpoint_with_the_removed_config_map_still_loads() {
+        let store = gesto_db::GestureStore::new().snapshot();
+        let json = encode_checkpoint(store.clone(), &HashMap::new()).unwrap();
+        let old = format!(
+            r#"{},"config":{{"mode":"demo"}}}}"#,
+            &json[..json.len() - 1]
+        );
+        let payload = decode_checkpoint(old.as_bytes()).unwrap();
+        assert_eq!((payload.store, payload.plans), (store, Vec::new()));
     }
 
     #[test]

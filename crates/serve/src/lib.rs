@@ -452,26 +452,27 @@ mod tests {
         let server = Server::start(ServerConfig::new().with_shards(2).with_durability(&dir));
         let samples: Vec<_> = (0..3).map(swipe_frames).collect();
         server.teach("swipe_right", &samples).unwrap();
+        let never = r#"SELECT "never" MATCHING kinect(head_y > 100000);"#;
+        server.deploy_text(never).unwrap();
         server
-            .deploy_text(r#"SELECT "never" MATCHING kinect(head_y > 100000);"#)
+            .deploy_text(r#"SELECT "gone" MATCHING kinect(head_y > 100000);"#)
             .unwrap();
-        server.set_config("mode", "demo").unwrap();
+        server.undeploy("gone").unwrap();
+        server.deploy_text(never).unwrap();
         let versions = server.deployed_versions();
+        assert_eq!(versions, [("never".into(), 2), ("swipe_right".into(), 1)]);
         let store_snap = server.store().snapshot();
-        let config = server.config_entries();
         let first_run = detections_of(&server);
         assert!(first_run.contains_key("swipe_right"));
         server.shutdown();
 
         // A restarted server recovers the full control plane from disk —
-        // store, deployed plans with versions, config — and detects the
+        // store, deployed plans with versions — and detects the
         // same performances identically. Compiled once per plan, on
         // recovery.
         let server = Server::start(ServerConfig::new().with_shards(2).with_durability(&dir));
         assert_eq!(server.deployed_versions(), versions);
         assert_eq!(server.store().snapshot(), store_snap);
-        assert_eq!(server.config_entries(), config);
-        assert_eq!(server.get_config("mode").as_deref(), Some("demo"));
         assert_eq!(server.metrics().plans_compiled, 2);
         assert_eq!(detections_of(&server), first_run);
         server.shutdown();
@@ -482,20 +483,42 @@ mod tests {
     fn recovery_replays_ops_beyond_checkpoint() {
         let dir = temp_dir("replay");
         let server = Server::start(ServerConfig::new().with_shards(1).with_durability(&dir));
-        server.set_config("a", "1").unwrap();
+        let early = r#"SELECT "early" MATCHING kinect(head_y > 100000);"#;
+        server.deploy_text(early).unwrap();
         server.checkpoint().unwrap().expect("durability is on");
         // Ops after the checkpoint live only in the journal tail.
-        server.set_config("b", "2").unwrap();
+        server.deploy_text(early).unwrap();
         server
             .deploy_text(r#"SELECT "late" MATCHING kinect(head_y > 100000);"#)
             .unwrap();
         server.shutdown();
 
         let server = Server::start(ServerConfig::new().with_shards(1).with_durability(&dir));
-        assert_eq!(server.get_config("a").as_deref(), Some("1"));
-        assert_eq!(server.get_config("b").as_deref(), Some("2"));
-        assert_eq!(server.deployed(), vec!["late"]);
+        assert_eq!(
+            server.deployed_versions(),
+            [("early".into(), 2), ("late".into(), 1)]
+        );
         server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_holding_a_removed_op_fails_recovery() {
+        // Journals written before the config store was removed can hold
+        // `SetConfig` records; recovery refuses them instead of guessing.
+        let dir = temp_dir("removed-op");
+        let (mut journal, _) = gesto_durability::Journal::open(&dir).unwrap();
+        journal
+            .append(br#"{"SetConfig":{"key":"mode","value":"demo"}}"#)
+            .unwrap();
+        drop(journal);
+        let err = Server::try_start(ServerConfig::new().with_shards(1).with_durability(&dir))
+            .err()
+            .expect("recovery fails");
+        assert!(
+            matches!(&err, ServeError::Durability(m) if m.contains("unknown variant `SetConfig`")),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -94,7 +94,6 @@ pub struct NetClient {
     drop_notices: u64,
     admission_rejections: u64,
     reconnects: u64,
-    server_flags: u16,
     detections: VecDeque<WireDetection>,
     /// Sessions this client considers open — re-opened on reconnect.
     sessions: HashSet<u64>,
@@ -136,7 +135,6 @@ impl NetClient {
             drop_notices: 0,
             admission_rejections: 0,
             reconnects: 0,
-            server_flags: 0,
             detections: VecDeque::new(),
             sessions: HashSet::new(),
             closed_sessions: Vec::new(),
@@ -157,12 +155,7 @@ impl NetClient {
         })?;
         // The HelloAck is always the server's first message.
         match self.read_message()? {
-            Message::HelloAck {
-                flags: granted,
-                credits,
-                ..
-            } => {
-                self.server_flags = granted;
+            Message::HelloAck { credits, .. } => {
                 self.credits = u64::from(credits);
                 Ok(())
             }
@@ -170,11 +163,6 @@ impl NetClient {
                 "expected HelloAck, got {other:?}"
             ))),
         }
-    }
-
-    /// Flags the server granted during the handshake.
-    pub fn server_flags(&self) -> u16 {
-        self.server_flags
     }
 
     /// Frames this client may currently send without waiting.
@@ -295,14 +283,6 @@ impl NetClient {
     pub fn undeploy(&mut self, name: &str) -> io::Result<()> {
         self.control(&Message::Undeploy {
             name: name.to_owned(),
-        })
-    }
-
-    /// Sets a durable config key (§8).
-    pub fn set_config(&mut self, key: &str, value: &str) -> io::Result<()> {
-        self.control(&Message::SetConfig {
-            key: key.to_owned(),
-            value: value.to_owned(),
         })
     }
 

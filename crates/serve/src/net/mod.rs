@@ -143,8 +143,8 @@ pub struct NetConfig {
     /// `gesto_net_idle_closed_total`. Connections held paused by shard
     /// backpressure are exempt — they are stalled, not dead.
     pub idle_timeout_ms: u64,
-    /// Accept control-plane messages (`Deploy`/`Undeploy`/`SetConfig`,
-    /// §8 of `docs/PROTOCOL.md`) on this edge. **Off by default**: the
+    /// Accept control-plane messages (`Deploy`/`Undeploy`, §8 of
+    /// `docs/PROTOCOL.md`) on this edge. **Off by default**: the
     /// data edge is typically exposed to untrusted producers, and a
     /// control message on a non-control edge is answered with a
     /// `ControlDisabled` error frame (the connection stays usable).
@@ -713,9 +713,6 @@ impl IoLoop {
             }
             Message::Deploy { text } => self.on_control(conn, |handle| handle.deploy_text(&text)),
             Message::Undeploy { name } => self.on_control(conn, |handle| handle.undeploy(&name)),
-            Message::SetConfig { key, value } => {
-                self.on_control(conn, |handle| handle.set_config(&key, &value))
-            }
             // Server→client messages have no business arriving here.
             Message::HelloAck { .. }
             | Message::Credit { .. }

@@ -56,8 +56,8 @@ pub enum ErrorCode {
     QueueFull,
     /// The server is shutting down.
     Shutdown,
-    /// A control message (deploy/undeploy/set-config) arrived but the
-    /// edge was not started with
+    /// A control message (deploy/undeploy) arrived but the edge was not
+    /// started with
     /// [`NetConfig::allow_control`](super::NetConfig::allow_control).
     ControlDisabled,
     /// **Non-fatal notice** (§7.1): the server shed queued detection
@@ -196,14 +196,6 @@ pub enum Message {
         /// Gesture (query) name.
         name: String,
     },
-    /// `0x09` client→server: sets a durable config key (§8). On a
-    /// durable server the write is journaled before the ack.
-    SetConfig {
-        /// Key.
-        key: String,
-        /// Value.
-        value: String,
-    },
     /// `0x81` server→client: accepts the protocol (§2); grants the
     /// initial credit window.
     HelloAck {
@@ -324,10 +316,6 @@ pub fn encode(msg: &Message, buf: &mut Vec<u8>) {
                 Message::Bye => {}
                 Message::Deploy { text } => write_str16(buf, text),
                 Message::Undeploy { name } => write_str16(buf, name),
-                Message::SetConfig { key, value } => {
-                    write_str16(buf, key);
-                    write_str16(buf, value);
-                }
                 Message::ControlAck { error } => {
                     buf.push(error.is_none() as u8);
                     write_str16(buf, error.as_deref().unwrap_or(""));
@@ -453,7 +441,6 @@ fn type_byte(msg: &Message) -> u8 {
         Message::Bye => 0x06,
         Message::Deploy { .. } => 0x07,
         Message::Undeploy { .. } => 0x08,
-        Message::SetConfig { .. } => 0x09,
         Message::HelloAck { .. } => 0x81,
         Message::Credit { .. } => 0x82,
         Message::Detection(_) => 0x83,
@@ -519,10 +506,6 @@ fn decode_body(ty: u8, p: &[u8]) -> Result<Message, NetWireError> {
         },
         0x08 => Message::Undeploy {
             name: read_str16(p, &mut pos)?,
-        },
-        0x09 => Message::SetConfig {
-            key: read_str16(p, &mut pos)?,
-            value: read_str16(p, &mut pos)?,
         },
         0x81 => Message::HelloAck {
             version: get_u16(p, &mut pos)?,

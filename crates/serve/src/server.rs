@@ -77,9 +77,6 @@ struct ServerCore {
     /// Authoritative deployed set with rollout versions (the shards
     /// mirror it).
     plans: PlanRegistry,
-    /// Durable key/value config (journaled as `SetConfig` ops when
-    /// durability is on; plain in-memory otherwise).
-    kv: RwLock<BTreeMap<String, String>>,
     /// Durable control plane: the open journal + checkpoint pacing.
     /// `None` when durability is off. Shared with the telemetry
     /// collector (journal/checkpoint counters) via the `Arc`.
@@ -151,23 +148,8 @@ impl Server {
     /// Starts a server over existing parts — the upgrade path from a
     /// single-user `GestureSystem` (catalog, functions and store carry
     /// over; use [`ServerHandle::deploy_plan`] to move live queries in
-    /// without recompiling).
-    ///
-    /// Panics if the durable control plane is configured and recovery
-    /// fails; use [`Self::try_with_parts`] to handle that error.
-    pub fn with_parts(
-        config: ServerConfig,
-        catalog: Arc<Catalog>,
-        funcs: Arc<FunctionRegistry>,
-        store: Arc<GestureStore>,
-    ) -> Self {
-        Self::try_with_parts(config, catalog, funcs, store)
-            .expect("durable control plane recovery failed")
-    }
-
-    /// [`Self::with_parts`], returning recovery errors instead of
-    /// panicking. When [`crate::ServerConfig::durability`] is set, this
-    /// is where crash recovery happens: load the newest valid
+    /// without recompiling). When [`crate::ServerConfig::durability`] is
+    /// set, this is where crash recovery happens: load the newest valid
     /// checkpoint, replay the journal tail, recompile each surviving
     /// plan **once**, broadcast to the shards — then open the journal
     /// for new ops.
@@ -246,7 +228,6 @@ impl Server {
             schema,
             shards,
             plans,
-            kv: RwLock::new(BTreeMap::new()),
             durable,
             listeners,
             telemetry,
@@ -553,9 +534,9 @@ impl ServerHandle {
     /// before deploying or journaling anything, a query whose text does
     /// not read back as the same query: a `±inf` or `NaN` literal (it
     /// prints as a column name) or an `Int` literal (it reads back as a
-    /// `Float`). No caller but a test builds an `Int` literal (the
-    /// learner and the parser make `Float`s); query text can yield an
-    /// infinite one from a literal past `f64` range, such as `1e400`.
+    /// `Float`). No caller but a test builds either (the learner and
+    /// the parser make finite `Float`s; the lexer refuses a literal
+    /// past `f64` range, such as `1e400`).
     pub fn deploy_plan(&self, plan: Arc<QueryPlan>) -> Result<(), ServeError> {
         // Hold the registry lock across the journal append and the
         // broadcast so concurrent deploy/undeploy calls serialise:
@@ -633,36 +614,10 @@ impl ServerHandle {
         self.core.plans.read().get(name).map(|d| d.version)
     }
 
-    // ----- durable config + persistence ------------------------------
-
-    /// Sets a durable config key. With durability on, the write is
-    /// journaled before this returns; it survives restarts and is
-    /// exported to recovered servers. Without durability it is a plain
-    /// in-memory KV write.
-    pub fn set_config(&self, key: &str, value: &str) -> Result<(), ServeError> {
-        let plans = self.core.plans.read();
-        self.core
-            .kv
-            .write()
-            .insert(key.to_owned(), value.to_owned());
-        self.journal_op(&plans, || ControlOp::SetConfig {
-            key: key.to_owned(),
-            value: value.to_owned(),
-        })
-    }
-
-    /// Reads a durable config key.
-    pub fn get_config(&self, key: &str) -> Option<String> {
-        self.core.kv.read().get(key).cloned()
-    }
-
-    /// All durable config entries.
-    pub fn config_entries(&self) -> BTreeMap<String, String> {
-        self.core.kv.read().clone()
-    }
+    // ----- persistence -----------------------------------------------
 
     /// Writes a checkpoint of the full control-plane state (store,
-    /// deployed plans + versions, config), then rotates and compacts
+    /// deployed plans + versions), then rotates and compacts
     /// the journal behind it. Returns the journal sequence number the
     /// checkpoint covers, or `None` when durability is off.
     ///
@@ -709,11 +664,7 @@ impl ServerHandle {
         plans: &HashMap<String, DeployedPlan>,
         ds: &mut DurableState,
     ) -> Result<u64, ServeError> {
-        let payload = durable::encode_checkpoint(
-            self.core.store.snapshot(),
-            plans,
-            self.core.kv.read().clone(),
-        )?;
+        let payload = durable::encode_checkpoint(self.core.store.snapshot(), plans)?;
         let seq = ds.journal.last_seq();
         save_checkpoint(&ds.cfg.dir, seq, payload.as_bytes())
             .map_err(|e| durable::io_err("checkpoint write", e))?;
@@ -761,7 +712,6 @@ impl ServerHandle {
                 .store
                 .restore(payload.store)
                 .map_err(|e| ServeError::Durability(format!("restoring store snapshot: {e}")))?;
-            *self.core.kv.write() = payload.config;
             for m in payload.plans {
                 metas.insert(m.name, (m.text, m.version));
             }
@@ -796,9 +746,6 @@ impl ServerHandle {
                 }
                 ControlOp::Undeploy { name } => {
                     metas.remove(&name);
-                }
-                ControlOp::SetConfig { key, value } => {
-                    self.core.kv.write().insert(key, value);
                 }
             }
             replayed += 1;

@@ -44,6 +44,13 @@ use crate::metrics::ShardMetrics;
 use crate::server::PlanRegistry;
 use crate::shard::QueueGate;
 
+/// Pipeline stage timers sample one batch in this many per shard (wire
+/// decode → transform → views → NFA → sink durations exported as
+/// `gesto_stage_duration_ns`), the rate of gesto-cep's kernel timer
+/// too: a timed pipeline costs one integer decrement per stage per
+/// batch at steady state.
+const STAGE_SAMPLE_EVERY: u32 = 64;
+
 /// Owned per-stage duration histograms, exported as
 /// `gesto_stage_duration_ns{stage=…}`. The kernel pre-pass adds the
 /// `stage="kernel"` series, `gesto_cep::metrics::KERNEL_STAGE_NS`.
@@ -66,9 +73,6 @@ pub(crate) struct Stages {
 pub(crate) struct ServerTelemetry {
     registry: Arc<Registry>,
     pub stages: Stages,
-    /// Stage-timer sampling rate (0 = disabled), handed to each shard
-    /// worker's private `Sampler`.
-    pub stage_sample_every: u32,
     /// `gesto_plans_compiled_total` (the compile-once invariant's
     /// observable face).
     pub plans_compiled: Arc<Counter>,
@@ -122,11 +126,6 @@ impl ServerTelemetry {
             nfa: stage("nfa"),
             sink: stage("sink"),
         };
-        // The kernel timer lives inside gesto-cep and samples through
-        // its own process-global sampler; align it with the server's
-        // configured rate.
-        gesto_cep::metrics::KERNEL_SAMPLER.set_every(config.stage_sample_every);
-
         let plans_compiled = registry.instrument(
             "gesto_plans_compiled_total",
             "Query plans compiled by this server (compile-once: plans deployed \
@@ -170,7 +169,6 @@ impl ServerTelemetry {
         ServerTelemetry {
             registry,
             stages,
-            stage_sample_every: config.stage_sample_every,
             plans_compiled,
             checkpoints_total,
             checkpoint_last_seq,
@@ -294,7 +292,7 @@ impl ServerTelemetry {
     /// A fresh stage-timer sampler for one shard worker (single-owner,
     /// no atomics on the hot path).
     pub fn sampler(&self) -> Sampler {
-        Sampler::new(self.stage_sample_every)
+        Sampler::new(STAGE_SAMPLE_EVERY)
     }
 
     /// Registers the collector of what the shards' gates and admission

@@ -44,7 +44,6 @@ fn durable_config(dir: &Path) -> ServerConfig {
 #[derive(Debug, Clone, PartialEq)]
 struct ControlState {
     deployed: Vec<(String, u32)>,
-    config: Vec<(String, String)>,
     store_names: Vec<String>,
     store_crc: u32,
 }
@@ -54,13 +53,12 @@ fn state_of(server: &Server) -> ControlState {
     deployed.sort();
     ControlState {
         deployed,
-        config: server.config_entries().into_iter().collect(),
         store_names: server.store().names(),
         store_crc: server.store().snapshot().crc,
     }
 }
 
-/// Builds the op log (teach + deploys + config + undeploy + redeploy)
+/// Builds the op log (teach + deploys + undeploys + redeploys)
 /// and records the control-plane state after every journal record
 /// count. Returns the per-record-count states; the journal stays on
 /// disk in `dir`.
@@ -85,9 +83,13 @@ fn build_oplog(dir: &Path) -> BTreeMap<usize, ControlState> {
         server.deploy_text(&text).unwrap();
         note!();
     }
-    server.set_config("mode", "demo").unwrap();
+    server
+        .deploy_text(r#"SELECT "g5" MATCHING kinect(head_y > 5000.0);"#)
+        .unwrap();
     note!();
-    server.set_config("owner", "sweep").unwrap();
+    server
+        .deploy_text(r#"SELECT "g0" MATCHING kinect(head_y > 99.0);"#)
+        .unwrap();
     note!();
     server.undeploy("g2").unwrap();
     note!();
@@ -97,7 +99,7 @@ fn build_oplog(dir: &Path) -> BTreeMap<usize, ControlState> {
         .deploy_text(r#"SELECT "g1" MATCHING kinect(head_y > 999.0);"#)
         .unwrap();
     note!();
-    server.set_config("mode", "prod").unwrap();
+    server.undeploy("g5").unwrap();
     note!();
     server.shutdown();
     states
@@ -312,13 +314,18 @@ fn recovery_after_torn_tail_keeps_accepting_and_persisting_ops() {
     let server = Server::try_start(durable_config(&dir)).unwrap();
     let recovered = state_of(&server);
     assert_eq!(&recovered, states.get(&(full.len() - 1)).unwrap());
-    server.set_config("resumed", "yes").unwrap();
+    server
+        .deploy_text(r#"SELECT "resumed" MATCHING kinect(head_y > 1.0);"#)
+        .unwrap();
     server.shutdown();
 
     // ...and the post-crash op must survive the *next* restart too.
     let server = Server::try_start(durable_config(&dir)).unwrap();
-    assert_eq!(server.get_config("resumed").as_deref(), Some("yes"));
-    assert_eq!(server.deployed_versions().len(), recovered.deployed.len());
+    assert_eq!(server.plan_version("resumed"), Some(1));
+    assert_eq!(
+        server.deployed_versions().len(),
+        recovered.deployed.len() + 1
+    );
     server.shutdown();
 
     std::fs::remove_dir_all(&dir).ok();

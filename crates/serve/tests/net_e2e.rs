@@ -346,8 +346,6 @@ fn control_plane_over_the_wire_and_gated_by_default() {
     op.deploy_text(r#"SELECT "ceiling" MATCHING kinect(head_y > 200000.0);"#)
         .unwrap();
     assert_eq!(server.plan_version("ceiling"), Some(2));
-    op.set_config("mode", "demo").unwrap();
-    assert_eq!(server.get_config("mode").as_deref(), Some("demo"));
     // Engine-side failures come back in the ControlAck, not as a
     // protocol error: the connection stays usable.
     let err = op.deploy_text("this is not a query").unwrap_err();
@@ -365,12 +363,15 @@ fn control_plane_over_the_wire_and_gated_by_default() {
     // ErrorCode::ControlDisabled but the connection survives.
     let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
     let mut data = NetClient::connect(net.local_addr()).unwrap();
-    let err = data.set_config("mode", "evil").unwrap_err();
+    let deployed = server.deployed();
+    let err = data
+        .deploy_text(r#"SELECT "evil" MATCHING kinect(head_y > 1.0);"#)
+        .unwrap_err();
     assert!(
         err.to_string().contains("control plane disabled"),
         "unexpected refusal: {err}"
     );
-    assert_eq!(server.get_config("mode").as_deref(), Some("demo"));
+    assert_eq!(server.deployed(), deployed);
     data.ping().unwrap();
     for chunk in swipe_frames(10).chunks(CHUNK) {
         data.send_batch(2, chunk).unwrap();
@@ -378,6 +379,35 @@ fn control_plane_over_the_wire_and_gated_by_default() {
     assert!(!data.bye().unwrap().is_empty());
     assert!(net.metrics().protocol_errors() > 0);
 
+    net.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn deploy_of_too_deep_query_text_is_refused_and_the_edge_serves_on() {
+    // A 30 000-term `x+x+…` predicate fits one Deploy (60 KB of text);
+    // compiled, it would overflow the I/O thread's stack and abort the
+    // server. The parser's nesting bound turns it into a ControlAck
+    // error.
+    let server = Server::start(ServerConfig::new().with_shards(1));
+    teach_swipe(&server);
+    let net = NetServer::start(server.handle(), NetConfig::new().with_allow_control(true)).unwrap();
+    let mut op = NetClient::connect(net.local_addr()).unwrap();
+    let chain = format!("x{}", "+x".repeat(29_999));
+    let text = format!(r#"SELECT "deep" MATCHING kinect({chain} > 0);"#);
+    assert!(text.len() <= usize::from(u16::MAX));
+    let err = op.deploy_text(&text).unwrap_err();
+    assert!(err.to_string().contains("nests deeper"), "{err}");
+    assert_eq!(server.deployed(), vec!["swipe_right"]);
+    op.ping().unwrap();
+    for chunk in swipe_frames(9).chunks(CHUNK) {
+        op.send_batch(1, chunk).unwrap();
+    }
+    assert!(op
+        .bye()
+        .unwrap()
+        .iter()
+        .any(|d| d.session == 1 && d.gesture == "swipe_right"));
     net.shutdown();
     server.shutdown();
 }

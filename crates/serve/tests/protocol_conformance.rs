@@ -290,19 +290,6 @@ fn control_messages_layout_matches_spec() {
         },
         &envelope(0x08, &p),
     );
-    // §8: SetConfig carries two u16-prefixed strings, key then value.
-    let mut p = Vec::new();
-    p.extend_from_slice(&4u16.to_le_bytes());
-    p.extend_from_slice(b"mode");
-    p.extend_from_slice(&4u16.to_le_bytes());
-    p.extend_from_slice(b"demo");
-    assert_golden(
-        &Message::SetConfig {
-            key: "mode".to_owned(),
-            value: "demo".to_owned(),
-        },
-        &envelope(0x09, &p),
-    );
 }
 
 #[test]
@@ -410,10 +397,13 @@ fn envelope_rejects_hostile_lengths_and_types() {
         Err(NetWireError::BadLength(_))
     ));
     // Unknown type bytes are fatal: framing cannot be trusted after.
-    assert!(matches!(
-        decode(&envelope(0x7f, &[])),
-        Err(NetWireError::BadType(0x7f))
-    ));
+    // `0x09` is unassigned (§1).
+    for t in [0x7f, 0x09] {
+        assert!(matches!(
+            decode(&envelope(t, &[])),
+            Err(NetWireError::BadType(b)) if b == t
+        ));
+    }
     // Trailing bytes inside a body are a spec violation, not padding.
     let mut p = 1u64.to_le_bytes().to_vec();
     p.push(0xff);

@@ -55,11 +55,7 @@ fn sample_value(body: &str, prefix: &str) -> Option<f64> {
 
 #[test]
 fn metrics_endpoint_covers_every_island() {
-    let server = Server::start(
-        ServerConfig::new()
-            .with_shards(2)
-            .with_stage_sample_every(1),
-    );
+    let server = Server::start(ServerConfig::new().with_shards(2));
     teach_swipe(&server);
     let net = NetServer::start(server.handle(), NetConfig::new()).unwrap();
     let addr = net.local_addr();

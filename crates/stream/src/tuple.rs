@@ -131,30 +131,6 @@ impl Tuple {
             .and_then(|i| self.values[i].as_i64())
     }
 
-    /// Returns a new tuple with one value replaced (copy-on-write).
-    pub fn with_value(&self, i: usize, v: Value) -> Result<Self, StreamError> {
-        let field = self
-            .schema
-            .field(i)
-            .ok_or_else(|| StreamError::UnknownField {
-                schema: self.schema.name.clone(),
-                field: format!("#{i}"),
-            })?;
-        if !v.conforms_to(field.ty) {
-            return Err(StreamError::TypeMismatch {
-                schema: self.schema.name.clone(),
-                field: field.name.clone(),
-                value: v.to_string(),
-            });
-        }
-        let mut values = self.values.to_vec();
-        values[i] = v;
-        Ok(Self {
-            schema: self.schema.clone(),
-            values: values.into(),
-        })
-    }
-
     /// Projects the tuple onto a derived schema (by field name lookup).
     pub fn project(&self, target: &SchemaRef) -> Result<Self, StreamError> {
         let mut values = Vec::with_capacity(target.len());
@@ -265,20 +241,6 @@ mod tests {
         let t = Tuple::new(s, vec![Value::Null; 4]).unwrap();
         assert!(t.values().iter().all(Value::is_null));
         assert_eq!(t.timestamp(), None);
-    }
-
-    #[test]
-    fn with_value_copy_on_write() {
-        let s = schema();
-        let t = Tuple::new(s, vec![Value::Null; 4]).unwrap();
-        let t2 = t.with_value(1, Value::Float(9.0)).unwrap();
-        assert_eq!(t.f64("x"), None);
-        assert_eq!(t2.f64("x"), Some(9.0));
-        assert!(
-            t.with_value(3, Value::Float(1.0)).is_err(),
-            "float into str slot"
-        );
-        assert!(t.with_value(99, Value::Null).is_err(), "index out of range");
     }
 
     #[test]

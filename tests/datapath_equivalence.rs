@@ -665,12 +665,13 @@ fn server_detections_over(
         .iter()
         .map(|q| QueryPlan::compile(q.clone(), catalog.as_ref(), &funcs).expect("compiles"))
         .collect();
-    let server = Server::with_parts(
+    let server = Server::try_with_parts(
         config.with_backpressure(BackpressurePolicy::Block),
         catalog,
         funcs,
         Arc::new(gesto::db::GestureStore::new()),
-    );
+    )
+    .unwrap();
     for p in &plans {
         server.deploy_plan(p.clone()).expect("deploys");
     }

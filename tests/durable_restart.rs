@@ -115,11 +115,15 @@ fn restarted_server_detects_bit_identically() {
     // Original process: teach four gestures (journaled as PutRecord +
     // Deploy ops, with a checkpoint every 3 ops so recovery exercises
     // checkpoint + journal-tail replay, not just one of them), plus a
-    // hand-written query, then detect.
+    // hand-written query, redeployed once so its version moves to 2,
+    // then detect.
     let compiled_before = compiled_plan_count();
     let server = Server::try_start(config()).unwrap();
     teach_all(&server);
-    server.set_config("mode", "restart-equivalence").unwrap();
+    server
+        .deploy_text(r#"SELECT "ceiling" MATCHING kinect(head_y > 100000.0);"#)
+        .unwrap();
+    assert_eq!(server.plan_version("ceiling"), Some(2));
     let first = run_performances(&server);
     assert!(
         first.len() >= 12,
@@ -127,13 +131,14 @@ fn restarted_server_detects_bit_identically() {
     );
     assert_eq!(
         server.metrics().plans_compiled,
-        5,
+        6,
         "server-side compile counter"
     );
     assert_eq!(
         compiled_plan_count() - compiled_before,
-        5,
-        "five queries on three sessions and two shards: five compiled plans, process-wide"
+        6,
+        "five queries and one redeploy on three sessions and two shards: six compiled plans, \
+         process-wide"
     );
 
     // The same teaching on an in-memory server detects identically.
@@ -166,10 +171,6 @@ fn restarted_server_detects_bit_identically() {
         d
     };
     assert_eq!(deployed_before, deployed_after);
-    assert_eq!(
-        server.get_config("mode").as_deref(),
-        Some("restart-equivalence")
-    );
     let second = run_performances(&server);
     assert_eq!(
         first, second,

@@ -711,12 +711,13 @@ proptest! {
             detection_keys(&out)
         };
 
-        let server = Server::with_parts(
+        let server = Server::try_with_parts(
             ServerConfig::new().with_shards(1).with_backpressure(BackpressurePolicy::Block),
             catalog,
             engine.functions().clone(),
             Arc::new(gesto::db::GestureStore::new()),
-        );
+        )
+        .unwrap();
         for p in &plans {
             server.deploy_plan(p.clone()).unwrap();
         }
