@@ -96,7 +96,7 @@ impl PerRouteReference {
                     gesture: self.plan.name().to_owned(),
                     ts: m.ts,
                     started_at: m.started_at,
-                    events: m.events.iter().cloned().collect(),
+                    events: m.events.into(),
                 }));
                 self.scratch.clear();
                 stepped?;

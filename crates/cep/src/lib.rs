@@ -52,7 +52,7 @@ mod parser;
 mod pattern;
 mod plan;
 
-pub use detection::Detection;
+pub use detection::{Detection, Events};
 pub use engine::{Engine, QueryStats};
 pub use error::CepError;
 pub use expr::{BinOp, Expr, FunctionRegistry, UnaryOp};

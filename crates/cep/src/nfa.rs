@@ -17,17 +17,30 @@
 //! The stepping core is [`NfaRuntime::advance_block_into`], engineered
 //! for zero heap allocations on the no-match steady state:
 //!
-//! * **Event arena** — a row that matches any step is interned once into
-//!   an append-only arena (`arena` + `arena_ts`) as the row source's
+//! * **Event arena** — a row a run keeps is interned once into an
+//!   append-only arena (`arena` + `arena_ts`) as the row source's
 //!   [`KeptRow`], shared by every run it seeds or advances; runs refer to
 //!   events by `u32` arena index. A deferred view row stays its frame
-//!   until a completed match copies its tuple out, so only rows a match
-//!   carries are ever built. The arena is cleared whenever the run set
-//!   empties (every `consume all` detection does this) and
-//!   mark-compacted if churn ever makes it outgrow the live run set.
-//! * **Run slab** — run metadata lives in a dense `Vec<Run>`; the arena
-//!   indices of run *i*'s matched events live at
-//!   `run_events[i*stride ..]` with `stride = step_count`. Removing a
+//!   until somebody reads a match carrying it: a match's [`Events`] are
+//!   the arena's handles, and each becomes a tuple on its first read, so
+//!   only rows a reader reads are ever built. The arena is cleared
+//!   whenever the run set and the seed queue empty (every `consume all`
+//!   detection does this) and mark-compacted if churn ever makes it
+//!   outgrow them.
+//! * **Seed queue** — a run waiting at step 1 is a [`Seed`] in a queue in
+//!   id order (its timestamp, deadline and row), not a run: its deadline
+//!   is its timestamp plus the smallest `within` starting at leaf 0, and
+//!   a row that hits step 1 moves the whole queue at once — into one run
+//!   at step 2 when runs moving there share one future (below), into one
+//!   run per seed otherwise, and into completions for a two-step pattern.
+//!   A seed refers to its batch row until it outlives the batch or a
+//!   step-1 hit carries it; only then is its row kept (interned), so a
+//!   seed that expires, is shed, merged or consumed inside its batch
+//!   costs one queue entry. A seed on a row that also advanced a run
+//!   reuses that row's arena entry at once.
+//! * **Run slab** — the metadata of runs at step 2 and beyond lives in a
+//!   dense `Vec<Run>`; the arena indices of run *i*'s matched events live
+//!   at `run_events[i*stride ..]` with `stride = step_count`. Removing a
 //!   run swap-removes both, so steady-state stepping never allocates.
 //! * **Hoisted checks** — source routing is resolved once per call (one
 //!   name lookup among the program's distinct sources, then an integer
@@ -58,34 +71,38 @@
 //!   deadline and every later check: they advance, expire and complete
 //!   together. `select first` can only ever report the lowest id among
 //!   them (`last` the highest), so the rest are dropped in order
-//!   (`gesto_nfa_runs_merged_total`); `select all` keeps them all.
+//!   (`gesto_nfa_runs_merged_total`); `select all` keeps them all. From
+//!   step 2 on this is a merge in the slab; into step 2 it is the seed
+//!   queue's collapse, which builds the one run kept.
 //! * **Skipped-span expiry** — the only effect a non-candidate row has
-//!   in one-tuple stepping is expiring runs whose deadline it passed.
-//!   No run changes inside a skipped span, so pruning once with the
-//!   span's *maximum* timestamp (read only while some run has a finite
-//!   deadline), before the next visited row and at batch end, removes
-//!   exactly the runs row-by-row pruning would — for non-monotone
-//!   timestamps too. The prune is order-preserving, so the run slab is
-//!   in the same order either way and even a mid-row predicate error
-//!   leaves identical state behind.
+//!   in one-tuple stepping is expiring runs and seeds whose deadline it
+//!   passed. Nothing else changes inside a skipped span, so pruning once
+//!   with the span's *maximum* timestamp (read only while some deadline
+//!   is finite), before the next visited row and at batch end, removes
+//!   exactly what row-by-row pruning would — for non-monotone
+//!   timestamps too. The prune is order-preserving, so the run slab and
+//!   the queue are in the same order either way and even a mid-row
+//!   predicate error leaves identical state behind.
 //! * **Caller-owned scratch** — completed matches are written into a
 //!   reusable [`MatchScratch`] instead of a fresh vector per call; the
 //!   scratch also owns every other per-call buffer (memo table, masks,
 //!   the per-row completion drain, the merge and compaction tables),
 //!   cleared capacity-preservingly rather than reallocated. A runtime
-//!   holds only what survives between batches — runs, their event
-//!   slab, the arena — so one warm scratch can serve every runtime a
-//!   thread steps.
+//!   holds only what survives between batches — seeds, runs, their
+//!   event slab, the arena — so one warm scratch can serve every runtime
+//!   a thread steps.
 //!
 //! [`NfaRuntime::advance_block_into`] is the only stepping entry point:
 //! a single tuple is a one-tuple batch, the scalar path is `block = None`
 //! — the same loop over a full mask.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gesto_stream::{BitMask, ColumnBlock, KeptRow, RowSource, SchemaRef, StreamTime, Tuple};
+use gesto_stream::{BitMask, ColumnBlock, KeptRow, RowSource, SchemaRef, StreamTime};
 use gesto_telemetry::ShardedCounter;
 
+use crate::detection::Events;
 use crate::error::CepError;
 use crate::expr::{compile, BlockMasks, CompiledExpr, EvalScratch, FunctionRegistry};
 use crate::pattern::{ConsumePolicy, Pattern, SelectPolicy};
@@ -112,6 +129,13 @@ pub struct TimeConstraint {
     pub within_ms: StreamTime,
 }
 
+/// Arena length below which churn never compacts: compacting at 4× the
+/// live rows is amortised at any size, and the floor keeps tiny arenas
+/// from compacting every few rows. An arena gains only rows a run or a
+/// seed outliving its batch keeps, so it reaches the floor — and its
+/// buffers their final capacity — within a few batches.
+const COMPACT_FLOOR: usize = 256;
+
 /// No pending time constraint: the run can never expire.
 const NO_DEADLINE: StreamTime = StreamTime::MAX;
 
@@ -132,6 +156,25 @@ struct Run {
     id: u64,
 }
 
+/// A run waiting at step 1, queued in id order (module docs: seed queue).
+#[derive(Debug, Clone, Copy)]
+struct Seed {
+    id: u64,
+    ts: StreamTime,
+    /// `ts` plus the smallest `within` starting at leaf 0.
+    deadline: StreamTime,
+    row: SeedRow,
+}
+
+/// Where a seed's row is: still the current batch's, or kept.
+#[derive(Debug, Clone, Copy)]
+enum SeedRow {
+    /// Row of the batch being stepped, not kept yet.
+    Batch(u32),
+    /// Arena index.
+    Kept(u32),
+}
+
 /// A completed run parked between the advance scan and the selection
 /// wave. Its events are a `stride`-long block in `completed_events`.
 #[derive(Debug, Clone, Copy)]
@@ -149,8 +192,8 @@ pub struct MatchView<'a> {
     pub ts: StreamTime,
     /// Stream time of the first event.
     pub started_at: StreamTime,
-    /// One tuple per leaf step, in order.
-    pub events: &'a [Tuple],
+    /// One event per leaf step, in order, built when read.
+    pub events: Events<&'a [KeptRow]>,
 }
 
 /// Flat span of one match inside a [`MatchScratch`].
@@ -168,7 +211,7 @@ struct MatchSpan {
 /// [`NfaRuntime::advance_block_into`] appends matches here instead of
 /// allocating a fresh vector per call; reusing one scratch across
 /// batches makes the steady-state hot loop allocation-free. Matched
-/// event tuples are stored in one flat vector, spanned per match.
+/// events are stored in one flat vector of kept rows, spanned per match.
 ///
 /// The scratch also owns the per-tuple predicate memo, the per-step
 /// block masks, the candidate-row mask, the per-row completion drain and
@@ -178,7 +221,7 @@ struct MatchSpan {
 /// largest pattern seen and stay there.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    events: Vec<Tuple>,
+    events: Vec<KeptRow>,
     spans: Vec<MatchSpan>,
     masks: StepMasks,
     /// Per-row completed-run drain.
@@ -217,7 +260,7 @@ impl MatchScratch {
         self.spans.iter().map(|s| MatchView {
             ts: s.ts,
             started_at: s.started_at,
-            events: &self.events[s.start as usize..(s.start + s.len) as usize],
+            events: Events(&self.events[s.start as usize..(s.start + s.len) as usize]),
         })
     }
 }
@@ -354,6 +397,8 @@ pub struct NfaProgram {
     /// once — the select policy is `first` or `last`, and every `within`
     /// pending at *s* starts at leaf *s − 1* (module docs).
     merge_at: Vec<bool>,
+    /// The smallest `within` starting at leaf 0: a seed's budget.
+    seed_within: Option<StreamTime>,
     select: SelectPolicy,
     consume: ConsumePolicy,
 }
@@ -389,11 +434,17 @@ impl NfaProgram {
         let merge_at = (0..steps.len())
             .map(|s| select != SelectPolicy::All && constraints.iter().all(|c| one_clock(s, c)))
             .collect();
+        let seed_within = constraints
+            .iter()
+            .filter(|c| c.from_leaf == 0)
+            .map(|c| c.within_ms)
+            .min();
         Ok(Self {
             steps,
             sources,
             constraints,
             merge_at,
+            seed_within,
             select,
             consume,
         })
@@ -438,16 +489,20 @@ impl NfaProgram {
 /// (per-call buffers are the caller's [`MatchScratch`]).
 pub struct NfaRuntime {
     program: Arc<NfaProgram>,
-    /// Dense run metadata; run *i*'s event indices are the block
-    /// `run_events[i*stride .. i*stride + stride]` (first `next` valid).
+    /// Runs waiting at step 1, in id order.
+    seeds: VecDeque<Seed>,
+    /// Dense metadata of the runs past step 1; run *i*'s event indices
+    /// are the block `run_events[i*stride .. i*stride + stride]` (first
+    /// `next` valid).
     runs: Vec<Run>,
     run_events: Vec<u32>,
-    /// Shared append-only event storage: every row that matched a step
+    /// Shared append-only event storage: every row a run or seed kept
     /// this "generation", kept once, plus its timestamp.
     arena: Vec<KeptRow>,
     arena_ts: Vec<StreamTime>,
-    /// Earliest deadline over all runs (conservative: may be stale-low
-    /// after a run is removed, which only costs an extra prune scan).
+    /// Earliest deadline over all runs and seeds (conservative: may be
+    /// stale-low after a run is removed, which only costs an extra prune
+    /// scan).
     min_deadline: StreamTime,
     next_run_id: u64,
     /// Serial of the tuple currently being processed.
@@ -502,6 +557,7 @@ impl NfaRuntime {
     pub fn instantiate(program: Arc<NfaProgram>) -> Self {
         Self {
             program,
+            seeds: VecDeque::new(),
             runs: Vec::new(),
             run_events: Vec::new(),
             arena: Vec::new(),
@@ -526,9 +582,9 @@ impl NfaRuntime {
         self
     }
 
-    /// Live partial matches.
+    /// Live partial matches, queued seeds included.
     pub fn active_runs(&self) -> usize {
-        self.runs.len()
+        self.seeds.len() + self.runs.len()
     }
 
     /// Enables or disables seeding of new runs. With seeding off the
@@ -545,15 +601,16 @@ impl NfaRuntime {
     }
 
     /// Rows currently interned in the shared event arena (inspection:
-    /// the arena must track the live run set, not the stream length).
+    /// the arena must track the live runs and seeds, not the stream
+    /// length).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
     }
 
     /// Approximate heap footprint of the run state, in bytes: the
-    /// *capacities* (not lengths) of the run slab, event index blocks,
-    /// and shared event arena. Per-call buffers are the caller's
-    /// [`MatchScratch`] and are not counted. Capacity-based because that
+    /// *capacities* (not lengths) of the seed queue, run slab, event
+    /// index blocks, and shared event arena. Per-call buffers are the
+    /// caller's [`MatchScratch`] and are not counted. Capacity-based because that
     /// is what the allocator actually holds — a runtime that burst to
     /// 10k runs and drained back to 3 still pins the 10k-run slab.
     /// The arena counts row handles: what a kept row owns — a tuple's
@@ -562,7 +619,8 @@ impl NfaRuntime {
     /// admission budgeting, not exact accounting.
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.runs.capacity() * size_of::<Run>()
+        self.seeds.capacity() * size_of::<Seed>()
+            + self.runs.capacity() * size_of::<Run>()
             + self.run_events.capacity() * size_of::<u32>()
             + self.arena.capacity() * size_of::<KeptRow>()
             + self.arena_ts.capacity() * size_of::<StreamTime>()
@@ -570,7 +628,8 @@ impl NfaRuntime {
 
     /// Drops all partial matches.
     pub fn reset(&mut self) {
-        crate::metrics::NFA_RUNS_ACTIVE.add(-(self.runs.len() as i64));
+        crate::metrics::NFA_RUNS_ACTIVE.add(-(self.active_runs() as i64));
+        self.seeds.clear();
         self.runs.clear();
         self.run_events.clear();
         self.arena.clear();
@@ -579,8 +638,8 @@ impl NfaRuntime {
     }
 
     /// Answers a non-empty batch from `source` without stepping it, when
-    /// it cannot move this runtime: there is no run, the call has the
-    /// batch's `block`, and the seed step is deaf to `source`, not
+    /// it cannot move this runtime: there is no run or seed, the call has
+    /// the batch's `block`, and the seed step is deaf to `source`, not
     /// seeding, or ruled out on every row by the lane bounds
     /// ([`CompiledExpr::bounds_exclude`]). Then it leaves exactly the
     /// state and counts [`Self::advance_block_into`] would (an emptied
@@ -594,7 +653,7 @@ impl NfaRuntime {
         };
         let seed = &self.program.steps[0];
         let hears = self.seeding && self.program.source_index(source) == Some(seed.source);
-        if !self.runs.is_empty() || hears && !seed.predicate.bounds_exclude(block) {
+        if self.active_runs() != 0 || hears && !seed.predicate.bounds_exclude(block) {
             return false;
         }
         if hears {
@@ -613,8 +672,8 @@ impl NfaRuntime {
     /// the columnar view of exactly `rows` (same rows, same order —
     /// a row-count mismatch disables it). Every timestamp is read from
     /// `rows`; a row is kept to intern it and read to evaluate it on the
-    /// scalar path, and an interned row's tuple is read only when a
-    /// match carries it out.
+    /// scalar path, and an interned row's tuple is read only when
+    /// somebody reads a match's [`Events`].
     ///
     /// This is the hot loop (layout and candidate-row stepping: see the
     /// module docs). A batch in which nothing matches performs **zero**
@@ -639,13 +698,15 @@ impl NfaRuntime {
         // maintains (run count, id/shed/match totals) and of the counts
         // it keeps locally for this call. One add per family that moved,
         // all relaxed atomics, no allocation.
-        let runs_before = self.runs.len();
+        let runs_before = self.active_runs();
         let seeded_before = self.next_run_id;
         let shed_before = self.shed;
         let matches_before = out.len();
         let mut deltas = CallDeltas::default();
         let result = self.advance_block_core(source, rows, block, out, &mut deltas);
-        let runs_delta = self.runs.len() as i64 - runs_before as i64;
+        // Seeds outliving the batch keep their rows, also after an error.
+        self.keep_batch_seeds(rows, seeded_before);
+        let runs_delta = self.active_runs() as i64 - runs_before as i64;
         if runs_delta != 0 {
             m::NFA_RUNS_ACTIVE.add(runs_delta);
         }
@@ -690,6 +751,7 @@ impl NfaRuntime {
         self.maybe_compact(remap);
         let Self {
             program,
+            seeds,
             runs,
             run_events,
             arena,
@@ -705,14 +767,20 @@ impl NfaRuntime {
         let program: &NfaProgram = program;
         let steps = program.steps.as_slice();
         let stride = steps.len();
+        // Seeds one step-1 hit moves keep one of them: the lowest id under
+        // `select first`, the highest under `last` — as completions of a
+        // two-step pattern (only one is reported), or as runs sharing one
+        // future at step 2 (module docs).
+        let collapse = program.select != SelectPolicy::All
+            && (stride == 2 || program.merge_at.get(2) == Some(&true));
 
         // Hoisted across the batch: which steps listen to this source.
         let src = program.source_index(source);
         let live = |step: usize| Some(steps[step].source) == src;
 
         // Candidate rows. Scalar path: all of them. Block path: the rows
-        // a hot step — the seed step, plus every step some run waits at
-        // now or comes to wait at during the batch — may hit.
+        // a hot step — the seed step, plus every step some run or seed
+        // waits at now or comes to wait at during the batch — may hit.
         masks.begin(stride, rows.len());
         let block = block.filter(|b| b.rows() == rows.len() && !rows.is_empty());
         // Heats `step` if this call has a block and the step listens.
@@ -729,6 +797,9 @@ impl NfaRuntime {
                 if seeding {
                     heat(masks, deltas, 0);
                 }
+                if !seeds.is_empty() {
+                    heat(masks, deltas, 1);
+                }
                 for run in runs.iter() {
                     heat(masks, deltas, run.next as usize);
                 }
@@ -741,16 +812,16 @@ impl NfaRuntime {
             let row = masks.cand.next_set(pending).unwrap_or(rows.len());
             let visited = (row < rows.len()).then(|| rows.ts(row));
 
-            // Expiry: one comparison unless some run can actually be
-            // dead (then a full scan prunes and recomputes). The skipped
-            // rows `pending..row` expire what their latest timestamp
-            // expires (module docs: skipped-span expiry).
+            // Expiry: one comparison unless some run or seed can actually
+            // be dead (then a full scan prunes and recomputes). The
+            // skipped rows `pending..row` expire what their latest
+            // timestamp expires (module docs: skipped-span expiry).
             let mut now = visited;
             if *min_deadline != NO_DEADLINE {
                 now = now.max((pending..row).map(|r| rows.ts(r)).max());
             }
             if let Some(now) = now.filter(|now| now > min_deadline) {
-                deltas.expired += prune_expired(runs, run_events, stride, now, min_deadline);
+                deltas.expired += prune_expired(seeds, runs, run_events, stride, now, min_deadline);
             }
             let Some(ts) = visited else {
                 break;
@@ -766,10 +837,60 @@ impl NfaRuntime {
             completed.clear();
             completed_events.clear();
 
-            // Advance existing runs in place (each run by at most one
-            // step per tuple, guarded by `touched`) — unless no hot step
-            // may hit this row, and every step a run waits at is hot.
+            // Unless no hot step may hit this row (every step a run or
+            // seed waits at is hot), advance the seed queue, then every
+            // run in place (each by at most one step per tuple, guarded
+            // by `touched`). No advance can break a `within`: one ending
+            // at the step a run or seed waits at is pending there, so its
+            // deadline is at most the budget's end, and the prune above
+            // left none that `ts` passed.
             let advances = block.is_none() || masks.may_advance(row, stride);
+            if advances
+                && !seeds.is_empty()
+                && live(1)
+                && masks.hit(1, &steps[1].predicate, rows, row, serial)?
+            {
+                arena_idx = intern(arena, arena_ts, rows.keep(row), ts);
+                let n = seeds.len();
+                let (lo, hi) = match program.select {
+                    SelectPolicy::First if collapse => (0, 1),
+                    SelectPolicy::Last if collapse => (n - 1, n),
+                    _ => (0, n),
+                };
+                for seed in seeds.range(lo..hi) {
+                    let first = match seed.row {
+                        SeedRow::Kept(e) => e,
+                        SeedRow::Batch(r) => {
+                            intern(arena, arena_ts, rows.keep(r as usize), seed.ts)
+                        }
+                    };
+                    if stride == 2 {
+                        completed.push(CompletedRun {
+                            id: seed.id,
+                            ev_start: completed_events.len() as u32,
+                        });
+                        completed_events.extend([first, arena_idx]);
+                        continue;
+                    }
+                    let slab = run_events.len();
+                    run_events.resize(slab + stride, 0);
+                    run_events[slab..slab + 2].copy_from_slice(&[first, arena_idx]);
+                    let run = Run {
+                        next: 2,
+                        touched: serial,
+                        deadline: NO_DEADLINE,
+                        id: seed.id,
+                    };
+                    let deadline = deadline_of(program, arena_ts, &run_events[slab..], &run);
+                    runs.push(Run { deadline, ..run });
+                    *min_deadline = (*min_deadline).min(deadline);
+                }
+                if stride > 2 {
+                    deltas.merged += (n - (hi - lo)) as u64;
+                    heat(masks, deltas, 2);
+                }
+                seeds.clear();
+            }
             let mut i = if advances { 0 } else { runs.len() };
             let mut merging = 0;
             while i < runs.len() {
@@ -791,16 +912,10 @@ impl NfaRuntime {
                 let run = &mut runs[i];
                 run.next += 1;
                 run.touched = serial;
-                if violates_constraints(program, arena_ts, &run_events[slab..slab + stride], run) {
-                    // Too slow: the run dies. swap_remove moves an
-                    // unprocessed (or already-touched) run into slot i,
-                    // so don't increment.
-                    remove_run(runs, run_events, stride, i);
-                    deltas.expired += 1;
-                    continue;
-                }
                 let waits_at = run.next as usize;
                 if waits_at == stride {
+                    // swap_remove moves an unprocessed (or already-
+                    // touched) run into slot i, so don't increment.
                     completed.push(CompletedRun {
                         id: run.id,
                         ev_start: completed_events.len() as u32,
@@ -822,40 +937,44 @@ impl NfaRuntime {
 
             // Seed a new run: this tuple as leaf 0.
             if seeding && live(0) && masks.hit(0, &steps[0].predicate, rows, row, serial)? {
-                if arena_idx == u32::MAX {
-                    arena_idx = intern(arena, arena_ts, rows.keep(row), ts);
-                }
                 let id = *next_run_id;
                 *next_run_id += 1;
                 if stride == 1 {
+                    if arena_idx == u32::MAX {
+                        arena_idx = intern(arena, arena_ts, rows.keep(row), ts);
+                    }
                     completed.push(CompletedRun {
                         id,
                         ev_start: completed_events.len() as u32,
                     });
                     completed_events.push(arena_idx);
                 } else {
-                    if runs.len() >= *max_runs {
-                        // Shed the oldest run to bound memory.
-                        if let Some(pos) = oldest_run_pos(runs) {
-                            remove_run(runs, run_events, stride, pos);
-                            *shed += 1;
+                    if seeds.len() + runs.len() >= *max_runs {
+                        // Shed the oldest run to bound memory. Every run
+                        // in the slab is older than every queued seed (a
+                        // step-1 hit moves the whole queue).
+                        match oldest_run_pos(runs) {
+                            Some(pos) => remove_run(runs, run_events, stride, pos),
+                            None => {
+                                seeds.pop_front();
+                            }
                         }
+                        *shed += 1;
                     }
-                    let run = Run {
-                        next: 1,
-                        touched: serial,
-                        deadline: NO_DEADLINE,
-                        id,
+                    // A row some run keeps is kept for the seed too; any
+                    // other is kept only if the seed outlives the batch.
+                    let row = match arena_idx {
+                        u32::MAX => SeedRow::Batch(row as u32),
+                        e => SeedRow::Kept(e),
                     };
-                    let slab = run_events.len();
-                    run_events.resize(slab + stride, 0);
-                    run_events[slab] = arena_idx;
-                    let dl = deadline_of(program, arena_ts, &run_events[slab..slab + stride], &run);
-                    runs.push(Run {
-                        deadline: dl,
-                        ..run
+                    let deadline = program.seed_within.map_or(NO_DEADLINE, |w| ts + w);
+                    seeds.push_back(Seed {
+                        id,
+                        ts,
+                        deadline,
+                        row,
                     });
-                    *min_deadline = (*min_deadline).min(dl);
+                    *min_deadline = (*min_deadline).min(deadline);
                     heat(masks, deltas, 1);
                 }
             }
@@ -880,17 +999,18 @@ impl NfaRuntime {
                     start: events.len() as u32,
                     len: stride as u32,
                 });
-                events.extend(ev.iter().map(|&e| arena[e as usize].tuple().clone()));
+                events.extend(ev.iter().map(|&e| arena[e as usize].clone()));
             }
 
             // Consumption policy.
             if program.consume == ConsumePolicy::All {
+                seeds.clear();
                 runs.clear();
                 run_events.clear();
                 *min_deadline = NO_DEADLINE;
             }
-            if runs.is_empty() {
-                // No run references the arena any more: recycle it.
+            if seeds.is_empty() && runs.is_empty() {
+                // Nothing references the arena any more: recycle it.
                 arena.clear();
                 arena_ts.clear();
             }
@@ -898,12 +1018,30 @@ impl NfaRuntime {
         Ok(())
     }
 
-    /// Reclaims the event arena when churn (long-lived runs next to
-    /// expired ones) lets it outgrow the live run set. Rare and
-    /// amortised; the common recycle point is the run set emptying.
-    /// `remap` is the caller's scratch table.
+    /// Keeps the row of every seed of the batch just stepped that is
+    /// still queued (seeds from run id `first_id` on; a seed whose row
+    /// some run kept refers to it already, so they are interleaved).
+    fn keep_batch_seeds<R: RowSource + ?Sized>(&mut self, rows: &R, first_id: u64) {
+        let start = self.seeds.partition_point(|s| s.id < first_id);
+        for seed in self.seeds.range_mut(start..) {
+            if let SeedRow::Batch(r) = seed.row {
+                let e = intern(
+                    &mut self.arena,
+                    &mut self.arena_ts,
+                    rows.keep(r as usize),
+                    seed.ts,
+                );
+                seed.row = SeedRow::Kept(e);
+            }
+        }
+    }
+
+    /// Reclaims the event arena when churn (long-lived runs or seeds next
+    /// to expired ones) lets it outgrow what they hold. Rare and
+    /// amortised; the common recycle point is the run set and the queue
+    /// emptying. `remap` is the caller's scratch table.
     fn maybe_compact(&mut self, remap: &mut Vec<u32>) {
-        if self.runs.is_empty() {
+        if self.active_runs() == 0 {
             if !self.arena.is_empty() {
                 self.arena.clear();
                 self.arena_ts.clear();
@@ -911,14 +1049,20 @@ impl NfaRuntime {
             return;
         }
         let stride = self.program.steps.len();
-        let live: usize = self.runs.iter().map(|r| r.next as usize).sum();
-        if self.arena.len() < 1024 || self.arena.len() < live.saturating_mul(4) {
+        let live: usize =
+            self.seeds.len() + self.runs.iter().map(|r| r.next as usize).sum::<usize>();
+        if self.arena.len() < COMPACT_FLOOR || self.arena.len() < live.saturating_mul(4) {
             return;
         }
         crate::metrics::NFA_ARENA_COMPACTIONS_TOTAL.inc();
-        // Mark…
+        // Mark (between calls every seed's row is kept)…
         remap.clear();
         remap.resize(self.arena.len(), u32::MAX);
+        for seed in &self.seeds {
+            if let SeedRow::Kept(e) = seed.row {
+                remap[e as usize] = 0;
+            }
+        }
         for (i, run) in self.runs.iter().enumerate() {
             for k in 0..run.next as usize {
                 remap[self.run_events[i * stride + k] as usize] = 0;
@@ -936,7 +1080,12 @@ impl NfaRuntime {
         }
         self.arena.truncate(w);
         self.arena_ts.truncate(w);
-        // …and rewrite the run slab through the remap table.
+        // …and rewrite the queue and the run slab through the remap table.
+        for seed in self.seeds.iter_mut() {
+            if let SeedRow::Kept(e) = &mut seed.row {
+                *e = remap[*e as usize];
+            }
+        }
         for (i, run) in self.runs.iter().enumerate() {
             for k in 0..run.next as usize {
                 let e = &mut self.run_events[i * stride + k];
@@ -950,7 +1099,7 @@ impl Drop for NfaRuntime {
     fn drop(&mut self) {
         // Keep the process-global active-runs gauge honest when a
         // session (and its runtimes) is torn down mid-pattern.
-        crate::metrics::NFA_RUNS_ACTIVE.add(-(self.runs.len() as i64));
+        crate::metrics::NFA_RUNS_ACTIVE.add(-(self.active_runs() as i64));
     }
 }
 
@@ -977,12 +1126,13 @@ fn remove_run(runs: &mut Vec<Run>, run_events: &mut Vec<u32>, stride: usize, i: 
     run_events.truncate(last * stride);
 }
 
-/// Kills runs whose pending time constraints can no longer be met at
-/// stream time `now`, recomputes the exact earliest deadline and returns
-/// how many runs died. Order-preserving: pruning a skipped span once at
-/// its latest timestamp must leave the slab exactly as pruning it row by
-/// row would.
+/// Kills runs and seeds whose pending time constraints can no longer be
+/// met at stream time `now`, recomputes the exact earliest deadline and
+/// returns how many died. Order-preserving: pruning a skipped span once
+/// at its latest timestamp must leave the slab and the queue exactly as
+/// pruning it row by row would.
 fn prune_expired(
+    seeds: &mut VecDeque<Seed>,
     runs: &mut Vec<Run>,
     run_events: &mut Vec<u32>,
     stride: usize,
@@ -990,11 +1140,15 @@ fn prune_expired(
     min_deadline: &mut StreamTime,
 ) -> u64 {
     let mut min = NO_DEADLINE;
-    let expired = retain_runs(runs, run_events, stride, |r| {
-        let live = now <= r.deadline;
-        min = min.min(if live { r.deadline } else { NO_DEADLINE });
+    let mut live = |deadline: StreamTime| {
+        let live = now <= deadline;
+        min = min.min(if live { deadline } else { NO_DEADLINE });
         live
-    });
+    };
+    let queued = seeds.len();
+    seeds.retain(|s| live(s.deadline));
+    let expired =
+        (queued - seeds.len()) as u64 + retain_runs(runs, run_events, stride, |r| live(r.deadline));
     *min_deadline = min;
     expired
 }
@@ -1074,28 +1228,6 @@ fn oldest_run_pos(runs: &[Run]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Checks constraints that end at the run's most recently completed
-/// leaf.
-fn violates_constraints(
-    program: &NfaProgram,
-    arena_ts: &[StreamTime],
-    events: &[u32],
-    run: &Run,
-) -> bool {
-    let completed = run.next as usize;
-    let last = completed - 1;
-    for c in &program.constraints {
-        if c.to_leaf == last
-            && c.from_leaf < completed
-            && arena_ts[events[last] as usize] - arena_ts[events[c.from_leaf] as usize]
-                > c.within_ms
-        {
-            return true;
-        }
-    }
-    false
-}
-
 /// Recursively collects leaf steps (interning their source names into
 /// `sources`) and time constraints.
 fn collect(
@@ -1150,7 +1282,7 @@ fn collect(
 mod tests {
     use super::*;
     use crate::parser::{parse_pattern, parse_query};
-    use gesto_stream::{SchemaBuilder, Value};
+    use gesto_stream::{SchemaBuilder, Tuple, Value};
 
     fn schema() -> SchemaRef {
         SchemaBuilder::new("k")
@@ -1343,6 +1475,124 @@ mod tests {
         step(&mut n, "k", &tup(2, 0.0)).unwrap();
         assert_eq!(n.active_runs(), 2);
         assert_eq!(n.shed_runs(), 1);
+    }
+
+    /// Steps `rows` as one scalar batch and returns each match's
+    /// `(ts, started_at, x of every event)`.
+    fn batch(n: &mut NfaRuntime, rows: &[(i64, f64)]) -> Vec<(i64, i64, Vec<f64>)> {
+        let tuples: Vec<Tuple> = rows.iter().map(|&(ts, x)| tup(ts, x)).collect();
+        let mut scratch = MatchScratch::new();
+        n.advance_block_into("k", &tuples[..], None, &mut scratch)
+            .unwrap();
+        let x = |t: &Tuple| match t.values()[1] {
+            Value::Float(x) => x,
+            _ => unreachable!(),
+        };
+        scratch
+            .matches()
+            .map(|m| (m.ts, m.started_at, m.events.iter().map(x).collect()))
+            .collect()
+    }
+
+    const LEFT_DEEP: &str = "(k(x < 1) -> k(x > 9) within 1 seconds) -> k(x = 5) within 1 seconds";
+
+    #[test]
+    fn select_last_keeps_the_newest_seed() {
+        let mut n = nfa(&format!("{LEFT_DEEP} select last consume all"));
+        batch(&mut n, &[(0, 0.5), (10, 0.6), (20, 0.7)]);
+        assert_eq!(n.active_runs(), 3, "three queued seeds");
+        batch(&mut n, &[(30, 10.0)]);
+        assert_eq!(n.active_runs(), 1, "collapsed into one run");
+        let m = batch(&mut n, &[(40, 5.0)]);
+        assert_eq!(m, [(40, 20, vec![0.7, 10.0, 5.0])]);
+    }
+
+    #[test]
+    fn a_seed_past_its_within_is_expired_not_moved() {
+        let mut n = nfa(&format!("{LEFT_DEEP} select first consume all"));
+        batch(&mut n, &[(0, 0.5), (600, 0.6)]);
+        // Seed 0's deadline is 1000: the step-1 row at 1300 expires it
+        // first, so only seed 600 moves.
+        batch(&mut n, &[(1300, 10.0)]);
+        assert_eq!(n.active_runs(), 1);
+        let m = batch(&mut n, &[(1400, 5.0)]);
+        assert_eq!(m, [(1400, 600, vec![0.6, 10.0, 5.0])]);
+    }
+
+    #[test]
+    fn a_flat_within_moves_every_seed_into_its_own_run() {
+        // One `within` from leaf 0 to 2: runs at step 2 keep their seed's
+        // deadline, so nothing merges even under `select first`.
+        let mut n = nfa("k(x < 1) -> k(x > 9) -> k(x = 5) within 1 seconds select first");
+        batch(&mut n, &[(0, 0.5), (10, 0.6), (20, 10.0)]);
+        assert_eq!(n.active_runs(), 2, "two runs at step 2");
+        // 1005 expires seed 0's run (deadline 1000), not seed 10's.
+        assert!(batch(&mut n, &[(1005, 3.0)]).is_empty());
+        assert_eq!(n.active_runs(), 1);
+        let m = batch(&mut n, &[(1008, 5.0)]);
+        assert_eq!(m, [(1008, 10, vec![0.6, 10.0, 5.0])]);
+    }
+
+    #[test]
+    fn a_two_step_select_all_completes_every_live_seed() {
+        let mut n = nfa("k(x < 1) -> k(x > 9) within 1 seconds select all consume none");
+        let m = batch(&mut n, &[(0, 0.1), (500, 0.2), (900, 0.3), (1200, 10.0)]);
+        let want = [(1200, 500, vec![0.2, 10.0]), (1200, 900, vec![0.3, 10.0])];
+        assert_eq!(m, want, "seed 0 expired at 1200");
+        assert_eq!(n.active_runs(), 0);
+    }
+
+    #[test]
+    fn shedding_takes_the_oldest_run_across_queue_and_slab() {
+        let mut n = nfa(&format!("{LEFT_DEEP} select first consume all")).with_max_runs(2);
+        // Seed 0 moves to step 2 (the slab); seed 20 is queued; seed 30
+        // meets the cap and sheds seed 0's run, the oldest.
+        batch(&mut n, &[(0, 0.5), (10, 10.0), (20, 0.6), (30, 0.7)]);
+        assert_eq!((n.active_runs(), n.shed_runs()), (2, 1));
+        assert!(
+            batch(&mut n, &[(40, 5.0)]).is_empty(),
+            "seed 0's run is gone"
+        );
+        // Seed 40 sheds seed 20, the oldest queued.
+        batch(&mut n, &[(45, 0.8)]);
+        assert_eq!((n.active_runs(), n.shed_runs()), (2, 2));
+        batch(&mut n, &[(50, 10.0)]);
+        let m = batch(&mut n, &[(60, 5.0)]);
+        assert_eq!(m, [(60, 30, vec![0.7, 10.0, 5.0])]);
+    }
+
+    #[test]
+    fn a_seed_collapsed_inside_its_batch_keeps_no_row() {
+        let mut n = nfa(&format!("{LEFT_DEEP} select first consume all"));
+        batch(&mut n, &[(0, 0.5), (10, 0.6), (20, 10.0)]);
+        // Kept: seed 0's row and the step-1 row; seed 10 merged away.
+        assert_eq!((n.active_runs(), n.arena_len()), (1, 2));
+        // A seed expiring inside its batch keeps no row either.
+        let mut n = nfa("k(x < 1) -> k(x > 9) within 1 seconds");
+        batch(&mut n, &[(0, 0.5), (1500, 3.0)]);
+        assert_eq!((n.active_runs(), n.arena_len()), (0, 0));
+        // One outliving its batch keeps its row.
+        batch(&mut n, &[(2000, 0.5)]);
+        assert_eq!((n.active_runs(), n.arena_len()), (1, 1));
+    }
+
+    #[test]
+    fn a_seed_on_a_row_some_run_keeps_is_kept_at_once() {
+        // Row 10 moves seed 0 and seeds; row 20 seeds; row 30 completes
+        // seed 0's run and seeds. The queue is then kept, pending, kept:
+        // the batch end keeps the middle one's row, not a suffix.
+        let mut n = nfa("k(x < 5) -> k(x < 1) -> k(x > 3) select all consume none");
+        let m = batch(&mut n, &[(0, 3.0), (10, 0.5), (20, 2.0), (30, 4.0)]);
+        assert_eq!(m, [(30, 0, vec![3.0, 0.5, 4.0])]);
+        assert_eq!((n.active_runs(), n.arena_len()), (3, 4));
+        batch(&mut n, &[(40, 0.5)]);
+        let m = batch(&mut n, &[(50, 4.0)]);
+        let want = [
+            (50, 10, vec![0.5, 0.5, 4.0]),
+            (50, 20, vec![2.0, 0.5, 4.0]),
+            (50, 30, vec![4.0, 0.5, 4.0]),
+        ];
+        assert_eq!(m, want);
     }
 
     #[test]

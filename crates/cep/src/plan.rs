@@ -388,7 +388,7 @@ fn advance_batch(
                 gesture: gesture.to_owned(),
                 ts: m.ts,
                 started_at: m.started_at,
-                events: m.events.iter().cloned().collect(),
+                events: m.events.into(),
             });
         }
         scratch.clear();

@@ -10,7 +10,11 @@
 //! `all` every one, and `consume all` then drops every partial run. It
 //! has no arena, no masks and no merging, so on every case the runtime
 //! must report the same detections — timestamps and every event's
-//! values — while holding at most as many runs, and fewer somewhere.
+//! values — while holding at most as many runs, and fewer somewhere;
+//! also when timestamps step back. Given a run cap, the reference sheds
+//! its lowest-id run before a seed would exceed it; under `select all`
+//! nothing merges, so a capped runtime must hold exactly its runs and
+//! shed exactly its sheds.
 
 use gesto_cep::{parse_pattern, FunctionRegistry, MatchScratch, NfaRuntime, SingleSchema};
 use gesto_stream::{ColumnBlock, SchemaBuilder, SchemaRef, Tuple, Value};
@@ -66,6 +70,9 @@ struct Model {
     /// `(seed id, matched tuples)`.
     runs: Vec<(u64, Vec<Tuple>)>,
     seeded: u64,
+    /// Most runs held at once.
+    cap: usize,
+    shed: u64,
 }
 
 impl Model {
@@ -97,6 +104,11 @@ impl Model {
             }
         }
         if holds(&self.steps[0]) {
+            if self.steps.len() > 1 && self.runs.len() >= self.cap {
+                let oldest = (0..self.runs.len()).min_by_key(|&i| self.runs[i].0);
+                self.runs.remove(oldest.expect("a full run set"));
+                self.shed += 1;
+            }
             self.seeded += 1;
             let run = (self.seeded, vec![t.clone()]);
             if self.steps.len() == 1 {
@@ -153,12 +165,16 @@ fn schema() -> SchemaRef {
 
 /// Random walks on a half-unit grid in `[0, 4]`, so a batch often sits
 /// on one side of a band (the lane bounds decide) and poses repeat
-/// (several runs wait at one step when the next pose arrives).
-fn stream(rng: &mut Rng, schema: &SchemaRef, len: usize) -> Vec<Tuple> {
+/// (several runs wait at one step when the next pose arrives). With
+/// `step_back`, one tuple in 8 moves the clock back by up to 150 ms.
+fn stream(rng: &mut Rng, schema: &SchemaRef, len: usize, step_back: bool) -> Vec<Tuple> {
     let (mut now, mut x, mut y) = (0i64, 2.0f64, 2.0f64);
     (0..len)
         .map(|_| {
             now += rng.below(40) as i64;
+            if step_back && rng.below(8) == 0 {
+                now = (now - rng.below(151) as i64).max(0);
+            }
             x = (x + (rng.below(5) as f64 - 2.0) * 0.5).clamp(0.0, 4.0);
             y = (y + (rng.below(3) as f64 - 1.0) * 0.5).clamp(0.0, 4.0);
             let values = vec![Value::Timestamp(now), Value::Float(x), Value::Float(y)];
@@ -213,14 +229,87 @@ fn case(rng: &mut Rng, left_deep: bool, select: usize, consume_all: bool) -> (St
         consume_all,
         runs: Vec::new(),
         seeded: 0,
+        cap: usize::MAX,
+        shed: 0,
     };
     (text, model)
 }
 
-#[test]
-fn merged_runtime_detects_what_the_unmerged_reference_does() {
+/// What one case saw.
+struct Outcome {
+    detections: usize,
+    shed: u64,
+    /// The runtime held fewer runs than the reference after some batch.
+    fewer: bool,
+}
+
+/// Draws case `case_no` and checks the runtime against the reference on
+/// it: equal detections and sheds, and after every batch no more runs
+/// than the reference — exactly as many with a `cap`.
+fn check_case(
+    rng: &mut Rng,
+    case_no: usize,
+    (left_deep, select, consume_all): (bool, usize, bool),
+    cap: Option<usize>,
+    step_back: bool,
+) -> Outcome {
     let schema = schema();
     let funcs = FunctionRegistry::with_builtins();
+    let (text, mut model) = case(rng, left_deep, select, consume_all);
+    let pattern = parse_pattern(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+    let mut nfa = NfaRuntime::compile(&pattern, &SingleSchema(schema.clone()), &funcs).unwrap();
+    if let Some(cap) = cap {
+        nfa = nfa.with_max_runs(cap);
+        model.cap = cap;
+    }
+    let columnar = rng.below(2) == 0;
+    let batch = 1 + rng.below(40) as usize;
+    let tuples = stream(rng, &schema, 240, step_back);
+
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    let mut out = MatchScratch::new();
+    let mut block = ColumnBlock::new();
+    let mut fewer = false;
+    for chunk in tuples.chunks(batch) {
+        for t in chunk {
+            model.push(t, &mut want);
+        }
+        block.fill_from_tuples(chunk);
+        out.clear();
+        nfa.advance_block_into("k", chunk, columnar.then_some(&block), &mut out)
+            .unwrap();
+        got.extend(out.matches().map(|m| {
+            let values = m.events.iter().map(|e| e.values().to_vec()).collect();
+            (m.ts, m.started_at, values)
+        }));
+        let (runs, reference) = (nfa.active_runs(), model.runs.len());
+        if cap.is_some() {
+            assert_eq!(runs, reference, "case {case_no} `{text}` (cap {cap:?})");
+        }
+        assert!(
+            runs <= reference,
+            "case {case_no} `{text}`: {runs} > {reference} runs"
+        );
+        fewer |= runs < reference;
+    }
+    assert_eq!(
+        got, want,
+        "case {case_no} `{text}` (batch {batch}, block {columnar}, cap {cap:?})"
+    );
+    assert_eq!(
+        nfa.shed_runs(),
+        model.shed,
+        "case {case_no}: sheds (the uncapped reference never sheds)"
+    );
+    Outcome {
+        detections: want.len(),
+        shed: model.shed,
+        fewer,
+    }
+}
+
+#[test]
+fn merged_runtime_detects_what_the_unmerged_reference_does() {
     let mut rng = Rng(0x5EED_0024);
     // Cases where the runtime held fewer runs than the reference, by
     // select policy (first, last), on left-deep patterns.
@@ -229,49 +318,61 @@ fn merged_runtime_detects_what_the_unmerged_reference_does() {
     for case_no in 0..480 {
         let left_deep = case_no % 2 == 0;
         let (select, consume_all) = (case_no / 2 % 3, case_no / 6 % 2 == 0);
-        let (text, mut model) = case(&mut rng, left_deep, select, consume_all);
-        let pattern = parse_pattern(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-        let mut nfa = NfaRuntime::compile(&pattern, &SingleSchema(schema.clone()), &funcs).unwrap();
-        let columnar = rng.below(2) == 0;
-        let batch = 1 + rng.below(40) as usize;
-        let tuples = stream(&mut rng, &schema, 240);
-
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        let mut out = MatchScratch::new();
-        let mut block = ColumnBlock::new();
-        for chunk in tuples.chunks(batch) {
-            for t in chunk {
-                model.push(t, &mut want);
-            }
-            block.fill_from_tuples(chunk);
-            out.clear();
-            nfa.advance_block_into("k", chunk, columnar.then_some(&block), &mut out)
-                .unwrap();
-            got.extend(out.matches().map(|m| {
-                let values = m.events.iter().map(|e| e.values().to_vec()).collect();
-                (m.ts, m.started_at, values)
-            }));
-            let (runs, reference) = (nfa.active_runs(), model.runs.len());
-            assert!(
-                runs <= reference,
-                "case {case_no} `{text}`: {runs} > {reference} runs"
-            );
-            if left_deep && select < 2 && runs < reference {
-                fewer[select] += 1;
-            }
+        let seen = check_case(
+            &mut rng,
+            case_no,
+            (left_deep, select, consume_all),
+            None,
+            false,
+        );
+        if left_deep && select < 2 && seen.fewer {
+            fewer[select] += 1;
         }
-        assert_eq!(
-            got, want,
-            "case {case_no} `{text}` (batch {batch}, block {columnar})"
-        );
-        assert_eq!(
-            nfa.shed_runs(),
-            0,
-            "case {case_no}: the reference never sheds"
-        );
-        detections += want.len();
+        detections += seen.detections;
     }
     assert!(detections > 1000, "the cases must detect: {detections}");
     assert!(fewer[0] > 0, "select first never merged a run");
     assert!(fewer[1] > 0, "select last never merged a run");
+}
+
+#[test]
+fn merged_runtime_detects_what_the_reference_does_when_timestamps_step_back() {
+    let mut rng = Rng(0x5EED_0024);
+    let mut detections = 0;
+    for case_no in 0..480 {
+        let left_deep = case_no % 2 == 0;
+        let (select, consume_all) = (case_no / 2 % 3, case_no / 6 % 2 == 0);
+        let seen = check_case(
+            &mut rng,
+            case_no,
+            (left_deep, select, consume_all),
+            None,
+            true,
+        );
+        detections += seen.detections;
+    }
+    eprintln!("step back: {detections} detections");
+    assert!(detections > 1000, "the cases must detect: {detections}");
+}
+
+#[test]
+fn capped_select_all_sheds_what_the_reference_does() {
+    let mut rng = Rng(0xCA9_5EED);
+    let (mut detections, mut shed) = (0, 0);
+    for case_no in 0..240 {
+        let cap = 1 + case_no % 4;
+        let (left_deep, consume_all) = (case_no / 4 % 2 == 0, case_no / 8 % 2 == 0);
+        let seen = check_case(
+            &mut rng,
+            case_no,
+            (left_deep, 2, consume_all),
+            Some(cap),
+            false,
+        );
+        detections += seen.detections;
+        shed += seen.shed;
+    }
+    eprintln!("capped: {detections} detections, {shed} sheds");
+    assert!(detections > 1000, "the cases must detect: {detections}");
+    assert!(shed > 1000, "the cap must shed: {shed}");
 }

@@ -95,6 +95,19 @@ impl KeptRow {
     }
 }
 
+/// Prints the tuple if it is built; printing builds nothing.
+impl std::fmt::Debug for KeptRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            Kept::Tuple(t) => f.debug_tuple("KeptRow").field(t).finish(),
+            Kept::Deferred(lazy) => match lazy.tuple.get() {
+                Some(t) => f.debug_tuple("KeptRow").field(t).finish(),
+                None => f.write_str("KeptRow(<not built>)"),
+            },
+        }
+    }
+}
+
 impl From<Tuple> for KeptRow {
     fn from(tuple: Tuple) -> Self {
         Self(Kept::Tuple(tuple))

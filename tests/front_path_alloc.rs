@@ -17,8 +17,8 @@
 //!
 //! The `kept_rows` leg's traces seed and advance runs: on a block batch a
 //! row a run keeps costs one allocation (its [`KeptRow`] handle) and no
-//! tuple until a detection carries it, and then one tuple however many
-//! plans' detections carry it. The last leg deploys sixteen plans whose
+//! tuple until somebody reads a detection carrying it, and then one tuple
+//! however many plans' detections carry it. The last leg deploys sixteen plans whose
 //! seeds the lane bounds rule out on every idle batch: none is stepped,
 //! and a warm batch allocates nothing.
 //!
@@ -286,7 +286,7 @@ fn kept_rows(columnar: bool) -> Vec<(String, i64, i64, Vec<Vec<Value>>)> {
 
     // Each row seeds a run that waits a second for `NONE`: a block
     // batch keeps its 30 rows, one allocation and no tuple each, once
-    // the arena has grown to its compaction point (≈ 35 batches); a
+    // the arena has grown to its compaction point (≈ 9 batches); a
     // scalar batch builds each row at emission, and keeps it by a clone.
     let q = format!("SELECT \"kept\" MATCHING {any} -> {none} within 1 seconds select first;");
     let mut shard = new_shard(&catalog, &compile(&engine, &[&q]), false, columnar);
@@ -309,8 +309,8 @@ fn kept_rows(columnar: bool) -> Vec<(String, i64, i64, Vec<Vec<Value>>)> {
 
     // Two plans alike complete on rows (2k, 2k + 1) of every batch: each
     // keeps the batch's 30 rows, its detections carry all of them, and
-    // each carried row is built once for both — and, on a block batch,
-    // counted once with the handle.
+    // each carried row is built once for both — on a block batch when
+    // the detections are read, and counted then.
     let pair = |name| {
         format!(
             "SELECT \"{name}\" MATCHING {any} -> {any} within 1 seconds select first consume all;"
@@ -327,6 +327,11 @@ fn kept_rows(columnar: bool) -> Vec<(String, i64, i64, Vec<Vec<Value>>)> {
         for (s, trace) in batches.iter().enumerate() {
             let (allocs, built_before) = (shard.allocs, built());
             shard.push(s, &trace[round], |_, _| ());
+            // A detection nobody reads builds no tuple: on a block batch
+            // nothing is built until the reads below; on a scalar batch
+            // the view built each row at emission.
+            let emitted = if columnar { 0 } else { 30 };
+            assert_eq!(built() - built_before, emitted, "unread detections");
             let ds = &shard.detections;
             assert_eq!(ds.len(), 30, "15 detections per plan");
             let (a, b) = ds.split_at(15);
@@ -342,10 +347,10 @@ fn kept_rows(columnar: bool) -> Vec<(String, i64, i64, Vec<Vec<Value>>)> {
             let carried = a.iter().map(|d| d.events.len() as u64).sum::<u64>();
             assert_eq!((carried, built() - built_before), (30, 30));
             if round >= 2 {
-                // A kept row's handle, its tuple, and a detection's name
-                // and event slice.
-                let kept = if columnar { 30 } else { 0 };
-                assert_eq!(shard.allocs - allocs, kept + 30 + 2 * 30);
+                // Per row a kept row's handle (block) or the tuple built
+                // at emission (scalar), and a detection's name and event
+                // slice; a carried row's tuple is the reader's.
+                assert_eq!(shard.allocs - allocs, 30 + 2 * 30);
             }
             detected.extend(ds.iter().map(|d| {
                 let events = d.events.iter().map(|t| t.values().to_vec()).collect();
