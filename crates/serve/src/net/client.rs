@@ -21,7 +21,7 @@
 //! suspicion of loss is not idempotent — callers decide.
 
 use std::collections::{HashSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -86,7 +86,11 @@ pub struct NetClient {
     stream: TcpStream,
     /// Resolved peer addresses, kept for redialling.
     addrs: Vec<SocketAddr>,
-    rbuf: Vec<u8>,
+    /// Inbound bytes, the server connections' read buffer: `pump`
+    /// reads into its free tail until the socket would block,
+    /// `read_message` reads once and blocks, and both decode the
+    /// messages where they landed.
+    rbuf: wire::ReadBuf,
     scratch: Vec<u8>,
     credits: u64,
     credit_waits: u64,
@@ -127,7 +131,7 @@ impl NetClient {
         let mut client = NetClient {
             stream,
             addrs,
-            rbuf: Vec::with_capacity(4096),
+            rbuf: wire::ReadBuf::new(),
             scratch: Vec::with_capacity(4096),
             credits: 0,
             credit_waits: 0,
@@ -408,14 +412,14 @@ impl NetClient {
         res
     }
 
-    /// Reads whatever is available without blocking and absorbs it.
+    /// Reads whatever is available without blocking, up to a buffer
+    /// full of whole messages, and absorbs it.
     fn pump(&mut self) -> io::Result<()> {
         self.stream.set_nonblocking(true)?;
-        let mut chunk = [0u8; 16 * 1024];
         let read_result = loop {
-            match self.stream.read(&mut chunk) {
+            match self.rbuf.read(&self.stream) {
                 Ok(0) => break Err(io::Error::from(io::ErrorKind::UnexpectedEof)),
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => break Err(e),
@@ -435,10 +439,9 @@ impl NetClient {
             if let Some(msg) = self.try_decode()? {
                 return Ok(msg);
             }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
+            match self.rbuf.read(&self.stream) {
                 Ok(0) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof)),
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
@@ -446,14 +449,9 @@ impl NetClient {
     }
 
     fn try_decode(&mut self) -> io::Result<Option<Message>> {
-        match wire::decode(&self.rbuf) {
-            Ok(None) => Ok(None),
-            Ok(Some((msg, consumed))) => {
-                self.rbuf.drain(..consumed);
-                Ok(Some(msg))
-            }
-            Err(e) => Err(io::Error::other(format!("protocol error: {e}"))),
-        }
+        self.rbuf
+            .decode()
+            .map_err(|e| io::Error::other(format!("protocol error: {e}")))
     }
 
     /// Applies a server message to client state.

@@ -2,7 +2,7 @@
 //! thread, and the [`Outbox`] shared with detection-sink threads.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -228,13 +228,20 @@ pub(crate) struct SessionBinding {
 }
 
 /// Read-side state of one client connection (owned by one I/O thread).
+///
+/// A readable event runs one pass: [`Self::fill`] reads into the free
+/// tail of `rbuf`, then the I/O loop decodes message after message in
+/// place (or sniffs an HTTP request head) and the window's start
+/// advances. The only bytes a pass moves are those of a message that
+/// was still partial when the last pass ended.
 pub(crate) struct Conn {
     /// Poller token / connection id.
     pub id: u64,
     pub stream: Arc<TcpStream>,
     pub outbox: Arc<Outbox>,
-    /// Accumulated unparsed inbound bytes.
-    pub rbuf: Vec<u8>,
+    /// Inbound bytes: read into its free tail, decoded where they
+    /// landed ([`wire::ReadBuf`]).
+    pub rbuf: wire::ReadBuf,
     /// Protocol state: false until a valid `Hello` was processed.
     pub greeted: bool,
     /// Negotiated hello flags (`wire::FLAG_*`).
@@ -273,7 +280,7 @@ impl Conn {
             id,
             stream,
             outbox,
-            rbuf: Vec::with_capacity(4096),
+            rbuf: wire::ReadBuf::new(),
             greeted: false,
             flags: 0,
             credits: 0,
@@ -288,39 +295,24 @@ impl Conn {
         }
     }
 
-    /// Reads every currently available byte into `rbuf` (bounded per
-    /// pass for fairness across connections).
+    /// Reads what the socket holds into `rbuf`, up to
+    /// [`wire::MAX_PER_PASS`] bytes a pass (fairness across
+    /// connections) or until whole messages fill the buffer.
     pub(crate) fn fill(&mut self, metrics: &NetMetricsInner) -> ReadOutcome {
-        const MAX_PER_PASS: usize = 256 * 1024;
         let mut read_this_pass = 0usize;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match (&*self.stream).read(&mut chunk) {
+        while read_this_pass < wire::MAX_PER_PASS {
+            match self.rbuf.read(&*self.stream) {
                 Ok(0) => return ReadOutcome::Closed,
                 Ok(n) => {
                     metrics.bytes_in.add(n as u64);
                     self.last_activity = Instant::now();
-                    self.rbuf.extend_from_slice(&chunk[..n]);
                     read_this_pass += n;
-                    if read_this_pass >= MAX_PER_PASS {
-                        return ReadOutcome::Continue;
-                    }
                 }
-                Err(e) if super::poll::would_block(&e) => return ReadOutcome::Continue,
+                Err(e) if super::poll::would_block(&e) => break,
                 Err(_) => return ReadOutcome::Closed,
             }
         }
-    }
-
-    /// Pops the next complete message off `rbuf`, if any.
-    pub(crate) fn next_message(&mut self) -> Result<Option<wire::Message>, wire::NetWireError> {
-        match wire::decode(&self.rbuf)? {
-            None => Ok(None),
-            Some((msg, consumed)) => {
-                self.rbuf.drain(..consumed);
-                Ok(Some(msg))
-            }
-        }
+        ReadOutcome::Continue
     }
 
     /// Sends one message through the outbox.
@@ -334,6 +326,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::time::Duration;
 
     /// Overflowing the outbox with droppable payloads sheds them

@@ -9,11 +9,15 @@
 //! [`wire`]: columnar frame batches in, detections with session
 //! attribution out, flow-controlled by credit grants.
 //!
-//! The decode path is allocation-lean by design: a wire batch decodes
-//! straight into `SkeletonFrame` rows whose per-joint lanes mirror the
-//! engine's `ColumnBlock` layout, and is handed to the existing shard
-//! pipeline via the non-blocking `offer_batch` — no per-frame
-//! `Vec<Value>` materialisation between socket and NFA (see
+//! The decode path is allocation-lean by design: a connection reads
+//! straight into the free tail of its read buffer (`wire::ReadBuf`),
+//! and each message is decoded where its bytes landed. A read pass
+//! moves at most one partial message, and a drained buffer starts again
+//! at offset 0.
+//! A wire batch decodes into `SkeletonFrame` rows whose per-joint lanes
+//! mirror the engine's `ColumnBlock` layout, and is handed to the
+//! existing shard pipeline via the non-blocking `offer_batch` — no
+//! per-frame `Vec<Value>` materialisation between socket and NFA (see
 //! `docs/ARCHITECTURE.md` for the full walk of the data path).
 //!
 //! **Backpressure** is end-to-end: a full shard queue under the
@@ -559,7 +563,7 @@ impl IoLoop {
     /// Reads and processes every available message on `conn`.
     fn drain_readable(&mut self, conn: &mut Conn) -> Option<Close> {
         let closed = conn.fill(&self.metrics) == ReadOutcome::Closed;
-        if conn.http || (!conn.greeted && looks_like_http(&conn.rbuf)) {
+        if conn.http || (!conn.greeted && looks_like_http(conn.rbuf.unread())) {
             conn.http = true;
             return self.serve_http(conn, closed);
         }
@@ -569,7 +573,7 @@ impl IoLoop {
                 break;
             }
             let decode_t0 = self.decode_sampler.sample().then(Instant::now);
-            match conn.next_message() {
+            match conn.rbuf.decode() {
                 Ok(Some(msg)) => {
                     if let Some(t0) = decode_t0 {
                         self.decode_stage.record(t0.elapsed().as_nanos() as u64);
@@ -601,14 +605,15 @@ impl IoLoop {
             // Response already queued; nothing further to read.
             return None;
         }
-        let Some(end) = find_header_end(&conn.rbuf) else {
-            if closed || conn.rbuf.len() > HTTP_MAX_REQUEST {
+        let request = conn.rbuf.unread();
+        let Some(end) = find_header_end(request) else {
+            if closed || request.len() > HTTP_MAX_REQUEST {
                 return Some(Close::Quiet);
             }
             return None;
         };
         self.metrics.http_requests.inc();
-        let head = String::from_utf8_lossy(&conn.rbuf[..end]).into_owned();
+        let head = String::from_utf8_lossy(&request[..end]).into_owned();
         let mut parts = head.split_whitespace();
         let method = parts.next().unwrap_or("");
         let path = parts.next().unwrap_or("");

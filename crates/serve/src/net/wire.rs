@@ -15,6 +15,7 @@
 //! materialising a per-frame `Vec<Value>`.
 
 use std::fmt;
+use std::io::{self, Read};
 
 use gesto_kinect::{SkeletonFrame, Vec3, JOINT_COUNT};
 use gesto_stream::{wire as value_wire, Value};
@@ -461,20 +462,111 @@ fn type_byte(msg: &Message) -> u8 {
 /// messages. Errors are fatal for the connection: framing cannot be
 /// resynchronised after a malformed envelope.
 pub fn decode(buf: &[u8]) -> Result<Option<(Message, usize)>, NetWireError> {
-    if buf.len() < 4 {
+    let Some(total) = envelope_len(buf)?.filter(|&total| total <= buf.len()) else {
         return Ok(None);
-    }
-    let body_len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
+    };
+    let msg = decode_body(buf[4], &buf[5..total])?;
+    Ok(Some((msg, total)))
+}
+
+/// Length of the whole envelope at the start of `buf`, read from its
+/// header; `None` while fewer than four bytes are in.
+fn envelope_len(buf: &[u8]) -> Result<Option<usize>, NetWireError> {
+    let Some(header) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let body_len = u32::from_le_bytes(header.try_into().expect("4 bytes"));
     if body_len == 0 || body_len > MAX_MESSAGE_LEN {
         return Err(NetWireError::BadLength(body_len));
     }
-    let total = 4 + body_len as usize;
-    if buf.len() < total {
-        return Ok(None);
+    Ok(Some(4 + body_len as usize))
+}
+
+/// Bytes one read pass takes from one connection, for fairness between
+/// connections; a [`ReadBuf`] doubles up to this size.
+pub(crate) const MAX_PER_PASS: usize = 256 * 1024;
+
+/// The receive buffer of either end of a connection: a window
+/// `start..end` of unread bytes over a buffer that is zeroed only when
+/// it grows. [`Self::read`] reads straight into the free tail and
+/// [`Self::decode`] decodes where the bytes landed, advancing `start`;
+/// a window decoded to its end starts again at offset 0. The unread
+/// bytes move to the front only when the tail is empty and they are one
+/// partial message, so a read pass moves at most one partial message.
+/// Otherwise an empty tail doubles the buffer from 4 KiB up to
+/// [`MAX_PER_PASS`], past which it grows only as far as the pending
+/// message needs.
+pub(crate) struct ReadBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuf {
+    /// An empty buffer at its 4 KiB start size.
+    pub(crate) fn new() -> Self {
+        ReadBuf {
+            buf: vec![0; 4096],
+            start: 0,
+            end: 0,
+        }
     }
-    let body = &buf[4..total];
-    let msg = decode_body(body[0], &body[1..])?;
-    Ok(Some((msg, total)))
+
+    /// The bytes read and not yet decoded.
+    pub(crate) fn unread(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Drops the unread bytes.
+    pub(crate) fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
+    }
+
+    /// One `read` from `src` into the free tail, making room first if
+    /// the tail is empty. `WouldBlock` when no room can be made (whole
+    /// messages fill the buffer at its largest): decode first.
+    pub(crate) fn read(&mut self, mut src: impl Read) -> io::Result<usize> {
+        if self.end == self.buf.len() && !self.make_room() {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Pops the next complete message off the window ([`decode`]).
+    pub(crate) fn decode(&mut self) -> Result<Option<Message>, NetWireError> {
+        let Some((msg, used)) = decode(self.unread())? else {
+            return Ok(None);
+        };
+        self.start += used;
+        if self.start == self.end {
+            self.clear();
+        }
+        Ok(Some(msg))
+    }
+
+    /// Frees tail space for a read; `false` when whole messages fill
+    /// the buffer at its largest.
+    fn make_room(&mut self) -> bool {
+        let unread = self.end - self.start;
+        // A header that is not a valid envelope (an HTTP request head)
+        // sizes nothing.
+        let need = envelope_len(self.unread()).ok().flatten();
+        if self.start > 0 && need.is_none_or(|n| n > unread) {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.start = 0;
+            self.end = unread;
+            return true;
+        }
+        let len = (2 * self.buf.len()).min(MAX_PER_PASS.max(need.unwrap_or(0)));
+        if len <= self.buf.len() {
+            return false;
+        }
+        self.buf.resize(len, 0);
+        true
+    }
 }
 
 fn decode_body(ty: u8, p: &[u8]) -> Result<Message, NetWireError> {
@@ -574,10 +666,11 @@ fn decode_frame_batch(p: &[u8], pos: &mut usize) -> Result<Message, NetWireError
         return Err(NetWireError::BatchTooLarge(count));
     }
     let n = count as usize;
-    let mut frames: Vec<SkeletonFrame> = Vec::with_capacity(n);
-    for _ in 0..n {
-        frames.push(SkeletonFrame::empty(0, 0));
+    // The ts and player lanes must be in before `count` frames exist.
+    if p.len() - *pos < 16 * n {
+        return Err(NetWireError::Malformed("message body truncated"));
     }
+    let mut frames = vec![SkeletonFrame::empty(0, 0); n];
     for f in frames.iter_mut() {
         f.ts = get_u64(p, pos)? as i64;
     }
@@ -654,4 +747,170 @@ fn read_str16(p: &[u8], pos: &mut usize) -> Result<String, NetWireError> {
     let len = get_u16(p, pos)? as usize;
     let bytes = take(p, pos, len)?;
     String::from_utf8(bytes.to_vec()).map_err(|_| NetWireError::Malformed("string is not UTF-8"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A socket stand-in: hands out `data` at most `chunk` bytes a
+    /// read, then reports `WouldBlock`.
+    struct Chunked {
+        data: Vec<u8>,
+        at: usize,
+        chunk: usize,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.at == self.data.len() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.chunk.min(out.len()).min(self.data.len() - self.at);
+            out[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    fn frames(n: usize, joints: usize) -> Vec<SkeletonFrame> {
+        (0..n)
+            .map(|i| {
+                let mut f = SkeletonFrame::empty(1000 + 33 * i as i64, 1);
+                for k in 0..joints {
+                    if (i + k) % 3 != 0 {
+                        f.joints[k] = Some(Vec3::new(i as f64, -(k as f64), 0.5));
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
+    fn encode_all(msgs: &[Message]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for m in msgs {
+            encode(m, &mut bytes);
+        }
+        bytes
+    }
+
+    /// Decodes what `rb` holds, then reads `src` dry, decoding after
+    /// every read.
+    fn read_all(rb: &mut ReadBuf, src: &mut Chunked) -> Vec<Message> {
+        let mut got = Vec::new();
+        loop {
+            while let Some(m) = rb.decode().expect("valid stream") {
+                got.push(m);
+            }
+            match rb.read(&mut *src) {
+                Ok(n) => assert!(n > 0, "a read into an empty tail"),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return got,
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_read_split_yields_the_same_messages() {
+        let msgs = vec![
+            Message::Ping { token: 1 },
+            Message::FrameBatch {
+                session: 7,
+                frames: frames(30, 3),
+            },
+            Message::Detection(WireDetection {
+                session: 7,
+                ts: 2000,
+                started_at: 1500,
+                gesture: "swipe_right".to_owned(),
+                events: vec![
+                    vec![Value::Int(-7), Value::Float(1.5), Value::Null],
+                    vec![Value::Str("é".to_owned()), Value::Bool(true)],
+                ],
+            }),
+            Message::Ping { token: 2 },
+            Message::Pong { token: 3 },
+        ];
+        let data = encode_all(&msgs);
+        for chunk in 1..=data.len() {
+            let mut src = Chunked {
+                data: data.clone(),
+                at: 0,
+                chunk,
+            };
+            let mut rb = ReadBuf::new();
+            assert_eq!(read_all(&mut rb, &mut src), msgs, "chunk {chunk}");
+            assert!(rb.unread().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_message_larger_than_the_start_size_is_assembled() {
+        let msgs = vec![Message::FrameBatch {
+            session: 1,
+            frames: frames(200, JOINT_COUNT),
+        }];
+        let data = encode_all(&msgs);
+        let mut rb = ReadBuf::new();
+        assert!(data.len() > rb.buf.len());
+        let mut src = Chunked {
+            data,
+            at: 0,
+            chunk: 1000,
+        };
+        assert_eq!(read_all(&mut rb, &mut src), msgs);
+    }
+
+    #[test]
+    fn compaction_keeps_a_partial_message_intact() {
+        // Pings fill the first read up to a batch that straddles the
+        // end of the 4 KiB buffer.
+        let batch = Message::FrameBatch {
+            session: 3,
+            frames: frames(8, 4),
+        };
+        let mut msgs = vec![Message::Ping { token: 0 }; 4000 / 13];
+        msgs.push(batch);
+        let data = encode_all(&msgs);
+        let mut src = Chunked {
+            data,
+            at: 0,
+            chunk: 4096,
+        };
+        let mut rb = ReadBuf::new();
+        assert_eq!(rb.read(&mut src).unwrap(), 4096);
+        let mut pings = 0;
+        while let Some(m) = rb.decode().unwrap() {
+            assert_eq!(m, Message::Ping { token: 0 });
+            pings += 1;
+        }
+        let partial = rb.unread().to_vec();
+        assert!(rb.start > 0 && !partial.is_empty());
+        // The tail is empty: the next read moves the partial batch to
+        // the front instead of growing the buffer.
+        rb.read(&mut src).unwrap();
+        assert_eq!((rb.start, rb.buf.len()), (0, 4096));
+        assert_eq!(&rb.buf[..partial.len()], &partial[..]);
+        let rest = read_all(&mut rb, &mut src);
+        assert_eq!(pings + rest.len(), msgs.len());
+        assert_eq!(rest.last(), msgs.last());
+    }
+
+    #[test]
+    fn a_drained_buffer_reads_again_from_offset_0() {
+        let data = encode_all(&[Message::Ping { token: 1 }, Message::Pong { token: 2 }]);
+        let mut src = Chunked {
+            data,
+            at: 0,
+            chunk: 13,
+        };
+        let mut rb = ReadBuf::new();
+        assert_eq!(rb.read(&mut src).unwrap(), 13);
+        assert_eq!(rb.decode().unwrap(), Some(Message::Ping { token: 1 }));
+        assert_eq!((rb.start, rb.end), (0, 0));
+        assert_eq!(rb.read(&mut src).unwrap(), 13);
+        assert_eq!((rb.start, rb.end), (0, 13));
+        assert_eq!(rb.decode().unwrap(), Some(Message::Pong { token: 2 }));
+    }
 }

@@ -219,6 +219,22 @@ fn oversized_batch_is_rejected() {
 }
 
 #[test]
+fn a_batch_whose_lanes_cannot_fit_is_refused() {
+    // §4: a 15-byte message claiming MAX_BATCH_FRAMES frames carries
+    // none of their 16-byte ts + player rows; it is refused from the
+    // count alone, before any frame is built.
+    let mut p = Vec::new();
+    p.extend_from_slice(&1u64.to_le_bytes());
+    p.extend_from_slice(&MAX_BATCH_FRAMES.to_le_bytes());
+    let msg = envelope(0x03, &p);
+    assert_eq!(msg.len(), 15);
+    assert_eq!(
+        decode(&msg),
+        Err(NetWireError::Malformed("message body truncated"))
+    );
+}
+
+#[test]
 fn unknown_joint_mask_bits_are_rejected() {
     // §4: bits 15.. of the joint mask are reserved.
     let mut p = Vec::new();

@@ -4,10 +4,11 @@ use gesto::cep::{
     parse_expr, parse_pattern, parse_query, BinOp, ConsumePolicy, Expr, Pattern, Query,
     SelectPolicy, SequencePattern, UnaryOp,
 };
-use gesto::kinect::{Joint, NoiseModel, Performer, Persona, SkeletonFrame};
+use gesto::kinect::{Joint, NoiseModel, Performer, Persona, SkeletonFrame, Vec3, JOINT_COUNT};
 use gesto::learn::merging::resample_to;
 use gesto::learn::sampling::{sample_path, CentroidMode, Strategy as SamplingStrategy};
 use gesto::learn::{Metric, PathPoint, PoseWindow, Threshold};
+use gesto::serve::net::wire::{self, ErrorCode, Message, WireDetection};
 use gesto::stream::Value;
 use gesto::transform::{TransformConfig, Transformer};
 use proptest::prelude::*;
@@ -303,6 +304,198 @@ proptest! {
             if let Ok(q) = parse_query(src) {
                 prop_assert_eq!(parse_query(&q.to_query_text()).ok(), Some(q), "{:?}", src);
             }
+        }
+    }
+}
+
+// ---------- GSW1 byte stream ----------
+
+/// Any `u64`, its extremes drawn more often than chance would.
+fn any_u64() -> impl proptest::strategy::Strategy<Value = u64> {
+    prop_oneof![
+        0u64..u64::MAX,
+        (0usize..3).prop_map(|i| [0, 1, u64::MAX][i])
+    ]
+}
+
+fn any_i64() -> impl proptest::strategy::Strategy<Value = i64> {
+    any_u64().prop_map(|v| v as i64)
+}
+
+fn any_u16() -> impl proptest::strategy::Strategy<Value = u16> {
+    (0u32..0x1_0000).prop_map(|v| v as u16)
+}
+
+fn any_u32() -> impl proptest::strategy::Strategy<Value = u32> {
+    any_u64().prop_map(|v| v as u32)
+}
+
+/// Any `f64` bit pattern: NaN payloads, infinities, signed zeros and
+/// subnormals included.
+fn any_f64_bits() -> impl proptest::strategy::Strategy<Value = f64> {
+    any_u64().prop_map(f64::from_bits)
+}
+
+/// Strings of at most 64 bytes (16 chars of up to 4 bytes each).
+fn wire_string() -> impl proptest::strategy::Strategy<Value = String> {
+    any_string(17)
+}
+
+fn any_value() -> impl proptest::strategy::Strategy<Value = Value> {
+    prop_oneof![
+        (0u8..1).prop_map(|_| Value::Null),
+        any_i64().prop_map(Value::Int),
+        any_f64_bits().prop_map(Value::Float),
+        wire_string().prop_map(Value::Str),
+        (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+        any_i64().prop_map(Value::Timestamp),
+    ]
+}
+
+fn any_frame() -> impl proptest::strategy::Strategy<Value = SkeletonFrame> {
+    let joint = proptest::option::of(proptest::array::uniform3(any_f64_bits()));
+    (
+        any_i64(),
+        any_i64(),
+        proptest::collection::vec(joint, JOINT_COUNT..JOINT_COUNT + 1),
+    )
+        .prop_map(|(ts, player, joints)| {
+            let mut f = SkeletonFrame::empty(ts, player);
+            for (slot, j) in f.joints.iter_mut().zip(joints) {
+                *slot = j.map(|[x, y, z]| Vec3::new(x, y, z));
+            }
+            f
+        })
+}
+
+fn any_detection() -> impl proptest::strategy::Strategy<Value = WireDetection> {
+    (
+        (any_u64(), any_i64(), any_i64()),
+        wire_string(),
+        proptest::collection::vec(proptest::collection::vec(any_value(), 0..8), 0..6),
+    )
+        .prop_map(
+            |((session, ts, started_at), gesture, events)| WireDetection {
+                session,
+                ts,
+                started_at,
+                gesture,
+                events,
+            },
+        )
+}
+
+/// Every message type, each field over its whole domain.
+fn any_message() -> BoxedStrategy<Message> {
+    prop_oneof![
+        (any_u16(), any_u16()).prop_map(|(version, flags)| Message::Hello { version, flags }),
+        any_u64().prop_map(|session| Message::OpenSession { session }),
+        (any_u64(), proptest::collection::vec(any_frame(), 0..65))
+            .prop_map(|(session, frames)| Message::FrameBatch { session, frames }),
+        any_u64().prop_map(|session| Message::CloseSession { session }),
+        any_u64().prop_map(|token| Message::Ping { token }),
+        (0u8..1).prop_map(|_| Message::Bye),
+        wire_string().prop_map(|text| Message::Deploy { text }),
+        wire_string().prop_map(|name| Message::Undeploy { name }),
+        (any_u16(), any_u16(), any_u32()).prop_map(|(version, flags, credits)| {
+            Message::HelloAck {
+                version,
+                flags,
+                credits,
+            }
+        }),
+        any_u32().prop_map(|frames| Message::Credit { frames }),
+        any_detection().prop_map(Message::Detection),
+        (any_u16(), wire_string()).prop_map(|(code, detail)| Message::Error {
+            code: ErrorCode::from_code(code),
+            detail,
+        }),
+        any_u64().prop_map(|token| Message::Pong { token }),
+        any_u64().prop_map(|session| Message::SessionClosed { session }),
+        proptest::option::of(wire_string()).prop_map(|error| Message::ControlAck { error }),
+    ]
+    .boxed()
+}
+
+/// A message's bytes. Every float travels as its IEEE-754 bits, so two
+/// messages with equal bytes are equal bit for bit, NaN payloads and
+/// signed zeros included.
+fn gsw1_bytes(msg: &Message) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    wire::encode(msg, &mut bytes);
+    bytes
+}
+
+/// Decodes `bytes` from the front until a message is incomplete or
+/// malformed. Each decoded message must re-encode to bytes that decode
+/// back to it.
+fn consume_gsw1(mut bytes: &[u8]) {
+    while let Ok(Some((msg, used))) = wire::decode(bytes) {
+        assert!(
+            (5..=bytes.len()).contains(&used),
+            "consumed {used} of {}",
+            bytes.len()
+        );
+        let again = gsw1_bytes(&msg);
+        let (back, n) = wire::decode(&again).unwrap().unwrap();
+        assert_eq!(n, again.len());
+        assert_eq!(gsw1_bytes(&back), again);
+        bytes = &bytes[used..];
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// 1–8 messages of every type, concatenated, read over every split:
+    /// at each cut, what has arrived decodes to the next messages in
+    /// order, or to `Ok(None)` while one is incomplete, never to an
+    /// error; consuming from the front returns the original sequence.
+    #[test]
+    fn gsw1_stream_round_trips(msgs in proptest::collection::vec(any_message(), 1..9)) {
+        let encoded: Vec<Vec<u8>> = msgs.iter().map(gsw1_bytes).collect();
+        let stream = encoded.concat();
+        let (mut at, mut next) = (0, 0);
+        for end in 0..=stream.len() {
+            while let Some((msg, used)) = wire::decode(&stream[at..end])
+                .unwrap_or_else(|e| panic!("prefix of {end} bytes: {e}"))
+            {
+                prop_assert_eq!(gsw1_bytes(&msg), encoded[next].clone());
+                prop_assert_eq!(used, encoded[next].len());
+                at += used;
+                next += 1;
+            }
+        }
+        prop_assert_eq!(next, msgs.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes, arbitrary bodies under a valid envelope header
+    /// of any type, valid streams with one byte changed, and valid
+    /// streams with a hole cut out: the decoder returns on each without
+    /// a panic.
+    #[test]
+    fn gsw1_decoder_never_panics(
+        noise in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..256),
+        ty in (0u16..256).prop_map(|b| b as u8),
+        msgs in proptest::collection::vec(any_message(), 1..4),
+        edit in (0.0..1.0f64, 0.0..1.2f64, 0.0..1.2f64, (0u16..256).prop_map(|b| b as u8)),
+    ) {
+        let (at, from, to, byte) = edit;
+        let mut typed = (1 + noise.len() as u32).to_le_bytes().to_vec();
+        typed.push(ty);
+        typed.extend_from_slice(&noise);
+        let stream: Vec<u8> = msgs.iter().flat_map(gsw1_bytes).collect();
+        let mut changed = stream.clone();
+        changed[(at * stream.len() as f64) as usize] = byte;
+        let cut_at = |f: f64| ((f.min(1.0)) * stream.len() as f64) as usize;
+        let (lo, hi) = (cut_at(from.min(to)), cut_at(from.max(to)));
+        let holed = [&stream[..lo], &stream[hi..]].concat();
+        for bytes in [&noise, &typed, &changed, &holed] {
+            consume_gsw1(bytes);
         }
     }
 }
