@@ -1,6 +1,6 @@
-//! Shared harness utilities for the experiment binaries and criterion
-//! benches: persona sweeps, teach/detect helpers and plain-text table
-//! rendering (the experiment binaries print paper-style tables).
+//! Shared harness utilities for the experiment binaries: persona
+//! sweeps, teach/detect helpers and plain-text table rendering (the
+//! experiment binaries print paper-style tables).
 
 pub mod chaos;
 

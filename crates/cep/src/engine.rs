@@ -71,15 +71,10 @@ impl Deployed {
 impl Engine {
     /// Creates an engine over `catalog` with the built-in functions.
     pub fn new(catalog: Arc<Catalog>) -> Self {
-        Self::with_functions(catalog, Arc::new(FunctionRegistry::with_builtins()))
-    }
-
-    /// Creates an engine with a custom function registry.
-    pub fn with_functions(catalog: Arc<Catalog>, funcs: Arc<FunctionRegistry>) -> Self {
         let views = SharedViews::new(&catalog);
         Self {
             catalog,
-            funcs,
+            funcs: Arc::new(FunctionRegistry::with_builtins()),
             state: Mutex::new(Deployed {
                 views,
                 queries: Vec::new(),
@@ -232,34 +227,22 @@ impl Engine {
     /// Pushes a batch of tuples of one stream; returns all detections.
     ///
     /// Amortises route dispatch across the batch: the engine's lock is
-    /// taken once for the whole batch, not once per tuple.
-    pub fn push_batch(&self, stream: &str, tuples: &[Tuple]) -> Result<Vec<Detection>, CepError> {
-        let mut out = Vec::new();
-        self.push_batch_into(stream, tuples, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::push_batch`] into a caller-owned buffer (the allocation-
-    /// free variant for hot loops that reuse a detections scratch).
-    /// Detections are appended; the buffer is not cleared. Within one
+    /// taken once for the whole batch, not once per tuple. Within one
     /// batch, detections are grouped per query in deployment order (each
     /// query's NFA steps the whole batch in one call) and stream-ordered
     /// within a query.
-    pub fn push_batch_into(
-        &self,
-        stream: &str,
-        tuples: &[Tuple],
-        out: &mut Vec<Detection>,
-    ) -> Result<(), CepError> {
+    pub fn push_batch(&self, stream: &str, tuples: &[Tuple]) -> Result<Vec<Detection>, CepError> {
+        let mut out = Vec::new();
         let mut state = self.state.lock();
         let Deployed { views, queries } = &mut *state;
         // Transform-once, step-batched: every needed view runs once over
         // the whole batch, then each deployed plan advances its NFA
         // batch-at-a-time over the shared outputs.
         views.begin_batch(stream, tuples);
-        queries
-            .iter_mut()
-            .try_for_each(|q| q.push_batch_shared(stream, tuples, views, out))
+        for q in queries.iter_mut() {
+            q.push_batch_shared(stream, tuples, views, &mut out)?;
+        }
+        Ok(out)
     }
 
     /// Resets all partial matches of all queries (e.g. between test

@@ -1038,6 +1038,70 @@ mod tests {
         }
     }
 
+    /// The fused shapes of learned gesture queries, over batches of 1,
+    /// 16, 30 (the serving batch) and 256 pseudo-random all-float rows:
+    /// the kernels decide every row, bit for bit as the scalar oracle.
+    #[test]
+    fn fused_shapes_decide_every_all_float_row_as_scalar_does() {
+        let s = SchemaBuilder::new("k").timestamp("ts");
+        let cols = ["x", "y", "z", "ax", "ay", "az", "bx", "by", "bz"];
+        let s = cols.iter().fold(s, |s, c| s.float(*c)).build().unwrap();
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            Value::Float((state % 1000) as f64 / 10.0)
+        };
+        let shapes = [
+            ("band", "abs(x - 50) < 12"),
+            ("cmp", "x > 50"),
+            ("diff", "x - y > 20"),
+            ("diff_band", "abs(x - y - 10) < 12"),
+            ("dist", "dist(ax, ay, az, bx, by, bz) < 40"),
+            (
+                "and_all",
+                "abs(x - 50) < 12 and abs(y - 50) < 12 and abs(z - 50) < 12",
+            ),
+            ("or_all", "x < 10 or abs(y - 50) < 5"),
+        ];
+        let reg = FunctionRegistry::with_builtins();
+        let (mut block, mut masks) = (ColumnBlock::new(), BlockMasks::default());
+        let mut scratch = EvalScratch::new();
+        for batch in [1, 16, 30, 256] {
+            let tuples: Vec<Tuple> = (0..batch)
+                .map(|i| {
+                    let mut vals = vec![Value::Timestamp(i as i64 * 33)];
+                    vals.extend((0..cols.len()).map(|_| next()));
+                    Tuple::new_unchecked(s.clone(), vals)
+                })
+                .collect();
+            block.fill_from_tuples(&tuples);
+            for (name, text) in shapes {
+                let e = compile(&crate::parser::parse_expr(text).unwrap(), &s, &reg).unwrap();
+                assert!(
+                    matches!(
+                        e,
+                        CompiledExpr::Band { .. }
+                            | CompiledExpr::Cmp { .. }
+                            | CompiledExpr::AndAll(_)
+                            | CompiledExpr::OrAll(_)
+                    ),
+                    "{name} fuses: {e:?}"
+                );
+                e.eval_block(&block, &mut masks, &mut scratch);
+                let mut hits = 0;
+                for (r, t) in tuples.iter().enumerate() {
+                    let scalar = e.eval_bool(t).unwrap();
+                    hits += usize::from(scalar);
+                    assert!(masks.known.get(r), "{name}, batch {batch}: row {r} known");
+                    assert_eq!(masks.truth.get(r), scalar, "{name}, batch {batch}: row {r}");
+                }
+                assert_eq!(masks.truth.count(), hits, "{name}, batch {batch}: hits");
+            }
+        }
+    }
+
     #[test]
     fn unfused_shapes_stay_unknown() {
         let reg = FunctionRegistry::with_builtins();

@@ -470,8 +470,9 @@ fn eval_unary(op: UnaryOp, v: Value) -> Result<Value, CepError> {
 /// error.
 ///
 /// Inlined so each `AndAll` / `OrAll` arm gets its own copy with `op`
-/// known: out of line, the scalar folds of `bench_predicate`'s `and_all`
-/// and `or_all` shapes ran 5–11 % slower per row.
+/// known: out of line, the scalar folds of the `and_all` and `or_all`
+/// shapes of the `kernel_speed` test ran 5–11 % slower per row, as
+/// measured when the fold was introduced.
 #[inline(always)]
 fn kleene<'a>(
     op: BinOp,

@@ -43,7 +43,7 @@ within 1 seconds select first consume all;
 /// `kinect_t` transformer per route, nothing shared between plans) and
 /// the NFA is stepped one tuple at a time on the scalar path. The engine
 /// and the shard worker must detect exactly what this does
-/// (`tests/datapath_equivalence.rs`); `bench_datapath` times the gap.
+/// (`tests/datapath_equivalence.rs`).
 /// Built from public pieces only — the data path does not know it exists.
 pub struct PerRouteReference {
     plan: Arc<QueryPlan>,

@@ -84,8 +84,9 @@ pub struct ServerConfig {
     /// over its float lanes.
     ///
     /// The block kernels pay a fixed mask-setup cost per batch, so tiny
-    /// batches lose to scalar evaluation (`bench_predicate`:
-    /// 0.3–1.0× at batch 1, 4.5–8.8× at batch 16). The shard worker
+    /// batches lose to scalar evaluation (0.3–1.0× at batch 1,
+    /// 4.5–8.8× at batch 16; `gesto-cep`'s `kernel_speed` test prints
+    /// the table). The shard worker
     /// therefore picks scalar vs columnar **per pushed batch**: a batch
     /// shorter than this threshold evaluates predicates tuple-at-a-time,
     /// a batch at or above it builds the block and runs the vectorized

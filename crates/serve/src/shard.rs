@@ -615,8 +615,8 @@ impl ShardWorker {
         }
         // Adaptive scalar-vs-columnar choice, made per pushed batch: the
         // block kernels' fixed setup cost loses on tiny batches (batch 1
-        // runs 0.3–1.0× scalar, batch 16 4.5–8.8×, batch 30 6.8–12×,
-        // `bench_predicate`), so short batches step scalar.
+        // runs 0.3–1.0× scalar, batch 16 4.5–8.8×, batch 30 6.8–12×:
+        // `gesto-cep`'s `kernel_speed` test), so short batches step scalar.
         // Detections are bit-identical either way.
         let take_columnar = batch.frames.len() >= *columnar_min_batch;
         if take_columnar {

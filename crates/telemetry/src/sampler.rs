@@ -8,7 +8,6 @@
 //! process-global statics shared across threads.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread::LocalKey;
 
 /// Single-owner countdown sampler: `sample()` returns `true` on the
@@ -50,11 +49,11 @@ impl Sampler {
 /// predicate-kernel stage timer in `gesto-cep`, which has no per-worker
 /// state to hang a [`Sampler`] on).
 ///
-/// The period is global; the decision is each thread's own: like a
-/// [`Sampler`], a thread's first call fires and then one in every
-/// `every` of its calls, counted in the thread-local `tick` the sampler
-/// is built with. A decision reads one shared atomic and writes only
-/// thread-local state, so threads never contend on a cache line.
+/// The period is fixed at construction; the decision is each thread's
+/// own: like a [`Sampler`], a thread's first call fires and then one in
+/// every `every` of its calls, counted in the thread-local `tick` the
+/// sampler is built with. A decision writes only thread-local state, so
+/// threads never contend on a cache line.
 ///
 /// ```
 /// use std::cell::Cell;
@@ -66,7 +65,7 @@ impl Sampler {
 /// ```
 #[derive(Debug)]
 pub struct SharedSampler {
-    every: AtomicU32,
+    every: u32,
     tick: &'static LocalKey<Cell<u32>>,
 }
 
@@ -75,32 +74,18 @@ impl SharedSampler {
     /// counted in `tick`, which only this sampler may use; `every == 0`
     /// disables it.
     pub const fn new(every: u32, tick: &'static LocalKey<Cell<u32>>) -> Self {
-        SharedSampler {
-            every: AtomicU32::new(every),
-            tick,
-        }
-    }
-
-    /// Reconfigures the sampling period (0 disables). Takes effect for
-    /// subsequent decisions on all threads.
-    pub fn set_every(&self, every: u32) {
-        self.every.store(every, Ordering::Relaxed);
-    }
-
-    /// Current sampling period (0 = disabled).
-    pub fn every(&self) -> u32 {
-        self.every.load(Ordering::Relaxed)
+        SharedSampler { every, tick }
     }
 
     /// Should this iteration be timed?
     #[inline]
     pub fn sample(&self) -> bool {
-        let every = self.every.load(Ordering::Relaxed);
+        let every = self.every;
         if every == 0 {
             return false;
         }
         self.tick.with(|tick| {
-            let left = tick.get().min(every - 1);
+            let left = tick.get();
             tick.set(left.checked_sub(1).unwrap_or(every - 1));
             left == 0
         })
@@ -152,16 +137,5 @@ mod tests {
                 .collect();
             threads.into_iter().for_each(|t| t.join().unwrap());
         });
-    }
-
-    #[test]
-    fn shared_sampler_set_every() {
-        thread_local!(static TICK: Cell<u32> = const { Cell::new(0) });
-        static S: SharedSampler = SharedSampler::new(0, &TICK);
-        let s = &S;
-        assert!(!s.sample());
-        s.set_every(1);
-        assert!(s.sample());
-        assert_eq!(s.every(), 1);
     }
 }

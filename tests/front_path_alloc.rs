@@ -1,7 +1,7 @@
 //! The front path's allocation contract, counted.
 //!
-//! One test in a process of its own (a counting `#[global_allocator]`,
-//! as in `bench_nfa`), its legs run one after the other: the shard
+//! One test in a process of its own (a counting `#[global_allocator]`),
+//! its legs run one after the other: the shard
 //! worker's per-batch sequence — lend the one set of [`BatchBuffers`],
 //! begin the batch from the skeleton frames, NFA stepping, reclaim —
 //! round-robin over three sessions whose traces seed no run calls the
@@ -18,10 +18,18 @@
 //! The `kept_rows` leg's traces seed and advance runs: on a block batch a
 //! row a run keeps costs one allocation (its [`KeptRow`] handle) and no
 //! tuple until somebody reads a detection carrying it, and then one tuple
-//! however many plans' detections carry it. The last leg deploys sixteen plans whose
+//! however many plans' detections carry it. The `idle_catalog` leg deploys sixteen plans whose
 //! seeds the lane bounds rule out on every idle batch: none is stepped,
 //! and a warm batch allocates nothing.
 //!
+//! The last legs step [`NfaRuntime::advance_block_into`] on its own, and
+//! once warm none of them allocates: a stream that matches nothing;
+//! runs that seed, expire and complete; the same with the column block
+//! built and its predicates pre-passed; `dist()` kernels shedding at the
+//! run cap; 64 calls with the kernel stage timer inside them; and 64
+//! plans of an idle catalog answered without stepping.
+//!
+//! [`NfaRuntime::advance_block_into`]: gesto::cep::NfaRuntime::advance_block_into
 //! [`Emit::defer`]: gesto::stream::Emit::defer
 //! [`KeptRow`]: gesto::stream::KeptRow
 
@@ -29,11 +37,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use gesto::cep::{sync_shared_views, Detection, Engine, PlanInstance, QueryPlan};
+use gesto::cep::{
+    parse_pattern, parse_query, sync_shared_views, Detection, Engine, FunctionRegistry,
+    MatchScratch, NfaRuntime, PlanInstance, QueryPlan, SingleSchema,
+};
 use gesto::kinect::{kinect_schema, KinectSlots, Performer, Persona, SkeletonFrame, KINECT_STREAM};
 use gesto::stream::metrics::TUPLES_BUILT_TOTAL;
 use gesto::stream::{
-    BatchBuffers, Catalog, RowBatch, RowSource, SchemaRef, SharedViews, Tuple, Value,
+    BatchBuffers, Catalog, ColumnBlock, RowBatch, RowSource, SchemaBuilder, SchemaRef, SharedViews,
+    Tuple, Value,
 };
 use gesto::transform::{standard_catalog, KINECT_T};
 
@@ -170,6 +182,7 @@ fn steady_state_batch_allocates_once_per_built_tuple() {
         "block and scalar detect alike"
     );
     idle_catalog();
+    nfa_steady_state();
 }
 
 /// Sixteen plans in each session whose seed bands no idle row comes
@@ -453,4 +466,207 @@ fn steady_state(raw: bool, columnar: bool) {
     for (kept, expect) in held.iter().zip(&snapshot) {
         assert_eq!(kept.values(), &expect[..], "a kept tuple keeps its values");
     }
+}
+
+/// The stream the NFA legs step: a timestamp and one 3-D point.
+const SOURCE: &str = "pose";
+
+fn pose_schema() -> SchemaRef {
+    SchemaBuilder::new(SOURCE)
+        .timestamp("ts")
+        .float("x")
+        .float("y")
+        .float("z")
+        .build()
+        .unwrap()
+}
+
+/// Pose centre of gesture `g`, step `k`, coordinate offset `k + axis`.
+fn centre(g: usize, k: usize) -> f64 {
+    ((11 + g * 13 + k * 29) % 90) as f64
+}
+
+/// A learned-shape 3-step gesture: each step a conjunction of three
+/// window bands round gesture `g`'s own pose centres, consecutive steps
+/// within 1 second.
+fn gesture_pattern(g: usize) -> String {
+    let step = |k: usize| {
+        let [x, y, z] = [centre(g, k), centre(g, k + 1), centre(g, k + 2)];
+        format!("{SOURCE}(abs(x - {x}) < 12 and abs(y - {y}) < 12 and abs(z - {z}) < 12)")
+    };
+    format!(
+        "{} -> {} -> {} within 1 seconds select first consume all",
+        step(0),
+        step(1),
+        step(2)
+    )
+}
+
+fn compile_nfa(pattern: &str) -> NfaRuntime {
+    let pattern = parse_pattern(pattern).unwrap();
+    let funcs = FunctionRegistry::with_builtins();
+    NfaRuntime::compile(&pattern, &SingleSchema(pose_schema()), &funcs).unwrap()
+}
+
+/// A 30 fps stream of `frames` rows, row `i` at `pose(i)`.
+fn pose_stream(frames: usize, mut pose: impl FnMut(usize) -> [f64; 3]) -> Vec<Tuple> {
+    let schema = pose_schema();
+    (0..frames)
+        .map(|i| {
+            let mut values = vec![Value::Timestamp(i as i64 * 33)];
+            values.extend(pose(i).map(Value::Float));
+            Tuple::new_unchecked(schema.clone(), values)
+        })
+        .collect()
+}
+
+/// Pseudo-random poses over the band range, seeding and advancing runs
+/// all the time, and every 40 frames a deliberate performance of one of
+/// the first 16 gestures, so runs also complete.
+fn churn_stream(frames: usize) -> Vec<Tuple> {
+    let mut state = 0x9E3779B97F4A7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 100) as f64
+    };
+    pose_stream(frames, |i| match i % 40 {
+        k @ 0..3 => {
+            let g = (i / 40) % 16;
+            [centre(g, k), centre(g, k + 1), centre(g, k + 2)]
+        }
+        _ => [next(), next(), next()],
+    })
+}
+
+/// Allocations made by 16 calls of `pass` after `warm` calls have sized
+/// every buffer it touches.
+fn allocs_when_warm(warm: usize, mut pass: impl FnMut()) -> u64 {
+    (0..warm).for_each(|_| pass());
+    let before = allocations();
+    (0..16).for_each(|_| pass());
+    allocations() - before
+}
+
+/// Steps every runtime over `tuples` — with their column block, built
+/// here, if one is given — and then drops its runs; returns the matches.
+fn step_all(
+    nfas: &mut [NfaRuntime],
+    tuples: &[Tuple],
+    mut block: Option<&mut ColumnBlock>,
+    scratch: &mut MatchScratch,
+) -> usize {
+    if let Some(block) = block.as_deref_mut() {
+        block.fill_from_tuples(tuples);
+    }
+    let mut matches = 0;
+    for nfa in nfas {
+        nfa.advance_block_into(SOURCE, tuples, block.as_deref(), scratch)
+            .unwrap();
+        matches += scratch.len();
+        scratch.clear();
+        nfa.reset();
+    }
+    matches
+}
+
+/// The NFA stepping loop at steady state (module docs, last legs).
+fn nfa_steady_state() {
+    let gestures = || {
+        (0..4)
+            .map(|g| compile_nfa(&gesture_pattern(g)))
+            .collect::<Vec<_>>()
+    };
+    let mut scratch = MatchScratch::new();
+    let mut block = ColumnBlock::new();
+
+    // (a) A stream no step matches: nothing ever seeds.
+    let idle = pose_stream(512, |_| [500.0; 3]);
+    let mut nfas = gestures();
+    let mut matches = 0;
+    let allocs = allocs_when_warm(1, || {
+        matches += step_all(&mut nfas, &idle, None, &mut scratch)
+    });
+    assert_eq!((matches, allocs), (0, 0), "no-match: matches, allocations");
+
+    // (b) Seed / expire / complete churn: once the run slab, the event
+    // arena and the scratch have grown, runs come and go in place.
+    let churn = churn_stream(512);
+    let mut nfas = gestures();
+    let mut matches = 0;
+    let allocs = allocs_when_warm(2, || {
+        matches += step_all(&mut nfas, &churn, None, &mut scratch)
+    });
+    assert!(matches > 0, "the churn stream completes matches");
+    assert_eq!(allocs, 0, "seed/expire/match churn allocates nothing");
+
+    // (c) The same with the column block built per batch and the
+    // predicates pre-passed over it (step masks, the kernels' word
+    // buffer): the same matches, and no allocation.
+    let mut nfas = gestures();
+    let mut block_matches = 0;
+    let allocs = allocs_when_warm(2, || {
+        block_matches += step_all(&mut nfas, &churn, Some(&mut block), &mut scratch);
+    });
+    assert_eq!(block_matches, matches, "the block path matches alike");
+    assert_eq!(allocs, 0, "block build and pre-pass allocate nothing");
+
+    // (d) `dist()` kernels read six lanes; every row seeds, so the run
+    // cap sheds. The event arena mark-compacts every ~2 batches, so the
+    // compaction scratch needs a few cycles to reach its high water.
+    let mut dist = compile_nfa(&format!(
+        "{SOURCE}(dist(x, y, z, x, y, z) < 1) -> {SOURCE}(x > 9000)"
+    ))
+    .with_max_runs(64);
+    let allocs = allocs_when_warm(8, || {
+        block.fill_from_tuples(&churn);
+        dist.advance_block_into(SOURCE, &churn[..], Some(&block), &mut scratch)
+            .unwrap();
+        scratch.clear();
+    });
+    assert!(dist.shed_runs() > 0, "the dist leg runs at the cap");
+    assert_eq!(allocs, 0, "dist kernels allocate nothing");
+
+    // (e) The kernel stage timer: 16 passes of 4 block calls span a
+    // whole sampling period, so some call in the window is timed — two
+    // clock reads and a histogram bucket, no allocation.
+    use gesto::cep::metrics::KERNEL_STAGE_NS;
+    let mut nfas = gestures();
+    (0..2).for_each(|_| _ = step_all(&mut nfas, &churn, Some(&mut block), &mut scratch));
+    let timed = KERNEL_STAGE_NS.count();
+    let allocs = allocs_when_warm(0, || {
+        step_all(&mut nfas, &churn, Some(&mut block), &mut scratch);
+    });
+    assert!(
+        KERNEL_STAGE_NS.count() > timed,
+        "a timed call in the window"
+    );
+    assert_eq!(allocs, 0, "the sampled stage timer allocates nothing");
+
+    // (f) An idle catalog: 64 plans without a run whose seeds the lane
+    // bounds rule out are answered without stepping, block build
+    // included, and allocate nothing.
+    let mut catalog = Catalog::new();
+    catalog.register_stream(pose_schema()).unwrap();
+    let funcs = FunctionRegistry::with_builtins();
+    let mut plans: Vec<PlanInstance> = (0..64)
+        .map(|g| {
+            let query = parse_query(&format!("SELECT \"g{g}\" MATCHING {};", gesture_pattern(g)));
+            let plan = QueryPlan::compile(query.unwrap(), &catalog, &funcs).unwrap();
+            plan.instantiate()
+        })
+        .collect();
+    let mut views = SharedViews::new(&catalog);
+    let idle = &idle[..30];
+    let mut detections = Vec::new();
+    let allocs = allocs_when_warm(2, || {
+        views.begin_batch(SOURCE, idle);
+        for plan in &mut plans {
+            plan.push_batch_shared(SOURCE, idle, &views, &mut detections)
+                .unwrap();
+        }
+    });
+    assert!(detections.is_empty() && plans.iter().all(|p| p.active_runs() == 0));
+    assert_eq!(allocs, 0, "an idle catalog allocates nothing");
 }
