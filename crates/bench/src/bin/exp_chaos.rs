@@ -73,7 +73,6 @@ fn main() {
         "in",
         "shed",
         "stale",
-        "quota",
         "quarantined",
         "detections",
         "expected",
@@ -91,7 +90,6 @@ fn main() {
             o.frames_in.to_string(),
             o.shed_frames.to_string(),
             o.stale_frames.to_string(),
-            o.quota_frames.to_string(),
             o.quarantined_frames.to_string(),
             o.detections.to_string(),
             o.expected_detections

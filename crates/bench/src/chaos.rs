@@ -7,7 +7,7 @@
 //!
 //! - **conservation**: every frame a producer handed over lands in
 //!   exactly one bucket —
-//!   `sent = frames_in + shed + stale + quota + quarantined`;
+//!   `sent = frames_in + shed + stale + quarantined`;
 //! - **exactly-once**: under the lossless (`Block`) policy, detections
 //!   equal an uninjected reference run, per session;
 //! - **bounded recovery**: an injected worker panic is survived with
@@ -19,12 +19,17 @@
 //! short duration).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use gesto_cep::expr::{Arity, FunctionRegistry};
+use gesto_db::GestureStore;
 use gesto_kinect::{gestures, Performer, Persona, SkeletonFrame};
 use gesto_serve::net::{NetClient, NetConfig, NetServer};
-use gesto_serve::{failpoint, BackpressurePolicy, Server, ServerConfig, ServerMetrics, SessionId};
+use gesto_serve::{BackpressurePolicy, Server, ServerConfig, ServerMetrics, SessionId};
+use gesto_stream::Value;
+use gesto_transform::{register_rpy, standard_catalog};
 
 /// Every persona in the library, in canonical order.
 pub const PERSONAS: [&str; 6] = [
@@ -99,7 +104,6 @@ pub struct ChaosOutcome {
     pub frames_in: u64,
     pub shed_frames: u64,
     pub stale_frames: u64,
-    pub quota_frames: u64,
     pub quarantined_frames: u64,
     pub detections: u64,
     /// Reference detections under the exactly-once contract (`None`
@@ -112,11 +116,7 @@ pub struct ChaosOutcome {
 impl ChaosOutcome {
     /// The conservation identity every scenario must satisfy.
     pub fn conserved(&self) -> bool {
-        self.frames_in
-            + self.shed_frames
-            + self.stale_frames
-            + self.quota_frames
-            + self.quarantined_frames
+        self.frames_in + self.shed_frames + self.stale_frames + self.quarantined_frames
             == self.frames_sent
     }
 }
@@ -189,7 +189,11 @@ struct Rig {
 
 impl Rig {
     fn new(config: ServerConfig, driver: ChaosDriver, net_config: NetConfig) -> Rig {
-        let server = Server::start(config);
+        Rig::over(Server::start(config), driver, net_config)
+    }
+
+    /// A rig over an already started server (taught the swipe here).
+    fn over(server: Server, driver: ChaosDriver, net_config: NetConfig) -> Rig {
         teach_swipe(&server);
         let counts = Arc::new(Mutex::new(HashMap::new()));
         let (net, client) = match driver {
@@ -283,8 +287,7 @@ fn outcome(
         frames_sent,
         frames_in: m.frames_in(),
         shed_frames: m.shed_frames(),
-        stale_frames: m.shards.iter().map(|s| s.stale_frames).sum(),
-        quota_frames: m.shards.iter().map(|s| s.quota_frames).sum(),
+        stale_frames: m.admission_dropped_frames(),
         quarantined_frames: m.quarantined_frames(),
         detections,
         expected_detections: expected,
@@ -292,13 +295,12 @@ fn outcome(
     };
     assert!(
         out.conserved(),
-        "{persona}/{}: conservation broken: sent {} != in {} + shed {} + stale {} + quota {} + quarantined {}",
+        "{persona}/{}: conservation broken: sent {} != in {} + shed {} + stale {} + quarantined {}",
         out.driver,
         out.frames_sent,
         out.frames_in,
         out.shed_frames,
         out.stale_frames,
-        out.quota_frames,
         out.quarantined_frames
     );
     if let Some(exp) = expected {
@@ -327,9 +329,8 @@ pub fn run_persona(persona: &str, driver: ChaosDriver, scale: ChaosScale) -> Cha
 }
 
 /// Bursty arrivals against a tiny queue under `DropOldest` with a
-/// staleness deadline and a per-session frame quota: all three shedding
-/// paths (oldest-batch, stale-batch, quota) may fire; conservation must
-/// hold exactly whatever the mix.
+/// staleness deadline: both shedding paths (oldest-batch, stale-batch)
+/// may fire; conservation must hold exactly whatever the mix.
 fn bursty(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     let sessions = 4u64;
     let mut rig = Rig::new(
@@ -337,8 +338,7 @@ fn bursty(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
             .with_shards(1)
             .with_queue_capacity(4)
             .with_backpressure(BackpressurePolicy::DropOldest)
-            .with_max_batch_age_ms(20)
-            .with_session_frame_quota(2_000),
+            .with_max_batch_age_ms(20),
         driver,
         NetConfig::new(),
     );
@@ -548,10 +548,35 @@ fn slow_consumer(scale: ChaosScale) -> ChaosOutcome {
     )
 }
 
-/// An injected shard-worker panic mid-load: the poisoned batch is
-/// quarantined and only its session resets within the deadline, and the
-/// bystander sessions' detections are exactly those
-/// of an uninjected run.
+/// The standard functions plus a one-shot `poison(ts)`: it panics the
+/// first time it is called on `poison_ts` and returns 0 otherwise. The
+/// counter holds its trips.
+fn poison_functions(poison_ts: i64) -> (Arc<FunctionRegistry>, Arc<AtomicU64>) {
+    let funcs = Arc::new(FunctionRegistry::with_builtins());
+    register_rpy(&funcs);
+    let trips = Arc::new(AtomicU64::new(0));
+    let seen = trips.clone();
+    funcs.register(
+        "poison",
+        Arity::Exact(1),
+        Arc::new(move |args| {
+            if args[0].as_i64() == Some(poison_ts)
+                && seen
+                    .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                panic!("poisoned frame (ts {poison_ts})");
+            }
+            Ok(Value::Float(0.0))
+        }),
+    );
+    (funcs, trips)
+}
+
+/// An injected shard-worker panic mid-load — a user-defined function
+/// panicking inside NFA stepping: the poisoned batch is quarantined and
+/// only its session resets within the deadline, and the bystander
+/// sessions' detections are exactly those of an uninjected run.
 fn panic_injection(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     const POISON_TS: i64 = 777_000_000_000;
     const VICTIM: u64 = 1;
@@ -575,22 +600,28 @@ fn panic_injection(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
         .collect();
     let expected_by_session = reference_counts(&reference, scale.batch);
 
-    let mut rig = Rig::new(
+    let (funcs, trips) = poison_functions(POISON_TS);
+    let server = Server::try_with_parts(
         ServerConfig::new()
             .with_shards(1)
             .with_backpressure(BackpressurePolicy::Block),
-        driver,
-        NetConfig::new(),
-    );
+        standard_catalog(),
+        funcs,
+        Arc::new(GestureStore::new()),
+    )
+    .expect("server");
+    let mut rig = Rig::over(server, driver, NetConfig::new());
+    // Never matches; calls `poison` on every frame of every session.
+    rig.server
+        .deploy_text(r#"SELECT "poison" MATCHING kinect(poison(ts) > 1.0);"#)
+        .expect("deploy poison");
     for (sid, first, _) in &halves {
         for chunk in first.chunks(scale.batch) {
             rig.send(*sid, chunk);
         }
     }
 
-    let trips_before = failpoint::poison_trips();
     let panics_before = rig.server.metrics().panics();
-    failpoint::arm_poison_ts(POISON_TS);
     let mut poison = swipe_workload(8, 999);
     poison[0].ts = POISON_TS;
     let injected_at = Instant::now();
@@ -612,9 +643,9 @@ fn panic_injection(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
     }
     let recovery_ms = injected_at.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
-        failpoint::poison_trips(),
-        trips_before + 1,
-        "failpoint must fire exactly once"
+        trips.load(Ordering::Acquire),
+        1,
+        "poison must fire exactly once"
     );
 
     for (sid, _, second) in &halves {
@@ -659,8 +690,8 @@ fn panic_injection(driver: ChaosDriver, scale: ChaosScale) -> ChaosOutcome {
 // ----- overhead A/B ---------------------------------------------------
 
 /// The admission overhead report: the same steady-state workload
-/// through a server without admission checks and one with the quota
-/// bucket and memory-budget checks active but never tripping.
+/// through a server without admission checks and one with the
+/// memory-budget check active but never tripping.
 pub struct OverheadReport {
     pub frames: usize,
     pub trials: usize,
@@ -684,9 +715,7 @@ pub fn overhead_ab(frames: usize, trials: usize) -> OverheadReport {
             .with_backpressure(BackpressurePolicy::Block);
         if hardened {
             // Admission active on every batch, shedding on none.
-            config = config
-                .with_session_frame_quota(u32::MAX)
-                .with_shard_memory_budget(usize::MAX >> 1);
+            config = config.with_shard_memory_budget(usize::MAX >> 1);
         }
         let server = Server::start(config);
         teach_swipe(&server);

@@ -1,7 +1,7 @@
 //! # gesto-durability — crash-safe persistence primitives
 //!
-//! The control plane of a gesture server (teach / deploy / undeploy /
-//! set-config) is state you cannot afford to lose on a crash. This crate
+//! The control plane of a gesture server (teach / deploy / undeploy)
+//! is state you cannot afford to lose on a crash. This crate
 //! provides the storage layer that makes it durable, with no
 //! dependencies beyond `std`:
 //!

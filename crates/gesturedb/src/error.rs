@@ -22,10 +22,6 @@ pub enum DbError {
         /// CRC recomputed over the payload.
         computed: u32,
     },
-    /// Filesystem error.
-    Io(String),
-    /// JSON (de)serialisation error.
-    Serde(serde_json::Error),
     /// CSV import error with line number.
     Csv {
         /// 1-based line number.
@@ -51,27 +47,12 @@ impl fmt::Display for DbError {
                     "snapshot corrupt: stored crc {stored:#010x}, computed {computed:#010x}"
                 )
             }
-            DbError::Io(m) => write!(f, "io error: {m}"),
-            DbError::Serde(e) => write!(f, "serialisation error: {e}"),
             DbError::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
         }
     }
 }
 
-impl std::error::Error for DbError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DbError::Serde(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<serde_json::Error> for DbError {
-    fn from(e: serde_json::Error) -> Self {
-        DbError::Serde(e)
-    }
-}
+impl std::error::Error for DbError {}
 
 #[cfg(test)]
 mod tests {
@@ -79,7 +60,9 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(DbError::Io("nope".into()).to_string().contains("nope"));
+        assert!(DbError::InvalidDefinition("nope".into())
+            .to_string()
+            .contains("nope"));
         assert!(DbError::Version {
             found: 2,
             supported: 1

@@ -2,8 +2,9 @@
 //!
 //! Storage layer of the reproduction of *Beier et al., "Learning Event
 //! Patterns for Gesture Detection"* (EDBT 2014): recorded samples,
-//! learned gesture definitions and generated query texts, with JSON
-//! persistence and the paper's semicolon-CSV sample format (Fig. 1).
+//! learned gesture definitions and generated query texts, with
+//! CRC-checked snapshots and the paper's semicolon-CSV sample format
+//! (Fig. 1).
 //!
 //! ```
 //! use gesto_db::GestureStore;

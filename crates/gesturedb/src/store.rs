@@ -3,10 +3,10 @@
 //! §3 of the paper: "the sample data is stored in a database for further
 //! processing and manual debugging" and "all gesture patterns are stored
 //! in a database for an optional post-processing step". This module is
-//! that database — an in-memory store with JSON persistence.
+//! that database — an in-memory store whose snapshots the durable
+//! control plane checkpoints (`gesto-serve`).
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use gesto_learn::{GestureDefinition, GestureSample};
 use parking_lot::RwLock;
@@ -220,23 +220,6 @@ impl GestureStore {
         *self.inner.write() = snapshot.gestures;
         Ok(())
     }
-
-    /// Saves the store as pretty JSON.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DbError> {
-        let json = serde_json::to_string_pretty(&self.snapshot())?;
-        std::fs::write(path.as_ref(), json).map_err(|e| DbError::Io(e.to_string()))?;
-        Ok(())
-    }
-
-    /// Loads a store from JSON.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, DbError> {
-        let json =
-            std::fs::read_to_string(path.as_ref()).map_err(|e| DbError::Io(e.to_string()))?;
-        let snapshot: StoreSnapshot = serde_json::from_str(&json)?;
-        let store = Self::new();
-        store.restore(snapshot)?;
-        Ok(store)
-    }
 }
 
 #[cfg(test)]
@@ -317,6 +300,26 @@ mod tests {
     }
 
     #[test]
+    fn json_roundtrip_keeps_definition_and_query_text() {
+        let store = GestureStore::new();
+        store.add_sample("swipe", sample());
+        store.put_definition(def("swipe")).unwrap();
+        store.put_query_text("swipe", "Q");
+        let json = serde_json::to_string(&store.snapshot()).unwrap();
+
+        let loaded = GestureStore::new();
+        loaded
+            .restore(serde_json::from_str(&json).unwrap())
+            .unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded.definition("swipe"), Some(def("swipe")));
+        assert_eq!(
+            loaded.get("swipe").unwrap().query_text.as_deref(),
+            Some("Q")
+        );
+    }
+
+    #[test]
     fn version_mismatch_rejected() {
         let store = GestureStore::new();
         let snap = StoreSnapshot {
@@ -384,44 +387,5 @@ mod tests {
             Err(DbError::InvalidDefinition(_))
         ));
         assert!(store.get("b").is_none());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("gesto-db-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        let store = GestureStore::new();
-        store.add_sample("swipe", sample());
-        store.put_definition(def("swipe")).unwrap();
-        store.put_query_text("swipe", "Q");
-        store.save(&path).unwrap();
-
-        let loaded = GestureStore::load(&path).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded.definition("swipe"), Some(def("swipe")));
-        assert_eq!(
-            loaded.get("swipe").unwrap().query_text.as_deref(),
-            Some("Q")
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        assert!(matches!(
-            GestureStore::load("/nonexistent/gesto.json"),
-            Err(DbError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn load_corrupt_json_errors() {
-        let dir = std::env::temp_dir().join(format!("gesto-db-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        std::fs::write(&path, "{ not json").unwrap();
-        assert!(matches!(GestureStore::load(&path), Err(DbError::Serde(_))));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

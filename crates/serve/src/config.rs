@@ -2,43 +2,6 @@
 
 use std::path::PathBuf;
 
-/// Durable control plane configuration: where the write-ahead journal
-/// and checkpoints live, and how often a checkpoint is taken. Every
-/// journal append is `fdatasync`ed before the op returns, and the two
-/// newest checkpoints are kept. See `docs/DURABILITY.md` for the
-/// on-disk formats and the recovery algorithm.
-///
-/// Only **control-plane** operations are journaled (teach, deploy,
-/// undeploy, set-config) — never frames — so the steady-state data path
-/// pays nothing for durability.
-#[derive(Debug, Clone)]
-pub struct DurabilityConfig {
-    /// Directory holding journal segments (`wal-*.log`) and checkpoints
-    /// (`ckpt-*.ckpt`). Created on start if missing.
-    pub dir: PathBuf,
-    /// Journaled ops between automatic checkpoints (each checkpoint
-    /// also rotates and compacts the journal). `0` disables automatic
-    /// checkpoints; [`crate::ServerHandle::checkpoint`] still works.
-    pub checkpoint_every: u64,
-}
-
-impl DurabilityConfig {
-    /// Durability under `dir`, checkpointing every 16 ops.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            checkpoint_every: 16,
-        }
-    }
-
-    /// Sets the auto-checkpoint interval in journaled ops (`0` = manual
-    /// checkpoints only).
-    pub fn with_checkpoint_every(mut self, ops: u64) -> Self {
-        self.checkpoint_every = ops;
-        self
-    }
-}
-
 /// What `push_batch` does when a shard's ingest queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
@@ -50,9 +13,6 @@ pub enum BackpressurePolicy {
     /// that shard. Latency stays bounded; stale frames are sacrificed
     /// first (the right trade for live gesture streams).
     DropOldest,
-    /// Refuse the batch with [`crate::ServeError::QueueFull`]; the caller
-    /// decides whether to retry, thin out or drop.
-    Reject,
 }
 
 /// Configuration of a [`crate::Server`].
@@ -104,18 +64,16 @@ pub struct ServerConfig {
     /// shard's core. Which core each shard landed on (or `-1` for
     /// unpinned) is exported as `gesto_shard_pinned_core{shard}`.
     pub pin_shards: bool,
-    /// Durable control plane: journal every control op to disk, restore
-    /// store + deployed plans on restart. `None` (the default)
-    /// keeps the control plane in-memory only.
-    pub durability: Option<DurabilityConfig>,
-    /// Per-session frame-rate quota in frames per second (`0` = no
-    /// quota). Enforced on the shard worker with a token bucket (burst
-    /// of one second's allowance): a batch that would overdraw the
-    /// bucket is dropped whole and counted as
-    /// `gesto_admission_rejected_total{reason="quota"}`. This is the
-    /// admission-control answer to one adversarial session trying to
-    /// starve its shard.
-    pub session_frame_quota: u32,
+    /// Durable control plane: the directory holding the write-ahead
+    /// journal segments (`wal-*.log`) and checkpoints (`ckpt-*.ckpt`),
+    /// created on start if missing. Every control op (teach, deploy,
+    /// undeploy) is journaled and `fdatasync`ed before it returns —
+    /// never frames, so the data path pays nothing — and a checkpoint
+    /// is taken every 16 journaled ops, keeping the two newest. A
+    /// restart restores store + deployed plans from it. `None` (the
+    /// default) keeps the control plane in-memory only. See
+    /// `docs/DURABILITY.md` for the on-disk formats and recovery.
+    pub durability: Option<PathBuf>,
     /// Per-shard memory budget in bytes (`0` = unlimited), covering the
     /// queued batches awaiting the worker plus the resident NFA
     /// run-slab/arena state of the shard's sessions. A push that would
@@ -142,7 +100,6 @@ impl Default for ServerConfig {
             columnar_min_batch: 8,
             pin_shards: false,
             durability: None,
-            session_frame_quota: 0,
             shard_memory_budget: 0,
             max_batch_age_ms: 0,
         }
@@ -181,13 +138,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-session frame-rate quota in frames/second
-    /// (`0` = no quota).
-    pub fn with_session_frame_quota(mut self, frames_per_sec: u32) -> Self {
-        self.session_frame_quota = frames_per_sec;
-        self
-    }
-
     /// Sets the per-shard memory budget in bytes (`0` = unlimited).
     pub fn with_shard_memory_budget(mut self, bytes: usize) -> Self {
         self.shard_memory_budget = bytes;
@@ -202,15 +152,10 @@ impl ServerConfig {
         self
     }
 
-    /// Enables the durable control plane with default policies under
-    /// `dir` (see [`DurabilityConfig::new`]).
-    pub fn with_durability(self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.with_durability_config(DurabilityConfig::new(dir))
-    }
-
-    /// Enables the durable control plane with an explicit configuration.
-    pub fn with_durability_config(mut self, config: DurabilityConfig) -> Self {
-        self.durability = Some(config);
+    /// Enables the durable control plane under `dir` (see
+    /// [`Self::durability`]).
+    pub fn with_durability(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.durability = Some(dir.into());
         self
     }
 

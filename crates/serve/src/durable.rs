@@ -17,12 +17,11 @@
 //! the hot path is what makes durability free at steady state.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 
 use gesto_db::{GestureRecord, StoreSnapshot};
 use gesto_durability::Journal;
 use serde::{Deserialize, Serialize};
-
-use crate::config::DurabilityConfig;
 
 /// One journaled control-plane operation. The JSON encoding of this
 /// enum (externally tagged: `{"Deploy":{...}}`) is the journal's
@@ -86,8 +85,8 @@ pub struct CheckpointPayload {
 pub(crate) struct DurableState {
     /// The open write-ahead journal.
     pub journal: Journal,
-    /// The durability configuration (dir, fsync, checkpoint pacing).
-    pub cfg: DurabilityConfig,
+    /// Directory of the journal segments and checkpoints.
+    pub dir: PathBuf,
     /// Ops journaled since the last checkpoint.
     pub ops_since_ckpt: u64,
 }

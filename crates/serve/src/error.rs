@@ -12,13 +12,12 @@ pub enum ServeError {
     Cep(CepError),
     /// Learning a gesture from samples failed.
     Learn(LearnError),
-    /// A shard refused the batch: its ingest queue is full (under
-    /// [`crate::BackpressurePolicy::Reject`]), or admitting the batch
-    /// would exceed the shard's memory budget
-    /// ([`crate::ServerConfig::shard_memory_budget`] — enforced under
-    /// **every** backpressure policy; refusing beats an OOM kill).
+    /// A shard refused the batch: admitting it would exceed the shard's
+    /// memory budget ([`crate::ServerConfig::shard_memory_budget`] —
+    /// enforced under **every** backpressure policy; refusing beats an
+    /// OOM kill).
     QueueFull {
-        /// Shard whose queue rejected the batch.
+        /// Shard that refused the batch.
         shard: usize,
     },
     /// The server is shut down (worker threads are gone).

@@ -16,7 +16,7 @@
 //!
 //! Ingestion is batched ([`ServerHandle::push_batch`]) over bounded
 //! per-shard queues with a configurable [`BackpressurePolicy`] (block /
-//! drop-oldest / reject). Detections fan out to [`DetectionSink`]s with
+//! drop-oldest). Detections fan out to [`DetectionSink`]s with
 //! their [`SessionId`]; per-shard and per-gesture counters plus p50/p99
 //! push latency are aggregated by [`ServerHandle::metrics`]. Shards drain
 //! gracefully: [`ServerHandle::drain`], [`ServerHandle::close_session`]
@@ -62,7 +62,6 @@ pub mod affinity;
 mod config;
 mod durable;
 mod error;
-pub mod failpoint;
 mod metrics;
 pub mod net;
 mod server;
@@ -75,7 +74,7 @@ mod shard;
 mod sys;
 mod telemetry;
 
-pub use config::{BackpressurePolicy, DurabilityConfig, ServerConfig};
+pub use config::{BackpressurePolicy, ServerConfig};
 pub use durable::ControlOp;
 pub use error::ServeError;
 pub use metrics::{LatencySummary, OverloadState, ServerMetrics, ShardSnapshot};
@@ -150,34 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_policy_reports_queue_full() {
-        let server = server_with_swipe(
-            ServerConfig::new()
-                .with_shards(1)
-                .with_queue_capacity(2)
-                .with_backpressure(BackpressurePolicy::Reject),
-        );
-        // Clog the shard: a rendezvous barrier blocks the worker until we
-        // receive, so queued batches pile up deterministically.
-        let (hold_tx, hold_rx) = bounded::<()>(0);
-        server.barrier_for_test(hold_tx);
-        server.push_batch(SessionId(0), swipe_frames(1)).unwrap();
-        server.push_batch(SessionId(0), swipe_frames(2)).unwrap();
-        let err = server.push_batch(SessionId(0), swipe_frames(3));
-        assert!(
-            matches!(err, Err(ServeError::QueueFull { shard: 0 })),
-            "{err:?}"
-        );
-        hold_rx.recv().unwrap(); // release the worker
-        server.drain().unwrap();
-        assert_eq!(
-            server.metrics().frames_in(),
-            2 * swipe_frames(1).len() as u64
-        );
-        server.shutdown();
-    }
-
-    #[test]
     fn drop_oldest_policy_sheds_head_of_queue() {
         let server = Server::start(
             ServerConfig::new()
@@ -212,6 +183,143 @@ mod tests {
         let m = server.metrics();
         assert_eq!(m.shed_frames(), 2);
         assert_eq!(m.frames_in(), 2);
+        server.shutdown();
+    }
+
+    /// Pushes one-frame batches (`ts` 2 000 000, 2 000 001, …) for
+    /// session 0 behind a parked shard 0: three, a pause of 300 ms, a
+    /// fourth, then releases the worker and drains.
+    fn three_old_batches_and_a_fresh_one(server: &Server) {
+        let (hold_tx, hold_rx) = bounded::<()>(0);
+        server.barrier_for_test(hold_tx);
+        let frame = |i: i64| {
+            let mut f = swipe_frames(1).remove(0);
+            f.ts = 2_000_000 + i;
+            vec![f]
+        };
+        for i in 0..3 {
+            server.push_batch(SessionId(0), frame(i)).unwrap();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        server.push_batch(SessionId(0), frame(3)).unwrap();
+        hold_rx.recv().unwrap();
+        server.drain().unwrap();
+    }
+
+    #[test]
+    fn stale_batches_are_shed_under_drop_oldest_only() {
+        let config = |policy| {
+            ServerConfig::new()
+                .with_shards(1)
+                .with_queue_capacity(8)
+                .with_backpressure(policy)
+                .with_max_batch_age_ms(200)
+        };
+        // DropOldest: the three batches that waited 300 ms are past the
+        // 200 ms deadline when the worker dequeues them; the fourth is not.
+        let server = Server::start(config(BackpressurePolicy::DropOldest));
+        three_old_batches_and_a_fresh_one(&server);
+        let m = server.metrics();
+        let s = &m.shards[0];
+        assert_eq!((s.stale_batches, s.stale_frames), (3, 3));
+        assert_eq!(m.frames_in(), 1);
+        assert_eq!(m.shed_frames(), 0, "capacity 8 never asked to shed");
+        assert_eq!(m.admission_dropped_frames(), 3);
+        let text = server.registry().render();
+        assert!(
+            text.contains("gesto_admission_rejected_total{reason=\"stale\"} 3\n"),
+            "{text}"
+        );
+        server.shutdown();
+
+        // Block: the deadline does not apply; every frame is processed.
+        let server = Server::start(config(BackpressurePolicy::Block));
+        three_old_batches_and_a_fresh_one(&server);
+        let m = server.metrics();
+        assert_eq!(m.frames_in(), 4);
+        assert_eq!(
+            (m.shards[0].stale_batches, m.shards[0].stale_frames),
+            (0, 0)
+        );
+        assert_eq!(m.admission_dropped_frames(), 0);
+        server.shutdown();
+    }
+
+    /// One plaintext `GET /healthz` against the edge: status code and body.
+    fn healthz(addr: std::net::SocketAddr) -> (u16, String) {
+        use std::io::{Read, Write};
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut resp = String::new();
+        let _ = stream.read_to_string(&mut resp);
+        let status = resp.split_whitespace().nth(1).and_then(|s| s.parse().ok());
+        let body = resp.split("\r\n\r\n").nth(1).unwrap_or("").trim();
+        (status.unwrap_or(0), body.to_owned())
+    }
+
+    #[test]
+    fn overload_state_machine_sheds_then_rejects_new_sessions_and_recovers() {
+        use net::{NetClient, NetConfig, NetServer};
+        let server = Server::start(
+            ServerConfig::new()
+                .with_shards(1)
+                .with_queue_capacity(4)
+                .with_backpressure(BackpressurePolicy::Block),
+        );
+        server
+            .deploy_text(r#"SELECT "any" MATCHING kinect(head_y > -100000);"#)
+            .unwrap();
+        let edge = NetServer::start(server.handle(), NetConfig::new()).unwrap();
+        let addr = edge.local_addr();
+        assert_eq!(healthz(addr), (200, "healthy".to_owned()));
+
+        // Park the worker and fill its queue one batch at a time: depth
+        // over capacity 4 is the fill the state machine classifies.
+        let (hold_tx, hold_rx) = bounded::<()>(0);
+        server.barrier_for_test(hold_tx);
+        let frame = swipe_frames(1).remove(0);
+        let mut states = Vec::new();
+        for _ in 0..4 {
+            server
+                .push_batch(SessionId(0), vec![frame.clone()])
+                .unwrap();
+            states.push(server.overload_state());
+        }
+        use OverloadState::{Healthy, Rejecting, Shedding};
+        assert_eq!(states[1..], [Healthy, Shedding, Rejecting], "depth 2, 3, 4");
+
+        // Rejecting: load balancers are told to steer away, and a new
+        // session bind is refused with a non-fatal `Overloaded`.
+        assert_eq!(
+            healthz(addr),
+            (503, "rejecting".to_owned()),
+            "/healthz while rejecting"
+        );
+        let mut client = NetClient::connect(addr).unwrap();
+        client.open_session(7).unwrap();
+        client.ping().unwrap(); // the refusal arrives before the pong
+        assert_eq!(client.admission_rejections(), 1);
+        assert_eq!(edge.metrics().sessions_rejected(), 1);
+        assert!(server
+            .registry()
+            .render()
+            .contains("\ngesto_net_sessions_rejected_total 1\n"));
+
+        // Released and drained: healthy again, and the same connection
+        // binds the session and streams.
+        hold_rx.recv().unwrap();
+        server.drain().unwrap();
+        assert_eq!(server.overload_state(), Healthy);
+        assert_eq!(healthz(addr), (200, "healthy".to_owned()));
+        let frames = swipe_frames(2);
+        client.send_batch(7, &frames).unwrap();
+        let detections = client.bye().unwrap();
+        assert_eq!(detections.len(), frames.len(), "one detection per frame");
+        assert!(detections.iter().all(|d| d.session == 7));
+        assert_eq!(edge.metrics().sessions_rejected(), 1);
+        edge.shutdown();
         server.shutdown();
     }
 
@@ -498,6 +606,33 @@ mod tests {
             server.deployed_versions(),
             [("early".into(), 2), ("late".into(), 1)]
         );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_sixteenth_journaled_op_takes_the_automatic_checkpoint() {
+        let dir = temp_dir("pace");
+        let server = Server::start(ServerConfig::new().with_shards(1).with_durability(&dir));
+        let checkpoints = || {
+            let text = server.registry().render();
+            text.lines()
+                .find(|l| l.starts_with("gesto_checkpoints_total "))
+                .map(str::to_owned)
+        };
+        // One journaled op per deploy.
+        let deploy = || {
+            server
+                .deploy_text(r#"SELECT "paced" MATCHING kinect(head_y > 100000);"#)
+                .unwrap()
+        };
+        for _ in 0..15 {
+            deploy();
+        }
+        let expect = |n| Some(format!("gesto_checkpoints_total {n}"));
+        assert_eq!(checkpoints(), expect(0), "after op 15");
+        deploy();
+        assert_eq!(checkpoints(), expect(1), "after op 16");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

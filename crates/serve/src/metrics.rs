@@ -67,8 +67,6 @@ pub(crate) struct ShardMetrics {
     /// through [`ServerMetrics::admission_dropped_frames`].
     pub(crate) stale_batches: Counter,
     pub(crate) stale_frames: Counter,
-    pub(crate) quota_batches: Counter,
-    pub(crate) quota_frames: Counter,
     /// Counted on the producer side, at push/offer.
     pub(crate) mem_rejected_batches: Counter,
     /// Maintained incrementally by the worker, by delta per batch.
@@ -152,8 +150,6 @@ impl ShardMetrics {
             ),
             stale_batches: Counter::new(),
             stale_frames: Counter::new(),
-            quota_batches: Counter::new(),
-            quota_frames: Counter::new(),
             mem_rejected_batches: Counter::new(),
             state_bytes: gauge(
                 "gesto_shard_state_bytes",
@@ -208,8 +204,6 @@ impl ShardMetrics {
             quarantined_frames: self.quarantined_frames.get(),
             stale_batches: self.stale_batches.get(),
             stale_frames: self.stale_frames.get(),
-            quota_batches: self.quota_batches.get(),
-            quota_frames: self.quota_frames.get(),
             mem_rejected_batches: self.mem_rejected_batches.get(),
             state_bytes: self.state_bytes.get().max(0) as u64,
             batch_buffer_bytes: self.batch_buffer_bytes.get() as u64,
@@ -266,10 +260,6 @@ pub struct ShardSnapshot {
     pub stale_batches: u64,
     /// Frames inside those stale batches.
     pub stale_frames: u64,
-    /// Batches dropped by the per-session frame-rate quota.
-    pub quota_batches: u64,
-    /// Frames inside those quota-dropped batches.
-    pub quota_frames: u64,
     /// Batches refused because the shard's memory budget was exhausted.
     pub mem_rejected_batches: u64,
     /// Estimated resident bytes of the shard's session NFA state.
@@ -447,14 +437,11 @@ impl ServerMetrics {
         self.shards.iter().map(|s| s.quarantined_frames).sum()
     }
 
-    /// Total frames dropped by admission control (stale + quota), not
-    /// counting frames refused before enqueue (memory budget, which
-    /// hands the frames back to the caller).
+    /// Total frames dropped by admission control on the worker — the
+    /// stale ones — not counting frames refused before enqueue (memory
+    /// budget, which hands the frames back to the caller).
     pub fn admission_dropped_frames(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.stale_frames + s.quota_frames)
-            .sum()
+        self.shards.iter().map(|s| s.stale_frames).sum()
     }
 
     /// Total batches refused by the shard memory budget.

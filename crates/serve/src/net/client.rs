@@ -180,8 +180,9 @@ impl NetClient {
         self.credit_waits
     }
 
-    /// Batches the server refused with `QueueFull` (rejecting
-    /// backpressure policy); those frames were dropped.
+    /// Batches the server refused with `QueueFull` (shard memory
+    /// budget spent, or parked-batch cap reached); those frames were
+    /// dropped.
     pub fn rejected_batches(&self) -> u64 {
         self.rejected_batches
     }
@@ -481,7 +482,8 @@ impl NetClient {
                 code: ErrorCode::QueueFull,
                 ..
             } => {
-                // Non-fatal: that batch was dropped (rejecting policy).
+                // Non-fatal: that batch was dropped (memory budget or
+                // parked-batch cap).
                 self.rejected_batches += 1;
                 Ok(())
             }

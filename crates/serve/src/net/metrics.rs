@@ -175,8 +175,8 @@ impl NetMetrics {
         self.inner.batches_parked.get()
     }
 
-    /// Batches refused with a `QueueFull` error frame (rejecting
-    /// backpressure policy).
+    /// Batches refused with a `QueueFull` error frame (shard memory
+    /// budget spent, or the connection's parked-batch cap reached).
     pub fn batches_rejected(&self) -> u64 {
         self.inner.batches_rejected.get()
     }

@@ -24,8 +24,9 @@
 //! blocking policy parks the offending connection's batches, disables
 //! its read interest and withholds credit — the client's credit window
 //! dries up and *it* stops sending, while every other connection keeps
-//! streaming. The rejecting policy surfaces as protocol `QueueFull`
-//! error frames instead; drop-oldest stays invisible to the wire.
+//! streaming. A batch the shard's memory budget refuses surfaces as a
+//! protocol `QueueFull` error frame instead; drop-oldest stays
+//! invisible to the wire.
 //!
 //! Detections take the reverse path with minimal latency: shard
 //! threads encode and write them into the connection's outbox
@@ -168,7 +169,7 @@ impl Default for NetConfig {
 
 impl NetConfig {
     /// Defaults: loopback on an ephemeral port, a 4096-frame credit
-    /// window, at most 16384 connections, a five-minute idle timeout.
+    /// window, a five-minute idle timeout, control messages refused.
     pub fn new() -> Self {
         Self::default()
     }
@@ -191,7 +192,7 @@ impl NetConfig {
         self
     }
 
-    /// Allows control-plane messages (deploy/undeploy/set-config) on
+    /// Allows control-plane messages (deploy/undeploy) on
     /// this edge. Only enable on edges reserved for trusted operators.
     pub fn with_allow_control(mut self, allow: bool) -> Self {
         self.allow_control = allow;

@@ -51,9 +51,10 @@ pub enum ErrorCode {
     UnsupportedVersion,
     /// The client sent more frames than its credit window allows.
     CreditExceeded,
-    /// A batch was refused because the session's shard queue is full
-    /// (only under the `Reject` backpressure policy); the batch is
-    /// dropped, credit is still re-granted.
+    /// A batch was refused: the session's shard memory budget is spent,
+    /// or the connection already holds its cap of batches parked on
+    /// shard backpressure. The batch is dropped, credit is still
+    /// re-granted.
     QueueFull,
     /// The server is shutting down.
     Shutdown,

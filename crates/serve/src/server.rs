@@ -28,6 +28,11 @@ use crate::telemetry::ServerTelemetry;
 /// fallback, so recovery can skip a corrupt newest checkpoint.
 const KEEP_CHECKPOINTS: usize = 2;
 
+/// Journaled ops between automatic checkpoints (each checkpoint also
+/// rotates and compacts the journal, so recovery replays at most this
+/// many ops past the newest checkpoint).
+const CHECKPOINT_EVERY: u64 = 16;
+
 /// Callback invoked for every detection of every session.
 pub type DetectionSink = Arc<dyn Fn(SessionId, &Detection) + Send + Sync>;
 
@@ -169,8 +174,7 @@ impl Server {
         let host_cores = crate::affinity::host_cores();
 
         let plans: PlanRegistry = Arc::new(RwLock::new(HashMap::new()));
-        // Staleness shedding only exists under DropOldest: Block and
-        // Reject already bound queue age through depth, and dropping a
+        // Staleness shedding only exists under DropOldest: dropping a
         // Block producer's accepted batch would break its no-loss
         // contract.
         let max_batch_age = (matches!(config.backpressure, BackpressurePolicy::DropOldest)
@@ -198,7 +202,6 @@ impl Server {
                 config.columnar_min_batch,
                 telemetry.clone(),
                 pin_core,
-                config.session_frame_quota,
                 max_batch_age,
             );
             let handle = std::thread::Builder::new()
@@ -348,7 +351,6 @@ impl ServerHandle {
             BackpressurePolicy::Block if full && !on_full(link) => {
                 return Ok(OfferOutcome::Full(frames));
             }
-            BackpressurePolicy::Reject if full => return Err(ServeError::QueueFull { shard }),
             BackpressurePolicy::DropOldest if full => {
                 link.gate.shed_requests.fetch_add(1, Ordering::AcqRel);
             }
@@ -402,11 +404,10 @@ impl ServerHandle {
     ///
     /// Under [`BackpressurePolicy::Block`] a full shard queue returns
     /// [`OfferOutcome::Full`] with the frames handed back instead of
-    /// blocking; the other policies behave exactly as in `push_batch`
-    /// (drop-oldest sheds, reject errors with
-    /// [`ServeError::QueueFull`]). This is the entry point event-loop
-    /// callers (the TCP edge in [`crate::net`]) use, since they must
-    /// not stall every other connection while one shard is behind.
+    /// blocking; drop-oldest behaves exactly as in `push_batch` (it
+    /// sheds). This is the entry point event-loop callers (the TCP edge
+    /// in [`crate::net`]) use, since they must not stall every other
+    /// connection while one shard is behind.
     ///
     /// Threads, ordering and the soft bound are those of `push_batch`;
     /// the caller keeps a handed-back batch ahead of the session's
@@ -621,8 +622,7 @@ impl ServerHandle {
     /// the journal behind it. Returns the journal sequence number the
     /// checkpoint covers, or `None` when durability is off.
     ///
-    /// Checkpoints also happen automatically every
-    /// [`crate::DurabilityConfig::checkpoint_every`] journaled ops.
+    /// Checkpoints also happen automatically every 16 journaled ops.
     pub fn checkpoint(&self) -> Result<Option<u64>, ServeError> {
         let plans = self.core.plans.read();
         let mut guard = self.core.durable.lock();
@@ -651,7 +651,7 @@ impl ServerHandle {
             .append(json.as_bytes())
             .map_err(|e| durable::io_err("journal append", e))?;
         ds.ops_since_ckpt += 1;
-        if ds.cfg.checkpoint_every > 0 && ds.ops_since_ckpt >= ds.cfg.checkpoint_every {
+        if ds.ops_since_ckpt >= CHECKPOINT_EVERY {
             self.checkpoint_locked(plans, ds)?;
         }
         Ok(())
@@ -666,7 +666,7 @@ impl ServerHandle {
     ) -> Result<u64, ServeError> {
         let payload = durable::encode_checkpoint(self.core.store.snapshot(), plans)?;
         let seq = ds.journal.last_seq();
-        save_checkpoint(&ds.cfg.dir, seq, payload.as_bytes())
+        save_checkpoint(&ds.dir, seq, payload.as_bytes())
             .map_err(|e| durable::io_err("checkpoint write", e))?;
         // The checkpoint covers everything up to `seq`: start a fresh
         // segment and delete the segments the checkpoint made redundant
@@ -678,7 +678,7 @@ impl ServerHandle {
         ds.journal
             .compact(seq)
             .map_err(|e| durable::io_err("journal compact", e))?;
-        gesto_durability::prune_checkpoints(&ds.cfg.dir, KEEP_CHECKPOINTS)
+        gesto_durability::prune_checkpoints(&ds.dir, KEEP_CHECKPOINTS)
             .map_err(|e| durable::io_err("checkpoint prune", e))?;
         ds.ops_since_ckpt = 0;
         self.core.telemetry.checkpoints_total.inc();
@@ -691,19 +691,19 @@ impl ServerHandle {
     /// when durability is configured, before the server is handed to
     /// the caller.
     fn recover(&self) -> Result<(), ServeError> {
-        let dcfg = self
+        let dir = self
             .core
             .config
             .durability
             .clone()
-            .expect("recover() requires a durability config");
+            .expect("recover() requires a durability dir");
         let t = &self.core.telemetry;
 
         // 1. Newest valid checkpoint (corrupt ones are skipped).
         let mut ckpt_seq = 0u64;
         let mut metas: BTreeMap<String, (String, u32)> = BTreeMap::new();
         if let Some(ckpt) =
-            load_newest_checkpoint(&dcfg.dir).map_err(|e| durable::io_err("checkpoint load", e))?
+            load_newest_checkpoint(&dir).map_err(|e| durable::io_err("checkpoint load", e))?
         {
             t.recovery_corrupt_checkpoints
                 .add(ckpt.corrupt_skipped as u64);
@@ -724,7 +724,7 @@ impl ServerHandle {
         // `ckpt_seq` can linger when a crash hit between checkpoint and
         // compaction; they are already folded into the snapshot.
         let (journal, replay) =
-            Journal::open(&dcfg.dir).map_err(|e| durable::io_err("journal open", e))?;
+            Journal::open(&dir).map_err(|e| durable::io_err("journal open", e))?;
         t.recovery_truncated_bytes.add(replay.truncated_bytes);
         let mut replayed = 0u64;
         for (seq, payload) in &replay.records {
@@ -771,7 +771,7 @@ impl ServerHandle {
         // 4. Open for business: later control ops append here.
         *self.core.durable.lock() = Some(DurableState {
             journal,
-            cfg: dcfg,
+            dir,
             ops_since_ckpt: 0,
         });
         Ok(())

@@ -32,10 +32,10 @@
 //!
 //! * *Per session* ([`SessionRuntime`]): what must survive between the
 //!   session's batches — view operator state, one [`PlanInstance`] (NFA
-//!   run state) per deployed or retiring plan, the quota bucket. Run
-//!   state is what `gesto_shard_state_bytes` counts against the memory
-//!   budget; of the event arena it counts the row handles, so a kept
-//!   `kinect_t` row's frame and basis are heap the budget does not see.
+//!   run state) per deployed or retiring plan. Run state is what
+//!   `gesto_shard_state_bytes` counts against the memory budget; of the
+//!   event arena it counts the row handles, so a kept `kinect_t` row's
+//!   frame and basis are heap the budget does not see.
 //! * *Per worker* ([`ShardWorker`]): the batch's scratch, which every
 //!   session's batch uses in turn — the one [`BatchBuffers`] (view rows,
 //!   frame offsets, blocks), lent to the session's views for the batch
@@ -291,13 +291,6 @@ pub(crate) struct SessionRuntime {
     /// [`Self::sync_needed`] returned last); the worker builds them
     /// only then.
     raw_tuples: bool,
-    /// Frame-rate quota token bucket (tokens = frames). Refilled from
-    /// batch *enqueue* timestamps — not wall-clock reads on the worker —
-    /// so admission is deterministic per producer timeline. Burst
-    /// allowance is one second of quota.
-    quota_tokens: f64,
-    /// Enqueue instant of the last quota-checked batch.
-    quota_stamp: Option<Instant>,
     /// Last reported [`PlanInstance::state_bytes`] sum, so the shard
     /// gauge is updated by delta per batch.
     last_state_bytes: usize,
@@ -312,8 +305,6 @@ impl SessionRuntime {
             instances: plans.iter().map(|p| p.instantiate()).collect(),
             retiring: Vec::new(),
             raw_tuples,
-            quota_tokens: 0.0,
-            quota_stamp: None,
             last_state_bytes: 0,
         }
     }
@@ -381,9 +372,6 @@ pub(crate) struct ShardWorker {
     /// Core to pin this worker to at start-up (`None` = unpinned; see
     /// `crate::affinity::placement`).
     pin_core: Option<usize>,
-    /// Per-session frames/second admission quota (0 = unlimited); see
-    /// `ServerConfig::session_frame_quota`.
-    session_frame_quota: u32,
     /// Staleness deadline for queued batches — `Some` only under
     /// `BackpressurePolicy::DropOldest` with a configured
     /// `max_batch_age_ms`; older batches are shed before NFA stepping.
@@ -403,7 +391,6 @@ impl ShardWorker {
         columnar_min_batch: usize,
         telemetry: Arc<ServerTelemetry>,
         pin_core: Option<usize>,
-        session_frame_quota: u32,
         max_batch_age: Option<Duration>,
     ) -> Self {
         let slots = KinectSlots::resolve(&schema, "");
@@ -427,7 +414,6 @@ impl ShardWorker {
             telemetry,
             stage_sampler,
             pin_core,
-            session_frame_quota,
             max_batch_age,
         }
     }
@@ -550,7 +536,6 @@ impl ShardWorker {
             bufs,
             telemetry,
             stage_sampler,
-            session_frame_quota,
             ..
         } = self;
         let runtime = match sessions.entry(batch.session) {
@@ -560,31 +545,6 @@ impl ShardWorker {
                 e.insert(SessionRuntime::new(catalog, plans, (stream, schema)))
             }
         };
-        // Per-session frame-rate quota: token bucket refilled from the
-        // batches' enqueue timeline (deterministic — no worker clock
-        // reads), burst capped at one second of quota. Admission is
-        // whole-batch: a batch the bucket can't cover is dropped and
-        // counted, partial matches never see half a batch.
-        let quota = *session_frame_quota;
-        if quota > 0 {
-            let rate = f64::from(quota);
-            runtime.quota_tokens = match runtime.quota_stamp {
-                Some(prev) => {
-                    let dt = batch.enqueued.saturating_duration_since(prev).as_secs_f64();
-                    (runtime.quota_tokens + dt * rate).min(rate)
-                }
-                None => rate,
-            };
-            runtime.quota_stamp = Some(batch.enqueued);
-            let need = batch.frames.len() as f64;
-            if runtime.quota_tokens < need {
-                metrics.quota_frames.add(batch.frames.len() as u64);
-                metrics.quota_batches.inc();
-                return;
-            }
-            runtime.quota_tokens -= need;
-        }
-
         detections.clear();
         let mut errors = 0u64;
         let SessionRuntime {
@@ -642,12 +602,6 @@ impl ShardWorker {
         if let Some(t0) = mark {
             stages.views.record(t0.elapsed().as_nanos() as u64);
         }
-        // Data-path failpoint (disarmed: one relaxed load). Placed
-        // mid-batch — session created, buffers lent, raw tuples (if
-        // read) and view outputs written, NFA not yet stepped — so an
-        // injected panic exercises the full quarantine path, session
-        // reset and torn scratch included.
-        crate::failpoint::maybe_poison(&batch.frames);
         let mark = timed.then(Instant::now);
         for inst in instances.iter_mut() {
             if inst
@@ -979,7 +933,6 @@ mod tests {
             config.columnar_min_batch,
             Arc::new(ServerTelemetry::new(&config)),
             None,
-            0,
             None,
         );
         worker.apply_deploy(plan);

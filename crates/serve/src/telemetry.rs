@@ -310,12 +310,10 @@ impl ServerTelemetry {
 
         self.registry.register_collector(move |set| {
             let mut worst: f64 = 0.0;
-            let mut quota = 0u64;
             let mut stale = 0u64;
             let mut memory = 0u64;
             for (i, (m, gate)) in shards.iter().enumerate() {
                 worst = worst.max(policy.fill(m, gate));
-                quota += m.quota_batches.get();
                 stale += m.stale_batches.get();
                 memory += m.mem_rejected_batches.get();
                 let shard = i.to_string();
@@ -342,7 +340,6 @@ impl ServerTelemetry {
             );
             const REJ_NAME: &str = "gesto_admission_rejected_total";
             const REJ_HELP: &str = "Batches refused or dropped by admission control, by mechanism";
-            set.counter(REJ_NAME, REJ_HELP, &[("reason", "quota")], quota);
             set.counter(REJ_NAME, REJ_HELP, &[("reason", "stale")], stale);
             set.counter(REJ_NAME, REJ_HELP, &[("reason", "memory")], memory);
         });

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use gesto_durability::replay_dir;
 use gesto_kinect::{gestures, Performer, Persona, SkeletonFrame};
-use gesto_serve::{DurabilityConfig, Server, ServerConfig};
+use gesto_serve::{Server, ServerConfig};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gesto-crash-{}-{name}", std::process::id()));
@@ -30,13 +30,13 @@ fn swipe_frames(seed: u64) -> Vec<SkeletonFrame> {
     p.render(&gestures::swipe_right())
 }
 
-/// One shard, checkpoints effectively disabled: the whole history lives
-/// in a single journal segment so truncation offsets map 1:1 to op-log
-/// prefixes (checkpoint interplay is covered by the serve unit tests).
+/// One shard. The op log below stays under the 16-op checkpoint pace,
+/// so the whole history lives in a single journal segment and
+/// truncation offsets map 1:1 to op-log prefixes (`build_oplog` asserts
+/// no checkpoint was taken; checkpoint interplay is covered by the
+/// serve unit tests).
 fn durable_config(dir: &Path) -> ServerConfig {
-    ServerConfig::new()
-        .with_shards(1)
-        .with_durability_config(DurabilityConfig::new(dir).with_checkpoint_every(1_000_000))
+    ServerConfig::new().with_shards(1).with_durability(dir)
 }
 
 /// The control-plane state a restart must reproduce, down to the store
@@ -101,6 +101,18 @@ fn build_oplog(dir: &Path) -> BTreeMap<usize, ControlState> {
     note!();
     server.undeploy("g5").unwrap();
     note!();
+    assert_eq!(
+        states.keys().last(),
+        Some(&12),
+        "the op log holds 12 records"
+    );
+    assert!(
+        server
+            .registry()
+            .render()
+            .contains("\ngesto_checkpoints_total 0\n"),
+        "a 12-record history takes no checkpoint"
+    );
     server.shutdown();
     states
 }

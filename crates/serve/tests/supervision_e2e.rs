@@ -11,19 +11,25 @@
 //!    identical** to an uninjected in-process run — including a gesture
 //!    that straddles the panic, proving NFA state survives it — and the
 //!    reset victim's next gesture identical to a fresh session's. The
-//!    panic hits mid-`process`, while the worker's one set of batch
-//!    buffers is lent to the victim and holds its half-processed batch:
-//!    nothing of it may surface in any later detection, and the worker
-//!    must be running on a full set again.
+//!    panic comes from a user-defined function inside NFA stepping,
+//!    while the worker's one set of batch buffers is lent to the victim
+//!    and holds its half-processed batch: nothing of it may surface in
+//!    any later detection, and the worker must be running on a full set
+//!    again.
 
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
+use gesto_cep::expr::{Arity, FunctionRegistry};
+use gesto_db::GestureStore;
 use gesto_kinect::{gestures, Performer, Persona, SkeletonFrame};
 use gesto_serve::net::{wire, NetClient, NetConfig, NetServer};
-use gesto_serve::{failpoint, Server, ServerConfig, SessionId};
+use gesto_serve::{Server, ServerConfig, SessionId};
+use gesto_stream::Value;
+use gesto_transform::{register_rpy, standard_catalog};
 
 /// Bystander (client session id, performer seed) pairs; session 1 is
 /// the victim that receives the poisoned batch.
@@ -34,9 +40,34 @@ const EARLY: (u64, u64) = (4, 202);
 const CHUNK: usize = 33;
 /// Performer seed of the gesture the victim performs after its reset.
 const VICTIM_SEED: u64 = 555;
-/// Sentinel frame timestamp arming the panic-injection failpoint —
-/// far outside anything a rendered performance produces.
+/// Sentinel frame timestamp the `poison` function panics on — far
+/// outside anything a rendered performance produces.
 const POISON_TS: i64 = 777_777_777_777;
+
+/// The standard functions plus a one-shot `poison(ts)`: it panics the
+/// first time it is called on [`POISON_TS`] and returns 0 otherwise.
+/// The counter holds its trips.
+fn poison_functions() -> (Arc<FunctionRegistry>, Arc<AtomicU64>) {
+    let funcs = Arc::new(FunctionRegistry::with_builtins());
+    register_rpy(&funcs);
+    let trips = Arc::new(AtomicU64::new(0));
+    let seen = trips.clone();
+    funcs.register(
+        "poison",
+        Arity::Exact(1),
+        Arc::new(move |args| {
+            if args[0].as_i64() == Some(POISON_TS)
+                && seen
+                    .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                panic!("poisoned frame (ts {POISON_TS})");
+            }
+            Ok(Value::Float(0.0))
+        }),
+    );
+    (funcs, trips)
+}
 
 fn swipe_frames(seed: u64) -> Vec<SkeletonFrame> {
     let mut p = Performer::new(Persona::reference().with_seed(seed), 0);
@@ -78,8 +109,19 @@ fn assert_serving_and_ready(addr: std::net::SocketAddr, when: &str) {
 fn injected_panic_is_recovered_on_the_same_thread_and_spares_other_sessions() {
     // One shard: the victim and both bystanders share the worker that
     // will panic — the strongest version of the isolation claim.
-    let server = Server::start(ServerConfig::new().with_shards(1));
+    let (funcs, trips) = poison_functions();
+    let server = Server::try_with_parts(
+        ServerConfig::new().with_shards(1),
+        standard_catalog(),
+        funcs,
+        Arc::new(GestureStore::new()),
+    )
+    .unwrap();
     teach_swipe(&server);
+    // Never matches; calls `poison` on every frame of every session.
+    server
+        .deploy_text(r#"SELECT "poison" MATCHING kinect(poison(ts) > 1.0);"#)
+        .unwrap();
     // The thread that delivered each detection.
     let threads: Arc<Mutex<Vec<ThreadId>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = threads.clone();
@@ -119,8 +161,7 @@ fn injected_panic_is_recovered_on_the_same_thread_and_spares_other_sessions() {
         }
     }
 
-    // Arm the failpoint and deliver the poison on the victim session.
-    failpoint::arm_poison_ts(POISON_TS);
+    // Deliver the poison on the victim session.
     let mut poison = swipe_frames(999);
     poison.truncate(4);
     poison[0].ts = POISON_TS;
@@ -133,7 +174,11 @@ fn injected_panic_is_recovered_on_the_same_thread_and_spares_other_sessions() {
         assert!(t0.elapsed() < Duration::from_secs(10), "poison never hit");
         assert_serving_and_ready(addr, "while the panic is handled");
     }
-    assert_eq!(failpoint::poison_trips(), 1, "failpoint fired exactly once");
+    assert_eq!(
+        trips.load(Ordering::Acquire),
+        1,
+        "poison fired exactly once"
+    );
     assert_serving_and_ready(addr, "after the panic");
 
     // Second half of each bystander gesture: completes runs started

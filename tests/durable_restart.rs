@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use gesto::cep::{compiled_plan_count, Expr, Pattern, Query};
 use gesto::kinect::{gestures, NoiseModel, Performer, Persona, SkeletonFrame};
-use gesto::serve::{DurabilityConfig, ServeError, Server, ServerConfig, SessionId};
+use gesto::serve::{ServeError, Server, ServerConfig, SessionId};
 use parking_lot::Mutex;
 
 /// Held for the whole of each test (see the module docs).
@@ -106,20 +106,21 @@ fn teach_all(server: &Server) {
 fn restarted_server_detects_bit_identically() {
     let _alone = SERIAL.lock();
     let dir = temp_dir("equiv");
-    let config = || {
-        ServerConfig::new()
-            .with_shards(2)
-            .with_durability_config(DurabilityConfig::new(&dir).with_checkpoint_every(3))
-    };
+    let config = || ServerConfig::new().with_shards(2).with_durability(&dir);
 
     // Original process: teach four gestures (journaled as PutRecord +
-    // Deploy ops, with a checkpoint every 3 ops so recovery exercises
-    // checkpoint + journal-tail replay, not just one of them), plus a
-    // hand-written query, redeployed once so its version moves to 2,
-    // then detect.
+    // Deploy ops) plus a hand-written query, checkpoint those nine ops,
+    // then redeploy the query so its version moves to 2 in the journal
+    // tail — recovery exercises checkpoint + journal-tail replay, not
+    // just one of them — then detect.
     let compiled_before = compiled_plan_count();
     let server = Server::try_start(config()).unwrap();
     teach_all(&server);
+    assert_eq!(
+        server.checkpoint().unwrap(),
+        Some(9),
+        "nine ops checkpointed"
+    );
     server
         .deploy_text(r#"SELECT "ceiling" MATCHING kinect(head_y > 100000.0);"#)
         .unwrap();
@@ -165,6 +166,13 @@ fn restarted_server_detects_bit_identically() {
         5,
         "recovery compiles each deployed plan once"
     );
+    assert!(
+        server
+            .registry()
+            .render()
+            .contains("\ngesto_recovery_replayed_ops_total 1\n"),
+        "recovery loads the checkpoint and replays the one-op tail past it"
+    );
     let deployed_after = {
         let mut d = server.deployed_versions();
         d.sort();
@@ -181,7 +189,7 @@ fn restarted_server_detects_bit_identically() {
 }
 
 fn durable_config(dir: &std::path::Path) -> ServerConfig {
-    ServerConfig::new().with_durability_config(DurabilityConfig::new(dir))
+    ServerConfig::new().with_durability(dir)
 }
 
 /// Gestures `server` detects on one performance of a swipe.

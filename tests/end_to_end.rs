@@ -140,14 +140,12 @@ fn store_persistence_roundtrip_redeploys() {
     let system = GestureSystem::new();
     teach(&system, &gestures::swipe_left(), 3);
 
-    let dir = std::env::temp_dir().join(format!("gesto-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("gestures.json");
-    system.store().save(&path).unwrap();
+    let json = serde_json::to_string(&system.store().snapshot()).unwrap();
 
-    // A fresh system loads the store and redeploys from stored queries.
+    // A fresh system restores the store and redeploys from stored queries.
     let system2 = GestureSystem::new();
-    let store = gesto::db::GestureStore::load(&path).unwrap();
+    let store = gesto::db::GestureStore::new();
+    store.restore(serde_json::from_str(&json).unwrap()).unwrap();
     for name in store.names() {
         let rec = store.get(&name).unwrap();
         let text = rec.query_text.expect("query stored");
@@ -160,7 +158,6 @@ fn store_persistence_roundtrip_redeploys() {
         ds.iter().any(|d| d.gesture == "swipe_left"),
         "redeployed query detects"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
